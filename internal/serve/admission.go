@@ -25,8 +25,8 @@ import (
 )
 
 // quotas tracks per-caller admission state. It deliberately owns its
-// own mutex: job quota release runs from job.onSettle with the job's
-// lock held, and must never contend with the job store's.
+// own mutex: job quota release runs from the job's OnSettle hook with
+// the job's lock held, and must never contend with the job table's.
 type quotas struct {
 	mu     sync.Mutex
 	jobs   map[string]int // caller -> jobs currently queued or running
@@ -58,7 +58,7 @@ func (q *quotas) reserveJob(caller string, limit int) bool {
 	return true
 }
 
-// releaseJob returns a slot claimed by reserveJob. Safe from onSettle:
+// releaseJob returns a slot claimed by reserveJob. Safe from OnSettle:
 // it takes only the quota lock.
 func (q *quotas) releaseJob(caller string) {
 	q.mu.Lock()
@@ -116,7 +116,7 @@ func (s *Server) authenticate(h http.HandlerFunc) http.HandlerFunc {
 		caller, ok := s.identify(r)
 		if !ok {
 			s.metrics.inc(metricRejections, `reason="unauthorized"`)
-			writeError(w, http.StatusUnauthorized, CodeUnauthorized,
+			WriteError(w, http.StatusUnauthorized, CodeUnauthorized,
 				"missing or unknown bearer token")
 			return
 		}
@@ -138,7 +138,7 @@ func (s *Server) shed(h http.HandlerFunc) http.HandlerFunc {
 				s.inflight.Add(-1)
 				s.metrics.inc(metricRejections, `reason="overloaded"`)
 				w.Header().Set("Retry-After", "1")
-				writeError(w, http.StatusTooManyRequests, CodeOverloaded,
+				WriteError(w, http.StatusTooManyRequests, CodeOverloaded,
 					"server at %d in-flight work requests; retry shortly", max)
 				return
 			}
@@ -172,7 +172,7 @@ func (s *Server) admitPoints(w http.ResponseWriter, r *http.Request, n int) bool
 	}
 	s.metrics.inc(metricRejections, `reason="quota_points"`)
 	w.Header().Set("Retry-After", strconv.Itoa(int(retry/time.Second)+1))
-	writeError(w, http.StatusTooManyRequests, CodeQuotaExceeded,
+	WriteError(w, http.StatusTooManyRequests, CodeQuotaExceeded,
 		"caller %q exceeds %d grid points per %s", caller, s.cfg.QuotaPoints, s.cfg.QuotaWindow)
 	return false
 }

@@ -310,13 +310,13 @@ func TestMaxJobsEviction(t *testing.T) {
 	}
 	first := submit()
 	second := submit()
-	if n := s.jobs.evict(time.Now(), 0, 1); n != 1 {
+	if n := s.jobs.Evict(time.Now(), 0, 1); n != 1 {
 		t.Fatalf("evicted %d jobs, want 1", n)
 	}
-	if _, ok := s.jobs.get(first); ok {
+	if _, ok := s.jobs.Get(first); ok {
 		t.Fatalf("oldest settled job %s survived the MaxJobs cap", first)
 	}
-	if _, ok := s.jobs.get(second); !ok {
+	if _, ok := s.jobs.Get(second); !ok {
 		t.Fatalf("newest job %s evicted, want kept", second)
 	}
 }

@@ -52,24 +52,24 @@ type ChunkResponse struct {
 // evaluation here too.
 func (s *Server) handleChunkRun(w http.ResponseWriter, r *http.Request) {
 	var req ChunkRequest
-	if aerr := decodeJSON(w, r, &req); aerr != nil {
-		writeError(w, aerr.Status, aerr.Code, "%s", aerr.Msg)
+	if aerr := DecodeJSON(w, r, &req); aerr != nil {
+		WriteError(w, aerr.Status, aerr.Code, "%s", aerr.Msg)
 		return
 	}
 	plan, aerr := s.prepareSweep(req.SweepRequest)
 	if aerr != nil {
-		writeError(w, aerr.Status, aerr.Code, "%s", aerr.Msg)
+		WriteError(w, aerr.Status, aerr.Code, "%s", aerr.Msg)
 		return
 	}
 	if len(req.Indices) == 0 {
-		writeError(w, http.StatusBadRequest, CodeInvalidIndices, "no indices")
+		WriteError(w, http.StatusBadRequest, CodeInvalidIndices, "no indices")
 		return
 	}
 	if plan.Opts.Sample.Enabled() {
 		// A chunk sees only its shard of the grid; the surrogate needs the
 		// whole grid to choose what to simulate. Sampled sweeps stay
 		// single-process.
-		writeError(w, http.StatusBadRequest, CodeInvalidSample,
+		WriteError(w, http.StatusBadRequest, CodeInvalidSample,
 			"options.sample_tolerance is not supported on chunk evaluation")
 		return
 	}
@@ -82,7 +82,7 @@ func (s *Server) handleChunkRun(w http.ResponseWriter, r *http.Request) {
 	res, err := sweep.RunIndicesContext(r.Context(), plan.Axes, req.Indices, plan.Gen, opts)
 	if err != nil {
 		if errors.Is(err, context.DeadlineExceeded) {
-			writeError(w, http.StatusGatewayTimeout, CodeDeadlineExceeded,
+			WriteError(w, http.StatusGatewayTimeout, CodeDeadlineExceeded,
 				"chunk evaluation exceeded the request deadline")
 			return
 		}
@@ -92,7 +92,7 @@ func (s *Server) handleChunkRun(w http.ResponseWriter, r *http.Request) {
 		}
 		// GridSelect rejected the selection (out of range, duplicate);
 		// engine resolution already passed in prepareSweep.
-		writeError(w, http.StatusBadRequest, CodeInvalidIndices, "%v", err)
+		WriteError(w, http.StatusBadRequest, CodeInvalidIndices, "%v", err)
 		return
 	}
 	s.metrics.inc(metricChunks, fmt.Sprintf(`engine=%q`, plan.Engine))
@@ -106,5 +106,5 @@ func (s *Server) handleChunkRun(w http.ResponseWriter, r *http.Request) {
 	for _, pr := range res.Points {
 		out.Points = append(out.Points, ChunkPoint{Index: pr.Point.Index, SweepPoint: pointJSON(pr)})
 	}
-	writeJSON(w, http.StatusOK, out)
+	WriteJSON(w, http.StatusOK, out)
 }

@@ -383,11 +383,12 @@ func pointJSON(pr sweep.PointResult) SweepPoint {
 	return sp
 }
 
-// decodeJSON strictly decodes a bounded request body into dst: unknown
+// DecodeJSON strictly decodes a bounded request body into dst: unknown
 // fields and trailing garbage answer 400 bad_json, an oversized body
 // 413 body_too_large (so a client learns the size limit instead of
-// "malformed JSON").
-func decodeJSON(w http.ResponseWriter, r *http.Request, dst any) *RequestError {
+// "malformed JSON"). The shard coordinator decodes through it too, so a
+// fleet client sees exactly the single-process dialect.
+func DecodeJSON(w http.ResponseWriter, r *http.Request, dst any) *RequestError {
 	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBodyBytes))
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(dst); err != nil {
@@ -404,8 +405,8 @@ func decodeJSON(w http.ResponseWriter, r *http.Request, dst any) *RequestError {
 	return nil
 }
 
-// writeJSON writes a JSON response with the given status code.
-func writeJSON(w http.ResponseWriter, status int, v any) {
+// WriteJSON writes a JSON response with the given status code.
+func WriteJSON(w http.ResponseWriter, status int, v any) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(status)
 	enc := json.NewEncoder(w)
@@ -413,9 +414,9 @@ func writeJSON(w http.ResponseWriter, status int, v any) {
 	_ = enc.Encode(v) // the status line is already out; nothing to recover
 }
 
-// writeError writes the uniform error envelope.
-func writeError(w http.ResponseWriter, status int, code, format string, args ...any) {
-	writeJSON(w, status, ErrorResponse{Err: Error{
+// WriteError writes the uniform error envelope.
+func WriteError(w http.ResponseWriter, status int, code, format string, args ...any) {
+	WriteJSON(w, status, ErrorResponse{Err: Error{
 		Code:    code,
 		Message: fmt.Sprintf(format, args...),
 	}})

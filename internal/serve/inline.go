@@ -96,19 +96,19 @@ func inlineHybridGroup(eng engine.Engine, spec *archjson.Spec, requested []strin
 func (s *Server) handleRunInline(w http.ResponseWriter, r *http.Request, req RunRequest) {
 	eng, spec, aerr := resolveInline(req.Engine, req.Scenario, req.Architecture, req.Params)
 	if aerr != nil {
-		writeError(w, aerr.Status, aerr.Code, "%s", aerr.Msg)
+		WriteError(w, aerr.Status, aerr.Code, "%s", aerr.Msg)
 		return
 	}
 	group, aerr := inlineHybridGroup(eng, spec, req.Options.Group)
 	if aerr != nil {
-		writeError(w, aerr.Status, aerr.Code, "%s", aerr.Msg)
+		WriteError(w, aerr.Status, aerr.Code, "%s", aerr.Msg)
 		return
 	}
 	a, err := spec.Build(zoo.ParamMap(req.Params))
 	if err != nil {
 		// Resolved-value violations the structural check cannot see
 		// (e.g. a parameter binding driving a speed to zero).
-		writeError(w, http.StatusBadRequest, CodeInvalidArchitecture, "%v", err)
+		WriteError(w, http.StatusBadRequest, CodeInvalidArchitecture, "%v", err)
 		return
 	}
 	if !s.admitPoints(w, r, 1) {
@@ -120,7 +120,7 @@ func (s *Server) handleRunInline(w http.ResponseWriter, r *http.Request, req Run
 	res, err := runEngine(r.Context(), eng, a, opts)
 	if err != nil {
 		if errors.Is(err, context.DeadlineExceeded) {
-			writeError(w, http.StatusGatewayTimeout, CodeDeadlineExceeded,
+			WriteError(w, http.StatusGatewayTimeout, CodeDeadlineExceeded,
 				"run exceeded the request deadline")
 			return
 		}
@@ -128,12 +128,12 @@ func (s *Server) handleRunInline(w http.ResponseWriter, r *http.Request, req Run
 			// The caller went away; there is nobody to answer.
 			return
 		}
-		writeError(w, http.StatusUnprocessableEntity, CodeRunFailed, "%v", err)
+		WriteError(w, http.StatusUnprocessableEntity, CodeRunFailed, "%v", err)
 		return
 	}
 	s.metrics.inc(metricRuns, fmt.Sprintf(`engine=%q`, eng.Name()))
 	hits, misses := s.cache.Stats()
-	writeJSON(w, http.StatusOK, RunResponse{
+	WriteJSON(w, http.StatusOK, RunResponse{
 		Engine:       eng.Name(),
 		Architecture: spec.Name,
 		Result:       resultJSON(res),

@@ -3,396 +3,57 @@ package serve
 import (
 	"context"
 	"errors"
-	"fmt"
-	"sync"
 	"time"
 
 	"dyncomp/internal/sweep"
 )
 
-// jobState is the lifecycle of a sweep job. Transitions:
-//
-//	queued ──► running ──► done | failed | cancelled
-//	   │                            ▲
-//	   └────────────────────────────┘  (cancelled while queued)
-//
-// A cancel request against a running job shows up as the transient wire
-// state "cancelling" until the worker observes the context and settles
-// the terminal state.
-type jobState int
-
-const (
-	jobQueued jobState = iota
-	jobRunning
-	jobDone
-	jobFailed
-	jobCancelled
-)
-
-func (st jobState) String() string {
-	switch st {
-	case jobQueued:
-		return "queued"
-	case jobRunning:
-		return "running"
-	case jobDone:
-		return "done"
-	case jobFailed:
-		return "failed"
-	case jobCancelled:
-		return "cancelled"
-	}
-	return "unknown"
-}
-
-// terminal reports whether the state is final.
-func (st jobState) terminal() bool {
-	return st == jobDone || st == jobFailed || st == jobCancelled
-}
-
-// event is one server-sent event of a job's progress stream.
-type event struct {
-	Name string // "progress" or "state"
-	Data any    // JSON-marshalled payload
-}
-
-// progressData is the payload of a "progress" event.
-type progressData struct {
-	Done  int `json:"done"`
-	Total int `json:"total"`
-}
-
-// job is one asynchronous sweep: the prepared sweep inputs plus the
-// mutable lifecycle state. All mutable fields are guarded by mu.
+// job is one asynchronous sweep on this server's worker pool: the shared
+// lifecycle plus the prepared sweep inputs and, once settled, the
+// result (guarded by the lifecycle lock).
 type job struct {
-	id       string
-	engine   string
-	scenario string
-	axes     []sweep.Axis
-	gen      sweep.Generator
-	opts     sweep.Options // Progress and Cache are injected at run time
-
-	// onSettle, when non-nil, observes the terminal state exactly once
-	// — the single place jobs are counted, wherever they settle (worker,
-	// queued-cancel, shutdown drain). Must not call back into the job.
-	onSettle func(st jobState)
-
-	mu              sync.Mutex
-	state           jobState
-	cancelRequested bool
-	cancel          context.CancelFunc // set while running
-	done, total     int
-	created         time.Time
-	started         time.Time
-	finished        time.Time
-	err             error
-	res             *sweep.Result
-	rendered        *JobResult // memoized terminal result() rendering
-	subs            map[chan event]struct{}
+	Lifecycle
+	axes []sweep.Axis
+	gen  sweep.Generator
+	opts sweep.Options // Progress and Cache are injected at run time
+	res  *sweep.Result
 }
 
-// wireState renders the state for the API, including the transient
-// "cancelling" view of a running job with a pending cancel request.
-func (j *job) wireStateLocked() string {
-	if j.state == jobRunning && j.cancelRequested {
-		return "cancelling"
-	}
-	return j.state.String()
-}
-
-// snapshot renders the job's lifecycle for the API.
-func (j *job) snapshot() Job {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	return j.snapshotLocked()
-}
-
-func (j *job) snapshotLocked() Job {
-	out := Job{
-		ID:       j.id,
-		State:    j.wireStateLocked(),
-		Engine:   j.engine,
-		Scenario: j.scenario,
-		Done:     j.done,
-		Total:    j.total,
-		Created:  j.created,
-	}
-	if !j.started.IsZero() {
-		t := j.started
-		out.Started = &t
-	}
-	if !j.finished.IsZero() {
-		t := j.finished
-		out.Finished = &t
-	}
-	if j.err != nil {
-		out.Error = j.err.Error()
-	}
-	return out
-}
-
-// result renders the job including — in terminal states — the sweep
-// statistics and per-point results. A terminal job can never change, so
-// the rendering is memoized: polling a finished large grid costs one
-// conversion total, not one per GET.
-func (j *job) result() JobResult {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	if j.rendered != nil {
-		return *j.rendered
-	}
-	out := JobResult{Job: j.snapshotLocked()}
-	if j.res != nil && j.state.terminal() {
-		out.Stats = statsJSON(j.res.Stats)
-		out.Points = make([]SweepPoint, 0, len(j.res.Points))
-		for _, pr := range j.res.Points {
-			out.Points = append(out.Points, pointJSON(pr))
-		}
-	}
-	if j.state.terminal() {
-		j.rendered = &out
-	}
-	return out
-}
-
-// progress records point completion and fans it out to subscribers.
-// The sweep engine serializes deliveries and keeps them strictly
-// monotonic; the guard is defense in depth for any other producer (a
-// settled job must report done == total, and progress bars must not
-// move backwards).
-func (j *job) progress(done, total int) {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	if done <= j.done {
+// RenderLocked adds the sweep statistics and per-point results — also
+// the partial ones of a cancelled job.
+func (j *job) RenderLocked(out *JobResult) {
+	if j.res == nil {
 		return
 	}
-	j.done, j.total = done, total
-	j.broadcastLocked(event{Name: "progress", Data: progressData{Done: done, Total: total}})
-}
-
-// broadcastLocked sends ev to every subscriber without blocking: a slow
-// consumer drops intermediate events (each event carries absolute
-// counts, so nothing cumulative is lost).
-func (j *job) broadcastLocked(ev event) {
-	for ch := range j.subs {
-		select {
-		case ch <- ev:
-		default:
-		}
+	out.Stats = statsJSON(j.res.Stats)
+	out.Points = make([]SweepPoint, 0, len(j.res.Points))
+	for _, pr := range j.res.Points {
+		out.Points = append(out.Points, pointJSON(pr))
 	}
 }
 
-// settleLocked moves the job into a terminal state and closes every
-// subscriber stream. The terminal "state" event is NOT broadcast here:
-// a slow consumer's buffer could drop it, and the contract guarantees
-// the terminal state is never skipped — so the SSE handler renders it
-// itself from a snapshot when it observes the close.
-func (j *job) settleLocked(st jobState, now time.Time) {
-	j.state = st
-	j.finished = now
-	for ch := range j.subs {
-		close(ch)
-	}
-	j.subs = nil
-	if j.onSettle != nil {
-		j.onSettle(st)
-	}
-}
-
-// subscribe registers a progress listener. For a live job the returned
-// channel first receives a snapshot "state" event, then live events,
-// and is closed when the job settles; for an already-terminal job it is
-// closed immediately (the handler renders the terminal state on close).
-// unsubscribe is idempotent and must be called when the listener goes
-// away.
-func (j *job) subscribe() (<-chan event, func()) {
-	ch := make(chan event, 16)
-	j.mu.Lock()
-	if j.state.terminal() {
-		close(ch)
-	} else {
-		ch <- event{Name: "state", Data: j.snapshotLocked()}
-		if j.subs == nil {
-			j.subs = map[chan event]struct{}{}
-		}
-		j.subs[ch] = struct{}{}
-	}
-	j.mu.Unlock()
-	return ch, func() {
-		j.mu.Lock()
-		if _, ok := j.subs[ch]; ok {
-			delete(j.subs, ch)
-			close(ch)
-		}
-		j.mu.Unlock()
-	}
-}
-
-// requestCancel asks for the job to stop. A queued job settles
-// immediately; a running one has its context cancelled and settles when
-// the worker returns. Terminal jobs report ok == false.
-func (j *job) requestCancel(now time.Time) (state string, ok bool) {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	switch {
-	case j.state == jobQueued:
-		j.err = context.Canceled
-		j.settleLocked(jobCancelled, now)
-		return j.state.String(), true
-	case j.state == jobRunning:
-		j.cancelRequested = true
-		if j.cancel != nil {
-			j.cancel()
-		}
-		return j.wireStateLocked(), true
-	default:
-		return j.state.String(), false
-	}
-}
-
-// jobStore owns every job and the FIFO queue feeding the worker pool.
-type jobStore struct {
-	mu     sync.Mutex
-	closed bool // set by Server.Close: no further jobs accepted
-	jobs   map[string]*job
-	order  []string
-	seq    int64
-	queue  chan *job
-}
-
-func newJobStore(queueCap int) *jobStore {
-	return &jobStore{
-		jobs:  map[string]*job{},
-		queue: make(chan *job, queueCap),
-	}
-}
-
-// add registers a job and enqueues it; a full queue fails without
-// registering anything. Registration and the enqueue attempt happen
-// under one lock so a rejected job can never be observed by (or
-// corrupt) the listing; the queue send is non-blocking and workers pop
-// without taking st.mu, so the lock is never held across a wait.
-func (st *jobStore) add(j *job) error {
-	st.mu.Lock()
-	defer st.mu.Unlock()
-	if st.closed {
-		// The worker pool is gone; accepting would queue the job forever.
-		return errShuttingDown
-	}
-	st.seq++
-	j.id = fmt.Sprintf("job-%06d", st.seq)
+// enqueue hands a job to the worker pool without blocking; a full queue
+// refuses it.
+func (s *Server) enqueue(j *job) bool {
 	select {
-	case st.queue <- j:
-		st.jobs[j.id] = j
-		st.order = append(st.order, j.id)
-		return nil
+	case s.queue <- j:
+		return true
 	default:
-		return errQueueFull
+		return false
 	}
 }
 
-// Submission failures the HTTP layer maps onto distinct status codes.
-var (
-	errQueueFull    = errors.New("job queue full")
-	errShuttingDown = errors.New("server shutting down, no new jobs accepted")
-)
-
-// close marks the store as no longer accepting jobs. Serialized on
-// st.mu against add: any job enqueued before close is visible to the
-// caller's subsequent queue drain, any add after it is rejected.
-func (st *jobStore) close() {
-	st.mu.Lock()
-	st.closed = true
-	st.mu.Unlock()
-}
-
-// get returns the job by id.
-func (st *jobStore) get(id string) (*job, bool) {
-	st.mu.Lock()
-	defer st.mu.Unlock()
-	j, ok := st.jobs[id]
-	return j, ok
-}
-
-// list returns every job in creation order.
-func (st *jobStore) list() []*job {
-	st.mu.Lock()
-	defer st.mu.Unlock()
-	out := make([]*job, 0, len(st.order))
-	for _, id := range st.order {
-		out = append(out, st.jobs[id])
-	}
-	return out
-}
-
-// saturation reports the store's drain state and queue occupancy, the
-// two signals /readyz gates on.
-func (st *jobStore) saturation() (closed bool, queueLen, queueCap int) {
-	st.mu.Lock()
-	defer st.mu.Unlock()
-	return st.closed, len(st.queue), cap(st.queue)
-}
-
-// evict removes settled jobs: first everything past the TTL (measured
-// from its finish time), then — still beyond maxJobs — the oldest
-// settled jobs until the bound holds. Queued and running jobs are never
-// evicted, so a max-jobs bound smaller than the live set is simply not
-// yet enforceable. Returns how many jobs were dropped.
-func (st *jobStore) evict(now time.Time, ttl time.Duration, maxJobs int) int {
-	st.mu.Lock()
-	defer st.mu.Unlock()
-	drop := map[string]bool{}
-	var settled []string // still-kept settled jobs, creation order
-	for _, id := range st.order {
-		j := st.jobs[id]
-		j.mu.Lock()
-		if j.state.terminal() {
-			if ttl > 0 && now.Sub(j.finished) >= ttl {
-				drop[id] = true
-			} else {
-				settled = append(settled, id)
-			}
-		}
-		j.mu.Unlock()
-	}
-	if maxJobs > 0 {
-		kept := len(st.order) - len(drop)
-		for _, id := range settled {
-			if kept <= maxJobs {
-				break
-			}
-			drop[id] = true
-			kept--
-		}
-	}
-	if len(drop) == 0 {
-		return 0
-	}
-	order := st.order[:0]
-	for _, id := range st.order {
-		if drop[id] {
-			delete(st.jobs, id)
-			continue
-		}
-		order = append(order, id)
-	}
-	st.order = order
-	return len(drop)
-}
-
-// active counts queued and running jobs (for /metrics and /healthz).
-func (st *jobStore) active() (queued, running int) {
-	st.mu.Lock()
-	defer st.mu.Unlock()
-	for _, j := range st.jobs {
-		j.mu.Lock()
+// activeJobs counts queued and running jobs (for /metrics and /healthz).
+func (s *Server) activeJobs() (queued, running int) {
+	for _, j := range s.jobs.List() {
+		j.Lock()
 		switch j.state {
-		case jobQueued:
+		case JobQueued:
 			queued++
-		case jobRunning:
+		case JobRunning:
 			running++
 		}
-		j.mu.Unlock()
+		j.Unlock()
 	}
 	return queued, running
 }
@@ -405,7 +66,7 @@ func (s *Server) jobWorker() {
 		select {
 		case <-s.baseCtx.Done():
 			return
-		case j := <-s.jobs.queue:
+		case j := <-s.queue:
 			s.runJob(j)
 		}
 	}
@@ -413,24 +74,21 @@ func (s *Server) jobWorker() {
 
 // runJob executes one sweep job end to end: transition to running,
 // evaluate the grid with the server's shared derivation cache and the
-// job's progress fan-out, then settle the terminal state.
+// job's progress counter, then settle the terminal state.
 func (s *Server) runJob(j *job) {
-	j.mu.Lock()
-	if j.state != jobQueued { // cancelled while queued
-		j.mu.Unlock()
-		return
-	}
 	ctx, cancel := context.WithCancel(s.baseCtx)
 	defer cancel()
-	j.state = jobRunning
-	j.started = time.Now()
-	j.cancel = cancel
-	j.broadcastLocked(event{Name: "state", Data: j.snapshotLocked()})
-	j.mu.Unlock()
+	if !j.Start(cancel, time.Now()) { // cancelled while queued
+		return
+	}
 
 	opts := j.opts
 	opts.Cache = s.cache
-	opts.Progress = j.progress
+	opts.Progress = func(done, _ int) {
+		j.Lock()
+		j.AdvanceLocked(done)
+		j.Unlock()
+	}
 	res, err := sweep.RunContext(ctx, j.axes, j.gen, opts)
 	if res != nil && res.Stats.Batches > 0 {
 		s.sweepBatches.Add(int64(res.Stats.Batches))
@@ -454,25 +112,25 @@ func (s *Server) runJob(j *job) {
 		}
 	}
 
-	j.mu.Lock()
-	j.res = res
-	now := time.Now()
-	var terminal jobState
+	var terminal JobState
 	switch {
 	case errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded):
 		// Cancelled via DELETE or by server shutdown; the partial
 		// result (completed points keep their stats) stays readable.
-		j.err = err
-		terminal = jobCancelled
+		terminal = JobCancelled
 	case res == nil:
-		j.err = err
-		terminal = jobFailed
+		terminal = JobFailed
 	default:
 		// Point-level failures are not a job-level failure: the per-
 		// point errors travel in the results.
-		j.err = err
-		terminal = jobDone
+		terminal = JobDone
 	}
-	j.settleLocked(terminal, now) // also counts the job in metricJobs
-	j.mu.Unlock()
+	errMsg := ""
+	if err != nil {
+		errMsg = err.Error()
+	}
+	j.Lock()
+	j.res = res
+	j.settleLocked(terminal, errMsg, time.Now()) // OnSettle counts the job
+	j.Unlock()
 }

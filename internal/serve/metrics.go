@@ -39,22 +39,38 @@ func (m *metrics) inc(name, labels string) {
 	series[labels]++
 }
 
-// snapshot returns the counters as sorted, rendered sample lines.
-func (m *metrics) snapshot() []string {
+// samples returns the series of one counter as sorted WriteMetric
+// samples.
+func (m *metrics) samples(name string) []string {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	var lines []string
-	for name, series := range m.counters {
-		for labels, v := range series {
-			if labels == "" {
-				lines = append(lines, fmt.Sprintf("%s %d", name, v))
-			} else {
-				lines = append(lines, fmt.Sprintf("%s{%s} %d", name, labels, v))
-			}
-		}
+	var out []string
+	for labels, v := range m.counters[name] {
+		out = append(out, Sample(labels, v))
 	}
-	sort.Strings(lines)
-	return lines
+	sort.Strings(out)
+	return out
+}
+
+// WriteMetric writes one metric family in the Prometheus text format:
+// its HELP and TYPE lines, then one line per sample. A sample is what
+// follows the family name on its line — " 3", `{worker="a"} 1`,
+// `_bucket{le="0.1"} 7` — so plain, labelled and histogram families
+// share the one writer.
+func WriteMetric(w io.Writer, name, typ, help string, samples ...string) {
+	fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s %s\n", name, help, name, typ)
+	for _, s := range samples {
+		fmt.Fprintf(w, "%s%s\n", name, s)
+	}
+}
+
+// Sample renders one WriteMetric sample from a label set (empty for
+// none) and a value.
+func Sample(labels string, v any) string {
+	if labels == "" {
+		return fmt.Sprintf(" %v", v)
+	}
+	return fmt.Sprintf("{%s} %v", labels, v)
 }
 
 // Metric names. Requests are counted per endpoint and status class;
@@ -97,125 +113,83 @@ func (h *errHist) observe(v float64) {
 	h.n++
 }
 
-// write renders the histogram in the Prometheus text format with
-// cumulative bucket counts.
-func (h *errHist) write(w io.Writer, name string) {
+// samples renders the histogram's WriteMetric samples with cumulative
+// bucket counts.
+func (h *errHist) samples() []string {
 	h.mu.Lock()
 	defer h.mu.Unlock()
 	if h.counts == nil {
 		h.counts = make([]int64, len(predErrBuckets)+1)
 	}
+	var out []string
 	cum := int64(0)
 	for i, ub := range predErrBuckets {
 		cum += h.counts[i]
-		fmt.Fprintf(w, "%s_bucket{le=%q} %d\n", name, strconv.FormatFloat(ub, 'g', -1, 64), cum)
+		out = append(out, fmt.Sprintf("_bucket{le=%q} %d", strconv.FormatFloat(ub, 'g', -1, 64), cum))
 	}
 	cum += h.counts[len(predErrBuckets)]
-	fmt.Fprintf(w, "%s_bucket{le=\"+Inf\"} %d\n", name, cum)
-	fmt.Fprintf(w, "%s_sum %g\n", name, h.sum)
-	fmt.Fprintf(w, "%s_count %d\n", name, h.n)
+	return append(out,
+		fmt.Sprintf("_bucket{le=\"+Inf\"} %d", cum),
+		fmt.Sprintf("_sum %g", h.sum),
+		fmt.Sprintf("_count %d", h.n))
 }
 
 // handleMetrics serves GET /metrics in the Prometheus text exposition
 // format: the accumulated counters plus scrape-time gauges for the
-// derivation cache, the job store and the process uptime.
+// derivation cache, the job table and the process uptime.
 func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
+	counter := func(name, help string, v any) { WriteMetric(w, name, "counter", help, Sample("", v)) }
+	gauge := func(name, help string, v any) { WriteMetric(w, name, "gauge", help, Sample("", v)) }
 
-	fmt.Fprintf(w, "# HELP %s HTTP requests served, by endpoint and status class.\n", metricRequests)
-	fmt.Fprintf(w, "# TYPE %s counter\n", metricRequests)
-	fmt.Fprintf(w, "# HELP %s Synchronous /v1/run evaluations, by engine.\n", metricRuns)
-	fmt.Fprintf(w, "# TYPE %s counter\n", metricRuns)
-	fmt.Fprintf(w, "# HELP %s Sweep jobs that reached a terminal state, by state.\n", metricJobs)
-	fmt.Fprintf(w, "# TYPE %s counter\n", metricJobs)
-	fmt.Fprintf(w, "# HELP %s Distributed sweep chunks evaluated for a coordinator, by engine.\n", metricChunks)
-	fmt.Fprintf(w, "# TYPE %s counter\n", metricChunks)
-	fmt.Fprintf(w, "# HELP %s Design-space optimizations completed, by engine.\n", metricOptimize)
-	fmt.Fprintf(w, "# TYPE %s counter\n", metricOptimize)
-	fmt.Fprintf(w, "# HELP %s Requests rejected by admission control, by reason (unauthorized, quota_jobs, quota_points, overloaded).\n", metricRejections)
-	fmt.Fprintf(w, "# TYPE %s counter\n", metricRejections)
-	for _, line := range s.metrics.snapshot() {
-		fmt.Fprintln(w, line)
+	for _, c := range []struct{ name, help string }{
+		{metricRequests, "HTTP requests served, by endpoint and status class."},
+		{metricRuns, "Synchronous /v1/run evaluations, by engine."},
+		{metricJobs, "Sweep jobs that reached a terminal state, by state."},
+		{metricChunks, "Distributed sweep chunks evaluated for a coordinator, by engine."},
+		{metricOptimize, "Design-space optimizations completed, by engine."},
+		{metricRejections, "Requests rejected by admission control, by reason (unauthorized, quota_jobs, quota_points, overloaded)."},
+	} {
+		WriteMetric(w, c.name, "counter", c.help, s.metrics.samples(c.name)...)
 	}
-	fmt.Fprintf(w, "# HELP dyncomp_serve_inflight_requests Work requests currently in flight (run/optimize/chunks/sweep submissions).\n")
-	fmt.Fprintf(w, "# TYPE dyncomp_serve_inflight_requests gauge\n")
-	fmt.Fprintf(w, "dyncomp_serve_inflight_requests %d\n", s.inflight.Load())
-	fmt.Fprintf(w, "# HELP dyncomp_serve_jobs_evicted_total Settled jobs evicted by TTL or the max-jobs bound.\n")
-	fmt.Fprintf(w, "# TYPE dyncomp_serve_jobs_evicted_total counter\n")
-	fmt.Fprintf(w, "dyncomp_serve_jobs_evicted_total %d\n", s.jobsEvicted.Load())
-	fmt.Fprintf(w, "# HELP dyncomp_serve_panics_total Handler panics recovered into structured 500s.\n")
-	fmt.Fprintf(w, "# TYPE dyncomp_serve_panics_total counter\n")
-	fmt.Fprintf(w, "dyncomp_serve_panics_total %d\n", s.panics.Load())
-	fmt.Fprintf(w, "# HELP dyncomp_serve_chunk_points_total Grid points evaluated through the chunk endpoint.\n")
-	fmt.Fprintf(w, "# TYPE dyncomp_serve_chunk_points_total counter\n")
-	fmt.Fprintf(w, "dyncomp_serve_chunk_points_total %d\n", s.chunkPoints.Load())
+	gauge("dyncomp_serve_inflight_requests", "Work requests currently in flight (run/optimize/chunks/sweep submissions).", s.inflight.Load())
+	counter("dyncomp_serve_jobs_evicted_total", "Settled jobs evicted by TTL or the max-jobs bound.", s.jobsEvicted.Load())
+	counter("dyncomp_serve_panics_total", "Handler panics recovered into structured 500s.", s.panics.Load())
+	counter("dyncomp_serve_chunk_points_total", "Grid points evaluated through the chunk endpoint.", s.chunkPoints.Load())
 
 	hits, misses := s.cache.Stats()
-	fmt.Fprintf(w, "# HELP dyncomp_serve_derive_cache_hits_total Derivation-cache requests served by rebinding.\n")
-	fmt.Fprintf(w, "# TYPE dyncomp_serve_derive_cache_hits_total counter\n")
-	fmt.Fprintf(w, "dyncomp_serve_derive_cache_hits_total %d\n", hits)
-	fmt.Fprintf(w, "# HELP dyncomp_serve_derive_cache_misses_total Derivations actually performed (including re-derivations of evicted shapes).\n")
-	fmt.Fprintf(w, "# TYPE dyncomp_serve_derive_cache_misses_total counter\n")
-	fmt.Fprintf(w, "dyncomp_serve_derive_cache_misses_total %d\n", misses)
-	fmt.Fprintf(w, "# HELP dyncomp_serve_derive_cache_evictions_total Templates evicted by the LRU entry bound.\n")
-	fmt.Fprintf(w, "# TYPE dyncomp_serve_derive_cache_evictions_total counter\n")
-	fmt.Fprintf(w, "dyncomp_serve_derive_cache_evictions_total %d\n", s.cache.Evictions())
-	fmt.Fprintf(w, "# HELP dyncomp_serve_derive_cache_shapes Cached structural shapes.\n")
-	fmt.Fprintf(w, "# TYPE dyncomp_serve_derive_cache_shapes gauge\n")
-	fmt.Fprintf(w, "dyncomp_serve_derive_cache_shapes %d\n", s.cache.Shapes())
-	fmt.Fprintf(w, "# HELP dyncomp_serve_derive_cache_entry_limit Entry bound of the derivation cache (0: unbounded).\n")
-	fmt.Fprintf(w, "# TYPE dyncomp_serve_derive_cache_entry_limit gauge\n")
-	fmt.Fprintf(w, "dyncomp_serve_derive_cache_entry_limit %d\n", s.cache.Limit())
-	fmt.Fprintf(w, "# HELP dyncomp_serve_derive_cache_shape_hits Requests served per cached shape (occupancy snapshot).\n")
-	fmt.Fprintf(w, "# TYPE dyncomp_serve_derive_cache_shape_hits gauge\n")
+	counter("dyncomp_serve_derive_cache_hits_total", "Derivation-cache requests served by rebinding.", hits)
+	counter("dyncomp_serve_derive_cache_misses_total", "Derivations actually performed (including re-derivations of evicted shapes).", misses)
+	counter("dyncomp_serve_derive_cache_evictions_total", "Templates evicted by the LRU entry bound.", s.cache.Evictions())
+	gauge("dyncomp_serve_derive_cache_shapes", "Cached structural shapes.", s.cache.Shapes())
+	gauge("dyncomp_serve_derive_cache_entry_limit", "Entry bound of the derivation cache (0: unbounded).", s.cache.Limit())
+	var shapeHits []string
 	for _, sh := range s.cache.Snapshot() {
-		fmt.Fprintf(w, "dyncomp_serve_derive_cache_shape_hits{arch=%q,shape=%q} %d\n", sh.Arch, sh.Digest, sh.Hits)
+		shapeHits = append(shapeHits, Sample(fmt.Sprintf("arch=%q,shape=%q", sh.Arch, sh.Digest), sh.Hits))
 	}
-	fmt.Fprintf(w, "# HELP dyncomp_serve_tdg_compiles_total Temporal-dependency-graph compilations performed process-wide; rebound shapes patch weight tables instead.\n")
-	fmt.Fprintf(w, "# TYPE dyncomp_serve_tdg_compiles_total counter\n")
-	fmt.Fprintf(w, "dyncomp_serve_tdg_compiles_total %d\n", tdg.Compiles())
+	WriteMetric(w, "dyncomp_serve_derive_cache_shape_hits", "gauge", "Requests served per cached shape (occupancy snapshot).", shapeHits...)
+	counter("dyncomp_serve_tdg_compiles_total", "Temporal-dependency-graph compilations performed process-wide; rebound shapes patch weight tables instead.", tdg.Compiles())
 
 	batches := s.sweepBatches.Load()
 	batchPoints := s.sweepBatchPoints.Load()
 	batchLanes := s.sweepBatchLanes.Load()
-	fmt.Fprintf(w, "# HELP dyncomp_serve_sweep_batches_total Batched lane evaluations dispatched by sweep jobs.\n")
-	fmt.Fprintf(w, "# TYPE dyncomp_serve_sweep_batches_total counter\n")
-	fmt.Fprintf(w, "dyncomp_serve_sweep_batches_total %d\n", batches)
-	fmt.Fprintf(w, "# HELP dyncomp_serve_sweep_batch_points_total Grid points evaluated through the batched path.\n")
-	fmt.Fprintf(w, "# TYPE dyncomp_serve_sweep_batch_points_total counter\n")
-	fmt.Fprintf(w, "dyncomp_serve_sweep_batch_points_total %d\n", batchPoints)
-	fmt.Fprintf(w, "# HELP dyncomp_serve_sweep_batch_lanes_total Lane capacity offered by those batches (batches x width).\n")
-	fmt.Fprintf(w, "# TYPE dyncomp_serve_sweep_batch_lanes_total counter\n")
-	fmt.Fprintf(w, "dyncomp_serve_sweep_batch_lanes_total %d\n", batchLanes)
+	counter("dyncomp_serve_sweep_batches_total", "Batched lane evaluations dispatched by sweep jobs.", batches)
+	counter("dyncomp_serve_sweep_batch_points_total", "Grid points evaluated through the batched path.", batchPoints)
+	counter("dyncomp_serve_sweep_batch_lanes_total", "Lane capacity offered by those batches (batches x width).", batchLanes)
 	occupancy := 0.0
 	if batchLanes > 0 {
 		occupancy = float64(batchPoints) / float64(batchLanes)
 	}
-	fmt.Fprintf(w, "# HELP dyncomp_serve_sweep_batch_occupancy Mean lane utilization of batched sweep evaluations (points / capacity).\n")
-	fmt.Fprintf(w, "# TYPE dyncomp_serve_sweep_batch_occupancy gauge\n")
-	fmt.Fprintf(w, "dyncomp_serve_sweep_batch_occupancy %.4f\n", occupancy)
+	gauge("dyncomp_serve_sweep_batch_occupancy", "Mean lane utilization of batched sweep evaluations (points / capacity).", fmt.Sprintf("%.4f", occupancy))
 
-	fmt.Fprintf(w, "# HELP dyncomp_serve_sweep_simulated_points_total Sampled-sweep grid points evaluated exactly.\n")
-	fmt.Fprintf(w, "# TYPE dyncomp_serve_sweep_simulated_points_total counter\n")
-	fmt.Fprintf(w, "dyncomp_serve_sweep_simulated_points_total %d\n", s.sweepSimulated.Load())
-	fmt.Fprintf(w, "# HELP dyncomp_serve_sweep_predicted_points_total Sampled-sweep grid points filled in by the surrogate model.\n")
-	fmt.Fprintf(w, "# TYPE dyncomp_serve_sweep_predicted_points_total counter\n")
-	fmt.Fprintf(w, "dyncomp_serve_sweep_predicted_points_total %d\n", s.sweepPredicted.Load())
-	fmt.Fprintf(w, "# HELP dyncomp_serve_sweep_pred_error Relative prediction error per predicted point (observed under sample_verify, declared bound otherwise).\n")
-	fmt.Fprintf(w, "# TYPE dyncomp_serve_sweep_pred_error histogram\n")
-	s.predErrors.write(w, "dyncomp_serve_sweep_pred_error")
+	counter("dyncomp_serve_sweep_simulated_points_total", "Sampled-sweep grid points evaluated exactly.", s.sweepSimulated.Load())
+	counter("dyncomp_serve_sweep_predicted_points_total", "Sampled-sweep grid points filled in by the surrogate model.", s.sweepPredicted.Load())
+	WriteMetric(w, "dyncomp_serve_sweep_pred_error", "histogram", "Relative prediction error per predicted point (observed under sample_verify, declared bound otherwise).", s.predErrors.samples()...)
 
-	queued, running := s.jobs.active()
-	fmt.Fprintf(w, "# HELP dyncomp_serve_jobs_queued Sweep jobs waiting for a worker.\n")
-	fmt.Fprintf(w, "# TYPE dyncomp_serve_jobs_queued gauge\n")
-	fmt.Fprintf(w, "dyncomp_serve_jobs_queued %d\n", queued)
-	fmt.Fprintf(w, "# HELP dyncomp_serve_jobs_running Sweep jobs currently executing.\n")
-	fmt.Fprintf(w, "# TYPE dyncomp_serve_jobs_running gauge\n")
-	fmt.Fprintf(w, "dyncomp_serve_jobs_running %d\n", running)
-
-	fmt.Fprintf(w, "# HELP dyncomp_serve_uptime_seconds Seconds since the server started.\n")
-	fmt.Fprintf(w, "# TYPE dyncomp_serve_uptime_seconds gauge\n")
-	fmt.Fprintf(w, "dyncomp_serve_uptime_seconds %.3f\n", time.Since(s.started).Seconds())
+	queued, running := s.activeJobs()
+	gauge("dyncomp_serve_jobs_queued", "Sweep jobs waiting for a worker.", queued)
+	gauge("dyncomp_serve_jobs_running", "Sweep jobs currently executing.", running)
+	gauge("dyncomp_serve_uptime_seconds", "Seconds since the server started.", fmt.Sprintf("%.3f", time.Since(s.started).Seconds()))
 }
 
 // statusRecorder captures the response status for the request-counting

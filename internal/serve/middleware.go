@@ -112,7 +112,7 @@ func (al AccessLog) Wrap(h http.Handler) http.Handler {
 				if ar.status == 0 {
 					// Headers not yet out: the client still gets a
 					// structured envelope, never a torn response body.
-					writeError(ar, http.StatusInternalServerError, CodeInternal,
+					WriteError(ar, http.StatusInternalServerError, CodeInternal,
 						"internal error")
 				}
 				if al.Logger != nil {

@@ -82,24 +82,24 @@ type OptimizeResponse struct {
 // grid-sized: the whole point is simulating few points).
 func (s *Server) handleOptimize(w http.ResponseWriter, r *http.Request) {
 	var req OptimizeRequest
-	if aerr := decodeJSON(w, r, &req); aerr != nil {
-		writeError(w, aerr.Status, aerr.Code, "%s", aerr.Msg)
+	if aerr := DecodeJSON(w, r, &req); aerr != nil {
+		WriteError(w, aerr.Status, aerr.Code, "%s", aerr.Msg)
 		return
 	}
 	if !hasArchitecture(req.Architecture) {
-		writeError(w, http.StatusBadRequest, CodeInvalidArchitecture,
+		WriteError(w, http.StatusBadRequest, CodeInvalidArchitecture,
 			"an inline architecture is required")
 		return
 	}
 	eng, spec, aerr := resolveInline(req.Engine, "", req.Architecture, nil)
 	if aerr != nil {
-		writeError(w, aerr.Status, aerr.Code, "%s", aerr.Msg)
+		WriteError(w, aerr.Status, aerr.Code, "%s", aerr.Msg)
 		return
 	}
 	switch req.Objective {
 	case "", optimize.ObjectiveCycleMean, optimize.ObjectiveFinalTime:
 	default:
-		writeError(w, http.StatusBadRequest, CodeInvalidObjective,
+		WriteError(w, http.StatusBadRequest, CodeInvalidObjective,
 			"unknown objective %q (have %q, %q)",
 			req.Objective, optimize.ObjectiveCycleMean, optimize.ObjectiveFinalTime)
 		return
@@ -110,7 +110,7 @@ func (s *Server) handleOptimize(w http.ResponseWriter, r *http.Request) {
 		switch c.Metric {
 		case optimize.MetricArea, optimize.MetricPower:
 		default:
-			writeError(w, http.StatusBadRequest, CodeInvalidConstraint,
+			WriteError(w, http.StatusBadRequest, CodeInvalidConstraint,
 				"unknown constraint metric %q (have %q, %q)",
 				c.Metric, optimize.MetricArea, optimize.MetricPower)
 			return
@@ -118,7 +118,7 @@ func (s *Server) handleOptimize(w http.ResponseWriter, r *http.Request) {
 		if cmErr == nil &&
 			((c.Metric == optimize.MetricArea && !cm.HasArea) ||
 				(c.Metric == optimize.MetricPower && !cm.HasPower)) {
-			writeError(w, http.StatusBadRequest, CodeInvalidConstraint,
+			WriteError(w, http.StatusBadRequest, CodeInvalidConstraint,
 				"architecture %q declares no %s cost model; the %s budget would be unenforceable",
 				spec.Name, c.Metric, c.Metric)
 			return
@@ -126,7 +126,7 @@ func (s *Server) handleOptimize(w http.ResponseWriter, r *http.Request) {
 		cons = append(cons, optimize.Constraint{Metric: c.Metric, Max: c.Max})
 	}
 	if req.Options.Budget < 0 {
-		writeError(w, http.StatusBadRequest, CodeBadJSON,
+		WriteError(w, http.StatusBadRequest, CodeBadJSON,
 			"options.budget must be non-negative, got %d", req.Options.Budget)
 		return
 	}
@@ -138,14 +138,14 @@ func (s *Server) handleOptimize(w http.ResponseWriter, r *http.Request) {
 			axes++
 			points *= n
 			if points > s.cfg.MaxGridPoints {
-				writeError(w, http.StatusBadRequest, CodeGridTooLarge,
+				WriteError(w, http.StatusBadRequest, CodeGridTooLarge,
 					"design space exceeds %d points", s.cfg.MaxGridPoints)
 				return
 			}
 		}
 	}
 	if axes == 0 {
-		writeError(w, http.StatusBadRequest, CodeInvalidAxes,
+		WriteError(w, http.StatusBadRequest, CodeInvalidAxes,
 			"architecture %q declares no parameter values to optimize over", spec.Name)
 		return
 	}
@@ -156,7 +156,7 @@ func (s *Server) handleOptimize(w http.ResponseWriter, r *http.Request) {
 	}
 	group, aerr := inlineHybridGroup(eng, spec, req.Options.Group)
 	if aerr != nil {
-		writeError(w, aerr.Status, aerr.Code, "%s", aerr.Msg)
+		WriteError(w, aerr.Status, aerr.Code, "%s", aerr.Msg)
 		return
 	}
 	workers := req.Options.Workers
@@ -181,7 +181,7 @@ func (s *Server) handleOptimize(w http.ResponseWriter, r *http.Request) {
 	})
 	if err != nil {
 		if errors.Is(err, context.DeadlineExceeded) {
-			writeError(w, http.StatusGatewayTimeout, CodeDeadlineExceeded,
+			WriteError(w, http.StatusGatewayTimeout, CodeDeadlineExceeded,
 				"optimization exceeded the request deadline")
 			return
 		}
@@ -189,7 +189,7 @@ func (s *Server) handleOptimize(w http.ResponseWriter, r *http.Request) {
 			// The caller went away; there is nobody to answer.
 			return
 		}
-		writeError(w, http.StatusUnprocessableEntity, CodeRunFailed, "%v", err)
+		WriteError(w, http.StatusUnprocessableEntity, CodeRunFailed, "%v", err)
 		return
 	}
 	s.metrics.inc(metricOptimize, fmt.Sprintf(`engine=%q`, eng.Name()))
@@ -206,7 +206,7 @@ func (s *Server) handleOptimize(w http.ResponseWriter, r *http.Request) {
 		})
 	}
 	hits, misses := s.cache.Stats()
-	writeJSON(w, http.StatusOK, OptimizeResponse{
+	WriteJSON(w, http.StatusOK, OptimizeResponse{
 		Engine:       eng.Name(),
 		Architecture: spec.Name,
 		Objective:    res.Objective,

@@ -100,8 +100,8 @@ func runEngine(ctx context.Context, eng engine.Engine, a *model.Architecture, op
 // and answer with the unified result plus a cache snapshot.
 func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 	var req RunRequest
-	if aerr := decodeJSON(w, r, &req); aerr != nil {
-		writeError(w, aerr.Status, aerr.Code, "%s", aerr.Msg)
+	if aerr := DecodeJSON(w, r, &req); aerr != nil {
+		WriteError(w, aerr.Status, aerr.Code, "%s", aerr.Msg)
 		return
 	}
 	if hasArchitecture(req.Architecture) {
@@ -110,17 +110,17 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 	}
 	eng, sc, pm, aerr := resolve(req.Engine, req.Scenario, req.Params)
 	if aerr != nil {
-		writeError(w, aerr.Status, aerr.Code, "%s", aerr.Msg)
+		WriteError(w, aerr.Status, aerr.Code, "%s", aerr.Msg)
 		return
 	}
 	group, aerr := hybridGroup(eng, sc, req.Options.Group, pm)
 	if aerr != nil {
-		writeError(w, aerr.Status, aerr.Code, "%s", aerr.Msg)
+		WriteError(w, aerr.Status, aerr.Code, "%s", aerr.Msg)
 		return
 	}
 	a, err := buildArchitecture(sc, pm)
 	if err != nil {
-		writeError(w, http.StatusUnprocessableEntity, CodeRunFailed, "%v", err)
+		WriteError(w, http.StatusUnprocessableEntity, CodeRunFailed, "%v", err)
 		return
 	}
 	if !s.admitPoints(w, r, 1) {
@@ -132,7 +132,7 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 	res, err := runEngine(r.Context(), eng, a, opts)
 	if err != nil {
 		if errors.Is(err, context.DeadlineExceeded) {
-			writeError(w, http.StatusGatewayTimeout, CodeDeadlineExceeded,
+			WriteError(w, http.StatusGatewayTimeout, CodeDeadlineExceeded,
 				"run exceeded the request deadline")
 			return
 		}
@@ -140,12 +140,12 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 			// The caller went away; there is nobody to answer.
 			return
 		}
-		writeError(w, http.StatusUnprocessableEntity, CodeRunFailed, "%v", err)
+		WriteError(w, http.StatusUnprocessableEntity, CodeRunFailed, "%v", err)
 		return
 	}
 	s.metrics.inc(metricRuns, fmt.Sprintf(`engine=%q`, eng.Name()))
 	hits, misses := s.cache.Stats()
-	writeJSON(w, http.StatusOK, RunResponse{
+	WriteJSON(w, http.StatusOK, RunResponse{
 		Engine:   eng.Name(),
 		Scenario: sc.Name,
 		Result:   resultJSON(res),

@@ -170,13 +170,14 @@ func (c Config) withDefaults() Config {
 }
 
 // Server is the serving layer's state: the process-wide derivation
-// cache, the job store and pool, and the metrics collector. Create it
+// cache, the job table and pool, and the metrics collector. Create it
 // with New, expose Handler over an http.Server, and Close it on the way
 // out (Close cancels running jobs and waits for the pool to drain).
 type Server struct {
 	cfg     Config
 	cache   *derive.Cache
-	jobs    *jobStore
+	jobs    *JobTable[*job]
+	queue   chan *job // FIFO feeding the job worker pool
 	metrics *metrics
 	mux     *http.ServeMux
 	started time.Time
@@ -217,7 +218,7 @@ func New(cfg Config) *Server {
 	s := &Server{
 		cfg:     cfg,
 		cache:   derive.NewCacheLimit(cfg.CacheEntries),
-		jobs:    newJobStore(cfg.JobQueue),
+		queue:   make(chan *job, cfg.JobQueue),
 		metrics: newMetrics(),
 		quotas:  newQuotas(),
 		mux:     http.NewServeMux(),
@@ -225,6 +226,7 @@ func New(cfg Config) *Server {
 		baseCtx: ctx,
 		stop:    stop,
 	}
+	s.jobs = NewJobTable[*job](func(n int) { s.jobsEvicted.Add(int64(n)) })
 	s.routes()
 	for i := 0; i < cfg.JobWorkers; i++ {
 		s.wg.Add(1)
@@ -232,7 +234,10 @@ func New(cfg Config) *Server {
 	}
 	if cfg.JobTTL > 0 || cfg.MaxJobs > 0 {
 		s.wg.Add(1)
-		go s.jobJanitor()
+		go func() {
+			defer s.wg.Done()
+			s.jobs.Janitor(s.baseCtx, cfg.JobTTL, cfg.MaxJobs)
+		}()
 	}
 	return s
 }
@@ -243,31 +248,6 @@ func (s *Server) Handler() http.Handler {
 	return AccessLog{Logger: s.cfg.Logger, OnPanic: func() { s.panics.Add(1) }}.Wrap(s.mux)
 }
 
-// jobJanitor periodically evicts settled jobs past the TTL or the
-// max-jobs bound.
-func (s *Server) jobJanitor() {
-	defer s.wg.Done()
-	interval := s.cfg.JobTTL / 4
-	if interval <= 0 || interval > time.Second {
-		interval = time.Second
-	}
-	if interval < 25*time.Millisecond {
-		interval = 25 * time.Millisecond
-	}
-	t := time.NewTicker(interval)
-	defer t.Stop()
-	for {
-		select {
-		case <-s.baseCtx.Done():
-			return
-		case <-t.C:
-			if n := s.jobs.evict(time.Now(), s.cfg.JobTTL, s.cfg.MaxJobs); n > 0 {
-				s.jobsEvicted.Add(int64(n))
-			}
-		}
-	}
-}
-
 // Close shuts the job pool down: new job submissions are rejected,
 // running jobs are cancelled (they settle as "cancelled" with their
 // partial results) and jobs still queued are settled as "cancelled"
@@ -275,19 +255,14 @@ func (s *Server) jobJanitor() {
 // hanging into the HTTP drain timeout. Close blocks until every worker
 // returned. Handlers may keep serving reads after Close.
 func (s *Server) Close() {
-	s.jobs.close() // before the drain: add() is serialized against it
+	s.jobs.Close() // before the drain: Add is serialized against it
 	s.stop()
 	s.wg.Wait()
 	// No worker will ever pop these; settle them.
 	for {
 		select {
-		case j := <-s.jobs.queue:
-			j.mu.Lock()
-			if j.state == jobQueued {
-				j.err = context.Canceled
-				j.settleLocked(jobCancelled, time.Now())
-			}
-			j.mu.Unlock()
+		case j := <-s.queue:
+			j.Settle(JobCancelled, context.Canceled.Error(), time.Now())
 		default:
 			return
 		}
@@ -308,10 +283,13 @@ func (s *Server) routes() {
 	s.mux.HandleFunc("POST /v1/optimize", s.work("optimize", s.handleOptimize))
 	s.mux.HandleFunc("POST /v1/chunks", s.work("chunk_run", s.handleChunkRun))
 	s.mux.HandleFunc("POST /v1/sweeps", s.work("sweep_create", s.handleSweepCreate))
-	s.mux.HandleFunc("GET /v1/sweeps", s.light("sweep_list", s.handleSweepList))
-	s.mux.HandleFunc("GET /v1/sweeps/{id}", s.light("sweep_get", s.handleSweepGet))
-	s.mux.HandleFunc("DELETE /v1/sweeps/{id}", s.light("sweep_cancel", s.handleSweepCancel))
-	s.mux.HandleFunc("GET /v1/sweeps/{id}/events", s.stream("sweep_events", s.handleSweepEvents))
+	s.mux.HandleFunc("GET /v1/sweeps", s.light("sweep_list", s.jobs.ServeList))
+	s.mux.HandleFunc("GET /v1/sweeps/{id}", s.light("sweep_get", s.jobs.ServeGet))
+	s.mux.HandleFunc("DELETE /v1/sweeps/{id}", s.light("sweep_cancel", s.jobs.ServeCancel))
+	s.mux.HandleFunc("GET /v1/sweeps/{id}/events", s.stream("sweep_events", func(w http.ResponseWriter, r *http.Request) {
+		// Close settles every job, so the stream needs no shutdown signal.
+		s.jobs.ServeEvents(w, r, s.cfg.StreamWriteTimeout, nil)
+	}))
 }
 
 // Health is the body of GET /healthz.
@@ -324,8 +302,8 @@ type Health struct {
 }
 
 func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
-	queued, running := s.jobs.active()
-	writeJSON(w, http.StatusOK, Health{
+	queued, running := s.activeJobs()
+	WriteJSON(w, http.StatusOK, Health{
 		Status:      "ok",
 		UptimeNs:    time.Since(s.started).Nanoseconds(),
 		JobsQueued:  queued,
@@ -339,15 +317,15 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 // saturated, so load balancers and the shard coordinator's breaker
 // probes steer work away before it would be rejected.
 func (s *Server) handleReadyz(w http.ResponseWriter, r *http.Request) {
-	closed, queueLen, queueCap := s.jobs.saturation()
+	queueLen, queueCap := len(s.queue), cap(s.queue)
 	switch {
-	case closed:
-		writeError(w, http.StatusServiceUnavailable, CodeUnavailable, "draining")
+	case s.jobs.isClosed():
+		WriteError(w, http.StatusServiceUnavailable, CodeUnavailable, "draining")
 	case queueCap > 0 && queueLen >= queueCap:
-		writeError(w, http.StatusServiceUnavailable, CodeOverloaded,
+		WriteError(w, http.StatusServiceUnavailable, CodeOverloaded,
 			"job queue saturated (%d/%d)", queueLen, queueCap)
 	default:
-		writeJSON(w, http.StatusOK, struct {
+		WriteJSON(w, http.StatusOK, struct {
 			Status string `json:"status"`
 		}{"ready"})
 	}
@@ -366,7 +344,7 @@ func (s *Server) handleEngines(w http.ResponseWriter, r *http.Request) {
 	for _, n := range names {
 		out.Engines = append(out.Engines, EngineInfo{Name: n})
 	}
-	writeJSON(w, http.StatusOK, out)
+	WriteJSON(w, http.StatusOK, out)
 }
 
 // ScenarioInfo is one entry of GET /v1/scenarios.
@@ -390,5 +368,5 @@ func (s *Server) handleScenarios(w http.ResponseWriter, r *http.Request) {
 			HybridGroup: sc.HybridGroup != nil,
 		})
 	}
-	writeJSON(w, http.StatusOK, out)
+	WriteJSON(w, http.StatusOK, out)
 }

@@ -1,7 +1,6 @@
 package serve
 
 import (
-	"encoding/json"
 	"errors"
 	"fmt"
 	"net/http"
@@ -186,20 +185,20 @@ func (s *Server) prepareSweep(req SweepRequest) (*SweepPlan, *RequestError) {
 // job and answer 202 with its lifecycle snapshot.
 func (s *Server) handleSweepCreate(w http.ResponseWriter, r *http.Request) {
 	var req SweepRequest
-	if aerr := decodeJSON(w, r, &req); aerr != nil {
-		writeError(w, aerr.Status, aerr.Code, "%s", aerr.Msg)
+	if aerr := DecodeJSON(w, r, &req); aerr != nil {
+		WriteError(w, aerr.Status, aerr.Code, "%s", aerr.Msg)
 		return
 	}
 	plan, aerr := s.prepareSweep(req)
 	if aerr != nil {
-		writeError(w, aerr.Status, aerr.Code, "%s", aerr.Msg)
+		WriteError(w, aerr.Status, aerr.Code, "%s", aerr.Msg)
 		return
 	}
 	caller := callerID(r)
 	if !s.quotas.reserveJob(caller, s.cfg.QuotaJobs) {
 		s.metrics.inc(metricRejections, `reason="quota_jobs"`)
 		w.Header().Set("Retry-After", "1")
-		writeError(w, http.StatusTooManyRequests, CodeQuotaExceeded,
+		WriteError(w, http.StatusTooManyRequests, CodeQuotaExceeded,
 			"caller %q already has %d jobs in flight", caller, s.cfg.QuotaJobs)
 		return
 	}
@@ -208,130 +207,33 @@ func (s *Server) handleSweepCreate(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	j := &job{
-		engine:   plan.Engine,
-		scenario: plan.Scenario,
-		axes:     plan.Axes,
-		opts:     plan.Opts,
-		total:    plan.Total,
-		created:  time.Now(),
-		gen:      plan.Gen,
-		// Count every terminal state exactly once, wherever the job
-		// settles (worker, queued-cancel, shutdown drain) — and return
-		// the caller's concurrent-job quota slot there, the single point
-		// every settle path funnels through.
-		onSettle: func(st jobState) {
-			s.quotas.releaseJob(caller)
-			s.metrics.inc(metricJobs, fmt.Sprintf(`state=%q`, st.String()))
+		Lifecycle: Lifecycle{
+			Engine:   plan.Engine,
+			Scenario: plan.Scenario,
+			Total:    plan.Total,
+			Created:  time.Now(),
+			// Count every terminal state exactly once, wherever the job
+			// settles (worker, queued-cancel, shutdown drain) — and
+			// return the caller's concurrent-job quota slot there, the
+			// single point every settle path funnels through.
+			OnSettle: func(st JobState, _ string) {
+				s.quotas.releaseJob(caller)
+				s.metrics.inc(metricJobs, fmt.Sprintf(`state=%q`, st.String()))
+			},
 		},
+		axes: plan.Axes,
+		gen:  plan.Gen,
+		opts: plan.Opts,
 	}
-	if err := s.jobs.add(j); err != nil {
-		s.quotas.releaseJob(caller) // never enqueued: onSettle will not run
+	if err := s.jobs.Add(j, s.enqueue); err != nil {
+		s.quotas.releaseJob(caller) // never enqueued: OnSettle will not run
 		if errors.Is(err, errShuttingDown) {
-			writeError(w, http.StatusServiceUnavailable, CodeUnavailable, "%v", err)
+			WriteError(w, http.StatusServiceUnavailable, CodeUnavailable, "%v", err)
 		} else {
 			w.Header().Set("Retry-After", "1")
-			writeError(w, http.StatusTooManyRequests, CodeQueueFull, "%v", err)
+			WriteError(w, http.StatusTooManyRequests, CodeQueueFull, "%v", err)
 		}
 		return
 	}
-	writeJSON(w, http.StatusAccepted, j.snapshot())
-}
-
-// handleSweepList serves GET /v1/sweeps: every job, creation order.
-func (s *Server) handleSweepList(w http.ResponseWriter, r *http.Request) {
-	jobs := s.jobs.list()
-	out := struct {
-		Jobs []Job `json:"jobs"`
-	}{Jobs: make([]Job, 0, len(jobs))}
-	for _, j := range jobs {
-		out.Jobs = append(out.Jobs, j.snapshot())
-	}
-	writeJSON(w, http.StatusOK, out)
-}
-
-// handleSweepGet serves GET /v1/sweeps/{id}: lifecycle plus, in terminal
-// states, the sweep statistics and per-point results.
-func (s *Server) handleSweepGet(w http.ResponseWriter, r *http.Request) {
-	j, ok := s.jobs.get(r.PathValue("id"))
-	if !ok {
-		writeError(w, http.StatusNotFound, CodeJobNotFound, "no job %q", r.PathValue("id"))
-		return
-	}
-	writeJSON(w, http.StatusOK, j.result())
-}
-
-// handleSweepCancel serves DELETE /v1/sweeps/{id}: queued jobs settle as
-// cancelled immediately, running jobs get their context cancelled and
-// settle when the worker observes it (the response then reports the
-// transient "cancelling" state); terminal jobs answer 409.
-func (s *Server) handleSweepCancel(w http.ResponseWriter, r *http.Request) {
-	j, ok := s.jobs.get(r.PathValue("id"))
-	if !ok {
-		writeError(w, http.StatusNotFound, CodeJobNotFound, "no job %q", r.PathValue("id"))
-		return
-	}
-	st, ok := j.requestCancel(time.Now())
-	if !ok {
-		writeError(w, http.StatusConflict, CodeJobTerminal,
-			"job %s already settled as %q", j.id, st)
-		return
-	}
-	writeJSON(w, http.StatusAccepted, j.snapshot())
-}
-
-// handleSweepEvents serves GET /v1/sweeps/{id}/events as a server-sent
-// event stream: one initial "state" snapshot, "progress" events with
-// absolute done/total counts as points finish, a final "state" event
-// when the job settles, then EOF. Slow consumers skip intermediate
-// progress events but never the terminal state.
-func (s *Server) handleSweepEvents(w http.ResponseWriter, r *http.Request) {
-	j, ok := s.jobs.get(r.PathValue("id"))
-	if !ok {
-		writeError(w, http.StatusNotFound, CodeJobNotFound, "no job %q", r.PathValue("id"))
-		return
-	}
-	ch, unsubscribe := j.subscribe()
-	defer unsubscribe()
-
-	w.Header().Set("Content-Type", "text/event-stream")
-	w.Header().Set("Cache-Control", "no-cache")
-	w.Header().Set("Connection", "keep-alive")
-	w.WriteHeader(http.StatusOK)
-	rc := http.NewResponseController(w)
-	_ = rc.Flush()
-
-	emit := func(ev event) bool {
-		data, err := json.Marshal(ev.Data)
-		if err != nil {
-			return false
-		}
-		// A stalled consumer fails the write at the deadline instead of
-		// pinning this goroutine; SetWriteDeadline errors (recorders,
-		// exotic transports) leave the stream unbounded rather than dead.
-		if d := s.cfg.StreamWriteTimeout; d > 0 {
-			_ = rc.SetWriteDeadline(time.Now().Add(d))
-		}
-		if _, err := fmt.Fprintf(w, "event: %s\ndata: %s\n\n", ev.Name, data); err != nil {
-			return false
-		}
-		return rc.Flush() == nil
-	}
-	for {
-		select {
-		case <-r.Context().Done():
-			return
-		case ev, ok := <-ch:
-			if !ok {
-				// The job settled (only settleLocked closes a channel the
-				// handler still owns). Render the terminal state here —
-				// never through the droppable broadcast path — so even a
-				// consumer whose buffer overflowed gets it.
-				emit(event{Name: "state", Data: j.snapshot()})
-				return
-			}
-			if !emit(ev) {
-				return
-			}
-		}
-	}
+	WriteJSON(w, http.StatusAccepted, j.Snapshot())
 }

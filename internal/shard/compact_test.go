@@ -38,7 +38,7 @@ func TestEvictionCompactsStoreAcrossRestart(t *testing.T) {
 	waitTerminal(t, ts1.URL, b.ID)
 
 	before := storeSize(t, storePath)
-	c1.evictJobs(time.Now())
+	c1.jobs.Evict(time.Now(), 0, 1)
 	if n := c1.jobsEvicted.Load(); n != 1 {
 		t.Fatalf("evicted %d jobs, want 1", n)
 	}
@@ -90,7 +90,7 @@ func TestEvictionCompactsStoreAcrossRestart(t *testing.T) {
 		ts2.Close()
 		c2.Close()
 	})
-	if _, ok := c2.get(a.ID); ok {
+	if _, ok := c2.jobs.Get(a.ID); ok {
 		t.Fatalf("evicted job %s resurrected by restart", a.ID)
 	}
 	assertBitIdentical(t, getResult(t, ts2.URL, b.ID), localSweep(t, faultReq))

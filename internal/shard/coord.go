@@ -164,11 +164,7 @@ type Coordinator struct {
 	ring  *ring
 	store *Store
 	mux   *http.ServeMux
-
-	mu    sync.Mutex
-	jobs  map[string]*job
-	order []string
-	seq   int64
+	jobs  *serve.JobTable[*job]
 
 	baseCtx context.Context
 	stop    context.CancelFunc
@@ -193,10 +189,10 @@ func New(cfg Config) (*Coordinator, error) {
 		cfg:     cfg,
 		ring:    newRing(cfg.Workers),
 		mux:     http.NewServeMux(),
-		jobs:    map[string]*job{},
 		baseCtx: ctx,
 		stop:    stop,
 	}
+	c.jobs = serve.NewJobTable[*job](c.evicted)
 	if cfg.StorePath != "" {
 		store, recovered, err := OpenStore(cfg.StorePath)
 		if err != nil {
@@ -211,83 +207,28 @@ func New(cfg Config) (*Coordinator, error) {
 	c.routes()
 	if cfg.JobTTL > 0 || cfg.MaxJobs > 0 {
 		c.wg.Add(1)
-		go c.jobJanitor()
+		go func() {
+			defer c.wg.Done()
+			c.jobs.Janitor(c.baseCtx, cfg.JobTTL, cfg.MaxJobs)
+		}()
 	}
 	return c, nil
 }
 
-// jobJanitor periodically evicts settled jobs past the TTL or beyond
-// MaxJobs and compacts the store past them.
-func (c *Coordinator) jobJanitor() {
-	defer c.wg.Done()
-	interval := c.cfg.JobTTL / 4
-	if interval < 25*time.Millisecond {
-		interval = 25 * time.Millisecond
-	}
-	if interval > time.Second || c.cfg.JobTTL <= 0 {
-		interval = time.Second
-	}
-	t := time.NewTicker(interval)
-	defer t.Stop()
-	for {
-		select {
-		case <-c.baseCtx.Done():
-			return
-		case now := <-t.C:
-			c.evictJobs(now)
-		}
-	}
-}
-
-// evictJobs drops settled jobs past the TTL (by finish time) plus the
-// oldest settled jobs beyond MaxJobs, then compacts the store down to
-// the survivors: neither the job table nor the on-disk log grows
-// without bound under sustained traffic. Running jobs are never
-// touched.
-func (c *Coordinator) evictJobs(now time.Time) {
-	c.mu.Lock()
-	drop := map[string]bool{}
-	var settled []string // creation order
-	for _, id := range c.order {
-		if at, ok := c.jobs[id].settledAt(); ok {
-			if c.cfg.JobTTL > 0 && now.Sub(at) >= c.cfg.JobTTL {
-				drop[id] = true
-			} else {
-				settled = append(settled, id)
-			}
-		}
-	}
-	if c.cfg.MaxJobs > 0 {
-		kept := len(c.order) - len(drop)
-		for _, id := range settled {
-			if kept <= c.cfg.MaxJobs {
-				break
-			}
-			drop[id] = true
-			kept--
-		}
-	}
-	if len(drop) == 0 {
-		c.mu.Unlock()
+// evicted is the job table's eviction hook: count the dropped jobs and
+// compact the store down to the survivors, so neither the table nor the
+// on-disk log grows without bound under sustained traffic.
+func (c *Coordinator) evicted(n int) {
+	c.jobsEvicted.Add(int64(n))
+	if c.store == nil {
 		return
 	}
-	order := c.order[:0]
 	live := map[string]bool{}
-	for _, id := range c.order {
-		if drop[id] {
-			delete(c.jobs, id)
-			continue
-		}
-		order = append(order, id)
-		live[id] = true
+	for _, j := range c.jobs.List() {
+		live[j.ID] = true
 	}
-	c.order = order
-	c.mu.Unlock()
-	c.jobsEvicted.Add(int64(len(drop)))
-	if c.store != nil {
-		if _, _, err := c.store.Compact(live); err == nil {
-			c.compactions.Add(1)
-		}
+	if _, _, err := c.store.Compact(live); err == nil {
+		c.compactions.Add(1)
 	}
 }
 
@@ -296,9 +237,6 @@ func (c *Coordinator) evictJobs(now time.Time) {
 // settle the recorded terminal state or resume dispatching the chunks
 // that never came back.
 func (c *Coordinator) recoverJob(jr JobRecord) {
-	if n := idSeq(jr.ID); n > c.seq {
-		c.seq = n
-	}
 	// Replan under neutral defaults: the spec's pinned batch width and
 	// the recorded chunk size carry the plan-relevant knobs, so a
 	// restart with different flags still cuts identical chunks.
@@ -306,47 +244,42 @@ func (c *Coordinator) recoverJob(jr JobRecord) {
 	if rerr != nil {
 		// The spec no longer compiles (e.g. a scenario was removed).
 		// Surface the job as failed instead of silently dropping it.
-		j := &job{
-			id: jr.ID, spec: jr.Spec, created: jr.Created,
-			state: jobFailed, errMsg: rerr.Msg, changed: make(chan struct{}),
-		}
-		c.register(j)
+		j := &job{Lifecycle: serve.Lifecycle{ID: jr.ID, Created: jr.Created}, spec: jr.Spec}
+		j.Settle(serve.JobFailed, rerr.Msg, time.Time{})
+		c.jobs.Restore(j)
 		return
 	}
-	j := newJob(jr.ID, jr.Spec, jr.Created, jp)
+	j := newJob(jr.Spec, jr.Created, jp)
+	j.ID = jr.ID
 	j.applyRecords(jr.Chunks)
-	c.register(j)
 	if jr.State != "" {
 		st := stateFromWire(jr.State)
-		if st == jobDone {
+		if st == serve.JobDone {
 			// done promises done == total; a chunk whose record was
 			// torn off the tail settles with an explicit error.
 			for _, ci := range j.pendingChunks() {
 				j.failChunk(ci, errors.New("shard: chunk result lost before coordinator shutdown"))
 			}
 		}
-		j.settle(st, jr.Error, jr.Created)
+		j.Settle(st, jr.Error, jr.Created) // already persisted: no hook yet
+		c.jobs.Restore(j)
 		return
 	}
+	j.OnSettle = c.persistState(j)
+	c.jobs.Restore(j)
 	c.wg.Add(1)
 	go c.runJob(j)
 }
 
-// register adds a job to the table in creation order.
-func (c *Coordinator) register(j *job) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.jobs[j.id] = j
-	c.order = append(c.order, j.id)
-}
-
-// idSeq parses the numeric suffix of a "job-%06d" id (0 when foreign).
-func idSeq(id string) int64 {
-	var n int64
-	if _, err := fmt.Sscanf(id, "job-%d", &n); err != nil {
-		return 0
+// persistState is the settle hook of every job this process runs: the
+// terminal state reaches the store before the lock that publishes it is
+// released, so a restart never resurrects a settled job. Close leaves
+// running jobs unsettled on purpose — their records end at the last
+// completed chunk, where a restarted coordinator resumes them.
+func (c *Coordinator) persistState(j *job) func(serve.JobState, string) {
+	return func(st serve.JobState, errMsg string) {
+		_ = c.store.AppendState(j.ID, st.String(), errMsg)
 	}
-	return n
 }
 
 // Handler returns the root handler serving the coordinator API,
@@ -365,6 +298,7 @@ func (c *Coordinator) Handler() http.Handler {
 // resumes them. Close blocks until every dispatcher returned, then
 // closes the store.
 func (c *Coordinator) Close() {
+	c.jobs.Close() // before the drain: no job launches past it
 	c.stop()
 	c.wg.Wait()
 	_ = c.store.Close()
@@ -377,19 +311,26 @@ func (c *Coordinator) routes() {
 	c.mux.HandleFunc("GET /v1/workers", c.handleWorkersList)
 	c.mux.HandleFunc("POST /v1/workers", c.handleWorkersAdd)
 	c.mux.HandleFunc("POST /v1/sweeps", c.handleSweepCreate)
-	c.mux.HandleFunc("GET /v1/sweeps", c.handleSweepList)
-	c.mux.HandleFunc("GET /v1/sweeps/{id}", c.handleSweepGet)
-	c.mux.HandleFunc("DELETE /v1/sweeps/{id}", c.handleSweepCancel)
-	c.mux.HandleFunc("GET /v1/sweeps/{id}/events", c.handleSweepEvents)
+	c.mux.HandleFunc("GET /v1/sweeps", c.jobs.ServeList)
+	c.mux.HandleFunc("GET /v1/sweeps/{id}", c.jobs.ServeGet)
+	c.mux.HandleFunc("DELETE /v1/sweeps/{id}", c.jobs.ServeCancel)
+	c.mux.HandleFunc("GET /v1/sweeps/{id}/events", func(w http.ResponseWriter, r *http.Request) {
+		// Unsettled jobs never change again once the coordinator shuts
+		// down; end their streams so the HTTP drain does not wait.
+		c.jobs.ServeEvents(w, r, c.cfg.StreamWriteTimeout, c.baseCtx.Done())
+	})
 	c.mux.HandleFunc("GET /v1/sweeps/{id}/results", c.handleSweepResults)
 }
+
+// errShutdown answers submissions to a coordinator that is closing.
+var errShutdown = &serve.RequestError{Status: http.StatusServiceUnavailable,
+	Code: serve.CodeUnavailable, Msg: "coordinator shutting down"}
 
 // submit plans, persists and launches one job. Exported through the
 // HTTP handler only; tests drive the same path over httptest.
 func (c *Coordinator) submit(req serve.SweepRequest) (*job, *serve.RequestError) {
 	if c.baseCtx.Err() != nil {
-		return nil, &serve.RequestError{Status: http.StatusServiceUnavailable,
-			Code: serve.CodeUnavailable, Msg: "coordinator shutting down"}
+		return nil, errShutdown
 	}
 	jp, rerr := planJob(req, c.cfg.Defaults, c.cfg.ChunkPoints)
 	if rerr != nil {
@@ -400,14 +341,14 @@ func (c *Coordinator) submit(req serve.SweepRequest) (*job, *serve.RequestError)
 	// restarted coordinator must replan the same cuts.
 	req.Options.BatchWidth = jp.effWidth
 
-	c.mu.Lock()
-	c.seq++
-	id := fmt.Sprintf("job-%06d", c.seq)
-	c.mu.Unlock()
-	j := newJob(id, req, time.Now(), jp)
-	c.register(j)
-	if err := c.store.AppendJob(id, j.created, req, c.cfg.ChunkPoints); err != nil {
-		j.settle(jobFailed, fmt.Sprintf("persisting job: %v", err), time.Now())
+	j := newJob(req, time.Now(), jp)
+	j.OnSettle = c.persistState(j)
+	if err := c.jobs.Add(j, nil); err != nil {
+		return nil, errShutdown
+	}
+	if err := c.store.AppendJob(j.ID, j.Created, req, c.cfg.ChunkPoints); err != nil {
+		// Replay ignores a state record whose job record is missing.
+		j.Settle(serve.JobFailed, fmt.Sprintf("persisting job: %v", err), time.Now())
 		return j, nil
 	}
 	c.wg.Add(1)
@@ -416,18 +357,14 @@ func (c *Coordinator) submit(req serve.SweepRequest) (*job, *serve.RequestError)
 }
 
 // runJob dispatches every pending chunk of a job across the fleet, a
-// bounded number in flight at a time, then settles the terminal state.
+// bounded number in flight at a time, then settles the terminal state
+// (which the settle hook persists).
 func (c *Coordinator) runJob(j *job) {
 	defer c.wg.Done()
 	ctx, cancel := context.WithCancel(c.baseCtx)
 	defer cancel()
-	if !j.start(cancel, time.Now()) {
-		if j.cancelled() {
-			// Cancelled while still queued: start settled the job;
-			// persist the state so a restart does not resurrect it.
-			_ = c.store.AppendState(j.id, "cancelled", context.Canceled.Error())
-		}
-		return
+	if !j.Start(cancel, time.Now()) {
+		return // cancelled while queued: settled and persisted already
 	}
 
 	sem := make(chan struct{}, c.cfg.Dispatch)
@@ -445,17 +382,14 @@ func (c *Coordinator) runJob(j *job) {
 	}
 	wg.Wait()
 
-	now := time.Now()
 	switch {
 	case j.complete():
 		// Every chunk merged — point-level failures (including fabric
 		// failures) travel in the results, exactly as in the sweep
 		// engine, so the job itself is done.
-		_ = c.store.AppendState(j.id, "done", "")
-		j.settle(jobDone, "", now)
-	case j.cancelled():
-		_ = c.store.AppendState(j.id, "cancelled", context.Canceled.Error())
-		j.settle(jobCancelled, context.Canceled.Error(), now)
+		j.Settle(serve.JobDone, "", time.Now())
+	case j.CancelRequested():
+		j.Settle(serve.JobCancelled, context.Canceled.Error(), time.Now())
 	default:
 		// Coordinator shutdown: leave the job unsettled in the store so
 		// a restart resumes it from the last completed chunk.
@@ -511,7 +445,7 @@ func (c *Coordinator) dispatchChunk(ctx context.Context, j *job, ci int) {
 		if err == nil {
 			c.ring.recordSuccess(worker)
 			if j.applyChunk(ci, resp.Points, resp.Batches, resp.BatchedPoints) {
-				_ = c.store.AppendChunk(j.id, ci, worker, resp)
+				_ = c.store.AppendChunk(j.ID, ci, worker, resp)
 			}
 			return
 		}
@@ -589,32 +523,6 @@ func (c *Coordinator) probeWorker(url string) {
 	}
 }
 
-// cancelled reports whether a cancel was requested.
-func (j *job) cancelled() bool {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	return j.cancelRequested
-}
-
-// get looks a job up by id.
-func (c *Coordinator) get(id string) (*job, bool) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	j, ok := c.jobs[id]
-	return j, ok
-}
-
-// list returns every job in creation order.
-func (c *Coordinator) list() []*job {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	out := make([]*job, 0, len(c.order))
-	for _, id := range c.order {
-		out = append(out, c.jobs[id])
-	}
-	return out
-}
-
 // Health is the body of GET /healthz.
 type Health struct {
 	Status       string `json:"status"`
@@ -624,19 +532,16 @@ type Health struct {
 }
 
 func (c *Coordinator) handleHealthz(w http.ResponseWriter, r *http.Request) {
-	c.mu.Lock()
-	jobs := len(c.jobs)
-	c.mu.Unlock()
-	writeJSON(w, http.StatusOK, Health{
+	serve.WriteJSON(w, http.StatusOK, Health{
 		Status:       "ok",
 		Workers:      len(c.ring.workers()),
 		WorkersAlive: c.ring.alive(),
-		Jobs:         jobs,
+		Jobs:         c.jobs.Len(),
 	})
 }
 
 func (c *Coordinator) handleWorkersList(w http.ResponseWriter, r *http.Request) {
-	writeJSON(w, http.StatusOK, struct {
+	serve.WriteJSON(w, http.StatusOK, struct {
 		Workers []WorkerStatus `json:"workers"`
 	}{Workers: c.ring.workers()})
 }
@@ -651,69 +556,32 @@ type workerAddRequest struct {
 
 func (c *Coordinator) handleWorkersAdd(w http.ResponseWriter, r *http.Request) {
 	var req workerAddRequest
-	if rerr := decodeJSON(w, r, &req); rerr != nil {
-		writeError(w, rerr)
+	if rerr := serve.DecodeJSON(w, r, &req); rerr != nil {
+		serve.WriteError(w, rerr.Status, rerr.Code, "%s", rerr.Msg)
 		return
 	}
 	u, err := url.Parse(req.URL)
 	if err != nil || (u.Scheme != "http" && u.Scheme != "https") || u.Host == "" {
-		writeError(w, &serve.RequestError{Status: http.StatusBadRequest,
-			Code: serve.CodeBadJSON, Msg: fmt.Sprintf("url %q is not an absolute http(s) URL", req.URL)})
+		serve.WriteError(w, http.StatusBadRequest, serve.CodeBadJSON,
+			"url %q is not an absolute http(s) URL", req.URL)
 		return
 	}
 	c.ring.add(strings.TrimRight(req.URL, "/"))
-	writeJSON(w, http.StatusOK, struct {
+	serve.WriteJSON(w, http.StatusOK, struct {
 		Workers []WorkerStatus `json:"workers"`
 	}{Workers: c.ring.workers()})
 }
 
 func (c *Coordinator) handleSweepCreate(w http.ResponseWriter, r *http.Request) {
 	var req serve.SweepRequest
-	if rerr := decodeJSON(w, r, &req); rerr != nil {
-		writeError(w, rerr)
+	if rerr := serve.DecodeJSON(w, r, &req); rerr != nil {
+		serve.WriteError(w, rerr.Status, rerr.Code, "%s", rerr.Msg)
 		return
 	}
 	j, rerr := c.submit(req)
 	if rerr != nil {
-		writeError(w, rerr)
+		serve.WriteError(w, rerr.Status, rerr.Code, "%s", rerr.Msg)
 		return
 	}
-	writeJSON(w, http.StatusAccepted, j.snapshot())
-}
-
-func (c *Coordinator) handleSweepList(w http.ResponseWriter, r *http.Request) {
-	jobs := c.list()
-	out := struct {
-		Jobs []serve.Job `json:"jobs"`
-	}{Jobs: make([]serve.Job, 0, len(jobs))}
-	for _, j := range jobs {
-		out.Jobs = append(out.Jobs, j.snapshot())
-	}
-	writeJSON(w, http.StatusOK, out)
-}
-
-func (c *Coordinator) handleSweepGet(w http.ResponseWriter, r *http.Request) {
-	j, ok := c.get(r.PathValue("id"))
-	if !ok {
-		writeError(w, &serve.RequestError{Status: http.StatusNotFound,
-			Code: serve.CodeJobNotFound, Msg: fmt.Sprintf("no job %q", r.PathValue("id"))})
-		return
-	}
-	writeJSON(w, http.StatusOK, j.result())
-}
-
-func (c *Coordinator) handleSweepCancel(w http.ResponseWriter, r *http.Request) {
-	j, ok := c.get(r.PathValue("id"))
-	if !ok {
-		writeError(w, &serve.RequestError{Status: http.StatusNotFound,
-			Code: serve.CodeJobNotFound, Msg: fmt.Sprintf("no job %q", r.PathValue("id"))})
-		return
-	}
-	st, ok := j.requestCancel()
-	if !ok {
-		writeError(w, &serve.RequestError{Status: http.StatusConflict,
-			Code: serve.CodeJobTerminal, Msg: fmt.Sprintf("job %s already settled as %q", j.id, st)})
-		return
-	}
-	writeJSON(w, http.StatusAccepted, j.snapshot())
+	serve.WriteJSON(w, http.StatusAccepted, j.Snapshot())
 }

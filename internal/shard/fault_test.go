@@ -438,11 +438,11 @@ func TestCancelledJobStaysCancelledAfterRestart(t *testing.T) {
 		t.Fatal(err)
 	}
 	t.Cleanup(c2.Close)
-	j, ok := c2.get(job.ID)
+	j, ok := c2.jobs.Get(job.ID)
 	if !ok {
 		t.Fatalf("job %s lost across restart", job.ID)
 	}
-	if snap := j.snapshot(); snap.State != "cancelled" {
+	if snap := j.Snapshot(); snap.State != "cancelled" {
 		t.Fatalf("restarted state %q, want cancelled", snap.State)
 	}
 }

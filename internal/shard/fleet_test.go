@@ -108,6 +108,11 @@ func getResult(t *testing.T, coordURL, id string) serve.JobResult {
 	return decodeBody[serve.JobResult](t, resp)
 }
 
+// terminalWire reports whether a wire state string is final.
+func terminalWire(state string) bool {
+	return state == "done" || state == "failed" || state == "cancelled"
+}
+
 // waitTerminal polls the job until it settles.
 func waitTerminal(t *testing.T, coordURL, id string) serve.JobResult {
 	t.Helper()

@@ -2,137 +2,11 @@ package shard
 
 import (
 	"encoding/json"
-	"errors"
-	"fmt"
 	"net/http"
 	"time"
 
 	"dyncomp/internal/serve"
 )
-
-// The coordinator speaks the exact wire dialect of the serving layer —
-// same error envelope, same strict decoding — so a fleet client is a
-// single-process client pointed at a different port. These helpers
-// mirror internal/serve's unexported ones; the envelope types and codes
-// are shared through the serve package.
-
-const maxBodyBytes = 1 << 20
-
-// decodeJSON strictly decodes a bounded request body into dst.
-func decodeJSON(w http.ResponseWriter, r *http.Request, dst any) *serve.RequestError {
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBodyBytes))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(dst); err != nil {
-		var tooLarge *http.MaxBytesError
-		if errors.As(err, &tooLarge) {
-			return &serve.RequestError{Status: http.StatusRequestEntityTooLarge,
-				Code: serve.CodeBodyTooLarge, Msg: fmt.Sprintf("request body exceeds %d bytes", tooLarge.Limit)}
-		}
-		return &serve.RequestError{Status: http.StatusBadRequest,
-			Code: serve.CodeBadJSON, Msg: fmt.Sprintf("decoding request: %v", err)}
-	}
-	if dec.More() {
-		return &serve.RequestError{Status: http.StatusBadRequest,
-			Code: serve.CodeBadJSON, Msg: "trailing data after JSON body"}
-	}
-	return nil
-}
-
-// writeJSON writes a JSON response with the given status code.
-func writeJSON(w http.ResponseWriter, status int, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(status)
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	_ = enc.Encode(v)
-}
-
-// writeError writes the serving layer's uniform error envelope.
-func writeError(w http.ResponseWriter, rerr *serve.RequestError) {
-	writeJSON(w, rerr.Status, serve.ErrorResponse{Err: serve.Error{
-		Code:    rerr.Code,
-		Message: rerr.Msg,
-	}})
-}
-
-// terminalWire reports whether a wire state string is final.
-func terminalWire(state string) bool {
-	return state == "done" || state == "failed" || state == "cancelled"
-}
-
-// handleSweepEvents serves GET /v1/sweeps/{id}/events as a server-sent
-// event stream, with the single-process contract: an initial "state"
-// snapshot, "progress" events carrying absolute done/total counts
-// (strictly monotonic — chunk merges only ever advance the counter),
-// and a final "state" event when the job settles, then EOF. The stream
-// is driven by the job's change broadcast: every emission re-reads a
-// consistent snapshot, so a slow consumer skips intermediate counts but
-// can never observe them out of order.
-func (c *Coordinator) handleSweepEvents(w http.ResponseWriter, r *http.Request) {
-	j, ok := c.get(r.PathValue("id"))
-	if !ok {
-		writeError(w, &serve.RequestError{Status: http.StatusNotFound,
-			Code: serve.CodeJobNotFound, Msg: fmt.Sprintf("no job %q", r.PathValue("id"))})
-		return
-	}
-	w.Header().Set("Content-Type", "text/event-stream")
-	w.Header().Set("Cache-Control", "no-cache")
-	w.Header().Set("Connection", "keep-alive")
-	w.WriteHeader(http.StatusOK)
-	rc := http.NewResponseController(w)
-	_ = rc.Flush()
-
-	emit := func(name string, data any) bool {
-		raw, err := json.Marshal(data)
-		if err != nil {
-			return false
-		}
-		// A per-write deadline bounds how long one stalled consumer can
-		// pin this goroutine; errors are ignored because test recorders
-		// do not implement the controller.
-		if d := c.cfg.StreamWriteTimeout; d > 0 {
-			_ = rc.SetWriteDeadline(time.Now().Add(d))
-		}
-		if _, err := fmt.Fprintf(w, "event: %s\ndata: %s\n\n", name, raw); err != nil {
-			return false
-		}
-		return rc.Flush() == nil
-	}
-
-	lastState := ""
-	lastDone := -1
-	for {
-		snap, changed := j.observe()
-		if snap.State != lastState {
-			if !emit("state", snap) {
-				return
-			}
-			lastState = snap.State
-		}
-		if terminalWire(snap.State) {
-			return
-		}
-		if snap.Done != lastDone {
-			if !emit("progress", struct {
-				Done  int `json:"done"`
-				Total int `json:"total"`
-			}{snap.Done, snap.Total}) {
-				return
-			}
-			lastDone = snap.Done
-		}
-		select {
-		case <-r.Context().Done():
-			return
-		case <-c.baseCtx.Done():
-			// Coordinator shutdown: unsettled jobs will never change
-			// again in this process; end the stream so the HTTP drain
-			// does not wait for it.
-			return
-		case <-changed:
-		}
-	}
-}
 
 // ResultLine is one line of the GET /v1/sweeps/{id}/results NDJSON
 // stream: either a point (Point set — one evaluated grid point, in
@@ -152,43 +26,42 @@ type ResultLine struct {
 // every recorded point, which is how results of jobs completed before a
 // coordinator restart are consumed.
 func (c *Coordinator) handleSweepResults(w http.ResponseWriter, r *http.Request) {
-	j, ok := c.get(r.PathValue("id"))
+	j, ok := c.jobs.Lookup(w, r)
 	if !ok {
-		writeError(w, &serve.RequestError{Status: http.StatusNotFound,
-			Code: serve.CodeJobNotFound, Msg: fmt.Sprintf("no job %q", r.PathValue("id"))})
 		return
 	}
 	w.Header().Set("Content-Type", "application/x-ndjson")
 	w.WriteHeader(http.StatusOK)
 	rc := http.NewResponseController(w)
 	enc := json.NewEncoder(w)
+	// write encodes one line under a fresh deadline: a consumer that
+	// stops reading gets the connection torn down instead of pinning
+	// this goroutine and the job's arrival buffer forever, while a job
+	// that idles between batches — or settles long after its last point
+	// — still gets its next line, the trailer included, out.
+	write := func(line ResultLine) bool {
+		if d := c.cfg.StreamWriteTimeout; d > 0 {
+			_ = rc.SetWriteDeadline(time.Now().Add(d))
+		}
+		return enc.Encode(line) == nil
+	}
 
 	streamed := 0
 	for {
-		points, state, changed := j.arrivedSince(streamed)
-		if len(points) > 0 {
-			// One deadline per drained batch: a consumer that stops
-			// reading gets the connection torn down instead of pinning
-			// this goroutine and the job's arrival buffer forever.
-			if d := c.cfg.StreamWriteTimeout; d > 0 {
-				_ = rc.SetWriteDeadline(time.Now().Add(d))
-			}
-		}
+		points, st, changed := j.arrivedSince(streamed)
 		for i := range points {
-			if err := enc.Encode(ResultLine{Point: &points[i]}); err != nil {
+			if !write(ResultLine{Point: &points[i]}) {
 				return
 			}
 		}
 		streamed += len(points)
-		if len(points) > 0 {
-			if rc.Flush() != nil {
-				return
-			}
+		if len(points) > 0 && rc.Flush() != nil {
+			return
 		}
-		if terminalWire(state) {
-			res := j.result()
-			_ = enc.Encode(ResultLine{State: state, Stats: res.Stats})
-			_ = rc.Flush()
+		if st.Terminal() {
+			if write(ResultLine{State: st.String(), Stats: serve.ResultOf(j).Stats}) {
+				_ = rc.Flush()
+			}
 			return
 		}
 		select {

@@ -1,173 +1,90 @@
 package shard
 
 import (
-	"context"
 	"sort"
-	"sync"
 	"time"
 
 	"dyncomp/internal/serve"
 	"dyncomp/internal/sweep"
 )
 
-// jobState is the coordinator-side job lifecycle. It matches the
-// serving layer's states on the wire so fleet clients see one
-// vocabulary: queued → running → done | failed | cancelled, with the
-// transient "cancelling" rendered while a cancel drains.
-type jobState int
-
-const (
-	jobQueued jobState = iota
-	jobRunning
-	jobDone
-	jobFailed
-	jobCancelled
-)
-
-func (st jobState) String() string {
-	switch st {
-	case jobQueued:
-		return "queued"
-	case jobRunning:
-		return "running"
-	case jobDone:
-		return "done"
-	case jobFailed:
-		return "failed"
-	case jobCancelled:
-		return "cancelled"
-	}
-	return "unknown"
-}
-
-func (st jobState) terminal() bool {
-	return st == jobDone || st == jobFailed || st == jobCancelled
-}
-
-// job is one distributed sweep. All mutable fields are guarded by mu;
-// watchers (SSE, NDJSON streams) wait on the changed channel, which is
-// closed and replaced on every mutation — a broadcast that cannot drop
-// or block, because consumers re-read the state they care about under
-// the lock instead of receiving deltas.
+// job is one distributed sweep: the shared serve.Lifecycle (state
+// machine, progress counter, change broadcast) plus the deterministic
+// chunk plan and the merged results. Every mutable field is guarded by
+// the lifecycle lock.
 type job struct {
-	id       string
+	serve.Lifecycle
 	spec     serve.SweepRequest // effective batch width pinned
-	engine   string
-	scenario string
 	axes     []sweep.Axis
-	created  time.Time
-
-	mu              sync.Mutex
-	state           jobState
-	cancelRequested bool
-	cancel          context.CancelFunc
-	started         time.Time
-	finished        time.Time
-	errMsg          string
-
-	total    int
 	shapes   int
 	effWidth int
 	chunks   []chunkPlan
 
-	done          int
 	chunkDone     []bool
 	points        []*serve.SweepPoint // by global grid index
 	arrived       []serve.ChunkPoint  // arrival order, feeds the NDJSON stream
 	batches       int
 	batchedPoints int
 	failed        int
-
-	changed  chan struct{}
-	rendered *serve.JobResult
 }
 
 // newJob binds a deterministic plan to a fresh job and fails the
 // plan-time casualties immediately — they count toward done from the
 // start, exactly as the sweep engine finishes unbuildable points before
 // dispatch.
-func newJob(id string, spec serve.SweepRequest, created time.Time, jp *jobPlan) *job {
+func newJob(spec serve.SweepRequest, created time.Time, jp *jobPlan) *job {
 	j := &job{
-		id:        id,
+		Lifecycle: serve.Lifecycle{
+			Engine:   jp.plan.Engine,
+			Scenario: jp.plan.Scenario,
+			Total:    jp.plan.Total,
+			Created:  created,
+		},
 		spec:      spec,
-		engine:    jp.plan.Engine,
-		scenario:  jp.plan.Scenario,
 		axes:      jp.plan.Axes,
-		created:   created,
-		total:     jp.plan.Total,
 		shapes:    jp.shapes,
 		effWidth:  jp.effWidth,
 		chunks:    jp.chunks,
 		chunkDone: make([]bool, len(jp.chunks)),
 		points:    make([]*serve.SweepPoint, jp.plan.Total),
-		changed:   make(chan struct{}),
 	}
 	for _, cp := range jp.failed {
 		pt := cp.SweepPoint
 		j.points[cp.Index] = &pt
 		j.arrived = append(j.arrived, cp)
-		j.done++
 		j.failed++
 	}
+	j.AdvanceLocked(len(j.arrived)) // not shared yet: no lock to take
 	return j
-}
-
-// bumpLocked wakes every watcher.
-func (j *job) bumpLocked() {
-	close(j.changed)
-	j.changed = make(chan struct{})
-}
-
-// start moves a queued job to running. It reports false when the job
-// must not dispatch: already started, or cancelled while still queued
-// (which settles it here).
-func (j *job) start(cancel context.CancelFunc, now time.Time) bool {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	if j.state != jobQueued {
-		return false
-	}
-	if j.cancelRequested {
-		j.state = jobCancelled
-		j.errMsg = context.Canceled.Error()
-		j.finished = now
-		j.bumpLocked()
-		return false
-	}
-	j.state = jobRunning
-	j.started = now
-	j.cancel = cancel
-	j.bumpLocked()
-	return true
 }
 
 // applyChunk merges one completed chunk. The chunkDone guard makes the
 // merge idempotent: replay after a restart, or any stray duplicate
 // delivery, can neither double-count progress nor duplicate points.
-// Progress is monotonic by construction — done only ever grows, under
-// one lock.
+// Progress is monotonic by construction — every point that counts
+// toward done is one arrival, and arrivals only ever grow, under one
+// lock.
 func (j *job) applyChunk(ci int, points []serve.ChunkPoint, batches, batchedPoints int) bool {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	if ci < 0 || ci >= len(j.chunks) || j.chunkDone[ci] || j.state.terminal() {
+	j.Lock()
+	defer j.Unlock()
+	if ci < 0 || ci >= len(j.chunks) || j.chunkDone[ci] || j.StateLocked().Terminal() {
 		return false
 	}
 	j.chunkDone[ci] = true
 	for _, cp := range points {
-		if cp.Index < 0 || cp.Index >= j.total || j.points[cp.Index] != nil {
+		if cp.Index < 0 || cp.Index >= j.Total || j.points[cp.Index] != nil {
 			continue
 		}
 		pt := cp.SweepPoint
 		j.points[cp.Index] = &pt
 		j.arrived = append(j.arrived, cp)
-		j.done++
 		if cp.Error != "" {
 			j.failed++
 		}
 	}
 	j.batches += batches
 	j.batchedPoints += batchedPoints
-	j.bumpLocked()
+	j.AdvanceLocked(len(j.arrived))
 	return true
 }
 
@@ -190,8 +107,8 @@ func (j *job) failChunk(ci int, err error) {
 
 // pendingChunks lists the chunks not yet merged, in plan order.
 func (j *job) pendingChunks() []int {
-	j.mu.Lock()
-	defer j.mu.Unlock()
+	j.Lock()
+	defer j.Unlock()
 	var out []int
 	for ci, done := range j.chunkDone {
 		if !done {
@@ -201,34 +118,10 @@ func (j *job) pendingChunks() []int {
 	return out
 }
 
-// settle moves the job into a terminal state.
-func (j *job) settle(st jobState, errMsg string, now time.Time) {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	if j.state.terminal() {
-		return
-	}
-	j.state = st
-	j.errMsg = errMsg
-	j.finished = now
-	j.bumpLocked()
-}
-
-// settledAt reports when a terminal job finished (ok false while live),
-// feeding the coordinator's TTL eviction.
-func (j *job) settledAt() (time.Time, bool) {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	if !j.state.terminal() {
-		return time.Time{}, false
-	}
-	return j.finished, true
-}
-
 // complete reports whether every chunk has been merged.
 func (j *job) complete() bool {
-	j.mu.Lock()
-	defer j.mu.Unlock()
+	j.Lock()
+	defer j.Unlock()
 	for _, done := range j.chunkDone {
 		if !done {
 			return false
@@ -237,67 +130,21 @@ func (j *job) complete() bool {
 	return true
 }
 
-// observe returns the lifecycle snapshot plus the channel that closes
-// on the next mutation — the building block of the SSE and NDJSON
-// streams: emit what changed, wait, re-read.
-func (j *job) observe() (serve.Job, <-chan struct{}) {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	return j.snapshotLocked(), j.changed
-}
-
 // arrivedSince returns the points that arrived at position from on, in
-// arrival order, with the current wire state and change channel — one
-// iteration of the NDJSON streaming loop.
-func (j *job) arrivedSince(from int) ([]serve.ChunkPoint, string, <-chan struct{}) {
-	j.mu.Lock()
-	defer j.mu.Unlock()
+// arrival order, with the current state and the channel that closes on
+// the next change — one iteration of the NDJSON streaming loop.
+func (j *job) arrivedSince(from int) ([]serve.ChunkPoint, serve.JobState, <-chan struct{}) {
+	j.Lock()
+	defer j.Unlock()
 	var out []serve.ChunkPoint
 	if from < len(j.arrived) {
 		out = append(out, j.arrived[from:]...)
 	}
-	return out, j.wireStateLocked(), j.changed
+	return out, j.StateLocked(), j.ChangedLocked()
 }
 
-func (j *job) wireStateLocked() string {
-	if (j.state == jobRunning || j.state == jobQueued) && j.cancelRequested {
-		return "cancelling"
-	}
-	return j.state.String()
-}
-
-// snapshot renders the lifecycle in the serving layer's wire form.
-func (j *job) snapshot() serve.Job {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	return j.snapshotLocked()
-}
-
-func (j *job) snapshotLocked() serve.Job {
-	out := serve.Job{
-		ID:       j.id,
-		State:    j.wireStateLocked(),
-		Engine:   j.engine,
-		Scenario: j.scenario,
-		Done:     j.done,
-		Total:    j.total,
-		Created:  j.created,
-		Error:    j.errMsg,
-	}
-	if !j.started.IsZero() {
-		t := j.started
-		out.Started = &t
-	}
-	if !j.finished.IsZero() {
-		t := j.finished
-		out.Finished = &t
-	}
-	return out
-}
-
-// result renders the job as GET /v1/sweeps/{id} answers it: the
-// lifecycle plus — terminal only — fleet-level statistics and the
-// per-point results in grid order. Terminal renderings are memoized.
+// RenderLocked adds the fleet-level statistics and the per-point
+// results in grid order.
 //
 // Stats semantics in the distributed setting: Shapes counts the
 // distinct structural shapes the plan derived; DeriveCalls and
@@ -305,40 +152,30 @@ func (j *job) snapshotLocked() serve.Job {
 // (scrape their /metrics); BatchOccupancy is recomputed from the
 // summed batch counts and the pinned width, which matches the
 // single-process number exactly because chunk cuts are width-aligned.
-func (j *job) result() serve.JobResult {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	if j.rendered != nil {
-		return *j.rendered
-	}
-	out := serve.JobResult{Job: j.snapshotLocked()}
-	if j.state.terminal() {
-		out.Stats = j.statsLocked()
-		out.Points = make([]serve.SweepPoint, j.total)
-		for i, pt := range j.points {
-			if pt != nil {
-				out.Points[i] = *pt
-				continue
-			}
-			// A chunk that never came back before settling: fail the
-			// point explicitly rather than serving a hole.
-			out.Points[i] = serve.SweepPoint{Params: map[string]int64{}, Error: "point never evaluated"}
+func (j *job) RenderLocked(out *serve.JobResult) {
+	out.Stats = j.statsLocked(out.Job)
+	out.Points = make([]serve.SweepPoint, j.Total)
+	for i, pt := range j.points {
+		if pt != nil {
+			out.Points[i] = *pt
+			continue
 		}
-		j.rendered = &out
+		// A chunk that never came back before settling: fail the
+		// point explicitly rather than serving a hole.
+		out.Points[i] = serve.SweepPoint{Params: map[string]int64{}, Error: "point never evaluated"}
 	}
-	return out
 }
 
-func (j *job) statsLocked() *serve.SweepStats {
+func (j *job) statsLocked(life serve.Job) *serve.SweepStats {
 	st := &serve.SweepStats{
-		Points:        j.total,
+		Points:        j.Total,
 		Failed:        j.failed,
 		Shapes:        j.shapes,
 		Batches:       j.batches,
 		BatchedPoints: j.batchedPoints,
 	}
-	if !j.finished.IsZero() && !j.started.IsZero() {
-		st.WallNs = j.finished.Sub(j.started).Nanoseconds()
+	if life.Started != nil && life.Finished != nil {
+		st.WallNs = life.Finished.Sub(*life.Started).Nanoseconds()
 	}
 	if j.batches > 0 && j.effWidth > 0 {
 		st.BatchOccupancy = float64(j.batchedPoints) / float64(j.batches*j.effWidth)
@@ -365,32 +202,17 @@ func (j *job) statsLocked() *serve.SweepStats {
 	return st
 }
 
-// requestCancel asks the job to stop; terminal jobs report ok false.
-func (j *job) requestCancel() (state string, ok bool) {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	if j.state.terminal() {
-		return j.state.String(), false
-	}
-	j.cancelRequested = true
-	if j.cancel != nil {
-		j.cancel()
-	}
-	j.bumpLocked()
-	return j.wireStateLocked(), true
-}
-
 // stateFromWire maps a persisted terminal state back onto the
 // lifecycle. Unknown strings — a corrupted but parseable record —
 // settle as failed rather than resurrecting the job.
-func stateFromWire(s string) jobState {
+func stateFromWire(s string) serve.JobState {
 	switch s {
 	case "done":
-		return jobDone
+		return serve.JobDone
 	case "cancelled":
-		return jobCancelled
+		return serve.JobCancelled
 	}
-	return jobFailed
+	return serve.JobFailed
 }
 
 // applyRecords replays recovered chunk results into the job, in chunk

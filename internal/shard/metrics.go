@@ -1,8 +1,8 @@
 package shard
 
 // Coordinator observability: GET /metrics exposes the fabric's
-// resilience counters in the Prometheus text format (hand-rolled like
-// the serving layer's — stdlib only), and GET /readyz is the readiness
+// resilience counters in the Prometheus text format (through the
+// serving layer's writer — stdlib only), and GET /readyz is the readiness
 // probe load balancers and upstream breakers key on: a coordinator with
 // no live worker accepts jobs it cannot dispatch, so it reports not
 // ready.
@@ -23,18 +23,13 @@ func (c *Coordinator) handleMetrics(w http.ResponseWriter, r *http.Request) {
 			alive++
 		}
 	}
-	c.mu.Lock()
-	jobs := len(c.jobs)
-	c.mu.Unlock()
 
-	fmt.Fprintf(w, "# HELP dyncomp_coord_workers Registered fleet members.\n")
-	fmt.Fprintf(w, "# TYPE dyncomp_coord_workers gauge\n")
-	fmt.Fprintf(w, "dyncomp_coord_workers %d\n", len(ws))
-	fmt.Fprintf(w, "# HELP dyncomp_coord_workers_alive Fleet members with a closed breaker (in rotation).\n")
-	fmt.Fprintf(w, "# TYPE dyncomp_coord_workers_alive gauge\n")
-	fmt.Fprintf(w, "dyncomp_coord_workers_alive %d\n", alive)
-	fmt.Fprintf(w, "# HELP dyncomp_coord_breaker_state Breaker state per worker (0 closed, 1 open, 2 half-open).\n")
-	fmt.Fprintf(w, "# TYPE dyncomp_coord_breaker_state gauge\n")
+	gauge := func(name, help string, v any) { serve.WriteMetric(w, name, "gauge", help, serve.Sample("", v)) }
+	counter := func(name, help string, v any) { serve.WriteMetric(w, name, "counter", help, serve.Sample("", v)) }
+
+	gauge("dyncomp_coord_workers", "Registered fleet members.", len(ws))
+	gauge("dyncomp_coord_workers_alive", "Fleet members with a closed breaker (in rotation).", alive)
+	var breakers []string
 	for _, m := range ws {
 		v := 0
 		switch m.Breaker {
@@ -43,29 +38,16 @@ func (c *Coordinator) handleMetrics(w http.ResponseWriter, r *http.Request) {
 		case breakerHalfOpen.String():
 			v = 2
 		}
-		fmt.Fprintf(w, "dyncomp_coord_breaker_state{worker=%q} %d\n", m.URL, v)
+		breakers = append(breakers, serve.Sample(fmt.Sprintf("worker=%q", m.URL), v))
 	}
-	fmt.Fprintf(w, "# HELP dyncomp_coord_breaker_opened_total Breakers opened (worker benched).\n")
-	fmt.Fprintf(w, "# TYPE dyncomp_coord_breaker_opened_total counter\n")
-	fmt.Fprintf(w, "dyncomp_coord_breaker_opened_total %d\n", c.breakerOpened.Load())
-	fmt.Fprintf(w, "# HELP dyncomp_coord_breaker_closed_total Breakers closed by a successful readiness probe.\n")
-	fmt.Fprintf(w, "# TYPE dyncomp_coord_breaker_closed_total counter\n")
-	fmt.Fprintf(w, "dyncomp_coord_breaker_closed_total %d\n", c.breakerClosedN.Load())
-	fmt.Fprintf(w, "# HELP dyncomp_coord_chunk_retries_total Chunk dispatch attempts past the first.\n")
-	fmt.Fprintf(w, "# TYPE dyncomp_coord_chunk_retries_total counter\n")
-	fmt.Fprintf(w, "dyncomp_coord_chunk_retries_total %d\n", c.chunkRetries.Load())
-	fmt.Fprintf(w, "# HELP dyncomp_coord_jobs Jobs in the table.\n")
-	fmt.Fprintf(w, "# TYPE dyncomp_coord_jobs gauge\n")
-	fmt.Fprintf(w, "dyncomp_coord_jobs %d\n", jobs)
-	fmt.Fprintf(w, "# HELP dyncomp_coord_jobs_evicted_total Settled jobs evicted by TTL or the MaxJobs cap.\n")
-	fmt.Fprintf(w, "# TYPE dyncomp_coord_jobs_evicted_total counter\n")
-	fmt.Fprintf(w, "dyncomp_coord_jobs_evicted_total %d\n", c.jobsEvicted.Load())
-	fmt.Fprintf(w, "# HELP dyncomp_coord_store_compactions_total Store compactions past evicted jobs.\n")
-	fmt.Fprintf(w, "# TYPE dyncomp_coord_store_compactions_total counter\n")
-	fmt.Fprintf(w, "dyncomp_coord_store_compactions_total %d\n", c.compactions.Load())
-	fmt.Fprintf(w, "# HELP dyncomp_coord_panics_total Handler panics recovered by the middleware.\n")
-	fmt.Fprintf(w, "# TYPE dyncomp_coord_panics_total counter\n")
-	fmt.Fprintf(w, "dyncomp_coord_panics_total %d\n", c.panics.Load())
+	serve.WriteMetric(w, "dyncomp_coord_breaker_state", "gauge", "Breaker state per worker (0 closed, 1 open, 2 half-open).", breakers...)
+	counter("dyncomp_coord_breaker_opened_total", "Breakers opened (worker benched).", c.breakerOpened.Load())
+	counter("dyncomp_coord_breaker_closed_total", "Breakers closed by a successful readiness probe.", c.breakerClosedN.Load())
+	counter("dyncomp_coord_chunk_retries_total", "Chunk dispatch attempts past the first.", c.chunkRetries.Load())
+	gauge("dyncomp_coord_jobs", "Jobs in the table.", c.jobs.Len())
+	counter("dyncomp_coord_jobs_evicted_total", "Settled jobs evicted by TTL or the MaxJobs cap.", c.jobsEvicted.Load())
+	counter("dyncomp_coord_store_compactions_total", "Store compactions past evicted jobs.", c.compactions.Load())
+	counter("dyncomp_coord_panics_total", "Handler panics recovered by the middleware.", c.panics.Load())
 }
 
 // handleReadyz answers whether the coordinator can make progress:
@@ -73,16 +55,14 @@ func (c *Coordinator) handleMetrics(w http.ResponseWriter, r *http.Request) {
 // pure liveness.
 func (c *Coordinator) handleReadyz(w http.ResponseWriter, r *http.Request) {
 	if c.baseCtx.Err() != nil {
-		writeError(w, &serve.RequestError{Status: http.StatusServiceUnavailable,
-			Code: serve.CodeUnavailable, Msg: "coordinator shutting down"})
+		serve.WriteError(w, http.StatusServiceUnavailable, serve.CodeUnavailable, "coordinator shutting down")
 		return
 	}
 	if c.ring.alive() == 0 {
-		writeError(w, &serve.RequestError{Status: http.StatusServiceUnavailable,
-			Code: serve.CodeUnavailable, Msg: "no worker in rotation"})
+		serve.WriteError(w, http.StatusServiceUnavailable, serve.CodeUnavailable, "no worker in rotation")
 		return
 	}
-	writeJSON(w, http.StatusOK, struct {
+	serve.WriteJSON(w, http.StatusOK, struct {
 		Status string `json:"status"`
 	}{Status: "ready"})
 }

@@ -6,6 +6,8 @@ package shard
 // returns.
 
 import (
+	"context"
+	"encoding/json"
 	"fmt"
 	"net"
 	"net/http"
@@ -75,7 +77,8 @@ func TestResultsStreamWriteDeadline(t *testing.T) {
 
 	// Fabricate a running job with ~8MB of arrived points: replay blocks
 	// on the socket once the kernel buffers fill.
-	j := &job{id: "job-900001", state: jobRunning, changed: make(chan struct{})}
+	j := &job{Lifecycle: serve.Lifecycle{ID: "job-900001"}}
+	j.Start(func() {}, time.Now())
 	padding := strings.Repeat("x", 4096)
 	for i := 0; i < 2000; i++ {
 		j.arrived = append(j.arrived, serve.ChunkPoint{
@@ -83,7 +86,7 @@ func TestResultsStreamWriteDeadline(t *testing.T) {
 			SweepPoint: serve.SweepPoint{Error: padding},
 		})
 	}
-	c.register(j)
+	c.jobs.Restore(j)
 
 	stop := stalledStream(t, ts.URL, "/v1/sweeps/job-900001/results")
 	defer stop()
@@ -98,12 +101,47 @@ func TestEventsStreamWriteDeadline(t *testing.T) {
 	// A snapshot bigger than any socket buffer: the initial state event
 	// cannot complete against a non-reading consumer, so the write
 	// deadline is the only way out.
-	j := &job{id: "job-900002", state: jobRunning, total: 1,
-		scenario: strings.Repeat("x", 32<<20),
-		changed:  make(chan struct{})}
-	c.register(j)
+	j := &job{Lifecycle: serve.Lifecycle{ID: "job-900002", Total: 1,
+		Scenario: strings.Repeat("x", 32<<20)}}
+	j.Start(func() {}, time.Now())
+	c.jobs.Restore(j)
 
 	stop := stalledStream(t, ts.URL, "/v1/sweeps/job-900002/events")
 	defer stop()
 	waitHandlerDone(t, done, "SSE events")
+}
+
+// A job that settles long after its last point batch still delivers its
+// trailer: the write deadline is refreshed before every write, not only
+// when points arrive, so the idle gap (here three write timeouts, then a
+// cancel) cannot expire the trailer's write.
+func TestResultsTrailerAfterIdleGap(t *testing.T) {
+	c, ts, _ := streamCoord(t, "/results")
+
+	j := &job{Lifecycle: serve.Lifecycle{ID: "job-900003", Total: 1}}
+	j.Start(func() {}, time.Now())
+	j.arrived = append(j.arrived, serve.ChunkPoint{Index: 0})
+	c.jobs.Restore(j)
+
+	resp, err := http.Get(ts.URL + "/v1/sweeps/job-900003/results")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	dec := json.NewDecoder(resp.Body)
+	var point ResultLine
+	if err := dec.Decode(&point); err != nil || point.Point == nil {
+		t.Fatalf("first line %+v, err %v; want the point", point, err)
+	}
+
+	time.Sleep(300 * time.Millisecond) // idle well past the 100ms write timeout
+	j.Settle(serve.JobCancelled, context.Canceled.Error(), time.Now())
+
+	var trailer ResultLine
+	if err := dec.Decode(&trailer); err != nil {
+		t.Fatalf("trailer lost after an idle gap: %v", err)
+	}
+	if trailer.State != "cancelled" || trailer.Stats == nil {
+		t.Fatalf("trailer %+v, want state cancelled with stats", trailer)
+	}
 }
