@@ -338,7 +338,8 @@ func BenchmarkSweep(b *testing.B) {
 }
 
 // BenchmarkKernelActivation measures the cost the method saves per event:
-// one timed wait (two goroutine handshakes plus event-queue work).
+// one timed wait (a coroutine switch into the process and back, the
+// analogue of a SystemC user-level thread switch, plus event-queue work).
 func BenchmarkKernelActivation(b *testing.B) {
 	b.ReportAllocs()
 	k := sim.New()

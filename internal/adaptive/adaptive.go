@@ -82,9 +82,9 @@ func (m Mode) String() string {
 // Options configures an adaptive run.
 type Options struct {
 	// Trace records evolution instants and resource activity,
-	// bit-exact against the reference executor. The engine records
-	// internally even without it (the history seeds every switch), so
-	// requesting the trace costs nothing extra.
+	// bit-exact against the reference executor. Without it the engine
+	// still records the instants it reads back (the history seeds every
+	// switch), but not the resource activity.
 	Trace *observe.Trace
 	// Limit bounds simulated time; zero runs to completion. The adaptive
 	// engine truncates at iteration granularity: the run stops after the
@@ -191,7 +191,7 @@ func Run(a *model.Architecture, opts Options) (*Result, error) {
 	}
 	rec := opts.Trace
 	if rec == nil {
-		rec = observe.NewTrace(a.Name + "/adaptive")
+		rec = observe.NewInstantTrace(a.Name + "/adaptive")
 	}
 	execs, err := a.Execs()
 	if err != nil {

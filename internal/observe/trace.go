@@ -47,6 +47,13 @@ func NewTrace(name string) *Trace {
 	}
 }
 
+// NewInstantTrace creates an empty trace that keeps instants only: its
+// RecordActivity is a no-op. Engines use it for the internal history they
+// read back when the caller asked for no trace.
+func NewInstantTrace(name string) *Trace {
+	return &Trace{Name: name, instants: make(map[string][]maxplus.T)}
+}
+
 // RecordInstant appends the instant of the next iteration of the given
 // label (typically a channel name). Iterations must be recorded in order.
 func (t *Trace) RecordInstant(label string, at maxplus.T) {
@@ -63,8 +70,12 @@ func (t *Trace) Instants(label string) []maxplus.T { return t.instants[label] }
 // Labels returns all instant labels in first-recorded order.
 func (t *Trace) Labels() []string { return t.labels }
 
-// RecordActivity appends a resource activity.
+// RecordActivity appends a resource activity; it is a no-op on a trace
+// made by NewInstantTrace.
 func (t *Trace) RecordActivity(a Activity) {
+	if t.activities == nil {
+		return
+	}
 	if _, ok := t.activities[a.Resource]; !ok {
 		t.resources = append(t.resources, a.Resource)
 	}

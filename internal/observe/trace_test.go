@@ -35,6 +35,21 @@ func TestRecordActivities(t *testing.T) {
 	}
 }
 
+func TestInstantTraceDropsActivities(t *testing.T) {
+	tr := NewInstantTrace("t")
+	tr.RecordInstant("M1", 10)
+	tr.RecordActivity(Activity{Resource: "P1", Label: "Ti1", Start: 0, End: 50})
+	if got := tr.Instants("M1"); len(got) != 1 || got[0] != 10 {
+		t.Fatalf("M1 instants = %v", got)
+	}
+	if len(tr.Resources()) != 0 || len(tr.Activities("P1")) != 0 {
+		t.Fatalf("instant trace kept activity: %v", tr.Activities("P1"))
+	}
+	if tr.EndTime() != 10 {
+		t.Fatalf("EndTime = %v, want 10", tr.EndTime())
+	}
+}
+
 func TestEndTime(t *testing.T) {
 	tr := NewTrace("t")
 	if got := tr.EndTime(); got != maxplus.Epsilon {

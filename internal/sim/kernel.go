@@ -1,13 +1,13 @@
 // Package sim implements a deterministic discrete-event simulation kernel
 // in the style of the SystemC reference simulator.
 //
-// Processes are goroutines that the kernel runs strictly one at a time:
-// resuming a process and receiving its yield each cost one channel
-// handshake, which reproduces the context-switch cost structure that
-// event-driven architecture models pay in SystemC. The dynamic computation
-// method of the paper removes kernel events; this kernel makes the savings
-// measurable, because every saved event is a saved pair of handshakes plus
-// event-queue work.
+// Processes are coroutines (iter.Pull) that the kernel runs strictly one
+// at a time: an activation is one direct coroutine switch into the process
+// and one back when it yields. That is the closer analogue of the
+// user-level threads SystemC switches between, so every kernel event costs
+// a context switch plus event-queue work, as it does in the reference
+// simulator. The dynamic computation method of the paper removes kernel
+// events; this kernel makes the savings measurable.
 //
 // The kernel is strictly deterministic: simultaneous events are processed
 // in scheduling order (FIFO by sequence number), and only one process ever
@@ -16,6 +16,7 @@ package sim
 
 import (
 	"fmt"
+	"iter"
 	"math"
 )
 
@@ -63,17 +64,15 @@ type Kernel struct {
 	runnable []*Proc // ready at the current time, FIFO order
 	runHead  int     // next runnable index; the drained prefix is reused
 	procs    []*Proc
-	parked   chan struct{} // signalled by a process when it yields
 	seq      int64
 	running  bool
-	stopping bool
 	failure  error
 	stats    Stats
 }
 
 // New returns an empty kernel at time zero.
 func New() *Kernel {
-	return &Kernel{parked: make(chan struct{})}
+	return &Kernel{}
 }
 
 // Now returns the current simulation time.
@@ -93,13 +92,11 @@ func (k *Kernel) Spawn(name string, body func(p *Proc)) *Proc {
 	if k.running {
 		panic("sim: Spawn called while kernel is running")
 	}
-	p := &Proc{
-		name:   name,
-		k:      k,
-		resume: make(chan struct{}),
-	}
+	p := &Proc{name: name, k: k}
 	k.procs = append(k.procs, p)
-	go func() {
+	// The recover stays inside the coroutine, so a process panic becomes
+	// the kernel's failure and never escapes p.next.
+	p.next, p.stop = iter.Pull(func(yield func(struct{}) bool) {
 		defer func() {
 			if r := recover(); r != nil {
 				if _, ok := r.(stopSignal); !ok {
@@ -107,20 +104,16 @@ func (k *Kernel) Spawn(name string, body func(p *Proc)) *Proc {
 				}
 			}
 			p.done = true
-			k.parked <- struct{}{}
 		}()
-		<-p.resume
-		if k.stopping {
-			panic(stopSignal{})
-		}
+		p.yield = yield
 		body(p)
-	}()
+	})
 	// Every process gets an initial activation at time zero.
 	k.push(0, entry{wake: p})
 	return p
 }
 
-// stopSignal aborts a process goroutine during kernel shutdown; it is
+// stopSignal aborts a process coroutine during kernel shutdown; it is
 // recovered by the spawn wrapper and never escapes the package.
 type stopSignal struct{}
 
@@ -200,7 +193,7 @@ func (k *Kernel) popMin() queued {
 
 // Run executes the simulation until the event queue drains, the time limit
 // is exceeded, or a process fails. It returns the first process failure,
-// if any. After Run returns, every process goroutine has terminated.
+// if any. After Run returns, every process coroutine has terminated.
 func (k *Kernel) Run(limit Time) error {
 	if k.running {
 		return fmt.Errorf("sim: Run reentered")
@@ -250,24 +243,19 @@ func (k *Kernel) dispatch(e entry) {
 	}
 }
 
-// activate hands control to p and blocks until it parks again.
+// activate switches to p and returns when it parks again.
 func (k *Kernel) activate(p *Proc) {
 	if p.done {
 		return
 	}
 	k.stats.Activations++
-	p.resume <- struct{}{}
-	<-k.parked
+	p.next()
 }
 
-// shutdown terminates every process goroutine that is still alive.
+// shutdown terminates every process coroutine that is still alive; one
+// that never ran is never started.
 func (k *Kernel) shutdown() {
-	k.stopping = true
 	for _, p := range k.procs {
-		if p.done {
-			continue
-		}
-		p.resume <- struct{}{}
-		<-k.parked
+		p.stop()
 	}
 }

@@ -2,6 +2,7 @@ package sim
 
 import (
 	"fmt"
+	"runtime"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -389,4 +390,114 @@ func TestStatsAddAndEvents(t *testing.T) {
 	if later := b.Add(a); later.FinalTime != 100 {
 		t.Fatalf("Add is not symmetric in FinalTime: %d", later.FinalTime)
 	}
+}
+
+func TestRunLeavesNoGoroutinesBehind(t *testing.T) {
+	cases := []struct {
+		name    string
+		limit   Time
+		wantErr bool
+		build   func(k *Kernel)
+	}{
+		{"drained", Forever, false, func(k *Kernel) {
+			k.Spawn("a", func(p *Proc) { p.Wait(3) })
+			k.Spawn("b", func(p *Proc) {})
+		}},
+		{"time-limit", 25, false, func(k *Kernel) {
+			k.Spawn("spin", func(p *Proc) {
+				for {
+					p.Wait(10)
+				}
+			})
+		}},
+		{"panic", Forever, true, func(k *Kernel) {
+			k.Spawn("bad", func(p *Proc) { p.Wait(1); panic("boom") })
+			k.Spawn("spin", func(p *Proc) {
+				for {
+					p.Wait(1)
+				}
+			})
+		}},
+		{"blocked-forever", Forever, false, func(k *Kernel) {
+			never := k.NewEvent("never")
+			k.Spawn("stuck", func(p *Proc) { p.WaitEvent(never) })
+		}},
+		{"never-activated", -1, false, func(k *Kernel) {
+			k.Spawn("idle", func(p *Proc) { panic("process after the limit ran") })
+		}},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			// Goroutines of earlier tests may still be exiting, so the
+			// count may drop below the start but must never exceed it.
+			before := runtime.NumGoroutine()
+			for i := 0; i < 100; i++ {
+				k := New()
+				c.build(k)
+				if err := k.Run(c.limit); (err != nil) != c.wantErr {
+					t.Fatalf("kernel %d: Run error = %v, want error %v", i, err, c.wantErr)
+				}
+				if got := runtime.NumGoroutine(); got > before {
+					t.Fatalf("kernel %d: %d goroutines after Run, want at most %d", i, got, before)
+				}
+			}
+		})
+	}
+}
+
+func TestProcessMayBlockOnGoPrimitives(t *testing.T) {
+	// A body may block outside the kernel (core.RunBatch lanes wait on a
+	// sync.Cond); the kernel simply waits for it to park again.
+	k := New()
+	ch := make(chan int)
+	go func() {
+		for i := 1; i <= 3; i++ {
+			ch <- i
+		}
+	}()
+	sum := 0
+	k.Spawn("reader", func(p *Proc) {
+		for i := 0; i < 3; i++ {
+			sum += <-ch
+			p.Wait(1)
+		}
+	})
+	if err := k.Run(Forever); err != nil {
+		t.Fatal(err)
+	}
+	if sum != 6 || k.Now() != 3 {
+		t.Fatalf("sum = %d at %d, want 6 at 3", sum, k.Now())
+	}
+}
+
+func TestSteadyWaitDoesNotAllocate(t *testing.T) {
+	k := New()
+	var allocs float64
+	k.Spawn("spin", func(p *Proc) {
+		allocs = testing.AllocsPerRun(1000, func() { p.Wait(1) })
+	})
+	if err := k.Run(Forever); err != nil {
+		t.Fatal(err)
+	}
+	if allocs != 0 {
+		t.Fatalf("%v allocations per Wait, want 0", allocs)
+	}
+}
+
+// maxSpawnAllocs bounds the allocations of one Spawn: the Proc, the
+// coroutine (iter.Pull state, its goroutine and closures) and the body
+// wrapper, 13 with Go 1.24. Spawn is paid per process per kernel, and
+// the adaptive engine builds a kernel per detailed phase.
+const maxSpawnAllocs = 16
+
+func TestSpawnAllocations(t *testing.T) {
+	k := New()
+	allocs := testing.AllocsPerRun(100, func() { k.Spawn("p", func(*Proc) {}) })
+	if err := k.Run(Forever); err != nil {
+		t.Fatal(err)
+	}
+	if allocs > maxSpawnAllocs {
+		t.Fatalf("%v allocations per Spawn, want at most %d", allocs, maxSpawnAllocs)
+	}
+	t.Logf("%v allocations per Spawn", allocs)
 }

@@ -7,10 +7,12 @@ import "fmt"
 // from within the body (they yield control back to the kernel); calling
 // them from outside a running simulation panics or deadlocks by design.
 type Proc struct {
-	name   string
-	k      *Kernel
-	resume chan struct{}
-	done   bool
+	name  string
+	k     *Kernel
+	next  func() (struct{}, bool) // resumes the body until it parks
+	stop  func()                  // makes a parked body's yield report false
+	yield func(struct{}) bool     // parks the body, set when it starts
+	done  bool
 }
 
 // Name returns the process name given at Spawn.
@@ -22,12 +24,10 @@ func (p *Proc) Kernel() *Kernel { return p.k }
 // Now returns the current simulation time.
 func (p *Proc) Now() Time { return p.k.now }
 
-// park yields control to the kernel and blocks until resumed. If the
+// park yields control to the kernel and returns when resumed. If the
 // kernel is shutting down it aborts the process via stopSignal.
 func (p *Proc) park() {
-	p.k.parked <- struct{}{}
-	<-p.resume
-	if p.k.stopping {
+	if !p.yield(struct{}{}) {
 		panic(stopSignal{})
 	}
 }
