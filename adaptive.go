@@ -14,7 +14,7 @@ type AdaptiveOptions struct {
 	// engine switch), so recording costs nothing extra.
 	Record bool
 	// LimitNs bounds the simulated time in nanoseconds (0: run to
-	// completion). The adaptive engine truncates at iteration granularity.
+	// completion); the trace holds exactly the instants up to it.
 	LimitNs int64
 	// Reduce prunes value-redundant arcs from the derived graph.
 	Reduce bool
@@ -64,8 +64,8 @@ type AdaptiveResult struct {
 // source-schedule increments over WindowK iterations), and falls back to
 // event-driven execution whenever the parameters change again, re-binding
 // the temporal dependency graph through the structure-keyed cache on the
-// next steady window. The recorded trace is bit-exact against
-// RunReference regardless of how the run is partitioned; on
+// next steady window. The recorded trace is bit-exact against the
+// reference executor regardless of how the run is partitioned; on
 // phase-changing workloads most kernel events are saved.
 //
 // RunAdaptive remains the full-fidelity adaptive entry point (it reports

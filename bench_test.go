@@ -17,6 +17,7 @@ package dyncomp
 // "simulation speed-up". EXPERIMENTS.md records the measured values.
 
 import (
+	"context"
 	"fmt"
 	"testing"
 
@@ -277,7 +278,7 @@ func BenchmarkComputeInstant(b *testing.B) {
 // 3-stage didactic chain, derived with arc reduction as the paper's
 // hand-minimal graphs are):
 //
-//   - naive: one RunEquivalent per point, re-deriving and re-reducing
+//   - naive: one equivalent-engine Run per point, re-deriving and re-reducing
 //     the temporal dependency graph every time (36 derivations per
 //     sweep);
 //   - cached: dyncomp.Sweep with the structure-keyed derive cache
@@ -308,7 +309,7 @@ func BenchmarkSweep(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			for _, period := range periods {
 				for _, seed := range seeds {
-					if _, err := RunEquivalent(build(period, seed), RunOptions{Reduce: true}); err != nil {
+					if _, err := Run(context.Background(), "equivalent", build(period, seed), EngineOptions{Reduce: true}); err != nil {
 						b.Fatal(err)
 					}
 				}

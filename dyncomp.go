@@ -11,8 +11,9 @@
 //
 //	a := dyncomp.NewArchitecture("my-soc")
 //	// ... describe channels, functions, resources, mapping, environment
-//	ref, _ := dyncomp.RunReference(a, dyncomp.RunOptions{Record: true})
-//	eq,  _ := dyncomp.RunEquivalent(a, dyncomp.RunOptions{Record: true})
+//	opts := dyncomp.EngineOptions{Record: true}
+//	ref, _ := dyncomp.Run(ctx, "reference", a, opts)
+//	eq,  _ := dyncomp.Run(ctx, "equivalent", a, opts)
 //	err := dyncomp.CompareTraces(ref.Trace, eq.Trace) // nil: bit-exact
 //
 // Beyond the two whole-architecture engines, the hybrid engine abstracts
@@ -30,8 +31,8 @@
 //	ad,  _ := dyncomp.Run(ctx, "adaptive", a, dyncomp.EngineOptions{Record: true})
 //	res, _ := dyncomp.Sweep(axes, gen, dyncomp.SweepOptions{Workers: 8})
 //
-// (RunReference, RunEquivalent, RunHybrid and RunAdaptive remain as
-// compatibility shims over the registry.)
+// RunAdaptive reaches the adaptive engine directly and additionally
+// reports its per-phase spans.
 //
 // The whole matrix is also served over HTTP: internal/serve and the
 // dyncomp-serve command expose synchronous runs, asynchronous sweep
@@ -55,8 +56,6 @@
 package dyncomp
 
 import (
-	"context"
-
 	"dyncomp/internal/maxplus"
 	"dyncomp/internal/model"
 	"dyncomp/internal/observe"
@@ -118,21 +117,10 @@ func Periodic(period, offset Time) model.ScheduleFn { return model.Periodic(peri
 // Eager returns the always-ready source schedule u(k) = 0.
 func Eager() model.ScheduleFn { return model.Eager() }
 
-// RunOptions configures a simulation run.
-type RunOptions struct {
-	// Record enables evolution-instant and resource-activity recording.
-	Record bool
-	// LimitNs bounds the simulated time in nanoseconds (0: run to
-	// completion).
-	LimitNs int64
-	// Reduce prunes value-redundant arcs from the derived temporal
-	// dependency graph (equivalent model only).
-	Reduce bool
-}
-
-// RunResult reports a completed simulation.
+// RunResult reports a completed simulation: one sweep point
+// (SweepPointResult) or an adaptive run (AdaptiveResult).
 type RunResult struct {
-	// Trace holds the recorded evolution when RunOptions.Record was set.
+	// Trace holds the recorded evolution when recording was requested.
 	Trace *Trace
 	// Activations counts kernel context switches (the cost the dynamic
 	// computation method removes).
@@ -144,69 +132,6 @@ type RunResult struct {
 	// GraphNodes is the temporal dependency graph size in the paper's
 	// counting (equivalent model only).
 	GraphNodes int
-}
-
-// runNamed routes one legacy wrapper through the engine registry; the
-// four wrappers below are thin shims over Run kept for compatibility,
-// producing results identical to the pre-registry implementations.
-func runNamed(engineName string, a *Architecture, opts EngineOptions) (*RunResult, error) {
-	r, err := Run(context.Background(), engineName, a, opts)
-	if err != nil {
-		return nil, err
-	}
-	return &RunResult{
-		Trace:       r.Trace,
-		Activations: r.Activations,
-		Events:      r.Events,
-		FinalTimeNs: r.FinalTimeNs,
-		GraphNodes:  r.GraphNodes,
-	}, nil
-}
-
-// RunReference simulates the architecture with the event-driven reference
-// executor — every relation among functions is a simulation event.
-//
-// Deprecated: RunReference is a shim over [Run] with the engine name
-// "reference"; new code should address engines by name through the
-// registry — see the [Run] example (ExampleRun in example_test.go)
-// for the full replacement pattern.
-func RunReference(a *Architecture, opts RunOptions) (*RunResult, error) {
-	return runNamed("reference", a, EngineOptions{
-		Record: opts.Record, LimitNs: opts.LimitNs, Reduce: opts.Reduce,
-	})
-}
-
-// RunEquivalent derives the architecture's temporal dependency graph and
-// simulates its equivalent model: internal evolution instants are
-// computed, not simulated, so only boundary events reach the kernel. The
-// recorded trace is bit-exact against RunReference.
-//
-// Deprecated: RunEquivalent is a shim over [Run] with the engine name
-// "equivalent"; new code should address engines by name through the
-// registry — see the [Run] example for the replacement pattern, and
-// [NewCache] for sharing derivations across such runs.
-func RunEquivalent(a *Architecture, opts RunOptions) (*RunResult, error) {
-	return runNamed("equivalent", a, EngineOptions{
-		Record: opts.Record, LimitNs: opts.LimitNs, Reduce: opts.Reduce,
-	})
-}
-
-// RunHybrid simulates the architecture with only the named group of
-// functions abstracted into an equivalent model; the rest runs
-// event-by-event and both halves meet at the group's boundary channels.
-// This is the paper's general "grouping some of the architecture
-// processes". The group must cover whole resources and emit through one
-// boundary output channel.
-//
-// Deprecated: RunHybrid is a shim over [Run] with the engine name
-// "hybrid" and EngineOptions.AbstractGroup set to group; new code
-// should address engines by name through the registry — see the [Run]
-// example for the replacement pattern.
-func RunHybrid(a *Architecture, group []string, opts RunOptions) (*RunResult, error) {
-	return runNamed("hybrid", a, EngineOptions{
-		Record: opts.Record, LimitNs: opts.LimitNs, Reduce: opts.Reduce,
-		AbstractGroup: group,
-	})
 }
 
 // CompareTraces checks two traces for bit-exact agreement of every

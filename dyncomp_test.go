@@ -1,12 +1,18 @@
 package dyncomp
 
 import (
+	"context"
 	"fmt"
 	"testing"
 
 	"dyncomp/internal/derive"
 	"dyncomp/internal/zoo"
 )
+
+// run is Run under a background context.
+func run(engineName string, a *Architecture, opts EngineOptions) (*EngineResult, error) {
+	return Run(context.Background(), engineName, a, opts)
+}
 
 // buildSmoke is the quickstart architecture: a three-stage pipeline with
 // data-dependent durations.
@@ -31,11 +37,11 @@ func buildSmoke(tokens int) *Architecture {
 }
 
 func TestFacadeEndToEnd(t *testing.T) {
-	ref, err := RunReference(buildSmoke(300), RunOptions{Record: true})
+	ref, err := run("reference", buildSmoke(300), EngineOptions{Record: true})
 	if err != nil {
 		t.Fatal(err)
 	}
-	eq, err := RunEquivalent(buildSmoke(300), RunOptions{Record: true})
+	eq, err := run("equivalent", buildSmoke(300), EngineOptions{Record: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -57,7 +63,7 @@ func TestFacadeEndToEnd(t *testing.T) {
 }
 
 func TestFacadeTimeLimit(t *testing.T) {
-	ref, err := RunReference(buildSmoke(1000), RunOptions{LimitNs: 10_000})
+	ref, err := run("reference", buildSmoke(1000), EngineOptions{LimitNs: 10_000})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -70,11 +76,11 @@ func TestFacadeTimeLimit(t *testing.T) {
 }
 
 func TestFacadeReduce(t *testing.T) {
-	full, err := RunEquivalent(zoo.Didactic(zoo.DidacticSpec{Tokens: 50, Period: 500, Seed: 1}), RunOptions{})
+	full, err := run("equivalent", zoo.Didactic(zoo.DidacticSpec{Tokens: 50, Period: 500, Seed: 1}), EngineOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	red, err := RunEquivalent(zoo.Didactic(zoo.DidacticSpec{Tokens: 50, Period: 500, Seed: 1}), RunOptions{Reduce: true})
+	red, err := run("equivalent", zoo.Didactic(zoo.DidacticSpec{Tokens: 50, Period: 500, Seed: 1}), EngineOptions{Reduce: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -84,11 +90,11 @@ func TestFacadeReduce(t *testing.T) {
 }
 
 func TestFacadeHybrid(t *testing.T) {
-	ref, err := RunReference(buildSmoke(200), RunOptions{Record: true})
+	ref, err := run("reference", buildSmoke(200), EngineOptions{Record: true})
 	if err != nil {
 		t.Fatal(err)
 	}
-	hyb, err := RunHybrid(buildSmoke(200), []string{"stage1", "stage2"}, RunOptions{Record: true})
+	hyb, err := run("hybrid", buildSmoke(200), EngineOptions{Record: true, AbstractGroup: []string{"stage1", "stage2"}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -98,20 +104,20 @@ func TestFacadeHybrid(t *testing.T) {
 	if hyb.GraphNodes == 0 {
 		t.Fatal("graph nodes not reported")
 	}
-	if _, err := RunHybrid(buildSmoke(10), []string{"nope"}, RunOptions{}); err == nil {
+	if _, err := run("hybrid", buildSmoke(10), EngineOptions{AbstractGroup: []string{"nope"}}); err == nil {
 		t.Fatal("expected error for unknown group member")
 	}
 }
 
 // TestFacadeAdaptive is the public acceptance criterion of the adaptive
 // engine: on the phase-changing workload RunAdaptive produces a
-// bit-exact trace against RunReference while paying at most half the
+// bit-exact trace against the reference executor while paying at most half the
 // kernel events, with both switch directions exercised.
 func TestFacadeAdaptive(t *testing.T) {
 	build := func() *Architecture {
 		return zoo.Phased(zoo.PhasedSpec{Tokens: 1200, Period: 1100, Seed: 7})
 	}
-	ref, err := RunReference(build(), RunOptions{Record: true})
+	ref, err := run("reference", build(), EngineOptions{Record: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -156,7 +162,7 @@ func TestSweepAdaptiveDeterministicAcrossWorkers(t *testing.T) {
 	}
 	run := func(workers int) *SweepResult {
 		res, err := Sweep(axes, gen, SweepOptions{
-			Workers: workers, Engine: SweepAdaptive, Record: true})
+			Workers: workers, EngineName: "adaptive", Record: true})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -181,10 +187,10 @@ func TestSweepAdaptiveDeterministicAcrossWorkers(t *testing.T) {
 func TestFacadeRejectsInvalid(t *testing.T) {
 	a := NewArchitecture("broken")
 	a.AddChannel("M", Rendezvous, 0)
-	if _, err := RunReference(a, RunOptions{}); err == nil {
+	if _, err := run("reference", a, EngineOptions{}); err == nil {
 		t.Fatal("expected error")
 	}
-	if _, err := RunEquivalent(a, RunOptions{}); err == nil {
+	if _, err := run("equivalent", a, EngineOptions{}); err == nil {
 		t.Fatal("expected error")
 	}
 }
@@ -226,7 +232,7 @@ func sweepArch(tokens, period, size int64) *Architecture {
 }
 
 // The sweep acceptance property: a ≥32-point grid produces per-point
-// results bit-identical to individual RunEquivalent calls while deriving
+// results bit-identical to individual equivalent-engine Run calls while deriving
 // the shared structural shape exactly once.
 func TestSweepMatchesRunEquivalent(t *testing.T) {
 	axes := []SweepAxis{
@@ -255,12 +261,12 @@ func TestSweepMatchesRunEquivalent(t *testing.T) {
 		if pr.Err != nil {
 			t.Fatalf("point %d: %v", i, pr.Err)
 		}
-		want, err := RunEquivalent(gen2arch(t, gen, pr.Point), RunOptions{Record: true})
+		want, err := run("equivalent", gen2arch(t, gen, pr.Point), EngineOptions{Record: true})
 		if err != nil {
-			t.Fatalf("point %d: RunEquivalent: %v", i, err)
+			t.Fatalf("point %d: Run: %v", i, err)
 		}
 		if err := CompareTraces(want.Trace, pr.Trace); err != nil {
-			t.Fatalf("point %d (%s) not bit-identical to RunEquivalent: %v", i, pr.Point, err)
+			t.Fatalf("point %d (%s) not bit-identical to Run: %v", i, pr.Point, err)
 		}
 		if want.Activations != pr.Activations || want.Events != pr.Events ||
 			want.FinalTimeNs != pr.FinalTimeNs || want.GraphNodes != pr.GraphNodes {

@@ -35,11 +35,11 @@ func buildExample() *dyncomp.Architecture {
 // The full workflow: simulate event-by-event, simulate via the equivalent
 // model, and verify bit-exact agreement.
 func Example() {
-	ref, err := dyncomp.RunReference(buildExample(), dyncomp.RunOptions{Record: true})
+	ref, err := dyncomp.Run(context.Background(), "reference", buildExample(), dyncomp.EngineOptions{Record: true})
 	if err != nil {
 		panic(err)
 	}
-	eq, err := dyncomp.RunEquivalent(buildExample(), dyncomp.RunOptions{Record: true})
+	eq, err := dyncomp.Run(context.Background(), "equivalent", buildExample(), dyncomp.EngineOptions{Record: true})
 	if err != nil {
 		panic(err)
 	}
@@ -53,7 +53,7 @@ func Example() {
 // Resource usage is observed from the computed instants without the
 // simulator (the paper's observation time).
 func Example_observation() {
-	eq, err := dyncomp.RunEquivalent(buildExample(), dyncomp.RunOptions{Record: true})
+	eq, err := dyncomp.Run(context.Background(), "equivalent", buildExample(), dyncomp.EngineOptions{Record: true})
 	if err != nil {
 		panic(err)
 	}
@@ -68,7 +68,8 @@ func Example_observation() {
 // payload size) evaluated concurrently with the equivalent model. All
 // points share one structural shape, so the temporal dependency graph is
 // derived exactly once and re-bound per point; every per-point result is
-// bit-identical to what an individual RunEquivalent call would return.
+// bit-identical to what an individual Run of the equivalent engine would
+// return.
 func ExampleSweep() {
 	axes := []dyncomp.SweepAxis{
 		{Name: "period", Values: []int64{800, 1000, 1200}},
@@ -130,7 +131,7 @@ func ExampleRunAdaptive() {
 		a.AddSink("display", out)
 		return a
 	}
-	ref, err := dyncomp.RunReference(build(), dyncomp.RunOptions{Record: true})
+	ref, err := dyncomp.Run(context.Background(), "reference", build(), dyncomp.EngineOptions{Record: true})
 	if err != nil {
 		panic(err)
 	}
@@ -149,12 +150,15 @@ func ExampleRunAdaptive() {
 
 // Partial abstraction: only the decode stage is replaced by an equivalent
 // model; the render stage stays event-driven.
-func ExampleRunHybrid() {
-	ref, err := dyncomp.RunReference(buildExample(), dyncomp.RunOptions{Record: true})
+func ExampleRun_hybrid() {
+	ref, err := dyncomp.Run(context.Background(), "reference", buildExample(), dyncomp.EngineOptions{Record: true})
 	if err != nil {
 		panic(err)
 	}
-	hyb, err := dyncomp.RunHybrid(buildExample(), []string{"decode"}, dyncomp.RunOptions{Record: true})
+	hyb, err := dyncomp.Run(context.Background(), "hybrid", buildExample(), dyncomp.EngineOptions{
+		Record:        true,
+		AbstractGroup: []string{"decode"},
+	})
 	if err != nil {
 		panic(err)
 	}
@@ -164,9 +168,8 @@ func ExampleRunHybrid() {
 }
 
 // Engines are addressed by registered name through one uniform entry
-// point; this is the replacement for the deprecated per-engine wrappers
-// (RunReference, RunEquivalent, RunHybrid) and works for every engine
-// the registry knows, present or future.
+// point, which works for every engine the registry knows, present or
+// future.
 func ExampleRun() {
 	ctx := context.Background()
 	ref, err := dyncomp.Run(ctx, "reference", buildExample(), dyncomp.EngineOptions{Record: true})

@@ -9,6 +9,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"os"
 
@@ -17,11 +18,12 @@ import (
 )
 
 func main() {
+	ctx := context.Background()
 	build := func() *dyncomp.Architecture {
 		return zoo.Phased(zoo.PhasedSpec{Tokens: 2000, Period: 1100, Seed: 7})
 	}
 
-	ref, err := dyncomp.RunReference(build(), dyncomp.RunOptions{Record: true})
+	ref, err := dyncomp.Run(ctx, "reference", build(), dyncomp.EngineOptions{Record: true})
 	check(err)
 	ad, err := dyncomp.RunAdaptive(build(), dyncomp.AdaptiveOptions{Record: true})
 	check(err)

@@ -9,6 +9,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -16,6 +17,7 @@ import (
 )
 
 func main() {
+	ctx := context.Background()
 	build := func(capacity int) *dyncomp.Architecture {
 		a := dyncomp.NewArchitecture("fifo-dataflow")
 		in := a.AddChannel("in", dyncomp.FIFO, capacity)
@@ -44,11 +46,11 @@ func main() {
 	}
 
 	for _, capacity := range []int{1, 4, 16} {
-		ref, err := dyncomp.RunReference(build(capacity), dyncomp.RunOptions{Record: true})
+		ref, err := dyncomp.Run(ctx, "reference", build(capacity), dyncomp.EngineOptions{Record: true})
 		if err != nil {
 			log.Fatal(err)
 		}
-		eq, err := dyncomp.RunEquivalent(build(capacity), dyncomp.RunOptions{Record: true})
+		eq, err := dyncomp.Run(ctx, "equivalent", build(capacity), dyncomp.EngineOptions{Record: true})
 		if err != nil {
 			log.Fatal(err)
 		}

@@ -9,6 +9,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"strings"
@@ -18,6 +19,7 @@ import (
 )
 
 func main() {
+	ctx := context.Background()
 	const frames = 3
 	symbols := frames * lte.SymbolsPerFrame
 
@@ -25,11 +27,11 @@ func main() {
 		return lte.Receiver(lte.Spec{Symbols: symbols, Seed: 23})
 	}
 
-	ref, err := dyncomp.RunReference(build(), dyncomp.RunOptions{Record: true})
+	ref, err := dyncomp.Run(ctx, "reference", build(), dyncomp.EngineOptions{Record: true})
 	if err != nil {
 		log.Fatal(err)
 	}
-	eq, err := dyncomp.RunEquivalent(build(), dyncomp.RunOptions{Record: true})
+	eq, err := dyncomp.Run(ctx, "equivalent", build(), dyncomp.EngineOptions{Record: true})
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -10,6 +10,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -18,21 +19,22 @@ import (
 )
 
 func main() {
+	ctx := context.Background()
 	const frames = 20
 	symbols := frames * lte.SymbolsPerFrame
 	build := func() *dyncomp.Architecture {
 		return lte.Receiver(lte.Spec{Symbols: symbols, Seed: 23})
 	}
 
-	full, err := dyncomp.RunReference(build(), dyncomp.RunOptions{Record: true})
+	full, err := dyncomp.Run(ctx, "reference", build(), dyncomp.EngineOptions{Record: true})
 	if err != nil {
 		log.Fatal(err)
 	}
-	hybrid, err := dyncomp.RunHybrid(build(), lte.FunctionNames[:7], dyncomp.RunOptions{Record: true})
+	hybrid, err := dyncomp.Run(ctx, "hybrid", build(), dyncomp.EngineOptions{Record: true, AbstractGroup: lte.FunctionNames[:7]})
 	if err != nil {
 		log.Fatal(err)
 	}
-	equivalent, err := dyncomp.RunEquivalent(build(), dyncomp.RunOptions{Record: true})
+	equivalent, err := dyncomp.Run(ctx, "equivalent", build(), dyncomp.EngineOptions{Record: true})
 	if err != nil {
 		log.Fatal(err)
 	}

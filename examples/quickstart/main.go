@@ -7,6 +7,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -14,6 +15,7 @@ import (
 )
 
 func main() {
+	ctx := context.Background()
 	build := func() *dyncomp.Architecture {
 		a := dyncomp.NewArchitecture("quickstart")
 
@@ -65,11 +67,11 @@ func main() {
 		return a
 	}
 
-	ref, err := dyncomp.RunReference(build(), dyncomp.RunOptions{Record: true})
+	ref, err := dyncomp.Run(ctx, "reference", build(), dyncomp.EngineOptions{Record: true})
 	if err != nil {
 		log.Fatal(err)
 	}
-	eq, err := dyncomp.RunEquivalent(build(), dyncomp.RunOptions{Record: true})
+	eq, err := dyncomp.Run(ctx, "equivalent", build(), dyncomp.EngineOptions{Record: true})
 	if err != nil {
 		log.Fatal(err)
 	}

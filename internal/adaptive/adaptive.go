@@ -86,9 +86,9 @@ type Options struct {
 	// still records the instants it reads back (the history seeds every
 	// switch), but not the resource activity.
 	Trace *observe.Trace
-	// Limit bounds simulated time; zero runs to completion. The adaptive
-	// engine truncates at iteration granularity: the run stops after the
-	// first iteration whose instants exceed the limit.
+	// Limit bounds simulated time; zero runs to completion. As in the
+	// reference executor, exactly the instants up to the limit are
+	// recorded; Result.Iterations counts the iterations recorded whole.
 	Limit sim.Time
 	// Window, when positive, selects the fixed-window detector: the
 	// number of consecutive iterations with an identical parameter
@@ -120,10 +120,6 @@ type Options struct {
 	// Progress, when non-nil, is invoked at every phase boundary with the
 	// number of completed iterations and the total.
 	Progress func(done, total int)
-	// Interpreted forces every abstract phase through the tree-walking
-	// graph interpreter instead of the compiled evaluation program. Off
-	// by default; the property tests flip it.
-	Interpreted bool
 }
 
 // Phase is one maximal span of iterations executed in a single mode.
@@ -208,6 +204,10 @@ func Run(a *model.Architecture, opts Options) (*Result, error) {
 		rec:   rec,
 		n:     n,
 		execs: execs,
+		limit: opts.Limit,
+	}
+	if r.limit <= 0 {
+		r.limit = sim.Forever
 	}
 	if err := r.buildFloorPoints(); err != nil {
 		return nil, err
@@ -324,6 +324,7 @@ type runner struct {
 	sigIdx   int               // last signature index fed to the detector
 	floorPts []floorPoint
 
+	limit     sim.Time // Options.Limit, or sim.Forever when unbounded
 	total     sim.Stats
 	endTime   sim.Time // latest instant over all phases
 	truncated bool
@@ -403,7 +404,14 @@ func (r *runner) hist(id tdg.NodeID, k int) maxplus.T {
 		return maxplus.Epsilon
 	}
 	xs := r.rec.Instants(label)
-	if k < 0 || k >= len(xs) {
+	switch {
+	case k < 0:
+		return maxplus.Epsilon
+	case k >= len(xs) && r.truncated:
+		// Unrecorded past the limit: any later instant is a lower bound,
+		// so the instants computed from it are exact up to the limit.
+		return maxplus.T(r.limit) + 1
+	case k >= len(xs):
 		return maxplus.Epsilon
 	}
 	return xs[k]
@@ -437,11 +445,7 @@ func (r *runner) runChunk(k0, k1 int) (int, error) {
 	if _, err := baseline.Attach(kern, r.arch, aopts); err != nil {
 		return k0, err
 	}
-	limit := r.opts.Limit
-	if limit <= 0 {
-		limit = sim.Forever
-	}
-	if err := kern.Run(limit); err != nil {
+	if err := kern.Run(r.limit); err != nil {
 		return k0, err
 	}
 	st := kern.Stats()
@@ -454,6 +458,13 @@ func (r *runner) runChunk(k0, k1 int) (int, error) {
 	r.total = r.total.Add(st)
 	if !r.truncated {
 		return k1, nil
+	}
+	if k1 < r.n {
+		// Iterations past the chunk may still hold instants the limit
+		// reaches; the graph computes them.
+		if _, err := r.runAbstract(k1); err != nil {
+			return k0, err
+		}
 	}
 	return r.completedIterations(k0, k1), nil
 }
@@ -478,22 +489,19 @@ func (r *runner) completedIterations(k0, k1 int) int {
 // dependency graph (obtained through the structure-keyed cache, so
 // repeated steady windows re-bind one derivation) until the parameter
 // signature deviates from the steady signature confirmed at the switch.
-// It returns the first iteration not computed.
+// It returns the first iteration not computed. Once an iteration crosses
+// the time limit, the later iterations' instants the limit still reaches
+// are computed too (the graph holds for any parameters); the run is then
+// truncated and the count is that of iterations recorded whole.
 func (r *runner) runAbstract(k0 int) (int, error) {
 	dres, err := r.cache.Derive(r.arch, r.dopts)
 	if err != nil {
 		return k0, err
 	}
-	// The hot switch seeds the compiled evaluator's ring directly from
-	// the recorded live trace; the compiled and interpreted evaluators
-	// share the ring layout, so SeedHistory is mode-agnostic.
-	var ev *tdg.Evaluator
-	if prog := dres.Program(); prog != nil && !r.opts.Interpreted {
-		ev = prog.NewEvaluator()
-		defer ev.Release()
-	} else if ev, err = tdg.NewEvaluator(dres.Graph); err != nil {
-		return k0, err
-	}
+	// The hot switch seeds the evaluator's ring directly from the
+	// recorded live trace.
+	ev := dres.Program().NewEvaluator()
+	defer ev.Release()
 	if err := ev.SeedHistory(k0, r.hist); err != nil {
 		return k0, err
 	}
@@ -501,10 +509,8 @@ func (r *runner) runAbstract(k0 int) (int, error) {
 	us := make([]maxplus.T, len(r.arch.Sources))
 	vals := make([]maxplus.T, dres.Graph.NodeCount())
 	k := k0
-	for k < r.n {
-		if !sigsEqual(r.sigAt(k), steady) {
-			break // reconfiguration: fall back to the detailed engine
-		}
+	// Reconfiguration falls back to the detailed engine.
+	for k < r.n && (r.truncated || sigsEqual(r.sigAt(k), steady)) {
 		for i, s := range r.arch.Sources {
 			us[i] = s.Schedule(k)
 		}
@@ -512,37 +518,46 @@ func (r *runner) runAbstract(k0 int) (int, error) {
 			return k, err
 		}
 		ev.ValuesInto(vals)
-		iterEnd := r.record(dres, vals, k)
-		if iterEnd > r.endTime {
-			r.endTime = iterEnd
-		}
-		k++
-		if r.opts.Limit > 0 && iterEnd >= r.opts.Limit {
+		iterEnd, recorded := r.record(dres, vals, k)
+		if !recorded {
 			r.truncated = true
 			break
 		}
+		r.endTime = max(r.endTime, min(iterEnd, r.limit))
+		k++
+		if iterEnd > r.limit {
+			r.truncated = true
+		}
+	}
+	if r.truncated {
+		return r.completedIterations(k0, k), nil
 	}
 	return k, nil
 }
 
 // record reconstructs the observable evolution of iteration k from the
 // computed instants — every labelled instant and every execution
-// activity — exactly as the equivalent model does, and returns the
-// latest instant of the iteration.
-func (r *runner) record(dres *derive.Result, vals []maxplus.T, k int) sim.Time {
+// activity up to the time limit — exactly as the equivalent model does.
+// It returns the latest instant of the iteration and whether any of its
+// instants was recorded.
+func (r *runner) record(dres *derive.Result, vals []maxplus.T, k int) (sim.Time, bool) {
 	end := maxplus.Epsilon
+	recorded := false
 	for _, nd := range dres.Graph.Nodes() {
 		label, ok := dres.Labels[nd.ID]
 		if !ok {
 			continue
 		}
 		v := vals[nd.ID]
-		r.rec.RecordInstant(label, v)
 		end = maxplus.Oplus(end, v)
+		if v <= maxplus.T(r.limit) {
+			r.rec.RecordInstant(label, v)
+			recorded = true
+		}
 	}
 	for _, pr := range dres.Probes {
 		start := pr.Start(vals[pr.Base], k)
-		if start == maxplus.Epsilon {
+		if start == maxplus.Epsilon || start > maxplus.T(r.limit) {
 			continue
 		}
 		load := pr.Exec.Load(k)
@@ -558,7 +573,7 @@ func (r *runner) record(dres *derive.Result, vals []maxplus.T, k int) sim.Time {
 		end = maxplus.Oplus(end, fin)
 	}
 	if end == maxplus.Epsilon {
-		return 0
+		return 0, recorded
 	}
-	return sim.Time(end)
+	return sim.Time(end), recorded
 }

@@ -255,7 +255,7 @@ func TestSharedCacheRebinds(t *testing.T) {
 }
 
 // TestTimeLimitTruncates checks that a simulated-time limit stops the
-// run early at iteration granularity.
+// run early and counts only iterations recorded whole.
 func TestTimeLimitTruncates(t *testing.T) {
 	full, err := Run(zoo.Phased(zoo.PhasedSpec{Tokens: 400, Period: 1100, Seed: 7}), Options{})
 	if err != nil {

@@ -28,16 +28,15 @@ func (adEngine) Run(ctx context.Context, a *model.Architecture, opts engine.Opti
 	}
 	begin := time.Now()
 	res, err := Run(a, Options{
-		Trace:       trace,
-		Limit:       sim.Time(opts.LimitNs),
-		Window:      opts.WindowK,
-		Confidence:  opts.Confidence,
-		Derive:      opts.Derive,
-		Cache:       opts.Cache,
-		IterLimit:   opts.IterLimit,
-		Ctx:         ctx,
-		Progress:    opts.Progress,
-		Interpreted: opts.Interpreted,
+		Trace:      trace,
+		Limit:      sim.Time(opts.LimitNs),
+		Window:     opts.WindowK,
+		Confidence: opts.Confidence,
+		Derive:     opts.Derive,
+		Cache:      opts.Cache,
+		IterLimit:  opts.IterLimit,
+		Ctx:        ctx,
+		Progress:   opts.Progress,
 	})
 	if err != nil {
 		return nil, err

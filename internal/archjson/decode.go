@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
-	"io"
 	"math"
 )
 
@@ -440,14 +439,4 @@ func (sc *Scalar) check(where string, refOK func(string, *Expr) error) error {
 	default:
 		return errf(CodeInvalid, "%s: unknown scalar kind %q", where, sc.Kind)
 	}
-}
-
-// DecodeReader decodes a spec from r, enforcing MaxSpecBytes while
-// reading so an over-long stream is cut off, not buffered.
-func DecodeReader(r io.Reader) (*Spec, error) {
-	data, err := io.ReadAll(io.LimitReader(r, MaxSpecBytes+1))
-	if err != nil {
-		return nil, errf(CodeInvalid, "reading architecture spec: %v", err)
-	}
-	return Decode(data)
 }

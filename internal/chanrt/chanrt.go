@@ -28,6 +28,14 @@ func New(k *sim.Kernel, ch *model.Channel, trace *observe.Trace) RT {
 	return NewRV(k, ch, trace)
 }
 
+// Labels lists the instant labels a runtime of ch records.
+func Labels(ch *model.Channel) []string {
+	if ch.Kind == model.FIFO {
+		return []string{ch.Name + ".w", ch.Name + ".r"}
+	}
+	return []string{ch.Name}
+}
+
 // RV implements the rendezvous protocol: writer and reader wait on each
 // other, and the transfer — one simulation event — happens at the max of
 // both ready instants, which is the evolution instant x_M(k).

@@ -33,10 +33,10 @@ type BatchOptions struct {
 // (derive.RebindBatch / Cache.DeriveBatch produce exactly that) and must
 // be distinct Results: each lane's weight closures memoize through their
 // own ExecInfos, which the lockstep coordinator relies on for
-// race-freedom. A structural mismatch or a missing compiled program
-// fails the batch wholesale (third return) so callers can fall back to
-// scalar runs; per-lane simulation failures land in the error slice
-// while the remaining lanes complete normally.
+// race-freedom. A structural mismatch fails the batch wholesale (third
+// return) so callers can fall back to scalar runs; per-lane simulation
+// failures land in the error slice while the remaining lanes complete
+// normally.
 func RunBatch(lanes []*derive.Result, opts BatchOptions) ([]*Result, []error, error) {
 	L := len(lanes)
 	if L == 0 {
@@ -48,9 +48,6 @@ func RunBatch(lanes []*derive.Result, opts BatchOptions) ([]*Result, []error, er
 	progs := make([]*tdg.Program, L)
 	iters := make([]int, L)
 	for l, res := range lanes {
-		if res == nil || res.Program() == nil {
-			return nil, nil, fmt.Errorf("core: batch lane %d has no compiled program", l)
-		}
 		progs[l] = res.Program()
 		iter, err := iterations(res)
 		if err != nil {
@@ -92,7 +89,7 @@ func RunBatch(lanes []*derive.Result, opts BatchOptions) ([]*Result, []error, er
 			}
 			lv := &laneView{bc: bc, lane: l}
 			k := sim.New()
-			eng := engineFor(lanes[l], iters[l], k, lv, trace)
+			eng := engineFor(lanes[l], iters[l], limit, k, lv, trace)
 			eng.build()
 			runErr := k.Run(limit)
 			recycle(eng)

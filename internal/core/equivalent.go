@@ -41,11 +41,6 @@ type Options struct {
 	// IterLimit, when positive, bounds the evolution to iterations
 	// [0, IterLimit): every source stops after token IterLimit-1.
 	IterLimit int
-	// Interpreted forces ComputeInstant through the tree-walking graph
-	// interpreter instead of the compiled evaluation program. Off by
-	// default (the compiled path is bit-exact and faster); the property
-	// tests flip it to prove exactly that.
-	Interpreted bool
 }
 
 // Result reports a completed run.
@@ -126,14 +121,8 @@ func (m *Model) Run(opts Options) (*Result, error) {
 		iter = opts.IterLimit
 	}
 	k := sim.New()
-	var ev *tdg.Evaluator
-	if prog := m.res.Program(); prog != nil && !opts.Interpreted {
-		ev = prog.NewEvaluator()
-	} else if ev, err = tdg.NewEvaluator(m.res.Graph); err != nil {
-		return nil, err
-	}
-
-	eng := engineFor(m.res, iter, k, ev, opts.Trace)
+	ev := m.res.Program().NewEvaluator()
+	eng := engineFor(m.res, iter, limit, k, ev, opts.Trace)
 	eng.build()
 	runErr := k.Run(limit)
 	res := &Result{Stats: k.Stats(), Trace: opts.Trace, Iterations: ev.K()}
@@ -154,13 +143,14 @@ var enginePool sync.Pool
 
 // engineFor prepares the running state of one simulation, reusing a
 // pooled engine (with its grown buffers) when one is available.
-func engineFor(res *derive.Result, iter int, k *sim.Kernel, ev stepper, trace *observe.Trace) *engine {
+func engineFor(res *derive.Result, iter int, limit sim.Time, k *sim.Kernel, ev stepper, trace *observe.Trace) *engine {
 	eng, ok := enginePool.Get().(*engine)
 	if !ok {
-		eng = &engine{}
+		eng = &engine{inLabels: map[string]bool{}}
 	}
 	eng.res = res
 	eng.iter = iter
+	eng.limit = maxplus.T(limit)
 	eng.kernel = k
 	eng.eval = ev
 	eng.trace = trace
@@ -192,6 +182,12 @@ func engineFor(res *derive.Result, iter int, k *sim.Kernel, ev stepper, trace *o
 	eng.stepped = k.NewEvent("stepped")
 	eng.emitted = k.NewEvent("emitted")
 	if trace != nil {
+		clear(eng.inLabels)
+		for _, ib := range res.Inputs {
+			for _, label := range chanrt.Labels(ib.Channel) {
+				eng.inLabels[label] = true
+			}
+		}
 		if cap(eng.vals) < res.Graph.NodeCount() {
 			eng.vals = make([]maxplus.T, res.Graph.NodeCount())
 		} else {
@@ -212,12 +208,14 @@ func recycle(eng *engine) {
 
 // engine is the running state of one equivalent-model simulation.
 type engine struct {
-	res    *derive.Result
-	iter   int // iterations to simulate (source token count)
-	kernel *sim.Kernel
-	eval   stepper
-	trace  *observe.Trace
-	vals   []maxplus.T
+	res      *derive.Result
+	iter     int       // iterations to simulate (source token count)
+	limit    maxplus.T // simulated-time bound; later instants go unrecorded
+	kernel   *sim.Kernel
+	eval     stepper
+	trace    *observe.Trace
+	vals     []maxplus.T
+	inLabels map[string]bool // recorded by the input runtimes, not by record
 
 	// arrivals per input: arrived[i] counts delivered iterations; the
 	// engine steps iteration k once every input has arrived[i] > k.
@@ -234,12 +232,13 @@ func (e *engine) build() {
 	res := e.res
 	arch := res.Arch
 
-	// Boundary channels keep their real runtimes; instants are recorded
-	// from the computed values (not by the runtimes) to keep a single
-	// source of truth.
+	// Boundary channels keep their real runtimes. The input runtimes
+	// record their own instants, as in the reference executor: a source
+	// write the time limit reaches is recorded even when its iteration is
+	// never computed. Every other instant comes from the computed values.
 	inChans := make([]chanrt.RT, len(res.Inputs))
 	for i, ib := range res.Inputs {
-		inChans[i] = chanrt.New(e.kernel, ib.Channel, nil)
+		inChans[i] = chanrt.New(e.kernel, ib.Channel, e.trace)
 	}
 	outChans := make([]chanrt.RT, len(res.Outputs))
 	for j, ob := range res.Outputs {
@@ -387,20 +386,22 @@ func (e *engine) deliver(k, idx int, arrival maxplus.T) {
 
 // record reconstructs the observable evolution of iteration k from the
 // computed instants: every labelled instant and every execution activity,
-// on the local observation time (no simulator involvement).
+// on the local observation time (no simulator involvement). Instants and
+// activities past the time limit stay unrecorded — the reference
+// executor's kernel stops before it reaches them.
 func (e *engine) record(k int) {
 	e.eval.ValuesInto(e.vals)
 	g := e.res.Graph
 	for _, n := range g.Nodes() {
 		label, ok := e.res.Labels[n.ID]
-		if !ok {
+		if !ok || e.inLabels[label] || e.vals[n.ID] > e.limit {
 			continue
 		}
 		e.trace.RecordInstant(label, e.vals[n.ID])
 	}
 	for _, pr := range e.res.Probes {
 		start := pr.Start(e.vals[pr.Base], k)
-		if start == maxplus.Epsilon {
+		if start == maxplus.Epsilon || start > e.limit {
 			continue
 		}
 		load := pr.Exec.Load(k)

@@ -32,10 +32,9 @@ func laneParams(scenario string, lane int) zoo.ParamMap {
 }
 
 // The acceptance property of the batched pipeline: on every registered
-// scenario, each lane of a RunBatch is bit-exact against a per-point
-// compiled Run AND a per-point interpreted Run of the same architecture
-// — across batch widths including a degenerate single lane and a width
-// that is no multiple of anything.
+// scenario, each lane of a RunBatch is bit-exact against a per-point Run
+// of the same architecture — across batch widths including a degenerate
+// single lane and a width that is no multiple of anything.
 func TestBatchRunBitExactOnEveryScenario(t *testing.T) {
 	ctx := context.Background()
 	eng, err := engine.Lookup("equivalent")
@@ -70,24 +69,16 @@ func TestBatchRunBitExactOnEveryScenario(t *testing.T) {
 						t.Errorf("width %d lane %d: %v", width, l, laneErrs[l])
 						continue
 					}
-					for _, ref := range []struct {
-						name string
-						opts engine.Options
-					}{
-						{"compiled", engine.Options{Record: true}},
-						{"interpreted", engine.Options{Record: true, Interpreted: true}},
-					} {
-						rr, err := eng.Run(ctx, sc.Build(laneParams(sc.Name, l)), ref.opts)
-						if err != nil {
-							t.Fatalf("width %d lane %d %s reference: %v", width, l, ref.name, err)
-						}
-						if err := observe.CompareInstants(rr.Trace, results[l].Trace); err != nil {
-							t.Errorf("width %d lane %d differs from %s run: %v", width, l, ref.name, err)
-						}
-						if results[l].Iterations != rr.Iterations {
-							t.Errorf("width %d lane %d: %d iterations, scalar %s ran %d",
-								width, l, results[l].Iterations, ref.name, rr.Iterations)
-						}
+					rr, err := eng.Run(ctx, sc.Build(laneParams(sc.Name, l)), engine.Options{Record: true})
+					if err != nil {
+						t.Fatalf("width %d lane %d scalar run: %v", width, l, err)
+					}
+					if err := observe.CompareInstants(rr.Trace, results[l].Trace); err != nil {
+						t.Errorf("width %d lane %d differs from scalar run: %v", width, l, err)
+					}
+					if results[l].Iterations != rr.Iterations {
+						t.Errorf("width %d lane %d: %d iterations, scalar run %d",
+							width, l, results[l].Iterations, rr.Iterations)
 					}
 				}
 			}
@@ -95,10 +86,9 @@ func TestBatchRunBitExactOnEveryScenario(t *testing.T) {
 	}
 }
 
-// RunBatch refuses the interpreter wholesale — callers fall back to
-// scalar runs — and honors a pre-cancelled context before touching the
-// derivation cache.
-func TestBatchRunRejectsInterpreterAndCancelledContext(t *testing.T) {
+// RunBatch honors a pre-cancelled context before touching the
+// derivation cache and refuses an empty batch.
+func TestBatchRunRejectsCancelledContextAndEmptyBatch(t *testing.T) {
 	eng, err := engine.Lookup("equivalent")
 	if err != nil {
 		t.Fatal(err)
@@ -107,9 +97,6 @@ func TestBatchRunRejectsInterpreterAndCancelledContext(t *testing.T) {
 	archs := []*model.Architecture{
 		zoo.Didactic(zoo.DidacticSpec{Tokens: 5, Period: 100, Seed: 1}),
 		zoo.Didactic(zoo.DidacticSpec{Tokens: 5, Period: 200, Seed: 2}),
-	}
-	if _, _, err := br.RunBatch(context.Background(), archs, engine.Options{Interpreted: true}); err == nil {
-		t.Fatal("RunBatch accepted Interpreted options")
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()

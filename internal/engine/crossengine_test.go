@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"dyncomp/internal/engine"
+	"dyncomp/internal/model"
 	"dyncomp/internal/observe"
 	"dyncomp/internal/zoo"
 
@@ -72,6 +73,72 @@ func TestEveryEngineOnEveryScenarioBitExact(t *testing.T) {
 				}
 				if err := observe.CompareInstants(rr.Trace, r.Trace); err != nil {
 					t.Errorf("%s differs from reference on %s: %v", name, sc.Name, err)
+				}
+			}
+		})
+	}
+}
+
+// Options.LimitNs is part of the same contract: cut mid-run at half the
+// unlimited final time, every engine records exactly the instants the
+// equally-limited reference executor reaches — none past the limit —
+// on every scenario, scalar and batched alike.
+func TestLimitNsMidRunBitExact(t *testing.T) {
+	ctx := context.Background()
+	ref, err := engine.Lookup("reference")
+	if err != nil {
+		t.Fatal(err)
+	}
+	eq, err := engine.Lookup("equivalent")
+	if err != nil {
+		t.Fatal(err)
+	}
+	br := eq.(engine.BatchRunner)
+	for _, sc := range zoo.Scenarios() {
+		sc := sc
+		t.Run(sc.Name, func(t *testing.T) {
+			full, err := ref.Run(ctx, sc.Build(testParams), engine.Options{})
+			if err != nil {
+				t.Fatalf("reference: %v", err)
+			}
+			limit := full.FinalTimeNs / 2
+			rr, err := ref.Run(ctx, sc.Build(testParams), engine.Options{Record: true, LimitNs: limit})
+			if err != nil {
+				t.Fatalf("limited reference: %v", err)
+			}
+			for _, name := range engine.Names() {
+				if name == "reference" {
+					continue
+				}
+				eng, err := engine.Lookup(name)
+				if err != nil {
+					t.Fatal(err)
+				}
+				opts := engine.Options{Record: true, LimitNs: limit, AbstractGroup: sc.GroupFor(name, testParams)}
+				if name == "hybrid" && opts.AbstractGroup == nil {
+					continue
+				}
+				r, err := eng.Run(ctx, sc.Build(testParams), opts)
+				if err != nil {
+					t.Errorf("%s: %v", name, err)
+					continue
+				}
+				if err := observe.CompareInstants(rr.Trace, r.Trace); err != nil {
+					t.Errorf("%s differs under LimitNs %d: %v", name, limit, err)
+				}
+			}
+			lanes, laneErrs, err := br.RunBatch(ctx, []*model.Architecture{sc.Build(testParams), sc.Build(testParams)},
+				engine.Options{Record: true, LimitNs: limit})
+			if err != nil {
+				t.Fatalf("RunBatch: %v", err)
+			}
+			for l, r := range lanes {
+				if laneErrs[l] != nil {
+					t.Errorf("batch lane %d: %v", l, laneErrs[l])
+					continue
+				}
+				if err := observe.CompareInstants(rr.Trace, r.Trace); err != nil {
+					t.Errorf("batch lane %d differs under LimitNs %d: %v", l, limit, err)
 				}
 			}
 		})

@@ -40,8 +40,8 @@ type Options struct {
 	// across engines.
 	Record bool
 	// LimitNs bounds the simulated time in nanoseconds (0: run to
-	// completion). Engines truncate at their natural granularity (the
-	// adaptive engine at iteration boundaries).
+	// completion). Every engine records exactly the instants up to the
+	// limit, as the reference executor does.
 	LimitNs int64
 	// IterLimit, when positive, bounds the evolution to iterations
 	// [0, IterLimit): every source stops after token IterLimit-1.
@@ -72,13 +72,6 @@ type Options struct {
 	// boundaries — the adaptive engine at every mode switch, the others
 	// once at completion — always from the calling goroutine.
 	Progress func(done, total int)
-	// Interpreted forces ComputeInstant through the tree-walking graph
-	// interpreter instead of the compiled evaluation program
-	// (tdg.Compile). Off by default: the compiled path is bit-exact —
-	// the cross-engine property tests run both and compare — and
-	// substantially faster. The reference executor evaluates no graph
-	// and ignores it.
-	Interpreted bool
 }
 
 // Result is the unified report of a completed run. Fields an engine

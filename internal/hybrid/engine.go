@@ -29,6 +29,7 @@ type engine struct {
 	dres  *derive.Result
 	kern  *sim.Kernel
 	trace *observe.Trace
+	limit maxplus.T // simulated-time bound; later instants go unrecorded
 
 	iters   int
 	inputs  []int // arrived iterations per input
@@ -36,7 +37,7 @@ type engine struct {
 
 	// Evaluation state.
 	graph    *tdg.Graph
-	prog     *tdg.Program // nil: interpret the graph's arc lists
+	prog     *tdg.Program
 	depth    int
 	ring     []maxplus.T
 	nodeDone []int // computed iterations per node
@@ -51,7 +52,7 @@ type engine struct {
 	skipLabel map[string]bool
 }
 
-func newEngine(a *model.Architecture, sub *subArch, dres *derive.Result, kern *sim.Kernel, trace *observe.Trace, iters int) *engine {
+func newEngine(a *model.Architecture, sub *subArch, dres *derive.Result, kern *sim.Kernel, trace *observe.Trace, iters int, limit sim.Time) *engine {
 	g := dres.Graph
 	depth := g.MaxDelay() + 1
 	e := &engine{
@@ -60,6 +61,7 @@ func newEngine(a *model.Architecture, sub *subArch, dres *derive.Result, kern *s
 		dres:     dres,
 		kern:     kern,
 		trace:    trace,
+		limit:    maxplus.T(limit),
 		iters:    iters,
 		inputs:   make([]int, len(dres.Inputs)),
 		graph:    g,
@@ -265,27 +267,9 @@ func (e *engine) runComputer(p *sim.Proc) {
 					block()
 				}
 			}
-			var acc maxplus.T
-			if e.prog != nil {
-				// The compiled arc table shares the evaluator ring layout,
-				// so the wave evaluation gets the flat fast path too.
-				acc = e.prog.EvalIncoming(e.ring, id, k)
-			} else {
-				acc = maxplus.Epsilon
-				for _, a := range e.graph.Incoming(id) {
-					if a.Delay > k {
-						continue
-					}
-					src := *e.slot(a.From, k-a.Delay)
-					if src == maxplus.Epsilon {
-						continue
-					}
-					v := a.Weight.Apply(src, k)
-					if v > acc {
-						acc = v
-					}
-				}
-			}
+			// The compiled arc table shares the evaluator ring layout, so
+			// the wave evaluation gets the flat fast path too.
+			acc := e.prog.EvalIncoming(e.ring, id, k)
 			*e.slot(id, k) = acc
 			e.nodeDone[id] = k + 1
 			if id == e.outNode {
@@ -324,18 +308,20 @@ func (e *engine) runEmission(p *sim.Proc, orig *model.Channel, rt chanrt.RT) {
 
 // record reconstructs the group's observable evolution of iteration k:
 // internal instant labels (boundary channels are recorded by their real
-// runtimes) and execution activities.
+// runtimes) and execution activities, except those past the time limit.
 func (e *engine) record(k int) {
 	for _, n := range e.graph.Nodes() {
 		label, ok := e.dres.Labels[n.ID]
 		if !ok || e.skipLabel[label] {
 			continue
 		}
-		e.trace.RecordInstant(label, e.value(n.ID, k))
+		if v := e.value(n.ID, k); v <= e.limit {
+			e.trace.RecordInstant(label, v)
+		}
 	}
 	for _, pr := range e.dres.Probes {
 		start := pr.Start(e.value(pr.Base, k), k)
-		if start == maxplus.Epsilon {
+		if start == maxplus.Epsilon || start > e.limit {
 			continue
 		}
 		load := pr.Exec.Load(k)

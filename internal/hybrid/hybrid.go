@@ -51,17 +51,10 @@ type Options struct {
 	// Derive sets the derivation options (arc reduction, pad nodes) for
 	// the group's graph.
 	Derive derive.Options
-	// Reduce prunes value-redundant arcs from the group's graph; it is
-	// the pre-Derive spelling of Derive.Reduce and ORs into it.
-	Reduce bool
 	// Cache supplies a shared structure-keyed derivation cache for the
 	// group's graph (e.g. from a design-space sweep); nil derives
 	// privately.
 	Cache *derive.Cache
-	// Interpreted forces the group's instants through the tree-walking
-	// graph interpreter instead of the compiled evaluation program. Off
-	// by default; the property tests flip it.
-	Interpreted bool
 }
 
 // Result reports a completed hybrid run.
@@ -92,15 +85,11 @@ func Run(a *model.Architecture, opts Options) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	dopts := opts.Derive
-	if opts.Reduce {
-		dopts.Reduce = true
-	}
 	var dres *derive.Result
 	if opts.Cache != nil {
-		dres, err = opts.Cache.Derive(sub.arch, dopts)
+		dres, err = opts.Cache.Derive(sub.arch, opts.Derive)
 	} else {
-		dres, err = derive.Derive(sub.arch, dopts)
+		dres, err = derive.Derive(sub.arch, opts.Derive)
 	}
 	if err != nil {
 		return nil, err
@@ -137,10 +126,7 @@ func Run(a *model.Architecture, opts Options) (*Result, error) {
 		return nil, err
 	}
 
-	eng := newEngine(a, sub, dres, kern, opts.Trace, iters)
-	if opts.Interpreted {
-		eng.prog = nil
-	}
+	eng := newEngine(a, sub, dres, kern, opts.Trace, iters, limit)
 	eng.build(boundary)
 
 	if err := kern.Run(limit); err != nil {
@@ -230,16 +216,12 @@ func checkBoundary(dres *derive.Result) error {
 // channel runtimes, which the computed recording must skip.
 func boundaryLabels(sub *subArch) map[string]bool {
 	skip := map[string]bool{}
-	mark := func(ch *model.Channel) {
-		skip[ch.Name] = true
-		skip[ch.Name+".w"] = true
-		skip[ch.Name+".r"] = true
-	}
-	for _, ch := range sub.inOrig {
-		mark(ch)
-	}
-	for _, ch := range sub.outOrig {
-		mark(ch)
+	for _, chs := range [][]*model.Channel{sub.inOrig, sub.outOrig} {
+		for _, ch := range chs {
+			for _, label := range chanrt.Labels(ch) {
+				skip[label] = true
+			}
+		}
 	}
 	return skip
 }

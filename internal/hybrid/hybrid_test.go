@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"dyncomp/internal/baseline"
+	"dyncomp/internal/derive"
 	"dyncomp/internal/lte"
 	"dyncomp/internal/maxplus"
 	"dyncomp/internal/model"
@@ -173,7 +174,7 @@ func TestHybridReduced(t *testing.T) {
 	spec := zoo.DidacticSpec{Tokens: 150, Period: 500, Seed: 21}
 	full := runFull(t, zoo.Didactic(spec))
 	ht := observe.NewTrace("hybrid")
-	if _, err := Run(zoo.Didactic(spec), Options{Group: []string{"F3", "F4"}, Trace: ht, Reduce: true}); err != nil {
+	if _, err := Run(zoo.Didactic(spec), Options{Group: []string{"F3", "F4"}, Trace: ht, Derive: derive.Options{Reduce: true}}); err != nil {
 		t.Fatal(err)
 	}
 	if err := observe.CompareInstants(full, ht); err != nil {

@@ -32,13 +32,12 @@ func (hybEngine) Run(ctx context.Context, a *model.Architecture, opts uni.Option
 	}
 	begin := time.Now()
 	res, err := Run(a, Options{
-		Group:       opts.AbstractGroup,
-		Trace:       trace,
-		Limit:       sim.Time(opts.LimitNs),
-		IterLimit:   opts.IterLimit,
-		Derive:      opts.Derive,
-		Cache:       opts.Cache,
-		Interpreted: opts.Interpreted,
+		Group:     opts.AbstractGroup,
+		Trace:     trace,
+		Limit:     sim.Time(opts.LimitNs),
+		IterLimit: opts.IterLimit,
+		Derive:    opts.Derive,
+		Cache:     opts.Cache,
 	})
 	if err != nil {
 		return nil, err

@@ -5,9 +5,10 @@ import (
 	"errors"
 	"fmt"
 	"sync"
+	"sync/atomic"
 	"testing"
 
-	"dyncomp/internal/derive"
+	"dyncomp/internal/engine"
 	"dyncomp/internal/maxplus"
 	"dyncomp/internal/model"
 	"dyncomp/internal/observe"
@@ -141,13 +142,12 @@ func TestBatchedSweepProgressReachesTotalOnCancel(t *testing.T) {
 	}
 }
 
-// Engines without the batch capability and interpreted sweeps silently
-// use the per-point path: same results, zero batch counters.
+// Engines without the batch capability silently use the per-point
+// path: same results, zero batch counters.
 func TestBatchedSweepFallsBackWithoutCapability(t *testing.T) {
 	axes := []Axis{{Name: "seed", Values: []int64{1, 2, 3, 4}}}
 	for _, opts := range []Options{
 		{Engine: "adaptive", BatchWidth: 8},
-		{Interpreted: true, BatchWidth: 8},
 		{Engine: "reference", BatchWidth: 8},
 	} {
 		res, err := Run(axes, didacticGen, opts)
@@ -163,18 +163,39 @@ func TestBatchedSweepFallsBackWithoutCapability(t *testing.T) {
 	}
 }
 
+// refusingBatcher is the equivalent engine behind a batched path that
+// always fails wholesale, counting its refusals.
+type refusingBatcher struct{ engine.Engine }
+
+var batchRefusals atomic.Int64
+
+func (refusingBatcher) Name() string { return "refusing-batcher" }
+
+func (refusingBatcher) RunBatch(context.Context, []*model.Architecture, engine.Options) ([]*engine.Result, []error, error) {
+	batchRefusals.Add(1)
+	return nil, nil, errors.New("batch refused")
+}
+
+func init() {
+	eq, err := engine.Lookup("equivalent")
+	if err != nil {
+		panic(err)
+	}
+	engine.Register(refusingBatcher{eq})
+}
+
 // A wholesale batch failure falls back to scalar evaluation instead of
-// failing the chunk's points: NoCompile derivations have no compiled
-// program, which the batched path requires, so every chunk degrades to
-// per-point interpreter runs — and still succeeds.
+// failing the chunk's points: every chunk degrades to per-point runs —
+// and still succeeds.
 func TestBatchedSweepScalarFallbackOnWholesaleFailure(t *testing.T) {
 	axes := []Axis{{Name: "seed", Values: []int64{1, 2, 3, 4, 5}}}
-	res, err := Run(axes, didacticGen, Options{
-		BatchWidth: 4,
-		Derive:     derive.Options{NoCompile: true},
-	})
+	before := batchRefusals.Load()
+	res, err := Run(axes, didacticGen, Options{Engine: "refusing-batcher", BatchWidth: 4})
 	if err != nil {
 		t.Fatal(err)
+	}
+	if batchRefusals.Load() == before {
+		t.Fatal("the batched path was never tried")
 	}
 	if res.Stats.Failed != 0 {
 		for i := range res.Points {

@@ -269,11 +269,6 @@ type Options struct {
 	// cancellation. Because the lock spans the callback, a blocking
 	// consumer stalls every worker: forward, never block.
 	Progress func(done, total int)
-	// Interpreted forces every point through the tree-walking graph
-	// interpreter instead of the compiled evaluation program; for
-	// debugging and bit-exactness testing. Disables batching
-	// (BatchWidth): there is no batched interpreter.
-	Interpreted bool
 	// Sample enables surrogate-guided sampling (Sample.Tolerance > 0):
 	// only a model-chosen subset of the grid is simulated exactly and
 	// the rest is predicted by an analytical surrogate. Requires the
@@ -289,9 +284,9 @@ type Options struct {
 	// (engine.BatchRunner) — one compiled structure, one lockstep pass
 	// per iteration for the whole chunk. Points keep their bit-exact
 	// per-point results; only the evaluation strategy changes. Engines
-	// without the batch capability (reference, hybrid, adaptive) and
-	// interpreted sweeps fall back to the per-point path, as does any
-	// chunk whose batched run fails wholesale. 0 disables batching.
+	// without the batch capability (reference, hybrid, adaptive) fall
+	// back to the per-point path, as does any chunk whose batched run
+	// fails wholesale. 0 disables batching.
 	BatchWidth int
 }
 
@@ -523,7 +518,7 @@ func runPoints(ctx context.Context, pts []Point, gen Generator, opts Options) (*
 	}
 
 	var bstats batchStats
-	if br, ok := eng.(engine.BatchRunner); ok && opts.BatchWidth > 0 && !opts.Interpreted {
+	if br, ok := eng.(engine.BatchRunner); ok && opts.BatchWidth > 0 {
 		bstats = runBatched(ctx, pts, gen, br, refEng, opts, cache, workers, results, report)
 	} else {
 		runPerPoint(ctx, pts, gen, eng, refEng, opts, cache, workers, finish)
@@ -622,7 +617,6 @@ func evalPoint(ctx context.Context, p Point, gen Generator, eng, refEng engine.E
 		AbstractGroup: group,
 		Derive:        dopts,
 		Cache:         cache,
-		Interpreted:   opts.Interpreted,
 	})
 	if err != nil {
 		pr.Err = fmt.Errorf("sweep: point %d (%s): %w", p.Index, p, err)

@@ -21,11 +21,12 @@ func TestEnginesListsFourExecutors(t *testing.T) {
 	}
 }
 
-// Run with an engine name and the legacy wrappers are the same code
-// path; their results must be identical field for field.
+// Run reaches every engine by name, and RunAdaptive — the one direct
+// entry point left beside it — runs the same adaptive engine: its
+// results must match Run's field for field.
 func TestRunMatchesLegacyWrappers(t *testing.T) {
 	ctx := context.Background()
-	ref, err := RunReference(buildSmoke(200), RunOptions{Record: true})
+	ref, err := Run(ctx, "reference", buildSmoke(200), EngineOptions{Record: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -38,22 +39,26 @@ func TestRunMatchesLegacyWrappers(t *testing.T) {
 			t.Fatalf("%s: %v", name, err)
 		}
 	}
-	eqOld, err := RunEquivalent(buildSmoke(200), RunOptions{Record: true})
+	direct, err := RunAdaptive(buildSmoke(200), AdaptiveOptions{Record: true})
 	if err != nil {
 		t.Fatal(err)
 	}
-	eqNew, err := Run(ctx, "equivalent", buildSmoke(200), EngineOptions{Record: true})
+	viaRun, err := Run(ctx, "adaptive", buildSmoke(200), EngineOptions{Record: true})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if eqOld.Activations != eqNew.Activations || eqOld.Events != eqNew.Events ||
-		eqOld.FinalTimeNs != eqNew.FinalTimeNs || eqOld.GraphNodes != eqNew.GraphNodes {
-		t.Fatalf("wrapper and Run disagree:\n%+v\n%+v", eqOld, eqNew)
+	if direct.Activations != viaRun.Activations || direct.Events != viaRun.Events ||
+		direct.FinalTimeNs != viaRun.FinalTimeNs || direct.GraphNodes != viaRun.GraphNodes ||
+		direct.Switches != viaRun.Switches || direct.Fallbacks != viaRun.Fallbacks {
+		t.Fatalf("RunAdaptive and Run disagree:\n%+v\n%+v", direct, viaRun)
+	}
+	if err := CompareTraces(direct.Trace, viaRun.Trace); err != nil {
+		t.Fatal(err)
 	}
 }
 
 func TestRunHybridViaRegistry(t *testing.T) {
-	ref, err := RunReference(buildSmoke(150), RunOptions{Record: true})
+	ref, err := Run(context.Background(), "reference", buildSmoke(150), EngineOptions{Record: true})
 	if err != nil {
 		t.Fatal(err)
 	}

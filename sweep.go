@@ -51,38 +51,6 @@ type SweepGenerator = func(SweepPoint) (*Architecture, error)
 // min/max/mean/geomean of the per-point speed-ups and event ratios.
 type SweepStats = sweep.Stats
 
-// SweepEngine selects the executor evaluating every sweep point.
-//
-// Deprecated: engines are addressed by their registered name; use
-// SweepOptions.EngineName (see Engines for the available names). The
-// enum remains for compatibility and covers only the original three.
-type SweepEngine int
-
-// Sweep engines.
-const (
-	// SweepEquivalent evaluates each point with the equivalent model
-	// (the default).
-	SweepEquivalent SweepEngine = iota
-	// SweepReference evaluates each point with the event-driven
-	// reference executor.
-	SweepReference
-	// SweepAdaptive evaluates each point with the adaptive engine,
-	// sharing the sweep's derivation cache across points.
-	SweepAdaptive
-)
-
-// name maps the legacy enum onto the engine registry's names.
-func (e SweepEngine) name() string {
-	switch e {
-	case SweepReference:
-		return "reference"
-	case SweepAdaptive:
-		return "adaptive"
-	default:
-		return "equivalent"
-	}
-}
-
 // SweepOptions configures a design-space sweep.
 type SweepOptions struct {
 	// Workers is the worker-pool size; 0 uses all processors. Per-point
@@ -91,12 +59,8 @@ type SweepOptions struct {
 	Workers int
 	// EngineName names the registered executor evaluating every point —
 	// any name from Engines(), e.g. "hybrid" (with Group set). Empty
-	// falls back to the deprecated Engine enum.
+	// selects "equivalent".
 	EngineName string
-	// Engine selects the per-point executor (default SweepEquivalent).
-	//
-	// Deprecated: use EngineName.
-	Engine SweepEngine
 	// Group names the functions the hybrid engine abstracts on every
 	// point; ignored by the other engines.
 	Group []string
@@ -145,14 +109,14 @@ type SweepOptions struct {
 	BatchWidth int
 }
 
-// SweepPointResult is the evaluation of one grid point: the equivalent
-// model's RunResult (embedded) plus optional baseline pairing.
+// SweepPointResult is the evaluation of one grid point: the selected
+// engine's RunResult (embedded) plus optional baseline pairing.
 type SweepPointResult struct {
 	Point SweepPoint
-	// RunResult is the equivalent-model run of this point, exactly as an
-	// individual RunEquivalent call would return it.
+	// RunResult is the selected engine's run of this point, with the
+	// counters a single Run of that engine reports.
 	RunResult
-	// Wall is the host time of the equivalent-model run.
+	// Wall is the host time of the engine run.
 	Wall time.Duration
 	// Baseline is the reference executor's result when
 	// SweepOptions.Baseline is set.
@@ -186,10 +150,10 @@ type SweepResult struct {
 }
 
 // Sweep evaluates every configuration of the grid spanned by axes,
-// sharding the points across a worker pool; SweepOptions.EngineName (or
-// the deprecated Engine enum) selects the per-point executor — any
-// registered engine: equivalent model by default, reference executor,
-// hybrid with an abstracted group, or the adaptive engine. The
+// sharding the points across a worker pool; SweepOptions.EngineName
+// selects the per-point executor — any registered engine: equivalent
+// model by default, reference executor, hybrid with an abstracted
+// group, or the adaptive engine. The
 // temporal dependency graph is derived once per structural shape and
 // re-bound to every other point of that shape, so sweeping parameters
 // (token counts, periods, seeds, costs, speeds) over a fixed topology
@@ -207,13 +171,9 @@ func Sweep(axes []SweepAxis, gen SweepGenerator, opts SweepOptions) (*SweepResul
 // remaining points fail with the context's error, and SweepContext
 // returns it alongside the partial result.
 func SweepContext(ctx context.Context, axes []SweepAxis, gen SweepGenerator, opts SweepOptions) (*SweepResult, error) {
-	name := opts.EngineName
-	if name == "" {
-		name = opts.Engine.name()
-	}
 	sopts := sweep.Options{
 		Workers:    opts.Workers,
-		Engine:     name,
+		Engine:     opts.EngineName,
 		Window:     opts.WindowK,
 		Confidence: opts.Confidence,
 		Group:      opts.Group,
