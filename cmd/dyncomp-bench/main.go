@@ -57,8 +57,6 @@ type engineBench struct {
 	Events      int64  `json:"events"`
 	Activations int64  `json:"activations"`
 	GraphNodes  int    `json:"graph_nodes,omitempty"`
-	Switches    int    `json:"switches,omitempty"`
-	Fallbacks   int    `json:"fallbacks,omitempty"`
 }
 
 type benchReport struct {
@@ -174,8 +172,6 @@ func main() {
 					Events:      res.Events,
 					Activations: res.Activations,
 					GraphNodes:  res.GraphNodes,
-					Switches:    res.Switches,
-					Fallbacks:   res.Fallbacks,
 				}
 			}
 		}

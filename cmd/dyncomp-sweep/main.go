@@ -31,9 +31,7 @@
 //
 // -engine selects the per-point executor by registered name (default
 // equivalent). The hybrid engine abstracts the scenario's canonical
-// function group, or the -group override ("F3,F4"); -window tunes the
-// adaptive engine's steady-state confirmation window and -confidence
-// its confidence-driven detector (used when -window is 0). -format
+// function group, or the -group override ("F3,F4"). -format
 // selects table (default), csv or json; -baseline pairs every point
 // with an event-driven reference run and reports event ratios and
 // speed-ups.
@@ -84,8 +82,6 @@ func main() {
 	batch := flag.Int("batch", 0, "batched-evaluation lane width for same-shape points (0: per-point)")
 	engName := flag.String("engine", sweep.DefaultEngine, "per-point executor: "+strings.Join(engine.Names(), "|"))
 	group := flag.String("group", "", `functions the hybrid engine abstracts, comma-separated (default: the scenario's canonical group)`)
-	window := flag.Int("window", 0, "adaptive steady-state window in iterations (0: confidence-driven detector)")
-	confidence := flag.Float64("confidence", 0, "adaptive detector confidence threshold in (0,1) (0: engine default)")
 	tolerance := flag.Float64("tolerance", 0, "relative prediction tolerance enabling surrogate-guided sampling (0: simulate every point)")
 	sample := flag.Int("sample", 0, "cap on exact simulations when sampling (0: no cap)")
 	verify := flag.Bool("verify", false, "re-simulate predicted points and report the observed error")
@@ -201,8 +197,6 @@ func main() {
 		Workers:    *workers,
 		Engine:     *engName,
 		Baseline:   *baseline,
-		Window:     *window,
-		Confidence: *confidence,
 		BatchWidth: *batch,
 		Sample: sweep.SampleOptions{
 			Tolerance: *tolerance,
@@ -237,13 +231,12 @@ func main() {
 		fatal(err)
 	}
 
-	adaptiveEngine := *engName == "adaptive"
 	sampled := opts.Sample.Enabled()
 	switch *format {
 	case "table":
-		err = writeTable(os.Stdout, res, *baseline, adaptiveEngine, sampled)
+		err = writeTable(os.Stdout, res, *baseline, sampled)
 	case "csv":
-		err = writeCSV(os.Stdout, res, *baseline, adaptiveEngine, sampled)
+		err = writeCSV(os.Stdout, res, *baseline, sampled)
 	case "json":
 		err = writeJSON(os.Stdout, res)
 	default:
@@ -447,7 +440,7 @@ func parseItem(item string) ([]int64, error) {
 	return vals, nil
 }
 
-func writeTable(w *os.File, res *sweep.Result, baseline, adaptive, sampled bool) error {
+func writeTable(w *os.File, res *sweep.Result, baseline, sampled bool) error {
 	if len(res.Points) == 0 {
 		return nil
 	}
@@ -455,9 +448,6 @@ func writeTable(w *os.File, res *sweep.Result, baseline, adaptive, sampled bool)
 		fmt.Fprintf(w, "%-10s ", n)
 	}
 	fmt.Fprintf(w, "%12s %12s %14s %8s %12s", "activations", "events", "final(ns)", "nodes", "wall")
-	if adaptive {
-		fmt.Fprintf(w, " %9s %9s", "switches", "fallbacks")
-	}
 	if baseline {
 		fmt.Fprintf(w, " %12s %10s", "event ratio", "speed-up")
 	}
@@ -475,9 +465,6 @@ func writeTable(w *os.File, res *sweep.Result, baseline, adaptive, sampled bool)
 		}
 		fmt.Fprintf(w, "%12d %12d %14d %8d %12s",
 			pr.Run.Activations, pr.Run.Events, pr.Run.FinalTimeNs, pr.Run.GraphNodes, pr.Run.Wall)
-		if adaptive {
-			fmt.Fprintf(w, " %9d %9d", pr.Run.Switches, pr.Run.Fallbacks)
-		}
 		if baseline {
 			fmt.Fprintf(w, " %12.2f %10.2f", pr.EventRatio, pr.SpeedUp)
 		}
@@ -513,15 +500,12 @@ func writeTable(w *os.File, res *sweep.Result, baseline, adaptive, sampled bool)
 	return nil
 }
 
-func writeCSV(w *os.File, res *sweep.Result, baseline, adaptive, sampled bool) error {
+func writeCSV(w *os.File, res *sweep.Result, baseline, sampled bool) error {
 	if len(res.Points) == 0 {
 		return nil
 	}
 	cols := append([]string{}, res.Points[0].Point.Names...)
 	cols = append(cols, "activations", "events", "final_ns", "graph_nodes", "wall_ns")
-	if adaptive {
-		cols = append(cols, "switches", "fallbacks")
-	}
 	if baseline {
 		cols = append(cols, "baseline_activations", "baseline_wall_ns", "event_ratio", "speed_up")
 	}
@@ -543,9 +527,6 @@ func writeCSV(w *os.File, res *sweep.Result, baseline, adaptive, sampled bool) e
 			strconv.FormatInt(pr.Run.FinalTimeNs, 10),
 			strconv.Itoa(pr.Run.GraphNodes),
 			strconv.FormatInt(pr.Run.Wall.Nanoseconds(), 10))
-		if adaptive {
-			row = append(row, strconv.Itoa(pr.Run.Switches), strconv.Itoa(pr.Run.Fallbacks))
-		}
 		if baseline && pr.Baseline != nil {
 			row = append(row,
 				strconv.FormatInt(pr.Baseline.Activations, 10),
@@ -570,8 +551,6 @@ type jsonPoint struct {
 	FinalTimeNs  int64            `json:"final_time_ns"`
 	GraphNodes   int              `json:"graph_nodes"`
 	WallNs       int64            `json:"wall_ns"`
-	Switches     int              `json:"switches,omitempty"`
-	Fallbacks    int              `json:"fallbacks,omitempty"`
 	EventRatio   float64          `json:"event_ratio,omitempty"`
 	SpeedUp      float64          `json:"speed_up,omitempty"`
 	Source       string           `json:"source,omitempty"`
@@ -598,8 +577,6 @@ func writeJSON(w *os.File, res *sweep.Result) error {
 			jp.FinalTimeNs = pr.Run.FinalTimeNs
 			jp.GraphNodes = pr.Run.GraphNodes
 			jp.WallNs = pr.Run.Wall.Nanoseconds()
-			jp.Switches = pr.Run.Switches
-			jp.Fallbacks = pr.Run.Fallbacks
 			jp.EventRatio = pr.EventRatio
 			jp.SpeedUp = pr.SpeedUp
 			jp.Source = pr.Source

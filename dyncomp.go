@@ -18,10 +18,9 @@
 //
 // Beyond the two whole-architecture engines, the hybrid engine abstracts
 // only a named group of functions (the paper's partial abstraction)
-// while the rest stays event-driven, and the adaptive engine decides
-// online: it simulates event-by-event until a steady state is confirmed,
-// hot-switches the steady region to the equivalent model, and falls back
-// on every parameter change — all four engines produce bit-exact traces.
+// while the rest stays event-driven, and the adaptive engine computes
+// the whole evolution, boundary included, from the (max,+) graph with no
+// simulation kernel at all — all four engines produce bit-exact traces.
 // The engines form a registry: Engines() lists them, Run addresses any
 // of them by name with one unified option set, and Sweep evaluates a
 // parameter grid with any of them across a worker pool, deriving each
@@ -30,9 +29,6 @@
 //	hyb, _ := dyncomp.Run(ctx, "hybrid", a, dyncomp.EngineOptions{AbstractGroup: []string{"F1", "F2"}, Record: true})
 //	ad,  _ := dyncomp.Run(ctx, "adaptive", a, dyncomp.EngineOptions{Record: true})
 //	res, _ := dyncomp.Sweep(axes, gen, dyncomp.SweepOptions{Workers: 8})
-//
-// RunAdaptive reaches the adaptive engine directly and additionally
-// reports its per-phase spans.
 //
 // The whole matrix is also served over HTTP: internal/serve and the
 // dyncomp-serve command expose synchronous runs, asynchronous sweep
@@ -45,8 +41,8 @@
 // ((max,+) algebra), internal/tdg (temporal dependency graphs),
 // internal/derive (automatic graph derivation, shape-keyed cache),
 // internal/baseline and internal/core (the two execution engines),
-// internal/hybrid (partial abstraction), internal/adaptive (temporal
-// abstraction / engine switching), internal/sweep (design-space
+// internal/hybrid (partial abstraction), internal/adaptive (kernel-free
+// computation), internal/sweep (design-space
 // exploration), internal/serve (the HTTP serving layer),
 // internal/observe (traces and resource usage), internal/lte (the LTE
 // case study) and internal/exp (the paper's experiments). See
@@ -117,8 +113,8 @@ func Periodic(period, offset Time) model.ScheduleFn { return model.Periodic(peri
 // Eager returns the always-ready source schedule u(k) = 0.
 func Eager() model.ScheduleFn { return model.Eager() }
 
-// RunResult reports a completed simulation: one sweep point
-// (SweepPointResult) or an adaptive run (AdaptiveResult).
+// RunResult reports a completed simulation of one sweep point
+// (SweepPointResult).
 type RunResult struct {
 	// Trace holds the recorded evolution when recording was requested.
 	Trace *Trace

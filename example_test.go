@@ -106,13 +106,11 @@ func ExampleSweep() {
 	// first point: period=800,size=64 finished at 79428 ns
 }
 
-// Adaptive engine-switching: the run starts event-by-event, abstracts
-// confirmed steady windows into the equivalent model, and falls back to
-// detailed execution when the workload parameters change. Here the
-// payload size shifts once mid-stream, so the engine switches to the
-// abstract mode twice and falls back in between — with a bit-exact
-// trace and most kernel events saved.
-func ExampleRunAdaptive() {
+// Kernel-free computation: the adaptive engine computes every evolution
+// instant from the (max,+) graph, boundary included, with no simulation
+// kernel. Here the payload size shifts once mid-stream; the trace stays
+// bit-exact across the shift at zero kernel events.
+func ExampleRun_adaptive() {
 	build := func() *dyncomp.Architecture {
 		a := dyncomp.NewArchitecture("phased")
 		in := a.AddChannel("in", dyncomp.Rendezvous, 0)
@@ -131,21 +129,22 @@ func ExampleRunAdaptive() {
 		a.AddSink("display", out)
 		return a
 	}
-	ref, err := dyncomp.Run(context.Background(), "reference", build(), dyncomp.EngineOptions{Record: true})
+	ctx := context.Background()
+	ref, err := dyncomp.Run(ctx, "reference", build(), dyncomp.EngineOptions{Record: true})
 	if err != nil {
 		panic(err)
 	}
-	ad, err := dyncomp.RunAdaptive(build(), dyncomp.AdaptiveOptions{Record: true})
+	ad, err := dyncomp.Run(ctx, "adaptive", build(), dyncomp.EngineOptions{Record: true})
 	if err != nil {
 		panic(err)
 	}
 	fmt.Println("exact:", dyncomp.CompareTraces(ref.Trace, ad.Trace) == nil)
-	fmt.Println("switches:", ad.Switches, "fallbacks:", ad.Fallbacks)
-	fmt.Println("most events saved:", ad.Events*2 < ref.Events)
+	fmt.Println("kernel events:", ad.Events, "activations:", ad.Activations)
+	fmt.Println("same final time:", ad.FinalTimeNs == ref.FinalTimeNs)
 	// Output:
 	// exact: true
-	// switches: 2 fallbacks: 1
-	// most events saved: true
+	// kernel events: 0 activations: 0
+	// same final time: true
 }
 
 // Partial abstraction: only the decode stage is replaced by an equivalent

@@ -1,11 +1,10 @@
-// Adaptive engine-switching on a phase-changing workload: the didactic
+// Kernel-free computation on a phase-changing workload: the didactic
 // architecture processes a token stream whose size regime moves between
-// steady plateaus and noisy transients. The adaptive executor simulates
-// event-by-event until it confirms a steady state, hot-switches the
-// steady region to the equivalent (max,+) model, and falls back to
-// event-driven execution at every reconfiguration — producing the exact
-// reference trace while paying kernel events only where the workload
-// actually changes.
+// steady plateaus and noisy transients. The adaptive engine computes
+// every evolution instant from the (max,+) temporal dependency graph,
+// boundary included, without a simulation kernel — producing the exact
+// reference trace across plateaus and transients alike at zero kernel
+// events.
 package main
 
 import (
@@ -23,21 +22,19 @@ func main() {
 		return zoo.Phased(zoo.PhasedSpec{Tokens: 2000, Period: 1100, Seed: 7})
 	}
 
-	ref, err := dyncomp.Run(ctx, "reference", build(), dyncomp.EngineOptions{Record: true})
-	check(err)
-	ad, err := dyncomp.RunAdaptive(build(), dyncomp.AdaptiveOptions{Record: true})
-	check(err)
-
-	fmt.Printf("bit-exact vs reference: %t\n", dyncomp.CompareTraces(ref.Trace, ad.Trace) == nil)
-	fmt.Printf("kernel events: reference %d, adaptive %d (%.1f%% saved)\n",
-		ref.Events, ad.Events, 100*(1-float64(ad.Events)/float64(ref.Events)))
-	fmt.Printf("switches: %d, fallbacks: %d; iterations: %d detailed / %d abstract\n\n",
-		ad.Switches, ad.Fallbacks, ad.DetailedIterations, ad.AbstractIterations)
-
-	fmt.Printf("%-10s %10s %10s %12s\n", "mode", "from k", "to k", "events")
-	for _, ph := range ad.Phases {
-		fmt.Printf("%-10s %10d %10d %12d\n", ph.Mode, ph.StartK, ph.EndK, ph.Events)
+	fmt.Printf("%-12s %12s %12s %16s %10s\n", "engine", "events", "activations", "final (ns)", "wall (ms)")
+	var ref *dyncomp.EngineResult
+	for _, name := range []string{"reference", "equivalent", "adaptive"} {
+		r, err := dyncomp.Run(ctx, name, build(), dyncomp.EngineOptions{Record: true})
+		check(err)
+		if ref == nil {
+			ref = r
+		} else if err := dyncomp.CompareTraces(ref.Trace, r.Trace); err != nil {
+			check(fmt.Errorf("%s differs from reference: %w", name, err))
+		}
+		fmt.Printf("%-12s %12d %12d %16d %10.2f\n", name, r.Events, r.Activations, r.FinalTimeNs, float64(r.WallNs)/1e6)
 	}
+	fmt.Println("\nall traces bit-exact vs reference")
 }
 
 func check(err error) {

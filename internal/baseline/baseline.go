@@ -76,27 +76,9 @@ type AttachOptions struct {
 	// SkipChannel excludes channels entirely (internal channels of an
 	// abstracted group).
 	SkipChannel func(ch *model.Channel) bool
-
-	// IterOffset resumes the evolution at a later iteration: sources emit
-	// tokens IterOffset, IterOffset+1, ... (with their absolute schedule
-	// instants), and recorded activities carry the global iteration index.
-	// Constraints reaching back across the resume point must be supplied
-	// through Floor/SourceFloor; the adaptive engine computes them from
-	// the temporal dependency graph and the recorded history.
-	IterOffset int
 	// IterLimit, when positive, stops every source after token IterLimit-1,
-	// bounding the segment to iterations [IterOffset, IterLimit).
+	// bounding the evolution to iterations [0, IterLimit).
 	IterLimit int
-	// Floor, when non-nil, gives an absolute lower bound on the instant at
-	// which function f may engage its stmt-th statement of global
-	// iteration k (zero: no bound). It realizes the delayed dependencies
-	// of a resumed evolution whose history predates this kernel: waiting
-	// until the floor before a read or write adds exactly the historical
-	// term to the (max,+) readiness expression of that transfer.
-	Floor func(f *model.Function, stmt, k int) sim.Time
-	// SourceFloor is Floor for source emissions (e.g. the backpressure a
-	// source-fed FIFO carried over from before the resume point).
-	SourceFloor func(s *model.Source, k int) sim.Time
 }
 
 // Runtime exposes the channel runtimes created by Attach.
@@ -109,7 +91,7 @@ type Runtime struct {
 // been validated. Partial setups (hybrid models) use Skip/Chans to carve
 // out the abstracted group.
 func Attach(k *sim.Kernel, a *model.Architecture, opts AttachOptions) (*Runtime, error) {
-	b := &builder{arch: a, kernel: k, opts: opts, trace: opts.Trace, chans: map[*model.Channel]chanrt.RT{}}
+	b := &builder{arch: a, kernel: k, trace: opts.Trace, chans: map[*model.Channel]chanrt.RT{}}
 	for ch, rt := range opts.Chans {
 		b.chans[ch] = rt
 	}
@@ -122,7 +104,6 @@ func Attach(k *sim.Kernel, a *model.Architecture, opts AttachOptions) (*Runtime,
 type builder struct {
 	arch   *model.Architecture
 	kernel *sim.Kernel
-	opts   AttachOptions
 	trace  *observe.Trace
 	chans  map[*model.Channel]chanrt.RT
 }
@@ -169,23 +150,17 @@ func (b *builder) build(opts AttachOptions) error {
 		if ch == nil {
 			return fmt.Errorf("baseline: source %q has no channel runtime", s.Name)
 		}
-		first, last := opts.IterOffset, src.Count
+		last := src.Count
 		if opts.IterLimit > 0 && opts.IterLimit < last {
 			last = opts.IterLimit
 		}
-		floor := opts.SourceFloor
 		b.kernel.Spawn(src.Name, func(p *sim.Proc) {
-			for k := first; k < last; k++ {
+			for k := 0; k < last; k++ {
 				u := src.Schedule(k)
 				if u.IsEpsilon() {
 					panic(fmt.Sprintf("baseline: source %q schedule(%d) is ε", src.Name, k))
 				}
 				p.WaitUntil(sim.Time(u))
-				if floor != nil {
-					if fl := floor(src, k); fl > p.Now() {
-						p.WaitUntil(fl)
-					}
-				}
 				tok := src.Tokens(k)
 				tok.K = k
 				ch.Write(p, tok)
@@ -212,19 +187,11 @@ func (b *builder) build(opts AttachOptions) error {
 func (b *builder) runFunction(p *sim.Proc, f *model.Function, rt *resourceRT, execs map[int]*model.ExecInfo) {
 	m := len(f.Resource.Rotation)
 	skip := GateSkipped(f)
-	off := b.opts.IterOffset
-	floor := b.opts.Floor
 	var cur model.Token
 	for k := 0; ; k++ {
-		gk := off + k
 		turn := k*m + f.RotIndex
 		rt.waitTurn(p, turn, skip)
 		for i, st := range f.Body {
-			if floor != nil {
-				if fl := floor(f, i, gk); fl > p.Now() {
-					p.WaitUntil(fl)
-				}
-			}
 			switch s := st.(type) {
 			case model.Read:
 				cur = b.chans[s.Ch].Read(p)
@@ -239,7 +206,7 @@ func (b *builder) runFunction(p *sim.Proc, f *model.Function, rt *resourceRT, ex
 					b.trace.RecordActivity(observe.Activity{
 						Resource: f.Resource.Name,
 						Label:    info.Label,
-						K:        gk,
+						K:        k,
 						Start:    now,
 						End:      maxplus.Otimes(now, dur),
 						Ops:      load.Ops,

@@ -92,12 +92,14 @@ func RunBatch(lanes []*derive.Result, opts BatchOptions) ([]*Result, []error, er
 			eng := engineFor(lanes[l], iters[l], limit, k, lv, trace)
 			eng.build()
 			runErr := k.Run(limit)
+			st := k.Stats()
+			st.FinalTime = eng.finalTime()
 			recycle(eng)
 			if runErr != nil {
 				errs[l] = runErr
 				return
 			}
-			results[l] = &Result{Stats: k.Stats(), Trace: trace, Iterations: lv.steps}
+			results[l] = &Result{Stats: st, Trace: trace, Iterations: lv.steps}
 		}(l)
 	}
 	wg.Wait()

@@ -16,10 +16,17 @@
 // internal events are saved. Because the internal instants are still
 // computed, resource usage is reconstructed exactly on a local
 // observation time (Fig. 2b) without involving the simulator.
+//
+// Model.Compute goes one step further and drops the kernel: it takes the
+// input instants straight from the source schedules and computes every
+// iteration, boundary included, from the graph (the "adaptive" engine).
+// Both paths reconstruct the observable evolution through one record
+// function.
 package core
 
 import (
 	"fmt"
+	"slices"
 	"sync"
 
 	"dyncomp/internal/chanrt"
@@ -126,6 +133,7 @@ func (m *Model) Run(opts Options) (*Result, error) {
 	eng.build()
 	runErr := k.Run(limit)
 	res := &Result{Stats: k.Stats(), Trace: opts.Trace, Iterations: ev.K()}
+	res.Stats.FinalTime = eng.finalTime()
 	// Recycle also on failure: Kernel.Run has shut every process down, so
 	// the engine state and the evaluator ring are safe to pool either way.
 	ev.Release()
@@ -146,7 +154,7 @@ var enginePool sync.Pool
 func engineFor(res *derive.Result, iter int, limit sim.Time, k *sim.Kernel, ev stepper, trace *observe.Trace) *engine {
 	eng, ok := enginePool.Get().(*engine)
 	if !ok {
-		eng = &engine{inLabels: map[string]bool{}}
+		eng = &engine{}
 	}
 	eng.res = res
 	eng.iter = iter
@@ -181,20 +189,34 @@ func engineFor(res *derive.Result, iter int, limit sim.Time, k *sim.Kernel, ev s
 	}
 	eng.stepped = k.NewEvent("stepped")
 	eng.emitted = k.NewEvent("emitted")
-	if trace != nil {
-		clear(eng.inLabels)
-		for _, ib := range res.Inputs {
-			for _, label := range chanrt.Labels(ib.Channel) {
-				eng.inLabels[label] = true
-			}
-		}
-		if cap(eng.vals) < res.Graph.NodeCount() {
-			eng.vals = make([]maxplus.T, res.Graph.NodeCount())
-		} else {
-			eng.vals = eng.vals[:res.Graph.NodeCount()]
-		}
+	// The input runtimes record their own instants.
+	var inLabels []string
+	for _, ib := range res.Inputs {
+		inLabels = append(inLabels, chanrt.Labels(ib.Channel)...)
+	}
+	eng.nodes = labelledNodes(eng.nodes[:0], res, inLabels)
+	if cap(eng.vals) < res.Graph.NodeCount() {
+		eng.vals = make([]maxplus.T, res.Graph.NodeCount())
+	} else {
+		eng.vals = eng.vals[:res.Graph.NodeCount()]
 	}
 	return eng
+}
+
+// finalTime returns the simulated time the run reached: the kernel's,
+// or later, the latest instant or activity end computed within the
+// limit. The kernel sees only boundary events, while the reference
+// executor also simulates an internal execution or transfer that ends
+// after the last of them. Instants grow with k, so the last computed
+// iteration holds the latest.
+func (e *engine) finalTime() sim.Time {
+	t := e.kernel.Stats().FinalTime
+	if e.eval.K() == 0 {
+		return t
+	}
+	e.eval.ValuesInto(e.vals)
+	end, _ := record(nil, e.res, e.nodes, e.vals, e.eval.K()-1, e.limit)
+	return max(t, sim.Time(min(end, e.limit)))
 }
 
 // recycle parks a finished engine's state for the next run. The caller
@@ -208,14 +230,14 @@ func recycle(eng *engine) {
 
 // engine is the running state of one equivalent-model simulation.
 type engine struct {
-	res      *derive.Result
-	iter     int       // iterations to simulate (source token count)
-	limit    maxplus.T // simulated-time bound; later instants go unrecorded
-	kernel   *sim.Kernel
-	eval     stepper
-	trace    *observe.Trace
-	vals     []maxplus.T
-	inLabels map[string]bool // recorded by the input runtimes, not by record
+	res    *derive.Result
+	iter   int       // iterations to simulate (source token count)
+	limit  maxplus.T // simulated-time bound; later instants go unrecorded
+	kernel *sim.Kernel
+	eval   stepper
+	trace  *observe.Trace
+	vals   []maxplus.T
+	nodes  []labelled // the instants record reconstructs
 
 	// arrivals per input: arrived[i] counts delivered iterations; the
 	// engine steps iteration k once every input has arrived[i] > k.
@@ -378,40 +400,70 @@ func (e *engine) deliver(k, idx int, arrival maxplus.T) {
 		e.outputs[j] = append(e.outputs[j], y[j])
 	}
 	if e.trace != nil {
-		e.record(k)
+		e.eval.ValuesInto(e.vals)
+		record(e.trace, e.res, e.nodes, e.vals, k, e.limit)
 	}
 	e.stepped.Notify()
 	e.emitted.Notify()
 }
 
+// labelled is a graph node whose instant is part of the observable
+// evolution.
+type labelled struct {
+	id    tdg.NodeID
+	label string
+}
+
+// labelledNodes appends to dst the labelled nodes of the derived graph,
+// in node order, leaving out the labels in skip.
+func labelledNodes(dst []labelled, res *derive.Result, skip []string) []labelled {
+	for _, n := range res.Graph.Nodes() {
+		if label, ok := res.Labels[n.ID]; ok && !slices.Contains(skip, label) {
+			dst = append(dst, labelled{id: n.ID, label: label})
+		}
+	}
+	return dst
+}
+
 // record reconstructs the observable evolution of iteration k from the
-// computed instants: every labelled instant and every execution activity,
-// on the local observation time (no simulator involvement). Instants and
-// activities past the time limit stay unrecorded — the reference
-// executor's kernel stops before it reaches them.
-func (e *engine) record(k int) {
-	e.eval.ValuesInto(e.vals)
-	g := e.res.Graph
-	for _, n := range g.Nodes() {
-		label, ok := e.res.Labels[n.ID]
-		if !ok || e.inLabels[label] || e.vals[n.ID] > e.limit {
+// computed instants vals: the instants of nodes and every execution
+// activity, on the local observation time (no simulator involvement).
+// Instants and activities past the limit stay unrecorded — the reference
+// executor's kernel stops before it reaches them. A nil trace records
+// nothing. record returns the latest instant or activity end of the
+// iteration and whether any of its instants is within the limit.
+func record(trace *observe.Trace, res *derive.Result, nodes []labelled, vals []maxplus.T, k int, limit maxplus.T) (end maxplus.T, reached bool) {
+	end = maxplus.Epsilon
+	for _, n := range nodes {
+		v := vals[n.id]
+		end = maxplus.Oplus(end, v)
+		if v > limit {
 			continue
 		}
-		e.trace.RecordInstant(label, e.vals[n.ID])
+		reached = true
+		if trace != nil {
+			trace.RecordInstant(n.label, v)
+		}
 	}
-	for _, pr := range e.res.Probes {
-		start := pr.Start(e.vals[pr.Base], k)
-		if start == maxplus.Epsilon || start > e.limit {
+	for _, pr := range res.Probes {
+		start := pr.Start(vals[pr.Base], k)
+		if start == maxplus.Epsilon {
 			continue
 		}
 		load := pr.Exec.Load(k)
-		e.trace.RecordActivity(observe.Activity{
+		fin := maxplus.Otimes(start, pr.Exec.Resource.DurationOf(load))
+		end = maxplus.Oplus(end, fin)
+		if trace == nil || start > limit {
+			continue
+		}
+		trace.RecordActivity(observe.Activity{
 			Resource: pr.Exec.Resource.Name,
 			Label:    pr.Exec.Label,
 			K:        k,
 			Start:    start,
-			End:      maxplus.Otimes(start, pr.Exec.Resource.DurationOf(load)),
+			End:      fin,
 			Ops:      load.Ops,
 		})
 	}
+	return end, reached
 }

@@ -242,19 +242,6 @@ func Derive(a *model.Architecture, opts Options) (*Result, error) {
 	return res, nil
 }
 
-// ChannelNodes returns the graph nodes carrying the transfer instants of
-// channel ch: a rendezvous channel exposes one node (write == read), a
-// FIFO channel its write node xw and read node xr. The adaptive engine
-// uses the mapping to seed a resumed simulation from recorded history.
-func (res *Result) ChannelNodes(ch *model.Channel) (write, read tdg.NodeID, ok bool) {
-	for i, c := range res.Arch.Channels {
-		if c == ch {
-			return res.chWrite[i], res.chRead[i], true
-		}
-	}
-	return 0, 0, false
-}
-
 // buildBindings computes the input and output bindings of the result from
 // its architecture and node tables. It runs after every (re)binding of
 // the graph: the gate arcs it extracts carry the weights of the graph

@@ -7,7 +7,6 @@ import (
 
 	"dyncomp/internal/engine"
 	"dyncomp/internal/model"
-	"dyncomp/internal/observe"
 	"dyncomp/internal/zoo"
 
 	// Link every executor and the LTE scenario into the test binary.
@@ -71,7 +70,7 @@ func TestEveryEngineOnEveryScenarioBitExact(t *testing.T) {
 					t.Errorf("%s on %s: %v", name, sc.Name, err)
 					continue
 				}
-				if err := observe.CompareInstants(rr.Trace, r.Trace); err != nil {
+				if err := compareRuns(rr, r); err != nil {
 					t.Errorf("%s differs from reference on %s: %v", name, sc.Name, err)
 				}
 			}
@@ -123,7 +122,7 @@ func TestLimitNsMidRunBitExact(t *testing.T) {
 					t.Errorf("%s: %v", name, err)
 					continue
 				}
-				if err := observe.CompareInstants(rr.Trace, r.Trace); err != nil {
+				if err := compareInstantsAndFinalTime(rr, r); err != nil {
 					t.Errorf("%s differs under LimitNs %d: %v", name, limit, err)
 				}
 			}
@@ -137,7 +136,7 @@ func TestLimitNsMidRunBitExact(t *testing.T) {
 					t.Errorf("batch lane %d: %v", l, laneErrs[l])
 					continue
 				}
-				if err := observe.CompareInstants(rr.Trace, r.Trace); err != nil {
+				if err := compareInstantsAndFinalTime(rr, r); err != nil {
 					t.Errorf("batch lane %d differs under LimitNs %d: %v", l, limit, err)
 				}
 			}
@@ -180,7 +179,7 @@ func TestIterLimitUniformAcrossEngines(t *testing.T) {
 			t.Errorf("%s: %v", name, err)
 			continue
 		}
-		if err := observe.CompareInstants(rr.Trace, r.Trace); err != nil {
+		if err := compareRuns(rr, r); err != nil {
 			t.Errorf("%s differs under IterLimit: %v", name, err)
 		}
 	}
@@ -206,8 +205,8 @@ func TestEnginesHonorPreCancelledContext(t *testing.T) {
 	}
 }
 
-// The adaptive engine reports progress at phase boundaries: nondecreasing
-// completed-iteration counts ending at the total.
+// The adaptive engine reports progress every fixed block of iterations:
+// nondecreasing completed-iteration counts ending at the total.
 func TestAdaptiveProgressCallback(t *testing.T) {
 	eng, err := engine.Lookup("adaptive")
 	if err != nil {
@@ -240,5 +239,37 @@ func TestAdaptiveProgressCallback(t *testing.T) {
 	}
 	if last := calls[len(calls)-1]; last != r.Iterations {
 		t.Fatalf("final progress %d != iterations %d", last, r.Iterations)
+	}
+}
+
+// A long adaptive run is cancellable mid-way: a Progress callback that
+// cancels the context on its first call stops the run with
+// context.Canceled before the last iteration.
+func TestAdaptiveCancelFromProgress(t *testing.T) {
+	eng, err := engine.Lookup("adaptive")
+	if err != nil {
+		t.Fatal(err)
+	}
+	sc, err := zoo.LookupScenario("phased")
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	var calls []int
+	_, err = eng.Run(ctx, sc.Build(zoo.ParamMap{"tokens": 2000}), engine.Options{
+		Progress: func(done, total int) {
+			calls = append(calls, done)
+			if done >= total {
+				t.Errorf("first progress call at %d of %d: no iteration left to cancel", done, total)
+			}
+			cancel()
+		},
+	})
+	if !errors.Is(err, context.Canceled) {
+		t.Fatalf("err = %v, want context.Canceled", err)
+	}
+	if len(calls) != 1 {
+		t.Fatalf("progress called %v after cancelling, want exactly one call", calls)
 	}
 }

@@ -1,7 +1,7 @@
 // Package engine defines the uniform execution contract behind the
 // repository's four executors — the event-driven reference executor
 // (internal/baseline), the equivalent model (internal/core), partial
-// abstraction (internal/hybrid) and temporal abstraction
+// abstraction (internal/hybrid) and kernel-free computation
 // (internal/adaptive) — and a registry that makes them addressable by
 // name.
 //
@@ -31,9 +31,9 @@ import (
 
 // Options is the unified per-run configuration shared by every engine.
 // Engines ignore fields that do not apply to them (the reference
-// executor has no graph to reduce, only the adaptive engine reads
-// WindowK, only the hybrid engine reads AbstractGroup) but never fail on
-// them, so one Options value can drive any registered engine.
+// executor has no graph to reduce, only the hybrid engine reads
+// AbstractGroup) but never fail on them, so one Options value can drive
+// any registered engine.
 type Options struct {
 	// Record enables evolution-instant and resource-activity recording;
 	// the recorded trace is returned in Result.Trace and is bit-exact
@@ -46,14 +46,6 @@ type Options struct {
 	// IterLimit, when positive, bounds the evolution to iterations
 	// [0, IterLimit): every source stops after token IterLimit-1.
 	IterLimit int
-	// WindowK is the adaptive engine's steady-state confirmation window
-	// (0: the engine default, the confidence-driven detector); ignored
-	// by the other engines.
-	WindowK int
-	// Confidence is the adaptive engine's confidence-driven detector
-	// threshold, read when WindowK is zero (0: the engine default);
-	// ignored by the other engines.
-	Confidence float64
 	// AbstractGroup names the functions the hybrid engine abstracts into
 	// an equivalent model; the hybrid engine fails without it, the other
 	// engines ignore it.
@@ -69,14 +61,15 @@ type Options struct {
 	// Progress, when non-nil, receives coarse progress notifications:
 	// completed evolution iterations and the total (0 when the engine
 	// cannot know it). Engines invoke it at their natural internal
-	// boundaries — the adaptive engine at every mode switch, the others
-	// once at completion — always from the calling goroutine.
+	// boundaries — the adaptive engine every fixed block of iterations
+	// and at completion, the others once at completion — always from the
+	// calling goroutine.
 	Progress func(done, total int)
 }
 
 // Result is the unified report of a completed run. Fields an engine
-// cannot fill stay zero (the reference executor derives no graph, only
-// the adaptive engine switches modes).
+// cannot fill stay zero (the reference executor derives no graph, the
+// adaptive engine runs no kernel).
 type Result struct {
 	// Trace holds the recorded evolution when Options.Record was set.
 	Trace *observe.Trace
@@ -98,8 +91,10 @@ type Result struct {
 	// GraphNodes is the derived graph size in the paper's counting
 	// (engines that derive one).
 	GraphNodes int
-	// Switches counts detailed→abstract transitions, Fallbacks the
-	// forced abstract→detailed transitions (adaptive engine only).
+	// Switches and Fallbacks count transitions between event-driven and
+	// computed execution within one run. No built-in engine switches
+	// any more — the adaptive engine computes every iteration — so both
+	// are zero; they stay in the result for consumers that report them.
 	Switches  int
 	Fallbacks int
 }
@@ -108,8 +103,8 @@ type Result struct {
 // safe for concurrent Run calls with distinct architectures (design-space
 // sweeps call them from a worker pool) and must honor context
 // cancellation at their natural boundaries: every engine checks the
-// context before starting, the adaptive engine additionally between
-// execution phases.
+// context before starting, the adaptive engine additionally every fixed
+// block of iterations.
 type Engine interface {
 	// Name is the engine's registry key ("reference", "equivalent",
 	// "hybrid", "adaptive", ...).
@@ -127,7 +122,7 @@ type Engine interface {
 //	if br, ok := eng.(BatchRunner); ok { br.RunBatch(...) }
 //
 // and fall back to per-point Run calls otherwise — the adaptive engine,
-// for example, switches representations mid-run and has no batched form.
+// for example, has no batched form.
 type BatchRunner interface {
 	Engine
 	// RunBatch simulates every architecture as one lane of a batch. All

@@ -228,8 +228,6 @@ type AdaptiveRow struct {
 	Events      int64
 	Activations int64
 	WallSec     float64
-	Switches    int
-	Fallbacks   int
 }
 
 // AdaptiveCompare measures every registered engine — the registry holds
@@ -239,10 +237,8 @@ type AdaptiveRow struct {
 // executor. The reference row comes first, the others follow in registry
 // (name) order. The equivalent model still pays kernel events at the
 // architecture boundary (sources, reception and emission processes); the
-// adaptive engine's abstract phases compute even the boundary
-// analytically and pay none, so on workloads with long steady plateaus
-// it can undercut the equivalent model despite simulating every
-// transient in detail.
+// adaptive engine computes even the boundary from the graph and pays
+// none, across plateaus and transients alike.
 func AdaptiveCompare(tokens int, w io.Writer) ([]AdaptiveRow, error) {
 	sc, err := zoo.LookupScenario("phased")
 	if err != nil {
@@ -261,7 +257,6 @@ func AdaptiveCompare(tokens int, w io.Writer) ([]AdaptiveRow, error) {
 
 	var rows []AdaptiveRow
 	var refTrace *observe.Trace
-	var refEvents int64
 	ctx := context.Background()
 	for _, name := range names {
 		eng, err := engine.Lookup(name)
@@ -277,7 +272,7 @@ func AdaptiveCompare(tokens int, w io.Writer) ([]AdaptiveRow, error) {
 			return nil, fmt.Errorf("%s: %w", name, err)
 		}
 		if name == "reference" {
-			refTrace, refEvents = r.Trace, r.Events
+			refTrace = r.Trace
 		} else if err := observe.CompareInstants(refTrace, r.Trace); err != nil {
 			return nil, fmt.Errorf("%s trace differs: %w", name, err)
 		}
@@ -286,22 +281,13 @@ func AdaptiveCompare(tokens int, w io.Writer) ([]AdaptiveRow, error) {
 			Events:      r.Events,
 			Activations: r.Activations,
 			WallSec:     float64(r.WallNs) / 1e9,
-			Switches:    r.Switches,
-			Fallbacks:   r.Fallbacks,
 		})
 	}
 	if w != nil {
 		fmt.Fprintf(w, "All registered engines on the phase-changing workload (%d tokens), all traces bit-exact:\n", tokens)
-		fmt.Fprintf(w, "%-12s %12s %12s %10s %9s %10s\n", "engine", "events", "activations", "wall (s)", "switches", "fallbacks")
+		fmt.Fprintf(w, "%-12s %12s %12s %10s\n", "engine", "events", "activations", "wall (s)")
 		for _, r := range rows {
-			fmt.Fprintf(w, "%-12s %12d %12d %10.3f %9d %10d\n",
-				r.Engine, r.Events, r.Activations, r.WallSec, r.Switches, r.Fallbacks)
-		}
-		for _, r := range rows {
-			if r.Engine == "adaptive" && refEvents > 0 {
-				fmt.Fprintf(w, "adaptive saved %.1f%% of the reference kernel events (%d switches, %d fallbacks)\n",
-					100*(1-float64(r.Events)/float64(refEvents)), r.Switches, r.Fallbacks)
-			}
+			fmt.Fprintf(w, "%-12s %12d %12d %10.3f\n", r.Engine, r.Events, r.Activations, r.WallSec)
 		}
 	}
 	return rows, nil

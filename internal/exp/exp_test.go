@@ -139,14 +139,11 @@ func TestAdaptiveCompareSmall(t *testing.T) {
 	if _, ok := byName["hybrid"]; !ok {
 		t.Fatal("no hybrid row")
 	}
-	if ad.Events > ref.Events/2 {
-		t.Fatalf("adaptive events %d, want <= half of reference %d", ad.Events, ref.Events)
+	if ad.Events != 0 || ad.Activations != 0 {
+		t.Fatalf("adaptive paid kernel work: %+v", ad)
 	}
 	if eq.Events >= ref.Events {
 		t.Fatalf("equivalent saved nothing: %d vs %d", eq.Events, ref.Events)
-	}
-	if ad.Switches < 1 || ad.Fallbacks < 1 {
-		t.Fatalf("switching not exercised: %+v", ad)
 	}
 	if !strings.Contains(b.String(), "bit-exact") {
 		t.Fatal("missing header")

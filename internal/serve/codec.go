@@ -31,11 +31,10 @@ type RunOptions struct {
 	LimitNs int64 `json:"limit_ns,omitempty"`
 	// IterLimit bounds the evolution to iterations [0, IterLimit).
 	IterLimit int `json:"iter_limit,omitempty"`
-	// WindowK is the adaptive engine's fixed steady-state confirmation
-	// window; 0 selects its confidence-driven detector.
-	WindowK int `json:"window_k,omitempty"`
-	// Confidence is the adaptive engine's confidence-detector threshold,
-	// read when WindowK is 0 (0: the engine default).
+	// WindowK and Confidence are accepted and ignored. They tuned the
+	// adaptive engine's steady-state detector, which no longer exists;
+	// the wire keeps them so existing requests stay valid.
+	WindowK    int     `json:"window_k,omitempty"`
 	Confidence float64 `json:"confidence,omitempty"`
 	// Group names the functions the hybrid engine abstracts; empty
 	// selects the scenario's canonical group.
@@ -106,7 +105,8 @@ type SweepOptions struct {
 	// Workers is the per-job worker-pool size (0: the server default).
 	Workers int `json:"workers,omitempty"`
 	// WindowK, Confidence, Group, Reduce and LimitNs are the per-point
-	// engine options, as in RunOptions.
+	// engine options, as in RunOptions (WindowK and Confidence are
+	// accepted and ignored).
 	WindowK    int      `json:"window_k,omitempty"`
 	Confidence float64  `json:"confidence,omitempty"`
 	Group      []string `json:"group,omitempty"`
@@ -280,8 +280,6 @@ func (o RunOptions) engineOptions(group []string) engine.Options {
 	opts := engine.Options{
 		LimitNs:       o.LimitNs,
 		IterLimit:     o.IterLimit,
-		WindowK:       o.WindowK,
-		Confidence:    o.Confidence,
 		AbstractGroup: group,
 	}
 	opts.Derive.Reduce = o.Reduce

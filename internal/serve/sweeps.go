@@ -84,8 +84,6 @@ func compileSweepOptions(o SweepOptions, d SweepDefaults, engineName string) (sw
 	opts := sweep.Options{
 		Workers:    workers,
 		Engine:     engineName,
-		Window:     o.WindowK,
-		Confidence: o.Confidence,
 		Baseline:   o.Baseline,
 		Limit:      sim.Time(o.LimitNs),
 		BatchWidth: batchWidth,

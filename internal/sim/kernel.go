@@ -43,8 +43,7 @@ type Stats struct {
 func (s Stats) Events() int64 { return s.TimedEvents + s.DeltaNotifies }
 
 // Add returns the counter-wise sum of two Stats, keeping the later
-// FinalTime. The adaptive engine runs its detailed phases on a sequence
-// of kernels and sums their work with it.
+// FinalTime: the work of a run spread over several kernels.
 func (s Stats) Add(o Stats) Stats {
 	s.Activations += o.Activations
 	s.TimedEvents += o.TimedEvents

@@ -487,7 +487,7 @@ func TestSteadyWaitDoesNotAllocate(t *testing.T) {
 // maxSpawnAllocs bounds the allocations of one Spawn: the Proc, the
 // coroutine (iter.Pull state, its goroutine and closures) and the body
 // wrapper, 13 with Go 1.24. Spawn is paid per process per kernel, and
-// the adaptive engine builds a kernel per detailed phase.
+// a sweep builds a kernel per point.
 const maxSpawnAllocs = 16
 
 func TestSpawnAllocations(t *testing.T) {

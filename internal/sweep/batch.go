@@ -211,8 +211,6 @@ func evalChunk(ctx context.Context, chunk []int, pts []Point, prep []genPoint, g
 	out, laneErrs, err := runBatchRecovered(ctx, br, archs, engine.Options{
 		Record:        opts.Record,
 		LimitNs:       int64(opts.Limit),
-		WindowK:       opts.Window,
-		Confidence:    opts.Confidence,
 		AbstractGroup: lead.group,
 		Derive:        lead.dopts,
 		Cache:         cache,

@@ -226,14 +226,6 @@ type Options struct {
 	// Engine names the registered executor evaluating every point
 	// (engine.Names() lists them); empty selects DefaultEngine.
 	Engine string
-	// Window sets the adaptive engine's steady-state confirmation window
-	// (0: the engine's default, the confidence-driven detector). Ignored
-	// by the other engines.
-	Window int
-	// Confidence sets the adaptive engine's confidence-driven detector
-	// threshold when Window is zero (0: the engine default). Ignored by
-	// the other engines.
-	Confidence float64
 	// Group names the functions the hybrid engine abstracts on every
 	// point. Required by (and only read by) the hybrid engine.
 	Group []string
@@ -297,8 +289,8 @@ type PointStats struct {
 	FinalTimeNs int64         // simulated time reached
 	Iterations  int           // evolution iterations computed
 	GraphNodes  int           // graph size in the paper's counting (equivalent only)
-	Switches    int           // detailed→abstract switches (adaptive engine)
-	Fallbacks   int           // abstract→detailed fallbacks (adaptive engine)
+	Switches    int           // engine.Result.Switches (zero for the built-in engines)
+	Fallbacks   int           // engine.Result.Fallbacks (zero for the built-in engines)
 	Wall        time.Duration // host wall-clock time of the run
 }
 
@@ -612,8 +604,6 @@ func evalPoint(ctx context.Context, p Point, gen Generator, eng, refEng engine.E
 	r, err := eng.Run(ctx, a, engine.Options{
 		Record:        opts.Record,
 		LimitNs:       int64(opts.Limit),
-		WindowK:       opts.Window,
-		Confidence:    opts.Confidence,
 		AbstractGroup: group,
 		Derive:        dopts,
 		Cache:         cache,

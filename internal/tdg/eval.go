@@ -154,10 +154,8 @@ func (e *Evaluator) ValuesInto(dst []maxplus.T) {
 // (e.g. input nodes); delayed arcs reading them contribute nothing, which
 // matches an evolution that never produced the instant.
 //
-// The adaptive engine uses this to hot-switch a live event-driven
-// simulation into the equivalent model: the recorded trace of the
-// detailed phase supplies the initial conditions of the temporal
-// dependency graph.
+// A recorded trace of an event-driven run can supply these initial
+// conditions, so evaluation can take over a run mid-stream.
 func (e *Evaluator) SeedHistory(startK int, value func(id NodeID, k int) maxplus.T) error {
 	if e.k != 0 {
 		return fmt.Errorf("tdg: SeedHistory on a started evaluator (at iteration %d)", e.k)

@@ -117,7 +117,7 @@ func TestCompiledMatchesInterpreterOnRandomGraphs(t *testing.T) {
 	}
 }
 
-// TestCompiledSeedHistoryResume checks the hot-switch path: a compiled
+// TestCompiledSeedHistoryResume checks the resume path: a compiled
 // evaluator seeded from a reference history at an arbitrary iteration
 // continues bit-exactly, including inside the warm (pre-origin) window.
 func TestCompiledSeedHistoryResume(t *testing.T) {

@@ -56,9 +56,8 @@ type Phase struct {
 
 // PhaseStream returns a token-size generator that walks the phases in
 // order and stays in the last one forever (its Len is then ignored), so
-// the stream is total for any k. Phase-changing workloads exercise the
-// adaptive engine: steady phases are abstracted into the equivalent
-// model, transients force it back to event-driven execution.
+// the stream is total for any k. Phase-changing workloads change the
+// execution durations mid-run, which every engine must follow exactly.
 func PhaseStream(seed int64, phases []Phase) func(k int) int64 {
 	return func(k int) int64 {
 		rem := k

@@ -82,3 +82,31 @@ func TestSizeStream(t *testing.T) {
 		t.Fatal("SizeStream not deterministic")
 	}
 }
+
+// TestPhaseStream pins the phase-walk semantics the scenarios rely on.
+func TestPhaseStream(t *testing.T) {
+	s := PhaseStream(1, []Phase{
+		{Len: 3, Size: 10},
+		{Len: 2, Size: 50, Span: 5},
+		{Len: 1, Size: 7},
+	})
+	for k := 0; k < 3; k++ {
+		if s(k) != 10 {
+			t.Fatalf("s(%d) = %d, want 10", k, s(k))
+		}
+	}
+	for k := 3; k < 5; k++ {
+		if v := s(k); v < 50 || v >= 55 {
+			t.Fatalf("s(%d) = %d, want in [50,55)", k, v)
+		}
+	}
+	// The last phase is sticky.
+	for k := 5; k < 20; k++ {
+		if s(k) != 7 {
+			t.Fatalf("s(%d) = %d, want 7", k, s(k))
+		}
+	}
+	if s(1) != 10 || s(3) != s(3) {
+		t.Fatal("stream not deterministic")
+	}
+}

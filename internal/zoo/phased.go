@@ -8,9 +8,8 @@ import (
 
 // PhasedSpec parameterizes the phase-changing didactic workload: the
 // Fig. 1 architecture processing a token stream whose size regime shifts
-// between steady plateaus and noisy transients. It is the reference
-// scenario for the adaptive engine — steady phases run on the equivalent
-// model, every transient forces a fallback to event-driven execution.
+// between steady plateaus and noisy transients. It checks that every
+// engine stays exact when the execution durations change mid-run.
 type PhasedSpec struct {
 	Tokens  int              // total tokens; must cover the phase plan
 	Period  maxplus.T        // source period; 0 means an eager source
@@ -42,8 +41,7 @@ func Phased(spec PhasedSpec) *model.Architecture {
 // DefaultPhases is the canonical phase plan used by tests, benchmarks
 // and experiments: three steady plateaus at distinct operating points,
 // separated by short noisy transients (~5% of the run each), scaled to
-// the token count. With the didactic costs the plateaus dominate, so an
-// adaptive run abstracts the bulk of the evolution and falls back twice.
+// the token count. With the didactic costs the plateaus dominate.
 func DefaultPhases(tokens int) []workload.Phase {
 	if tokens < 20 {
 		return []workload.Phase{{Len: tokens, Size: 128}}

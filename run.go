@@ -46,8 +46,8 @@ func (c *Cache) Evictions() int64 { return c.c.Evictions() }
 func (c *Cache) Shapes() int { return c.c.Shapes() }
 
 // EngineOptions is the unified configuration accepted by every engine;
-// fields an engine has no use for are ignored (only the adaptive engine
-// reads WindowK, only the hybrid engine reads AbstractGroup).
+// fields an engine has no use for are ignored (only the hybrid engine
+// reads AbstractGroup).
 type EngineOptions struct {
 	// Record enables evolution-instant and resource-activity recording.
 	Record bool
@@ -57,13 +57,6 @@ type EngineOptions struct {
 	// IterLimit, when positive, bounds the evolution to iterations
 	// [0, IterLimit): every source stops after token IterLimit-1.
 	IterLimit int
-	// WindowK is the adaptive engine's fixed steady-state confirmation
-	// window; 0 selects its confidence-driven detector (see Confidence).
-	WindowK int
-	// Confidence is the adaptive engine's confidence-driven detector
-	// threshold in (0, 1), read when WindowK is 0 (0: the engine
-	// default, 0.9).
-	Confidence float64
 	// AbstractGroup names the functions the hybrid engine abstracts;
 	// required by the hybrid engine, ignored by the others.
 	AbstractGroup []string
@@ -76,15 +69,15 @@ type EngineOptions struct {
 	Cache *Cache
 	// Progress, when non-nil, receives coarse progress notifications
 	// (completed evolution iterations, total or 0 when unknown) at the
-	// engine's natural boundaries — the adaptive engine at every mode
-	// switch, the others once at completion. Always invoked from the
+	// engine's natural boundaries — the adaptive engine every fixed block
+	// of iterations, the others once at completion. Always invoked from the
 	// calling goroutine.
 	Progress func(done, total int)
 }
 
 // EngineResult is the unified report of a completed run; fields an
 // engine cannot fill stay zero (the reference executor derives no graph,
-// only the adaptive engine switches modes). The JSON field names follow
+// the adaptive engine pays no kernel events). The JSON field names follow
 // the snake_case schema documented in docs/SERVING.md; the serving
 // layer defines its own wire structs (pinned by tests) so the HTTP API
 // cannot shift when this struct evolves.
@@ -105,7 +98,9 @@ type EngineResult struct {
 	Iterations int `json:"iterations,omitempty"`
 	// GraphNodes is the derived graph size in the paper's counting.
 	GraphNodes int `json:"graph_nodes,omitempty"`
-	// Switches and Fallbacks report the adaptive engine's mode changes.
+	// Switches and Fallbacks count an engine's changes between
+	// event-driven and computed execution; the built-in engines report
+	// zero.
 	Switches  int `json:"switches,omitempty"`
 	Fallbacks int `json:"fallbacks,omitempty"`
 }
@@ -125,7 +120,8 @@ func Engines() []string { return engine.Names() }
 //	err := dyncomp.CompareTraces(ref.Trace, eq.Trace) // nil: bit-exact
 //
 // Cancellation is honored at the engine's natural granularity (the
-// adaptive engine between execution phases, the others before starting).
+// adaptive engine every fixed block of iterations, the others before
+// starting).
 func Run(ctx context.Context, engineName string, a *Architecture, opts EngineOptions) (*EngineResult, error) {
 	eng, err := engine.Lookup(engineName)
 	if err != nil {
@@ -138,8 +134,6 @@ func Run(ctx context.Context, engineName string, a *Architecture, opts EngineOpt
 		Record:        opts.Record,
 		LimitNs:       opts.LimitNs,
 		IterLimit:     opts.IterLimit,
-		WindowK:       opts.WindowK,
-		Confidence:    opts.Confidence,
 		AbstractGroup: opts.AbstractGroup,
 		Derive:        derive.Options{Reduce: opts.Reduce},
 		Progress:      opts.Progress,

@@ -64,14 +64,6 @@ type SweepOptions struct {
 	// Group names the functions the hybrid engine abstracts on every
 	// point; ignored by the other engines.
 	Group []string
-	// WindowK sets the adaptive engine's fixed steady-state window; 0
-	// selects its confidence-driven detector (see Confidence). Ignored
-	// by the other engines.
-	WindowK int
-	// Confidence sets the adaptive engine's confidence-driven detector
-	// threshold, read when WindowK is 0 (0: the engine default, 0.9);
-	// ignored by the other engines.
-	Confidence float64
 	// Record keeps per-point evolution traces in the results.
 	Record bool
 	// LimitNs bounds the simulated time per point (0: run to completion).
@@ -126,8 +118,9 @@ type SweepPointResult struct {
 	// (baseline/equivalent), filled when Baseline is set.
 	EventRatio float64
 	SpeedUp    float64
-	// Switches and Fallbacks report the adaptive engine's mode changes
-	// (zero for the other engines).
+	// Switches and Fallbacks report the engine's changes between
+	// event-driven and computed execution (zero for the built-in
+	// engines).
 	Switches  int
 	Fallbacks int
 	// Source reports how a sampled sweep obtained this point:
@@ -174,8 +167,6 @@ func SweepContext(ctx context.Context, axes []SweepAxis, gen SweepGenerator, opt
 	sopts := sweep.Options{
 		Workers:    opts.Workers,
 		Engine:     opts.EngineName,
-		Window:     opts.WindowK,
-		Confidence: opts.Confidence,
 		Group:      opts.Group,
 		Record:     opts.Record,
 		Limit:      sim.Time(opts.LimitNs),
