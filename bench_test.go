@@ -250,8 +250,9 @@ func BenchmarkComputeInstant(b *testing.B) {
 //   - naive: one equivalent-engine Run per point, re-deriving and re-reducing
 //     the temporal dependency graph every time (36 derivations per
 //     sweep);
-//   - cached: dyncomp.Sweep with the structure-keyed derive cache
-//     (1 derivation per sweep) on one worker;
+//   - cached: dyncomp.Sweep of the equivalent engine with the
+//     structure-keyed derive cache (1 derivation per sweep) on one
+//     worker;
 //   - cached-parallel: the same with one worker per processor.
 //
 // The naive/cached ns/op ratio is the derivation saving; the
@@ -294,7 +295,7 @@ func BenchmarkSweep(b *testing.B) {
 			b.ReportAllocs()
 			before := derive.Calls()
 			for i := 0; i < b.N; i++ {
-				res, err := Sweep(axes, gen, SweepOptions{Workers: cfg.workers, Reduce: true})
+				res, err := Sweep(axes, gen, SweepOptions{Workers: cfg.workers, EngineName: "equivalent", Reduce: true})
 				if err != nil {
 					b.Fatal(err)
 				}

@@ -466,7 +466,11 @@ func writeTable(w *os.File, res *sweep.Result, baseline, sampled bool) error {
 		fmt.Fprintf(w, "%12d %12d %14d %8d %12s",
 			pr.Run.Activations, pr.Run.Events, pr.Run.FinalTimeNs, pr.Run.GraphNodes, pr.Run.Wall)
 		if baseline {
-			fmt.Fprintf(w, " %12.2f %10.2f", pr.EventRatio, pr.SpeedUp)
+			ratio := "n/a" // the engine ran no activation
+			if pr.Run.Activations > 0 {
+				ratio = fmt.Sprintf("%.2f", pr.EventRatio)
+			}
+			fmt.Fprintf(w, " %12s %10.2f", ratio, pr.SpeedUp)
 		}
 		if sampled {
 			// Observed error when -verify measured one, declared bound
@@ -494,8 +498,12 @@ func writeTable(w *os.File, res *sweep.Result, baseline, sampled bool) error {
 	if baseline && st.SpeedUp.N > 0 {
 		fmt.Fprintf(w, "speed-up    min %.2f  max %.2f  mean %.2f  geomean %.2f\n",
 			st.SpeedUp.Min, st.SpeedUp.Max, st.SpeedUp.Mean, st.SpeedUp.Geomean)
-		fmt.Fprintf(w, "event ratio min %.2f  max %.2f  mean %.2f  geomean %.2f\n",
-			st.EventRatio.Min, st.EventRatio.Max, st.EventRatio.Mean, st.EventRatio.Geomean)
+		if st.EventRatio.N > 0 {
+			fmt.Fprintf(w, "event ratio min %.2f  max %.2f  mean %.2f  geomean %.2f\n",
+				st.EventRatio.Min, st.EventRatio.Max, st.EventRatio.Mean, st.EventRatio.Geomean)
+		} else {
+			fmt.Fprintln(w, "event ratio n/a (the engine ran no activation)")
+		}
 	}
 	return nil
 }

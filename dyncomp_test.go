@@ -239,7 +239,7 @@ func TestSweepMatchesRunEquivalent(t *testing.T) {
 		return sweepArch(p.Get("tokens", 1), p.Get("period", 500), p.Get("size", 64)), nil
 	}
 	before := derive.Calls()
-	res, err := Sweep(axes, gen, SweepOptions{Workers: 8, Record: true})
+	res, err := Sweep(axes, gen, SweepOptions{Workers: 8, EngineName: "equivalent", Record: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -286,7 +286,7 @@ func TestSweepBaselineAggregates(t *testing.T) {
 	gen := func(p SweepPoint) (*Architecture, error) {
 		return sweepArch(p.Get("tokens", 1), 400, 64), nil
 	}
-	res, err := Sweep(axes, gen, SweepOptions{Baseline: true, Record: true})
+	res, err := Sweep(axes, gen, SweepOptions{EngineName: "equivalent", Baseline: true, Record: true})
 	if err != nil {
 		t.Fatal(err)
 	}

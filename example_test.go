@@ -65,11 +65,11 @@ func Example_observation() {
 }
 
 // Design-space exploration: a grid of parameter points (source period ×
-// payload size) evaluated concurrently with the equivalent model. All
-// points share one structural shape, so the temporal dependency graph is
-// derived exactly once and re-bound per point; every per-point result is
-// bit-identical to what an individual Run of the equivalent engine would
-// return.
+// payload size) evaluated concurrently with the default adaptive engine.
+// All points share one structural shape, so the temporal dependency
+// graph is derived exactly once and re-bound per point; every per-point
+// result is bit-identical to what an individual Run of the adaptive
+// engine (or of any other engine) would return.
 func ExampleSweep() {
 	axes := []dyncomp.SweepAxis{
 		{Name: "period", Values: []int64{800, 1000, 1200}},

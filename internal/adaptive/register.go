@@ -8,11 +8,14 @@
 // core.Model.Compute). It pays zero kernel events and zero activations,
 // and its trace is bit-exact against the reference executor on any
 // parameters: every arc weight of the derived graph is indexed by the
-// iteration, so no steady state is needed for the graph to hold.
+// iteration, so no steady state is needed for the graph to hold. Points
+// of one structural shape also run as the lanes of one batch
+// (engine.BatchRunner over core.RunBatch), which design-space sweeps use.
 package adaptive
 
 import (
 	"context"
+	"fmt"
 	"time"
 
 	"dyncomp/internal/core"
@@ -69,6 +72,62 @@ func (adEngine) Run(ctx context.Context, a *model.Architecture, opts engine.Opti
 		Iterations:  res.Iterations,
 		GraphNodes:  dres.Graph.NodeCountWithDelays(),
 	}, nil
+}
+
+// RunBatch implements engine.BatchRunner: one derivation re-bound per
+// lane and one core.RunBatch compute every architecture, with a single
+// batched graph evaluation per iteration. As in Run, WallNs covers the
+// derivation too; the batch's wall time is amortized uniformly over the
+// lanes, so per-lane WallNs is the marginal cost of a point inside a
+// batch — the quantity sweeps sum. Progress is not reported per lane.
+func (adEngine) RunBatch(ctx context.Context, archs []*model.Architecture, opts engine.Options) ([]*engine.Result, []error, error) {
+	if err := ctx.Err(); err != nil {
+		return nil, nil, err
+	}
+	if len(archs) == 0 {
+		return nil, nil, fmt.Errorf("adaptive: RunBatch with no architectures")
+	}
+	begin := time.Now()
+	var lanes []*derive.Result
+	var err error
+	if opts.Cache != nil {
+		lanes, err = opts.Cache.DeriveBatch(archs, opts.Derive)
+	} else {
+		lanes, err = derive.DeriveBatch(archs, opts.Derive)
+	}
+	if err != nil {
+		return nil, nil, err
+	}
+	var traces []*observe.Trace
+	if opts.Record {
+		traces = make([]*observe.Trace, len(archs))
+		for i, a := range archs {
+			traces[i] = observe.NewTrace(a.Name + "/adaptive")
+		}
+	}
+	results, laneErrs, err := core.RunBatchContext(ctx, lanes, core.BatchOptions{
+		Traces:    traces,
+		Limit:     sim.Time(opts.LimitNs),
+		IterLimit: opts.IterLimit,
+	})
+	if err != nil {
+		return nil, nil, err
+	}
+	perLane := time.Since(begin).Nanoseconds() / int64(len(archs))
+	out := make([]*engine.Result, len(archs))
+	for l, r := range results {
+		if r == nil {
+			continue // the lane's failure is in laneErrs[l]
+		}
+		out[l] = &engine.Result{
+			Trace:       r.Trace,
+			FinalTimeNs: int64(r.Stats.FinalTime),
+			WallNs:      perLane,
+			Iterations:  r.Iterations,
+			GraphNodes:  lanes[l].Graph.NodeCountWithDelays(),
+		}
+	}
+	return out, laneErrs, nil
 }
 
 func init() { engine.Register(adEngine{}) }

@@ -43,6 +43,7 @@ func postJSON(t *testing.T, url string, body any) *http.Response {
 }
 
 var soakReq = serve.SweepRequest{
+	Engine:   "adaptive",
 	Scenario: "pipeline",
 	Axes: []serve.Axis{
 		{Name: "tokens", Values: []int64{20, 40}},

@@ -4,7 +4,9 @@ import (
 	"context"
 	"fmt"
 
+	"dyncomp/internal/derive"
 	"dyncomp/internal/maxplus"
+	"dyncomp/internal/observe"
 	"dyncomp/internal/sim"
 )
 
@@ -29,60 +31,108 @@ const progressEvery = 64
 // non-nil) with the iterations done and the total, then returns ctx's
 // error if it is cancelled.
 func (m *Model) Compute(ctx context.Context, opts Options, progress func(done, total int)) (*Result, error) {
-	n, err := m.iterations()
+	c, err := newComputed(m.res, opts.Trace, opts.Limit, opts.IterLimit)
 	if err != nil {
 		return nil, err
 	}
-	if opts.IterLimit > 0 && opts.IterLimit < n {
-		n = opts.IterLimit
-	}
-	limit := maxplus.T(sim.Forever)
-	if opts.Limit > 0 {
-		limit = maxplus.T(opts.Limit)
-	}
-	res := m.res
-	ev := res.Program().NewEvaluator()
+	ev := m.res.Program().NewEvaluator()
 	defer ev.Release()
-	nodes := labelledNodes(nil, res, nil)
-	vals := make([]maxplus.T, res.Graph.NodeCount())
-	us := make([]maxplus.T, len(res.Inputs))
-
-	end := maxplus.Epsilon // latest instant or activity end computed
-	whole := n             // first iteration with an instant past the limit
-	for k := 0; k < n; k++ {
+	us := make([]maxplus.T, len(m.res.Inputs))
+	for k := 0; k < c.n; k++ {
 		if k > 0 && k%progressEvery == 0 {
 			if progress != nil {
-				progress(k, n)
+				progress(k, c.n)
 			}
 			if err := ctx.Err(); err != nil {
 				return nil, err
 			}
 		}
-		for i, ib := range res.Inputs {
-			us[i] = ib.Source.Schedule(k)
-			if us[i].IsEpsilon() {
-				return nil, fmt.Errorf("core: source %q schedule(%d) is ε", ib.Source.Name, k)
-			}
+		if err := c.schedule(k, us, 1, 0); err != nil {
+			return nil, err
 		}
 		if _, err := ev.Step(us); err != nil {
 			return nil, err
 		}
-		ev.ValuesInto(vals)
-		iterEnd, reached := record(opts.Trace, res, nodes, vals, k, limit)
-		end = maxplus.Oplus(end, iterEnd)
-		if iterEnd > limit && whole == n {
-			whole = k
-		}
-		if !reached {
-			break // instants grow with k: no later iteration reaches the limit
+		ev.ValuesInto(c.vals)
+		if !c.record(k) {
+			break
 		}
 	}
 	if progress != nil {
-		progress(whole, n)
+		progress(c.whole, c.n)
 	}
+	return c.result(), nil
+}
+
+// computed is the bookkeeping of one kernel-free run, shared by Compute
+// and every lane of RunBatch: it draws each iteration's source instants,
+// records the computed values and tracks the limit.
+type computed struct {
+	res   *derive.Result
+	trace *observe.Trace
+	nodes []labelled
+	vals  []maxplus.T // instants of the iteration being recorded
+	limit maxplus.T
+	n     int       // iterations to compute
+	end   maxplus.T // latest instant or activity end computed
+	whole int       // first iteration with an instant past the limit
+}
+
+func newComputed(res *derive.Result, trace *observe.Trace, limit sim.Time, iterLimit int) (*computed, error) {
+	n, err := iterations(res)
+	if err != nil {
+		return nil, err
+	}
+	if iterLimit > 0 && iterLimit < n {
+		n = iterLimit
+	}
+	c := &computed{
+		res:   res,
+		trace: trace,
+		nodes: labelledNodes(nil, res, nil),
+		vals:  make([]maxplus.T, res.Graph.NodeCount()),
+		limit: maxplus.T(sim.Forever),
+		n:     n,
+		end:   maxplus.Epsilon,
+		whole: n,
+	}
+	if limit > 0 {
+		c.limit = maxplus.T(limit)
+	}
+	return c, nil
+}
+
+// schedule writes the source instants of iteration k into u: input i
+// goes to u[i*stride+lane], the layout of a batch of stride lanes.
+func (c *computed) schedule(k int, u []maxplus.T, stride, lane int) error {
+	for i, ib := range c.res.Inputs {
+		v := ib.Source.Schedule(k)
+		if v.IsEpsilon() {
+			return fmt.Errorf("core: source %q schedule(%d) is ε", ib.Source.Name, k)
+		}
+		u[i*stride+lane] = v
+	}
+	return nil
+}
+
+// record records iteration k from c.vals. It reports whether any of the
+// iteration's instants is within the limit: instants grow with k, so
+// when none is, no later iteration reaches the limit either.
+func (c *computed) record(k int) bool {
+	iterEnd, reached := record(c.trace, c.res, c.nodes, c.vals, k, c.limit)
+	c.end = maxplus.Oplus(c.end, iterEnd)
+	if iterEnd > c.limit && c.whole == c.n {
+		c.whole = k
+	}
+	return reached
+}
+
+// result reports the run: the final time is the latest instant or
+// activity end computed, clipped to the limit.
+func (c *computed) result() *Result {
 	var final sim.Time
-	if end != maxplus.Epsilon {
-		final = sim.Time(min(end, limit))
+	if c.end != maxplus.Epsilon {
+		final = sim.Time(min(c.end, c.limit))
 	}
-	return &Result{Stats: sim.Stats{FinalTime: final}, Trace: opts.Trace, Iterations: whole}, nil
+	return &Result{Stats: sim.Stats{FinalTime: final}, Trace: c.trace, Iterations: c.whole}
 }

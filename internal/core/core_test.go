@@ -1,13 +1,16 @@
 package core
 
 import (
+	"context"
 	"sort"
 	"testing"
 
 	"dyncomp/internal/baseline"
 	"dyncomp/internal/derive"
+	"dyncomp/internal/maxplus"
 	"dyncomp/internal/model"
 	"dyncomp/internal/observe"
+	"dyncomp/internal/sim"
 	"dyncomp/internal/zoo"
 )
 
@@ -240,14 +243,15 @@ func TestNewRejectsMismatchedSourceCounts(t *testing.T) {
 	}
 }
 
-// A two-source architecture with equal counts must run and stay exact.
-func TestEquivalentModelTwoInputs(t *testing.T) {
+// joinArch is a two-source architecture: J reads both inputs and joins
+// them into one output. The periods, the second source's offset and
+// the token count are dynamics only; every variant shares one shape.
+func joinArch(p1, p2 maxplus.T, count int) *model.Architecture {
 	a := model.NewArchitecture("join")
 	i1 := a.AddChannel("I1", model.Rendezvous, 0)
 	i2 := a.AddChannel("I2", model.Rendezvous, 0)
 	out := a.AddChannel("O", model.Rendezvous, 0)
 	cost := model.OpsPerByte(50, 1)
-	// J reads both inputs and joins them into one output.
 	j := a.AddFunction("J",
 		model.Read{Ch: i1},
 		model.Exec{Label: "Ta", Cost: cost},
@@ -257,13 +261,75 @@ func TestEquivalentModelTwoInputs(t *testing.T) {
 	)
 	a.Map(a.AddProcessor("P", 1e9), j)
 	tok := func(k int) model.Token { return model.Token{Size: int64(16 + k%5)} }
-	a.AddSource("S1", i1, model.Periodic(400, 0), tok, 250)
-	a.AddSource("S2", i2, model.Periodic(500, 30), tok, 250)
+	a.AddSource("S1", i1, model.Periodic(p1, 0), tok, count)
+	a.AddSource("S2", i2, model.Periodic(p2, 30), tok, count)
 	a.AddSink("K", out)
+	return a
+}
 
-	bres, eres := runBoth(t, a)
+// A two-source architecture with equal counts must run and stay exact.
+func TestEquivalentModelTwoInputs(t *testing.T) {
+	bres, eres := runBoth(t, joinArch(400, 500, 250))
 	assertExact(t, bres, eres)
 	assertActivitiesEqual(t, bres, eres)
+}
+
+// Every lane of a batch over a two-input shape gets its own source
+// instants: each lane matches its scalar Compute run — instants,
+// final time and iterations — with lanes retiring at different
+// iterations, with and without a time limit.
+func TestRunBatchTwoInputsMatchesCompute(t *testing.T) {
+	build := func(l int) *model.Architecture {
+		return joinArch(maxplus.T(300+40*l), maxplus.T(520-30*l), 20+7*l)
+	}
+	const L = 5
+	archs := make([]*model.Architecture, L)
+	for l := range archs {
+		archs[l] = build(l)
+	}
+	base, err := derive.Derive(archs[0], derive.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	lanes, err := derive.RebindBatch(base, archs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, limit := range []sim.Time{0, 9000} {
+		traces := make([]*observe.Trace, L)
+		for l := range traces {
+			traces[l] = observe.NewTrace("batch")
+		}
+		results, errs, err := RunBatch(lanes, BatchOptions{Traces: traces, Limit: limit})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for l := range lanes {
+			if errs[l] != nil {
+				t.Fatalf("limit %d lane %d: %v", limit, l, errs[l])
+			}
+			dres, err := derive.Derive(build(l), derive.Options{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			m, err := New(dres)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want, err := m.Compute(context.Background(), Options{Trace: observe.NewTrace("scalar"), Limit: limit}, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			got := results[l]
+			if err := observe.CompareInstants(want.Trace, got.Trace); err != nil {
+				t.Errorf("limit %d lane %d: %v", limit, l, err)
+			}
+			if got.Stats != want.Stats || got.Iterations != want.Iterations {
+				t.Errorf("limit %d lane %d: %+v / %d iterations, scalar %+v / %d",
+					limit, l, got.Stats, got.Iterations, want.Stats, want.Iterations)
+			}
+		}
+	}
 }
 
 // A Model must be reusable: repeated Runs simulate from scratch and agree

@@ -20,7 +20,9 @@
 // Model.Compute goes one step further and drops the kernel: it takes the
 // input instants straight from the source schedules and computes every
 // iteration, boundary included, from the graph (the "adaptive" engine).
-// Both paths reconstruct the observable evolution through one record
+// RunBatch computes many parameter points of one shape that way, with
+// one batched graph evaluation per iteration for all of them. Every
+// path reconstructs the observable evolution through one record
 // function.
 package core
 
@@ -55,18 +57,6 @@ type Result struct {
 	Stats      sim.Stats
 	Trace      *observe.Trace
 	Iterations int
-}
-
-// stepper is the ComputeInstant surface the engine drives. The scalar
-// tdg.Evaluator satisfies it directly; a batched run hands each lane a
-// view onto one shared tdg.BatchEvaluator instead (see RunBatch). The
-// engine is oblivious to which one it got — that indirection is the
-// whole batch refactor at this layer.
-type stepper interface {
-	K() int
-	Step(u []maxplus.T) ([]maxplus.T, error)
-	PeekDelayed(arcs []tdg.Arc, k int) (maxplus.T, error)
-	ValuesInto(dst []maxplus.T)
 }
 
 // Model is a runnable equivalent model built from a derived temporal
@@ -146,12 +136,12 @@ func (m *Model) Run(opts Options) (*Result, error) {
 
 // enginePool recycles engine state (arrival and output buffers) across
 // runs of any model; engineFor resizes the buffers to the architecture
-// at hand. One pool serves scalar runs and every lane of a batched run.
+// at hand.
 var enginePool sync.Pool
 
 // engineFor prepares the running state of one simulation, reusing a
 // pooled engine (with its grown buffers) when one is available.
-func engineFor(res *derive.Result, iter int, limit sim.Time, k *sim.Kernel, ev stepper, trace *observe.Trace) *engine {
+func engineFor(res *derive.Result, iter int, limit sim.Time, k *sim.Kernel, ev *tdg.Evaluator, trace *observe.Trace) *engine {
 	eng, ok := enginePool.Get().(*engine)
 	if !ok {
 		eng = &engine{}
@@ -220,8 +210,7 @@ func (e *engine) finalTime() sim.Time {
 }
 
 // recycle parks a finished engine's state for the next run. The caller
-// releases the evaluator itself — a batched run retires its lanes
-// individually but releases the shared batch evaluator exactly once.
+// releases the evaluator itself.
 func recycle(eng *engine) {
 	eng.res, eng.eval, eng.trace = nil, nil, nil
 	eng.kernel, eng.stepped, eng.emitted = nil, nil, nil
@@ -234,7 +223,7 @@ type engine struct {
 	iter   int       // iterations to simulate (source token count)
 	limit  maxplus.T // simulated-time bound; later instants go unrecorded
 	kernel *sim.Kernel
-	eval   stepper
+	eval   *tdg.Evaluator
 	trace  *observe.Trace
 	vals   []maxplus.T
 	nodes  []labelled // the instants record reconstructs

@@ -2,7 +2,6 @@ package core
 
 import (
 	"context"
-	"fmt"
 	"time"
 
 	"dyncomp/internal/derive"
@@ -63,63 +62,6 @@ func (eqEngine) Run(ctx context.Context, a *model.Architecture, opts uni.Options
 		Iterations:  res.Iterations,
 		GraphNodes:  dres.Graph.NodeCountWithDelays(),
 	}, nil
-}
-
-// RunBatch implements uni.BatchRunner: one derivation and one batched
-// lockstep simulation serve every lane. Derivation (cached or not)
-// happens outside the timed section, as in Run; the measured batch wall
-// time is amortized uniformly over the lanes, so per-lane WallNs is the
-// marginal cost of a point inside a batch — the quantity sweeps sum.
-func (eqEngine) RunBatch(ctx context.Context, archs []*model.Architecture, opts uni.Options) ([]*uni.Result, []error, error) {
-	if err := ctx.Err(); err != nil {
-		return nil, nil, err
-	}
-	if len(archs) == 0 {
-		return nil, nil, fmt.Errorf("core: RunBatch with no architectures")
-	}
-	var lanes []*derive.Result
-	var err error
-	if opts.Cache != nil {
-		lanes, err = opts.Cache.DeriveBatch(archs, opts.Derive)
-	} else {
-		lanes, err = derive.DeriveBatch(archs, opts.Derive)
-	}
-	if err != nil {
-		return nil, nil, err
-	}
-	var traces []*observe.Trace
-	if opts.Record {
-		traces = make([]*observe.Trace, len(archs))
-		for i, a := range archs {
-			traces[i] = observe.NewTrace(a.Name + "/equivalent")
-		}
-	}
-	begin := time.Now()
-	results, laneErrs, err := RunBatch(lanes, BatchOptions{
-		Traces:    traces,
-		Limit:     sim.Time(opts.LimitNs),
-		IterLimit: opts.IterLimit,
-	})
-	if err != nil {
-		return nil, nil, err
-	}
-	perLane := time.Since(begin).Nanoseconds() / int64(len(archs))
-	out := make([]*uni.Result, len(archs))
-	for l, r := range results {
-		if r == nil {
-			continue // the lane's failure is in laneErrs[l]
-		}
-		out[l] = &uni.Result{
-			Trace:       r.Trace,
-			Activations: r.Stats.Activations,
-			Events:      r.Stats.Events(),
-			FinalTimeNs: int64(r.Stats.FinalTime),
-			WallNs:      perLane,
-			Iterations:  r.Iterations,
-			GraphNodes:  lanes[l].Graph.NodeCountWithDelays(),
-		}
-	}
-	return out, laneErrs, nil
 }
 
 func init() { uni.Register(eqEngine{}) }

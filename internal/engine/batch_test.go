@@ -2,14 +2,14 @@ package engine_test
 
 import (
 	"context"
+	"fmt"
 	"testing"
 
 	"dyncomp/internal/engine"
 	"dyncomp/internal/model"
-	"dyncomp/internal/observe"
 	"dyncomp/internal/zoo"
 
-	_ "dyncomp/internal/core"
+	_ "dyncomp/internal/adaptive"
 	_ "dyncomp/internal/lte"
 )
 
@@ -31,19 +31,44 @@ func laneParams(scenario string, lane int) zoo.ParamMap {
 	return p
 }
 
-// The acceptance property of the batched pipeline: on every registered
-// scenario, each lane of a RunBatch is bit-exact against a per-point Run
-// of the same architecture — across batch widths including a degenerate
-// single lane and a width that is no multiple of anything.
-func TestBatchRunBitExactOnEveryScenario(t *testing.T) {
-	ctx := context.Background()
-	eng, err := engine.Lookup("equivalent")
+// batchRunner looks up the adaptive engine, the one with a batched form.
+func batchRunner(t *testing.T) engine.BatchRunner {
+	t.Helper()
+	eng, err := engine.Lookup("adaptive")
 	if err != nil {
 		t.Fatal(err)
 	}
 	br, ok := eng.(engine.BatchRunner)
 	if !ok {
-		t.Fatal("equivalent engine does not advertise BatchRunner")
+		t.Fatal("adaptive engine does not advertise BatchRunner")
+	}
+	return br
+}
+
+// compareLane checks one batched lane against the scalar run of the
+// same architecture: equal instants, activities, final time and
+// iteration count.
+func compareLane(scalar, lane *engine.Result) error {
+	if err := compareRuns(scalar, lane); err != nil {
+		return err
+	}
+	if lane.Iterations != scalar.Iterations {
+		return fmt.Errorf("%d iterations, scalar run %d", lane.Iterations, scalar.Iterations)
+	}
+	return nil
+}
+
+// The acceptance property of the batched pipeline: on every registered
+// scenario, each lane of a RunBatch is bit-exact against a per-point Run
+// of the same architecture and against the reference executor — across
+// batch widths including a degenerate single lane and a width that is
+// no multiple of anything.
+func TestBatchRunBitExactOnEveryScenario(t *testing.T) {
+	ctx := context.Background()
+	br := batchRunner(t)
+	ref, err := engine.Lookup("reference")
+	if err != nil {
+		t.Fatal(err)
 	}
 	scenarios := zoo.Scenarios()
 	if len(scenarios) < 7 {
@@ -69,16 +94,19 @@ func TestBatchRunBitExactOnEveryScenario(t *testing.T) {
 						t.Errorf("width %d lane %d: %v", width, l, laneErrs[l])
 						continue
 					}
-					rr, err := eng.Run(ctx, sc.Build(laneParams(sc.Name, l)), engine.Options{Record: true})
+					rr, err := br.Run(ctx, sc.Build(laneParams(sc.Name, l)), engine.Options{Record: true})
 					if err != nil {
 						t.Fatalf("width %d lane %d scalar run: %v", width, l, err)
 					}
-					if err := observe.CompareInstants(rr.Trace, results[l].Trace); err != nil {
+					if err := compareLane(rr, results[l]); err != nil {
 						t.Errorf("width %d lane %d differs from scalar run: %v", width, l, err)
 					}
-					if results[l].Iterations != rr.Iterations {
-						t.Errorf("width %d lane %d: %d iterations, scalar run %d",
-							width, l, results[l].Iterations, rr.Iterations)
+					want, err := ref.Run(ctx, sc.Build(laneParams(sc.Name, l)), engine.Options{Record: true})
+					if err != nil {
+						t.Fatalf("width %d lane %d reference: %v", width, l, err)
+					}
+					if err := compareRuns(want, results[l]); err != nil {
+						t.Errorf("width %d lane %d differs from reference: %v", width, l, err)
 					}
 				}
 			}
@@ -89,11 +117,7 @@ func TestBatchRunBitExactOnEveryScenario(t *testing.T) {
 // RunBatch honors a pre-cancelled context before touching the
 // derivation cache and refuses an empty batch.
 func TestBatchRunRejectsCancelledContextAndEmptyBatch(t *testing.T) {
-	eng, err := engine.Lookup("equivalent")
-	if err != nil {
-		t.Fatal(err)
-	}
-	br := eng.(engine.BatchRunner)
+	br := batchRunner(t)
 	archs := []*model.Architecture{
 		zoo.Didactic(zoo.DidacticSpec{Tokens: 5, Period: 100, Seed: 1}),
 		zoo.Didactic(zoo.DidacticSpec{Tokens: 5, Period: 200, Seed: 2}),
@@ -111,8 +135,7 @@ func TestBatchRunRejectsCancelledContextAndEmptyBatch(t *testing.T) {
 // A structurally mixed batch fails wholesale with no per-lane results,
 // which is the signal the sweep layer uses to fall back to scalar runs.
 func TestBatchRunRejectsMixedShapes(t *testing.T) {
-	eng, _ := engine.Lookup("equivalent")
-	br := eng.(engine.BatchRunner)
+	br := batchRunner(t)
 	archs := []*model.Architecture{
 		zoo.Didactic(zoo.DidacticSpec{Tokens: 5, Period: 100, Seed: 1}),
 		zoo.Pipeline(zoo.PipelineSpec{XSize: 4, Tokens: 5, Seed: 1}),
@@ -125,8 +148,7 @@ func TestBatchRunRejectsMixedShapes(t *testing.T) {
 // IterLimit applies per lane inside a batch exactly as it does to a
 // scalar run.
 func TestBatchRunHonorsIterLimit(t *testing.T) {
-	eng, _ := engine.Lookup("equivalent")
-	br := eng.(engine.BatchRunner)
+	br := batchRunner(t)
 	const limit = 9
 	archs := make([]*model.Architecture, 4)
 	for l := range archs {
@@ -140,11 +162,11 @@ func TestBatchRunHonorsIterLimit(t *testing.T) {
 		if laneErrs[l] != nil {
 			t.Fatalf("lane %d: %v", l, laneErrs[l])
 		}
-		rr, err := eng.Run(context.Background(), archs[l], engine.Options{Record: true, IterLimit: limit})
+		rr, err := br.Run(context.Background(), archs[l], engine.Options{Record: true, IterLimit: limit})
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := observe.CompareInstants(rr.Trace, results[l].Trace); err != nil {
+		if err := compareLane(rr, results[l]); err != nil {
 			t.Errorf("lane %d differs under IterLimit: %v", l, err)
 		}
 		if results[l].Iterations != limit {

@@ -88,11 +88,7 @@ func TestLimitNsMidRunBitExact(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	eq, err := engine.Lookup("equivalent")
-	if err != nil {
-		t.Fatal(err)
-	}
-	br := eq.(engine.BatchRunner)
+	br := batchRunner(t)
 	for _, sc := range zoo.Scenarios() {
 		sc := sc
 		t.Run(sc.Name, func(t *testing.T) {
@@ -136,7 +132,7 @@ func TestLimitNsMidRunBitExact(t *testing.T) {
 					t.Errorf("batch lane %d: %v", l, laneErrs[l])
 					continue
 				}
-				if err := compareInstantsAndFinalTime(rr, r); err != nil {
+				if err := compareRuns(rr, r); err != nil {
 					t.Errorf("batch lane %d differs under LimitNs %d: %v", l, limit, err)
 				}
 			}

@@ -116,12 +116,13 @@ type Engine interface {
 
 // BatchRunner is the capability an engine advertises when it can
 // evaluate several architectures of one structural shape in a single
-// batched pass (the equivalent model batches ComputeInstant across
-// weight lanes). Callers discover it by type assertion:
+// batched pass (the adaptive engine computes every lane from one batched
+// graph evaluation per iteration). Callers discover it by type
+// assertion:
 //
 //	if br, ok := eng.(BatchRunner); ok { br.RunBatch(...) }
 //
-// and fall back to per-point Run calls otherwise — the adaptive engine,
+// and fall back to per-point Run calls otherwise — the equivalent model,
 // for example, has no batched form.
 type BatchRunner interface {
 	Engine

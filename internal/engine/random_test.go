@@ -3,9 +3,11 @@ package engine_test
 import (
 	"context"
 	"fmt"
+	"math/rand"
 	"testing"
 
 	"dyncomp/internal/engine"
+	"dyncomp/internal/model"
 	"dyncomp/internal/observe"
 	"dyncomp/internal/zoo"
 )
@@ -15,7 +17,10 @@ import (
 // shared and dedicated resources, data-dependent durations), every
 // registered engine reproduces the reference executor's instants,
 // activities and final time bit for bit — without a limit, under
-// IterLimit, and under a LimitNs cutting the run mid-way.
+// IterLimit, and under a LimitNs cutting the run mid-way. So does every
+// lane of a batched adaptive run, at random widths from 1 to 16 on every
+// fourth seed, which also matches its own scalar run, iteration count
+// included.
 func TestEveryEngineOnRandomArchitecturesBitExact(t *testing.T) {
 	seeds := 400
 	if testing.Short() {
@@ -30,6 +35,8 @@ func TestEveryEngineOnRandomArchitecturesBitExact(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	br := batchRunner(t)
+	rng := rand.New(rand.NewSource(1))
 	for _, tokens := range []int64{3, 40} {
 		for seed := int64(0); seed < int64(seeds); seed++ {
 			params := zoo.ParamMap{"seed": seed, "tokens": tokens}
@@ -72,9 +79,52 @@ func TestEveryEngineOnRandomArchitecturesBitExact(t *testing.T) {
 						t.Errorf("seed %d tokens %d %s: %s differs from reference: %v", seed, tokens, lim.name, name, err)
 					}
 				}
+				// Every fourth seed also runs batched adaptive lanes at a
+				// drawn width; the lanes differ in token count, so they
+				// retire at different iterations.
+				if seed%4 != 0 {
+					continue
+				}
+				width := 1 + rng.Intn(16)
+				archs := make([]*model.Architecture, width)
+				for l := range archs {
+					archs[l] = sc.Build(laneTokens(params, l))
+				}
+				lanes, laneErrs, err := br.RunBatch(ctx, archs, opts)
+				if err != nil {
+					t.Fatalf("seed %d tokens %d %s: RunBatch of %d lanes: %v", seed, tokens, lim.name, width, err)
+				}
+				for l, lane := range lanes {
+					if laneErrs[l] != nil {
+						t.Errorf("seed %d tokens %d %s: lane %d of %d: %v", seed, tokens, lim.name, l, width, laneErrs[l])
+						continue
+					}
+					lp := laneTokens(params, l)
+					scalar, err := br.Run(ctx, sc.Build(lp), opts)
+					if err != nil {
+						t.Fatalf("seed %d tokens %d %s: lane %d scalar run: %v", seed, tokens, lim.name, l, err)
+					}
+					if err := compareLane(scalar, lane); err != nil {
+						t.Errorf("seed %d tokens %d %s: lane %d of %d differs from its scalar run: %v", seed, tokens, lim.name, l, width, err)
+					}
+					want, err := ref.Run(ctx, sc.Build(lp), opts)
+					if err != nil {
+						t.Fatalf("seed %d tokens %d %s: lane %d reference: %v", seed, tokens, lim.name, l, err)
+					}
+					if err := compareRuns(want, lane); err != nil {
+						t.Errorf("seed %d tokens %d %s: lane %d of %d differs from reference: %v", seed, tokens, lim.name, l, width, err)
+					}
+				}
 			}
 		}
 	}
+}
+
+// laneTokens gives batch lane l of a random-architecture point l more
+// tokens than the point itself: the topology (a function of the seed)
+// stays, so every lane shares one structural shape.
+func laneTokens(params zoo.ParamMap, l int) zoo.ParamMap {
+	return zoo.ParamMap{"seed": params["seed"], "tokens": params["tokens"] + int64(l)}
 }
 
 // compareInstantsAndFinalTime checks two recorded runs for equal

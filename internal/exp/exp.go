@@ -85,7 +85,7 @@ func Table1(tokens int, w io.Writer) ([]Table1Row, error) {
 		return zoo.DidacticChain(int(p.Get("stages", 1)),
 			zoo.DidacticSpec{Tokens: tokens, Period: 1200, Seed: 41}), nil
 	}
-	res, err := sweep.Run(axes, gen, sweep.Options{Workers: 1, Baseline: true})
+	res, err := sweep.Run(axes, gen, sweep.Options{Workers: 1, Engine: "equivalent", Baseline: true})
 	if err != nil {
 		return nil, err
 	}
@@ -190,6 +190,7 @@ func Fig5(tokens int, xsizes, nodeCounts []int, w io.Writer) ([]Fig5Point, error
 		{Name: "nodes", Values: nvals},
 	}, gen, sweep.Options{
 		Workers: 1,
+		Engine:  "equivalent",
 		Cache:   cache,
 		DeriveFor: func(p sweep.Point) derive.Options {
 			return derive.Options{PadNodes: pad(p)}

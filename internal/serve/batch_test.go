@@ -7,12 +7,14 @@ import (
 	"testing"
 )
 
-// A batched sweep job: the request opts in with options.batch_width, the
-// job's terminal stats report the batch counters, and /metrics exposes
-// the accumulated batch occupancy.
+// A batched sweep job: the request opts in with options.batch_width on
+// the adaptive engine (the one with a batched form), the job's terminal
+// stats report the batch counters, and /metrics exposes the accumulated
+// batch occupancy.
 func TestSweepJobBatched(t *testing.T) {
 	_, ts := newTestServer(t, Config{})
 	resp := postJSON(t, ts.URL+"/v1/sweeps", SweepRequest{
+		Engine:   "adaptive",
 		Scenario: "pipeline",
 		Axes: []Axis{
 			{Name: "tokens", Values: []int64{20, 40}},
@@ -70,6 +72,7 @@ func TestSweepJobBatched(t *testing.T) {
 func TestSweepJobBatchWidthDefaultAndValidation(t *testing.T) {
 	_, ts := newTestServer(t, Config{SweepBatchWidth: 3})
 	req := SweepRequest{
+		Engine:   "adaptive",
 		Scenario: "didactic",
 		Axes:     []Axis{{Name: "seed", Values: []int64{1, 2, 3, 4, 5, 6}}},
 		Params:   map[string]int64{"tokens": 20},

@@ -22,6 +22,7 @@ func TestChunkRunMatchesLocalSweep(t *testing.T) {
 	indices := []int{3, 4, 5}
 	resp := postJSON(t, ts.URL+"/v1/chunks", ChunkRequest{
 		SweepRequest: SweepRequest{
+			Engine:   "adaptive",
 			Scenario: "chain",
 			Axes:     axes,
 			Params:   map[string]int64{"tokens": 30},
@@ -42,6 +43,7 @@ func TestChunkRunMatchesLocalSweep(t *testing.T) {
 	}
 
 	plan, aerr := s.prepareSweep(SweepRequest{
+		Engine:   "adaptive",
 		Scenario: "chain",
 		Axes:     axes,
 		Params:   map[string]int64{"tokens": 30},

@@ -88,8 +88,10 @@ func (t *faultTransport) deliveredOnce(tt *testing.T, total int) {
 
 // faultReq is the grid every fault test sweeps: 12 points in 2 shape
 // cohorts; with ChunkPoints 2 that is 6 width-aligned chunks — enough
-// dispatches for failures to land mid-job.
+// dispatches for failures to land mid-job. The adaptive engine runs
+// every chunk as batched lanes.
 var faultReq = serve.SweepRequest{
+	Engine:   "adaptive",
 	Scenario: "didactic",
 	Axes: []serve.Axis{
 		{Name: "stages", Values: []int64{1, 2}},

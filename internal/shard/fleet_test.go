@@ -218,6 +218,8 @@ func assertBitIdentical(t *testing.T, res serve.JobResult, local *sweep.Result) 
 			math.Float64bits(st.EventRatio.Geomean) != math.Float64bits(ls.EventRatio.Geomean) {
 			t.Fatalf("event-ratio aggregate %+v, local %+v", *st.EventRatio, ls.EventRatio)
 		}
+	} else if st.EventRatio != nil {
+		t.Fatalf("fleet aggregated event ratios %+v, local had none defined", *st.EventRatio)
 	}
 }
 

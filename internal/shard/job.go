@@ -190,7 +190,9 @@ func (j *job) statsLocked(life serve.Job) *serve.SweepStats {
 				continue
 			}
 			speedups = append(speedups, pt.SpeedUp)
-			ratios = append(ratios, pt.EventRatio)
+			if pt.Result != nil && pt.Result.Activations > 0 {
+				ratios = append(ratios, pt.EventRatio) // else undefined
+			}
 		}
 		if a := sweep.AggregateOf(speedups); a.N > 0 {
 			st.SpeedUp = &serve.Aggregate{N: a.N, Min: a.Min, Max: a.Max, Mean: a.Mean, Geomean: a.Geomean}

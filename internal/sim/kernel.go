@@ -42,18 +42,6 @@ type Stats struct {
 // of simulation events": timed events plus delta notifications.
 func (s Stats) Events() int64 { return s.TimedEvents + s.DeltaNotifies }
 
-// Add returns the counter-wise sum of two Stats, keeping the later
-// FinalTime: the work of a run spread over several kernels.
-func (s Stats) Add(o Stats) Stats {
-	s.Activations += o.Activations
-	s.TimedEvents += o.TimedEvents
-	s.DeltaNotifies += o.DeltaNotifies
-	if o.FinalTime > s.FinalTime {
-		s.FinalTime = o.FinalTime
-	}
-	return s
-}
-
 // Kernel is a discrete-event simulator instance. Create one with New,
 // spawn processes, then call Run. A Kernel must not be used from multiple
 // goroutines; process bodies interact with it only through their Proc.

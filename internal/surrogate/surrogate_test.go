@@ -146,14 +146,14 @@ func TestSampledSweepSavesSimulations(t *testing.T) {
 	for i, pr := range res.Points {
 		switch pr.Source {
 		case sweep.SourceSimulated:
-			if pr.Run.Activations == 0 {
+			if pr.Run.Iterations == 0 || pr.Run.FinalTimeNs == 0 {
 				t.Fatalf("point %d simulated but empty", i)
 			}
 		case sweep.SourcePredicted:
 			if pr.Run.FinalTimeNs <= 0 || pr.Run.Iterations <= 0 {
 				t.Fatalf("point %d predicted nonsense: %+v", i, pr.Run)
 			}
-			if pr.Run.Activations != 0 || pr.Run.Events != 0 {
+			if pr.Run.Activations != 0 || pr.Run.Events != 0 || pr.Run.Wall != 0 {
 				t.Fatalf("point %d predicted but carries simulation work: %+v", i, pr.Run)
 			}
 			if pr.PredBound <= 0 || pr.PredBound > 0.01 {
@@ -387,6 +387,7 @@ func TestSampledProgressContract(t *testing.T) {
 func TestSamplingWithBatchedLanes(t *testing.T) {
 	axes := []sweep.Axis{periodAxis(24), {Name: "tokens", Values: []int64{200}}, {Name: "seed", Values: []int64{7}}}
 	res, err := sweep.RunContext(context.Background(), axes, chainGen(t), sweep.Options{
+		Engine:     "adaptive",
 		Workers:    2,
 		BatchWidth: 4,
 		Sample:     sweep.SampleOptions{Tolerance: 0.01},

@@ -35,11 +35,11 @@ func TestBatchedSweepBitExactAgainstPerPoint(t *testing.T) {
 		{Name: "period", Values: []int64{500, 900}},
 		{Name: "seed", Values: []int64{1, 2, 3}},
 	}
-	scalar, err := Run(axes, didacticGen, Options{Record: true, Workers: 3})
+	scalar, err := Run(axes, didacticGen, Options{Engine: "adaptive", Record: true, Workers: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
-	batched, err := Run(axes, didacticGen, Options{Record: true, Workers: 3, BatchWidth: 5})
+	batched, err := Run(axes, didacticGen, Options{Engine: "adaptive", Record: true, Workers: 3, BatchWidth: 5})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -81,6 +81,7 @@ func TestBatchedSweepProgressCoalesced(t *testing.T) {
 	axes := []Axis{{Name: "seed", Values: []int64{1, 2, 3, 4, 5, 6, 7, 8, 9, 10}}}
 	var dones []int
 	_, err := Run(axes, didacticGen, Options{
+		Engine:     "adaptive",
 		Workers:    1,
 		BatchWidth: 4,
 		Progress:   func(done, total int) { dones = append(dones, done) },
@@ -112,6 +113,7 @@ func TestBatchedSweepProgressReachesTotalOnCancel(t *testing.T) {
 	var mu sync.Mutex
 	maxDone := 0
 	res, err := RunContext(ctx, axes, didacticGen, Options{
+		Engine:     "adaptive",
 		Workers:    2,
 		BatchWidth: 2,
 		Progress: func(done, total int) {
@@ -147,7 +149,7 @@ func TestBatchedSweepProgressReachesTotalOnCancel(t *testing.T) {
 func TestBatchedSweepFallsBackWithoutCapability(t *testing.T) {
 	axes := []Axis{{Name: "seed", Values: []int64{1, 2, 3, 4}}}
 	for _, opts := range []Options{
-		{Engine: "adaptive", BatchWidth: 8},
+		{Engine: "equivalent", BatchWidth: 8},
 		{Engine: "reference", BatchWidth: 8},
 	} {
 		res, err := Run(axes, didacticGen, opts)
@@ -221,7 +223,7 @@ func TestPooledBatchEvaluatorsUnderParallelBatchedSweep(t *testing.T) {
 		{Name: "seed", Values: []int64{1, 2, 3, 4, 5, 6}},
 	}
 	run := func(workers int) *Result {
-		res, err := Run(axes, didacticGen, Options{Workers: workers, Record: true, BatchWidth: 3})
+		res, err := Run(axes, didacticGen, Options{Engine: "adaptive", Workers: workers, Record: true, BatchWidth: 3})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -261,6 +263,7 @@ func TestBatchedSweepProgressMonotonic(t *testing.T) {
 	}
 	var dones []int
 	res, err := Run(axes, didacticGen, Options{
+		Engine:     "adaptive",
 		Workers:    8,
 		BatchWidth: 2,
 		Progress:   func(done, total int) { dones = append(dones, done) },
@@ -293,13 +296,13 @@ func TestRunIndicesMatchesFullSweep(t *testing.T) {
 		{Name: "stages", Values: []int64{1, 2}},
 		{Name: "seed", Values: []int64{1, 2, 3, 4, 5}},
 	}
-	full, err := Run(axes, didacticGen, Options{Workers: 2, BatchWidth: 2})
+	full, err := Run(axes, didacticGen, Options{Engine: "adaptive", Workers: 2, BatchWidth: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
 	// Indices 5..9 are the whole stages=2 cohort, in grid order.
 	indices := []int{5, 6, 7, 8, 9}
-	part, err := RunIndices(axes, indices, didacticGen, Options{Workers: 2, BatchWidth: 2})
+	part, err := RunIndices(axes, indices, didacticGen, Options{Engine: "adaptive", Workers: 2, BatchWidth: 2})
 	if err != nil {
 		t.Fatal(err)
 	}

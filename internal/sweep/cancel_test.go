@@ -59,7 +59,7 @@ func TestRunContextCancelMidSweep(t *testing.T) {
 		if pr.Err != nil {
 			t.Fatalf("completed point %d lost: %v", i, pr.Err)
 		}
-		if pr.Run.Activations == 0 || pr.Trace == nil {
+		if pr.Run.Iterations == 0 || pr.Run.FinalTimeNs == 0 || pr.Trace == nil {
 			t.Fatalf("completed point %d has empty stats: %+v", i, pr.Run)
 		}
 	}

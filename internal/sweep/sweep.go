@@ -5,8 +5,8 @@
 // integer axes) is expanded into points, a generator maps each point to
 // an architecture model, and a worker pool evaluates every point with
 // any executor registered in internal/engine, selected by name —
-// "equivalent" (default), "reference", "hybrid" (with Options.Group) or
-// "adaptive", plus whatever future engines register.
+// "adaptive" (default), "equivalent", "reference", "hybrid" (with
+// Options.Group), plus whatever future engines register.
 //
 // Derivation is cached by structural shape (derive.Cache): when points
 // differ only in parameters — token counts, periods, seeds, schedules,
@@ -176,8 +176,13 @@ func GridSelect(axes []Axis, indices []int) ([]Point, error) {
 // instance for the baseline run).
 type Generator func(Point) (*model.Architecture, error)
 
-// DefaultEngine evaluates the points when Options.Engine is empty.
-const DefaultEngine = "equivalent"
+// DefaultEngine evaluates the points when Options.Engine is empty. The
+// adaptive engine is bit-exact against the reference executor at zero
+// kernel events and batches lanes (Options.BatchWidth); a point's value
+// is its instants and final time, not kernel event counts. Select
+// "equivalent" to measure the paper's event savings (Options.Baseline
+// event ratios).
+const DefaultEngine = "adaptive"
 
 // Point sources reported by sampled sweeps (PointResult.Source).
 const (
@@ -273,12 +278,12 @@ type Options struct {
 	// structural shape (derive.ShapeKey, same per-point derive options
 	// and group) into cohorts and evaluates each cohort in chunks of up
 	// to BatchWidth lanes through the engine's batched path
-	// (engine.BatchRunner) — one compiled structure, one lockstep pass
-	// per iteration for the whole chunk. Points keep their bit-exact
-	// per-point results; only the evaluation strategy changes. Engines
-	// without the batch capability (reference, hybrid, adaptive) fall
-	// back to the per-point path, as does any chunk whose batched run
-	// fails wholesale. 0 disables batching.
+	// (engine.BatchRunner) — one compiled structure, one batched graph
+	// evaluation per iteration for the whole chunk. Points keep their
+	// bit-exact per-point results; only the evaluation strategy
+	// changes. Engines without the batch capability (every one but
+	// adaptive) fall back to the per-point path, as does any chunk
+	// whose batched run fails wholesale. 0 disables batching.
 	BatchWidth int
 }
 
@@ -288,7 +293,7 @@ type PointStats struct {
 	Events      int64         // kernel event-queue operations
 	FinalTimeNs int64         // simulated time reached
 	Iterations  int           // evolution iterations computed
-	GraphNodes  int           // graph size in the paper's counting (equivalent only)
+	GraphNodes  int           // graph size in the paper's counting (engines that derive one)
 	Switches    int           // engine.Result.Switches (zero for the built-in engines)
 	Fallbacks   int           // engine.Result.Fallbacks (zero for the built-in engines)
 	Wall        time.Duration // host wall-clock time of the run
@@ -297,7 +302,7 @@ type PointStats struct {
 // PointResult is the evaluation of one grid point.
 type PointResult struct {
 	Point Point
-	// Run is the selected engine's result (the equivalent model unless
+	// Run is the selected engine's result (DefaultEngine unless
 	// Options.Engine says otherwise).
 	Run PointStats
 	// Trace is the recorded evolution when Options.Record is set.
@@ -306,8 +311,8 @@ type PointResult struct {
 	// result, its trace, and the paper's two headline ratios.
 	Baseline      *PointStats
 	BaselineTrace *observe.Trace
-	EventRatio    float64 // baseline activations / equivalent activations
-	SpeedUp       float64 // baseline wall / equivalent wall
+	EventRatio    float64 // baseline activations / engine activations; 0 (undefined) when the engine ran none
+	SpeedUp       float64 // baseline wall / engine wall
 	// Source reports how a sampled sweep obtained this point:
 	// SourceSimulated or SourcePredicted. Empty in exhaustive sweeps.
 	Source string
@@ -360,7 +365,9 @@ type Stats struct {
 	PredictedPoints int     `json:"predicted_points,omitempty"`
 	MaxPredError    float64 `json:"max_pred_error,omitempty"`
 	// SpeedUp and EventRatio aggregate the per-point ratios when
-	// Options.Baseline was set.
+	// Options.Baseline was set. EventRatio leaves out the points whose
+	// ratio is undefined (the engine ran no activation), so its N
+	// counts only defined ratios.
 	SpeedUp    Aggregate `json:"speed_up"`
 	EventRatio Aggregate `json:"event_ratio"`
 }
@@ -683,7 +690,9 @@ func Summarize(results []PointResult, cache *derive.Cache, wall time.Duration) S
 		}
 		if pr.Baseline != nil {
 			speedups = append(speedups, pr.SpeedUp)
-			ratios = append(ratios, pr.EventRatio)
+			if pr.Run.Activations > 0 {
+				ratios = append(ratios, pr.EventRatio)
+			}
 		}
 	}
 	st.SpeedUp = AggregateOf(speedups)

@@ -164,7 +164,7 @@ func TestBaselinePairing(t *testing.T) {
 		{Name: "tokens", Values: []int64{30}},
 		{Name: "seed", Values: []int64{1, 2}},
 	}
-	res, err := Run(axes, pipelineGen(false), Options{Workers: 2, Baseline: true, Record: true})
+	res, err := Run(axes, pipelineGen(false), Options{Workers: 2, Engine: "equivalent", Baseline: true, Record: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -190,6 +190,39 @@ func TestBaselinePairing(t *testing.T) {
 	}
 	if res.Stats.SpeedUp.N != 2 {
 		t.Fatalf("aggregate speed-up: %+v", res.Stats.SpeedUp)
+	}
+}
+
+// An engine that runs no kernel activation leaves the event ratio
+// undefined: the point reports 0 and the aggregate leaves it out, while
+// the speed-ups still aggregate. Batched lanes pair the same way.
+func TestUndefinedEventRatioSkipped(t *testing.T) {
+	axes := []Axis{
+		{Name: "tokens", Values: []int64{30}},
+		{Name: "seed", Values: []int64{1, 2, 3}},
+	}
+	for _, width := range []int{0, 2} {
+		res, err := Run(axes, pipelineGen(false), Options{Engine: "adaptive", Baseline: true, BatchWidth: width})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i, pr := range res.Points {
+			if pr.Err != nil {
+				t.Fatalf("width %d point %d: %v", width, i, pr.Err)
+			}
+			if pr.Baseline == nil || pr.Baseline.Activations == 0 {
+				t.Fatalf("width %d point %d: no baseline run", width, i)
+			}
+			if pr.Run.Activations != 0 || pr.EventRatio != 0 {
+				t.Fatalf("width %d point %d: %d activations, event ratio %v", width, i, pr.Run.Activations, pr.EventRatio)
+			}
+		}
+		if res.Stats.EventRatio != (Aggregate{}) {
+			t.Fatalf("width %d: undefined event ratios aggregated: %+v", width, res.Stats.EventRatio)
+		}
+		if res.Stats.SpeedUp.N != 3 {
+			t.Fatalf("width %d: aggregate speed-up %+v, want 3 points", width, res.Stats.SpeedUp)
+		}
 	}
 }
 
@@ -237,7 +270,7 @@ func TestPointErrorsAreIsolated(t *testing.T) {
 		if !isBad && pr.Err != nil {
 			t.Fatalf("point %d: unexpected error %v", i, pr.Err)
 		}
-		if !isBad && pr.Run.Activations == 0 {
+		if !isBad && (pr.Run.Iterations == 0 || pr.Run.FinalTimeNs == 0) {
 			t.Fatalf("point %d did not run", i)
 		}
 	}
@@ -262,7 +295,7 @@ func TestPointPanicsAreIsolated(t *testing.T) {
 		t.Fatalf("stages=0 err = %v, want panic report", res.Points[0].Err)
 	}
 	for _, pr := range res.Points[1:] {
-		if pr.Err != nil || pr.Run.Activations == 0 {
+		if pr.Err != nil || pr.Run.Iterations == 0 || pr.Run.FinalTimeNs == 0 {
 			t.Fatalf("healthy point affected: %+v", pr)
 		}
 	}

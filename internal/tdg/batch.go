@@ -235,8 +235,8 @@ func (b *BatchEvaluator) Step(u []maxplus.T) ([]maxplus.T, error) {
 // fillWeights resolves every lane's varying weights at iteration k into
 // the lane-strided weight buffer. It runs single-threaded before the
 // (possibly parallel) pass: weight closures — and the ExecInfo
-// memoization behind derived durations — are only ever called here and
-// from the lane's own PeekDelayed, never concurrently.
+// memoization behind derived durations — are only ever called here,
+// never concurrently.
 func (b *BatchEvaluator) fillWeights(k int) {
 	L := b.width
 	for l, p := range b.lanes {
@@ -382,35 +382,4 @@ func (b *BatchEvaluator) LaneValuesInto(lane int, dst []maxplus.T) {
 	for i := range dst {
 		dst[i] = b.ring[(i*b.depth+slot)*L+lane]
 	}
-}
-
-// LanePeekDelayed evaluates ⊕ over the given arcs for iteration k on one
-// lane's history, mirroring Evaluator.PeekDelayed: every arc must carry
-// a positive delay, and k may not be ahead of the batch iteration. The
-// arcs come from the lane's own graph, so their weight closures are the
-// lane's — safe to call from concurrent per-lane goroutines between
-// Steps.
-func (b *BatchEvaluator) LanePeekDelayed(lane int, arcs []Arc, k int) (maxplus.T, error) {
-	if k > b.k {
-		return maxplus.Epsilon, fmt.Errorf("tdg: LanePeekDelayed(%d) ahead of computed iteration %d", k, b.k)
-	}
-	L := b.width
-	acc := maxplus.Epsilon
-	for _, a := range arcs {
-		if a.Delay < 1 {
-			return maxplus.Epsilon, fmt.Errorf("tdg: LanePeekDelayed requires delayed arcs, got delay %d", a.Delay)
-		}
-		if a.Delay > k {
-			continue
-		}
-		src := b.ring[(int(a.From)*b.depth+((k-a.Delay)%b.depth))*L+lane]
-		if src == maxplus.Epsilon {
-			continue
-		}
-		v := a.Weight.Apply(src, k)
-		if v > acc {
-			acc = v
-		}
-	}
-	return acc, nil
 }

@@ -245,58 +245,6 @@ func TestBatchMidRunRebind(t *testing.T) {
 	_ = graphs
 }
 
-// TestBatchLanePeekDelayed compares the lane-wise delayed gate against
-// the scalar evaluator's on identical histories.
-func TestBatchLanePeekDelayed(t *testing.T) {
-	g := randomGraph(t, 11)
-	prog, err := Compile(g)
-	if err != nil {
-		t.Fatal(err)
-	}
-	const L = 3
-	graphs, progs := laneProgs(t, g, prog, L)
-	be, err := NewBatchEvaluator(progs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	scalars := make([]*Evaluator, L)
-	for l := range scalars {
-		scalars[l] = progs[l].NewEvaluator()
-	}
-	out := g.Outputs()[0]
-	for k := 0; k < 12; k++ {
-		u := laneInputs(g, k, L)
-		if _, err := be.Step(u); err != nil {
-			t.Fatal(err)
-		}
-		for l := 0; l < L; l++ {
-			su := make([]maxplus.T, len(g.Inputs()))
-			for i := range su {
-				su[i] = u[i*L+l]
-			}
-			if _, err := scalars[l].Step(su); err != nil {
-				t.Fatal(err)
-			}
-			arcs := []Arc{{From: out, Delay: 1}, {From: out, Delay: 2, Weight: ConstWeight(13)}}
-			gs, err := scalars[l].PeekDelayed(arcs, k+1)
-			if err != nil {
-				t.Fatal(err)
-			}
-			gb, err := be.LanePeekDelayed(l, arcs, k+1)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if gs != gb {
-				t.Fatalf("lane %d k=%d: scalar gate %v, batch gate %v", l, k, gs, gb)
-			}
-		}
-	}
-	if _, err := be.LanePeekDelayed(0, []Arc{{From: out, Delay: 0}}, 1); err == nil {
-		t.Fatal("LanePeekDelayed accepted a zero-delay arc")
-	}
-	_ = graphs
-}
-
 // TestBatchDisableKeepsOtherLanesExact retires one lane mid-run and
 // checks the surviving lanes stay bit-exact against their scalar runs.
 func TestBatchDisableKeepsOtherLanesExact(t *testing.T) {

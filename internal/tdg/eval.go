@@ -146,36 +146,6 @@ func (e *Evaluator) ValuesInto(dst []maxplus.T) {
 	}
 }
 
-// SeedHistory initialises a fresh evaluator to resume computation at
-// iteration startK: the bounded history window (iterations
-// startK-maxDelay-1 .. startK-1, clipped at the origin) is filled by
-// querying value for every node, and the next Step computes iteration
-// startK. value may return maxplus.Epsilon for instants it cannot supply
-// (e.g. input nodes); delayed arcs reading them contribute nothing, which
-// matches an evolution that never produced the instant.
-//
-// A recorded trace of an event-driven run can supply these initial
-// conditions, so evaluation can take over a run mid-stream.
-func (e *Evaluator) SeedHistory(startK int, value func(id NodeID, k int) maxplus.T) error {
-	if e.k != 0 {
-		return fmt.Errorf("tdg: SeedHistory on a started evaluator (at iteration %d)", e.k)
-	}
-	if startK < 0 {
-		return fmt.Errorf("tdg: SeedHistory with negative start iteration %d", startK)
-	}
-	lo := startK - e.depth
-	if lo < 0 {
-		lo = 0
-	}
-	for id := range e.g.nodes {
-		for k := lo; k < startK; k++ {
-			e.ring[id*e.depth+(k%e.depth)] = value(NodeID(id), k)
-		}
-	}
-	e.k = startK
-	return nil
-}
-
 // Reset rewinds the evaluator to iteration zero and clears all history.
 func (e *Evaluator) Reset() {
 	e.k = 0

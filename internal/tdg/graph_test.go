@@ -210,76 +210,6 @@ func TestEvaluatorHistoryBeforeOriginIsEpsilon(t *testing.T) {
 	}
 }
 
-// TestSeedHistoryResumesMidStream seeds a fresh evaluator from a running
-// one's history and requires identical values from the resume point on —
-// the property the adaptive engine's detailed→abstract switch rests on.
-func TestSeedHistoryResumesMidStream(t *testing.T) {
-	build := func() *Graph {
-		g := New("resume")
-		u := g.AddInput("u")
-		x := g.AddNode("x", Intermediate)
-		y := g.AddNode("y", Output)
-		g.AddArc(u, x, 0, nil)
-		g.AddConstArc(x, x, 1, 10) // x(k) = max(u(k), x(k-1)+10)
-		g.AddConstArc(x, y, 2, 5)  // y(k) = x(k-2)+5
-		if err := g.Freeze(); err != nil {
-			t.Fatal(err)
-		}
-		return g
-	}
-	g := build()
-	full, _ := NewEvaluator(g)
-	hist := map[[2]int]maxplus.T{} // (node, k) -> value
-	var wantY []maxplus.T
-	u := func(k int) maxplus.T { return maxplus.T(k * 4) }
-	for k := 0; k < 8; k++ {
-		yv, err := full.Step([]maxplus.T{u(k)})
-		if err != nil {
-			t.Fatal(err)
-		}
-		wantY = append(wantY, yv[0])
-		vals := make([]maxplus.T, g.NodeCount())
-		full.ValuesInto(vals)
-		for id, v := range vals {
-			hist[[2]int{id, k}] = v
-		}
-	}
-
-	const resume = 5
-	seeded, _ := NewEvaluator(build())
-	err := seeded.SeedHistory(resume, func(id NodeID, k int) maxplus.T {
-		v, ok := hist[[2]int{int(id), k}]
-		if !ok {
-			return maxplus.Epsilon
-		}
-		return v
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if seeded.K() != resume {
-		t.Fatalf("K() = %d after seeding, want %d", seeded.K(), resume)
-	}
-	for k := resume; k < 8; k++ {
-		yv, err := seeded.Step([]maxplus.T{u(k)})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if yv[0] != wantY[k] {
-			t.Fatalf("k=%d: seeded y = %v, full run = %v", k, yv[0], wantY[k])
-		}
-	}
-
-	// Seeding a started evaluator or a negative origin is rejected.
-	if err := seeded.SeedHistory(0, func(NodeID, int) maxplus.T { return 0 }); err == nil {
-		t.Fatal("SeedHistory on a started evaluator should fail")
-	}
-	fresh, _ := NewEvaluator(build())
-	if err := fresh.SeedHistory(-1, func(NodeID, int) maxplus.T { return 0 }); err == nil {
-		t.Fatal("negative start iteration should fail")
-	}
-}
-
 func TestValuesInto(t *testing.T) {
 	g, _ := buildDidactic(t)
 	if err := g.Freeze(); err != nil {

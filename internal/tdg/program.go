@@ -315,8 +315,8 @@ func (p *Program) release(e *Evaluator) {
 // pass computes every non-input instant of iteration k. The warm pass
 // applies the pre-origin rule (a delayed arc referencing an iteration
 // before the origin contributes ε); once k is at least the maximum
-// delay — immediately for delay-free graphs, and for every resumed
-// evaluator past its seed window — the steady pass drops that branch.
+// delay — immediately for delay-free graphs — the steady pass drops
+// that branch.
 func (p *Program) pass(ring []maxplus.T, k, slot int) {
 	if k >= int(p.depth)-1 {
 		p.steadyPass(ring, k, slot)

@@ -117,53 +117,6 @@ func TestCompiledMatchesInterpreterOnRandomGraphs(t *testing.T) {
 	}
 }
 
-// TestCompiledSeedHistoryResume checks the resume path: a compiled
-// evaluator seeded from a reference history at an arbitrary iteration
-// continues bit-exactly, including inside the warm (pre-origin) window.
-func TestCompiledSeedHistoryResume(t *testing.T) {
-	g := randomGraph(t, 7)
-	prog, err := Compile(g)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Reference evolution, recorded per (node, k).
-	ref, err := NewEvaluator(g)
-	if err != nil {
-		t.Fatal(err)
-	}
-	const total = 30
-	hist := make([][]maxplus.T, total)
-	for k := 0; k < total; k++ {
-		if _, err := ref.Step(stepInputs(g, k)); err != nil {
-			t.Fatal(err)
-		}
-		hist[k] = make([]maxplus.T, g.NodeCount())
-		ref.ValuesInto(hist[k])
-	}
-	for _, startK := range []int{1, 2, 5, 17} {
-		cv := prog.NewEvaluator()
-		err := cv.SeedHistory(startK, func(id NodeID, k int) maxplus.T {
-			return hist[k][id]
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		vals := make([]maxplus.T, g.NodeCount())
-		for k := startK; k < total; k++ {
-			if _, err := cv.Step(stepInputs(g, k)); err != nil {
-				t.Fatal(err)
-			}
-			cv.ValuesInto(vals)
-			for n := range vals {
-				if vals[n] != hist[k][n] {
-					t.Fatalf("resume at %d, k=%d node %d: got %v, want %v", startK, k, n, vals[n], hist[k][n])
-				}
-			}
-		}
-		cv.Release()
-	}
-}
-
 // TestCompiledSetValueAndPeekDelayed checks the boundary-correction API
 // the hybrid engine relies on: overriding a stored instant changes later
 // delayed reads identically in both modes.

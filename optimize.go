@@ -39,7 +39,7 @@ type OptimizeResult = optimize.Result
 // OptimizeOptions configures Optimize.
 type OptimizeOptions struct {
 	// EngineName selects the executor evaluating simulated points by
-	// registered name (empty: "equivalent").
+	// registered name (empty: "adaptive").
 	EngineName string
 	// Workers sets the evaluation worker-pool size (0: all processors).
 	Workers int

@@ -103,13 +103,14 @@ func TestServeSmoke(t *testing.T) {
 	}
 
 	// A batched sweep job over one structural shape: four seeds at lane
-	// width 2 make two full batches. The /metrics scrape afterwards must
+	// width 2 make two full batches of the adaptive engine, the one with
+	// a batched form. The /metrics scrape afterwards must
 	// render the batch-occupancy gauge and the per-shape hit gauges.
 	var bjob struct {
 		ID string `json:"id"`
 	}
 	postSmoke(t, base+"/v1/sweeps",
-		`{"scenario":"didactic","axes":[{"name":"seed","values":[1,2,3,4]}],"params":{"tokens":50},"options":{"workers":1,"batch_width":2}}`,
+		`{"engine":"adaptive","scenario":"didactic","axes":[{"name":"seed","values":[1,2,3,4]}],"params":{"tokens":50},"options":{"workers":1,"batch_width":2}}`,
 		http.StatusAccepted, &bjob)
 	bdeadline := time.Now().Add(20 * time.Second)
 	for {

@@ -59,7 +59,8 @@ type SweepOptions struct {
 	Workers int
 	// EngineName names the registered executor evaluating every point —
 	// any name from Engines(), e.g. "hybrid" (with Group set). Empty
-	// selects "equivalent".
+	// selects "adaptive", which runs no kernel: select "equivalent" for
+	// the paper's event ratios under Baseline.
 	EngineName string
 	// Group names the functions the hybrid engine abstracts on every
 	// point; ignored by the other engines.
@@ -92,11 +93,11 @@ type SweepOptions struct {
 	Sample SweepSampleOptions
 	// BatchWidth, when positive, evaluates structurally identical grid
 	// points in batched lane groups of up to this many points — one
-	// compiled structure, one lockstep evaluation pass per iteration
+	// compiled structure, one batched graph evaluation per iteration
 	// for the whole group. Per-point results are bit-identical to the
 	// per-point sweep; Stats.Batches / BatchedPoints / BatchOccupancy
 	// report how much of the grid ran batched. Engines without the
-	// batch capability (reference, hybrid, adaptive) run per point
+	// batch capability (every one but adaptive) run per point
 	// regardless. 0 disables batching.
 	BatchWidth int
 }
@@ -115,7 +116,8 @@ type SweepPointResult struct {
 	Baseline     *RunResult
 	BaselineWall time.Duration
 	// EventRatio and SpeedUp are the paper's headline ratios
-	// (baseline/equivalent), filled when Baseline is set.
+	// (baseline/engine), filled when Baseline is set. EventRatio is 0
+	// (undefined) when the engine ran no activation.
 	EventRatio float64
 	SpeedUp    float64
 	// Switches and Fallbacks report the engine's changes between
@@ -144,9 +146,9 @@ type SweepResult struct {
 
 // Sweep evaluates every configuration of the grid spanned by axes,
 // sharding the points across a worker pool; SweepOptions.EngineName
-// selects the per-point executor — any registered engine: equivalent
-// model by default, reference executor, hybrid with an abstracted
-// group, or the adaptive engine. The
+// selects the per-point executor — any registered engine: the adaptive
+// engine by default, the equivalent model, the reference executor, or
+// hybrid with an abstracted group. The
 // temporal dependency graph is derived once per structural shape and
 // re-bound to every other point of that shape, so sweeping parameters
 // (token counts, periods, seeds, costs, speeds) over a fixed topology
