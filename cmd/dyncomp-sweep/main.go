@@ -1,8 +1,8 @@
 // Command dyncomp-sweep explores a design space: it expands a grid of
 // named parameter axes, builds one architecture per grid point from a
-// registered scenario, and evaluates every point concurrently with any
-// registered engine, deriving each structural shape's temporal
-// dependency graph only once.
+// registered scenario or an inline JSON architecture, and evaluates
+// every point concurrently with any registered engine, deriving each
+// structural shape's temporal dependency graph only once.
 //
 //	dyncomp-sweep -scenario pipeline -axes "xsize=6,10,20;tokens=1000" -workers 8
 //	dyncomp-sweep -scenario didactic -axes "stages=1:4:1;period=800,1200" -baseline
@@ -27,7 +27,8 @@
 // registry, with its parameter names. Any engine runs any scenario.
 //
 // Axis syntax: semicolon-separated "name=v1,v2,..." lists, where each
-// item is an integer or a lo:hi:step range (inclusive).
+// item is an integer or a lo:hi:step range (inclusive). Axis names must
+// be parameters of the scenario or spec.
 //
 // -engine selects the per-point executor by registered name (default
 // equivalent). The hybrid engine abstracts the scenario's canonical
@@ -106,19 +107,12 @@ func main() {
 	}
 	scenarioSet := false
 	flag.Visit(func(f *flag.Flag) { scenarioSet = scenarioSet || f.Name == "scenario" })
-
-	var spec *archjson.Spec
-	if *archFile != "" {
-		if scenarioSet {
-			fatal(fmt.Errorf("-arch and -scenario are mutually exclusive"))
-		}
-		data, err := os.ReadFile(*archFile)
-		if err != nil {
-			fatal(err)
-		}
-		if spec, err = archjson.Decode(data); err != nil {
-			fatal(err)
-		}
+	if *archFile != "" && scenarioSet {
+		fatal(fmt.Errorf("-arch and -scenario are mutually exclusive"))
+	}
+	src, spec, err := loadModel(*scenario, *archFile)
+	if err != nil {
+		fatal(err)
 	}
 	if *optimizeFlag {
 		if spec == nil {
@@ -130,7 +124,7 @@ func main() {
 		}
 		grp := parseGroup(*group)
 		if *engName == "hybrid" && grp == nil {
-			grp = spec.CanonicalGroup()
+			grp = src.Group(zoo.ParamMap{})
 		}
 		res, err := optimize.Run(context.Background(), spec, optimize.Options{
 			Engine:      *engName,
@@ -150,40 +144,9 @@ func main() {
 		}
 		return
 	}
-
-	var gen sweep.Generator
-	var axes []sweep.Axis
-	var sc zoo.Scenario
-	if spec != nil {
-		gen = func(p sweep.Point) (*model.Architecture, error) { return spec.Build(p) }
-		if strings.TrimSpace(*axesSpec) == "" {
-			// Default grid: the candidate values the spec declares.
-			axes = specAxes(spec)
-			if len(axes) == 0 {
-				fatal(fmt.Errorf("architecture %q declares no parameter values; give -axes", spec.Name))
-			}
-		} else {
-			var err error
-			if axes, err = parseAxes(*axesSpec); err != nil {
-				fatal(err)
-			}
-			axisParams := map[string]int64{}
-			for _, ax := range axes {
-				axisParams[ax.Name] = ax.Values[0]
-			}
-			if err := spec.CheckParams(axisParams); err != nil {
-				fatal(err)
-			}
-		}
-	} else {
-		var err error
-		if sc, err = zoo.LookupScenario(*scenario); err != nil {
-			fatal(err)
-		}
-		gen = func(p sweep.Point) (*model.Architecture, error) { return sc.Build(p), nil }
-		if axes, err = parseAxes(*axesSpec); err != nil {
-			fatal(err)
-		}
+	axes, err := gridAxes(src, spec, *axesSpec)
+	if err != nil {
+		fatal(err)
 	}
 
 	if *tolerance < 0 {
@@ -205,27 +168,21 @@ func main() {
 		},
 	}
 	if *engName == "hybrid" {
-		switch {
-		case *group != "":
+		if *group != "" {
 			opts.Group = parseGroup(*group)
-		case spec != nil:
-			// An inline spec's structure is point-independent: one group
-			// serves every point.
-			if opts.Group = spec.CanonicalGroup(); opts.Group == nil {
-				fatal(fmt.Errorf("architecture %q has no canonical hybrid group; use -group", spec.Name))
-			}
-		case sc.HybridGroup == nil:
-			fatal(fmt.Errorf("scenario %q has no canonical hybrid group; use -group", sc.Name))
-		default:
+		} else if src.Group(zoo.ParamMap{}) == nil {
+			fatal(fmt.Errorf("%v has no canonical hybrid group; use -group", src))
+		} else {
 			// Per point: axes may change the structure and with it the
 			// group (e.g. sweeping the fork-join worker count).
-			opts.GroupFor = func(p sweep.Point) []string { return sc.HybridGroup(p) }
+			opts.GroupFor = func(p sweep.Point) []string { return src.Group(p) }
 		}
 	}
 	opts.Derive.Reduce = *reduce
 	if *limit > 0 {
 		opts.Limit = sim.Time(*limit)
 	}
+	gen := func(p sweep.Point) (*model.Architecture, error) { return src.Build(p) }
 	res, err := sweep.Run(axes, gen, opts)
 	if err != nil {
 		fatal(err)
@@ -277,6 +234,48 @@ func printMatrix(w *os.File) {
 		fmt.Fprintf(w, "  %-10s %s\n", sc.Name, sc.Desc)
 		fmt.Fprintf(w, "  %-10s params: %s%s\n", "", sc.ParamsHelp, hybrid)
 	}
+}
+
+// loadModel resolves the model to evaluate: the spec in archFile when
+// one is given (also returned, for the optimizer), else the registered
+// scenario.
+func loadModel(scenario, archFile string) (zoo.Source, *archjson.Spec, error) {
+	if archFile == "" {
+		sc, err := zoo.LookupScenario(scenario)
+		return sc.Source(), nil, err
+	}
+	data, err := os.ReadFile(archFile)
+	if err != nil {
+		return zoo.Source{}, nil, err
+	}
+	spec, err := archjson.Decode(data)
+	if err != nil {
+		return zoo.Source{}, nil, err
+	}
+	return spec.Source(), spec, nil
+}
+
+// gridAxes parses the -axes grid and checks its names against the
+// model's parameters: a typoed axis would sweep a knob the builder
+// never reads, evaluating one point N times. A spec without -axes
+// spans the candidate values its parameters declare.
+func gridAxes(src zoo.Source, spec *archjson.Spec, axesSpec string) ([]sweep.Axis, error) {
+	if spec != nil && strings.TrimSpace(axesSpec) == "" {
+		axes := specAxes(spec)
+		if len(axes) == 0 {
+			return nil, fmt.Errorf("architecture %q declares no parameter values; give -axes", spec.Name)
+		}
+		return axes, nil
+	}
+	axes, err := parseAxes(axesSpec)
+	if err != nil {
+		return nil, err
+	}
+	names := map[string]int64{}
+	for _, ax := range axes {
+		names[ax.Name] = 0
+	}
+	return axes, src.CheckParams(names)
 }
 
 // parseGroup splits the -group override into function names.

@@ -73,3 +73,23 @@ func TestSpecAxes(t *testing.T) {
 		t.Fatalf("axes %v: value lists not carried over", axes)
 	}
 }
+
+// TestGridAxesChecksNames pins that both model sources reject an axis
+// naming a parameter the model does not read, and accept known ones.
+func TestGridAxesChecksNames(t *testing.T) {
+	for _, tc := range []struct{ scenario, arch, good string }{
+		{scenario: "didactic", good: "seed=1:2:1;tokens=50"},
+		{arch: "../../internal/archjson/testdata/sweepable.json", good: "period=500,600;work=50"},
+	} {
+		src, spec, err := loadModel(tc.scenario, tc.arch)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := gridAxes(src, spec, tc.good); err != nil {
+			t.Errorf("%v: %q rejected: %v", src, tc.good, err)
+		}
+		if _, err := gridAxes(src, spec, "bogus=1,2"); err == nil {
+			t.Errorf("%v: unknown axis bogus accepted", src)
+		}
+	}
+}

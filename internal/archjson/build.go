@@ -8,13 +8,12 @@ import (
 	"dyncomp/internal/maxplus"
 	"dyncomp/internal/model"
 	"dyncomp/internal/workload"
+	"dyncomp/internal/zoo"
 )
 
-// Params is a named-integer parameter binding, structurally identical
-// to zoo.Params so sweep points and zoo.ParamMap values bind directly.
-type Params interface {
-	Lookup(name string) (int64, bool)
-}
+// Params is a named-integer parameter binding: a sweep point, a
+// zoo.ParamMap, an optimizer candidate.
+type Params = zoo.Params
 
 // ParamNames returns the spec's declared parameter names, sorted.
 func (s *Spec) ParamNames() []string {
@@ -81,6 +80,20 @@ func (s *Spec) CanonicalGroup() []string {
 		return append([]string(nil), s.Groups[0].Functions...)
 	}
 	return nil
+}
+
+// Source returns the spec as a model source, the view the serving
+// layer and the sweep CLI share with registered scenarios. Its group
+// is the canonical one at every binding: a spec's function set does
+// not depend on its parameters.
+func (s *Spec) Source() zoo.Source {
+	return zoo.Source{
+		Name:        s.Name,
+		Inline:      true,
+		CheckParams: s.CheckParams,
+		Build:       s.Build,
+		Group:       func(Params) []string { return s.CanonicalGroup() },
+	}
 }
 
 // Build resolves the spec under the parameter binding p (nil: declared

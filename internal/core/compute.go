@@ -70,7 +70,7 @@ func (m *Model) Compute(ctx context.Context, opts Options, progress func(done, t
 type computed struct {
 	res   *derive.Result
 	trace *observe.Trace
-	nodes []labelled
+	nodes []derive.Labelled
 	vals  []maxplus.T // instants of the iteration being recorded
 	limit maxplus.T
 	n     int       // iterations to compute
@@ -89,7 +89,7 @@ func newComputed(res *derive.Result, trace *observe.Trace, limit sim.Time, iterL
 	c := &computed{
 		res:   res,
 		trace: trace,
-		nodes: labelledNodes(nil, res, nil),
+		nodes: res.LabelledNodes(nil, nil),
 		vals:  make([]maxplus.T, res.Graph.NodeCount()),
 		limit: maxplus.T(sim.Forever),
 		n:     n,
@@ -119,7 +119,7 @@ func (c *computed) schedule(k int, u []maxplus.T, stride, lane int) error {
 // iteration's instants is within the limit: instants grow with k, so
 // when none is, no later iteration reaches the limit either.
 func (c *computed) record(k int) bool {
-	iterEnd, reached := record(c.trace, c.res, c.nodes, c.vals, k, c.limit)
+	iterEnd, reached := c.res.Record(c.trace, c.nodes, c.vals, k, c.limit)
 	c.end = maxplus.Oplus(c.end, iterEnd)
 	if iterEnd > c.limit && c.whole == c.n {
 		c.whole = k

@@ -22,13 +22,12 @@
 // iteration, boundary included, from the graph (the "adaptive" engine).
 // RunBatch computes many parameter points of one shape that way, with
 // one batched graph evaluation per iteration for all of them. Every
-// path reconstructs the observable evolution through one record
-// function.
+// path reconstructs the observable evolution through
+// derive.Result.Record.
 package core
 
 import (
 	"fmt"
-	"slices"
 	"sync"
 
 	"dyncomp/internal/chanrt"
@@ -184,7 +183,7 @@ func engineFor(res *derive.Result, iter int, limit sim.Time, k *sim.Kernel, ev *
 	for _, ib := range res.Inputs {
 		inLabels = append(inLabels, chanrt.Labels(ib.Channel)...)
 	}
-	eng.nodes = labelledNodes(eng.nodes[:0], res, inLabels)
+	eng.nodes = res.LabelledNodes(eng.nodes[:0], inLabels)
 	if cap(eng.vals) < res.Graph.NodeCount() {
 		eng.vals = make([]maxplus.T, res.Graph.NodeCount())
 	} else {
@@ -205,7 +204,7 @@ func (e *engine) finalTime() sim.Time {
 		return t
 	}
 	e.eval.ValuesInto(e.vals)
-	end, _ := record(nil, e.res, e.nodes, e.vals, e.eval.K()-1, e.limit)
+	end, _ := e.res.Record(nil, e.nodes, e.vals, e.eval.K()-1, e.limit)
 	return max(t, sim.Time(min(end, e.limit)))
 }
 
@@ -226,7 +225,7 @@ type engine struct {
 	eval   *tdg.Evaluator
 	trace  *observe.Trace
 	vals   []maxplus.T
-	nodes  []labelled // the instants record reconstructs
+	nodes  []derive.Labelled // the instants Record reconstructs
 
 	// arrivals per input: arrived[i] counts delivered iterations; the
 	// engine steps iteration k once every input has arrived[i] > k.
@@ -390,69 +389,8 @@ func (e *engine) deliver(k, idx int, arrival maxplus.T) {
 	}
 	if e.trace != nil {
 		e.eval.ValuesInto(e.vals)
-		record(e.trace, e.res, e.nodes, e.vals, k, e.limit)
+		e.res.Record(e.trace, e.nodes, e.vals, k, e.limit)
 	}
 	e.stepped.Notify()
 	e.emitted.Notify()
-}
-
-// labelled is a graph node whose instant is part of the observable
-// evolution.
-type labelled struct {
-	id    tdg.NodeID
-	label string
-}
-
-// labelledNodes appends to dst the labelled nodes of the derived graph,
-// in node order, leaving out the labels in skip.
-func labelledNodes(dst []labelled, res *derive.Result, skip []string) []labelled {
-	for _, n := range res.Graph.Nodes() {
-		if label, ok := res.Labels[n.ID]; ok && !slices.Contains(skip, label) {
-			dst = append(dst, labelled{id: n.ID, label: label})
-		}
-	}
-	return dst
-}
-
-// record reconstructs the observable evolution of iteration k from the
-// computed instants vals: the instants of nodes and every execution
-// activity, on the local observation time (no simulator involvement).
-// Instants and activities past the limit stay unrecorded — the reference
-// executor's kernel stops before it reaches them. A nil trace records
-// nothing. record returns the latest instant or activity end of the
-// iteration and whether any of its instants is within the limit.
-func record(trace *observe.Trace, res *derive.Result, nodes []labelled, vals []maxplus.T, k int, limit maxplus.T) (end maxplus.T, reached bool) {
-	end = maxplus.Epsilon
-	for _, n := range nodes {
-		v := vals[n.id]
-		end = maxplus.Oplus(end, v)
-		if v > limit {
-			continue
-		}
-		reached = true
-		if trace != nil {
-			trace.RecordInstant(n.label, v)
-		}
-	}
-	for _, pr := range res.Probes {
-		start := pr.Start(vals[pr.Base], k)
-		if start == maxplus.Epsilon {
-			continue
-		}
-		load := pr.Exec.Load(k)
-		fin := maxplus.Otimes(start, pr.Exec.Resource.DurationOf(load))
-		end = maxplus.Oplus(end, fin)
-		if trace == nil || start > limit {
-			continue
-		}
-		trace.RecordActivity(observe.Activity{
-			Resource: pr.Exec.Resource.Name,
-			Label:    pr.Exec.Label,
-			K:        k,
-			Start:    start,
-			End:      fin,
-			Ops:      load.Ops,
-		})
-	}
-	return end, reached
 }

@@ -48,8 +48,8 @@ type engine struct {
 	confirmed int
 	progress  *sim.Event
 
-	vals      []maxplus.T
-	skipLabel map[string]bool
+	vals  []maxplus.T       // instants of the iteration being recorded
+	nodes []derive.Labelled // the instants record reconstructs
 }
 
 func newEngine(a *model.Architecture, sub *subArch, dres *derive.Result, kern *sim.Kernel, trace *observe.Trace, iters int, limit sim.Time) *engine {
@@ -82,7 +82,7 @@ func newEngine(a *model.Architecture, sub *subArch, dres *derive.Result, kern *s
 	e.outDist = outDistances(g, e.outNode)
 	if trace != nil {
 		e.vals = make([]maxplus.T, g.NodeCount())
-		e.skipLabel = boundaryLabels(sub)
+		e.nodes = dres.LabelledNodes(nil, boundaryLabels(sub))
 	}
 	return e
 }
@@ -306,32 +306,13 @@ func (e *engine) runEmission(p *sim.Proc, orig *model.Channel, rt chanrt.RT) {
 	}
 }
 
-// record reconstructs the group's observable evolution of iteration k:
-// internal instant labels (boundary channels are recorded by their real
-// runtimes) and execution activities, except those past the time limit.
+// record reconstructs the group's observable evolution of iteration k
+// from the wave ring: internal instant labels (boundary channels are
+// recorded by their real runtimes) and execution activities, except
+// those past the time limit.
 func (e *engine) record(k int) {
-	for _, n := range e.graph.Nodes() {
-		label, ok := e.dres.Labels[n.ID]
-		if !ok || e.skipLabel[label] {
-			continue
-		}
-		if v := e.value(n.ID, k); v <= e.limit {
-			e.trace.RecordInstant(label, v)
-		}
+	for id := range e.vals {
+		e.vals[id] = *e.slot(tdg.NodeID(id), k)
 	}
-	for _, pr := range e.dres.Probes {
-		start := pr.Start(e.value(pr.Base, k), k)
-		if start == maxplus.Epsilon || start > e.limit {
-			continue
-		}
-		load := pr.Exec.Load(k)
-		e.trace.RecordActivity(observe.Activity{
-			Resource: pr.Exec.Resource.Name,
-			Label:    pr.Exec.Label,
-			K:        k,
-			Start:    start,
-			End:      maxplus.Otimes(start, pr.Exec.Resource.DurationOf(load)),
-			Ops:      load.Ops,
-		})
-	}
+	e.dres.Record(e.trace, e.nodes, e.vals, k, e.limit)
 }

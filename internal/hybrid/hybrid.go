@@ -26,6 +26,7 @@ package hybrid
 
 import (
 	"fmt"
+	"slices"
 
 	"dyncomp/internal/baseline"
 	"dyncomp/internal/chanrt"
@@ -214,14 +215,10 @@ func checkBoundary(dres *derive.Result) error {
 
 // boundaryLabels lists the instant labels recorded by the boundary
 // channel runtimes, which the computed recording must skip.
-func boundaryLabels(sub *subArch) map[string]bool {
-	skip := map[string]bool{}
-	for _, chs := range [][]*model.Channel{sub.inOrig, sub.outOrig} {
-		for _, ch := range chs {
-			for _, label := range chanrt.Labels(ch) {
-				skip[label] = true
-			}
-		}
+func boundaryLabels(sub *subArch) []string {
+	var skip []string
+	for _, ch := range slices.Concat(sub.inOrig, sub.outOrig) {
+		skip = append(skip, chanrt.Labels(ch)...)
 	}
 	return skip
 }

@@ -69,8 +69,6 @@ type EngineResult struct {
 	WallNs      int64 `json:"wall_ns"`
 	Iterations  int   `json:"iterations,omitempty"`
 	GraphNodes  int   `json:"graph_nodes,omitempty"`
-	Switches    int   `json:"switches,omitempty"`
-	Fallbacks   int   `json:"fallbacks,omitempty"`
 }
 
 // CacheStats is a snapshot of the server's process-wide derivation
@@ -295,8 +293,6 @@ func resultJSON(r *engine.Result) EngineResult {
 		WallNs:      r.WallNs,
 		Iterations:  r.Iterations,
 		GraphNodes:  r.GraphNodes,
-		Switches:    r.Switches,
-		Fallbacks:   r.Fallbacks,
 	}
 }
 
@@ -370,8 +366,6 @@ func pointJSON(pr sweep.PointResult) SweepPoint {
 		WallNs:      pr.Run.Wall.Nanoseconds(),
 		Iterations:  pr.Run.Iterations,
 		GraphNodes:  pr.Run.GraphNodes,
-		Switches:    pr.Run.Switches,
-		Fallbacks:   pr.Run.Fallbacks,
 	}
 	sp.EventRatio = pr.EventRatio
 	sp.SpeedUp = pr.SpeedUp

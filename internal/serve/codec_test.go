@@ -37,7 +37,7 @@ func TestWireTypesRoundTrip(t *testing.T) {
 			Scenario: "didactic",
 			Result: EngineResult{
 				Activations: 12, Events: 34, FinalTimeNs: 56, WallNs: 78,
-				Iterations: 9, GraphNodes: 10, Switches: 2, Fallbacks: 1,
+				Iterations: 9, GraphNodes: 10,
 			},
 			Cache: CacheStats{Shapes: 3, Hits: 5, Misses: 3},
 		}},
@@ -100,7 +100,7 @@ func TestWireTypesRoundTrip(t *testing.T) {
 // renamed JSON tag must fail this test, not a client.
 func TestWireFieldNames(t *testing.T) {
 	b, err := json.Marshal(RunResponse{
-		Result: EngineResult{Iterations: 1, GraphNodes: 1, Switches: 1, Fallbacks: 1},
+		Result: EngineResult{Iterations: 1, GraphNodes: 1},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -115,7 +115,7 @@ func TestWireFieldNames(t *testing.T) {
 	}
 	for _, key := range []string{
 		"activations", "events", "final_time_ns", "wall_ns",
-		"iterations", "graph_nodes", "switches", "fallbacks",
+		"iterations", "graph_nodes",
 	} {
 		if _, ok := result[key]; !ok {
 			t.Errorf("result field %q missing in %s", key, b)
@@ -160,17 +160,16 @@ func TestSampleWireFieldNames(t *testing.T) {
 	checkKeys(RunOptions{Confidence: 0.9}, "confidence")
 }
 
-// resultJSON and pointJSON must carry every engine-result field onto
-// the wire.
+// resultJSON and pointJSON must carry every wire engine-result field.
 func TestResultConversions(t *testing.T) {
 	er := &engine.Result{
 		Activations: 1, Events: 2, FinalTimeNs: 3, WallNs: 4,
-		Iterations: 5, GraphNodes: 6, Switches: 7, Fallbacks: 8,
+		Iterations: 5, GraphNodes: 6,
 	}
 	got := resultJSON(er)
 	want := EngineResult{
 		Activations: 1, Events: 2, FinalTimeNs: 3, WallNs: 4,
-		Iterations: 5, GraphNodes: 6, Switches: 7, Fallbacks: 8,
+		Iterations: 5, GraphNodes: 6,
 	}
 	if got != want {
 		t.Fatalf("resultJSON = %+v, want %+v", got, want)
@@ -180,7 +179,7 @@ func TestResultConversions(t *testing.T) {
 		Point: sweep.Point{Names: []string{"a", "b"}, Values: []int64{1, 2}},
 		Run: sweep.PointStats{
 			Activations: 1, Events: 2, FinalTimeNs: 3, Iterations: 4,
-			GraphNodes: 5, Switches: 6, Fallbacks: 7, Wall: 8 * time.Nanosecond,
+			GraphNodes: 5, Wall: 8 * time.Nanosecond,
 		},
 		EventRatio: 1.5,
 		SpeedUp:    2.5,
@@ -194,7 +193,7 @@ func TestResultConversions(t *testing.T) {
 	}
 	if *sp.Result != (EngineResult{
 		Activations: 1, Events: 2, FinalTimeNs: 3, WallNs: 8,
-		Iterations: 4, GraphNodes: 5, Switches: 6, Fallbacks: 7,
+		Iterations: 4, GraphNodes: 5,
 	}) {
 		t.Fatalf("point result %+v", *sp.Result)
 	}

@@ -2,9 +2,14 @@ package serve
 
 import (
 	"encoding/json"
+	"fmt"
 	"net/http"
 	"strings"
 	"testing"
+
+	"dyncomp/internal/archjson"
+	"dyncomp/internal/engine"
+	"dyncomp/internal/zoo"
 )
 
 // inlineSpec is the served twin of the optimizer's reference design
@@ -326,5 +331,120 @@ func TestOptimizeEndpoint(t *testing.T) {
 	})
 	if code := errorCode(t, resp); code != CodeGridTooLarge {
 		t.Fatalf("oversize design space: code %q", code)
+	}
+}
+
+// exportedTwin exports the scenario built under params as an inline
+// spec, declaring the scenario's canonical hybrid group as the spec's
+// "hybrid" group when withGroup is set.
+func exportedTwin(t *testing.T, scenario string, params zoo.ParamMap, withGroup bool) string {
+	t.Helper()
+	sc, err := zoo.LookupScenario(scenario)
+	if err != nil {
+		t.Fatal(err)
+	}
+	spec, err := archjson.Export(sc.Build(params))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if withGroup {
+		spec.Groups = append(spec.Groups, archjson.Group{Name: "hybrid", Functions: sc.HybridGroup(params)})
+	}
+	b, err := archjson.Marshal(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return string(b)
+}
+
+// A scenario and its exported inline twin take one request path: on
+// every engine, /v1/run answers both with the same evaluation, the
+// hybrid engine abstracting each source's canonical group.
+func TestRunScenarioMatchesInlineTwin(t *testing.T) {
+	_, ts := newTestServer(t, Config{})
+	params := zoo.ParamMap{"stages": 2, "tokens": 300, "seed": 5}
+	pj, err := json.Marshal(params)
+	if err != nil {
+		t.Fatal(err)
+	}
+	twin := exportedTwin(t, "didactic", params, true)
+	for _, eng := range engine.Names() {
+		t.Run(eng, func(t *testing.T) {
+			run := func(body string) RunResponse {
+				t.Helper()
+				resp, err := http.Post(ts.URL+"/v1/run", "application/json", strings.NewReader(body))
+				if err != nil {
+					t.Fatal(err)
+				}
+				if resp.StatusCode != http.StatusOK {
+					t.Fatalf("status %d: %s", resp.StatusCode, errorCode(t, resp))
+				}
+				return decodeBody[RunResponse](t, resp)
+			}
+			sc := run(fmt.Sprintf(`{"engine": %q, "scenario": "didactic", "params": %s}`, eng, pj))
+			in := run(fmt.Sprintf(`{"engine": %q, "architecture": %s}`, eng, twin))
+			if sc.Scenario != "didactic" || in.Architecture == "" || in.Scenario != "" {
+				t.Fatalf("sources named scenario %q / architecture %q, %q", sc.Scenario, in.Architecture, in.Scenario)
+			}
+			a, b := sc.Result, in.Result
+			if a.FinalTimeNs != b.FinalTimeNs || a.Events != b.Events || a.Activations != b.Activations ||
+				a.Iterations != b.Iterations || a.GraphNodes != b.GraphNodes {
+				t.Fatalf("scenario %+v != inline twin %+v", a, b)
+			}
+			if a.FinalTimeNs == 0 {
+				t.Fatalf("empty result %+v", a)
+			}
+		})
+	}
+}
+
+// Every check resolve, hybridGroup and the build share answers the
+// same for both sources; only a failing build answers by source — a
+// spec's resolved-value violation is the request's fault, a scenario
+// builder's failure is the run's.
+func TestRunErrorsPerSource(t *testing.T) {
+	_, ts := newTestServer(t, Config{})
+	noGroup := exportedTwin(t, "didactic", zoo.ParamMap{"tokens": 50}, false)
+	cases := []struct {
+		name            string
+		scenario, spec  string
+		status, statusI int
+		code, codeI     string
+	}{
+		{"unknown param",
+			`{"scenario": "didactic", "params": {"ghost": 1}}`,
+			`{"architecture": ` + inlineSpec + `, "params": {"ghost": 1}}`,
+			http.StatusBadRequest, http.StatusBadRequest, CodeUnknownParam, CodeUnknownParam},
+		{"hybrid without group",
+			`{"engine": "hybrid", "scenario": "random"}`,
+			`{"engine": "hybrid", "architecture": ` + noGroup + `}`,
+			http.StatusBadRequest, http.StatusBadRequest, CodeMissingGroup, CodeMissingGroup},
+		{"build failure",
+			`{"scenario": "chain", "params": {"stages": 0}}`,
+			`{"architecture": ` + inlineSpec + `, "params": {"period": -1}}`,
+			http.StatusUnprocessableEntity, http.StatusBadRequest, CodeRunFailed, CodeInvalidArchitecture},
+	}
+	for _, tc := range cases {
+		for _, c := range []struct {
+			source, body string
+			status       int
+			code         string
+		}{
+			{"scenario", tc.scenario, tc.status, tc.code},
+			{"inline", tc.spec, tc.statusI, tc.codeI},
+		} {
+			t.Run(tc.name+"/"+c.source, func(t *testing.T) {
+				resp, err := http.Post(ts.URL+"/v1/run", "application/json", strings.NewReader(c.body))
+				if err != nil {
+					t.Fatal(err)
+				}
+				if resp.StatusCode != c.status {
+					t.Fatalf("status %d, want %d", resp.StatusCode, c.status)
+				}
+				if code := errorCode(t, resp); code != c.code {
+					t.Fatalf("code %q, want %q", code, c.code)
+				}
+			})
+		}
 	}
 }

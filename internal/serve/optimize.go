@@ -91,7 +91,12 @@ func (s *Server) handleOptimize(w http.ResponseWriter, r *http.Request) {
 			"an inline architecture is required")
 		return
 	}
-	eng, spec, aerr := resolveInline(req.Engine, "", req.Architecture, nil)
+	eng, aerr := lookupEngine(req.Engine)
+	if aerr != nil {
+		WriteError(w, aerr.Status, aerr.Code, "%s", aerr.Msg)
+		return
+	}
+	spec, aerr := decodeArchitecture(req.Architecture)
 	if aerr != nil {
 		WriteError(w, aerr.Status, aerr.Code, "%s", aerr.Msg)
 		return
@@ -154,7 +159,7 @@ func (s *Server) handleOptimize(w http.ResponseWriter, r *http.Request) {
 	if !s.admitPoints(w, r, points) {
 		return
 	}
-	group, aerr := inlineHybridGroup(eng, spec, req.Options.Group)
+	group, aerr := hybridGroup(eng, spec.Source(), req.Options.Group, nil)
 	if aerr != nil {
 		WriteError(w, aerr.Status, aerr.Code, "%s", aerr.Msg)
 		return

@@ -28,59 +28,67 @@ func requestErrorf(status int, code, format string, args ...any) *RequestError {
 	return &RequestError{Status: status, Code: code, Msg: fmt.Sprintf(format, args...)}
 }
 
-// resolve validates the engine name, scenario name and parameters shared
-// by /v1/run and /v1/sweeps, returning the resolved registry entries.
-func resolve(engineName, scenarioName string, params map[string]int64) (engine.Engine, zoo.Scenario, zoo.ParamMap, *RequestError) {
-	if engineName == "" {
-		engineName = "equivalent"
+// defaultEngine is the engine a request that names none runs.
+const defaultEngine = "equivalent"
+
+// lookupEngine resolves a request's engine name.
+func lookupEngine(name string) (engine.Engine, *RequestError) {
+	if name == "" {
+		name = defaultEngine
 	}
-	eng, err := engine.Lookup(engineName)
+	eng, err := engine.Lookup(name)
 	if err != nil {
-		return nil, zoo.Scenario{}, nil, requestErrorf(http.StatusBadRequest, CodeUnknownEngine, "%v", err)
+		return nil, requestErrorf(http.StatusBadRequest, CodeUnknownEngine, "%v", err)
 	}
-	sc, err := zoo.LookupScenario(scenarioName)
-	if err != nil {
-		return nil, zoo.Scenario{}, nil, requestErrorf(http.StatusBadRequest, CodeUnknownScenario, "%v", err)
+	return eng, nil
+}
+
+// resolve validates what /v1/run and /v1/sweeps share: the engine
+// name, the model source — a registered scenario or an inline
+// architecture spec, never both — and the parameter names.
+func resolve(engineName, scenarioName string, rawArch []byte, params map[string]int64) (engine.Engine, zoo.Source, *RequestError) {
+	inline := hasArchitecture(rawArch)
+	if inline && scenarioName != "" {
+		return nil, zoo.Source{}, requestErrorf(http.StatusBadRequest, CodeInvalidArchitecture,
+			"scenario and architecture are mutually exclusive")
 	}
-	pm := zoo.ParamMap(params)
-	if err := sc.CheckParams(pm); err != nil {
-		return nil, zoo.Scenario{}, nil, requestErrorf(http.StatusBadRequest, CodeUnknownParam, "%v", err)
+	eng, aerr := lookupEngine(engineName)
+	if aerr != nil {
+		return nil, zoo.Source{}, aerr
 	}
-	return eng, sc, pm, nil
+	var src zoo.Source
+	if inline {
+		spec, aerr := decodeArchitecture(rawArch)
+		if aerr != nil {
+			return nil, zoo.Source{}, aerr
+		}
+		src = spec.Source()
+	} else {
+		sc, err := zoo.LookupScenario(scenarioName)
+		if err != nil {
+			return nil, zoo.Source{}, requestErrorf(http.StatusBadRequest, CodeUnknownScenario, "%v", err)
+		}
+		src = sc.Source()
+	}
+	if err := src.CheckParams(params); err != nil {
+		return nil, zoo.Source{}, requestErrorf(http.StatusBadRequest, CodeUnknownParam, "%v", err)
+	}
+	return eng, src, nil
 }
 
 // hybridGroup resolves the abstraction group for the hybrid engine: the
-// request's explicit group wins, then the scenario's canonical group;
-// scenarios without one (e.g. randomized structures) require the
-// explicit group.
-func hybridGroup(eng engine.Engine, sc zoo.Scenario, requested []string, p zoo.Params) ([]string, *RequestError) {
-	if eng.Name() != "hybrid" {
+// request's explicit group wins, then the source's canonical group;
+// sources without one (e.g. randomized structures, specs declaring no
+// group) require the explicit group.
+func hybridGroup(eng engine.Engine, src zoo.Source, requested []string, p zoo.Params) ([]string, *RequestError) {
+	if eng.Name() != "hybrid" || len(requested) > 0 {
 		return requested, nil
 	}
-	if len(requested) > 0 {
-		return requested, nil
+	if g := src.Group(p); g != nil {
+		return g, nil
 	}
-	if sc.HybridGroup == nil {
-		return nil, requestErrorf(http.StatusBadRequest, CodeMissingGroup,
-			"scenario %q has no canonical hybrid group; set options.group", sc.Name)
-	}
-	return sc.HybridGroup(p), nil
-}
-
-// buildArchitecture runs a scenario builder, converting its panics —
-// the model layer uses them for invalid configurations — into errors so
-// one bad request cannot kill the process.
-func buildArchitecture(sc zoo.Scenario, p zoo.Params) (a *model.Architecture, err error) {
-	defer func() {
-		if r := recover(); r != nil {
-			a, err = nil, fmt.Errorf("scenario %q: %v", sc.Name, r)
-		}
-	}()
-	a = sc.Build(p)
-	if a == nil {
-		return nil, fmt.Errorf("scenario %q built no architecture", sc.Name)
-	}
-	return a, nil
+	return nil, requestErrorf(http.StatusBadRequest, CodeMissingGroup,
+		"%v has no canonical hybrid group; set options.group", src)
 }
 
 // runEngine executes one engine run with panic confinement, mirroring
@@ -94,33 +102,38 @@ func runEngine(ctx context.Context, eng engine.Engine, a *model.Architecture, op
 	return eng.Run(ctx, a, opts)
 }
 
-// handleRun serves POST /v1/run: decode, resolve against the two
-// registries, evaluate synchronously on the caller's request context
-// (a dropped connection cancels the run at the engine's granularity),
-// and answer with the unified result plus a cache snapshot.
+// handleRun serves POST /v1/run: decode, resolve the engine and the
+// model source (scenario or inline architecture), evaluate
+// synchronously on the caller's request context (a dropped connection
+// cancels the run at the engine's granularity), and answer with the
+// unified result plus a cache snapshot.
 func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 	var req RunRequest
 	if aerr := DecodeJSON(w, r, &req); aerr != nil {
 		WriteError(w, aerr.Status, aerr.Code, "%s", aerr.Msg)
 		return
 	}
-	if hasArchitecture(req.Architecture) {
-		s.handleRunInline(w, r, req)
-		return
-	}
-	eng, sc, pm, aerr := resolve(req.Engine, req.Scenario, req.Params)
+	eng, src, aerr := resolve(req.Engine, req.Scenario, req.Architecture, req.Params)
 	if aerr != nil {
 		WriteError(w, aerr.Status, aerr.Code, "%s", aerr.Msg)
 		return
 	}
-	group, aerr := hybridGroup(eng, sc, req.Options.Group, pm)
+	pm := zoo.ParamMap(req.Params)
+	group, aerr := hybridGroup(eng, src, req.Options.Group, pm)
 	if aerr != nil {
 		WriteError(w, aerr.Status, aerr.Code, "%s", aerr.Msg)
 		return
 	}
-	a, err := buildArchitecture(sc, pm)
+	a, err := src.Build(pm)
 	if err != nil {
-		WriteError(w, http.StatusUnprocessableEntity, CodeRunFailed, "%v", err)
+		status, code := http.StatusUnprocessableEntity, CodeRunFailed
+		if src.Inline {
+			// A resolved-value violation the spec's structural check
+			// cannot see (e.g. a binding driving a speed to zero) is the
+			// request's fault.
+			status, code = http.StatusBadRequest, CodeInvalidArchitecture
+		}
+		WriteError(w, status, code, "%v", err)
 		return
 	}
 	if !s.admitPoints(w, r, 1) {
@@ -145,10 +158,15 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 	}
 	s.metrics.inc(metricRuns, fmt.Sprintf(`engine=%q`, eng.Name()))
 	hits, misses := s.cache.Stats()
-	WriteJSON(w, http.StatusOK, RunResponse{
-		Engine:   eng.Name(),
-		Scenario: sc.Name,
-		Result:   resultJSON(res),
-		Cache:    CacheStats{Shapes: s.cache.Shapes(), Hits: hits, Misses: misses},
-	})
+	resp := RunResponse{
+		Engine: eng.Name(),
+		Result: resultJSON(res),
+		Cache:  CacheStats{Shapes: s.cache.Shapes(), Hits: hits, Misses: misses},
+	}
+	if src.Inline {
+		resp.Architecture = src.Name
+	} else {
+		resp.Scenario = src.Name
+	}
+	WriteJSON(w, http.StatusOK, resp)
 }

@@ -56,50 +56,9 @@ type SweepDefaults struct {
 	MaxGridPoints int
 }
 
-// compileSweepOptions validates and maps the wire sweep options every
-// model source (scenario or inline architecture) shares: batch width,
-// sampling knobs, worker count, engine options. Group resolution stays
-// with the caller — it differs between the two sources.
-func compileSweepOptions(o SweepOptions, d SweepDefaults, engineName string) (sweep.Options, *RequestError) {
-	if o.BatchWidth < 0 {
-		return sweep.Options{}, requestErrorf(http.StatusBadRequest, CodeBadJSON,
-			"options.batch_width must be non-negative, got %d", o.BatchWidth)
-	}
-	if o.SampleTolerance < 0 {
-		return sweep.Options{}, requestErrorf(http.StatusBadRequest, CodeInvalidSample,
-			"options.sample_tolerance must be non-negative, got %g", o.SampleTolerance)
-	}
-	if o.SampleBudget < 0 {
-		return sweep.Options{}, requestErrorf(http.StatusBadRequest, CodeInvalidSample,
-			"options.sample_budget must be non-negative, got %d", o.SampleBudget)
-	}
-	workers := o.Workers
-	if workers <= 0 {
-		workers = d.Workers
-	}
-	batchWidth := o.BatchWidth
-	if batchWidth == 0 {
-		batchWidth = d.BatchWidth
-	}
-	opts := sweep.Options{
-		Workers:    workers,
-		Engine:     engineName,
-		Baseline:   o.Baseline,
-		Limit:      sim.Time(o.LimitNs),
-		BatchWidth: batchWidth,
-		Sample: sweep.SampleOptions{
-			Tolerance: o.SampleTolerance,
-			Budget:    o.SampleBudget,
-			Verify:    o.SampleVerify,
-		},
-	}
-	opts.Derive.Reduce = o.Reduce
-	return opts, nil
-}
-
 // CompileSweep validates everything about a sweep request that can fail
-// fast — registry names (or the inline architecture spec), parameters,
-// axes, grid size, group, batch width — and compiles it into a
+// fast — engine, model source (scenario or inline architecture spec),
+// parameters, axes, grid size, group, options — and compiles it into a
 // SweepPlan ready for sweep.Run, sweep.RunIndices or distributed
 // planning.
 func CompileSweep(req SweepRequest, d SweepDefaults) (*SweepPlan, *RequestError) {
@@ -112,10 +71,7 @@ func CompileSweep(req SweepRequest, d SweepDefaults) (*SweepPlan, *RequestError)
 	if d.MaxGridPoints <= 0 {
 		d.MaxGridPoints = 100000
 	}
-	if hasArchitecture(req.Architecture) {
-		return compileSweepInline(req, d)
-	}
-	eng, sc, fixed, aerr := resolve(req.Engine, req.Scenario, req.Params)
+	eng, src, aerr := resolve(req.Engine, req.Scenario, req.Architecture, req.Params)
 	if aerr != nil {
 		return nil, aerr
 	}
@@ -123,14 +79,14 @@ func CompileSweep(req SweepRequest, d SweepDefaults) (*SweepPlan, *RequestError)
 	if err != nil {
 		return nil, requestErrorf(http.StatusBadRequest, CodeInvalidAxes, "%v", err)
 	}
-	// Axis names are scenario parameters too: a typoed axis would sweep
-	// a knob the builder never reads, silently evaluating one point N
+	// Axis names are model parameters too: a typoed axis would sweep a
+	// knob the builder never reads, silently evaluating one point N
 	// times.
-	axisParams := zoo.ParamMap{}
+	axisParams := map[string]int64{}
 	for _, ax := range axes {
 		axisParams[ax.Name] = ax.Values[0]
 	}
-	if err := sc.CheckParams(axisParams); err != nil {
+	if err := src.CheckParams(axisParams); err != nil {
 		return nil, requestErrorf(http.StatusBadRequest, CodeInvalidAxes, "%v", err)
 	}
 	points := 1
@@ -141,31 +97,60 @@ func CompileSweep(req SweepRequest, d SweepDefaults) (*SweepPlan, *RequestError)
 				"grid exceeds %d points", d.MaxGridPoints)
 		}
 	}
-	if _, aerr := hybridGroup(eng, sc, req.Options.Group, fixed); aerr != nil {
+	fixed := zoo.ParamMap(req.Params)
+	if _, aerr := hybridGroup(eng, src, req.Options.Group, fixed); aerr != nil {
 		return nil, aerr
 	}
 
-	opts, aerr := compileSweepOptions(req.Options, d, eng.Name())
-	if aerr != nil {
-		return nil, aerr
+	o := req.Options
+	if o.BatchWidth < 0 {
+		return nil, requestErrorf(http.StatusBadRequest, CodeBadJSON,
+			"options.batch_width must be non-negative, got %d", o.BatchWidth)
 	}
-	if len(req.Options.Group) > 0 {
-		opts.Group = req.Options.Group
+	if o.SampleTolerance < 0 {
+		return nil, requestErrorf(http.StatusBadRequest, CodeInvalidSample,
+			"options.sample_tolerance must be non-negative, got %g", o.SampleTolerance)
+	}
+	if o.SampleBudget < 0 {
+		return nil, requestErrorf(http.StatusBadRequest, CodeInvalidSample,
+			"options.sample_budget must be non-negative, got %d", o.SampleBudget)
+	}
+	if o.Workers <= 0 {
+		o.Workers = d.Workers
+	}
+	if o.BatchWidth == 0 {
+		o.BatchWidth = d.BatchWidth
+	}
+	opts := sweep.Options{
+		Workers:    o.Workers,
+		Engine:     eng.Name(),
+		Baseline:   o.Baseline,
+		Limit:      sim.Time(o.LimitNs),
+		BatchWidth: o.BatchWidth,
+		Sample: sweep.SampleOptions{
+			Tolerance: o.SampleTolerance,
+			Budget:    o.SampleBudget,
+			Verify:    o.SampleVerify,
+		},
+	}
+	opts.Derive.Reduce = o.Reduce
+	if len(o.Group) > 0 {
+		opts.Group = o.Group
 	} else if eng.Name() == "hybrid" {
 		// Per point: axes may change the structure and with it the
 		// canonical group (e.g. sweeping the fork-join worker count).
 		opts.GroupFor = func(p sweep.Point) []string {
-			return sc.HybridGroup(layeredParams{p: p, fixed: fixed})
+			return src.Group(layeredParams{p: p, fixed: fixed})
 		}
 	}
 	return &SweepPlan{
 		Engine:   eng.Name(),
-		Scenario: sc.Name,
+		Scenario: src.Name,
 		Axes:     axes,
 		Opts:     opts,
 		Total:    points,
 		Gen: func(p sweep.Point) (*model.Architecture, error) {
-			return sc.Build(layeredParams{p: p, fixed: fixed}), nil
+			return src.Build(layeredParams{p: p, fixed: fixed})
 		},
 	}, nil
 }

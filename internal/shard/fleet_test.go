@@ -181,9 +181,7 @@ func assertBitIdentical(t *testing.T, res serve.JobResult, local *sweep.Result) 
 			fp.Result.Activations != lp.Run.Activations ||
 			fp.Result.Events != lp.Run.Events ||
 			fp.Result.Iterations != lp.Run.Iterations ||
-			fp.Result.GraphNodes != lp.Run.GraphNodes ||
-			fp.Result.Switches != lp.Run.Switches ||
-			fp.Result.Fallbacks != lp.Run.Fallbacks {
+			fp.Result.GraphNodes != lp.Run.GraphNodes {
 			t.Fatalf("point %d: fleet %+v != local %+v", i, *fp.Result, lp.Run)
 		}
 		if math.Float64bits(fp.EventRatio) != math.Float64bits(lp.EventRatio) {

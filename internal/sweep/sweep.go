@@ -294,8 +294,6 @@ type PointStats struct {
 	FinalTimeNs int64         // simulated time reached
 	Iterations  int           // evolution iterations computed
 	GraphNodes  int           // graph size in the paper's counting (engines that derive one)
-	Switches    int           // engine.Result.Switches (zero for the built-in engines)
-	Fallbacks   int           // engine.Result.Fallbacks (zero for the built-in engines)
 	Wall        time.Duration // host wall-clock time of the run
 }
 
@@ -667,8 +665,6 @@ func pointStats(r *engine.Result) PointStats {
 		FinalTimeNs: r.FinalTimeNs,
 		Iterations:  r.Iterations,
 		GraphNodes:  r.GraphNodes,
-		Switches:    r.Switches,
-		Fallbacks:   r.Fallbacks,
 		Wall:        time.Duration(r.WallNs),
 	}
 }

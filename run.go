@@ -98,11 +98,6 @@ type EngineResult struct {
 	Iterations int `json:"iterations,omitempty"`
 	// GraphNodes is the derived graph size in the paper's counting.
 	GraphNodes int `json:"graph_nodes,omitempty"`
-	// Switches and Fallbacks count an engine's changes between
-	// event-driven and computed execution; the built-in engines report
-	// zero.
-	Switches  int `json:"switches,omitempty"`
-	Fallbacks int `json:"fallbacks,omitempty"`
 }
 
 // Engines lists the registered execution engines, sorted by name —
@@ -153,7 +148,5 @@ func Run(ctx context.Context, engineName string, a *Architecture, opts EngineOpt
 		WallNs:      r.WallNs,
 		Iterations:  r.Iterations,
 		GraphNodes:  r.GraphNodes,
-		Switches:    r.Switches,
-		Fallbacks:   r.Fallbacks,
 	}, nil
 }

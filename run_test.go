@@ -42,7 +42,7 @@ func TestRunMatchesLegacyWrappers(t *testing.T) {
 		if r.FinalTimeNs != ref.FinalTimeNs {
 			t.Fatalf("%s: final time %d, reference %d", name, r.FinalTimeNs, ref.FinalTimeNs)
 		}
-		if name == "adaptive" && (r.Events != 0 || r.Activations != 0 || r.Switches != 0 || r.Fallbacks != 0) {
+		if name == "adaptive" && (r.Events != 0 || r.Activations != 0) {
 			t.Fatalf("adaptive paid kernel work: %+v", r)
 		}
 	}

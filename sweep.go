@@ -120,11 +120,6 @@ type SweepPointResult struct {
 	// (undefined) when the engine ran no activation.
 	EventRatio float64
 	SpeedUp    float64
-	// Switches and Fallbacks report the engine's changes between
-	// event-driven and computed execution (zero for the built-in
-	// engines).
-	Switches  int
-	Fallbacks int
 	// Source reports how a sampled sweep obtained this point:
 	// SweepSourceSimulated or SweepSourcePredicted. Empty in exhaustive
 	// sweeps.
@@ -203,8 +198,6 @@ func SweepContext(ctx context.Context, axes []SweepAxis, gen SweepGenerator, opt
 			Wall:         pr.Run.Wall,
 			EventRatio:   pr.EventRatio,
 			SpeedUp:      pr.SpeedUp,
-			Switches:     pr.Run.Switches,
-			Fallbacks:    pr.Run.Fallbacks,
 			Source:       pr.Source,
 			PredBound:    pr.PredBound,
 			PredObserved: pr.PredObserved,
