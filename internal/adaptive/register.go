@@ -19,7 +19,6 @@ import (
 	"time"
 
 	"dyncomp/internal/core"
-	"dyncomp/internal/derive"
 	"dyncomp/internal/engine"
 	"dyncomp/internal/model"
 	"dyncomp/internal/observe"
@@ -39,13 +38,7 @@ func (adEngine) Run(ctx context.Context, a *model.Architecture, opts engine.Opti
 		return nil, err
 	}
 	begin := time.Now()
-	var dres *derive.Result
-	var err error
-	if opts.Cache != nil {
-		dres, err = opts.Cache.Derive(a, opts.Derive)
-	} else {
-		dres, err = derive.Derive(a, opts.Derive)
-	}
+	dres, err := opts.Cache.Derive(a, opts.Derive)
 	if err != nil {
 		return nil, err
 	}
@@ -88,13 +81,7 @@ func (adEngine) RunBatch(ctx context.Context, archs []*model.Architecture, opts 
 		return nil, nil, fmt.Errorf("adaptive: RunBatch with no architectures")
 	}
 	begin := time.Now()
-	var lanes []*derive.Result
-	var err error
-	if opts.Cache != nil {
-		lanes, err = opts.Cache.DeriveBatch(archs, opts.Derive)
-	} else {
-		lanes, err = derive.DeriveBatch(archs, opts.Derive)
-	}
+	lanes, err := opts.Cache.DeriveBatch(archs, opts.Derive)
 	if err != nil {
 		return nil, nil, err
 	}

@@ -4,7 +4,6 @@ import (
 	"context"
 	"time"
 
-	"dyncomp/internal/derive"
 	uni "dyncomp/internal/engine"
 	"dyncomp/internal/model"
 	"dyncomp/internal/observe"
@@ -23,13 +22,7 @@ func (eqEngine) Run(ctx context.Context, a *model.Architecture, opts uni.Options
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	var dres *derive.Result
-	var err error
-	if opts.Cache != nil {
-		dres, err = opts.Cache.Derive(a, opts.Derive)
-	} else {
-		dres, err = derive.Derive(a, opts.Derive)
-	}
+	dres, err := opts.Cache.Derive(a, opts.Derive)
 	if err != nil {
 		return nil, err
 	}

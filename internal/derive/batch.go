@@ -60,8 +60,11 @@ func DeriveBatch(archs []*model.Architecture, opts Options) ([]*Result, error) {
 // error, not a partial result, so callers can fall back to per-point
 // derivation wholesale. The request counts as len(archs) cache requests:
 // one miss plus len(archs)-1 hits when the template is fresh, len(archs)
-// hits otherwise.
+// hits otherwise. A nil cache derives privately, through DeriveBatch.
 func (c *Cache) DeriveBatch(archs []*model.Architecture, opts Options) ([]*Result, error) {
+	if c == nil {
+		return DeriveBatch(archs, opts)
+	}
 	if len(archs) == 0 {
 		return nil, fmt.Errorf("derive: DeriveBatch with no architectures")
 	}
@@ -79,38 +82,13 @@ func (c *Cache) DeriveBatch(archs []*model.Architecture, opts Options) ([]*Resul
 				i+1, a.Name, archs[0].Name)
 		}
 	}
-	entryKey := entryKeyFor(key, opts)
-
-	c.mu.Lock()
-	c.clock++
-	e, ok := c.entries[entryKey]
-	if !ok {
-		e = &cacheEntry{key: entryKey, arch: archs[0].Name}
-		c.entries[entryKey] = e
-		c.evictLocked(e)
+	tmpl, err := c.template(archs[0], key, opts, len(archs))
+	if err != nil {
+		return nil, err
 	}
-	e.hits += int64(len(archs))
-	e.lastUsed = c.clock
-	c.mu.Unlock()
-
-	first := false
-	e.once.Do(func() {
-		first = true
-		c.misses.Add(1)
-		e.res, e.err = Derive(archs[0], opts)
-	})
-	if e.err != nil {
-		return nil, e.err
-	}
-	hits := int64(len(archs))
-	if first {
-		hits--
-	}
-	c.hits.Add(hits)
-
 	out := make([]*Result, len(archs))
 	for i, a := range archs {
-		if out[i], err = rebind(e.res, a, key); err != nil {
+		if out[i], err = rebind(tmpl, a, key); err != nil {
 			return nil, fmt.Errorf("derive: batch lane %d: %w", i, err)
 		}
 	}

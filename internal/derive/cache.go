@@ -81,12 +81,28 @@ func (c *Cache) Limit() int {
 // the cache holds no template for a's structural shape under the given
 // options. The returned Result is freshly bound (its graph weights,
 // probes and boundary bindings reference a), so each caller may run it
-// independently of every other point sharing the template.
+// independently of every other point sharing the template. A nil cache
+// derives privately: every call runs the package-level Derive.
 func (c *Cache) Derive(a *model.Architecture, opts Options) (*Result, error) {
+	if c == nil {
+		return Derive(a, opts)
+	}
 	key, err := ShapeKey(a)
 	if err != nil {
 		return nil, err
 	}
+	tmpl, err := c.template(a, key, opts, 1)
+	if err != nil {
+		return nil, err
+	}
+	return rebind(tmpl, a, key)
+}
+
+// template serves n requests for the template of shape key under opts:
+// look the entry up (creating it, and evicting under the LRU bound),
+// derive it from a at most once per entry, and count a miss for the
+// request that derived and a hit for every other one.
+func (c *Cache) template(a *model.Architecture, key string, opts Options, n int) (*Result, error) {
 	entryKey := entryKeyFor(key, opts)
 
 	c.mu.Lock()
@@ -97,7 +113,7 @@ func (c *Cache) Derive(a *model.Architecture, opts Options) (*Result, error) {
 		c.entries[entryKey] = e
 		c.evictLocked(e)
 	}
-	e.hits++
+	e.hits += int64(n)
 	e.lastUsed = c.clock
 	c.mu.Unlock()
 
@@ -110,10 +126,13 @@ func (c *Cache) Derive(a *model.Architecture, opts Options) (*Result, error) {
 	if e.err != nil {
 		return nil, e.err
 	}
-	if !first {
-		c.hits.Add(1)
+	if first {
+		n--
 	}
-	return rebind(e.res, a, key)
+	if n > 0 {
+		c.hits.Add(int64(n))
+	}
+	return e.res, nil
 }
 
 // evictLocked drops least-recently-used entries until the cache respects

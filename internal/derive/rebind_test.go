@@ -203,6 +203,37 @@ func TestCacheDerivesOncePerShape(t *testing.T) {
 	if c.Shapes() != 2 {
 		t.Fatalf("cache holds %d shapes, want 2", c.Shapes())
 	}
+
+	// A nil cache derives privately: every Derive runs one derivation,
+	// a batch one for all its lanes, and each lane stays bound to its
+	// own architecture.
+	var private *Cache
+	archs := []*model.Architecture{
+		zoo.Didactic(zoo.DidacticSpec{Tokens: 10, Period: 900, Seed: 1}),
+		zoo.Didactic(zoo.DidacticSpec{Tokens: 10, Period: 700, Seed: 2}),
+	}
+	before = Calls()
+	for _, a := range archs {
+		r, err := private.Derive(a, Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if r.Arch != a {
+			t.Fatalf("private derivation bound to %q, want %q", r.Arch.Name, a.Name)
+		}
+	}
+	lanes, err := private.DeriveBatch(archs, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, lane := range lanes {
+		if lane.Arch != archs[i] {
+			t.Fatalf("private lane %d bound to %q, want %q", i, lane.Arch.Name, archs[i].Name)
+		}
+	}
+	if got := Calls() - before; got != 3 {
+		t.Fatalf("a nil cache ran Derive %d times, want 3 (two points, one batch)", got)
+	}
 }
 
 func TestCacheOptionsSeparateEntries(t *testing.T) {

@@ -86,12 +86,7 @@ func Run(a *model.Architecture, opts Options) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	var dres *derive.Result
-	if opts.Cache != nil {
-		dres, err = opts.Cache.Derive(sub.arch, opts.Derive)
-	} else {
-		dres, err = derive.Derive(sub.arch, opts.Derive)
-	}
+	dres, err := opts.Cache.Derive(sub.arch, opts.Derive)
 	if err != nil {
 		return nil, err
 	}

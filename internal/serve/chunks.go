@@ -104,7 +104,15 @@ func (s *Server) handleChunkRun(w http.ResponseWriter, r *http.Request) {
 		BatchedPoints: res.Stats.BatchedPoints,
 	}
 	for _, pr := range res.Points {
-		out.Points = append(out.Points, ChunkPoint{Index: pr.Point.Index, SweepPoint: pointJSON(pr)})
+		out.Points = append(out.Points, ChunkPointOf(pr))
 	}
 	WriteJSON(w, http.StatusOK, out)
+}
+
+// ChunkPointOf renders one evaluated or failed sweep point in its chunk
+// wire form. The coordinator renders the points it fails itself —
+// plan-time failures and chunks no worker could evaluate — through it
+// too, so they read exactly as a worker's would.
+func ChunkPointOf(pr sweep.PointResult) ChunkPoint {
+	return ChunkPoint{Index: pr.Point.Index, SweepPoint: pointJSON(pr)}
 }

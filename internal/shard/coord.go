@@ -11,8 +11,8 @@
 //     by derive.ShapeKey, so every chunk of a shape cohort lands on the
 //     same worker: its structure-keyed derivation cache derives once and
 //     rebinds for the rest, and its batched lanes fill exactly as a
-//     single-process sweep's would (chunk cuts are aligned to the batch
-//     width).
+//     single-process sweep's would (chunks are cut by sweep.Plan, the
+//     batched sweep's own planner).
 //
 //   - Deterministic planning. The plan — grid expansion, cohort
 //     grouping, chunk cuts — is a pure function of the persisted sweep
@@ -36,6 +36,7 @@ import (
 	"errors"
 	"fmt"
 	"log/slog"
+	"math"
 	"net/http"
 	"net/url"
 	"strings"
@@ -239,8 +240,10 @@ func (c *Coordinator) evicted(n int) {
 func (c *Coordinator) recoverJob(jr JobRecord) {
 	// Replan under neutral defaults: the spec's pinned batch width and
 	// the recorded chunk size carry the plan-relevant knobs, so a
-	// restart with different flags still cuts identical chunks.
-	jp, rerr := planJob(jr.Spec, serve.SweepDefaults{Workers: c.cfg.Defaults.Workers}, jr.ChunkPoints)
+	// restart with different flags still cuts identical chunks. The job
+	// was admitted when it was submitted; recovery never re-admits it,
+	// so no grid-size bound applies.
+	jp, rerr := planJob(jr.Spec, serve.SweepDefaults{Workers: c.cfg.Defaults.Workers, MaxGridPoints: math.MaxInt}, jr.ChunkPoints)
 	if rerr != nil {
 		// The spec no longer compiles (e.g. a scenario was removed).
 		// Surface the job as failed instead of silently dropping it.
@@ -339,7 +342,7 @@ func (c *Coordinator) submit(req serve.SweepRequest) (*job, *serve.RequestError)
 	// Pin the effective batch width into the persisted (and dispatched)
 	// spec: workers must not substitute their own default, and a
 	// restarted coordinator must replan the same cuts.
-	req.Options.BatchWidth = jp.effWidth
+	req.Options.BatchWidth = jp.plan.Opts.BatchWidth
 
 	j := newJob(req, time.Now(), jp)
 	j.OnSettle = c.persistState(j)
@@ -406,7 +409,7 @@ func (c *Coordinator) runJob(j *job) {
 // points settle with the fabric error.
 func (c *Coordinator) dispatchChunk(ctx context.Context, j *job, ci int) {
 	cp := j.chunks[ci]
-	req := serve.ChunkRequest{SweepRequest: j.spec, Indices: cp.indices}
+	req := serve.ChunkRequest{SweepRequest: j.spec, Indices: cp.Indices}
 	exclude := map[string]bool{}
 	var lastErr error
 	var backoff time.Duration
@@ -428,7 +431,7 @@ func (c *Coordinator) dispatchChunk(ctx context.Context, j *job, ci int) {
 			}
 			c.chunkRetries.Add(1)
 		}
-		worker, ok := c.ring.lookup(cp.shape, exclude)
+		worker, ok := c.ring.lookup(cp.Shape, exclude)
 		if !ok {
 			if lastErr == nil {
 				lastErr = errors.New("no live worker")

@@ -14,11 +14,10 @@ import (
 // the lifecycle lock.
 type job struct {
 	serve.Lifecycle
-	spec     serve.SweepRequest // effective batch width pinned
-	axes     []sweep.Axis
-	shapes   int
-	effWidth int
-	chunks   []chunkPlan
+	spec   serve.SweepRequest // effective batch width pinned
+	axes   []sweep.Axis
+	shapes int
+	chunks []sweep.Chunk
 
 	chunkDone     []bool
 	points        []*serve.SweepPoint // by global grid index
@@ -43,7 +42,6 @@ func newJob(spec serve.SweepRequest, created time.Time, jp *jobPlan) *job {
 		spec:      spec,
 		axes:      jp.plan.Axes,
 		shapes:    jp.shapes,
-		effWidth:  jp.effWidth,
 		chunks:    jp.chunks,
 		chunkDone: make([]bool, len(jp.chunks)),
 		points:    make([]*serve.SweepPoint, jp.plan.Total),
@@ -94,13 +92,13 @@ func (j *job) applyChunk(ci int, points []serve.ChunkPoint, batches, batchedPoin
 // persisted — a restarted coordinator re-dispatches the chunk, and a
 // recovered fleet may then complete it.
 func (j *job) failChunk(ci int, err error) {
-	pts, gerr := sweep.GridSelect(j.axes, j.chunks[ci].indices)
+	pts, gerr := sweep.GridSelect(j.axes, j.chunks[ci].Indices)
 	if gerr != nil {
 		return // the plan produced these indices; cannot happen
 	}
 	points := make([]serve.ChunkPoint, 0, len(pts))
 	for _, p := range pts {
-		points = append(points, failedPoint(p, err))
+		points = append(points, serve.ChunkPointOf(sweep.PointResult{Point: p, Err: err}))
 	}
 	j.applyChunk(ci, points, 0, 0)
 }
@@ -177,8 +175,8 @@ func (j *job) statsLocked(life serve.Job) *serve.SweepStats {
 	if life.Started != nil && life.Finished != nil {
 		st.WallNs = life.Finished.Sub(*life.Started).Nanoseconds()
 	}
-	if j.batches > 0 && j.effWidth > 0 {
-		st.BatchOccupancy = float64(j.batchedPoints) / float64(j.batches*j.effWidth)
+	if w := j.spec.Options.BatchWidth; j.batches > 0 && w > 0 {
+		st.BatchOccupancy = float64(j.batchedPoints) / float64(j.batches*w)
 	}
 	if j.spec.Options.Baseline {
 		// Aggregate in grid order from the successful points, the exact

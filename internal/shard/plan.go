@@ -1,45 +1,31 @@
 package shard
 
 import (
-	"fmt"
+	"context"
 
-	"dyncomp/internal/derive"
 	"dyncomp/internal/serve"
 	"dyncomp/internal/sweep"
 )
-
-// chunkPlan is one unit of dispatch: a run of row-major grid indices
-// from a single shape cohort, routed on the ring by the cohort's
-// structural shape.
-type chunkPlan struct {
-	shape   string
-	indices []int
-}
 
 // jobPlan is a sweep spec compiled and cut for the fleet. Planning is
 // deterministic — same spec, same chunks in the same order — which is
 // what lets a restarted coordinator identify recovered chunk results by
 // nothing more than their position in the plan.
 type jobPlan struct {
-	plan     *serve.SweepPlan
-	chunks   []chunkPlan
-	failed   []serve.ChunkPoint // points that fail before any worker sees them
-	shapes   int                // distinct structural shapes across the grid
-	effWidth int                // the batch width pinned into every chunk request
+	plan   *serve.SweepPlan
+	chunks []sweep.Chunk      // routed on the ring by their Shape
+	failed []serve.ChunkPoint // points that fail before any worker sees them
+	shapes int                // distinct structural shapes across the grid
 }
 
 // planJob validates the spec through the exact path a worker will use
-// (serve.CompileSweep), expands the grid, derives each point's
-// structural shape, groups points into the same cohorts the worker-side
-// sweep will form (sweep.CohortKey), and cuts each cohort into chunks.
-//
-// Chunk cuts are aligned to the effective batch width: every chunk but
-// a cohort's last carries a multiple of the width, so the worker-side
-// batching of the fleet's chunks produces exactly ceil(cohort/width)
-// batches — the same count, occupancy and lane layout as a
-// single-process sweep. Points whose generation or shape derivation
-// fails are taken out of the plan and failed up front with the same
-// error the sweep engine would attach.
+// (serve.CompileSweep), expands the grid and cuts it with sweep.Plan —
+// the planner a single-process batched sweep uses — at chunkPoints
+// points per chunk. Plan rounds the cuts to whole batches, so the
+// worker-side batching of the fleet's chunks produces the same batch
+// count, occupancy and lane layout as a single-process sweep. Points
+// whose generation or shape derivation fails are taken out of the plan
+// and failed up front with the error the sweep attaches.
 func planJob(spec serve.SweepRequest, d serve.SweepDefaults, chunkPoints int) (*jobPlan, *serve.RequestError) {
 	plan, rerr := serve.CompileSweep(spec, d)
 	if rerr != nil {
@@ -57,99 +43,19 @@ func planJob(spec serve.SweepRequest, d serve.SweepDefaults, chunkPoints int) (*
 		// short of a version skew between the two layers.
 		return nil, &serve.RequestError{Status: 400, Code: serve.CodeInvalidAxes, Msg: err.Error()}
 	}
-
-	jp := &jobPlan{plan: plan, effWidth: plan.Opts.BatchWidth}
-
-	// Chunk size: at least one batch, otherwise the target rounded down
-	// to whole batches so only cohort tails run partial lanes.
-	size := chunkPoints
-	if w := jp.effWidth; w > 0 {
-		size -= size % w
-		if size < w {
-			size = w
+	// Planning is never cancelled: the plan must be a pure function of
+	// the spec, or a restarted coordinator could cut different chunks.
+	chunks, results, failed := sweep.Plan(context.Background(), pts, plan.Gen, plan.Opts, 1, chunkPoints)
+	jp := &jobPlan{plan: plan, chunks: chunks}
+	for i, f := range failed {
+		if f {
+			jp.failed = append(jp.failed, serve.ChunkPointOf(results[i]))
 		}
 	}
-	if size < 1 {
-		size = 1
-	}
-
-	// Group the grid into cohorts in grid order, mirroring the sweep
-	// engine's batched path bit for bit.
-	var order []string
-	cohorts := map[string][]int{}
-	shapeOf := map[string]string{}
 	shapes := map[string]bool{}
-	for _, p := range pts {
-		shape, key, perr := pointCohort(plan, p)
-		if perr != nil {
-			jp.failed = append(jp.failed, failedPoint(p, perr))
-			continue
-		}
-		shapes[shape] = true
-		if _, ok := cohorts[key]; !ok {
-			order = append(order, key)
-			shapeOf[key] = shape
-		}
-		cohorts[key] = append(cohorts[key], p.Index)
+	for _, c := range chunks {
+		shapes[c.Shape] = true
 	}
 	jp.shapes = len(shapes)
-
-	for _, key := range order {
-		members := cohorts[key]
-		for len(members) > 0 {
-			n := size
-			if n > len(members) {
-				n = len(members)
-			}
-			jp.chunks = append(jp.chunks, chunkPlan{shape: shapeOf[key], indices: members[:n:n]})
-			members = members[n:]
-		}
-	}
 	return jp, nil
-}
-
-// pointCohort computes one point's structural shape and cohort key,
-// confining builder panics to the point and mirroring the sweep
-// engine's error wrapping so a plan-time failure carries the identical
-// message a worker-side (or single-process) failure would.
-func pointCohort(plan *serve.SweepPlan, p sweep.Point) (shape, key string, err error) {
-	defer func() {
-		if r := recover(); r != nil {
-			shape, key = "", ""
-			err = fmt.Errorf("sweep: point %d (%s): panic: %v", p.Index, p, r)
-		}
-	}()
-	a, err := plan.Gen(p)
-	if err != nil {
-		return "", "", fmt.Errorf("sweep: point %d (%s): %w", p.Index, p, err)
-	}
-	if a == nil {
-		return "", "", fmt.Errorf("sweep: point %d (%s): generator returned no architecture", p.Index, p)
-	}
-	shape, err = derive.ShapeKey(a)
-	if err != nil {
-		return "", "", fmt.Errorf("sweep: point %d (%s): %w", p.Index, p, err)
-	}
-	dopts := plan.Opts.Derive
-	if plan.Opts.DeriveFor != nil {
-		dopts = plan.Opts.DeriveFor(p)
-	}
-	group := plan.Opts.Group
-	if plan.Opts.GroupFor != nil {
-		group = plan.Opts.GroupFor(p)
-	}
-	return shape, sweep.CohortKey(shape, dopts, group), nil
-}
-
-// failedPoint renders a plan-time failure in the wire form a worker
-// would have reported.
-func failedPoint(p sweep.Point, err error) serve.ChunkPoint {
-	params := map[string]int64{}
-	for i, n := range p.Names {
-		params[n] = p.Values[i]
-	}
-	return serve.ChunkPoint{
-		Index:      p.Index,
-		SweepPoint: serve.SweepPoint{Params: params, Error: err.Error()},
-	}
 }

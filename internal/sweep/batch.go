@@ -12,207 +12,137 @@ import (
 	"dyncomp/internal/model"
 )
 
-// batchStats accumulates the batched-evaluation counters feeding
-// Stats.Batches / BatchedPoints / BatchOccupancy.
-type batchStats struct {
-	batches int // batched engine invocations that ran
-	points  int // points those invocations evaluated
+// Chunk is one unit of evaluation cut by Plan: positions in the planned
+// point slice (for a whole grid, its row-major indices), in grid order,
+// that share one cohort — one structural shape evaluated under one set
+// of per-point derive options and group, so a single batched run can
+// carry them.
+type Chunk struct {
+	Shape   string // the cohort's structural shape (derive.ShapeKey)
+	Indices []int
 }
 
-// genPoint is one pre-generated grid point awaiting batched dispatch.
-type genPoint struct {
-	arch  *model.Architecture
-	dopts derive.Options
-	group []string
+// cohort is the equivalence class of points one batched run can carry.
+type cohort struct {
+	shape string
+	opts  string // derive options and group
 }
 
-// CohortKey names the equivalence class of points a single batched run
-// can carry: one structural shape evaluated under one set of per-point
-// options. Points whose generation or shape derivation fails are
-// finished immediately and never join a cohort. Exported so the
-// distributed coordinator (internal/shard) cuts its chunks along
-// exactly the cohort boundaries the worker-side sweep will use — that
-// alignment is what keeps the fleet's batch accounting bit-identical to
-// a single-process sweep.
-func CohortKey(shape string, dopts derive.Options, group []string) string {
-	return fmt.Sprintf("%s\x00pad=%d reduce=%t\x00%s",
-		shape, dopts.PadNodes, dopts.Reduce, strings.Join(group, ","))
-}
-
-// runBatched is the batch-first evaluation strategy: pre-generate every
-// point, group the points into shape cohorts, chunk each cohort at
-// Options.BatchWidth and evaluate the chunks on the engine's batched
-// path from a worker pool. Three phases:
+// Plan generates every point on workers goroutines, derives each one's
+// structural shape, groups the survivors into cohorts in grid order and
+// cuts each cohort into chunks of target points, rounded down to whole
+// batches of opts.BatchWidth (never below one batch), so only a
+// cohort's last chunk runs partial lanes. Points whose generation or
+// shape derivation fails come back with results[i].Err set and
+// failed[i] true, and join no chunk; every other results[i] carries
+// only its Point.
 //
-//  1. Generate all architectures concurrently and derive each point's
-//     structural shape. Failures finish the point right away.
-//  2. Group by cohort key in grid order and cut chunks of at most
-//     BatchWidth points — grid neighbours stay lane neighbours, so
-//     results remain deterministic and independent of the worker count.
-//  3. Dispatch chunks to the worker pool. Each chunk is one RunBatch
-//     call; a wholesale batch failure re-evaluates that chunk's points
-//     through the scalar path (which regenerates them), per-lane
-//     failures fail only their point. Baselines, when requested, run
-//     per point — the reference executor has no batched form.
-//
-// Progress is coalesced: one notification per finished chunk, advancing
-// by the chunk size, still summing to the total under cancellation.
-func runBatched(ctx context.Context, pts []Point, gen Generator, br engine.BatchRunner, refEng engine.Engine, opts Options, cache *derive.Cache, workers int, results []PointResult, report func(int)) batchStats {
-	prep := make([]genPoint, len(pts))
-	keys := make([]string, len(pts))
-	failed := make([]bool, len(pts))
+// The plan depends on nothing but the points and the options: the same
+// input yields the same chunks in the same order for any worker count.
+// A batched sweep plans with target = BatchWidth; the distributed
+// coordinator (internal/shard) plans the whole grid with its chunk size,
+// which is what keeps the fleet's batches identical to a single-process
+// sweep's.
+func Plan(ctx context.Context, pts []Point, gen Generator, opts Options, workers, target int) (chunks []Chunk, results []PointResult, failed []bool) {
+	return plan(ctx, pts, gen, opts, workers, target, nil)
+}
 
-	// Phase 1: concurrent generation and shape derivation.
+// plan is Plan that also keeps every generated architecture in archs
+// (when non-nil), for the batched sweep to evaluate without generating
+// the points again.
+func plan(ctx context.Context, pts []Point, gen Generator, opts Options, workers, target int, archs []*model.Architecture) (chunks []Chunk, results []PointResult, failed []bool) {
+	results = make([]PointResult, len(pts))
+	failed = make([]bool, len(pts))
+	keys := make([]cohort, len(pts))
 	var wg sync.WaitGroup
-	gjobs := make(chan int)
-	for w := 0; w < workers; w++ {
+	next := make(chan int)
+	for w := 0; w < max(workers, 1); w++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			for i := range gjobs {
-				prepPoint(ctx, pts[i], gen, opts, &prep[i], &keys[i], &results[i])
-				failed[i] = results[i].Err != nil
+			for i := range next {
+				a, key, err := prepPoint(ctx, pts[i], gen, opts)
+				results[i] = PointResult{Point: pts[i], Err: err}
+				failed[i] = err != nil
+				keys[i] = key
+				if archs != nil {
+					archs[i] = a
+				}
 			}
 		}()
 	}
 	for i := range pts {
-		gjobs <- i
+		next <- i
 	}
-	close(gjobs)
+	close(next)
 	wg.Wait()
 
-	// Points that already failed (generation, shape derivation or a
-	// pre-existing cancellation) are finished; report them as one
-	// coalesced stride.
-	nfailed := 0
-	for i := range pts {
-		if failed[i] {
-			nfailed++
-		}
+	size := target
+	if w := opts.BatchWidth; w > 0 {
+		size = max(size-size%w, w)
 	}
-	report(nfailed)
-
-	// Phase 2: cohorts in grid order, cut into chunks of BatchWidth.
-	order := make([]string, 0)
-	cohorts := make(map[string][]int)
-	for i := range pts {
+	size = max(size, 1)
+	var order []cohort
+	members := map[cohort][]int{}
+	for i, k := range keys {
 		if failed[i] {
 			continue
 		}
-		k := keys[i]
-		if _, ok := cohorts[k]; !ok {
+		if _, ok := members[k]; !ok {
 			order = append(order, k)
 		}
-		cohorts[k] = append(cohorts[k], i)
+		members[k] = append(members[k], i)
 	}
-	var chunks [][]int
 	for _, k := range order {
-		members := cohorts[k]
-		for len(members) > 0 {
-			n := opts.BatchWidth
-			if n > len(members) {
-				n = len(members)
-			}
-			chunks = append(chunks, members[:n:n])
-			members = members[n:]
+		for m := members[k]; len(m) > 0; {
+			n := min(size, len(m))
+			chunks = append(chunks, Chunk{Shape: k.shape, Indices: m[:n:n]})
+			m = m[n:]
 		}
 	}
-
-	// Phase 3: chunk worker pool, mirroring the per-point dispatch
-	// loop's cancellation contract (done == total even on cancel).
-	var batches, batched atomic.Int64
-	cjobs := make(chan []int)
-	failChunk := func(chunk []int, err error) {
-		for _, i := range chunk {
-			results[i] = PointResult{Point: pts[i], Err: err}
-		}
-	}
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for chunk := range cjobs {
-				if err := ctx.Err(); err != nil {
-					failChunk(chunk, err)
-				} else {
-					evalChunk(ctx, chunk, pts, prep, gen, br, refEng, opts, cache, results, &batches, &batched)
-				}
-				report(len(chunk))
-			}
-		}()
-	}
-dispatch:
-	for ci := range chunks {
-		select {
-		case <-ctx.Done():
-			for _, chunk := range chunks[ci:] {
-				failChunk(chunk, ctx.Err())
-				report(len(chunk))
-			}
-			break dispatch
-		case cjobs <- chunks[ci]:
-		}
-	}
-	close(cjobs)
-	wg.Wait()
-	return batchStats{batches: int(batches.Load()), points: int(batched.Load())}
+	return chunks, results, failed
 }
 
-// prepPoint generates one point's architecture and cohort key. Panics
+// prepPoint generates one point's architecture and its cohort. Panics
 // are confined to the point, exactly as in evalPoint.
-func prepPoint(ctx context.Context, p Point, gen Generator, opts Options, gp *genPoint, key *string, pr *PointResult) {
+func prepPoint(ctx context.Context, p Point, gen Generator, opts Options) (a *model.Architecture, key cohort, err error) {
 	defer func() {
 		if r := recover(); r != nil {
-			*pr = PointResult{Point: p, Err: fmt.Errorf("sweep: point %d (%s): panic: %v", p.Index, p, r)}
+			a, err = nil, fmt.Errorf("sweep: point %d (%s): panic: %v", p.Index, p, r)
 		}
 	}()
-	*pr = PointResult{Point: p}
 	if err := ctx.Err(); err != nil {
-		pr.Err = err
-		return
+		return nil, key, err
 	}
-	a, err := gen(p)
-	if err != nil {
-		pr.Err = fmt.Errorf("sweep: point %d (%s): %w", p.Index, p, err)
-		return
-	}
-	if a == nil {
-		pr.Err = fmt.Errorf("sweep: point %d (%s): generator returned no architecture", p.Index, p)
-		return
+	if a, err = generate(p, gen); err != nil {
+		return nil, key, err
 	}
 	shape, err := derive.ShapeKey(a)
 	if err != nil {
-		pr.Err = fmt.Errorf("sweep: point %d (%s): %w", p.Index, p, err)
-		return
+		return nil, key, fmt.Errorf("sweep: point %d (%s): %w", p.Index, p, err)
 	}
-	gp.arch = a
-	gp.dopts = opts.Derive
-	if opts.DeriveFor != nil {
-		gp.dopts = opts.DeriveFor(p)
-	}
-	gp.group = opts.Group
-	if opts.GroupFor != nil {
-		gp.group = opts.GroupFor(p)
-	}
-	*key = CohortKey(shape, gp.dopts, gp.group)
+	dopts, group := pointOptions(p, opts)
+	return a, cohort{shape: shape, opts: fmt.Sprintf("pad=%d reduce=%t\x00%s",
+		dopts.PadNodes, dopts.Reduce, strings.Join(group, ","))}, nil
 }
 
-// evalChunk evaluates one shape cohort chunk through the batched engine
-// path; on a wholesale batch failure every point of the chunk re-runs
-// through the scalar path.
-func evalChunk(ctx context.Context, chunk []int, pts []Point, prep []genPoint, gen Generator, br engine.BatchRunner, refEng engine.Engine, opts Options, cache *derive.Cache, results []PointResult, batches, batched *atomic.Int64) {
-	archs := make([]*model.Architecture, len(chunk))
+// evalChunk evaluates one cohort chunk through the batched engine path;
+// on a wholesale batch failure every point of the chunk re-runs through
+// the scalar path. Baselines, when requested, run per point — the
+// reference executor has no batched form.
+func evalChunk(ctx context.Context, chunk []int, pts []Point, archs []*model.Architecture, gen Generator, br engine.BatchRunner, refEng engine.Engine, opts Options, cache *derive.Cache, results []PointResult, batches, batched *atomic.Int64) {
+	lanes := make([]*model.Architecture, len(chunk))
 	for l, i := range chunk {
-		archs[l] = prep[i].arch
+		lanes[l] = archs[i]
 	}
-	// All chunk members share one cohort key, so the first point's
-	// options speak for the chunk.
-	lead := prep[chunk[0]]
-	out, laneErrs, err := runBatchRecovered(ctx, br, archs, engine.Options{
+	// All chunk members share one cohort, so the first point's options
+	// speak for the chunk.
+	dopts, group := pointOptions(pts[chunk[0]], opts)
+	out, laneErrs, err := runBatchRecovered(ctx, br, lanes, engine.Options{
 		Record:        opts.Record,
 		LimitNs:       int64(opts.Limit),
-		AbstractGroup: lead.group,
-		Derive:        lead.dopts,
+		AbstractGroup: group,
+		Derive:        dopts,
 		Cache:         cache,
 	})
 	if err != nil {

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"reflect"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -326,6 +327,46 @@ func TestRunIndicesMatchesFullSweep(t *testing.T) {
 	if part.Stats.Batches != 3 || part.Stats.BatchedPoints != 5 {
 		t.Fatalf("batches=%d batched_points=%d, want 3/5",
 			part.Stats.Batches, part.Stats.BatchedPoints)
+	}
+}
+
+// Plan cuts the same chunks in the same order for any worker count,
+// fails unbuildable points out of the plan, and rounds the chunk target
+// down to whole batches, never below one.
+func TestPlanDeterministicAndBatchAligned(t *testing.T) {
+	pts, err := Grid([]Axis{
+		{Name: "seed", Values: []int64{1, 2, 3, 4, 5, 6, 7, 8, 9, 10}},
+		{Name: "stages", Values: []int64{1, 0, 2}},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	opts := Options{BatchWidth: 4}
+	want, results, failed := Plan(context.Background(), pts, didacticGen, opts, 1, 4)
+	for i, pr := range results {
+		if bad := pts[i].Get("stages", 1) == 0; failed[i] != bad || (pr.Err != nil) != bad {
+			t.Fatalf("point %d (%s): failed=%v err=%v", i, pts[i], failed[i], pr.Err)
+		}
+	}
+	got, _, _ := Plan(context.Background(), pts, didacticGen, opts, 8, 4)
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("8 workers planned %v, 1 worker %v", got, want)
+	}
+	// Two cohorts of 10 in grid order, each cut 4+4+2.
+	var idx [][]int
+	for _, c := range want {
+		idx = append(idx, c.Indices)
+	}
+	wantIdx := [][]int{{0, 3, 6, 9}, {12, 15, 18, 21}, {24, 27}, {2, 5, 8, 11}, {14, 17, 20, 23}, {26, 29}}
+	if !reflect.DeepEqual(idx, wantIdx) || want[0].Shape != want[2].Shape || want[3].Shape == want[0].Shape {
+		t.Fatalf("chunks %v, want indices %v in two shapes", idx, wantIdx)
+	}
+
+	for _, tc := range []struct{ target, size int }{{2, 4}, {10, 8}} {
+		chunks, _, _ := Plan(context.Background(), pts, didacticGen, opts, 2, tc.target)
+		if n := len(chunks[0].Indices); n != tc.size {
+			t.Fatalf("target %d at width 4 cut a first chunk of %d, want %d", tc.target, n, tc.size)
+		}
 	}
 }
 

@@ -29,6 +29,7 @@ import (
 	"math"
 	"runtime"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"dyncomp/internal/derive"
@@ -427,9 +428,9 @@ func RunContext(ctx context.Context, axes []Axis, gen Generator, opts Options) (
 // order with each point's global grid Index preserved, and Progress
 // counts against len(indices). Because every point is evaluated
 // independently and batched cohorts are cut in the order given, a
-// coordinator that routes whole shape cohorts (aligned to BatchWidth)
-// reproduces the single-process sweep bit for bit, batch counts
-// included. It is RunIndicesContext with a background context.
+// coordinator that cuts its chunks with Plan reproduces the
+// single-process sweep bit for bit, batch counts included. It is
+// RunIndicesContext with a background context.
 func RunIndices(axes []Axis, indices []int, gen Generator, opts Options) (*Result, error) {
 	return RunIndicesContext(context.Background(), axes, indices, gen, opts)
 }
@@ -450,8 +451,10 @@ func RunIndicesContext(ctx context.Context, axes []Axis, indices []int, gen Gene
 }
 
 // runPoints is the shared evaluation core behind RunContext and
-// RunIndicesContext: resolve the engine, spin the worker pool and
-// evaluate every given point (per point or in shape-cohort batches).
+// RunIndicesContext: resolve the engine, cut the points into chunks and
+// evaluate the chunks from one worker pool. A batched sweep's chunks are
+// Plan's shape-cohort chunks, each one batched engine run; a per-point
+// sweep's are single points.
 func runPoints(ctx context.Context, pts []Point, gen Generator, opts Options) (*Result, error) {
 	if gen == nil {
 		return nil, fmt.Errorf("sweep: nil generator")
@@ -477,23 +480,20 @@ func runPoints(ctx context.Context, pts []Point, gen Generator, opts Options) (*
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-	if workers > len(pts) {
-		workers = len(pts)
-	}
+	workers = min(workers, len(pts))
 	cache := opts.Cache
 	if cache == nil {
 		cache = derive.NewCache()
 	}
 
 	start := time.Now()
-	results := make([]PointResult, len(pts))
 	// report advances the coalesced progress counter by n finished
-	// points; the per-point path always advances by one, the batched
-	// path by whole chunks. The counter and the callback are serialized
-	// under one mutex: with an atomic counter alone, two workers
-	// finishing interleaved cohort chunks could deliver their counts out
-	// of order (a later call carrying a smaller count), so the lock is
-	// what makes the delivered sequence strictly increasing.
+	// points: one per chunk, so a per-point sweep advances by one and a
+	// batched one by whole chunks. The counter and the callback are
+	// serialized under one mutex: with an atomic counter alone, two
+	// workers finishing interleaved chunks could deliver their counts
+	// out of order (a later call carrying a smaller count), so the lock
+	// is what makes the delivered sequence strictly increasing.
 	var (
 		progressMu sync.Mutex
 		completed  int
@@ -509,67 +509,97 @@ func runPoints(ctx context.Context, pts []Point, gen Generator, opts Options) (*
 		}
 		progressMu.Unlock()
 	}
-	finish := func(i int, pr PointResult) {
-		results[i] = pr
-		report(1)
+
+	var (
+		chunks             []Chunk
+		results            []PointResult
+		eval               func(chunk []int)
+		batches, batchedPt atomic.Int64
+	)
+	if br, ok := eng.(engine.BatchRunner); ok && opts.BatchWidth > 0 {
+		// Points that fail planning (generation, shape derivation or a
+		// pre-existing cancellation) are finished; report them as one
+		// coalesced stride.
+		archs := make([]*model.Architecture, len(pts))
+		var failed []bool
+		chunks, results, failed = plan(ctx, pts, gen, opts, workers, opts.BatchWidth, archs)
+		nfailed := 0
+		for _, f := range failed {
+			if f {
+				nfailed++
+			}
+		}
+		report(nfailed)
+		eval = func(chunk []int) {
+			evalChunk(ctx, chunk, pts, archs, gen, br, refEng, opts, cache, results, &batches, &batchedPt)
+		}
+	} else {
+		results = make([]PointResult, len(pts))
+		chunks = make([]Chunk, len(pts))
+		idx := make([]int, len(pts))
+		for i := range pts {
+			idx[i] = i
+			chunks[i] = Chunk{Indices: idx[i : i+1 : i+1]}
+		}
+		eval = func(chunk []int) {
+			i := chunk[0]
+			results[i] = evalPoint(ctx, pts[i], gen, eng, refEng, opts, cache)
+		}
 	}
 
-	var bstats batchStats
-	if br, ok := eng.(engine.BatchRunner); ok && opts.BatchWidth > 0 {
-		bstats = runBatched(ctx, pts, gen, br, refEng, opts, cache, workers, results, report)
-	} else {
-		runPerPoint(ctx, pts, gen, eng, refEng, opts, cache, workers, finish)
+	// The chunk pool. A cancelled context stops dispatching; the
+	// undispatched tail is only touched here, never by a worker, and
+	// still counts toward progress, so consumers see done == total even
+	// on cancel.
+	fail := func(chunk []int, err error) {
+		for _, i := range chunk {
+			results[i] = PointResult{Point: pts[i], Err: err}
+		}
+		report(len(chunk))
 	}
+	jobs := make(chan []int)
+	var wg sync.WaitGroup
+	for w := 0; w < min(workers, len(chunks)); w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for chunk := range jobs {
+				// A dispatched chunk may still see the cancellation
+				// before its evaluation started.
+				if err := ctx.Err(); err != nil {
+					fail(chunk, err)
+					continue
+				}
+				eval(chunk)
+				report(len(chunk))
+			}
+		}()
+	}
+dispatch:
+	for ci, c := range chunks {
+		select {
+		case <-ctx.Done():
+			for _, c := range chunks[ci:] {
+				fail(c.Indices, ctx.Err())
+			}
+			break dispatch
+		case jobs <- c.Indices:
+		}
+	}
+	close(jobs)
+	wg.Wait()
 
 	res := &Result{Points: results}
 	res.Stats = Summarize(results, cache, time.Since(start))
-	res.Stats.Batches = bstats.batches
-	res.Stats.BatchedPoints = bstats.points
-	if bstats.batches > 0 {
-		res.Stats.BatchOccupancy = float64(bstats.points) / float64(bstats.batches*opts.BatchWidth)
+	res.Stats.Batches = int(batches.Load())
+	res.Stats.BatchedPoints = int(batchedPt.Load())
+	if res.Stats.Batches > 0 {
+		res.Stats.BatchOccupancy = float64(res.Stats.BatchedPoints) / float64(res.Stats.Batches*opts.BatchWidth)
 	}
 	if err := ctx.Err(); err != nil {
 		return res, err
 	}
 	return res, nil
-}
-
-// runPerPoint is the point-at-a-time worker pool: every grid point is an
-// independent job.
-func runPerPoint(ctx context.Context, pts []Point, gen Generator, eng, refEng engine.Engine, opts Options, cache *derive.Cache, workers int, finish func(int, PointResult)) {
-	jobs := make(chan int)
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := range jobs {
-				// A dispatched point may still see the cancellation
-				// before its evaluation started.
-				if err := ctx.Err(); err != nil {
-					finish(i, PointResult{Point: pts[i], Err: err})
-					continue
-				}
-				finish(i, evalPoint(ctx, pts[i], gen, eng, refEng, opts, cache))
-			}
-		}()
-	}
-dispatch:
-	for i := range pts {
-		select {
-		case <-ctx.Done():
-			// Stop dispatching; the undispatched tail is only touched
-			// here, never by a worker. The tail still counts toward
-			// progress, so consumers see done == total even on cancel.
-			for j := i; j < len(pts); j++ {
-				finish(j, PointResult{Point: pts[j], Err: ctx.Err()})
-			}
-			break dispatch
-		case jobs <- i:
-		}
-	}
-	close(jobs)
-	wg.Wait()
 }
 
 // evalPoint evaluates one grid point: generate the architecture, run the
@@ -588,24 +618,12 @@ func evalPoint(ctx context.Context, p Point, gen Generator, eng, refEng engine.E
 		}
 	}()
 	pr = PointResult{Point: p}
-	a, err := gen(p)
+	a, err := generate(p, gen)
 	if err != nil {
-		pr.Err = fmt.Errorf("sweep: point %d (%s): %w", p.Index, p, err)
+		pr.Err = err
 		return pr
 	}
-	if a == nil {
-		pr.Err = fmt.Errorf("sweep: point %d (%s): generator returned no architecture", p.Index, p)
-		return pr
-	}
-
-	dopts := opts.Derive
-	if opts.DeriveFor != nil {
-		dopts = opts.DeriveFor(p)
-	}
-	group := opts.Group
-	if opts.GroupFor != nil {
-		group = opts.GroupFor(p)
-	}
+	dopts, group := pointOptions(p, opts)
 	r, err := eng.Run(ctx, a, engine.Options{
 		Record:        opts.Record,
 		LimitNs:       int64(opts.Limit),
@@ -624,6 +642,33 @@ func evalPoint(ctx context.Context, p Point, gen Generator, eng, refEng engine.E
 		addBaseline(ctx, p, gen, refEng, opts, &pr)
 	}
 	return pr
+}
+
+// generate builds one point's architecture, wrapping a failure in the
+// point's identity.
+func generate(p Point, gen Generator) (*model.Architecture, error) {
+	a, err := gen(p)
+	if err != nil {
+		return nil, fmt.Errorf("sweep: point %d (%s): %w", p.Index, p, err)
+	}
+	if a == nil {
+		return nil, fmt.Errorf("sweep: point %d (%s): generator returned no architecture", p.Index, p)
+	}
+	return a, nil
+}
+
+// pointOptions resolves one point's derivation options and hybrid
+// group: the per-point overrides when set, the sweep-wide values
+// otherwise.
+func pointOptions(p Point, opts Options) (derive.Options, []string) {
+	dopts, group := opts.Derive, opts.Group
+	if opts.DeriveFor != nil {
+		dopts = opts.DeriveFor(p)
+	}
+	if opts.GroupFor != nil {
+		group = opts.GroupFor(p)
+	}
+	return dopts, group
 }
 
 // addBaseline pairs an evaluated point with a reference-executor run and
