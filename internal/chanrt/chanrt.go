@@ -45,6 +45,7 @@ type RV struct {
 	writerReady bool
 	readerReady bool
 	pending     model.Token
+	offered     sim.Time // when the writer of the latest transfer arrived
 	k           int
 	trace       *observe.Trace
 }
@@ -65,6 +66,7 @@ func (c *RV) record(at sim.Time) {
 // Write implements RT. If the reader arrived first the writer completes
 // the transfer immediately; otherwise it blocks until the reader does.
 func (c *RV) Write(p *sim.Proc, tok model.Token) {
+	c.offered = p.Now()
 	if c.readerReady {
 		c.readerReady = false
 		c.pending = tok
@@ -90,6 +92,11 @@ func (c *RV) Read(p *sim.Proc) model.Token {
 	p.WaitEvent(c.ev)
 	return c.pending
 }
+
+// Offered returns the instant the writer of the latest transfer offered
+// its token: the transfer instant when the reader came first, earlier
+// when the writer waited for the reader.
+func (c *RV) Offered() sim.Time { return c.offered }
 
 // FIFO implements a bounded FIFO channel: the writer blocks only when the
 // buffer is full, the reader only when it is empty. Write and read

@@ -79,9 +79,9 @@ func TestEveryEngineOnEveryScenarioBitExact(t *testing.T) {
 }
 
 // Options.LimitNs is part of the same contract: cut mid-run at half the
-// unlimited final time, every engine records exactly the instants the
-// equally-limited reference executor reaches — none past the limit —
-// on every scenario, scalar and batched alike.
+// unlimited final time, every engine records exactly the instants and
+// activities the equally-limited reference executor reaches — none past
+// the limit — on every scenario, scalar and batched alike.
 func TestLimitNsMidRunBitExact(t *testing.T) {
 	ctx := context.Background()
 	ref, err := engine.Lookup("reference")
@@ -118,7 +118,7 @@ func TestLimitNsMidRunBitExact(t *testing.T) {
 					t.Errorf("%s: %v", name, err)
 					continue
 				}
-				if err := compareInstantsAndFinalTime(rr, r); err != nil {
+				if err := compareRuns(rr, r); err != nil {
 					t.Errorf("%s differs under LimitNs %d: %v", name, limit, err)
 				}
 			}

@@ -1,6 +1,9 @@
 package hybrid
 
 import (
+	"errors"
+	"fmt"
+
 	"dyncomp/internal/chanrt"
 	"dyncomp/internal/derive"
 	"dyncomp/internal/maxplus"
@@ -10,19 +13,28 @@ import (
 	"dyncomp/internal/tdg"
 )
 
-// engine drives the abstracted group with a stage-wise ("wave")
+// engine drives the abstracted group with a dataflow ("wave")
 // evaluation of the temporal dependency graph.
 //
 // A monolithic ComputeInstant(k) would have to wait for the boundary
 // transfer of iteration k-1 (the output writer's rotation gate references
 // it), and that wait can fall later than instants other parts of
 // iteration k need — physically delaying the boundary reads and
-// distorting the trace. Instead, each node of iteration k is computed as
-// soon as its own dependencies allow: a node at minimum delay-distance d
-// from the output node waits only for the confirmation of output
-// iteration k-d. Because every such node's value is, by (max,+)
-// path-monotonicity, at least the confirmed transfer instant it waits
-// for, the waits never push any simulated event past its true instant.
+// distorting the trace. Instead, each node instant is computed as soon as
+// the instants its arcs reference are final, across iterations: a group
+// that pipelines several iterations between its boundary input and
+// output computes the gates of later receptions while earlier
+// iterations still wait for their output confirmation. References to
+// the boundary output node wait for the confirmed transfer. Because
+// every node's value is, by (max,+) path-monotonicity, at least the
+// instants it waits for, the waits never push any simulated event past
+// its true instant.
+//
+// The ring keeps maxDelay+1+lead iterations per node, and no node runs
+// more than lead iterations ahead of the slowest reader of the ring.
+// A group that would need more lead than that delays a reception past
+// its true instant; runReception detects it and fails the run with
+// ErrPipelined instead of returning a wrong trace.
 type engine struct {
 	arch  *model.Architecture
 	sub   *subArch
@@ -37,24 +49,37 @@ type engine struct {
 
 	// Evaluation state.
 	graph    *tdg.Graph
-	prog     *tdg.Program
 	depth    int
+	lead     int // iterations a node may run ahead of the ring's slowest reader
 	ring     []maxplus.T
 	nodeDone []int // computed iterations per node
-	outDist  []int // min delay-distance from the output node; -1 unreachable
+	inIdx    []int // input index per node; -1 for non-input nodes
 	outNode  tdg.NodeID
 
 	ys        []maxplus.T // emission-ready instants y(k)
 	confirmed int
+	recorded  int // iterations recorded into the trace
 	progress  *sim.Event
 
 	vals  []maxplus.T       // instants of the iteration being recorded
-	nodes []derive.Labelled // the instants record reconstructs
+	nodes []derive.Labelled // the instants Record reconstructs
 }
+
+// ErrPipelined reports a group the wave evaluation could not keep exact:
+// a boundary reception became ready only after the instant the
+// reference executor reads at.
+var ErrPipelined = errors.New("hybrid: group pipelines more iterations than the wave evaluation tracks")
+
+// leadOf bounds how many iterations a node may run ahead of the ring's
+// slowest reader. A pipeline cannot hold more iterations in flight than
+// it has places to hold them: one per node, FIFO capacities included in
+// the delays. Tests shrink it to exercise ErrPipelined.
+var leadOf = func(g *tdg.Graph) int { return g.NodeCount() * (g.MaxDelay() + 1) }
 
 func newEngine(a *model.Architecture, sub *subArch, dres *derive.Result, kern *sim.Kernel, trace *observe.Trace, iters int, limit sim.Time) *engine {
 	g := dres.Graph
-	depth := g.MaxDelay() + 1
+	lead := leadOf(g)
+	depth := g.MaxDelay() + 1 + lead
 	e := &engine{
 		arch:     a,
 		sub:      sub,
@@ -64,12 +89,16 @@ func newEngine(a *model.Architecture, sub *subArch, dres *derive.Result, kern *s
 		limit:    maxplus.T(limit),
 		iters:    iters,
 		inputs:   make([]int, len(dres.Inputs)),
+		vals:     make([]maxplus.T, g.NodeCount()),
+		nodes:    dres.LabelledNodes(nil, boundaryLabels(sub)),
 		graph:    g,
-		prog:     dres.Program(),
 		depth:    depth,
+		lead:     lead,
 		ring:     make([]maxplus.T, g.NodeCount()*depth),
 		nodeDone: make([]int, g.NodeCount()),
+		inIdx:    make([]int, g.NodeCount()),
 		outNode:  dres.Outputs[0].Node,
+		recorded: iters,
 		progress: kern.NewEvent("hybrid:progress"),
 	}
 	for i := range e.ring {
@@ -79,62 +108,16 @@ func newEngine(a *model.Architecture, sub *subArch, dres *derive.Result, kern *s
 	for i := range e.arrRing {
 		e.arrRing[i] = make([]maxplus.T, depth)
 	}
-	e.outDist = outDistances(g, e.outNode)
+	for i := range e.inIdx {
+		e.inIdx[i] = -1
+	}
+	for i, id := range g.Inputs() {
+		e.inIdx[id] = i
+	}
 	if trace != nil {
-		e.vals = make([]maxplus.T, g.NodeCount())
-		e.nodes = dres.LabelledNodes(nil, boundaryLabels(sub))
+		e.recorded = 0
 	}
 	return e
-}
-
-// outDistances computes, for every node, the minimum total arc delay of a
-// path (with at least one arc) from the output node, following arc
-// direction. Nodes unreachable from the output get -1.
-func outDistances(g *tdg.Graph, out tdg.NodeID) []int {
-	n := g.NodeCount()
-	const inf = int(^uint(0) >> 1)
-	dist := make([]int, n)
-	for i := range dist {
-		dist[i] = inf
-	}
-	type edge struct {
-		to    tdg.NodeID
-		delay int
-	}
-	fwd := make([][]edge, n)
-	for _, node := range g.Nodes() {
-		for _, a := range g.Incoming(node.ID) {
-			fwd[a.From] = append(fwd[a.From], edge{to: node.ID, delay: a.Delay})
-		}
-	}
-	// Relaxation from the output's direct successors.
-	work := []tdg.NodeID{}
-	for _, e := range fwd[out] {
-		if e.delay < dist[e.to] {
-			dist[e.to] = e.delay
-			work = append(work, e.to)
-		}
-	}
-	for len(work) > 0 {
-		v := work[0]
-		work = work[1:]
-		for _, e := range fwd[v] {
-			nd := dist[v] + e.delay
-			if nd < dist[e.to] {
-				dist[e.to] = nd
-				work = append(work, e.to)
-			}
-		}
-	}
-	res := make([]int, n)
-	for i, d := range dist {
-		if d == inf {
-			res[i] = -1
-		} else {
-			res[i] = d
-		}
-	}
-	return res
 }
 
 func (e *engine) slot(id tdg.NodeID, k int) *maxplus.T {
@@ -212,6 +195,7 @@ func (e *engine) gateValue(ib derive.InputBinding, k int) maxplus.T {
 
 func (e *engine) runReception(p *sim.Proc, idx int, ib derive.InputBinding, rt chanrt.RT) {
 	fifo, _ := rt.(*chanrt.FIFO)
+	rv, _ := rt.(*chanrt.RV)
 	for k := 0; k < e.iters; k++ {
 		for !e.gateReady(ib, k) {
 			p.WaitEvent(e.progress)
@@ -221,9 +205,20 @@ func (e *engine) runReception(p *sim.Proc, idx int, ib derive.InputBinding, rt c
 			p.WaitUntil(sim.Time(gate))
 		}
 		rt.Read(p)
-		arrival := maxplus.T(p.Now())
+		read := maxplus.T(p.Now())
+		arrival, offered := read, maxplus.Epsilon
 		if fifo != nil {
 			arrival = fifo.WriteInstant(k)
+			offered = arrival
+		} else {
+			offered = maxplus.T(rv.Offered())
+		}
+		// The reference reads at the later of the reader's gate and the
+		// writer's offer; a later read means the gate was computed late.
+		if want := maxplus.Oplus(gate, offered); read > want {
+			p.Kernel().Fail(fmt.Errorf("%w: %s read %d at %d ns, the reference reads at %d ns",
+				ErrPipelined, e.sub.inOrig[idx].Name, k, read, want))
+			return
 		}
 		e.arrRing[idx][k%e.depth] = arrival
 		e.inputs[idx] = k + 1
@@ -231,55 +226,90 @@ func (e *engine) runReception(p *sim.Proc, idx int, ib derive.InputBinding, rt c
 	}
 }
 
-// runComputer evaluates iteration k node by node in topological order,
-// waiting per node for the arrivals and output confirmations it actually
-// depends on. Progress notifications are batched: waiters re-check only
-// when the computer is about to block (so their own progress can unblock
-// it) and when an iteration completes — computing a node costs no kernel
-// events, which is the point of the method.
+// runComputer computes every node instant whose references are final,
+// in topological order within a sweep and across iterations, until a
+// sweep makes no progress; then it parks until a reception or the
+// emission advances. Progress notifications are batched: waiters
+// re-check only when the computer is about to park — computing a node
+// costs no kernel events, which is the point of the method.
 func (e *engine) runComputer(p *sim.Proc) {
 	topo := e.graph.TopoOrder()
-	uIdx := map[tdg.NodeID]int{}
-	for i, id := range e.graph.Inputs() {
-		uIdx[id] = i
-	}
-	// block flushes pending progress and parks until someone advances.
-	block := func() {
+	for {
+		// low is the earliest iteration any ring reader may still need:
+		// nodes (through their arcs and the receptions' gates), the
+		// emission's confirmation and the trace recorder.
+		low := min(e.confirmed, e.recorded)
+		for _, d := range e.nodeDone {
+			low = min(low, d)
+		}
+		progressed := false
+		for _, id := range topo {
+			for k := e.nodeDone[id]; k < e.iters && k < low+e.lead && e.ready(id, k); k++ {
+				e.compute(id, k)
+				progressed = true
+			}
+		}
+		done := e.iters
+		for _, d := range e.nodeDone {
+			done = min(done, d)
+		}
+		for ; e.recorded < done; e.recorded++ {
+			e.record(e.trace, e.recorded)
+		}
+		if progressed {
+			continue
+		}
 		e.progress.Notify()
+		if done == e.iters {
+			return
+		}
 		p.WaitEvent(e.progress)
 	}
-	for k := 0; k < e.iters; k++ {
-		for _, id := range topo {
-			n := e.graph.Nodes()[id]
-			if n.Kind == tdg.Input {
-				i := uIdx[id]
-				for e.inputs[i] <= k {
-					block()
-				}
-				*e.slot(id, k) = e.arrRing[i][k%e.depth]
-				e.nodeDone[id] = k + 1
+}
+
+// ready reports whether every instant node id's iteration k references
+// is final: an arrived boundary input, a computed node, or — for the
+// boundary output node — a confirmed transfer.
+func (e *engine) ready(id tdg.NodeID, k int) bool {
+	if i := e.inIdx[id]; i >= 0 {
+		return e.inputs[i] > k
+	}
+	for _, a := range e.graph.Incoming(id) {
+		if a.Delay > k {
+			continue
+		}
+		if a.From == e.outNode {
+			if e.confirmed <= k-a.Delay {
+				return false
+			}
+		} else if e.nodeDone[a.From] <= k-a.Delay {
+			return false
+		}
+	}
+	return true
+}
+
+// compute evaluates node id at iteration k: an input takes its recorded
+// arrival, every other node ⊕ over its arcs (references before the
+// origin are ε).
+func (e *engine) compute(id tdg.NodeID, k int) {
+	acc := maxplus.Epsilon
+	if i := e.inIdx[id]; i >= 0 {
+		acc = e.arrRing[i][k%e.depth]
+	} else {
+		for _, a := range e.graph.Incoming(id) {
+			if a.Delay > k {
 				continue
 			}
-			// Wait for the output confirmation this node's value may
-			// reference (directly or transitively).
-			if d := e.outDist[id]; d >= 0 && k-d >= 0 {
-				for e.confirmed < k-d+1 {
-					block()
-				}
-			}
-			// The compiled arc table shares the evaluator ring layout, so
-			// the wave evaluation gets the flat fast path too.
-			acc := e.prog.EvalIncoming(e.ring, id, k)
-			*e.slot(id, k) = acc
-			e.nodeDone[id] = k + 1
-			if id == e.outNode {
-				e.ys = append(e.ys, acc)
+			if src := *e.slot(a.From, k-a.Delay); src != maxplus.Epsilon {
+				acc = maxplus.Oplus(acc, a.Weight.Apply(src, k))
 			}
 		}
-		if e.trace != nil {
-			e.record(k)
-		}
-		e.progress.Notify()
+	}
+	*e.slot(id, k) = acc
+	e.nodeDone[id] = k + 1
+	if id == e.outNode {
+		e.ys = append(e.ys, acc)
 	}
 }
 
@@ -307,12 +337,38 @@ func (e *engine) runEmission(p *sim.Proc, orig *model.Channel, rt chanrt.RT) {
 }
 
 // record reconstructs the group's observable evolution of iteration k
-// from the wave ring: internal instant labels (boundary channels are
-// recorded by their real runtimes) and execution activities, except
-// those past the time limit.
-func (e *engine) record(k int) {
+// from the wave ring into trace (nil records nothing): internal instant
+// labels (boundary channels are recorded by their real runtimes) and
+// execution activities, except those past the time limit. Nodes not
+// computed for k — the run ended first — count as past the limit. It
+// returns the latest instant or activity end of the iteration.
+func (e *engine) record(trace *observe.Trace, k int) maxplus.T {
 	for id := range e.vals {
-		e.vals[id] = *e.slot(tdg.NodeID(id), k)
+		e.vals[id] = maxplus.Top
+		if e.nodeDone[id] > k {
+			e.vals[id] = *e.slot(tdg.NodeID(id), k)
+		}
 	}
-	e.dres.Record(e.trace, e.nodes, e.vals, k, e.limit)
+	end, _ := e.dres.Record(trace, e.nodes, e.vals, k, e.limit)
+	return end
+}
+
+// finish records the iterations the run cut short and returns the final
+// time: the kernel's, or later, the latest instant or activity end of
+// the last whole iteration within the limit. The kernel sees only the
+// group's boundary events, while the reference executor also simulates
+// an internal execution or transfer that ends after the last of them.
+func (e *engine) finish() sim.Time {
+	done, last := e.iters, 0
+	for _, d := range e.nodeDone {
+		done, last = min(done, d), max(last, d)
+	}
+	for ; e.recorded < last; e.recorded++ {
+		e.record(e.trace, e.recorded)
+	}
+	t := e.kern.Stats().FinalTime
+	if done == 0 {
+		return t
+	}
+	return max(t, sim.Time(min(e.record(nil, done-1), e.limit)))
 }

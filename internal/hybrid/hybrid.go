@@ -12,11 +12,15 @@
 // possible boundary transfer — a slow external reader can make the true
 // transfer later, and internal instants of later iterations reference it
 // (the writer's rotation gate). The engine therefore confirms each output
-// transfer as it happens, corrects the stored instant, and defers
-// ComputeInstant(k) until iteration k-1 is confirmed. Because the output
-// writer's turn k starts no earlier than the confirmed transfer k-1, the
-// deferral never delays an emission, and every computed instant is final
-// when produced.
+// transfer as it happens, corrects the stored instant, and computes an
+// instant that references an output transfer only once it is confirmed.
+// Every other instant is computed as soon as what it references is final,
+// across iterations, so a group that pipelines several iterations between
+// its boundary input and output gates its receptions on time. Because an
+// instant is never earlier than what it waits for, the waits never delay
+// an emission or a reception, and every computed instant is final when
+// produced. A run the evaluation cannot keep exact fails with
+// ErrPipelined.
 //
 // Scope: the group must be closed under resources (a resource's rotation
 // is either fully abstracted or fully simulated), must emit through
@@ -128,8 +132,10 @@ func Run(a *model.Architecture, opts Options) (*Result, error) {
 	if err := kern.Run(limit); err != nil {
 		return nil, err
 	}
+	stats := kern.Stats()
+	stats.FinalTime = eng.finish()
 	return &Result{
-		Stats:      kern.Stats(),
+		Stats:      stats,
 		Trace:      opts.Trace,
 		Iterations: eng.nodeDone[eng.outNode],
 		GraphNodes: dres.Graph.NodeCountWithDelays(),

@@ -1,6 +1,8 @@
 package hybrid
 
 import (
+	"errors"
+	"fmt"
 	"sort"
 	"strings"
 	"testing"
@@ -11,6 +13,7 @@ import (
 	"dyncomp/internal/maxplus"
 	"dyncomp/internal/model"
 	"dyncomp/internal/observe"
+	"dyncomp/internal/tdg"
 	"dyncomp/internal/zoo"
 )
 
@@ -254,4 +257,85 @@ func TestHybridRandomizedChains(t *testing.T) {
 			t.Fatalf("seed %d stage %d: accuracy violated: %v", seed, stage, err)
 		}
 	}
+}
+
+// Groups that pipeline more than one iteration between their boundary
+// input and output: receptions of later iterations become ready while
+// earlier iterations still wait for their output confirmation. Every
+// run must be exact — instants, activities and final time — or fail
+// with ErrPipelined; a lead window of one iteration (the evaluation
+// order that once returned wrong instants for all of these) must fail
+// rather than answer wrong.
+func TestHybridPipelinedGroups(t *testing.T) {
+	stages := func(n int) []string {
+		var names []string
+		for s := 1; s <= n; s++ {
+			suffix := ""
+			if s > 1 {
+				suffix = fmt.Sprintf("_%d", s)
+			}
+			for f := 1; f <= 4; f++ {
+				names = append(names, fmt.Sprintf("F%d%s", f, suffix))
+			}
+		}
+		return names
+	}
+	cases := []struct {
+		name     string
+		scenario string
+		params   zoo.ParamMap
+		group    []string
+	}{
+		{"chain2-rendezvous-all", "chain", zoo.ParamMap{"stages": 2}, stages(2)},
+		{"chain3-rendezvous-all", "chain", zoo.ParamMap{"stages": 3}, stages(3)},
+		{"chain2-fifo-stage2", "chain", zoo.ParamMap{"stages": 2, "fifo": 1}, stages(2)[4:]},
+		{"chain2-fifo-all", "chain", zoo.ParamMap{"stages": 2, "fifo": 1}, stages(2)},
+		{"chain2-rendezvous-P2-and-stage2", "chain", zoo.ParamMap{"stages": 2}, stages(2)[2:]},
+		{"phased2-all", "phased", zoo.ParamMap{"stages": 2}, stages(2)},
+	}
+	run := func(t *testing.T, sc zoo.Scenario, params zoo.ParamMap, group []string) error {
+		t.Helper()
+		full := observe.NewTrace("full")
+		fres, err := baseline.Run(sc.Build(params), baseline.Options{Trace: full})
+		if err != nil {
+			t.Fatal(err)
+		}
+		ht := observe.NewTrace("hybrid")
+		hres, err := Run(sc.Build(params), Options{Group: group, Trace: ht})
+		if err != nil {
+			return err
+		}
+		if err := observe.CompareInstants(full, ht); err != nil {
+			t.Fatalf("accuracy violated: %v", err)
+		}
+		assertSameActivities(t, full, ht)
+		if hres.Stats.FinalTime != fres.Stats.FinalTime {
+			t.Fatalf("final time %d, reference %d", hres.Stats.FinalTime, fres.Stats.FinalTime)
+		}
+		return nil
+	}
+	for _, tc := range cases {
+		sc, err := zoo.LookupScenario(tc.scenario)
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Run(tc.name, func(t *testing.T) {
+			if err := run(t, sc, tc.params, tc.group); err != nil {
+				t.Fatalf("hybrid: %v", err)
+			}
+		})
+	}
+	t.Run("lead-1", func(t *testing.T) {
+		defer func(f func(*tdg.Graph) int) { leadOf = f }(leadOf)
+		leadOf = func(*tdg.Graph) int { return 1 }
+		for _, tc := range cases {
+			sc, err := zoo.LookupScenario(tc.scenario)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := run(t, sc, tc.params, tc.group); !errors.Is(err, ErrPipelined) {
+				t.Fatalf("%s: err = %v, want ErrPipelined", tc.name, err)
+			}
+		}
+	})
 }

@@ -6,17 +6,18 @@ package serve
 // rejection is a stable error code plus a metrics series, so operators
 // see shed load instead of mystery latency.
 //
-// Endpoints are wired through one of four classes in routes():
+// Endpoints are wired through one of three classes in routes():
 //
 //	probe  — liveness/metrics: counted only, never authenticated
-//	light  — cheap reads (registries, job lookups): counted + auth
+//	light  — cheap reads (registries, job lookups) and the SSE stream:
+//	         counted + auth; no deadline (the per-write
+//	         StreamWriteTimeout bounds the stream instead)
 //	work   — evaluation (run/optimize/chunks/sweep create): counted +
 //	         auth + in-flight shedding + request deadline
-//	stream — long-lived streams (SSE): counted + auth; no deadline (the
-//	         per-write StreamWriteTimeout bounds them instead)
 
 import (
 	"context"
+	"fmt"
 	"net/http"
 	"strconv"
 	"strings"
@@ -115,7 +116,7 @@ func (s *Server) authenticate(h http.HandlerFunc) http.HandlerFunc {
 	return func(w http.ResponseWriter, r *http.Request) {
 		caller, ok := s.identify(r)
 		if !ok {
-			s.metrics.inc(metricRejections, `reason="unauthorized"`)
+			s.reject("unauthorized")
 			WriteError(w, http.StatusUnauthorized, CodeUnauthorized,
 				"missing or unknown bearer token")
 			return
@@ -136,7 +137,7 @@ func (s *Server) shed(h http.HandlerFunc) http.HandlerFunc {
 		if max := s.cfg.MaxInFlight; max > 0 {
 			if n := s.inflight.Add(1); n > int64(max) {
 				s.inflight.Add(-1)
-				s.metrics.inc(metricRejections, `reason="overloaded"`)
+				s.reject("overloaded")
 				w.Header().Set("Retry-After", "1")
 				WriteError(w, http.StatusTooManyRequests, CodeOverloaded,
 					"server at %d in-flight work requests; retry shortly", max)
@@ -162,19 +163,23 @@ func (s *Server) deadline(h http.HandlerFunc) http.HandlerFunc {
 	}
 }
 
-// admitPoints charges n grid points against the caller's window quota,
-// answering 429 quota_exceeded itself on rejection.
-func (s *Server) admitPoints(w http.ResponseWriter, r *http.Request, n int) bool {
+// admitPoints charges n grid points against the caller's window quota.
+// A rejection sets Retry-After and returns 429 quota_exceeded.
+func (s *Server) admitPoints(w http.ResponseWriter, r *http.Request, n int) *RequestError {
 	caller := callerID(r)
 	retry, ok := s.quotas.reservePoints(caller, n, s.cfg.QuotaPoints, s.cfg.QuotaWindow, time.Now())
 	if ok {
-		return true
+		return nil
 	}
-	s.metrics.inc(metricRejections, `reason="quota_points"`)
+	s.reject("quota_points")
 	w.Header().Set("Retry-After", strconv.Itoa(int(retry/time.Second)+1))
-	WriteError(w, http.StatusTooManyRequests, CodeQuotaExceeded,
+	return requestErrorf(http.StatusTooManyRequests, CodeQuotaExceeded,
 		"caller %q exceeds %d grid points per %s", caller, s.cfg.QuotaPoints, s.cfg.QuotaWindow)
-	return false
+}
+
+// reject counts one admission-control rejection.
+func (s *Server) reject(reason string) {
+	s.Metrics.Add(metricRejections, fmt.Sprintf("reason=%q", reason), 1)
 }
 
 // The endpoint classes (see the package comment above).
@@ -187,10 +192,6 @@ func (s *Server) light(name string, h http.HandlerFunc) http.HandlerFunc {
 	return s.countRequests(name, s.authenticate(h))
 }
 
-func (s *Server) work(name string, h http.HandlerFunc) http.HandlerFunc {
-	return s.countRequests(name, s.authenticate(s.shed(s.deadline(h))))
-}
-
-func (s *Server) stream(name string, h http.HandlerFunc) http.HandlerFunc {
-	return s.countRequests(name, s.authenticate(h))
+func (s *Server) work(name string, h JSONHandler) http.HandlerFunc {
+	return s.countRequests(name, s.authenticate(s.shed(s.deadline(h.ServeHTTP))))
 }

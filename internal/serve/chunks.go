@@ -1,8 +1,6 @@
 package serve
 
 import (
-	"context"
-	"errors"
 	"fmt"
 	"net/http"
 
@@ -50,53 +48,40 @@ type ChunkResponse struct {
 // the requested indices on the caller's request context — a coordinator
 // abandoning the chunk (retry elsewhere, job cancel) cancels the
 // evaluation here too.
-func (s *Server) handleChunkRun(w http.ResponseWriter, r *http.Request) {
+func (s *Server) handleChunkRun(w http.ResponseWriter, r *http.Request) *RequestError {
 	var req ChunkRequest
 	if aerr := DecodeJSON(w, r, &req); aerr != nil {
-		WriteError(w, aerr.Status, aerr.Code, "%s", aerr.Msg)
-		return
+		return aerr
 	}
 	plan, aerr := s.prepareSweep(req.SweepRequest)
 	if aerr != nil {
-		WriteError(w, aerr.Status, aerr.Code, "%s", aerr.Msg)
-		return
+		return aerr
 	}
 	if len(req.Indices) == 0 {
-		WriteError(w, http.StatusBadRequest, CodeInvalidIndices, "no indices")
-		return
+		return requestErrorf(http.StatusBadRequest, CodeInvalidIndices, "no indices")
 	}
 	if plan.Opts.Sample.Enabled() {
 		// A chunk sees only its shard of the grid; the surrogate needs the
 		// whole grid to choose what to simulate. Sampled sweeps stay
 		// single-process.
-		WriteError(w, http.StatusBadRequest, CodeInvalidSample,
+		return requestErrorf(http.StatusBadRequest, CodeInvalidSample,
 			"options.sample_tolerance is not supported on chunk evaluation")
-		return
 	}
-	if !s.admitPoints(w, r, len(req.Indices)) {
-		return
+	if aerr := s.admitPoints(w, r, len(req.Indices)); aerr != nil {
+		return aerr
 	}
 
 	opts := plan.Opts
 	opts.Cache = s.cache
 	res, err := sweep.RunIndicesContext(r.Context(), plan.Axes, req.Indices, plan.Gen, opts)
 	if err != nil {
-		if errors.Is(err, context.DeadlineExceeded) {
-			WriteError(w, http.StatusGatewayTimeout, CodeDeadlineExceeded,
-				"chunk evaluation exceeded the request deadline")
-			return
-		}
-		if errors.Is(err, context.Canceled) {
-			// The coordinator went away; there is nobody to answer.
-			return
-		}
-		// GridSelect rejected the selection (out of range, duplicate);
-		// engine resolution already passed in prepareSweep.
-		WriteError(w, http.StatusBadRequest, CodeInvalidIndices, "%v", err)
-		return
+		// Past the context errors, GridSelect rejected the selection (out
+		// of range, duplicate); engine resolution already passed in
+		// prepareSweep.
+		return evalError(err, "chunk evaluation", requestErrorf(http.StatusBadRequest, CodeInvalidIndices, "%v", err))
 	}
-	s.metrics.inc(metricChunks, fmt.Sprintf(`engine=%q`, plan.Engine))
-	s.chunkPoints.Add(int64(len(res.Points)))
+	s.Metrics.Add(metricChunks, fmt.Sprintf(`engine=%q`, plan.Engine), 1)
+	s.Metrics.Add(metricChunkPoints, "", int64(len(res.Points)))
 
 	out := ChunkResponse{
 		Points:        make([]ChunkPoint, 0, len(res.Points)),
@@ -107,6 +92,7 @@ func (s *Server) handleChunkRun(w http.ResponseWriter, r *http.Request) {
 		out.Points = append(out.Points, ChunkPointOf(pr))
 	}
 	WriteJSON(w, http.StatusOK, out)
+	return nil
 }
 
 // ChunkPointOf renders one evaluated or failed sweep point in its chunk

@@ -61,10 +61,10 @@ func (s *Server) activeJobs() (queued, running int) {
 // jobWorker is one slot of the bounded job pool: it pops queued jobs
 // until the server shuts down.
 func (s *Server) jobWorker() {
-	defer s.wg.Done()
+	defer s.WG.Done()
 	for {
 		select {
-		case <-s.baseCtx.Done():
+		case <-s.Ctx.Done():
 			return
 		case j := <-s.queue:
 			s.runJob(j)
@@ -76,7 +76,7 @@ func (s *Server) jobWorker() {
 // evaluate the grid with the server's shared derivation cache and the
 // job's progress counter, then settle the terminal state.
 func (s *Server) runJob(j *job) {
-	ctx, cancel := context.WithCancel(s.baseCtx)
+	ctx, cancel := context.WithCancel(s.Ctx)
 	defer cancel()
 	if !j.Start(cancel, time.Now()) { // cancelled while queued
 		return
@@ -91,13 +91,13 @@ func (s *Server) runJob(j *job) {
 	}
 	res, err := sweep.RunContext(ctx, j.axes, j.gen, opts)
 	if res != nil && res.Stats.Batches > 0 {
-		s.sweepBatches.Add(int64(res.Stats.Batches))
-		s.sweepBatchPoints.Add(int64(res.Stats.BatchedPoints))
-		s.sweepBatchLanes.Add(int64(res.Stats.Batches * opts.BatchWidth))
+		s.Metrics.Add(metricBatches, "", int64(res.Stats.Batches))
+		s.Metrics.Add(metricBatchPoints, "", int64(res.Stats.BatchedPoints))
+		s.Metrics.Add(metricBatchLanes, "", int64(res.Stats.Batches*opts.BatchWidth))
 	}
 	if res != nil && res.Stats.SimulatedPoints+res.Stats.PredictedPoints > 0 {
-		s.sweepSimulated.Add(int64(res.Stats.SimulatedPoints))
-		s.sweepPredicted.Add(int64(res.Stats.PredictedPoints))
+		s.Metrics.Add(metricSimulated, "", int64(res.Stats.SimulatedPoints))
+		s.Metrics.Add(metricPredicted, "", int64(res.Stats.PredictedPoints))
 		for _, pr := range res.Points {
 			if pr.Source != sweep.SourcePredicted {
 				continue
@@ -108,7 +108,7 @@ func (s *Server) runJob(j *job) {
 			if opts.Sample.Verify {
 				e = pr.PredObserved
 			}
-			s.predErrors.observe(e)
+			s.predErrors.Observe(e)
 		}
 	}
 

@@ -272,10 +272,10 @@ type JobTable[J Tracked] struct {
 	order  []string
 }
 
-// NewJobTable returns an empty table. onEvict, when non-nil, observes
+// newJobTable returns an empty table. onEvict, when non-nil, observes
 // every eviction that dropped at least one job, after the table lock is
 // released.
-func NewJobTable[J Tracked](onEvict func(n int)) *JobTable[J] {
+func newJobTable[J Tracked](onEvict func(n int)) *JobTable[J] {
 	return &JobTable[J]{onEvict: onEvict, jobs: map[string]J{}}
 }
 
@@ -405,9 +405,9 @@ func (t *JobTable[J]) Evict(now time.Time, ttl time.Duration, maxJobs int) int {
 	return len(drop)
 }
 
-// Janitor evicts on a ticker paced to a quarter of the TTL (clamped to
+// janitor evicts on a ticker paced to a quarter of the TTL (clamped to
 // 25ms..1s; 1s without a TTL) until ctx ends.
-func (t *JobTable[J]) Janitor(ctx context.Context, ttl time.Duration, maxJobs int) {
+func (t *JobTable[J]) janitor(ctx context.Context, ttl time.Duration, maxJobs int) {
 	interval := min(max(ttl/4, 25*time.Millisecond), time.Second)
 	if ttl <= 0 {
 		interval = time.Second

@@ -70,20 +70,28 @@ func (ar *accessRecorder) Unwrap() http.ResponseWriter { return ar.ResponseWrite
 
 // setCaller records the authenticated caller on the request's
 // accessRecorder. Context flows inward only, so the auth middleware
-// cannot hand the identity outward through r — instead it walks the
-// ResponseWriter Unwrap chain to the recorder the access log reads.
+// cannot hand the identity outward through r — instead it reaches the
+// recorder the access log reads through the ResponseWriter.
 func setCaller(w http.ResponseWriter, caller string) {
+	if ar := recorderOf(w); ar != nil {
+		ar.caller = caller
+	}
+}
+
+// recorderOf walks the ResponseWriter Unwrap chain to the request's
+// accessRecorder (nil outside AccessLog).
+func recorderOf(w http.ResponseWriter) *accessRecorder {
 	for w != nil {
 		if ar, ok := w.(*accessRecorder); ok {
-			ar.caller = caller
-			return
+			return ar
 		}
 		u, ok := w.(interface{ Unwrap() http.ResponseWriter })
 		if !ok {
-			return
+			return nil
 		}
 		w = u.Unwrap()
 	}
+	return nil
 }
 
 // AccessLog is the shared outermost HTTP middleware of the serving

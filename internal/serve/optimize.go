@@ -10,9 +10,7 @@ package serve
 // temporal dependency graph across its whole search.
 
 import (
-	"context"
 	"encoding/json"
-	"errors"
 	"fmt"
 	"net/http"
 
@@ -80,34 +78,29 @@ type OptimizeResponse struct {
 // handleOptimize serves POST /v1/optimize synchronously on the
 // caller's request context (optimization runs are sweep-sized, not
 // grid-sized: the whole point is simulating few points).
-func (s *Server) handleOptimize(w http.ResponseWriter, r *http.Request) {
+func (s *Server) handleOptimize(w http.ResponseWriter, r *http.Request) *RequestError {
 	var req OptimizeRequest
 	if aerr := DecodeJSON(w, r, &req); aerr != nil {
-		WriteError(w, aerr.Status, aerr.Code, "%s", aerr.Msg)
-		return
+		return aerr
 	}
 	if !hasArchitecture(req.Architecture) {
-		WriteError(w, http.StatusBadRequest, CodeInvalidArchitecture,
+		return requestErrorf(http.StatusBadRequest, CodeInvalidArchitecture,
 			"an inline architecture is required")
-		return
 	}
 	eng, aerr := lookupEngine(req.Engine)
 	if aerr != nil {
-		WriteError(w, aerr.Status, aerr.Code, "%s", aerr.Msg)
-		return
+		return aerr
 	}
 	spec, aerr := decodeArchitecture(req.Architecture)
 	if aerr != nil {
-		WriteError(w, aerr.Status, aerr.Code, "%s", aerr.Msg)
-		return
+		return aerr
 	}
 	switch req.Objective {
 	case "", optimize.ObjectiveCycleMean, optimize.ObjectiveFinalTime:
 	default:
-		WriteError(w, http.StatusBadRequest, CodeInvalidObjective,
+		return requestErrorf(http.StatusBadRequest, CodeInvalidObjective,
 			"unknown objective %q (have %q, %q)",
 			req.Objective, optimize.ObjectiveCycleMean, optimize.ObjectiveFinalTime)
-		return
 	}
 	cm, cmErr := spec.EvalCost(nil)
 	cons := make([]optimize.Constraint, 0, len(req.Constraints))
@@ -115,25 +108,22 @@ func (s *Server) handleOptimize(w http.ResponseWriter, r *http.Request) {
 		switch c.Metric {
 		case optimize.MetricArea, optimize.MetricPower:
 		default:
-			WriteError(w, http.StatusBadRequest, CodeInvalidConstraint,
+			return requestErrorf(http.StatusBadRequest, CodeInvalidConstraint,
 				"unknown constraint metric %q (have %q, %q)",
 				c.Metric, optimize.MetricArea, optimize.MetricPower)
-			return
 		}
 		if cmErr == nil &&
 			((c.Metric == optimize.MetricArea && !cm.HasArea) ||
 				(c.Metric == optimize.MetricPower && !cm.HasPower)) {
-			WriteError(w, http.StatusBadRequest, CodeInvalidConstraint,
+			return requestErrorf(http.StatusBadRequest, CodeInvalidConstraint,
 				"architecture %q declares no %s cost model; the %s budget would be unenforceable",
 				spec.Name, c.Metric, c.Metric)
-			return
 		}
 		cons = append(cons, optimize.Constraint{Metric: c.Metric, Max: c.Max})
 	}
 	if req.Options.Budget < 0 {
-		WriteError(w, http.StatusBadRequest, CodeBadJSON,
+		return requestErrorf(http.StatusBadRequest, CodeBadJSON,
 			"options.budget must be non-negative, got %d", req.Options.Budget)
-		return
 	}
 	// Bound the design space like a sweep grid: the declared value lists
 	// span it.
@@ -143,26 +133,23 @@ func (s *Server) handleOptimize(w http.ResponseWriter, r *http.Request) {
 			axes++
 			points *= n
 			if points > s.cfg.MaxGridPoints {
-				WriteError(w, http.StatusBadRequest, CodeGridTooLarge,
+				return requestErrorf(http.StatusBadRequest, CodeGridTooLarge,
 					"design space exceeds %d points", s.cfg.MaxGridPoints)
-				return
 			}
 		}
 	}
 	if axes == 0 {
-		WriteError(w, http.StatusBadRequest, CodeInvalidAxes,
+		return requestErrorf(http.StatusBadRequest, CodeInvalidAxes,
 			"architecture %q declares no parameter values to optimize over", spec.Name)
-		return
 	}
 	// Charge the full design space against the caller's point quota: the
 	// optimizer may simulate any subset of it.
-	if !s.admitPoints(w, r, points) {
-		return
+	if aerr := s.admitPoints(w, r, points); aerr != nil {
+		return aerr
 	}
 	group, aerr := hybridGroup(eng, spec.Source(), req.Options.Group, nil)
 	if aerr != nil {
-		WriteError(w, aerr.Status, aerr.Code, "%s", aerr.Msg)
-		return
+		return aerr
 	}
 	workers := req.Options.Workers
 	if workers <= 0 {
@@ -185,19 +172,9 @@ func (s *Server) handleOptimize(w http.ResponseWriter, r *http.Request) {
 		Cache:       s.cache,
 	})
 	if err != nil {
-		if errors.Is(err, context.DeadlineExceeded) {
-			WriteError(w, http.StatusGatewayTimeout, CodeDeadlineExceeded,
-				"optimization exceeded the request deadline")
-			return
-		}
-		if errors.Is(err, context.Canceled) {
-			// The caller went away; there is nobody to answer.
-			return
-		}
-		WriteError(w, http.StatusUnprocessableEntity, CodeRunFailed, "%v", err)
-		return
+		return evalError(err, "optimization", requestErrorf(http.StatusUnprocessableEntity, CodeRunFailed, "%v", err))
 	}
-	s.metrics.inc(metricOptimize, fmt.Sprintf(`engine=%q`, eng.Name()))
+	s.Metrics.Add(metricOptimize, fmt.Sprintf(`engine=%q`, eng.Name()), 1)
 
 	front := make([]OptimizePoint, 0, len(res.Front))
 	for _, p := range res.Front {
@@ -223,4 +200,5 @@ func (s *Server) handleOptimize(w http.ResponseWriter, r *http.Request) {
 		Exhaustive:   res.Exhaustive,
 		Cache:        CacheStats{Shapes: s.cache.Shapes(), Hits: hits, Misses: misses},
 	})
+	return nil
 }

@@ -2,7 +2,6 @@ package serve
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"net/http"
 
@@ -107,56 +106,41 @@ func runEngine(ctx context.Context, eng engine.Engine, a *model.Architecture, op
 // synchronously on the caller's request context (a dropped connection
 // cancels the run at the engine's granularity), and answer with the
 // unified result plus a cache snapshot.
-func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
+func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) *RequestError {
 	var req RunRequest
 	if aerr := DecodeJSON(w, r, &req); aerr != nil {
-		WriteError(w, aerr.Status, aerr.Code, "%s", aerr.Msg)
-		return
+		return aerr
 	}
 	eng, src, aerr := resolve(req.Engine, req.Scenario, req.Architecture, req.Params)
 	if aerr != nil {
-		WriteError(w, aerr.Status, aerr.Code, "%s", aerr.Msg)
-		return
+		return aerr
 	}
 	pm := zoo.ParamMap(req.Params)
 	group, aerr := hybridGroup(eng, src, req.Options.Group, pm)
 	if aerr != nil {
-		WriteError(w, aerr.Status, aerr.Code, "%s", aerr.Msg)
-		return
+		return aerr
 	}
 	a, err := src.Build(pm)
 	if err != nil {
-		status, code := http.StatusUnprocessableEntity, CodeRunFailed
 		if src.Inline {
 			// A resolved-value violation the spec's structural check
 			// cannot see (e.g. a binding driving a speed to zero) is the
 			// request's fault.
-			status, code = http.StatusBadRequest, CodeInvalidArchitecture
+			return requestErrorf(http.StatusBadRequest, CodeInvalidArchitecture, "%v", err)
 		}
-		WriteError(w, status, code, "%v", err)
-		return
+		return requestErrorf(http.StatusUnprocessableEntity, CodeRunFailed, "%v", err)
 	}
-	if !s.admitPoints(w, r, 1) {
-		return
+	if aerr := s.admitPoints(w, r, 1); aerr != nil {
+		return aerr
 	}
 
 	opts := req.Options.engineOptions(group)
 	opts.Cache = s.cache
 	res, err := runEngine(r.Context(), eng, a, opts)
 	if err != nil {
-		if errors.Is(err, context.DeadlineExceeded) {
-			WriteError(w, http.StatusGatewayTimeout, CodeDeadlineExceeded,
-				"run exceeded the request deadline")
-			return
-		}
-		if errors.Is(err, context.Canceled) {
-			// The caller went away; there is nobody to answer.
-			return
-		}
-		WriteError(w, http.StatusUnprocessableEntity, CodeRunFailed, "%v", err)
-		return
+		return evalError(err, "run", requestErrorf(http.StatusUnprocessableEntity, CodeRunFailed, "%v", err))
 	}
-	s.metrics.inc(metricRuns, fmt.Sprintf(`engine=%q`, eng.Name()))
+	s.Metrics.Add(metricRuns, fmt.Sprintf(`engine=%q`, eng.Name()), 1)
 	hits, misses := s.cache.Stats()
 	resp := RunResponse{
 		Engine: eng.Name(),
@@ -169,4 +153,5 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 		resp.Scenario = src.Name
 	}
 	WriteJSON(w, http.StatusOK, resp)
+	return nil
 }

@@ -47,7 +47,6 @@ import (
 	"log/slog"
 	"net/http"
 	"runtime"
-	"sync"
 	"sync/atomic"
 	"time"
 
@@ -169,83 +168,48 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
-// Server is the serving layer's state: the process-wide derivation
-// cache, the job table and pool, and the metrics collector. Create it
-// with New, expose Handler over an http.Server, and Close it on the way
-// out (Close cancels running jobs and waits for the pool to drain).
+// Server is the serving layer's state: the shared front end (job
+// table, metrics registry, routes), the process-wide derivation cache
+// and the job pool. Create it with New, expose Handler over an
+// http.Server, and Close it on the way out (Close cancels running jobs
+// and waits for the pool to drain).
 type Server struct {
+	*Host[*job]
 	cfg     Config
 	cache   *derive.Cache
-	jobs    *JobTable[*job]
 	queue   chan *job // FIFO feeding the job worker pool
-	metrics *metrics
-	mux     *http.ServeMux
 	started time.Time
 
-	// Batched-sweep accounting across every finished job, scraped by
-	// /metrics: batched engine invocations, the points they carried and
-	// the lane capacity they offered (batches × width).
-	sweepBatches     atomic.Int64
-	sweepBatchPoints atomic.Int64
-	sweepBatchLanes  atomic.Int64
-	// chunkPoints counts grid points evaluated for a distributed sweep
-	// coordinator through POST /v1/chunks.
-	chunkPoints atomic.Int64
-	// Sampled-sweep accounting across every finished job: exactly
-	// simulated vs surrogate-predicted points, plus a histogram of the
-	// per-point prediction errors (observed under sample_verify, the
-	// declared bound otherwise).
-	sweepSimulated atomic.Int64
-	sweepPredicted atomic.Int64
-	predErrors     errHist
+	// predErrors is the histogram of per-point prediction errors of
+	// sampled sweeps (observed under sample_verify, the declared bound
+	// otherwise).
+	predErrors *Histogram
 
-	// Admission-control state: per-caller quotas, the in-flight work
-	// gauge the shed middleware gates on, and the resilience counters.
-	quotas      *quotas
-	inflight    atomic.Int64
-	jobsEvicted atomic.Int64
-	panics      atomic.Int64
-
-	baseCtx context.Context
-	stop    context.CancelFunc
-	wg      sync.WaitGroup
+	// Admission-control state: per-caller quotas and the in-flight work
+	// gauge the shed middleware gates on.
+	quotas   *quotas
+	inflight atomic.Int64
 }
 
 // New creates a Server and starts its job worker pool.
 func New(cfg Config) *Server {
 	cfg = cfg.withDefaults()
-	ctx, stop := context.WithCancel(context.Background())
 	s := &Server{
+		Host:    NewHost[*job]("dyncomp_serve", cfg.Logger, cfg.StreamWriteTimeout, nil),
 		cfg:     cfg,
 		cache:   derive.NewCacheLimit(cfg.CacheEntries),
 		queue:   make(chan *job, cfg.JobQueue),
-		metrics: newMetrics(),
 		quotas:  newQuotas(),
-		mux:     http.NewServeMux(),
 		started: time.Now(),
-		baseCtx: ctx,
-		stop:    stop,
 	}
-	s.jobs = NewJobTable[*job](func(n int) { s.jobsEvicted.Add(int64(n)) })
+	s.declareMetrics()
 	s.routes()
 	for i := 0; i < cfg.JobWorkers; i++ {
-		s.wg.Add(1)
+		s.WG.Add(1)
 		go s.jobWorker()
 	}
-	if cfg.JobTTL > 0 || cfg.MaxJobs > 0 {
-		s.wg.Add(1)
-		go func() {
-			defer s.wg.Done()
-			s.jobs.Janitor(s.baseCtx, cfg.JobTTL, cfg.MaxJobs)
-		}()
-	}
+	s.StartJanitor(cfg.JobTTL, cfg.MaxJobs)
 	return s
-}
-
-// Handler returns the root handler serving the full API, behind the
-// panic-recovery and access-logging layer.
-func (s *Server) Handler() http.Handler {
-	return AccessLog{Logger: s.cfg.Logger, OnPanic: func() { s.panics.Add(1) }}.Wrap(s.mux)
 }
 
 // Close shuts the job pool down: new job submissions are rejected,
@@ -255,9 +219,7 @@ func (s *Server) Handler() http.Handler {
 // hanging into the HTTP drain timeout. Close blocks until every worker
 // returned. Handlers may keep serving reads after Close.
 func (s *Server) Close() {
-	s.jobs.Close() // before the drain: Add is serialized against it
-	s.stop()
-	s.wg.Wait()
+	s.Host.Close()
 	// No worker will ever pop these; settle them.
 	for {
 		select {
@@ -272,24 +234,19 @@ func (s *Server) Close() {
 // routes wires every endpoint through its admission class (see
 // admission.go): probes stay reachable without credentials, reads are
 // authenticated, work endpoints additionally shed load and carry the
-// request deadline, streams are bounded per write instead.
+// request deadline, streams are bounded per write instead. Close
+// settles every job, so the event streams need no shutdown signal.
 func (s *Server) routes() {
-	s.mux.HandleFunc("GET /healthz", s.probe("healthz", s.handleHealthz))
-	s.mux.HandleFunc("GET /readyz", s.probe("readyz", s.handleReadyz))
-	s.mux.HandleFunc("GET /metrics", s.probe("metrics", s.handleMetrics))
-	s.mux.HandleFunc("GET /v1/engines", s.light("engines", s.handleEngines))
-	s.mux.HandleFunc("GET /v1/scenarios", s.light("scenarios", s.handleScenarios))
-	s.mux.HandleFunc("POST /v1/run", s.work("run", s.handleRun))
-	s.mux.HandleFunc("POST /v1/optimize", s.work("optimize", s.handleOptimize))
-	s.mux.HandleFunc("POST /v1/chunks", s.work("chunk_run", s.handleChunkRun))
-	s.mux.HandleFunc("POST /v1/sweeps", s.work("sweep_create", s.handleSweepCreate))
-	s.mux.HandleFunc("GET /v1/sweeps", s.light("sweep_list", s.jobs.ServeList))
-	s.mux.HandleFunc("GET /v1/sweeps/{id}", s.light("sweep_get", s.jobs.ServeGet))
-	s.mux.HandleFunc("DELETE /v1/sweeps/{id}", s.light("sweep_cancel", s.jobs.ServeCancel))
-	s.mux.HandleFunc("GET /v1/sweeps/{id}/events", s.stream("sweep_events", func(w http.ResponseWriter, r *http.Request) {
-		// Close settles every job, so the stream needs no shutdown signal.
-		s.jobs.ServeEvents(w, r, s.cfg.StreamWriteTimeout, nil)
-	}))
+	s.Mux.HandleFunc("GET /healthz", s.probe("healthz", s.handleHealthz))
+	s.Mux.HandleFunc("GET /readyz", s.probe("readyz", s.handleReadyz))
+	s.Mux.HandleFunc("GET /metrics", s.probe("metrics", s.Metrics.ServeHTTP))
+	s.Mux.HandleFunc("GET /v1/engines", s.light("engines", s.handleEngines))
+	s.Mux.HandleFunc("GET /v1/scenarios", s.light("scenarios", s.handleScenarios))
+	s.Mux.HandleFunc("POST /v1/run", s.work("run", s.handleRun))
+	s.Mux.HandleFunc("POST /v1/optimize", s.work("optimize", s.handleOptimize))
+	s.Mux.HandleFunc("POST /v1/chunks", s.work("chunk_run", s.handleChunkRun))
+	s.Mux.HandleFunc("POST /v1/sweeps", s.work("sweep_create", s.handleSweepCreate))
+	s.JobRoutes(s.light, false)
 }
 
 // Health is the body of GET /healthz.

@@ -166,28 +166,25 @@ func (s *Server) prepareSweep(req SweepRequest) (*SweepPlan, *RequestError) {
 
 // handleSweepCreate serves POST /v1/sweeps: validate, then queue the
 // job and answer 202 with its lifecycle snapshot.
-func (s *Server) handleSweepCreate(w http.ResponseWriter, r *http.Request) {
+func (s *Server) handleSweepCreate(w http.ResponseWriter, r *http.Request) *RequestError {
 	var req SweepRequest
 	if aerr := DecodeJSON(w, r, &req); aerr != nil {
-		WriteError(w, aerr.Status, aerr.Code, "%s", aerr.Msg)
-		return
+		return aerr
 	}
 	plan, aerr := s.prepareSweep(req)
 	if aerr != nil {
-		WriteError(w, aerr.Status, aerr.Code, "%s", aerr.Msg)
-		return
+		return aerr
 	}
 	caller := callerID(r)
 	if !s.quotas.reserveJob(caller, s.cfg.QuotaJobs) {
-		s.metrics.inc(metricRejections, `reason="quota_jobs"`)
+		s.reject("quota_jobs")
 		w.Header().Set("Retry-After", "1")
-		WriteError(w, http.StatusTooManyRequests, CodeQuotaExceeded,
+		return requestErrorf(http.StatusTooManyRequests, CodeQuotaExceeded,
 			"caller %q already has %d jobs in flight", caller, s.cfg.QuotaJobs)
-		return
 	}
-	if !s.admitPoints(w, r, plan.Total) {
+	if aerr := s.admitPoints(w, r, plan.Total); aerr != nil {
 		s.quotas.releaseJob(caller)
-		return
+		return aerr
 	}
 	j := &job{
 		Lifecycle: Lifecycle{
@@ -201,7 +198,7 @@ func (s *Server) handleSweepCreate(w http.ResponseWriter, r *http.Request) {
 			// single point every settle path funnels through.
 			OnSettle: func(st JobState, _ string) {
 				s.quotas.releaseJob(caller)
-				s.metrics.inc(metricJobs, fmt.Sprintf(`state=%q`, st.String()))
+				s.Metrics.Add(metricJobs, fmt.Sprintf(`state=%q`, st.String()), 1)
 			},
 		},
 		axes: plan.Axes,
@@ -211,12 +208,11 @@ func (s *Server) handleSweepCreate(w http.ResponseWriter, r *http.Request) {
 	if err := s.jobs.Add(j, s.enqueue); err != nil {
 		s.quotas.releaseJob(caller) // never enqueued: OnSettle will not run
 		if errors.Is(err, errShuttingDown) {
-			WriteError(w, http.StatusServiceUnavailable, CodeUnavailable, "%v", err)
-		} else {
-			w.Header().Set("Retry-After", "1")
-			WriteError(w, http.StatusTooManyRequests, CodeQueueFull, "%v", err)
+			return requestErrorf(http.StatusServiceUnavailable, CodeUnavailable, "%v", err)
 		}
-		return
+		w.Header().Set("Retry-After", "1")
+		return requestErrorf(http.StatusTooManyRequests, CodeQueueFull, "%v", err)
 	}
 	WriteJSON(w, http.StatusAccepted, j.Snapshot())
+	return nil
 }

@@ -57,10 +57,10 @@ func TestBreakerProbeRecoversWorker(t *testing.T) {
 	if n := probes.Load(); n < 2 {
 		t.Fatalf("%d probes, want at least 2 (one failed, one succeeded)", n)
 	}
-	if n := c.breakerOpened.Load(); n != 1 {
+	if n := c.Metrics.Count(metricBreakerOpened, ""); n != 1 {
 		t.Fatalf("breakerOpened %d, want 1", n)
 	}
-	if n := c.breakerClosedN.Load(); n != 1 {
+	if n := c.Metrics.Count(metricBreakerClosed, ""); n != 1 {
 		t.Fatalf("breakerClosed %d, want 1", n)
 	}
 	for _, ws := range c.ring.workers() {
@@ -127,7 +127,7 @@ func TestWorkerShedReSteersWithoutBenching(t *testing.T) {
 	if alive := c.ring.alive(); alive != 3 {
 		t.Fatalf("%d workers alive, want 3 (a shed answer must not bench)", alive)
 	}
-	if n := c.breakerOpened.Load(); n != 0 {
+	if n := c.Metrics.Count(metricBreakerOpened, ""); n != 0 {
 		t.Fatalf("breakerOpened %d, want 0", n)
 	}
 }
@@ -154,7 +154,7 @@ func TestBreakerThresholdToleratesSporadicFailure(t *testing.T) {
 	if alive := c.ring.alive(); alive != 3 {
 		t.Fatalf("%d workers alive, want 3 (one failure is below the threshold)", alive)
 	}
-	if n := c.breakerOpened.Load(); n != 0 {
+	if n := c.Metrics.Count(metricBreakerOpened, ""); n != 0 {
 		t.Fatalf("breakerOpened %d, want 0", n)
 	}
 }

@@ -39,10 +39,10 @@ func TestEvictionCompactsStoreAcrossRestart(t *testing.T) {
 
 	before := storeSize(t, storePath)
 	c1.jobs.Evict(time.Now(), 0, 1)
-	if n := c1.jobsEvicted.Load(); n != 1 {
+	if n := c1.Metrics.Count("dyncomp_coord_jobs_evicted_total", ""); n != 1 {
 		t.Fatalf("evicted %d jobs, want 1", n)
 	}
-	if n := c1.compactions.Load(); n != 1 {
+	if n := c1.Metrics.Count(metricCompactions, ""); n != 1 {
 		t.Fatalf("%d compactions, want 1", n)
 	}
 	if after := storeSize(t, storePath); after >= before {
@@ -125,7 +125,47 @@ func TestJobTTLEvictsSettledJobs(t *testing.T) {
 		}
 		time.Sleep(5 * time.Millisecond)
 	}
-	if n := c.jobsEvicted.Load(); n != 1 {
+	if n := c.Metrics.Count("dyncomp_coord_jobs_evicted_total", ""); n != 1 {
 		t.Fatalf("evicted %d jobs, want 1", n)
+	}
+}
+
+// A recovered job whose spec no longer compiles fails at recovery time:
+// it reports when it finished and lives out its TTL like any other
+// settled job instead of being evicted on the first janitor tick.
+func TestRecoveredUncompilableJobKeepsItsTTL(t *testing.T) {
+	storePath := t.TempDir() + "/jobs.ndjson"
+	st, _, err := OpenStore(storePath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	gone := faultReq
+	gone.Scenario = "no-such-scenario"
+	if err := st.AppendJob("job-000001", time.Now().Add(-time.Minute), gone, 2); err != nil {
+		t.Fatal(err)
+	}
+	if err := st.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	before := time.Now()
+	c, err := New(Config{StorePath: storePath, JobTTL: time.Hour})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(c.Close)
+	if n := c.jobs.Evict(time.Now(), time.Hour, 0); n != 0 {
+		t.Fatalf("evicted %d jobs, want the recovered job kept for its TTL", n)
+	}
+	j, ok := c.jobs.Get("job-000001")
+	if !ok {
+		t.Fatal("recovered job missing")
+	}
+	snap := j.Snapshot()
+	if snap.State != "failed" || snap.Error == "" {
+		t.Fatalf("recovered job %q (%q), want failed with the compile error", snap.State, snap.Error)
+	}
+	if snap.Finished == nil || snap.Finished.Before(before) {
+		t.Fatalf("recovered job finished at %v, want its recovery time (after %v)", snap.Finished, before)
 	}
 }

@@ -41,7 +41,6 @@ import (
 	"net/url"
 	"strings"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"dyncomp/internal/serve"
@@ -159,25 +158,15 @@ func (c Config) withDefaults() Config {
 // Coordinator is the fabric's control plane: the worker ring, the job
 // table and the durability store, exposed over the same /v1/sweeps API
 // vocabulary as a single dyncomp-serve process — plus the fleet
-// endpoints (/v1/workers) and an NDJSON result stream.
+// endpoints (/v1/workers) and an NDJSON result stream. It embeds the
+// serving layer's front end, so its job routes, metrics registry,
+// access log and shutdown order are the single server's.
 type Coordinator struct {
+	*serve.Host[*job]
 	cfg   Config
 	ring  *ring
 	store *Store
-	mux   *http.ServeMux
 	jobs  *serve.JobTable[*job]
-
-	baseCtx context.Context
-	stop    context.CancelFunc
-	wg      sync.WaitGroup
-
-	// Resilience counters, exported by GET /metrics.
-	breakerOpened  atomic.Int64
-	breakerClosedN atomic.Int64
-	chunkRetries   atomic.Int64
-	jobsEvicted    atomic.Int64
-	compactions    atomic.Int64
-	panics         atomic.Int64
 }
 
 // New creates a Coordinator: opens the store (when configured), replays
@@ -185,19 +174,14 @@ type Coordinator struct {
 // dispatching — and wires the HTTP handlers.
 func New(cfg Config) (*Coordinator, error) {
 	cfg = cfg.withDefaults()
-	ctx, stop := context.WithCancel(context.Background())
-	c := &Coordinator{
-		cfg:     cfg,
-		ring:    newRing(cfg.Workers),
-		mux:     http.NewServeMux(),
-		baseCtx: ctx,
-		stop:    stop,
-	}
-	c.jobs = serve.NewJobTable[*job](c.evicted)
+	c := &Coordinator{cfg: cfg, ring: newRing(cfg.Workers)}
+	c.Host = serve.NewHost[*job]("dyncomp_coord", cfg.Logger, cfg.StreamWriteTimeout, c.compact)
+	c.jobs = c.Jobs()
+	c.declareMetrics()
 	if cfg.StorePath != "" {
 		store, recovered, err := OpenStore(cfg.StorePath)
 		if err != nil {
-			stop()
+			c.Host.Close()
 			return nil, fmt.Errorf("shard: opening store: %w", err)
 		}
 		c.store = store
@@ -206,21 +190,14 @@ func New(cfg Config) (*Coordinator, error) {
 		}
 	}
 	c.routes()
-	if cfg.JobTTL > 0 || cfg.MaxJobs > 0 {
-		c.wg.Add(1)
-		go func() {
-			defer c.wg.Done()
-			c.jobs.Janitor(c.baseCtx, cfg.JobTTL, cfg.MaxJobs)
-		}()
-	}
+	c.StartJanitor(cfg.JobTTL, cfg.MaxJobs)
 	return c, nil
 }
 
-// evicted is the job table's eviction hook: count the dropped jobs and
-// compact the store down to the survivors, so neither the table nor the
-// on-disk log grows without bound under sustained traffic.
-func (c *Coordinator) evicted(n int) {
-	c.jobsEvicted.Add(int64(n))
+// compact is the job table's eviction hook: compact the store down to
+// the surviving jobs, so neither the table nor the on-disk log grows
+// without bound under sustained traffic.
+func (c *Coordinator) compact() {
 	if c.store == nil {
 		return
 	}
@@ -229,7 +206,7 @@ func (c *Coordinator) evicted(n int) {
 		live[j.ID] = true
 	}
 	if _, _, err := c.store.Compact(live); err == nil {
-		c.compactions.Add(1)
+		c.Metrics.Add(metricCompactions, "", 1)
 	}
 }
 
@@ -246,9 +223,10 @@ func (c *Coordinator) recoverJob(jr JobRecord) {
 	jp, rerr := planJob(jr.Spec, serve.SweepDefaults{Workers: c.cfg.Defaults.Workers, MaxGridPoints: math.MaxInt}, jr.ChunkPoints)
 	if rerr != nil {
 		// The spec no longer compiles (e.g. a scenario was removed).
-		// Surface the job as failed instead of silently dropping it.
+		// Surface the job as failed instead of silently dropping it; it
+		// fails now, so its TTL runs from now.
 		j := &job{Lifecycle: serve.Lifecycle{ID: jr.ID, Created: jr.Created}, spec: jr.Spec}
-		j.Settle(serve.JobFailed, rerr.Msg, time.Time{})
+		j.Settle(serve.JobFailed, rerr.Msg, time.Now())
 		c.jobs.Restore(j)
 		return
 	}
@@ -270,7 +248,7 @@ func (c *Coordinator) recoverJob(jr JobRecord) {
 	}
 	j.OnSettle = c.persistState(j)
 	c.jobs.Restore(j)
-	c.wg.Add(1)
+	c.WG.Add(1)
 	go c.runJob(j)
 }
 
@@ -285,44 +263,29 @@ func (c *Coordinator) persistState(j *job) func(serve.JobState, string) {
 	}
 }
 
-// Handler returns the root handler serving the coordinator API,
-// wrapped in the same panic-recovery and access-logging middleware the
-// serving layer uses.
-func (c *Coordinator) Handler() http.Handler {
-	return serve.AccessLog{
-		Logger:  c.cfg.Logger,
-		OnPanic: func() { c.panics.Add(1) },
-	}.Wrap(c.mux)
-}
-
 // Close stops the coordinator: running jobs are interrupted mid-dispatch
 // WITHOUT settling a terminal state — their store records end at the
 // last completed chunk, which is exactly where a restarted coordinator
 // resumes them. Close blocks until every dispatcher returned, then
 // closes the store.
 func (c *Coordinator) Close() {
-	c.jobs.Close() // before the drain: no job launches past it
-	c.stop()
-	c.wg.Wait()
+	c.Host.Close()
 	_ = c.store.Close()
 }
 
+// routes wires the fleet endpoints, sweep submission and the NDJSON
+// result stream beside the shared job routes. Unsettled jobs never
+// change again once the coordinator shuts down, so their event streams
+// end on Close and the HTTP drain does not wait.
 func (c *Coordinator) routes() {
-	c.mux.HandleFunc("GET /healthz", c.handleHealthz)
-	c.mux.HandleFunc("GET /readyz", c.handleReadyz)
-	c.mux.HandleFunc("GET /metrics", c.handleMetrics)
-	c.mux.HandleFunc("GET /v1/workers", c.handleWorkersList)
-	c.mux.HandleFunc("POST /v1/workers", c.handleWorkersAdd)
-	c.mux.HandleFunc("POST /v1/sweeps", c.handleSweepCreate)
-	c.mux.HandleFunc("GET /v1/sweeps", c.jobs.ServeList)
-	c.mux.HandleFunc("GET /v1/sweeps/{id}", c.jobs.ServeGet)
-	c.mux.HandleFunc("DELETE /v1/sweeps/{id}", c.jobs.ServeCancel)
-	c.mux.HandleFunc("GET /v1/sweeps/{id}/events", func(w http.ResponseWriter, r *http.Request) {
-		// Unsettled jobs never change again once the coordinator shuts
-		// down; end their streams so the HTTP drain does not wait.
-		c.jobs.ServeEvents(w, r, c.cfg.StreamWriteTimeout, c.baseCtx.Done())
-	})
-	c.mux.HandleFunc("GET /v1/sweeps/{id}/results", c.handleSweepResults)
+	c.Mux.HandleFunc("GET /healthz", c.handleHealthz)
+	c.Mux.HandleFunc("GET /readyz", c.handleReadyz)
+	c.Mux.Handle("GET /metrics", c.Metrics)
+	c.Mux.HandleFunc("GET /v1/workers", c.handleWorkersList)
+	c.Mux.Handle("POST /v1/workers", serve.JSONHandler(c.handleWorkersAdd))
+	c.Mux.Handle("POST /v1/sweeps", serve.JSONHandler(c.handleSweepCreate))
+	c.JobRoutes(nil, true)
+	c.Mux.HandleFunc("GET /v1/sweeps/{id}/results", c.handleSweepResults)
 }
 
 // errShutdown answers submissions to a coordinator that is closing.
@@ -332,7 +295,7 @@ var errShutdown = &serve.RequestError{Status: http.StatusServiceUnavailable,
 // submit plans, persists and launches one job. Exported through the
 // HTTP handler only; tests drive the same path over httptest.
 func (c *Coordinator) submit(req serve.SweepRequest) (*job, *serve.RequestError) {
-	if c.baseCtx.Err() != nil {
+	if c.Ctx.Err() != nil {
 		return nil, errShutdown
 	}
 	jp, rerr := planJob(req, c.cfg.Defaults, c.cfg.ChunkPoints)
@@ -354,7 +317,7 @@ func (c *Coordinator) submit(req serve.SweepRequest) (*job, *serve.RequestError)
 		j.Settle(serve.JobFailed, fmt.Sprintf("persisting job: %v", err), time.Now())
 		return j, nil
 	}
-	c.wg.Add(1)
+	c.WG.Add(1)
 	go c.runJob(j)
 	return j, nil
 }
@@ -363,8 +326,8 @@ func (c *Coordinator) submit(req serve.SweepRequest) (*job, *serve.RequestError)
 // bounded number in flight at a time, then settles the terminal state
 // (which the settle hook persists).
 func (c *Coordinator) runJob(j *job) {
-	defer c.wg.Done()
-	ctx, cancel := context.WithCancel(c.baseCtx)
+	defer c.WG.Done()
+	ctx, cancel := context.WithCancel(c.Ctx)
 	defer cancel()
 	if !j.Start(cancel, time.Now()) {
 		return // cancelled while queued: settled and persisted already
@@ -429,7 +392,7 @@ func (c *Coordinator) dispatchChunk(ctx context.Context, j *job, ci int) {
 				return
 			case <-t.C:
 			}
-			c.chunkRetries.Add(1)
+			c.Metrics.Add(metricChunkRetries, "", 1)
 		}
 		worker, ok := c.ring.lookup(cp.Shape, exclude)
 		if !ok {
@@ -485,8 +448,8 @@ func (c *Coordinator) benchWorker(url string) {
 	if !c.ring.recordFailure(url, c.cfg.BreakerThreshold) {
 		return
 	}
-	c.breakerOpened.Add(1)
-	c.wg.Add(1)
+	c.Metrics.Add(metricBreakerOpened, "", 1)
+	c.WG.Add(1)
 	go c.probeWorker(url)
 }
 
@@ -496,13 +459,13 @@ func (c *Coordinator) benchWorker(url string) {
 // it and back off further. The loop also exits when the worker closes
 // by other means (re-registration) or the coordinator shuts down.
 func (c *Coordinator) probeWorker(url string) {
-	defer c.wg.Done()
+	defer c.WG.Done()
 	defer c.ring.probeDone(url)
 	backoff := c.cfg.ProbeBase
 	for {
 		t := time.NewTimer(jitter(backoff))
 		select {
-		case <-c.baseCtx.Done():
+		case <-c.Ctx.Done():
 			t.Stop()
 			return
 		case <-t.C:
@@ -510,12 +473,12 @@ func (c *Coordinator) probeWorker(url string) {
 		if !c.ring.beginProbe(url) {
 			return
 		}
-		pctx, cancel := context.WithTimeout(c.baseCtx, c.cfg.ProbeTimeout)
+		pctx, cancel := context.WithTimeout(c.Ctx, c.cfg.ProbeTimeout)
 		err := c.cfg.Prober.Probe(pctx, url)
 		cancel()
 		if err == nil {
 			c.ring.probeSucceeded(url)
-			c.breakerClosedN.Add(1)
+			c.Metrics.Add(metricBreakerClosed, "", 1)
 			return
 		}
 		c.ring.probeFailed(url)
@@ -557,34 +520,32 @@ type workerAddRequest struct {
 	URL string `json:"url"`
 }
 
-func (c *Coordinator) handleWorkersAdd(w http.ResponseWriter, r *http.Request) {
+func (c *Coordinator) handleWorkersAdd(w http.ResponseWriter, r *http.Request) *serve.RequestError {
 	var req workerAddRequest
 	if rerr := serve.DecodeJSON(w, r, &req); rerr != nil {
-		serve.WriteError(w, rerr.Status, rerr.Code, "%s", rerr.Msg)
-		return
+		return rerr
 	}
 	u, err := url.Parse(req.URL)
 	if err != nil || (u.Scheme != "http" && u.Scheme != "https") || u.Host == "" {
-		serve.WriteError(w, http.StatusBadRequest, serve.CodeBadJSON,
-			"url %q is not an absolute http(s) URL", req.URL)
-		return
+		return &serve.RequestError{Status: http.StatusBadRequest, Code: serve.CodeBadJSON,
+			Msg: fmt.Sprintf("url %q is not an absolute http(s) URL", req.URL)}
 	}
 	c.ring.add(strings.TrimRight(req.URL, "/"))
 	serve.WriteJSON(w, http.StatusOK, struct {
 		Workers []WorkerStatus `json:"workers"`
 	}{Workers: c.ring.workers()})
+	return nil
 }
 
-func (c *Coordinator) handleSweepCreate(w http.ResponseWriter, r *http.Request) {
+func (c *Coordinator) handleSweepCreate(w http.ResponseWriter, r *http.Request) *serve.RequestError {
 	var req serve.SweepRequest
 	if rerr := serve.DecodeJSON(w, r, &req); rerr != nil {
-		serve.WriteError(w, rerr.Status, rerr.Code, "%s", rerr.Msg)
-		return
+		return rerr
 	}
 	j, rerr := c.submit(req)
 	if rerr != nil {
-		serve.WriteError(w, rerr.Status, rerr.Code, "%s", rerr.Msg)
-		return
+		return rerr
 	}
 	serve.WriteJSON(w, http.StatusAccepted, j.Snapshot())
+	return nil
 }

@@ -67,7 +67,7 @@ func (c *Coordinator) handleSweepResults(w http.ResponseWriter, r *http.Request)
 		select {
 		case <-r.Context().Done():
 			return
-		case <-c.baseCtx.Done():
+		case <-c.Ctx.Done():
 			return
 		case <-changed:
 		}

@@ -1,8 +1,8 @@
 package shard
 
 // Coordinator observability: GET /metrics exposes the fabric's
-// resilience counters in the Prometheus text format (through the
-// serving layer's writer — stdlib only), and GET /readyz is the readiness
+// resilience counters in the Prometheus text format (declared on the
+// serving layer's registry — stdlib only), and GET /readyz is the readiness
 // probe load balancers and upstream breakers key on: a coordinator with
 // no live worker accepts jobs it cannot dispatch, so it reports not
 // ready.
@@ -14,47 +14,48 @@ import (
 	"dyncomp/internal/serve"
 )
 
-func (c *Coordinator) handleMetrics(w http.ResponseWriter, r *http.Request) {
-	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-	ws := c.ring.workers()
-	alive := 0
-	for _, m := range ws {
-		if !m.Down {
-			alive++
-		}
-	}
+// The coordinator's counter names.
+const (
+	metricBreakerOpened = "dyncomp_coord_breaker_opened_total"
+	metricBreakerClosed = "dyncomp_coord_breaker_closed_total"
+	metricChunkRetries  = "dyncomp_coord_chunk_retries_total"
+	metricCompactions   = "dyncomp_coord_store_compactions_total"
+)
 
-	gauge := func(name, help string, v any) { serve.WriteMetric(w, name, "gauge", help, serve.Sample("", v)) }
-	counter := func(name, help string, v any) { serve.WriteMetric(w, name, "counter", help, serve.Sample("", v)) }
-
-	gauge("dyncomp_coord_workers", "Registered fleet members.", len(ws))
-	gauge("dyncomp_coord_workers_alive", "Fleet members with a closed breaker (in rotation).", alive)
-	var breakers []string
-	for _, m := range ws {
-		v := 0
-		switch m.Breaker {
-		case breakerOpen.String():
-			v = 1
-		case breakerHalfOpen.String():
-			v = 2
+// declareMetrics declares the coordinator's families in exposition
+// order.
+func (c *Coordinator) declareMetrics() {
+	m := c.Metrics
+	m.Value("dyncomp_coord_workers", "gauge", "Registered fleet members.", func() any { return len(c.ring.workers()) })
+	m.Value("dyncomp_coord_workers_alive", "gauge", "Fleet members with a closed breaker (in rotation).", func() any { return c.ring.alive() })
+	m.Func("dyncomp_coord_breaker_state", "gauge", "Breaker state per worker (0 closed, 1 open, 2 half-open).", func() []string {
+		var out []string
+		for _, ws := range c.ring.workers() {
+			v := 0
+			switch ws.Breaker {
+			case breakerOpen.String():
+				v = 1
+			case breakerHalfOpen.String():
+				v = 2
+			}
+			out = append(out, fmt.Sprintf("{worker=%q} %d", ws.URL, v))
 		}
-		breakers = append(breakers, serve.Sample(fmt.Sprintf("worker=%q", m.URL), v))
-	}
-	serve.WriteMetric(w, "dyncomp_coord_breaker_state", "gauge", "Breaker state per worker (0 closed, 1 open, 2 half-open).", breakers...)
-	counter("dyncomp_coord_breaker_opened_total", "Breakers opened (worker benched).", c.breakerOpened.Load())
-	counter("dyncomp_coord_breaker_closed_total", "Breakers closed by a successful readiness probe.", c.breakerClosedN.Load())
-	counter("dyncomp_coord_chunk_retries_total", "Chunk dispatch attempts past the first.", c.chunkRetries.Load())
-	gauge("dyncomp_coord_jobs", "Jobs in the table.", c.jobs.Len())
-	counter("dyncomp_coord_jobs_evicted_total", "Settled jobs evicted by TTL or the MaxJobs cap.", c.jobsEvicted.Load())
-	counter("dyncomp_coord_store_compactions_total", "Store compactions past evicted jobs.", c.compactions.Load())
-	counter("dyncomp_coord_panics_total", "Handler panics recovered by the middleware.", c.panics.Load())
+		return out
+	})
+	m.Counter(metricBreakerOpened, "Breakers opened (worker benched).")
+	m.Counter(metricBreakerClosed, "Breakers closed by a successful readiness probe.")
+	m.Counter(metricChunkRetries, "Chunk dispatch attempts past the first.")
+	m.Value("dyncomp_coord_jobs", "gauge", "Jobs in the table.", func() any { return c.jobs.Len() })
+	m.Counter("dyncomp_coord_jobs_evicted_total", "Settled jobs evicted by TTL or the MaxJobs cap.")
+	m.Counter(metricCompactions, "Store compactions past evicted jobs.")
+	m.Counter("dyncomp_coord_panics_total", "Handler panics recovered by the middleware.")
 }
 
 // handleReadyz answers whether the coordinator can make progress:
 // not shutting down and at least one worker in rotation. /healthz stays
 // pure liveness.
 func (c *Coordinator) handleReadyz(w http.ResponseWriter, r *http.Request) {
-	if c.baseCtx.Err() != nil {
+	if c.Ctx.Err() != nil {
 		serve.WriteError(w, http.StatusServiceUnavailable, serve.CodeUnavailable, "coordinator shutting down")
 		return
 	}

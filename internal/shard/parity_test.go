@@ -211,8 +211,52 @@ func TestCancelQueuedParity(t *testing.T) {
 }
 
 // Both /metrics endpoints write each metric family once, as one group:
-// its HELP line, its TYPE line, then its samples.
+// its HELP line, its TYPE line, then its samples — and exactly the
+// families listed here, in this order, with these types.
 func TestMetricsExposition(t *testing.T) {
+	families := map[string][]string{
+		"coordinator": {
+			"dyncomp_coord_workers gauge",
+			"dyncomp_coord_workers_alive gauge",
+			"dyncomp_coord_breaker_state gauge",
+			"dyncomp_coord_breaker_opened_total counter",
+			"dyncomp_coord_breaker_closed_total counter",
+			"dyncomp_coord_chunk_retries_total counter",
+			"dyncomp_coord_jobs gauge",
+			"dyncomp_coord_jobs_evicted_total counter",
+			"dyncomp_coord_store_compactions_total counter",
+			"dyncomp_coord_panics_total counter",
+		},
+		"serve": {
+			"dyncomp_serve_requests_total counter",
+			"dyncomp_serve_runs_total counter",
+			"dyncomp_serve_jobs_total counter",
+			"dyncomp_serve_chunks_total counter",
+			"dyncomp_serve_optimizations_total counter",
+			"dyncomp_serve_rejections_total counter",
+			"dyncomp_serve_inflight_requests gauge",
+			"dyncomp_serve_jobs_evicted_total counter",
+			"dyncomp_serve_panics_total counter",
+			"dyncomp_serve_chunk_points_total counter",
+			"dyncomp_serve_derive_cache_hits_total counter",
+			"dyncomp_serve_derive_cache_misses_total counter",
+			"dyncomp_serve_derive_cache_evictions_total counter",
+			"dyncomp_serve_derive_cache_shapes gauge",
+			"dyncomp_serve_derive_cache_entry_limit gauge",
+			"dyncomp_serve_derive_cache_shape_hits gauge",
+			"dyncomp_serve_tdg_compiles_total counter",
+			"dyncomp_serve_sweep_batches_total counter",
+			"dyncomp_serve_sweep_batch_points_total counter",
+			"dyncomp_serve_sweep_batch_lanes_total counter",
+			"dyncomp_serve_sweep_batch_occupancy gauge",
+			"dyncomp_serve_sweep_simulated_points_total counter",
+			"dyncomp_serve_sweep_predicted_points_total counter",
+			"dyncomp_serve_sweep_pred_error histogram",
+			"dyncomp_serve_jobs_queued gauge",
+			"dyncomp_serve_jobs_running gauge",
+			"dyncomp_serve_uptime_seconds gauge",
+		},
+	}
 	workers := newFleet(t, 1)
 	_, cts := newCoord(t, Config{Workers: workers, ChunkPoints: 2})
 	_, server := newServe(t, serve.Config{})
@@ -232,6 +276,7 @@ func TestMetricsExposition(t *testing.T) {
 				t.Fatal(err)
 			}
 			seen := map[string]bool{}
+			var typed []string
 			family, typ, helped := "", "", false
 			samples := 0
 			sc := bufio.NewScanner(strings.NewReader(string(raw)))
@@ -249,6 +294,7 @@ func TestMetricsExposition(t *testing.T) {
 						t.Fatalf("TYPE line %q not right after the HELP of its family", line)
 					}
 					typ = f[3]
+					typed = append(typed, family+" "+typ)
 				default:
 					sample := strings.FieldsFunc(f[0], func(r rune) bool { return r == '{' })[0]
 					if typ == "histogram" {
@@ -264,6 +310,9 @@ func TestMetricsExposition(t *testing.T) {
 			}
 			if len(seen) < 8 || samples < len(seen)-1 {
 				t.Fatalf("%d families, %d samples — scrape looks truncated:\n%s", len(seen), samples, raw)
+			}
+			if got, want := strings.Join(typed, "\n"), strings.Join(families[name], "\n"); got != want {
+				t.Fatalf("families and types:\n%s\nwant:\n%s", got, want)
 			}
 		})
 	}

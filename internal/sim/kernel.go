@@ -178,6 +178,14 @@ func (k *Kernel) popMin() queued {
 	return it
 }
 
+// Fail stops the run with err once the calling process parks or
+// returns; Run returns the first failure.
+func (k *Kernel) Fail(err error) {
+	if k.failure == nil {
+		k.failure = err
+	}
+}
+
 // Run executes the simulation until the event queue drains, the time limit
 // is exceeded, or a process fails. It returns the first process failure,
 // if any. After Run returns, every process coroutine has terminated.

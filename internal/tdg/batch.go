@@ -167,9 +167,6 @@ func (b *BatchEvaluator) Release() {
 // lanes advance in lockstep.
 func (b *BatchEvaluator) K() int { return b.k }
 
-// Lanes returns the batch width L.
-func (b *BatchEvaluator) Lanes() int { return b.width }
-
 // Graph returns the structure lane 0 was compiled from. All lanes share
 // its node, input and output layout.
 func (b *BatchEvaluator) Graph() *Graph { return b.proto.g }
@@ -190,25 +187,10 @@ func (b *BatchEvaluator) Disable(lane int) {
 // ActiveLanes returns how many lanes are still enabled.
 func (b *BatchEvaluator) ActiveLanes() int { return b.nActive }
 
-// Rebind swaps one lane's program mid-run: iterations from the current K
-// on use p's weight side table against the lane's accumulated history —
-// the batched form of re-binding one structural shape to a new parameter
-// point. p must share the batch's compiled structure.
-func (b *BatchEvaluator) Rebind(lane int, p *Program) error {
-	if lane < 0 || lane >= b.width {
-		return fmt.Errorf("tdg: Rebind lane %d of %d", lane, b.width)
-	}
-	if err := batchCompatible(b.proto, p); err != nil {
-		return fmt.Errorf("tdg: Rebind lane %d: %w", lane, err)
-	}
-	b.lanes[lane] = p
-	return nil
-}
-
 // Step computes all evolution instants of the next iteration k for every
 // lane. u holds the input instants lane-strided — u[i*L+lane] is input i
-// of lane `lane`, L = Lanes() — and the returned outputs are laid out the
-// same way. The returned slice is reused by the next Step.
+// of lane `lane`, L the batch width — and the returned outputs are laid
+// out the same way. The returned slice is reused by the next Step.
 func (b *BatchEvaluator) Step(u []maxplus.T) ([]maxplus.T, error) {
 	L := b.width
 	g := b.proto.g

@@ -56,7 +56,7 @@ func laneInputs(g *Graph, k, L int) []maxplus.T {
 // compares every output and every node instant bit-exactly.
 func checkBatchAgainstScalar(t *testing.T, g *Graph, graphs []*Graph, be *BatchEvaluator, scalars []*Evaluator, steps int) {
 	t.Helper()
-	L := be.Lanes()
+	L := be.width
 	interp := make([]*Evaluator, L)
 	for l := range interp {
 		iv, err := NewEvaluator(graphs[l])
@@ -161,88 +161,6 @@ func TestBatchWaveParallelPath(t *testing.T) {
 		checkBatchAgainstScalar(t, g, graphs, be, scalars, 20)
 		be.Release()
 	}
-}
-
-// TestBatchMidRunRebind patches one lane's weights mid-batch and checks
-// the continued evolution is bit-exact against a scalar run whose
-// weights dispatch on the switch iteration — the same history, the same
-// weights at every k, so the same instants.
-func TestBatchMidRunRebind(t *testing.T) {
-	const (
-		L      = 4
-		swK    = 9
-		total  = 24
-		patchL = 2
-	)
-	g := randomGraph(t, 21)
-	prog, err := Compile(g)
-	if err != nil {
-		t.Fatal(err)
-	}
-	graphs, progs := laneProgs(t, g, prog, L)
-	be, err := NewBatchEvaluator(progs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// The patch target: lane patchL switches to offset 999 at k = swK.
-	gPatch, err := g.CloneReweighted(laneRW(999))
-	if err != nil {
-		t.Fatal(err)
-	}
-	pPatch, err := prog.Rebound(gPatch)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Scalar reference: a weight that is the lane weight before swK and
-	// the patch weight after, over one uninterrupted run.
-	gRef, err := g.CloneReweighted(func(to NodeID, a Arc) (Weight, error) {
-		if _, ok := a.Weight.Const(); ok {
-			return a.Weight, nil
-		}
-		w := a.Weight
-		return VaryingWeight(func(k int) maxplus.T {
-			if k < swK {
-				return w.At(k) + maxplus.T(1+13*patchL)
-			}
-			return w.At(k) + 999
-		}), nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	pRef, err := prog.Rebound(gRef)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ref := pRef.NewEvaluator()
-	vb := make([]maxplus.T, g.NodeCount())
-	vr := make([]maxplus.T, g.NodeCount())
-	for k := 0; k < total; k++ {
-		if k == swK {
-			if err := be.Rebind(patchL, pPatch); err != nil {
-				t.Fatal(err)
-			}
-		}
-		u := laneInputs(g, k, L)
-		if _, err := be.Step(u); err != nil {
-			t.Fatal(err)
-		}
-		su := make([]maxplus.T, len(g.Inputs()))
-		for i := range su {
-			su[i] = u[i*L+patchL]
-		}
-		if _, err := ref.Step(su); err != nil {
-			t.Fatal(err)
-		}
-		be.LaneValuesInto(patchL, vb)
-		ref.ValuesInto(vr)
-		for n := range vb {
-			if vb[n] != vr[n] {
-				t.Fatalf("k=%d node %d: patched lane %v, reference %v", k, n, vb[n], vr[n])
-			}
-		}
-	}
-	_ = graphs
 }
 
 // TestBatchDisableKeepsOtherLanesExact retires one lane mid-run and

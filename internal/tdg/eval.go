@@ -46,10 +46,6 @@ func NewEvaluator(g *Graph) (*Evaluator, error) {
 	}, nil
 }
 
-// Compiled reports whether Step runs the compiled program rather than the
-// interpreter.
-func (e *Evaluator) Compiled() bool { return e.prog != nil }
-
 // Release returns a compiled evaluator to its program's pool for reuse by
 // a later Program.NewEvaluator (sweeps re-run one shape across many
 // points; pooling makes those runs allocation-free). The evaluator must
@@ -152,37 +148,6 @@ func (e *Evaluator) Reset() {
 	for i := range e.ring {
 		e.ring[i] = maxplus.Epsilon
 	}
-}
-
-// SetValue overrides the stored instant of a node at iteration k. The
-// iteration must already be computed and still within the history window.
-// Partial abstraction uses this to replace an output node's provisional
-// emission-ready instant y(k) with the observed boundary transfer instant
-// once the external reader has taken the token.
-func (e *Evaluator) SetValue(id NodeID, k int, v maxplus.T) error {
-	if !e.g.valid(id) {
-		return fmt.Errorf("tdg: SetValue on unknown node %d", id)
-	}
-	if k >= e.k || k < 0 {
-		return fmt.Errorf("tdg: SetValue(%d) outside computed range [0, %d)", k, e.k)
-	}
-	if e.k-k > e.depth {
-		return fmt.Errorf("tdg: SetValue(%d) outside history window (depth %d, at %d)", k, e.depth, e.k)
-	}
-	e.ring[int(id)*e.depth+(k%e.depth)] = v
-	return nil
-}
-
-// ValueAt returns the stored instant of a node at iteration k, which must
-// be computed and within the history window.
-func (e *Evaluator) ValueAt(id NodeID, k int) (maxplus.T, error) {
-	if !e.g.valid(id) {
-		return maxplus.Epsilon, fmt.Errorf("tdg: ValueAt on unknown node %d", id)
-	}
-	if k >= e.k || k < 0 || e.k-k > e.depth {
-		return maxplus.Epsilon, fmt.Errorf("tdg: ValueAt(%d) outside window (at %d, depth %d)", k, e.k, e.depth)
-	}
-	return e.ring[int(id)*e.depth+(k%e.depth)], nil
 }
 
 // PeekDelayed evaluates ⊕ over the given arcs for iteration k using only

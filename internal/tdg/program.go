@@ -31,9 +31,6 @@ type Program struct {
 	arcs  []progArc
 	// weights is the indirect side table for k-dependent arc weights.
 	weights []Weight
-	// nodeRange maps a NodeID to its arc range for random access
-	// (EvalIncoming); input nodes have an empty range.
-	nodeRange [][2]int32
 
 	// waves partitions nodes into maximal contiguous runs free of
 	// intra-run zero-delay dependencies: nodes[waves[i]:waves[i+1]] may be
@@ -92,12 +89,11 @@ func Compile(g *Graph) (*Program, error) {
 	compiles.Add(1)
 	depth := int32(g.maxDelay + 1)
 	p := &Program{
-		g:         g,
-		depth:     depth,
-		nodes:     make([]progNode, 0, len(g.topo)-len(g.inputs)),
-		nodeRange: make([][2]int32, len(g.nodes)),
-		pool:      &sync.Pool{},
-		bpool:     &sync.Pool{},
+		g:     g,
+		depth: depth,
+		nodes: make([]progNode, 0, len(g.topo)-len(g.inputs)),
+		pool:  &sync.Pool{},
+		bpool: &sync.Pool{},
 	}
 	arcCount := 0
 	for _, arcs := range g.in {
@@ -120,7 +116,6 @@ func Compile(g *Graph) (*Program, error) {
 			}
 		}
 		p.nodes = append(p.nodes, n)
-		p.nodeRange[id] = [2]int32{lo, hi}
 	}
 	p.computeWaves()
 	return p, nil
@@ -190,15 +185,14 @@ func (p *Program) Rebound(g *Graph) (*Program, error) {
 		return Compile(g)
 	}
 	np := &Program{
-		g:         g,
-		depth:     p.depth,
-		nodes:     p.nodes,
-		nodeRange: p.nodeRange,
-		arcs:      p.arcs, // shared until an arc actually differs
-		weights:   make([]Weight, 0, len(p.weights)),
-		waves:     p.waves,
-		pool:      p.pool,
-		bpool:     p.bpool,
+		g:       g,
+		depth:   p.depth,
+		nodes:   p.nodes,
+		arcs:    p.arcs, // shared until an arc actually differs
+		weights: make([]Weight, 0, len(p.weights)),
+		waves:   p.waves,
+		pool:    p.pool,
+		bpool:   p.bpool,
 	}
 	owned := false
 	ai := 0
@@ -413,46 +407,4 @@ func (p *Program) warmPass(ring []maxplus.T, k, slot int) {
 		}
 		ring[n.slotBase+s] = acc
 	}
-}
-
-// EvalIncoming computes ⊕ over the compiled incoming arcs of node id at
-// iteration k against a ring in the evaluator's layout
-// (ring[node*depth + k%depth]), applying the pre-origin rule. The hybrid
-// engine's stage-wise ("wave") evaluation uses it to compute single nodes
-// out of the monolithic Step order without walking Arc slices.
-func (p *Program) EvalIncoming(ring []maxplus.T, id NodeID, k int) maxplus.T {
-	r := p.nodeRange[id]
-	arcs := p.arcs
-	depth := p.depth
-	s := int32(k % int(depth))
-	k32 := int32(k)
-	acc := maxplus.Epsilon
-	for ai := r[0]; ai < r[1]; ai++ {
-		a := &arcs[ai]
-		if a.delay > k32 {
-			continue
-		}
-		ss := s - a.slotSub
-		if ss < 0 {
-			ss += depth
-		}
-		src := ring[a.srcBase+ss]
-		var v maxplus.T
-		if a.widx < 0 {
-			if a.w == maxplus.E {
-				v = src
-			} else {
-				v = maxplus.Otimes(src, a.w)
-			}
-		} else {
-			if src == maxplus.Epsilon {
-				continue
-			}
-			v = maxplus.Otimes(src, p.weights[a.widx].At(k))
-		}
-		if v > acc {
-			acc = v
-		}
-	}
-	return acc
 }
