@@ -234,11 +234,7 @@ func BenchmarkComputeInstant(b *testing.B) {
 			b.Fatal(err)
 		}
 		b.Run(fmt.Sprintf("nodes%d", nodes), stepLoop(dres.Program().NewEvaluator()))
-		iv, err := tdg.NewEvaluator(dres.Graph)
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.Run(fmt.Sprintf("nodes%d/interpreted", nodes), stepLoop(iv))
+		b.Run(fmt.Sprintf("nodes%d/interpreted", nodes), stepLoop(dres.Program().NewInterpreter()))
 	}
 }
 

@@ -430,10 +430,7 @@ func computeInstantReport(steps, tokens int) computeReport {
 		if err != nil {
 			fatal(err)
 		}
-		iv, err := tdg.NewEvaluator(dres.Graph)
-		if err != nil {
-			fatal(err)
-		}
+		iv := dres.Program().NewInterpreter()
 		cv := dres.Program().NewEvaluator()
 		cb := computeBench{
 			Nodes:         nodes,

@@ -69,10 +69,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	auto, err := tdg.NewEvaluator(dres.Graph)
-	if err != nil {
-		log.Fatal(err)
-	}
+	auto := dres.Program().NewInterpreter()
 
 	for k := 0; k < tokens; k++ {
 		in := []maxplus.T{maxplus.T(int64(k) * 1000)}

@@ -127,20 +127,10 @@ func (b *builder) build(opts AttachOptions) error {
 		if _, ok := resources[f.Resource]; !ok {
 			resources[f.Resource] = newResourceRT(b.kernel, f.Resource)
 		}
-		execs := make(map[int]*model.ExecInfo)
-		for i := range f.Body {
-			if _, ok := f.Body[i].(model.Exec); ok {
-				info, err := b.arch.ExecInfoOf(f, i)
-				if err != nil {
-					return err
-				}
-				execs[i] = info
-			}
-		}
 		fn := f
 		rt := resources[f.Resource]
 		b.kernel.Spawn(fn.Name, func(p *sim.Proc) {
-			b.runFunction(p, fn, rt, execs)
+			b.runFunction(p, fn, rt)
 		})
 	}
 
@@ -183,29 +173,33 @@ func (b *builder) build(opts AttachOptions) error {
 }
 
 // runFunction executes one application function: acquire the turn in the
-// resource rotation, run the body statements, release the turn.
-func (b *builder) runFunction(p *sim.Proc, f *model.Function, rt *resourceRT, execs map[int]*model.ExecInfo) {
+// resource rotation, run the body statements, release the turn. An
+// execution whose duration is out of range fails the run.
+func (b *builder) runFunction(p *sim.Proc, f *model.Function, rt *resourceRT) {
 	m := len(f.Resource.Rotation)
 	skip := GateSkipped(f)
 	var cur model.Token
 	for k := 0; ; k++ {
 		turn := k*m + f.RotIndex
 		rt.waitTurn(p, turn, skip)
-		for i, st := range f.Body {
+		for _, st := range f.Body {
 			switch s := st.(type) {
 			case model.Read:
 				cur = b.chans[s.Ch].Read(p)
 			case model.Write:
 				b.chans[s.Ch].Write(p, cur)
 			case model.Exec:
-				info := execs[i]
 				load := s.Cost(cur)
-				dur := f.Resource.DurationOf(load)
+				dur, err := f.Resource.Duration(load)
+				if err != nil {
+					p.Kernel().Fail(fmt.Errorf("baseline: execute %q of %q, iteration %d: %w", s.Label, f.Name, k, err))
+					return
+				}
 				if b.trace != nil {
 					now := maxplus.T(p.Now())
 					b.trace.RecordActivity(observe.Activity{
 						Resource: f.Resource.Name,
-						Label:    info.Label,
+						Label:    s.Label,
 						K:        k,
 						Start:    now,
 						End:      maxplus.Otimes(now, dur),

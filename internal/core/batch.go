@@ -30,7 +30,7 @@ type BatchOptions struct {
 // records a scalar run — bit-exact against Compute of the same lane. A
 // lane that finishes its iterations, or whose iteration reaches nothing
 // within the limit, retires from the batch while the others keep
-// stepping.
+// stepping; so does a lane whose row fails to fill, with its error.
 //
 // The lanes must be weight-lane siblings of one compiled structure
 // (derive.RebindBatch / Cache.DeriveBatch produce exactly that). A
@@ -65,6 +65,7 @@ func RunBatchContext(ctx context.Context, lanes []*derive.Result, opts BatchOpti
 		if err != nil {
 			return nil, nil, fmt.Errorf("core: batch lane %d: %w", l, err)
 		}
+		c.row = make([]maxplus.T, res.RowWidth())
 		runs[l] = c
 	}
 	be, err := tdg.NewBatchEvaluator(progs)
@@ -116,8 +117,13 @@ func RunBatchContext(ctx context.Context, lanes []*derive.Result, opts BatchOpti
 			if c == nil {
 				continue
 			}
+			if err := be.Err(l); err != nil {
+				retire(l, err)
+				continue
+			}
 			be.LaneValuesInto(l, c.vals)
-			if !c.record(k) || k+1 == c.n {
+			be.LaneRowInto(l, c.row)
+			if !c.record(k, c.row) || k+1 == c.n {
 				retire(l, nil)
 			}
 		}

@@ -54,7 +54,11 @@ func (m *Model) Compute(ctx context.Context, opts Options, progress func(done, t
 			return nil, err
 		}
 		ev.ValuesInto(c.vals)
-		if !c.record(k) {
+		row, err := ev.Row(k)
+		if err != nil {
+			return nil, err
+		}
+		if !c.record(k, row) {
 			break
 		}
 	}
@@ -72,6 +76,7 @@ type computed struct {
 	trace *observe.Trace
 	nodes []derive.Labelled
 	vals  []maxplus.T // instants of the iteration being recorded
+	row   []maxplus.T // its row, for a batch lane (see RunBatch)
 	limit maxplus.T
 	n     int       // iterations to compute
 	end   maxplus.T // latest instant or activity end computed
@@ -115,11 +120,12 @@ func (c *computed) schedule(k int, u []maxplus.T, stride, lane int) error {
 	return nil
 }
 
-// record records iteration k from c.vals. It reports whether any of the
-// iteration's instants is within the limit: instants grow with k, so
-// when none is, no later iteration reaches the limit either.
-func (c *computed) record(k int) bool {
-	iterEnd, reached := c.res.Record(c.trace, c.nodes, c.vals, k, c.limit)
+// record records iteration k from c.vals and the iteration's row. It
+// reports whether any of the iteration's instants is within the limit:
+// instants grow with k, so when none is, no later iteration reaches the
+// limit either.
+func (c *computed) record(k int, row []maxplus.T) bool {
+	iterEnd, reached := c.res.Record(c.trace, c.nodes, c.vals, row, k, c.limit)
 	c.end = maxplus.Oplus(c.end, iterEnd)
 	if iterEnd > c.limit && c.whole == c.n {
 		c.whole = k

@@ -244,8 +244,10 @@ func TestNewRejectsMismatchedSourceCounts(t *testing.T) {
 }
 
 // joinArch is a two-source architecture: J reads both inputs and joins
-// them into one output. The periods, the second source's offset and
-// the token count are dynamics only; every variant shares one shape.
+// them into one output. Ta processes S1's tokens and Tb S2's, whose
+// size streams differ, so a duration computed from the wrong source
+// shows. The periods, the second source's offset and the token count
+// are dynamics only; every variant shares one shape.
 func joinArch(p1, p2 maxplus.T, count int) *model.Architecture {
 	a := model.NewArchitecture("join")
 	i1 := a.AddChannel("I1", model.Rendezvous, 0)
@@ -260,9 +262,10 @@ func joinArch(p1, p2 maxplus.T, count int) *model.Architecture {
 		model.Write{Ch: out},
 	)
 	a.Map(a.AddProcessor("P", 1e9), j)
-	tok := func(k int) model.Token { return model.Token{Size: int64(16 + k%5)} }
-	a.AddSource("S1", i1, model.Periodic(p1, 0), tok, count)
-	a.AddSource("S2", i2, model.Periodic(p2, 30), tok, count)
+	tok1 := func(k int) model.Token { return model.Token{Size: int64(16 + k%5)} }
+	tok2 := func(k int) model.Token { return model.Token{Size: int64(200 + 37*(k%7))} }
+	a.AddSource("S1", i1, model.Periodic(p1, 0), tok1, count)
+	a.AddSource("S2", i2, model.Periodic(p2, 30), tok2, count)
 	a.AddSink("K", out)
 	return a
 }
@@ -272,6 +275,54 @@ func TestEquivalentModelTwoInputs(t *testing.T) {
 	bres, eres := runBoth(t, joinArch(400, 500, 250))
 	assertExact(t, bres, eres)
 	assertActivitiesEqual(t, bres, eres)
+}
+
+// Each exec statement's row column reads its own source's token: every
+// activity (Ops, Start, End) of the two-source join matches the
+// reference executor's under Compute, a width-3 RunBatch and the
+// equivalent model.
+func TestTwoSourceColumnsMatchReference(t *testing.T) {
+	build := func(l int) *model.Architecture {
+		return joinArch(maxplus.T(300+60*l), maxplus.T(450-40*l), 40)
+	}
+	refs := make([]*baseline.Result, 3)
+	lanes := make([]*derive.Result, 3)
+	for l := range lanes {
+		var err error
+		if refs[l], err = baseline.Run(build(l), baseline.Options{Trace: observe.NewTrace("reference")}); err != nil {
+			t.Fatal(err)
+		}
+		if lanes[l], err = derive.Derive(build(l), derive.Options{}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for l, res := range lanes {
+		m, err := New(res)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := m.Compute(context.Background(), Options{Trace: observe.NewTrace("compute")}, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		assertActivitiesEqual(t, refs[l], got)
+		got, err = m.Run(Options{Trace: observe.NewTrace("equivalent")})
+		if err != nil {
+			t.Fatal(err)
+		}
+		assertActivitiesEqual(t, refs[l], got)
+	}
+	traces := []*observe.Trace{observe.NewTrace("b0"), observe.NewTrace("b1"), observe.NewTrace("b2")}
+	results, errs, err := RunBatch(lanes, BatchOptions{Traces: traces})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for l := range lanes {
+		if errs[l] != nil {
+			t.Fatalf("lane %d: %v", l, errs[l])
+		}
+		assertActivitiesEqual(t, refs[l], results[l])
+	}
 }
 
 // Every lane of a batch over a two-input shape gets its own source

@@ -203,8 +203,13 @@ func (e *engine) finalTime() sim.Time {
 	if e.eval.K() == 0 {
 		return t
 	}
+	k := e.eval.K() - 1
+	row, err := e.eval.Row(k)
+	if err != nil {
+		return t // the run failed filling it
+	}
 	e.eval.ValuesInto(e.vals)
-	end, _ := e.res.Record(nil, e.nodes, e.vals, e.eval.K()-1, e.limit)
+	end, _ := e.res.Record(nil, e.nodes, e.vals, row, k, e.limit)
 	return max(t, sim.Time(min(end, e.limit)))
 }
 
@@ -334,11 +339,18 @@ func (e *engine) runReception(p *sim.Proc, idx int, ib derive.InputBinding, ch c
 		}
 		gate, err := e.eval.PeekDelayed(ib.Gate, k)
 		if err != nil {
-			panic(fmt.Sprintf("core: %v", err))
+			p.Kernel().Fail(err)
+			return
 		}
-		for _, sg := range ib.SameIterGate {
-			v := sg.Weight.Apply(e.inputs[sg.InputIndex], k)
-			gate = maxplus.Oplus(gate, v)
+		if len(ib.SameIterGate) > 0 {
+			row, err := e.eval.Row(k) // PeekDelayed filled it
+			if err != nil {
+				p.Kernel().Fail(err)
+				return
+			}
+			for _, sg := range ib.SameIterGate {
+				gate = maxplus.Oplus(gate, sg.Weight.Apply(e.inputs[sg.InputIndex], k, row))
+			}
 		}
 		if !gate.IsEpsilon() && sim.Time(gate) > p.Now() {
 			p.WaitUntil(sim.Time(gate))
@@ -350,7 +362,10 @@ func (e *engine) runReception(p *sim.Proc, idx int, ib derive.InputBinding, ch c
 			// not the read instant.
 			arrival = fifo.WriteInstant(k)
 		}
-		e.deliver(k, idx, arrival)
+		if err := e.deliver(k, idx, arrival); err != nil {
+			p.Kernel().Fail(err)
+			return
+		}
 	}
 }
 
@@ -369,28 +384,34 @@ func (e *engine) gateReady(ib derive.InputBinding, k int) bool {
 }
 
 // deliver records one input arrival and steps the evaluator once the
-// iteration is complete. The step happens in zero simulation time.
-func (e *engine) deliver(k, idx int, arrival maxplus.T) {
+// iteration is complete. The step happens in zero simulation time; an
+// error filling the iteration's row fails it.
+func (e *engine) deliver(k, idx int, arrival maxplus.T) error {
 	e.inputs[idx] = arrival
 	e.arrived[idx] = k + 1
 	e.pending++
 	if e.pending < len(e.inputs) {
 		e.stepped.Notify() // other receptions may gate on this arrival
-		return
+		return nil
 	}
 	e.pending = 0
 
 	y, err := e.eval.Step(e.inputs)
 	if err != nil {
-		panic(fmt.Sprintf("core: ComputeInstant failed: %v", err))
+		return err
 	}
 	for j := range e.outputs {
 		e.outputs[j] = append(e.outputs[j], y[j])
 	}
 	if e.trace != nil {
+		row, err := e.eval.Row(k)
+		if err != nil {
+			return err
+		}
 		e.eval.ValuesInto(e.vals)
-		e.res.Record(e.trace, e.nodes, e.vals, k, e.limit)
+		e.res.Record(e.trace, e.nodes, e.vals, row, k, e.limit)
 	}
 	e.stepped.Notify()
 	e.emitted.Notify()
+	return nil
 }

@@ -9,11 +9,11 @@ import (
 // RebindBatch instantiates one derivation template against N
 // architectures of the same structural shape, yielding one weight-lane
 // Result per architecture. Each lane carries its own freshly resolved
-// ExecInfos and boundary bindings — the lanes are mutually independent,
+// row binding and boundary bindings — the lanes are mutually independent,
 // exactly as N individual Rebind calls would be — while all of them
-// share the template's graph structure, packed arc table (copy-on-write
-// through Program.Rebound) and evaluator pools. That sharing is what
-// makes the lanes joinable into one tdg.BatchEvaluator.
+// share the template's graph, row plan, compiled program (through
+// Program.Bind) and evaluator pools. That sharing is what makes the
+// lanes joinable into one tdg.BatchEvaluator.
 //
 // An architecture whose shape key differs from the template's fails the
 // whole batch: callers group points into shape cohorts before batching.

@@ -31,7 +31,6 @@ import (
 	"fmt"
 	"sync/atomic"
 
-	"dyncomp/internal/maxplus"
 	"dyncomp/internal/model"
 	"dyncomp/internal/tdg"
 )
@@ -46,24 +45,6 @@ type Options struct {
 	// producing graphs as minimal as the paper's hand-written ones. Off by
 	// default to keep the derived structure literal.
 	Reduce bool
-}
-
-// Probe locates one execution on the graph for resource-usage
-// observation: the execution starts at Base(k) ⊗ Σ Pre durations and runs
-// for Exec.Duration(k).
-type Probe struct {
-	Base tdg.NodeID
-	Pre  []*model.ExecInfo
-	Exec *model.ExecInfo
-}
-
-// Start returns the execution start instant given the value of Base at
-// iteration k.
-func (p Probe) Start(base maxplus.T, k int) maxplus.T {
-	for _, e := range p.Pre {
-		base = maxplus.Otimes(base, e.Duration(k))
-	}
-	return base
 }
 
 // InputBinding connects one source-fed channel to the graph.
@@ -102,40 +83,36 @@ type OutputBinding struct {
 }
 
 // Result is a derived temporal dependency graph with everything the
-// equivalent model needs to drive it.
+// equivalent model needs to drive it. A Result is immutable, so it is
+// safe for concurrent use.
 type Result struct {
 	Arch    *model.Architecture
 	Graph   *tdg.Graph
 	Inputs  []InputBinding
 	Outputs []OutputBinding
-	Probes  []Probe
 	// Labels names the nodes whose instants are recorded in traces
 	// (channel transfer nodes and auxiliary end-of-turn nodes), matching
 	// the labels the reference executor records.
 	Labels map[tdg.NodeID]string
 
 	// Rebinding metadata (see Rebind): the structural shape key, the
-	// derivation options, per-index node tables, and the exec-statement
-	// recipes behind every weighted arc and probe. All of it is immutable
-	// after Derive, so concurrent Rebinds from one Result are safe.
-	shapeKey  string
-	opts      Options
-	srcU      []tdg.NodeID // input node per architecture source index
-	chWrite   []tdg.NodeID // transfer/write node per channel index
-	chRead    []tdg.NodeID // read node per channel index
-	recipes   [][]execRef  // arc tag t -> recipes[t-1]
-	probeRefs []probeRef
+	// derivation options and the row plan. All of it is shared by every
+	// Rebind of one Derive.
+	shapeKey string
+	opts     Options
+	plan     *plan
+	in       *inputs // the plan bound to Arch
 
 	// prog is the graph compiled into a flat evaluation program
-	// (tdg.Compile). The cache/Rebind path compiles once per structural
-	// shape and patches the rebound copies' weight tables in place of a
-	// recompilation; rebound programs share one evaluator pool.
+	// (tdg.Compile) with in bound to its row weights. Rebound results
+	// share the template's graph and compiled structure and bind their
+	// own inputs (tdg.Program.Bind); they share one evaluator pool.
 	prog *tdg.Program
 }
 
 // Program returns the compiled evaluation program of the derived graph,
-// which every engine evaluates; tdg.NewEvaluator interprets Result.Graph
-// bit-exactly for tests and tools.
+// which every engine evaluates; Program().NewInterpreter() interprets
+// Result.Graph bit-exactly for tests and tools.
 func (res *Result) Program() *tdg.Program { return res.prog }
 
 // term is one max-term of a readiness expression during symbolic
@@ -155,11 +132,9 @@ type deriver struct {
 	writeNode map[*model.Channel]tdg.NodeID // rendezvous x / FIFO xw
 	readNode  map[*model.Channel]tdg.NodeID // rendezvous x / FIFO xr
 	endNode   map[*model.Function]tdg.NodeID
-	probes    []Probe
 
-	fnIdx     map[*model.Function]int
-	recipes   [][]execRef
-	probeRefs []probeRef
+	fnIdx map[*model.Function]int
+	pl    *planner
 }
 
 // calls counts Derive invocations process-wide; tests and sweep
@@ -190,6 +165,7 @@ func Derive(a *model.Architecture, opts Options) (*Result, error) {
 	for i, f := range a.Functions {
 		d.fnIdx[f] = i
 	}
+	d.pl = newPlanner(a, d.fnIdx)
 	if err := d.declareNodes(); err != nil {
 		return nil, err
 	}
@@ -217,59 +193,46 @@ func Derive(a *model.Architecture, opts Options) (*Result, error) {
 		return nil, err
 	}
 	res := &Result{
-		Arch: a, Graph: d.g, Probes: d.probes, Labels: d.labels,
-		shapeKey:  key,
-		opts:      opts,
-		srcU:      make([]tdg.NodeID, len(a.Sources)),
-		chWrite:   make([]tdg.NodeID, len(a.Channels)),
-		chRead:    make([]tdg.NodeID, len(a.Channels)),
-		recipes:   d.recipes,
-		probeRefs: d.probeRefs,
+		Arch: a, Graph: d.g, Labels: d.labels,
+		shapeKey: key,
+		opts:     opts,
+		plan:     &d.pl.p,
 	}
-	for i, s := range a.Sources {
-		res.srcU[i] = d.uNode[s]
-	}
-	for i, ch := range a.Channels {
-		res.chWrite[i] = d.writeNode[ch]
-		res.chRead[i] = d.readNode[ch]
-	}
-	if res.prog, err = tdg.Compile(d.g); err != nil {
+	res.in = res.plan.bind(a)
+	prog, err := tdg.Compile(d.g)
+	if err != nil {
 		return nil, err
 	}
-	if err := res.buildBindings(); err != nil {
+	if res.prog, err = prog.Bind(res.in); err != nil {
+		return nil, err
+	}
+	if err := d.buildBindings(res); err != nil {
 		return nil, err
 	}
 	return res, nil
 }
 
-// buildBindings computes the input and output bindings of the result from
-// its architecture and node tables. It runs after every (re)binding of
-// the graph: the gate arcs it extracts carry the weights of the graph
-// currently installed in the result.
-func (res *Result) buildBindings() error {
-	a := res.Arch
-	chIdx := make(map[*model.Channel]int, len(a.Channels))
-	for i, ch := range a.Channels {
-		chIdx[ch] = i
-	}
+// buildBindings computes the input and output bindings of a fresh
+// derivation. Rebind shares them with the new architecture's sources
+// and sinks swapped in: the gate arcs are structural.
+func (d *deriver) buildBindings(res *Result) error {
+	a := d.arch
 	transferIndex := map[tdg.NodeID]int{}
 	for i, s := range a.Sources {
-		transferIndex[res.chWrite[chIdx[s.Ch]]] = i
+		transferIndex[d.writeNode[s.Ch]] = i
 	}
-	res.Inputs = nil
-	for i, s := range a.Sources {
-		ib, err := res.inputBinding(i, s, chIdx, transferIndex)
+	for _, s := range a.Sources {
+		ib, err := d.inputBinding(s, transferIndex)
 		if err != nil {
 			return err
 		}
 		res.Inputs = append(res.Inputs, ib)
 	}
-	res.Outputs = nil
 	for _, s := range a.Sinks {
 		res.Outputs = append(res.Outputs, OutputBinding{
 			Sink:    s,
 			Channel: s.Ch,
-			Node:    res.chWrite[chIdx[s.Ch]],
+			Node:    d.writeNode[s.Ch],
 		})
 	}
 	return nil
@@ -397,12 +360,7 @@ func (d *deriver) deriveFunction(f *model.Function) error {
 				return err
 			}
 			pre := append([]*model.ExecInfo(nil), ready[0].durs...)
-			d.probes = append(d.probes, Probe{Base: ready[0].node, Pre: pre, Exec: info})
-			d.probeRefs = append(d.probeRefs, probeRef{
-				base: ready[0].node,
-				pre:  d.refsOf(pre),
-				exec: execRef{fn: d.fnIdx[f], stmt: i},
-			})
+			d.pl.probe(ready[0].node, pre, info)
 			ready[0].durs = append(pre, info) // fresh backing array via pre
 		}
 	}
@@ -423,9 +381,9 @@ func (d *deriver) auxEnd(f *model.Function) (tdg.NodeID, bool) {
 
 // addArcs adds one arc per term of expr into the target node, dropping
 // weightless zero-delay self-references (x ⊕ ... = x on the least
-// solution). Weighted arcs are tagged with the recipe of exec statements
-// behind their weight so Rebind can reconstruct them for another
-// parameter point.
+// solution). A weighted arc reads its weight from the iteration row: the
+// entry of its exec statement's duration, or of the ⊗ fold of its
+// statements' durations in body order.
 func (d *deriver) addArcs(to tdg.NodeID, expr []term) {
 	for _, t := range expr {
 		if t.node == to && t.delay == 0 && len(t.durs) == 0 {
@@ -435,40 +393,8 @@ func (d *deriver) addArcs(to tdg.NodeID, expr []term) {
 			d.g.AddArc(t.node, to, t.delay, nil)
 			continue
 		}
-		d.recipes = append(d.recipes, d.refsOf(t.durs))
-		d.g.AddWeightedArc(t.node, to, t.delay, weightOf(t.durs), len(d.recipes))
+		d.g.AddWeightedArc(t.node, to, t.delay, d.pl.weight(t.durs))
 	}
-}
-
-// refsOf converts resolved exec statements into index-based references.
-func (d *deriver) refsOf(durs []*model.ExecInfo) []execRef {
-	refs := make([]execRef, len(durs))
-	for i, e := range durs {
-		refs[i] = execRef{fn: d.fnIdx[e.Func], stmt: e.StmtIndex}
-	}
-	return refs
-}
-
-// weightOf turns an accumulated duration list into an arc weight.
-// Execution durations are data dependent (they evaluate the cost
-// function on the k-th token), so the weight stays k-varying; the
-// compiled evaluator routes it through its indirect side table.
-func weightOf(durs []*model.ExecInfo) tdg.Weight {
-	if len(durs) == 0 {
-		return tdg.Weight{}
-	}
-	if len(durs) == 1 {
-		e := durs[0]
-		return tdg.VaryingWeight(func(k int) maxplus.T { return e.Duration(k) })
-	}
-	ds := append([]*model.ExecInfo(nil), durs...)
-	return tdg.VaryingWeight(func(k int) maxplus.T {
-		var sum maxplus.T
-		for _, e := range ds {
-			sum = maxplus.Otimes(sum, e.Duration(k))
-		}
-		return sum
-	})
 }
 
 // connectSources feeds each source's schedule instant into its channel.
@@ -484,20 +410,18 @@ func (d *deriver) connectSources() {
 // every such arc must either be delayed (history suffices) or originate
 // from another input's boundary node (its arrival instant is known before
 // ComputeInstant runs).
-func (res *Result) inputBinding(srcIdx int, s *model.Source, chIdx map[*model.Channel]int, transferIndex map[tdg.NodeID]int) (InputBinding, error) {
-	ci := chIdx[s.Ch]
+func (d *deriver) inputBinding(s *model.Source, transferIndex map[tdg.NodeID]int) (InputBinding, error) {
 	ib := InputBinding{
 		Source:   s,
 		Channel:  s.Ch,
-		U:        res.srcU[srcIdx],
-		Transfer: res.chWrite[ci],
+		U:        d.uNode[s],
+		Transfer: d.writeNode[s.Ch],
 	}
-	gateOn := res.chRead[ci] // rendezvous: == Transfer; FIFO: xr
-	for _, a := range res.Graph.Incoming(gateOn) {
+	for _, a := range d.g.Incoming(d.readNode[s.Ch]) { // rendezvous: == Transfer; FIFO: xr
 		if a.From == ib.U {
 			continue
 		}
-		if s.Ch.Kind == model.FIFO && a.From == res.chWrite[ci] && a.Delay == 0 {
+		if s.Ch.Kind == model.FIFO && a.From == ib.Transfer && a.Delay == 0 {
 			continue // data availability, not readiness
 		}
 		if a.Delay == 0 {
@@ -505,7 +429,7 @@ func (res *Result) inputBinding(srcIdx int, s *model.Source, chIdx map[*model.Ch
 			if !ok {
 				return ib, fmt.Errorf(
 					"derive: input channel %q readiness depends on same-iteration instant %q; this abstraction boundary is unsupported",
-					s.Ch.Name, res.Graph.Nodes()[a.From].Name)
+					s.Ch.Name, d.g.Nodes()[a.From].Name)
 			}
 			ib.SameIterGate = append(ib.SameIterGate, SameIterGate{InputIndex: other, Weight: a.Weight})
 			continue

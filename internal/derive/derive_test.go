@@ -83,10 +83,7 @@ func TestDeriveDidacticEvaluation(t *testing.T) {
 	const n = 300
 	spec := zoo.DidacticSpec{Tokens: n, Period: 700, Seed: 7}
 	res := deriveDidactic(t, spec)
-	ev, err := tdg.NewEvaluator(res.Graph)
-	if err != nil {
-		t.Fatal(err)
-	}
+	ev := res.Program().NewInterpreter()
 	names := []string{"M1", "M2", "M3", "M4", "M5", "M6"}
 	ids := make([]tdg.NodeID, len(names))
 	for i, name := range names {
@@ -158,27 +155,27 @@ func TestDeriveInputBindingGate(t *testing.T) {
 
 func TestDeriveProbes(t *testing.T) {
 	res := deriveDidactic(t, zoo.DidacticSpec{Tokens: 10, Period: 100, Seed: 1})
-	if len(res.Probes) != 6 {
-		t.Fatalf("%d probes, want 6", len(res.Probes))
+	probes := res.plan.probes
+	if len(probes) != 6 {
+		t.Fatalf("%d probes, want 6", len(probes))
 	}
-	byLabel := map[string]Probe{}
-	for _, p := range res.Probes {
-		byLabel[p.Exec.Label] = p
+	byLabel := map[string]probe{}
+	for _, p := range probes {
+		byLabel[res.plan.cols[p.exec].label] = p
 	}
 	// Ti1 starts at xM1 with no prior durations.
 	m1, _ := res.Graph.NodeByName("M1")
-	if p := byLabel["Ti1"]; p.Base != m1.ID || len(p.Pre) != 0 {
+	if p := byLabel["Ti1"]; p.base != m1.ID || len(p.pre) != 0 {
 		t.Fatalf("Ti1 probe = %+v", p)
 	}
 	// Tj3 starts at xM4 (after the second read of F3).
 	m4, _ := res.Graph.NodeByName("M4")
-	if p := byLabel["Tj3"]; p.Base != m4.ID || len(p.Pre) != 0 {
+	if p := byLabel["Tj3"]; p.base != m4.ID || len(p.pre) != 0 {
 		t.Fatalf("Tj3 probe = %+v", p)
 	}
-	// Probe start arithmetic.
-	p := byLabel["Ti1"]
-	if got := p.Start(100, 0); got != 100 {
-		t.Fatalf("Start = %v", got)
+	// Every exec statement is one column of the row.
+	if len(res.plan.cols) != 6 || len(res.plan.srcs) != 1 {
+		t.Fatalf("%d columns over %d sources, want 6 over 1", len(res.plan.cols), len(res.plan.srcs))
 	}
 }
 

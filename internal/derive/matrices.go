@@ -18,7 +18,9 @@ import (
 // entries are evaluated per iteration, so data-dependent durations are
 // preserved.
 type MatrixForm struct {
-	res *Result
+	res  *Result
+	row  []maxplus.T // iteration rowK's row
+	rowK int
 	// xIndex maps node IDs to X positions; -1 for input nodes.
 	xIndex     []int
 	xNodes     []tdg.NodeID
@@ -35,6 +37,8 @@ func NewMatrixForm(res *Result) (*MatrixForm, error) {
 	}
 	m := &MatrixForm{
 		res:      res,
+		row:      make([]maxplus.T, res.RowWidth()),
+		rowK:     -1,
 		xIndex:   make([]int, g.NodeCount()),
 		uIndex:   make([]int, g.NodeCount()),
 		maxDelay: g.MaxDelay(),
@@ -81,7 +85,7 @@ func (m *MatrixForm) A(k, i int) *maxplus.Matrix {
 			if from < 0 || a.Delay != i {
 				continue
 			}
-			out.Set(to, from, maxplus.Oplus(out.At(to, from), weightAt(a, k)))
+			out.Set(to, from, maxplus.Oplus(out.At(to, from), m.weightAt(a, k)))
 		}
 	}
 	return out
@@ -101,7 +105,7 @@ func (m *MatrixForm) B(k, j int) *maxplus.Matrix {
 			if from < 0 || a.Delay != j {
 				continue
 			}
-			out.Set(to, from, maxplus.Oplus(out.At(to, from), weightAt(a, k)))
+			out.Set(to, from, maxplus.Oplus(out.At(to, from), m.weightAt(a, k)))
 		}
 	}
 	return out
@@ -126,8 +130,17 @@ func (m *MatrixForm) D(_, _ int) *maxplus.Matrix {
 	return maxplus.NewMatrix(m.ny, m.nu)
 }
 
-func weightAt(a tdg.Arc, k int) maxplus.T {
-	return a.Weight.At(k)
+// weightAt returns an arc's weight at iteration k. A MatrixForm is an
+// analysis view, not an engine: a row that fails to fill (a duration out
+// of range) panics.
+func (m *MatrixForm) weightAt(a tdg.Arc, k int) maxplus.T {
+	if m.rowK != k {
+		if err := m.res.FillRow(k, m.row); err != nil {
+			panic(fmt.Sprintf("derive: matrix form: %v", err))
+		}
+		m.rowK = k
+	}
+	return a.Weight.At(k, m.row)
 }
 
 // System instantiates the maxplus recurrence solver over this matrix

@@ -25,10 +25,7 @@ func TestMatrixFormMatchesEvaluatorDidactic(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ev, err := tdg.NewEvaluator(res.Graph)
-	if err != nil {
-		t.Fatal(err)
-	}
+	ev := res.Program().NewInterpreter()
 	for k := 0; k < 100; k++ {
 		u := maxplus.Vector{maxplus.T(int64(k) * 900)}
 		x, y, err := sys.Step(u)
@@ -66,10 +63,7 @@ func TestMatrixFormMatchesEvaluatorRandom(t *testing.T) {
 		if err != nil {
 			t.Fatalf("seed %d: %v", seed, err)
 		}
-		ev, err := tdg.NewEvaluator(res.Graph)
-		if err != nil {
-			t.Fatal(err)
-		}
+		ev := res.Program().NewInterpreter()
 		nu := len(res.Graph.Inputs())
 		for k := 0; k < 30; k++ {
 			u := maxplus.NewVector(nu)
@@ -126,10 +120,7 @@ func TestThroughputBoundMatchesSimulation(t *testing.T) {
 	}
 
 	// Steady-state inter-output period from the evaluator.
-	ev, err := tdg.NewEvaluator(res.Graph)
-	if err != nil {
-		t.Fatal(err)
-	}
+	ev := res.Program().NewInterpreter()
 	var prev, last maxplus.T
 	for k := 0; k < 300; k++ {
 		y, err := ev.Step([]maxplus.T{0})
@@ -186,10 +177,7 @@ func TestThroughputBoundDidacticConstant(t *testing.T) {
 		t.Fatal("expected cyclic system")
 	}
 
-	ev, err := tdg.NewEvaluator(res.Graph)
-	if err != nil {
-		t.Fatal(err)
-	}
+	ev := res.Program().NewInterpreter()
 	var prev, last maxplus.T
 	for k := 0; k < 400; k++ {
 		y, err := ev.Step([]maxplus.T{0})

@@ -5,23 +5,7 @@ import (
 	"strings"
 
 	"dyncomp/internal/model"
-	"dyncomp/internal/tdg"
 )
-
-// execRef is an index-based reference to one Exec statement: functions
-// and statements are identified by position so the reference resolves
-// against any architecture of the same structural shape.
-type execRef struct {
-	fn   int // index into Architecture.Functions
-	stmt int // index into Function.Body
-}
-
-// probeRef is the index-based form of a Probe.
-type probeRef struct {
-	base tdg.NodeID
-	pre  []execRef
-	exec execRef
-}
 
 // ShapeKey returns a canonical fingerprint of everything that determines
 // the derived graph's structure: topology, channel protocols and
@@ -84,12 +68,12 @@ func ShapeKey(a *model.Architecture) (string, error) {
 }
 
 // Rebind instantiates an existing derivation against another architecture
-// of the same structural shape, without re-deriving: the frozen graph
-// structure (nodes, arcs, topological order) is shared, while every arc
-// weight, probe and boundary binding is rebuilt from the new
-// architecture's exec statements, sources and sinks. The rebound result
-// evaluates bit-identically to Derive(a, sameOptions) at a fraction of
-// the cost, and carries no mutable state of the original, so one template
+// of the same structural shape, without re-deriving: the frozen graph,
+// its compiled program and the row plan are shared, and only the plan's
+// binding — the new architecture's sources, cost functions and resources
+// — and the boundary bindings' sources and sinks are new. The rebound
+// result evaluates bit-identically to Derive(a, sameOptions) at a
+// fraction of the cost, and carries no mutable state, so one template
 // can be rebound concurrently from many goroutines.
 func Rebind(base *Result, a *model.Architecture) (*Result, error) {
 	key, err := ShapeKey(a) // also validates a
@@ -110,90 +94,31 @@ func rebind(base *Result, a *model.Architecture, key string) (*Result, error) {
 		return nil, fmt.Errorf("derive: architecture %q does not share the structural shape of %q",
 			a.Name, base.Arch.Name)
 	}
-
-	// Resolve each referenced exec statement once, so arcs and probes
-	// evaluating the same duration share one memoizing ExecInfo, exactly
-	// as after a fresh Derive.
-	var err error
-	infos := map[execRef]*model.ExecInfo{}
-	resolve := func(r execRef) (*model.ExecInfo, error) {
-		if e, ok := infos[r]; ok {
-			return e, nil
-		}
-		if r.fn < 0 || r.fn >= len(a.Functions) {
-			return nil, fmt.Errorf("derive: rebind references function %d of %d", r.fn, len(a.Functions))
-		}
-		e, err := a.ExecInfoOf(a.Functions[r.fn], r.stmt)
-		if err != nil {
-			return nil, err
-		}
-		infos[r] = e
-		return e, nil
-	}
-
-	weights := make([]tdg.Weight, len(base.recipes))
-	for i, recipe := range base.recipes {
-		durs := make([]*model.ExecInfo, len(recipe))
-		for j, r := range recipe {
-			if durs[j], err = resolve(r); err != nil {
-				return nil, err
-			}
-		}
-		weights[i] = weightOf(durs)
-	}
-	g, err := base.Graph.CloneReweighted(func(to tdg.NodeID, arc tdg.Arc) (tdg.Weight, error) {
-		if arc.Tag == 0 {
-			if !arc.Weight.IsIdentity() {
-				return tdg.Weight{}, fmt.Errorf("derive: graph %q has an untagged weighted arc into %q; cannot rebind",
-					base.Graph.Name, base.Graph.Nodes()[to].Name)
-			}
-			return tdg.Weight{}, nil
-		}
-		if arc.Tag < 1 || arc.Tag > len(weights) {
-			return tdg.Weight{}, fmt.Errorf("derive: arc tag %d outside recipe table of size %d", arc.Tag, len(weights))
-		}
-		return weights[arc.Tag-1], nil
-	})
+	in := base.plan.bind(a)
+	prog, err := base.prog.Bind(in)
 	if err != nil {
 		return nil, err
 	}
-
-	probes := make([]Probe, len(base.probeRefs))
-	for i, pr := range base.probeRefs {
-		exec, err := resolve(pr.exec)
-		if err != nil {
-			return nil, err
-		}
-		pre := make([]*model.ExecInfo, len(pr.pre))
-		for j, r := range pr.pre {
-			if pre[j], err = resolve(r); err != nil {
-				return nil, err
-			}
-		}
-		probes[i] = Probe{Base: pr.base, Pre: pre, Exec: exec}
-	}
-
 	res := &Result{
-		Arch:      a,
-		Graph:     g,
-		Probes:    probes,
-		Labels:    base.Labels,
-		shapeKey:  key,
-		opts:      base.opts,
-		srcU:      base.srcU,
-		chWrite:   base.chWrite,
-		chRead:    base.chRead,
-		recipes:   base.recipes,
-		probeRefs: base.probeRefs,
+		Arch:     a,
+		Graph:    base.Graph,
+		Inputs:   make([]InputBinding, len(base.Inputs)),
+		Outputs:  make([]OutputBinding, len(base.Outputs)),
+		Labels:   base.Labels,
+		shapeKey: key,
+		opts:     base.opts,
+		plan:     base.plan,
+		in:       in,
+		prog:     prog,
 	}
-	// Patch the compiled weight tables against the rebound graph instead
-	// of recompiling; the rebound program shares the template's structure
-	// arrays and evaluator pool.
-	if res.prog, err = base.prog.Rebound(g); err != nil {
-		return nil, err
+	// Equal shape keys list the same sources and sinks in the same order.
+	for i, ib := range base.Inputs {
+		ib.Source, ib.Channel = a.Sources[i], a.Sources[i].Ch
+		res.Inputs[i] = ib
 	}
-	if err := res.buildBindings(); err != nil {
-		return nil, err
+	for j, ob := range base.Outputs {
+		ob.Sink, ob.Channel = a.Sinks[j], a.Sinks[j].Ch
+		res.Outputs[j] = ob
 	}
 	return res, nil
 }

@@ -2,12 +2,13 @@ package derive
 
 import (
 	"fmt"
+	"slices"
 	"sync"
 	"testing"
 
 	"dyncomp/internal/maxplus"
 	"dyncomp/internal/model"
-	"dyncomp/internal/tdg"
+	"dyncomp/internal/observe"
 	"dyncomp/internal/zoo"
 )
 
@@ -56,14 +57,8 @@ func evalAll(t *testing.T, want, got *Result, n int) {
 	if want.Graph.NodeCount() != got.Graph.NodeCount() {
 		t.Fatalf("node counts differ: %d vs %d", want.Graph.NodeCount(), got.Graph.NodeCount())
 	}
-	ew, err := tdg.NewEvaluator(want.Graph)
-	if err != nil {
-		t.Fatal(err)
-	}
-	eg, err := tdg.NewEvaluator(got.Graph)
-	if err != nil {
-		t.Fatal(err)
-	}
+	ew := want.Program().NewInterpreter()
+	eg := got.Program().NewInterpreter()
 	u := make([]maxplus.T, len(want.Inputs))
 	vw := make([]maxplus.T, want.Graph.NodeCount())
 	vg := make([]maxplus.T, got.Graph.NodeCount())
@@ -86,18 +81,28 @@ func evalAll(t *testing.T, want, got *Result, n int) {
 			}
 		}
 	}
-	// Probe reconstruction must agree as well.
-	if len(want.Probes) != len(got.Probes) {
-		t.Fatalf("probe counts differ: %d vs %d", len(want.Probes), len(got.Probes))
+	// Activity reconstruction must agree as well.
+	if len(want.plan.probes) != len(got.plan.probes) {
+		t.Fatalf("probe counts differ: %d vs %d", len(want.plan.probes), len(got.plan.probes))
 	}
-	for i := range want.Probes {
-		pw, pg := want.Probes[i], got.Probes[i]
-		if pw.Base != pg.Base || pw.Exec.Label != pg.Exec.Label {
-			t.Fatalf("probe %d differs: base %d/%d label %s/%s", i, pw.Base, pg.Base, pw.Exec.Label, pg.Exec.Label)
-		}
-		k := n - 1
-		if s1, s2 := pw.Start(vw[pw.Base], k), pg.Start(vg[pg.Base], k); s1 != s2 {
-			t.Fatalf("probe %d start differs at k=%d: %v vs %v", i, k, s1, s2)
+	k := n - 1
+	tw, tg := observe.NewTrace("want"), observe.NewTrace("got")
+	rw, err := ew.Row(k)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want.Record(tw, want.LabelledNodes(nil, nil), vw, rw, k, maxplus.Top)
+	rg, err := eg.Row(k)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got.Record(tg, got.LabelledNodes(nil, nil), vg, rg, k, maxplus.Top)
+	if err := observe.CompareInstants(tw, tg); err != nil {
+		t.Fatal(err)
+	}
+	for _, r := range tw.Resources() {
+		if !slices.Equal(tw.Activities(r), tg.Activities(r)) {
+			t.Fatalf("%s activities differ at k=%d:\n%+v\nvs\n%+v", r, k, tw.Activities(r), tg.Activities(r))
 		}
 	}
 }

@@ -1,6 +1,7 @@
 package derive
 
 import (
+	"math"
 	"slices"
 
 	"dyncomp/internal/maxplus"
@@ -28,14 +29,15 @@ func (r *Result) LabelledNodes(dst []Labelled, skip []string) []Labelled {
 }
 
 // Record reconstructs the observable evolution of iteration k from the
-// computed instants vals (indexed by node): the instants of nodes and
-// every execution activity, on the local observation time (no simulator
+// computed instants vals (indexed by node) and iteration k's row (as
+// the result's program filled it): the instants of nodes and every
+// execution activity, on the local observation time (no simulator
 // involvement). Instants and activities past the limit stay unrecorded
 // — the reference executor's kernel stops before it reaches them. A nil
 // trace records nothing. Record returns the latest instant or activity
 // end of the iteration and whether any of its instants is within the
 // limit.
-func (r *Result) Record(trace *observe.Trace, nodes []Labelled, vals []maxplus.T, k int, limit maxplus.T) (end maxplus.T, reached bool) {
+func (r *Result) Record(trace *observe.Trace, nodes []Labelled, vals, row []maxplus.T, k int, limit maxplus.T) (end maxplus.T, reached bool) {
 	end = maxplus.Epsilon
 	for _, n := range nodes {
 		v := vals[n.ID]
@@ -48,24 +50,29 @@ func (r *Result) Record(trace *observe.Trace, nodes []Labelled, vals []maxplus.T
 			trace.RecordInstant(n.Label, v)
 		}
 	}
-	for _, pr := range r.Probes {
-		start := pr.Start(vals[pr.Base], k)
+	p := r.plan
+	for i := range p.probes {
+		pr := &p.probes[i]
+		start := vals[pr.base]
+		for _, e := range pr.pre {
+			start = maxplus.Otimes(start, row[e])
+		}
 		if start == maxplus.Epsilon {
 			continue
 		}
-		load := pr.Exec.Load(k)
-		fin := maxplus.Otimes(start, pr.Exec.Resource.DurationOf(load))
+		col := &p.cols[pr.exec]
+		fin := maxplus.Otimes(start, row[col.entry])
 		end = maxplus.Oplus(end, fin)
 		if trace == nil || start > limit {
 			continue
 		}
 		trace.RecordActivity(observe.Activity{
-			Resource: pr.Exec.Resource.Name,
-			Label:    pr.Exec.Label,
+			Resource: col.resource,
+			Label:    col.label,
 			K:        k,
 			Start:    start,
 			End:      fin,
-			Ops:      load.Ops,
+			Ops:      math.Float64frombits(uint64(row[p.entries+int(pr.exec)])),
 		})
 	}
 	return end, reached

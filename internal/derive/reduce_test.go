@@ -4,7 +4,6 @@ import (
 	"testing"
 
 	"dyncomp/internal/maxplus"
-	"dyncomp/internal/tdg"
 	"dyncomp/internal/zoo"
 )
 
@@ -65,8 +64,8 @@ func TestReducePreservesValues(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		ef, _ := tdg.NewEvaluator(full.Graph)
-		er, _ := tdg.NewEvaluator(red.Graph)
+		ef := full.Program().NewInterpreter()
+		er := red.Program().NewInterpreter()
 		for k := 0; k < spec.Tokens; k++ {
 			u := maxplus.T(int64(k) * int64(spec.Period))
 			yf, err1 := ef.Step([]maxplus.T{u})

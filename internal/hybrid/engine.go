@@ -56,6 +56,12 @@ type engine struct {
 	inIdx    []int // input index per node; -1 for non-input nodes
 	outNode  tdg.NodeID
 
+	// rows keeps one iteration row per ring slot: rows[slot*rowW:] holds
+	// iteration rowK[slot]'s (see derive.Result.FillRow).
+	rows []maxplus.T
+	rowW int
+	rowK []int
+
 	ys        []maxplus.T // emission-ready instants y(k)
 	confirmed int
 	recorded  int // iterations recorded into the trace
@@ -95,6 +101,9 @@ func newEngine(a *model.Architecture, sub *subArch, dres *derive.Result, kern *s
 		depth:    depth,
 		lead:     lead,
 		ring:     make([]maxplus.T, g.NodeCount()*depth),
+		rowW:     dres.RowWidth(),
+		rows:     make([]maxplus.T, dres.RowWidth()*depth),
+		rowK:     make([]int, depth),
 		nodeDone: make([]int, g.NodeCount()),
 		inIdx:    make([]int, g.NodeCount()),
 		outNode:  dres.Outputs[0].Node,
@@ -103,6 +112,9 @@ func newEngine(a *model.Architecture, sub *subArch, dres *derive.Result, kern *s
 	}
 	for i := range e.ring {
 		e.ring[i] = maxplus.Epsilon
+	}
+	for i := range e.rowK {
+		e.rowK[i] = -1
 	}
 	e.arrRing = make([][]maxplus.T, len(dres.Inputs))
 	for i := range e.arrRing {
@@ -122,6 +134,22 @@ func newEngine(a *model.Architecture, sub *subArch, dres *derive.Result, kern *s
 
 func (e *engine) slot(id tdg.NodeID, k int) *maxplus.T {
 	return &e.ring[int(id)*e.depth+(k%e.depth)]
+}
+
+// row returns iteration k's row from the ring, filling its slot on
+// first use. Iterations in flight never share a slot, and the row is a
+// pure function of k, so a refill is only ever repeated work.
+func (e *engine) row(k int) ([]maxplus.T, error) {
+	slot := k % e.depth
+	r := e.rows[slot*e.rowW : (slot+1)*e.rowW]
+	if e.rowK[slot] != k {
+		if err := e.dres.FillRow(k, r); err != nil {
+			e.rowK[slot] = -1
+			return nil, err
+		}
+		e.rowK[slot] = k
+	}
+	return r, nil
 }
 
 func (e *engine) value(id tdg.NodeID, k int) maxplus.T {
@@ -177,20 +205,24 @@ func (e *engine) gateReady(ib derive.InputBinding, k int) bool {
 	return true
 }
 
-func (e *engine) gateValue(ib derive.InputBinding, k int) maxplus.T {
+func (e *engine) gateValue(ib derive.InputBinding, k int) (maxplus.T, error) {
+	row, err := e.row(k)
+	if err != nil {
+		return maxplus.Epsilon, err
+	}
 	gate := maxplus.Epsilon
 	for _, a := range ib.Gate {
 		v := e.value(a.From, k-a.Delay)
 		if v == maxplus.Epsilon {
 			continue
 		}
-		gate = maxplus.Oplus(gate, a.Weight.Apply(v, k))
+		gate = maxplus.Oplus(gate, a.Weight.Apply(v, k, row))
 	}
 	for _, sg := range ib.SameIterGate {
-		v := sg.Weight.Apply(e.arrRing[sg.InputIndex][k%e.depth], k)
+		v := sg.Weight.Apply(e.arrRing[sg.InputIndex][k%e.depth], k, row)
 		gate = maxplus.Oplus(gate, v)
 	}
-	return gate
+	return gate, nil
 }
 
 func (e *engine) runReception(p *sim.Proc, idx int, ib derive.InputBinding, rt chanrt.RT) {
@@ -200,7 +232,11 @@ func (e *engine) runReception(p *sim.Proc, idx int, ib derive.InputBinding, rt c
 		for !e.gateReady(ib, k) {
 			p.WaitEvent(e.progress)
 		}
-		gate := e.gateValue(ib, k)
+		gate, err := e.gateValue(ib, k)
+		if err != nil {
+			p.Kernel().Fail(err)
+			return
+		}
 		if !gate.IsEpsilon() && sim.Time(gate) > p.Now() {
 			p.WaitUntil(sim.Time(gate))
 		}
@@ -245,7 +281,10 @@ func (e *engine) runComputer(p *sim.Proc) {
 		progressed := false
 		for _, id := range topo {
 			for k := e.nodeDone[id]; k < e.iters && k < low+e.lead && e.ready(id, k); k++ {
-				e.compute(id, k)
+				if err := e.compute(id, k); err != nil {
+					p.Kernel().Fail(err)
+					return
+				}
 				progressed = true
 			}
 		}
@@ -254,7 +293,10 @@ func (e *engine) runComputer(p *sim.Proc) {
 			done = min(done, d)
 		}
 		for ; e.recorded < done; e.recorded++ {
-			e.record(e.trace, e.recorded)
+			if _, err := e.record(e.trace, e.recorded); err != nil {
+				p.Kernel().Fail(err)
+				return
+			}
 		}
 		if progressed {
 			continue
@@ -292,17 +334,21 @@ func (e *engine) ready(id tdg.NodeID, k int) bool {
 // compute evaluates node id at iteration k: an input takes its recorded
 // arrival, every other node ⊕ over its arcs (references before the
 // origin are ε).
-func (e *engine) compute(id tdg.NodeID, k int) {
+func (e *engine) compute(id tdg.NodeID, k int) error {
 	acc := maxplus.Epsilon
 	if i := e.inIdx[id]; i >= 0 {
 		acc = e.arrRing[i][k%e.depth]
 	} else {
+		row, err := e.row(k)
+		if err != nil {
+			return err
+		}
 		for _, a := range e.graph.Incoming(id) {
 			if a.Delay > k {
 				continue
 			}
 			if src := *e.slot(a.From, k-a.Delay); src != maxplus.Epsilon {
-				acc = maxplus.Oplus(acc, a.Weight.Apply(src, k))
+				acc = maxplus.Oplus(acc, a.Weight.Apply(src, k, row))
 			}
 		}
 	}
@@ -311,6 +357,7 @@ func (e *engine) compute(id tdg.NodeID, k int) {
 	if id == e.outNode {
 		e.ys = append(e.ys, acc)
 	}
+	return nil
 }
 
 // runEmission replays the computed output instants onto the real boundary
@@ -342,15 +389,19 @@ func (e *engine) runEmission(p *sim.Proc, orig *model.Channel, rt chanrt.RT) {
 // execution activities, except those past the time limit. Nodes not
 // computed for k — the run ended first — count as past the limit. It
 // returns the latest instant or activity end of the iteration.
-func (e *engine) record(trace *observe.Trace, k int) maxplus.T {
+func (e *engine) record(trace *observe.Trace, k int) (maxplus.T, error) {
+	row, err := e.row(k)
+	if err != nil {
+		return maxplus.Epsilon, err
+	}
 	for id := range e.vals {
 		e.vals[id] = maxplus.Top
 		if e.nodeDone[id] > k {
 			e.vals[id] = *e.slot(tdg.NodeID(id), k)
 		}
 	}
-	end, _ := e.dres.Record(trace, e.nodes, e.vals, k, e.limit)
-	return end
+	end, _ := e.dres.Record(trace, e.nodes, e.vals, row, k, e.limit)
+	return end, nil
 }
 
 // finish records the iterations the run cut short and returns the final
@@ -358,17 +409,25 @@ func (e *engine) record(trace *observe.Trace, k int) maxplus.T {
 // the last whole iteration within the limit. The kernel sees only the
 // group's boundary events, while the reference executor also simulates
 // an internal execution or transfer that ends after the last of them.
+// A row that fails to fill here failed the run already, when the
+// computer first needed it.
 func (e *engine) finish() sim.Time {
 	done, last := e.iters, 0
 	for _, d := range e.nodeDone {
 		done, last = min(done, d), max(last, d)
 	}
 	for ; e.recorded < last; e.recorded++ {
-		e.record(e.trace, e.recorded)
+		if _, err := e.record(e.trace, e.recorded); err != nil {
+			break
+		}
 	}
 	t := e.kern.Stats().FinalTime
 	if done == 0 {
 		return t
 	}
-	return max(t, sim.Time(min(e.record(nil, done-1), e.limit)))
+	end, err := e.record(nil, done-1)
+	if err != nil {
+		return t
+	}
+	return max(t, sim.Time(min(end, e.limit)))
 }

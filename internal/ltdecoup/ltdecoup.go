@@ -212,7 +212,11 @@ func (b *builder) runFunction(p *sim.Proc, f *model.Function, ends map[int]sim.T
 				// reader; the timestamp is quantized at the boundary.
 				b.chans[s.Ch].push(cur, b.quantize(local))
 			case model.Exec:
-				dur := f.Resource.DurationOf(s.Cost(cur))
+				dur, err := f.Resource.Duration(s.Cost(cur))
+				if err != nil {
+					p.Kernel().Fail(fmt.Errorf("ltdecoup: execute %q of %q, iteration %d: %w", s.Label, f.Name, k, err))
+					return
+				}
 				if b.trace != nil {
 					b.trace.RecordActivity(observe.Activity{
 						Resource: f.Resource.Name,

@@ -27,6 +27,7 @@
 package model
 
 import (
+	"errors"
 	"fmt"
 	"math"
 
@@ -117,12 +118,32 @@ type Resource struct {
 // DurationOf converts a load into an execution duration in ticks
 // (nanoseconds) on this resource, rounding to the nearest tick. Both
 // simulation engines use this exact conversion so that instants agree.
-func (r *Resource) DurationOf(l Load) maxplus.T {
+// A tick count outside the int64 range does not convert: use Duration,
+// which reports it.
+func (r *Resource) DurationOf(l Load) maxplus.T { return maxplus.T(r.ticks(l)) }
+
+// Duration is DurationOf with a range check: a load whose tick count is
+// NaN, infinite or at least 2^63 fails with ErrDurationRange instead of
+// converting to an undefined instant (ε on most platforms).
+func (r *Resource) Duration(l Load) (maxplus.T, error) {
+	t := r.ticks(l)
+	if !(t < 1<<63) {
+		return 0, fmt.Errorf("%w: %g ops on %q is %g ns", ErrDurationRange, l.Ops, r.Name, t)
+	}
+	return maxplus.T(t), nil
+}
+
+// ticks is the rounded duration of l in ticks, before conversion.
+func (r *Resource) ticks(l Load) float64 {
 	if l.Ops <= 0 {
 		return 0
 	}
-	return maxplus.T(math.Round(l.Ops / r.OpsPerSec * 1e9))
+	return math.Round(l.Ops / r.OpsPerSec * 1e9)
 }
+
+// ErrDurationRange reports an execution whose duration does not fit an
+// int64 tick count. Every engine fails the run with it.
+var ErrDurationRange = errors.New("model: execution duration out of range")
 
 // ChannelKind selects the communication protocol of a channel.
 type ChannelKind int

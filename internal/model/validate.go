@@ -207,42 +207,35 @@ func (a *Architecture) checkProvenance() error {
 
 // ExecInfo is one Exec statement resolved against the mapping. It exposes
 // the statement's load and duration as pure functions of the iteration
-// index; both execution engines use it so that instants agree bit-exact.
+// index.
 //
-// The token provenance is resolved to its source once at construction,
-// and the last computed load is memoized (temporal dependency graphs
-// evaluate the same duration through several arcs of one iteration).
-// ExecInfo is not safe for concurrent use; each engine builds its own.
+// The token provenance is resolved to its source once at construction.
+// An ExecInfo is immutable, so it is safe for concurrent use. The
+// kernel-free engines do not call it on their hot path: derive reads one
+// token per source and one load per exec statement per iteration into
+// its row (see derive.Result).
 type ExecInfo struct {
 	Func      *Function
 	StmtIndex int
 	Label     string
 	Resource  *Resource
 
-	arch *Architecture
-	prov *Channel
 	src  *Source
 	cost CostFn
-
-	lastK    int
-	lastLoad Load
-	hasLast  bool
 }
 
 // Load returns the operation count of the statement at iteration k.
 func (e *ExecInfo) Load(k int) Load {
-	if e.hasLast && e.lastK == k {
-		return e.lastLoad
-	}
 	tok := e.src.Tokens(k)
 	tok.K = k
-	l := e.cost(tok)
-	e.lastK, e.lastLoad, e.hasLast = k, l, true
-	return l
+	return e.cost(tok)
 }
 
 // Duration returns the execution duration at iteration k in ticks.
 func (e *ExecInfo) Duration(k int) maxplus.T { return e.Resource.DurationOf(e.Load(k)) }
+
+// Source returns the source whose tokens the statement processes.
+func (e *ExecInfo) Source() *Source { return e.src }
 
 // ExecInfoOf resolves the stmtIndex-th statement of f, which must be an
 // Exec with a preceding Read (its token provenance). Validate must have
@@ -274,8 +267,6 @@ func (a *Architecture) ExecInfoOf(f *Function, stmtIndex int) (*ExecInfo, error)
 		StmtIndex: stmtIndex,
 		Label:     ex.Label,
 		Resource:  f.Resource,
-		arch:      a,
-		prov:      prov,
 		src:       cur.Source,
 		cost:      ex.Cost,
 	}, nil

@@ -73,10 +73,11 @@ type Lifecycle struct {
 	Scenario string
 	Total    int
 	Created  time.Time
-	// OnSettle, when non-nil, observes the terminal state exactly once,
+	// OnSettle, when non-nil, observes the terminal state and the settle
+	// instant exactly once,
 	// under the lock, wherever the job settles. It must not call back
 	// into the job.
-	OnSettle func(st JobState, errMsg string)
+	OnSettle func(st JobState, errMsg string, finished time.Time)
 
 	state           JobState
 	cancelRequested bool
@@ -161,7 +162,7 @@ func (l *Lifecycle) settleLocked(st JobState, errMsg string, now time.Time) {
 	l.cancel = nil
 	l.bumpLocked()
 	if l.OnSettle != nil {
-		l.OnSettle(st, errMsg)
+		l.OnSettle(st, errMsg, now)
 	}
 }
 

@@ -196,7 +196,7 @@ func (s *Server) handleSweepCreate(w http.ResponseWriter, r *http.Request) *Requ
 			// settles (worker, queued-cancel, shutdown drain) — and
 			// return the caller's concurrent-job quota slot there, the
 			// single point every settle path funnels through.
-			OnSettle: func(st JobState, _ string) {
+			OnSettle: func(st JobState, _ string, _ time.Time) {
 				s.quotas.releaseJob(caller)
 				s.Metrics.Add(metricJobs, fmt.Sprintf(`state=%q`, st.String()), 1)
 			},

@@ -169,3 +169,47 @@ func TestRecoveredUncompilableJobKeepsItsTTL(t *testing.T) {
 		t.Fatalf("recovered job finished at %v, want its recovery time (after %v)", snap.Finished, before)
 	}
 }
+
+// A job that settled before a restart keeps the instant it finished:
+// GET reports it, and the job lives out its TTL from it, not from its
+// creation. The job here was created a minute before it ran (it was
+// resumed from the store), so settling it at its creation instant would
+// evict it on the first sweep of a 30 ms TTL.
+func TestRecoveredJobKeepsItsFinishTime(t *testing.T) {
+	workers := newFleet(t, 2)
+	storePath := t.TempDir() + "/jobs.ndjson"
+	st, _, err := OpenStore(storePath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := st.AppendJob("job-000001", time.Now().Add(-time.Minute), faultReq, 2); err != nil {
+		t.Fatal(err)
+	}
+	if err := st.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	c1, ts1 := newCoord(t, Config{Workers: workers, ChunkPoints: 2, StorePath: storePath})
+	if res := waitTerminal(t, ts1.URL, "job-000001"); res.State != "done" {
+		t.Fatalf("resumed job %q, want done", res.State)
+	}
+	j1, _ := c1.jobs.Get("job-000001")
+	finished := j1.Snapshot().Finished
+	ts1.Close()
+	c1.Close()
+
+	c2, ts2 := newCoord(t, Config{Workers: workers, ChunkPoints: 2, StorePath: storePath})
+	j2, ok := c2.jobs.Get("job-000001")
+	if !ok {
+		t.Fatal("recovered job missing")
+	}
+	if got := getResult(t, ts2.URL, "job-000001").Finished; got == nil || !got.Equal(*finished) {
+		t.Fatalf("recovered job finished at %v, want %v", got, finished)
+	}
+	if got := j2.Snapshot().Finished; got == nil || !got.Equal(*finished) {
+		t.Fatalf("recovered job settled at %v, want %v", got, finished)
+	}
+	if n := c2.jobs.Evict(finished.Add(time.Millisecond), 30*time.Millisecond, 0); n != 0 {
+		t.Fatalf("evicted %d jobs 1 ms after the recovered job finished, want it kept for its 30 ms TTL", n)
+	}
+}

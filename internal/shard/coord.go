@@ -242,7 +242,11 @@ func (c *Coordinator) recoverJob(jr JobRecord) {
 				j.failChunk(ci, errors.New("shard: chunk result lost before coordinator shutdown"))
 			}
 		}
-		j.Settle(st, jr.Error, jr.Created) // already persisted: no hook yet
+		finished := jr.Finished
+		if finished.IsZero() {
+			finished = jr.Created // a record from before finish times were kept
+		}
+		j.Settle(st, jr.Error, finished) // already persisted: no hook yet
 		c.jobs.Restore(j)
 		return
 	}
@@ -257,9 +261,9 @@ func (c *Coordinator) recoverJob(jr JobRecord) {
 // released, so a restart never resurrects a settled job. Close leaves
 // running jobs unsettled on purpose — their records end at the last
 // completed chunk, where a restarted coordinator resumes them.
-func (c *Coordinator) persistState(j *job) func(serve.JobState, string) {
-	return func(st serve.JobState, errMsg string) {
-		_ = c.store.AppendState(j.ID, st.String(), errMsg)
+func (c *Coordinator) persistState(j *job) func(serve.JobState, string, time.Time) {
+	return func(st serve.JobState, errMsg string, finished time.Time) {
+		_ = c.store.AppendState(j.ID, st.String(), errMsg, finished)
 	}
 }
 

@@ -97,7 +97,7 @@ func TestRecoveryDoesNotReapplyGridBound(t *testing.T) {
 	if err := st.AppendJob("job-000001", time.Unix(10, 0), req, 16); err != nil {
 		t.Fatal(err)
 	}
-	if err := st.AppendState("job-000001", "cancelled", "context canceled"); err != nil {
+	if err := st.AppendState("job-000001", "cancelled", "context canceled", time.Now()); err != nil {
 		t.Fatal(err)
 	}
 	if err := st.Close(); err != nil {

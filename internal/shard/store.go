@@ -52,9 +52,10 @@ type record struct {
 	BatchedPoints int                `json:"batched_points,omitempty"`
 	Points        []serve.ChunkPoint `json:"points,omitempty"`
 
-	// Type "state": the terminal state.
-	State string `json:"state,omitempty"`
-	Error string `json:"error,omitempty"`
+	// Type "state": the terminal state and when the job settled.
+	State    string     `json:"state,omitempty"`
+	Error    string     `json:"error,omitempty"`
+	Finished *time.Time `json:"finished,omitempty"`
 }
 
 // ChunkRecord is one recovered chunk result.
@@ -68,7 +69,8 @@ type ChunkRecord struct {
 // JobRecord is one job reassembled from the record stream: the spec to
 // replan from, every chunk already completed, and the terminal state if
 // the job settled ("" when it was still in flight — the restarted
-// coordinator resumes it).
+// coordinator resumes it). Finished is when it settled; it is zero for
+// a state written before the store recorded it.
 type JobRecord struct {
 	ID          string
 	Created     time.Time
@@ -77,6 +79,7 @@ type JobRecord struct {
 	Chunks      map[int]ChunkRecord
 	State       string
 	Error       string
+	Finished    time.Time
 }
 
 // OpenStore opens (or creates) the store file, replays every intact
@@ -140,6 +143,9 @@ replay:
 		case "state":
 			if jr, ok := jobs[rec.Job]; ok {
 				jr.State, jr.Error = rec.State, rec.Error
+				if rec.Finished != nil {
+					jr.Finished = *rec.Finished
+				}
 			}
 		default:
 			// Unknown record type: written by a future version or
@@ -201,9 +207,9 @@ func (st *Store) AppendChunk(id string, chunk int, worker string, resp *serve.Ch
 	})
 }
 
-// AppendState records a terminal state.
-func (st *Store) AppendState(id, state, errMsg string) error {
-	return st.append(record{Type: "state", Job: id, State: state, Error: errMsg})
+// AppendState records a terminal state and the instant the job settled.
+func (st *Store) AppendState(id, state, errMsg string, finished time.Time) error {
+	return st.append(record{Type: "state", Job: id, State: state, Error: errMsg, Finished: &finished})
 }
 
 // Compact rewrites the store keeping only records of jobs in live,

@@ -37,7 +37,7 @@ func writeSeedStore(t *testing.T) string {
 			t.Fatal(err)
 		}
 	}
-	if err := st.AppendState("job-000001", "done", ""); err != nil {
+	if err := st.AppendState("job-000001", "done", "", time.Now()); err != nil {
 		t.Fatal(err)
 	}
 	if err := st.Close(); err != nil {
@@ -223,7 +223,7 @@ func TestNilStoreIsValid(t *testing.T) {
 	if err := st.AppendChunk("job-000001", 0, "http://w", &serve.ChunkResponse{}); err != nil {
 		t.Fatal(err)
 	}
-	if err := st.AppendState("job-000001", "done", ""); err != nil {
+	if err := st.AppendState("job-000001", "done", "", time.Now()); err != nil {
 		t.Fatal(err)
 	}
 	if err := st.Close(); err != nil {
@@ -242,7 +242,7 @@ func TestClosedStoreRejectsAppends(t *testing.T) {
 	if err := st.Close(); err != nil {
 		t.Fatal(err)
 	}
-	if err := st.AppendState("job-000001", "done", ""); err == nil {
+	if err := st.AppendState("job-000001", "done", "", time.Now()); err == nil {
 		t.Fatal("append to a closed store succeeded")
 	}
 }

@@ -164,7 +164,7 @@ func evalChunk(ctx context.Context, chunk []int, pts []Point, archs []*model.Arc
 		}
 		pr := PointResult{Point: p, Run: pointStats(out[l]), Trace: out[l].Trace}
 		if opts.Baseline {
-			addBaseline(ctx, p, gen, refEng, opts, &pr)
+			addBaseline(ctx, p, lanes[l], refEng, opts, &pr)
 		}
 		results[i] = pr
 	}

@@ -639,7 +639,7 @@ func evalPoint(ctx context.Context, p Point, gen Generator, eng, refEng engine.E
 	pr.Trace = r.Trace
 
 	if opts.Baseline {
-		addBaseline(ctx, p, gen, refEng, opts, &pr)
+		addBaseline(ctx, p, a, refEng, opts, &pr)
 	}
 	return pr
 }
@@ -674,16 +674,11 @@ func pointOptions(p Point, opts Options) (derive.Options, []string) {
 // addBaseline pairs an evaluated point with a reference-executor run and
 // fills the paper's two headline ratios. Both the per-point and the
 // batched path use it — baselines always run point-at-a-time (the
-// reference executor has no batched form).
-func addBaseline(ctx context.Context, p Point, gen Generator, refEng engine.Engine, opts Options, pr *PointResult) {
-	// A fresh instance keeps the engines from sharing memoized
-	// per-statement state.
-	ab, err := gen(p)
-	if err != nil {
-		pr.Err = fmt.Errorf("sweep: point %d (%s): baseline: %w", p.Index, p, err)
-		return
-	}
-	br, err := refEng.Run(ctx, ab, engine.Options{
+// reference executor has no batched form). It runs the point's own
+// architecture: engines leave the architecture they run as they found
+// it.
+func addBaseline(ctx context.Context, p Point, a *model.Architecture, refEng engine.Engine, opts Options, pr *PointResult) {
+	br, err := refEng.Run(ctx, a, engine.Options{
 		Record:  opts.Record,
 		LimitNs: int64(opts.Limit),
 	})

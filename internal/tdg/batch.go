@@ -14,41 +14,42 @@ import (
 // onto small graphs.
 var batchParallelMinWork = 1 << 14
 
-// BatchEvaluator evaluates N re-bound sibling programs of one structural
-// shape in lockstep: one pass over the shared packed arc table computes
-// iteration k for every lane at once.
+// BatchEvaluator evaluates N sibling programs of one structural shape in
+// lockstep: one pass over the shared packed arc table computes iteration
+// k for every lane at once.
 //
 // Memory is laid out lane-innermost (structure of arrays): the history
-// ring holds ring[(node*depth+slot)*L + lane], the varying-weight buffer
-// wbuf[widx*L + lane], and Step's inputs and outputs are lane-strided
+// ring holds ring[(node*depth+slot)*L + lane], the iteration rows
+// rows[entry*L + lane], and Step's inputs and outputs are lane-strided
 // the same way (u[i*L+lane] is input i of lane `lane`). One instruction
 // stream therefore amortizes the arc-table walk, the branch pattern and
-// the ring indexing over all lanes, while each lane keeps its own weight
-// closures — which is exactly the sweep access pattern: many parameter
-// points over one shared structure.
+// the ring indexing over all lanes, while each lane fills its own row
+// from its own Inputs — which is exactly the sweep access pattern: many
+// parameter points over one shared structure.
 //
-// Lanes must be structurally identical programs: Rebound siblings (which
-// alias one arc table, checked in O(1)) or independently compiled
-// programs whose packed tables match element-wise. Const and identity
-// weights are baked into the shared arc table and so must agree across
-// lanes; only side-table (varying) weights may differ per lane.
+// Lanes must be structurally identical programs: Bound siblings (which
+// alias one arc table, checked in O(1)) or independently
+// compiled programs whose packed tables match element-wise. Const and
+// identity weights are baked into the shared arc table and so must agree
+// across lanes; only row entries may differ per lane.
 //
 // A BatchEvaluator is bit-exact against running each lane through its
 // own scalar Evaluator: both apply the same (max,+) fold in the same
 // node and arc order.
 type BatchEvaluator struct {
 	proto *Program   // structure owner: nodes, arcs, waves
-	lanes []*Program // per-lane programs (weight side tables)
+	lanes []*Program // per-lane programs (function weights and inputs)
 
 	k     int
 	depth int
 	width int // number of lanes L
 
 	ring   []maxplus.T // [(node*depth + slot)*L + lane]
-	wbuf   []maxplus.T // [widx*L + lane], refilled each Step
+	rows   []maxplus.T // [entry*L + lane], refilled each Step
 	outBuf []maxplus.T // [output*L + lane], reused by Step
 
-	active  []bool // lanes still stepping; disabled lanes keep stale values
+	active  []bool  // lanes still stepping; disabled lanes keep stale values
+	errs    []error // the row fill error that disabled a lane
 	nActive int
 }
 
@@ -72,15 +73,15 @@ func NewBatchEvaluator(lanes []*Program) (*BatchEvaluator, error) {
 	if b, ok := proto.bpool.Get().(*BatchEvaluator); ok {
 		if b.width == L &&
 			len(b.ring) == len(proto.g.nodes)*depth*L &&
-			len(b.wbuf) == len(proto.weights)*L &&
+			len(b.rows) == proto.rowWidth()*L &&
 			len(b.outBuf) == len(proto.g.outputs)*L {
 			b.proto = proto
 			copy(b.lanes, lanes)
 			b.reset()
 			return b, nil
 		}
-		// Geometry drifted (a reclassifying recompile resized the side
-		// table): drop the stale buffers for the collector.
+		// Geometry drifted (a sibling bound to inputs of another
+		// width): drop the stale buffers for the collector.
 	}
 	b := &BatchEvaluator{
 		proto:  proto,
@@ -88,9 +89,10 @@ func NewBatchEvaluator(lanes []*Program) (*BatchEvaluator, error) {
 		depth:  depth,
 		width:  L,
 		ring:   make([]maxplus.T, len(proto.g.nodes)*depth*L),
-		wbuf:   make([]maxplus.T, len(proto.weights)*L),
+		rows:   make([]maxplus.T, proto.rowWidth()*L),
 		outBuf: make([]maxplus.T, len(proto.g.outputs)*L),
 		active: make([]bool, L),
+		errs:   make([]error, L),
 	}
 	b.reset()
 	return b, nil
@@ -107,12 +109,13 @@ func batchCompatible(p, q *Program) error {
 		return fmt.Errorf("%d vs %d graph nodes", len(p.g.nodes), len(q.g.nodes))
 	case len(p.arcs) != len(q.arcs), len(p.nodes) != len(q.nodes):
 		return fmt.Errorf("packed table sizes differ")
-	case len(p.weights) != len(q.weights):
-		return fmt.Errorf("%d vs %d varying weights", len(p.weights), len(q.weights))
+	case p.fns != q.fns, p.rowWidth() != q.rowWidth():
+		return fmt.Errorf("row layouts differ (%d+%d vs %d+%d entries)",
+			p.fns, p.rowWidth()-p.fns, q.fns, q.rowWidth()-q.fns)
 	case !equalIDs(p.g.inputs, q.g.inputs), !equalIDs(p.g.outputs, q.g.outputs):
 		return fmt.Errorf("input/output vectors differ")
 	}
-	// Rebound siblings alias one table: identical by construction.
+	// Bound siblings alias one table: identical by construction.
 	if len(p.arcs) == 0 || &p.arcs[0] == &q.arcs[0] {
 		return nil
 	}
@@ -149,6 +152,7 @@ func (b *BatchEvaluator) reset() {
 	}
 	for i := range b.active {
 		b.active[i] = true
+		b.errs[i] = nil
 	}
 	b.nActive = b.width
 }
@@ -171,8 +175,8 @@ func (b *BatchEvaluator) K() int { return b.k }
 // its node, input and output layout.
 func (b *BatchEvaluator) Graph() *Graph { return b.proto.g }
 
-// Disable marks a lane as finished: fillWeights skips its closures and
-// its ring values go stale. Disabling is how a caller retires lanes that
+// Disable marks a lane as finished: Step fills no row for it and its
+// ring values go stale. Disabling is how a caller retires lanes that
 // diverge (shorter runs, failed lanes) while the rest keep stepping; the
 // pass still computes the dead lane's slots, on garbage inputs, which is
 // harmless — saturating (max,+) arithmetic cannot trap and the values
@@ -187,10 +191,16 @@ func (b *BatchEvaluator) Disable(lane int) {
 // ActiveLanes returns how many lanes are still enabled.
 func (b *BatchEvaluator) ActiveLanes() int { return b.nActive }
 
+// Err returns the error that failed a lane's row fill, or nil. Step
+// disables such a lane and keeps stepping the others.
+func (b *BatchEvaluator) Err(lane int) error { return b.errs[lane] }
+
 // Step computes all evolution instants of the next iteration k for every
 // lane. u holds the input instants lane-strided — u[i*L+lane] is input i
 // of lane `lane`, L the batch width — and the returned outputs are laid
-// out the same way. The returned slice is reused by the next Step.
+// out the same way. The returned slice is reused by the next Step. Step
+// first fills every active lane's row of iteration k; a lane whose fill
+// fails is disabled, with the error kept for Err.
 func (b *BatchEvaluator) Step(u []maxplus.T) ([]maxplus.T, error) {
 	L := b.width
 	g := b.proto.g
@@ -204,7 +214,7 @@ func (b *BatchEvaluator) Step(u []maxplus.T) ([]maxplus.T, error) {
 		base := (int(id)*b.depth + slot) * L
 		copy(b.ring[base:base+L], u[i*L:(i+1)*L])
 	}
-	b.fillWeights(k)
+	b.fillRows(k)
 	b.pass(k, slot)
 	for j, id := range g.outputs {
 		base := (int(id)*b.depth + slot) * L
@@ -214,20 +224,18 @@ func (b *BatchEvaluator) Step(u []maxplus.T) ([]maxplus.T, error) {
 	return b.outBuf, nil
 }
 
-// fillWeights resolves every lane's varying weights at iteration k into
-// the lane-strided weight buffer. It runs single-threaded before the
-// (possibly parallel) pass: weight closures — and the ExecInfo
-// memoization behind derived durations — are only ever called here,
-// never concurrently.
-func (b *BatchEvaluator) fillWeights(k int) {
-	L := b.width
+// fillRows fills every active lane's row of iteration k into the
+// lane-strided rows. It runs single-threaded before the (possibly
+// parallel) pass, so Inputs and function weights are never called
+// concurrently by one evaluator.
+func (b *BatchEvaluator) fillRows(k int) {
 	for l, p := range b.lanes {
 		if !b.active[l] {
 			continue
 		}
-		w := p.weights
-		for v := range w {
-			b.wbuf[v*L+l] = w[v].At(k)
+		if err := p.fillRow(k, b.rows[l:], b.width); err != nil {
+			b.errs[l] = err
+			b.Disable(l)
 		}
 	}
 }
@@ -285,7 +293,7 @@ func (b *BatchEvaluator) runNodes(nlo, nhi, k, slot int) {
 	p := b.proto
 	arcs := p.arcs
 	ring := b.ring
-	wbuf := b.wbuf
+	rows := b.rows
 	L := b.width
 	depth := int32(b.depth)
 	s := int32(slot)
@@ -335,7 +343,7 @@ func (b *BatchEvaluator) runNodes(nlo, nhi, k, slot int) {
 				continue
 			}
 			wb := int(a.widx) * L
-			ws := wbuf[wb : wb+L]
+			ws := rows[wb : wb+L]
 			ws = ws[:len(src)]
 			for l, sv := range src {
 				if sv == maxplus.Epsilon {
@@ -363,5 +371,16 @@ func (b *BatchEvaluator) LaneValuesInto(lane int, dst []maxplus.T) {
 	slot := (b.k - 1) % b.depth
 	for i := range dst {
 		dst[i] = b.ring[(i*b.depth+slot)*L+lane]
+	}
+}
+
+// LaneRowInto copies one lane's row of the most recently computed
+// iteration, as its Inputs filled it, into dst (Width entries) — the
+// batched counterpart of Evaluator.Row.
+func (b *BatchEvaluator) LaneRowInto(lane int, dst []maxplus.T) {
+	L := b.width
+	base := b.proto.fns * L
+	for i := range dst {
+		dst[i] = b.rows[base+i*L+lane]
 	}
 }

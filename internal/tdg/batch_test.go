@@ -6,37 +6,19 @@ import (
 	"dyncomp/internal/maxplus"
 )
 
-// laneRW re-weights every varying arc by a lane-specific offset, keeping
-// the arc classification (varying stays varying, constants stay shared)
-// so Rebound produces a true weight-lane sibling.
-func laneRW(delta maxplus.T) func(to NodeID, a Arc) (Weight, error) {
-	return func(to NodeID, a Arc) (Weight, error) {
-		if _, ok := a.Weight.Const(); ok {
-			return a.Weight, nil
-		}
-		w := a.Weight
-		return VaryingWeight(func(k int) maxplus.T { return w.At(k) + delta }), nil
-	}
-}
-
-// laneProgs derives L weight-lane siblings of prog via CloneReweighted +
-// Rebound, each with a distinct offset on every varying weight.
-func laneProgs(t *testing.T, g *Graph, prog *Program, L int) ([]*Graph, []*Program) {
+// laneProgs binds L weight-lane siblings of prog, each with a distinct
+// offset on every row entry.
+func laneProgs(t *testing.T, prog *Program, L int) []*Program {
 	t.Helper()
-	graphs := make([]*Graph, L)
 	progs := make([]*Program, L)
-	for l := 0; l < L; l++ {
-		gl, err := g.CloneReweighted(laneRW(maxplus.T(1 + 13*l)))
+	for l := range progs {
+		pl, err := prog.Bind(testRow{width: prog.rowRefs, delta: maxplus.T(1 + 13*l)})
 		if err != nil {
 			t.Fatal(err)
 		}
-		pl, err := prog.Rebound(gl)
-		if err != nil {
-			t.Fatal(err)
-		}
-		graphs[l], progs[l] = gl, pl
+		progs[l] = pl
 	}
-	return graphs, progs
+	return progs
 }
 
 // laneInputs builds the lane-strided input vector of iteration k: each
@@ -54,16 +36,12 @@ func laneInputs(g *Graph, k, L int) []maxplus.T {
 // checkBatchAgainstScalar steps the batch and per-lane scalar evaluators
 // (compiled and interpreting) in lockstep for `steps` iterations and
 // compares every output and every node instant bit-exactly.
-func checkBatchAgainstScalar(t *testing.T, g *Graph, graphs []*Graph, be *BatchEvaluator, scalars []*Evaluator, steps int) {
+func checkBatchAgainstScalar(t *testing.T, g *Graph, progs []*Program, be *BatchEvaluator, scalars []*Evaluator, steps int) {
 	t.Helper()
 	L := be.width
 	interp := make([]*Evaluator, L)
 	for l := range interp {
-		iv, err := NewEvaluator(graphs[l])
-		if err != nil {
-			t.Fatal(err)
-		}
-		interp[l] = iv
+		interp[l] = progs[l].NewInterpreter()
 	}
 	vb := make([]maxplus.T, g.NodeCount())
 	vs := make([]maxplus.T, g.NodeCount())
@@ -112,12 +90,8 @@ func checkBatchAgainstScalar(t *testing.T, g *Graph, graphs []*Graph, be *BatchE
 func TestBatchMatchesScalarOnRandomGraphs(t *testing.T) {
 	for _, L := range []int{1, 2, 7, 32} {
 		for seed := int64(0); seed < 8; seed++ {
-			g := randomGraph(t, seed)
-			prog, err := Compile(g)
-			if err != nil {
-				t.Fatal(err)
-			}
-			graphs, progs := laneProgs(t, g, prog, L)
+			g, prog := compileRandom(t, seed)
+			progs := laneProgs(t, prog, L)
 			be, err := NewBatchEvaluator(progs)
 			if err != nil {
 				t.Fatal(err)
@@ -126,7 +100,7 @@ func TestBatchMatchesScalarOnRandomGraphs(t *testing.T) {
 			for l := range scalars {
 				scalars[l] = progs[l].NewEvaluator()
 			}
-			checkBatchAgainstScalar(t, g, graphs, be, scalars, 25)
+			checkBatchAgainstScalar(t, g, progs, be, scalars, 25)
 			for _, s := range scalars {
 				s.Release()
 			}
@@ -143,13 +117,9 @@ func TestBatchWaveParallelPath(t *testing.T) {
 	batchParallelMinWork = 1
 	defer func() { batchParallelMinWork = old }()
 	for seed := int64(0); seed < 6; seed++ {
-		g := randomGraph(t, 100+seed)
-		prog, err := Compile(g)
-		if err != nil {
-			t.Fatal(err)
-		}
+		g, prog := compileRandom(t, 100+seed)
 		const L = 8
-		graphs, progs := laneProgs(t, g, prog, L)
+		progs := laneProgs(t, prog, L)
 		be, err := NewBatchEvaluator(progs)
 		if err != nil {
 			t.Fatal(err)
@@ -158,7 +128,7 @@ func TestBatchWaveParallelPath(t *testing.T) {
 		for l := range scalars {
 			scalars[l] = progs[l].NewEvaluator()
 		}
-		checkBatchAgainstScalar(t, g, graphs, be, scalars, 20)
+		checkBatchAgainstScalar(t, g, progs, be, scalars, 20)
 		be.Release()
 	}
 }
@@ -166,13 +136,9 @@ func TestBatchWaveParallelPath(t *testing.T) {
 // TestBatchDisableKeepsOtherLanesExact retires one lane mid-run and
 // checks the surviving lanes stay bit-exact against their scalar runs.
 func TestBatchDisableKeepsOtherLanesExact(t *testing.T) {
-	g := randomGraph(t, 4)
-	prog, err := Compile(g)
-	if err != nil {
-		t.Fatal(err)
-	}
+	g, prog := compileRandom(t, 4)
 	const L = 4
-	_, progs := laneProgs(t, g, prog, L)
+	progs := laneProgs(t, prog, L)
 	be, err := NewBatchEvaluator(progs)
 	if err != nil {
 		t.Fatal(err)
@@ -220,13 +186,9 @@ func TestBatchDisableKeepsOtherLanesExact(t *testing.T) {
 // buffers through the programs' shared pool and that a recycled batch
 // starts from a clean origin state.
 func TestBatchPoolReuse(t *testing.T) {
-	g := randomGraph(t, 3)
-	prog, err := Compile(g)
-	if err != nil {
-		t.Fatal(err)
-	}
+	g, prog := compileRandom(t, 3)
 	const L = 5
-	_, progs := laneProgs(t, g, prog, L)
+	progs := laneProgs(t, prog, L)
 	first, err := NewBatchEvaluator(progs)
 	if err != nil {
 		t.Fatal(err)
@@ -289,13 +251,9 @@ func TestBatchRejectsIncompatibleLanes(t *testing.T) {
 // TestBatchStepDoesNotAllocate pins the zero-alloc property of the
 // sequential batched pass.
 func TestBatchStepDoesNotAllocate(t *testing.T) {
-	g := randomGraph(t, 5)
-	prog, err := Compile(g)
-	if err != nil {
-		t.Fatal(err)
-	}
+	g, prog := compileRandom(t, 5)
 	const L = 8
-	_, progs := laneProgs(t, g, prog, L)
+	progs := laneProgs(t, prog, L)
 	be, err := NewBatchEvaluator(progs)
 	if err != nil {
 		t.Fatal(err)
@@ -311,16 +269,16 @@ func TestBatchStepDoesNotAllocate(t *testing.T) {
 	}
 }
 
-// TestReboundSharesArcTable pins the copy-on-write arc table of Rebound:
-// a varying-weights-only sibling aliases the parent's packed arcs (no
-// per-point table allocation on the sweep rebind path), while a sibling
-// changing an inline constant gets a private copy.
-func TestReboundSharesArcTable(t *testing.T) {
-	g := New("cow")
+// TestBindSharesProgram pins what Bind shares: a sibling aliases the
+// parent's packed arcs, wave fences and pools (no per-point table
+// allocation on the sweep rebind path) and joins its batch, reading
+// only its own row.
+func TestBindSharesProgram(t *testing.T) {
+	g := New("shared")
 	u := g.AddInput("u")
 	x := g.AddNode("x", Intermediate)
 	y := g.AddNode("y", Output)
-	g.AddTaggedArc(u, x, 0, func(k int) maxplus.T { return maxplus.T(10 + k) }, 1)
+	g.AddWeightedArc(u, x, 0, RowWeight(0))
 	g.AddConstArc(x, y, 0, 5)
 	g.AddArc(y, x, 1, nil)
 	if err := g.Freeze(); err != nil {
@@ -330,56 +288,29 @@ func TestReboundSharesArcTable(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-
-	// Varying-only rebind: the packed table is shared outright.
-	g2, err := g.CloneReweighted(laneRW(7))
-	if err != nil {
-		t.Fatal(err)
-	}
-	p2, err := prog.Rebound(g2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if &p2.arcs[0] != &prog.arcs[0] {
-		t.Fatal("varying-only rebind copied the packed arc table")
-	}
-	if &p2.waves[0] != &prog.waves[0] {
-		t.Fatal("rebind did not share the wave fences")
-	}
-
-	// Changing an inline constant forces a private copy, leaving the
-	// parent untouched.
-	g3, err := g.CloneReweighted(func(to NodeID, a Arc) (Weight, error) {
-		if c, ok := a.Weight.Const(); ok && c == 5 {
-			return ConstWeight(50), nil
+	progs := laneProgs(t, prog, 2)
+	for _, p := range progs {
+		if &p.arcs[0] != &prog.arcs[0] || &p.waves[0] != &prog.waves[0] || p.bpool != prog.bpool {
+			t.Fatal("Bind copied the compiled program")
 		}
-		return a.Weight, nil
-	})
+	}
+	be, err := NewBatchEvaluator(progs)
 	if err != nil {
 		t.Fatal(err)
 	}
-	p3, err := prog.Rebound(g3)
+	defer be.Release()
+	yb, err := be.Step([]maxplus.T{0, 0})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if &p3.arcs[0] == &prog.arcs[0] {
-		t.Fatal("const-changing rebind shared the packed arc table")
+	// Lane l reads row entry 0 = 1 + 13·l at k=0, then the const 5.
+	if yb[0] != 6 || yb[1] != 19 {
+		t.Fatalf("batched y(0) = %v, want [6 19]", yb[:2])
 	}
-	ev := prog.NewEvaluator()
-	y1, err := ev.Step([]maxplus.T{0})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if y1[0] != 15 {
-		t.Fatalf("parent y(0) = %v after COW rebinds, want 15", y1[0])
-	}
-	ev3 := p3.NewEvaluator()
-	y3, err := ev3.Step([]maxplus.T{0})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if y3[0] != 60 {
-		t.Fatalf("const-rebound y(0) = %v, want 60", y3[0])
+	row := make([]maxplus.T, 1)
+	be.LaneRowInto(1, row)
+	if row[0] != 14 {
+		t.Fatalf("lane 1 row = %v, want [14]", row)
 	}
 }
 

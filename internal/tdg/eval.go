@@ -12,27 +12,53 @@ import (
 //
 // The evaluator keeps one ring buffer per node sized by the graph's
 // maximum delay, so memory is O(nodes × (maxDelay+1)) regardless of how
-// many iterations are computed.
+// many iterations are computed, and one iteration row: the k-dependent
+// arc weights of iteration k, filled once before the pass.
 //
 // An evaluator runs in one of two modes with bit-identical results: the
-// tree-walking interpreter over the graph's arc lists (NewEvaluator), or
-// the flat compiled program of Compile (Program.NewEvaluator), which
-// replaces the per-arc pointer chasing and weight closure calls of the
-// interpreter with a branch-light pass over packed arrays.
+// tree-walking interpreter over the graph's arc lists (NewEvaluator,
+// Program.NewInterpreter), or the flat compiled program of Compile
+// (Program.NewEvaluator), which replaces the per-arc pointer chasing of
+// the interpreter with a branch-light pass over packed arrays.
 type Evaluator struct {
 	g      *Graph
-	prog   *Program // non-nil: Step runs the compiled passes
+	prog   *Program // the row's source; nil for a bare-graph interpreter
+	interp bool     // walk the graph's arc lists instead of the compiled passes
 	k      int
 	depth  int         // ring depth = maxDelay + 1
 	ring   []maxplus.T // ring[node*depth + (k mod depth)]
 	outBuf []maxplus.T // reused by Step
+	row    []maxplus.T // the row of iteration rowK (see Program)
+	rowK   int         // -1: the row holds no iteration
 }
 
-// NewEvaluator creates an interpreting evaluator over a frozen graph.
+// NewEvaluator creates an interpreting evaluator over a frozen graph. The
+// graph must not read an iteration row: interpret a derived graph through
+// its program (Program.NewInterpreter), which binds the row.
 func NewEvaluator(g *Graph) (*Evaluator, error) {
 	if !g.frozen {
 		return nil, fmt.Errorf("tdg: graph %q is not frozen", g.Name)
 	}
+	for _, arcs := range g.in {
+		for _, a := range arcs {
+			if _, ok := a.Weight.RowEntry(); ok {
+				return nil, fmt.Errorf("tdg: graph %q reads an iteration row; interpret it through its Program", g.Name)
+			}
+		}
+	}
+	return newInterpreter(g), nil
+}
+
+// NewInterpreter returns an interpreting evaluator over the program's
+// graph that reads the program's row: the bit-exact yardstick of the
+// compiled passes.
+func (p *Program) NewInterpreter() *Evaluator {
+	e := newInterpreter(p.g)
+	e.bindProgram(p)
+	return e
+}
+
+func newInterpreter(g *Graph) *Evaluator {
 	depth := g.maxDelay + 1
 	ring := make([]maxplus.T, len(g.nodes)*depth)
 	for i := range ring {
@@ -40,10 +66,24 @@ func NewEvaluator(g *Graph) (*Evaluator, error) {
 	}
 	return &Evaluator{
 		g:      g,
+		interp: true,
 		depth:  depth,
 		ring:   ring,
 		outBuf: make([]maxplus.T, len(g.outputs)),
-	}, nil
+		rowK:   -1,
+	}
+}
+
+// bindProgram points the evaluator at p's graph and row.
+func (e *Evaluator) bindProgram(p *Program) {
+	e.g = p.g
+	e.prog = p
+	if n := p.rowWidth(); cap(e.row) < n {
+		e.row = make([]maxplus.T, n)
+	} else {
+		e.row = e.row[:n]
+	}
+	e.rowK = -1
 }
 
 // Release returns a compiled evaluator to its program's pool for reuse by
@@ -52,7 +92,7 @@ func NewEvaluator(g *Graph) (*Evaluator, error) {
 // not be used after Release. Releasing an interpreting evaluator is a
 // no-op.
 func (e *Evaluator) Release() {
-	if e.prog != nil {
+	if !e.interp {
 		e.prog.release(e)
 	}
 }
@@ -66,6 +106,8 @@ func (e *Evaluator) Graph() *Graph { return e.g }
 // Step computes all evolution instants of the next iteration k from the
 // input instants u (one per input node, in declaration order) and returns
 // the output instants y(k). The returned slice is reused by the next Step.
+// It first fills iteration k's row; an error filling it fails the step
+// and leaves the evaluator at iteration k.
 //
 // Step performs no simulation work: it is the zero-simulation-time
 // ComputeInstant() action of the paper.
@@ -74,14 +116,17 @@ func (e *Evaluator) Step(u []maxplus.T) ([]maxplus.T, error) {
 		return nil, fmt.Errorf("tdg: %d inputs supplied, graph %q has %d", len(u), e.g.Name, len(e.g.inputs))
 	}
 	k := e.k
+	if err := e.fill(k); err != nil {
+		return nil, err
+	}
 	slot := k % e.depth
 	for i, id := range e.g.inputs {
 		e.ring[int(id)*e.depth+slot] = u[i]
 	}
-	if e.prog != nil {
-		e.prog.pass(e.ring, k, slot)
-	} else {
+	if e.interp {
 		e.interpretPass(k, slot)
+	} else {
+		e.prog.pass(e.ring, e.row, k, slot)
 	}
 	for i, id := range e.g.outputs {
 		e.outBuf[i] = e.ring[int(id)*e.depth+slot]
@@ -90,10 +135,44 @@ func (e *Evaluator) Step(u []maxplus.T) ([]maxplus.T, error) {
 	return e.outBuf, nil
 }
 
+// fill makes the row hold iteration k. The row is a pure function of k,
+// so a row filled ahead of Step (by PeekDelayed or Row) is reused.
+func (e *Evaluator) fill(k int) error {
+	if e.rowK == k || e.prog == nil {
+		return nil
+	}
+	if err := e.prog.fillRow(k, e.row, 1); err != nil {
+		e.rowK = -1
+		return err
+	}
+	e.rowK = k
+	return nil
+}
+
+// inputsRow is the part of the row the bound Inputs fill: what row
+// weights index.
+func (e *Evaluator) inputsRow() []maxplus.T {
+	if e.prog == nil {
+		return nil
+	}
+	return e.row[e.prog.fns:]
+}
+
+// Row returns iteration k's row as the program's Inputs filled it
+// (Width entries), filling it if the evaluator does not hold it. The
+// slice is reused by the next fill.
+func (e *Evaluator) Row(k int) ([]maxplus.T, error) {
+	if err := e.fill(k); err != nil {
+		return nil, err
+	}
+	return e.inputsRow(), nil
+}
+
 // interpretPass computes every non-input instant of iteration k by
 // walking the graph's arc lists — the reference semantics the compiled
 // passes must match bit-exactly.
 func (e *Evaluator) interpretPass(k, slot int) {
+	row := e.inputsRow()
 	for _, id := range e.g.topo {
 		n := e.g.nodes[id]
 		if n.Kind == Input {
@@ -108,7 +187,7 @@ func (e *Evaluator) interpretPass(k, slot int) {
 			if src == maxplus.Epsilon {
 				continue
 			}
-			v := a.Weight.Apply(src, k)
+			v := a.Weight.Apply(src, k, row)
 			if v > acc {
 				acc = v
 			}
@@ -145,19 +224,25 @@ func (e *Evaluator) ValuesInto(dst []maxplus.T) {
 // Reset rewinds the evaluator to iteration zero and clears all history.
 func (e *Evaluator) Reset() {
 	e.k = 0
+	e.rowK = -1
 	for i := range e.ring {
 		e.ring[i] = maxplus.Epsilon
 	}
 }
 
 // PeekDelayed evaluates ⊕ over the given arcs for iteration k using only
-// already-computed history. Every arc must carry a positive delay not
-// exceeding the graph's maximum delay, and iteration k-1 must have been
-// computed (or k must be 0). The equivalent model uses this to obtain the
-// readiness gate of an input channel before iteration k's inputs exist.
+// already-computed history and iteration k's row. Every arc must carry a
+// positive delay not exceeding the graph's maximum delay, and iteration
+// k-1 must have been computed (or k must be 0). The equivalent model uses
+// this to obtain the readiness gate of an input channel before iteration
+// k's inputs exist.
 func (e *Evaluator) PeekDelayed(arcs []Arc, k int) (maxplus.T, error) {
 	if k > e.k {
 		return maxplus.Epsilon, fmt.Errorf("tdg: PeekDelayed(%d) ahead of computed iteration %d", k, e.k)
+	}
+	row, err := e.Row(k)
+	if err != nil {
+		return maxplus.Epsilon, err
 	}
 	acc := maxplus.Epsilon
 	for _, a := range arcs {
@@ -171,7 +256,7 @@ func (e *Evaluator) PeekDelayed(arcs []Arc, k int) (maxplus.T, error) {
 		if src == maxplus.Epsilon {
 			continue
 		}
-		v := a.Weight.Apply(src, k)
+		v := a.Weight.Apply(src, k, row)
 		if v > acc {
 			acc = v
 		}

@@ -58,15 +58,18 @@ func (k NodeKind) String() string {
 type WeightFn func(k int) maxplus.T
 
 // Weight describes an arc weight for evaluation and compilation: the
-// identity e, a compile-time constant, or a genuinely k-dependent
-// function. The zero value is the identity. Compile inlines identity and
-// constant weights into the flat arc table; only varying weights keep an
-// indirect call at evaluation time, so builders that know a weight is
-// constant (AddConstArc, or derive threading constness through rebinding)
-// should say so rather than wrap the constant in a closure.
+// identity e, a compile-time constant, an entry of the iteration row, or
+// a k-dependent function. The zero value is the identity. Compile
+// inlines identity and constant weights into the flat arc table; row
+// weights read the row the program's bound Inputs fill once per
+// iteration (see Program.Bind), and function weights are called once per
+// iteration into the same row. Builders that know a weight is constant
+// (AddConstArc) should say so rather than wrap the constant in a
+// closure.
 type Weight struct {
-	fn WeightFn
-	c  maxplus.T
+	fn  WeightFn
+	c   maxplus.T
+	row int32 // > 0: the weight is entry row-1 of the iteration row
 }
 
 // ConstWeight returns a weight with the same value at every iteration.
@@ -81,31 +84,39 @@ func VaryingWeight(fn WeightFn) Weight {
 	return Weight{fn: fn}
 }
 
+// RowWeight returns the weight held by entry i of the iteration row.
+func RowWeight(i int) Weight { return Weight{row: int32(i) + 1} }
+
+// RowEntry returns the row entry of a row weight.
+func (w Weight) RowEntry() (int, bool) { return int(w.row) - 1, w.row > 0 }
+
 // IsIdentity reports whether the weight is e (adds nothing).
-func (w Weight) IsIdentity() bool { return w.fn == nil && w.c == maxplus.E }
+func (w Weight) IsIdentity() bool { return w.fn == nil && w.row == 0 && w.c == maxplus.E }
 
 // Const returns the weight's value and true when it is iteration
 // independent (identity or constant).
-func (w Weight) Const() (maxplus.T, bool) { return w.c, w.fn == nil }
+func (w Weight) Const() (maxplus.T, bool) { return w.c, w.fn == nil && w.row == 0 }
 
-// At returns the weight at iteration k.
-func (w Weight) At(k int) maxplus.T {
-	if w.fn != nil {
+// At returns the weight at iteration k; row is iteration k's row, which
+// only row weights read.
+func (w Weight) At(k int, row []maxplus.T) maxplus.T {
+	switch {
+	case w.row > 0:
+		return row[w.row-1]
+	case w.fn != nil:
 		return w.fn(k)
 	}
 	return w.c
 }
 
 // Apply returns src ⊗ w(k): src unchanged for the identity, the
-// saturating (max,+) product otherwise (ε absorbing).
-func (w Weight) Apply(src maxplus.T, k int) maxplus.T {
-	if w.fn == nil {
-		if w.c == maxplus.E {
-			return src
-		}
-		return maxplus.Otimes(src, w.c)
+// saturating (max,+) product otherwise (ε absorbing). row is iteration
+// k's row, as for At.
+func (w Weight) Apply(src maxplus.T, k int, row []maxplus.T) maxplus.T {
+	if w.IsIdentity() {
+		return src
 	}
-	return maxplus.Otimes(src, w.fn(k))
+	return maxplus.Otimes(src, w.At(k, row))
 }
 
 // Node is one evolution instant of the graph.
@@ -121,11 +132,6 @@ type Arc struct {
 	From   NodeID
 	Delay  int
 	Weight Weight // zero value means the identity e (weight 0)
-	// Tag is an opaque positive identifier the graph builder may attach
-	// to a weighted arc so the weight can later be re-bound to another
-	// parameter point of the same structure (see CloneReweighted); 0
-	// means untagged.
-	Tag int
 }
 
 // Graph is a temporal dependency graph under construction or frozen for
@@ -183,18 +189,13 @@ func (g *Graph) addNode(name string, kind NodeKind) NodeID {
 // AddArc adds the dependency to(k) ≥ from(k-delay) ⊗ w(k). A nil weight
 // is the identity e.
 func (g *Graph) AddArc(from, to NodeID, delay int, w WeightFn) {
-	g.AddWeightedArc(from, to, delay, VaryingWeight(w), 0)
+	g.AddWeightedArc(from, to, delay, VaryingWeight(w))
 }
 
-// AddTaggedArc is AddArc with a rebinding tag attached to the arc.
-func (g *Graph) AddTaggedArc(from, to NodeID, delay int, w WeightFn, tag int) {
-	g.AddWeightedArc(from, to, delay, VaryingWeight(w), tag)
-}
-
-// AddWeightedArc adds an arc with an explicit weight descriptor and
-// rebinding tag; it is the general form behind AddArc/AddTaggedArc/
-// AddConstArc.
-func (g *Graph) AddWeightedArc(from, to NodeID, delay int, w Weight, tag int) {
+// AddWeightedArc adds an arc with an explicit weight descriptor; it is
+// the general form behind AddArc and AddConstArc, and the one for row
+// weights.
+func (g *Graph) AddWeightedArc(from, to NodeID, delay int, w Weight) {
 	if g.frozen {
 		panic("tdg: graph is frozen")
 	}
@@ -207,13 +208,13 @@ func (g *Graph) AddWeightedArc(from, to NodeID, delay int, w Weight, tag int) {
 	if g.nodes[to].Kind == Input {
 		panic(fmt.Sprintf("tdg: arc into input node %s", g.nodes[to].Name))
 	}
-	g.in[to] = append(g.in[to], Arc{From: from, Delay: delay, Weight: w, Tag: tag})
+	g.in[to] = append(g.in[to], Arc{From: from, Delay: delay, Weight: w})
 }
 
 // AddConstArc adds an arc with a constant weight, which the compiled
 // evaluator inlines into its flat arc table.
 func (g *Graph) AddConstArc(from, to NodeID, delay int, w maxplus.T) {
-	g.AddWeightedArc(from, to, delay, ConstWeight(w), 0)
+	g.AddWeightedArc(from, to, delay, ConstWeight(w))
 }
 
 // AddPadChain appends n pad nodes chained from the given node with
@@ -384,44 +385,4 @@ func (g *Graph) Freeze() error {
 	g.maxDelay = maxDelay
 	g.frozen = true
 	return nil
-}
-
-// CloneReweighted returns a frozen copy of a frozen graph that shares the
-// structural parts (nodes, inputs, outputs, topological order) and carries
-// fresh arc slices whose weights are replaced by rw(to, arc). rw returning
-// an error aborts the clone. The clone is independently evaluable: derive
-// uses it to re-bind one derived structure to many parameter points
-// without re-deriving. Constness threads through: an rw returning
-// ConstWeight keeps the compiled evaluator's inline fast path on the
-// clone.
-func (g *Graph) CloneReweighted(rw func(to NodeID, a Arc) (Weight, error)) (*Graph, error) {
-	if !g.frozen {
-		return nil, fmt.Errorf("tdg: CloneReweighted on unfrozen graph %q", g.Name)
-	}
-	in := make([][]Arc, len(g.in))
-	for to, arcs := range g.in {
-		if len(arcs) == 0 {
-			continue
-		}
-		dst := make([]Arc, len(arcs))
-		for i, a := range arcs {
-			w, err := rw(NodeID(to), a)
-			if err != nil {
-				return nil, err
-			}
-			a.Weight = w
-			dst[i] = a
-		}
-		in[to] = dst
-	}
-	return &Graph{
-		Name:     g.Name,
-		nodes:    g.nodes,
-		in:       in,
-		inputs:   g.inputs,
-		outputs:  g.outputs,
-		frozen:   true,
-		topo:     g.topo,
-		maxDelay: g.maxDelay,
-	}, nil
 }

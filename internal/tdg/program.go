@@ -11,9 +11,11 @@ import (
 // Program is a frozen graph compiled into a flat evaluation program: the
 // topological node order and every arc are packed into contiguous arrays
 // with ring-slot offsets precomputed, and iteration-independent weights
-// (the identity and constants) are inlined into the arc table. Only
-// genuinely k-dependent weights keep an indirect call, through a side
-// table the rebinding path patches without recompiling.
+// (the identity and constants) are inlined into the arc table. Every
+// k-dependent weight is an index into the iteration row, which the
+// evaluator fills once per iteration before the pass: first one entry
+// per function weight, then the entries of the program's bound Inputs
+// (see Bind).
 //
 // One Program serves any number of concurrent evaluators: all compiled
 // state is immutable after Compile. The steady-state pass (once every
@@ -29,8 +31,14 @@ type Program struct {
 	// the arcs of nodes[i] are arcs[nodes[i].lo:nodes[i].hi].
 	nodes []progNode
 	arcs  []progArc
-	// weights is the indirect side table for k-dependent arc weights.
+	// weights holds the function weights: row entry j is weights[j](k).
+	// Row weight i reads row entry fns+i.
 	weights []Weight
+	fns     int // len(weights), fixed before packing
+	// rowRefs is one past the largest Inputs row entry an arc reads.
+	rowRefs int
+	// in fills the row weights (nil: the program reads none).
+	in Inputs
 
 	// waves partitions nodes into maximal contiguous runs free of
 	// intra-run zero-delay dependencies: nodes[waves[i]:waves[i+1]] may be
@@ -41,7 +49,7 @@ type Program struct {
 	waves []int32
 
 	// pool recycles evaluators (ring and output buffers) across runs.
-	// Rebound clones share it, so a design-space sweep reuses the same
+	// Bound siblings share it, so a design-space sweep reuses the same
 	// rings for every point of one structural shape. bpool does the same
 	// for batch evaluators.
 	pool  *sync.Pool
@@ -49,6 +57,17 @@ type Program struct {
 
 	constArcs int
 	varyArcs  int
+}
+
+// Inputs supplies the data a program's row weights read: the iteration
+// row. Fill writes iteration k's Width entries, entry i at row[i*stride]
+// (stride 1 for a scalar evaluator, the lane count for a batch). Entries
+// past those the arcs read are the binding's own: tdg carries them and
+// never reads them. Fill must be a pure function of k and safe for
+// concurrent use. An error fails the evaluation of iteration k.
+type Inputs interface {
+	Width() int
+	Fill(k int, row []maxplus.T, stride int) error
 }
 
 // progNode is one non-input node of the compiled evaluation order.
@@ -67,7 +86,7 @@ type progArc struct {
 	srcBase int32 // From * depth
 	slotSub int32 // Delay % depth: ring-slot offset of the referenced slot
 	delay   int32 // full delay, for the pre-origin rule of the warm pass
-	widx    int32 // >= 0: index into Program.weights; < 0: w is inline
+	widx    int32 // >= 0: index into the iteration row; < 0: w is inline
 	w       maxplus.T
 }
 
@@ -95,10 +114,16 @@ func Compile(g *Graph) (*Program, error) {
 		pool:  &sync.Pool{},
 		bpool: &sync.Pool{},
 	}
-	arcCount := 0
+	arcCount, fns := 0, 0
 	for _, arcs := range g.in {
 		arcCount += len(arcs)
+		for _, a := range arcs {
+			if a.Weight.fn != nil {
+				fns++
+			}
+		}
 	}
+	p.fns = fns
 	p.arcs = make([]progArc, 0, arcCount)
 	for _, id := range g.topo {
 		if g.nodes[id].Kind == Input {
@@ -147,7 +172,8 @@ func (p *Program) computeWaves() {
 }
 
 // packArc flattens one arc, inlining iteration-independent weights and
-// appending the k-dependent ones to the side table.
+// pointing the others at their row entry. Function weights take the
+// head of the row (Compile counts them into p.fns first).
 func (p *Program) packArc(a Arc) progArc {
 	pa := progArc{
 		srcBase: int32(a.From) * p.depth,
@@ -158,99 +184,53 @@ func (p *Program) packArc(a Arc) progArc {
 	if c, ok := a.Weight.Const(); ok {
 		pa.w = c
 		p.constArcs++
-	} else {
-		pa.widx = int32(len(p.weights))
-		p.weights = append(p.weights, a.Weight)
-		p.varyArcs++
+		return pa
 	}
+	p.varyArcs++
+	if i, ok := a.Weight.RowEntry(); ok {
+		pa.widx = int32(p.fns + i)
+		p.rowRefs = max(p.rowRefs, i+1)
+		return pa
+	}
+	pa.widx = int32(len(p.weights))
+	p.weights = append(p.weights, a.Weight)
 	return pa
 }
 
-// Rebound returns a program for a CloneReweighted sibling of the compiled
-// graph: the flat structure (node order, arc layout, ring geometry) is
-// shared, only the weight tables are rebuilt from g's arcs. The rebound
-// program shares the original's evaluator pool, so one structural shape
-// re-bound across many sweep points recycles one set of rings. A graph
-// whose structure does not match falls back to a full Compile.
-//
-// The packed arc table is shared copy-on-write: when only varying
-// weights change (the common derive rebind — every duration stays a
-// side-table entry at the same index), no arc of the table differs and
-// the sibling aliases the parent's table outright; the first arc whose
-// packed form changes (e.g. a constant with a new inline value) triggers
-// one private copy. Only the weight side table is always rebuilt — its
-// closures bind the sibling's parameters.
-func (p *Program) Rebound(g *Graph) (*Program, error) {
-	if !g.frozen || len(g.nodes) != len(p.g.nodes) || g.maxDelay != p.g.maxDelay {
-		return Compile(g)
+// Bind returns a sibling of the program whose row weights read the rows
+// in fills. The sibling shares everything else — structure, arc table
+// and evaluator pools — so binding one compiled shape to many parameter
+// points costs one small copy each.
+func (p *Program) Bind(in Inputs) (*Program, error) {
+	if in.Width() < p.rowRefs {
+		return nil, fmt.Errorf("tdg: program %q reads %d row entries, inputs fill %d", p.g.Name, p.rowRefs, in.Width())
 	}
-	np := &Program{
-		g:       g,
-		depth:   p.depth,
-		nodes:   p.nodes,
-		arcs:    p.arcs, // shared until an arc actually differs
-		weights: make([]Weight, 0, len(p.weights)),
-		waves:   p.waves,
-		pool:    p.pool,
-		bpool:   p.bpool,
+	np := *p
+	np.in = in
+	return &np, nil
+}
+
+// rowWidth is the length of an evaluator's iteration row.
+func (p *Program) rowWidth() int {
+	n := p.fns
+	if p.in != nil {
+		n += p.in.Width()
 	}
-	owned := false
-	ai := 0
-	reclassified := false
-	for _, id := range g.topo {
-		if g.nodes[id].Kind == Input {
-			continue
-		}
-		for _, a := range g.in[id] {
-			if ai >= len(p.arcs) {
-				return Compile(g)
-			}
-			old := p.arcs[ai]
-			if old.srcBase != int32(a.From)*p.depth || old.delay != int32(a.Delay) {
-				return Compile(g) // structure drifted: recompile
-			}
-			na := old
-			if c, ok := a.Weight.Const(); ok {
-				na.w, na.widx = c, -1
-				np.constArcs++
-			} else {
-				na.w = maxplus.E
-				na.widx = int32(len(np.weights))
-				np.weights = append(np.weights, a.Weight)
-				np.varyArcs++
-			}
-			wasIdentity := old.widx < 0 && old.w == maxplus.E
-			if wasIdentity != (na.widx < 0 && na.w == maxplus.E) {
-				reclassified = true
-			}
-			if na != old && !owned {
-				arcs := make([]progArc, len(p.arcs))
-				copy(arcs, p.arcs)
-				np.arcs = arcs
-				owned = true
-			}
-			if owned {
-				np.arcs[ai] = na
-			}
-			ai++
-		}
+	return n
+}
+
+// fillRow writes iteration k's row: function weights, then the inputs.
+func (p *Program) fillRow(k int, row []maxplus.T, stride int) error {
+	for j, w := range p.weights {
+		row[j*stride] = w.fn(k)
 	}
-	if ai != len(p.arcs) {
-		return Compile(g)
+	if p.in != nil {
+		return p.in.Fill(k, row[p.fns*stride:], stride)
 	}
-	if reclassified {
-		// The copy-node specialization baked into the shared node table
-		// no longer matches the new weights; recompile (still sharing the
-		// evaluator pools — the ring geometry is unchanged).
-		fresh, err := Compile(g)
-		if err != nil {
-			return nil, err
-		}
-		fresh.pool = p.pool
-		fresh.bpool = p.bpool
-		return fresh, nil
+	if p.rowRefs > 0 {
+		return fmt.Errorf("tdg: program %q reads row weights but has no inputs bound", p.g.Name)
 	}
-	return np, nil
+	return nil
 }
 
 // Graph returns the graph the program was compiled from.
@@ -261,7 +241,7 @@ type ProgramStats struct {
 	Nodes    int // evaluated (non-input) nodes
 	Arcs     int // total packed arcs
 	Inline   int // arcs with identity or constant weight, inlined
-	Indirect int // arcs with k-dependent weights, via the side table
+	Indirect int // arcs with k-dependent weights, read from the row
 }
 
 // Stats returns the program's shape counters.
@@ -280,10 +260,9 @@ func (p *Program) Stats() ProgramStats {
 func (p *Program) NewEvaluator() *Evaluator {
 	if e, ok := p.pool.Get().(*Evaluator); ok {
 		// Pooled rings come from a program of identical geometry (the
-		// pool is shared only across Rebound siblings), but may carry the
+		// pool is shared only across Bound siblings), but may carry the
 		// previous run's instants.
-		e.g = p.g
-		e.prog = p
+		e.bindProgram(p)
 		e.Reset()
 		return e
 	}
@@ -292,13 +271,13 @@ func (p *Program) NewEvaluator() *Evaluator {
 	for i := range ring {
 		ring[i] = maxplus.Epsilon
 	}
-	return &Evaluator{
-		g:      p.g,
-		prog:   p,
+	e := &Evaluator{
 		depth:  depth,
 		ring:   ring,
 		outBuf: make([]maxplus.T, len(p.g.outputs)),
 	}
+	e.bindProgram(p)
+	return e
 }
 
 // release returns an evaluator to the pool (see Evaluator.Release).
@@ -306,24 +285,23 @@ func (p *Program) release(e *Evaluator) {
 	p.pool.Put(e)
 }
 
-// pass computes every non-input instant of iteration k. The warm pass
-// applies the pre-origin rule (a delayed arc referencing an iteration
-// before the origin contributes ε); once k is at least the maximum
-// delay — immediately for delay-free graphs — the steady pass drops
-// that branch.
-func (p *Program) pass(ring []maxplus.T, k, slot int) {
+// pass computes every non-input instant of iteration k from the filled
+// iteration row. The warm pass applies the pre-origin rule (a delayed
+// arc referencing an iteration before the origin contributes ε); once k
+// is at least the maximum delay — immediately for delay-free graphs —
+// the steady pass drops that branch.
+func (p *Program) pass(ring, row []maxplus.T, k, slot int) {
 	if k >= int(p.depth)-1 {
-		p.steadyPass(ring, k, slot)
+		p.steadyPass(ring, row, slot)
 	} else {
-		p.warmPass(ring, k, slot)
+		p.warmPass(ring, row, k, slot)
 	}
 }
 
 // steadyPass is the hot loop of ComputeInstant: one branch-light,
 // allocation-free sweep over the packed arc table.
-func (p *Program) steadyPass(ring []maxplus.T, k, slot int) {
+func (p *Program) steadyPass(ring, row []maxplus.T, slot int) {
 	arcs := p.arcs
-	weights := p.weights
 	depth := p.depth
 	s := int32(slot)
 	for ni := range p.nodes {
@@ -351,7 +329,7 @@ func (p *Program) steadyPass(ring []maxplus.T, k, slot int) {
 				if src == maxplus.Epsilon {
 					continue
 				}
-				v = maxplus.Otimes(src, weights[a.widx].At(k))
+				v = maxplus.Otimes(src, row[a.widx])
 			}
 			if v > acc {
 				acc = v
@@ -363,9 +341,8 @@ func (p *Program) steadyPass(ring []maxplus.T, k, slot int) {
 
 // warmPass is steadyPass plus the pre-origin rule for iterations still
 // inside the delay window.
-func (p *Program) warmPass(ring []maxplus.T, k, slot int) {
+func (p *Program) warmPass(ring, row []maxplus.T, k, slot int) {
 	arcs := p.arcs
-	weights := p.weights
 	depth := p.depth
 	s := int32(slot)
 	k32 := int32(k)
@@ -399,7 +376,7 @@ func (p *Program) warmPass(ring []maxplus.T, k, slot int) {
 				if src == maxplus.Epsilon {
 					continue
 				}
-				v = maxplus.Otimes(src, weights[a.widx].At(k))
+				v = maxplus.Otimes(src, row[a.widx])
 			}
 			if v > acc {
 				acc = v

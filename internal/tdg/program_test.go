@@ -22,6 +22,7 @@ func randomGraph(t *testing.T, seed int64) *Graph {
 		ids = append(ids, g.AddInput(fmt.Sprintf("u%d", i)))
 	}
 	nMid := 4 + r.Intn(12)
+	rowEntries := 0
 	for i := 0; i < nMid; i++ {
 		kind := Intermediate
 		if i == nMid-1 {
@@ -42,6 +43,11 @@ func randomGraph(t *testing.T, seed int64) *Graph {
 			case 1:
 				g.AddConstArc(from, id, delay, maxplus.T(r.Int63n(500)))
 			default:
+				if r.Intn(2) == 0 {
+					g.AddWeightedArc(from, id, delay, RowWeight(rowEntries))
+					rowEntries++
+					break
+				}
 				mul := maxplus.T(1 + r.Int63n(7))
 				g.AddArc(from, id, delay, func(k int) maxplus.T {
 					return maxplus.T(int64(k)%97) * mul
@@ -61,6 +67,36 @@ func randomGraph(t *testing.T, seed int64) *Graph {
 	return g
 }
 
+// testRow fills row entry i of iteration k with (k mod 97)·(i+1) plus a
+// per-binding offset.
+type testRow struct {
+	width int
+	delta maxplus.T
+}
+
+func (r testRow) Width() int { return r.width }
+
+func (r testRow) Fill(k int, row []maxplus.T, stride int) error {
+	for i := 0; i < r.width; i++ {
+		row[i*stride] = maxplus.T(int64(k)%97*int64(i+1)) + r.delta
+	}
+	return nil
+}
+
+// compileRandom compiles randomGraph(seed) with its row weights bound.
+func compileRandom(t *testing.T, seed int64) (*Graph, *Program) {
+	t.Helper()
+	g := randomGraph(t, seed)
+	prog, err := Compile(g)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if prog, err = prog.Bind(testRow{width: prog.rowRefs}); err != nil {
+		t.Fatal(err)
+	}
+	return g, prog
+}
+
 func stepInputs(g *Graph, k int) []maxplus.T {
 	u := make([]maxplus.T, len(g.Inputs()))
 	for i := range u {
@@ -75,15 +111,8 @@ func stepInputs(g *Graph, k int) []maxplus.T {
 // window and deep into steady state.
 func TestCompiledMatchesInterpreterOnRandomGraphs(t *testing.T) {
 	for seed := int64(0); seed < 30; seed++ {
-		g := randomGraph(t, seed)
-		prog, err := Compile(g)
-		if err != nil {
-			t.Fatal(err)
-		}
-		iv, err := NewEvaluator(g)
-		if err != nil {
-			t.Fatal(err)
-		}
+		g, prog := compileRandom(t, seed)
+		iv := prog.NewInterpreter()
 		cv := prog.NewEvaluator()
 		vi := make([]maxplus.T, g.NodeCount())
 		vc := make([]maxplus.T, g.NodeCount())
@@ -117,15 +146,15 @@ func TestCompiledMatchesInterpreterOnRandomGraphs(t *testing.T) {
 // TestCompiledPeekDelayed checks that delayed reads of already-computed
 // history agree between the interpreter and the compiled program.
 func TestCompiledPeekDelayed(t *testing.T) {
-	g := randomGraph(t, 11)
-	prog, err := Compile(g)
-	if err != nil {
-		t.Fatal(err)
-	}
-	iv, _ := NewEvaluator(g)
+	g, prog := compileRandom(t, 11)
+	iv := prog.NewInterpreter()
 	cv := prog.NewEvaluator()
 	out := g.Outputs()[0]
-	arcs := []Arc{{From: out, Delay: 1}, {From: out, Delay: 2, Weight: ConstWeight(13)}}
+	arcs := []Arc{
+		{From: out, Delay: 1},
+		{From: out, Delay: 2, Weight: ConstWeight(13)},
+		{From: out, Delay: 1, Weight: RowWeight(0)},
+	}
 	for k := 0; k < 12; k++ {
 		u := stepInputs(g, k)
 		if _, err := iv.Step(u); err != nil {
@@ -151,11 +180,7 @@ func TestCompiledPeekDelayed(t *testing.T) {
 // TestEvaluatorPoolReuse proves Release/NewEvaluator recycles rings and
 // that a recycled evaluator starts from a clean origin state.
 func TestEvaluatorPoolReuse(t *testing.T) {
-	g := randomGraph(t, 3)
-	prog, err := Compile(g)
-	if err != nil {
-		t.Fatal(err)
-	}
+	g, prog := compileRandom(t, 3)
 	first := prog.NewEvaluator()
 	var want []maxplus.T
 	for k := 0; k < 9; k++ {
@@ -188,11 +213,7 @@ func TestEvaluatorPoolReuse(t *testing.T) {
 // TestCompiledStepDoesNotAllocate pins the zero-alloc property of the
 // steady-state ComputeInstant loop.
 func TestCompiledStepDoesNotAllocate(t *testing.T) {
-	g := randomGraph(t, 5)
-	prog, err := Compile(g)
-	if err != nil {
-		t.Fatal(err)
-	}
+	g, prog := compileRandom(t, 5)
 	ev := prog.NewEvaluator()
 	u := stepInputs(g, 0)
 	k := 0
@@ -207,16 +228,16 @@ func TestCompiledStepDoesNotAllocate(t *testing.T) {
 	}
 }
 
-// TestReboundPatchesWeights checks that a CloneReweighted sibling
-// evaluates with its own weights through a rebound program, shares the
-// original's evaluator pool, and that reclassified weights (identity →
-// constant) recompile correctly.
-func TestReboundPatchesWeights(t *testing.T) {
-	g := New("rebindable")
+// TestBindReadsItsOwnRow checks that Bind siblings of one compiled
+// program each evaluate with their own row, share the evaluator pool,
+// and that a program reading row weights refuses too narrow inputs and
+// fails to step unbound.
+func TestBindReadsItsOwnRow(t *testing.T) {
+	g := New("bindable")
 	u := g.AddInput("u")
 	x := g.AddNode("x", Intermediate)
 	y := g.AddNode("y", Output)
-	g.AddTaggedArc(u, x, 0, func(k int) maxplus.T { return maxplus.T(10 + k) }, 1)
+	g.AddWeightedArc(u, x, 0, RowWeight(1))
 	g.AddArc(x, y, 0, nil)
 	g.AddArc(y, x, 1, nil)
 	if err := g.Freeze(); err != nil {
@@ -226,63 +247,41 @@ func TestReboundPatchesWeights(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-
-	g2, err := g.CloneReweighted(func(to NodeID, a Arc) (Weight, error) {
-		if a.Tag == 1 {
-			return VaryingWeight(func(k int) maxplus.T { return maxplus.T(1000 + k) }), nil
-		}
-		return a.Weight, nil
-	})
+	if _, err := prog.NewEvaluator().Step([]maxplus.T{0}); err == nil {
+		t.Fatal("an unbound program stepped its row weights")
+	}
+	if _, err := prog.Bind(testRow{width: 1}); err == nil {
+		t.Fatal("Bind accepted inputs narrower than the row the arcs read")
+	}
+	if _, err := NewEvaluator(g); err == nil {
+		t.Fatal("NewEvaluator interpreted row weights without a row")
+	}
+	p1, err := prog.Bind(testRow{width: 2, delta: 10})
 	if err != nil {
 		t.Fatal(err)
 	}
-	prog2, err := prog.Rebound(g2)
+	p2, err := prog.Bind(testRow{width: 2, delta: 1000})
 	if err != nil {
 		t.Fatal(err)
 	}
-	ev, ev2 := prog.NewEvaluator(), prog2.NewEvaluator()
+	if p1.pool != p2.pool || &p1.arcs[0] != &p2.arcs[0] {
+		t.Fatal("Bind siblings do not share the evaluator pool and arc table")
+	}
+	ev1, ev2 := p1.NewEvaluator(), p2.NewEvaluator()
 	in := []maxplus.T{0}
-	y1, err := ev.Step(in)
+	// Row entry 1 of iteration 0 is the binding's offset.
+	if y1, err := ev1.Step(in); err != nil || y1[0] != 10 {
+		t.Fatalf("first binding y(0) = %v (%v), want 10", y1, err)
+	}
+	if y2, err := ev2.Step(in); err != nil || y2[0] != 1000 {
+		t.Fatalf("second binding y(0) = %v (%v), want 1000", y2, err)
+	}
+	row, err := ev2.Row(2)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if y1[0] != 10 {
-		t.Fatalf("template y(0) = %v, want 10", y1[0])
-	}
-	y2, err := ev2.Step(in)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if y2[0] != 1000 {
-		t.Fatalf("rebound y(0) = %v, want 1000", y2[0])
-	}
-
-	// Reclassification: the varying weight becomes a constant; the copy
-	// specialization tables must be rebuilt, not shared stale.
-	g3, err := g.CloneReweighted(func(to NodeID, a Arc) (Weight, error) {
-		if a.Tag == 1 {
-			return ConstWeight(77), nil
-		}
-		return a.Weight, nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	prog3, err := prog.Rebound(g3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ev3 := prog3.NewEvaluator()
-	y3, err := ev3.Step(in)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if y3[0] != 77 {
-		t.Fatalf("reclassified rebound y(0) = %v, want 77", y3[0])
-	}
-	st := prog3.Stats()
-	if st.Indirect != 0 {
-		t.Fatalf("all-const rebound keeps %d indirect arcs", st.Indirect)
+	if row[0] != 1002 || row[1] != 1004 {
+		t.Fatalf("row of k=2 = %v, want [1002 1004]", row)
 	}
 }
 
