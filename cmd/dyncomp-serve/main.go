@@ -106,7 +106,7 @@ func main() {
 	addr := flag.String("addr", ":8080", "listen address (host:0 picks a free port)")
 	jobWorkers := flag.Int("job-workers", 2, "concurrent sweep jobs")
 	jobQueue := flag.Int("job-queue", 64, "queued sweep jobs before 429")
-	sweepWorkers := flag.Int("sweep-workers", 0, "per-job point-level workers (0: all processors)")
+	sweepWorkers := flag.Int("sweep-workers", 0, "chunks each sweep job evaluates at a time (0: all processors)")
 	batchWidth := flag.Int("batch-width", 0, "default batched-evaluation lane width for sweep jobs (0: per-point)")
 	maxPoints := flag.Int("max-grid-points", 100000, "largest accepted sweep grid")
 	cacheEntries := flag.Int("cache-entries", 0, "derive-cache LRU bound in shapes (0: default, <0: unbounded)")

@@ -37,32 +37,32 @@ func main() {
 	xM5 := g.AddNode("xM5", tdg.Intermediate)
 	xM6 := g.AddNode("xM6", tdg.Output)
 
-	dur := func(sel int) tdg.WeightFn {
-		return func(k int) maxplus.T {
-			ti1, tj1, ti2, ti3, tj3, ti4 := zoo.DidacticDurations(spec.Seed, k)
-			return []maxplus.T{ti1, tj1, ti2, ti3, tj3, ti4}[sel]
-		}
-	}
-	g.AddArc(u, xM1, 0, nil)
-	g.AddArc(xM4, xM1, 1, nil)
-	g.AddArc(xM1, xM2, 0, dur(0))
-	g.AddArc(xM5, xM2, 1, nil)
-	g.AddArc(xM2, xM3, 0, dur(1))
-	g.AddArc(xM4, xM3, 1, nil)
-	g.AddArc(xM3, xM4, 0, dur(2))
-	g.AddArc(xM2, xM4, 0, dur(3))
-	g.AddArc(xM5, xM4, 1, nil) // the paper's redundant term, kept literal
-	g.AddArc(xM4, xM5, 0, dur(4))
-	g.AddArc(xM6, xM5, 1, nil)
-	g.AddArc(xM5, xM6, 0, dur(5))
+	// Ti1, Tj1, Ti2, Ti3, Tj3 and Ti4 vary with k: they are entries 0-5
+	// of the iteration row, which durations fills once per iteration.
+	none := tdg.Weight{}
+	g.AddArc(u, xM1, 0, none)
+	g.AddArc(xM4, xM1, 1, none)
+	g.AddArc(xM1, xM2, 0, tdg.RowWeight(0))
+	g.AddArc(xM5, xM2, 1, none)
+	g.AddArc(xM2, xM3, 0, tdg.RowWeight(1))
+	g.AddArc(xM4, xM3, 1, none)
+	g.AddArc(xM3, xM4, 0, tdg.RowWeight(2))
+	g.AddArc(xM2, xM4, 0, tdg.RowWeight(3))
+	g.AddArc(xM5, xM4, 1, none) // the paper's redundant term, kept literal
+	g.AddArc(xM4, xM5, 0, tdg.RowWeight(4))
+	g.AddArc(xM6, xM5, 1, none)
+	g.AddArc(xM5, xM6, 0, tdg.RowWeight(5))
 	if err := g.Freeze(); err != nil {
 		log.Fatal(err)
 	}
-
-	hand, err := tdg.NewEvaluator(g)
+	prog, err := tdg.Compile(g)
 	if err != nil {
 		log.Fatal(err)
 	}
+	if prog, err = prog.Bind(durations{seed: spec.Seed}); err != nil {
+		log.Fatal(err)
+	}
+	hand := prog.NewEvaluator()
 
 	// Automatically derived graph of the same architecture.
 	dres, err := derive.Derive(zoo.Didactic(spec), derive.Options{})
@@ -90,4 +90,18 @@ func main() {
 	fmt.Printf("derived graph:      %d nodes (%d with delayed references)\n",
 		dres.Graph.NodeCount(), dres.Graph.NodeCountWithDelays())
 	fmt.Printf("last output instant: y(%d) = %v ns\n", tokens-1, hand.Value(xM6))
+}
+
+// durations fills iteration k's row with the didactic architecture's
+// six durations, in the order Ti1, Tj1, Ti2, Ti3, Tj3, Ti4.
+type durations struct{ seed int64 }
+
+func (durations) Width() int { return 6 }
+
+func (d durations) Fill(k int, row []maxplus.T, stride int) error {
+	ti1, tj1, ti2, ti3, tj3, ti4 := zoo.DidacticDurations(d.seed, k)
+	for i, v := range []maxplus.T{ti1, tj1, ti2, ti3, tj3, ti4} {
+		row[i*stride] = v
+	}
+	return nil
 }

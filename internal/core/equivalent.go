@@ -349,7 +349,7 @@ func (e *engine) runReception(p *sim.Proc, idx int, ib derive.InputBinding, ch c
 				return
 			}
 			for _, sg := range ib.SameIterGate {
-				gate = maxplus.Oplus(gate, sg.Weight.Apply(e.inputs[sg.InputIndex], k, row))
+				gate = maxplus.Oplus(gate, sg.Weight.Apply(e.inputs[sg.InputIndex], row))
 			}
 		}
 		if !gate.IsEpsilon() && sim.Time(gate) > p.Now() {

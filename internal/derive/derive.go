@@ -267,8 +267,8 @@ func (d *deriver) declareNodes() error {
 			d.labels[w] = ch.Name + ".w"
 			d.labels[r] = ch.Name + ".r"
 			// Data availability and backpressure.
-			d.g.AddArc(w, r, 0, nil)
-			d.g.AddArc(r, w, ch.Capacity, nil)
+			d.g.AddArc(w, r, 0, tdg.Weight{})
+			d.g.AddArc(r, w, ch.Capacity, tdg.Weight{})
 		default:
 			return fmt.Errorf("derive: channel %q has unknown kind %v", ch.Name, ch.Kind)
 		}
@@ -390,17 +390,17 @@ func (d *deriver) addArcs(to tdg.NodeID, expr []term) {
 			continue
 		}
 		if len(t.durs) == 0 {
-			d.g.AddArc(t.node, to, t.delay, nil)
+			d.g.AddArc(t.node, to, t.delay, tdg.Weight{})
 			continue
 		}
-		d.g.AddWeightedArc(t.node, to, t.delay, d.pl.weight(t.durs))
+		d.g.AddArc(t.node, to, t.delay, d.pl.weight(t.durs))
 	}
 }
 
 // connectSources feeds each source's schedule instant into its channel.
 func (d *deriver) connectSources() {
 	for _, s := range d.arch.Sources {
-		d.g.AddArc(d.uNode[s], d.writeNode[s.Ch], 0, nil)
+		d.g.AddArc(d.uNode[s], d.writeNode[s.Ch], 0, tdg.Weight{})
 	}
 }
 

@@ -140,7 +140,7 @@ func (m *MatrixForm) weightAt(a tdg.Arc, k int) maxplus.T {
 		}
 		m.rowK = k
 	}
-	return a.Weight.At(k, m.row)
+	return a.Weight.At(m.row)
 }
 
 // System instantiates the maxplus recurrence solver over this matrix

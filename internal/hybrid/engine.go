@@ -216,10 +216,10 @@ func (e *engine) gateValue(ib derive.InputBinding, k int) (maxplus.T, error) {
 		if v == maxplus.Epsilon {
 			continue
 		}
-		gate = maxplus.Oplus(gate, a.Weight.Apply(v, k, row))
+		gate = maxplus.Oplus(gate, a.Weight.Apply(v, row))
 	}
 	for _, sg := range ib.SameIterGate {
-		v := sg.Weight.Apply(e.arrRing[sg.InputIndex][k%e.depth], k, row)
+		v := sg.Weight.Apply(e.arrRing[sg.InputIndex][k%e.depth], row)
 		gate = maxplus.Oplus(gate, v)
 	}
 	return gate, nil
@@ -348,7 +348,7 @@ func (e *engine) compute(id tdg.NodeID, k int) error {
 				continue
 			}
 			if src := *e.slot(a.From, k-a.Delay); src != maxplus.Epsilon {
-				acc = maxplus.Oplus(acc, a.Weight.Apply(src, k, row))
+				acc = maxplus.Oplus(acc, a.Weight.Apply(src, row))
 			}
 		}
 	}

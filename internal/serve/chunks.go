@@ -1,20 +1,23 @@
 package serve
 
 import (
+	"context"
 	"fmt"
 	"net/http"
 
 	"dyncomp/internal/sweep"
 )
 
-// This file is the worker side of the distributed sweep fabric
-// (internal/shard): POST /v1/chunks evaluates one coordinator-assigned
-// chunk — a set of row-major grid indices of a sweep the coordinator
-// planned — synchronously, against the worker's process-wide derivation
-// cache. The coordinator routes whole shape cohorts to one worker, so
-// the cache stays hot across the chunks of a job, and aligns chunk cuts
-// to the batch width, so the batched-lane accounting of the fleet
-// matches the single-process sweep bit for bit.
+// This file is the chunk evaluation of both front ends. POST
+// /v1/chunks is the worker side of the distributed sweep fabric
+// (internal/shard): it evaluates one coordinator-assigned chunk — a set
+// of row-major grid indices of a sweep the coordinator planned —
+// synchronously, against the worker's process-wide derivation cache. A
+// server's own jobs run their chunks through the same evaluation. The
+// coordinator routes whole shape cohorts to one worker, so the cache
+// stays hot across the chunks of a job, and aligns chunk cuts to the
+// batch width, so the batched-lane accounting of the fleet matches the
+// single-process sweep bit for bit.
 
 // ChunkRequest is the body of POST /v1/chunks: a full sweep description
 // (identical to POST /v1/sweeps, so the worker validates and maps
@@ -53,7 +56,7 @@ func (s *Server) handleChunkRun(w http.ResponseWriter, r *http.Request) *Request
 	if aerr := DecodeJSON(w, r, &req); aerr != nil {
 		return aerr
 	}
-	plan, aerr := s.prepareSweep(req.SweepRequest)
+	plan, aerr := CompileSweep(req.SweepRequest, s.defaults())
 	if aerr != nil {
 		return aerr
 	}
@@ -71,34 +74,50 @@ func (s *Server) handleChunkRun(w http.ResponseWriter, r *http.Request) *Request
 		return aerr
 	}
 
-	opts := plan.Opts
-	opts.Cache = s.cache
-	res, err := sweep.RunIndicesContext(r.Context(), plan.Axes, req.Indices, plan.Gen, opts)
+	res, err := s.evalChunk(r.Context(), plan, req.Indices)
 	if err != nil {
 		// Past the context errors, GridSelect rejected the selection (out
 		// of range, duplicate); engine resolution already passed in
-		// prepareSweep.
+		// CompileSweep.
 		return evalError(err, "chunk evaluation", requestErrorf(http.StatusBadRequest, CodeInvalidIndices, "%v", err))
 	}
 	s.Metrics.Add(metricChunks, fmt.Sprintf(`engine=%q`, plan.Engine), 1)
 	s.Metrics.Add(metricChunkPoints, "", int64(len(res.Points)))
+	WriteJSON(w, http.StatusOK, chunkResponse(res))
+	return nil
+}
 
+// evalChunk evaluates the given row-major grid indices of a compiled
+// sweep on the server's derivation cache: the work of POST /v1/chunks,
+// and of every chunk of this server's own jobs. A sampled sweep is
+// evaluated whole, through the surrogate sampler: its only chunk is the
+// grid.
+func (s *Server) evalChunk(ctx context.Context, plan *SweepPlan, indices []int) (*sweep.Result, error) {
+	opts := plan.Opts
+	opts.Cache = s.cache
+	if opts.Sample.Enabled() {
+		return sweep.RunContext(ctx, plan.Axes, plan.Gen, opts)
+	}
+	return sweep.RunIndicesContext(ctx, plan.Axes, indices, plan.Gen, opts)
+}
+
+// chunkResponse renders an evaluated chunk in its wire form.
+func chunkResponse(res *sweep.Result) ChunkResponse {
 	out := ChunkResponse{
 		Points:        make([]ChunkPoint, 0, len(res.Points)),
 		Batches:       res.Stats.Batches,
 		BatchedPoints: res.Stats.BatchedPoints,
 	}
 	for _, pr := range res.Points {
-		out.Points = append(out.Points, ChunkPointOf(pr))
+		out.Points = append(out.Points, chunkPointOf(pr))
 	}
-	WriteJSON(w, http.StatusOK, out)
-	return nil
+	return out
 }
 
-// ChunkPointOf renders one evaluated or failed sweep point in its chunk
-// wire form. The coordinator renders the points it fails itself —
-// plan-time failures and chunks no worker could evaluate — through it
-// too, so they read exactly as a worker's would.
-func ChunkPointOf(pr sweep.PointResult) ChunkPoint {
+// chunkPointOf renders one evaluated or failed sweep point in its chunk
+// wire form. A job renders the points it fails itself — plan-time
+// failures and chunks no evaluator could run — through it too, so they
+// read exactly as an evaluated chunk's would.
+func chunkPointOf(pr sweep.PointResult) ChunkPoint {
 	return ChunkPoint{Index: pr.Point.Index, SweepPoint: pointJSON(pr)}
 }

@@ -42,13 +42,13 @@ func TestChunkRunMatchesLocalSweep(t *testing.T) {
 		t.Fatalf("batches=%d batched_points=%d, want 2/3", out.Batches, out.BatchedPoints)
 	}
 
-	plan, aerr := s.prepareSweep(SweepRequest{
+	plan, aerr := CompileSweep(SweepRequest{
 		Engine:   "adaptive",
 		Scenario: "chain",
 		Axes:     axes,
 		Params:   map[string]int64{"tokens": 30},
 		Options:  SweepOptions{BatchWidth: 2},
-	})
+	}, s.defaults())
 	if aerr != nil {
 		t.Fatal(aerr)
 	}

@@ -16,8 +16,8 @@ import (
 )
 
 // Host is the job-serving front end a server embeds.
-type Host[J Tracked] struct {
-	jobs    *JobTable[J]
+type Host struct {
+	jobs    *JobTable
 	Metrics *Registry
 	Mux     *http.ServeMux
 	// Ctx is cancelled by Close; every job and background loop derives
@@ -36,9 +36,9 @@ type Host[J Tracked] struct {
 // counters, which the embedder declares on Metrics. onEvict, when
 // non-nil, runs after every eviction; writeTimeout bounds each write on
 // the job event stream (0: unbounded).
-func NewHost[J Tracked](prefix string, logger *slog.Logger, writeTimeout time.Duration, onEvict func()) *Host[J] {
+func NewHost(prefix string, logger *slog.Logger, writeTimeout time.Duration, onEvict func()) *Host {
 	ctx, stop := context.WithCancel(context.Background())
-	h := &Host[J]{
+	h := &Host{
 		Metrics:      NewRegistry(),
 		Mux:          http.NewServeMux(),
 		Ctx:          ctx,
@@ -47,7 +47,7 @@ func NewHost[J Tracked](prefix string, logger *slog.Logger, writeTimeout time.Du
 		logger:       logger,
 		writeTimeout: writeTimeout,
 	}
-	h.jobs = newJobTable[J](func(n int) {
+	h.jobs = newJobTable(func(n int) {
 		h.Metrics.Add(prefix+"_jobs_evicted_total", "", int64(n))
 		if onEvict != nil {
 			onEvict()
@@ -57,11 +57,11 @@ func NewHost[J Tracked](prefix string, logger *slog.Logger, writeTimeout time.Du
 }
 
 // Jobs returns the job table.
-func (h *Host[J]) Jobs() *JobTable[J] { return h.jobs }
+func (h *Host) Jobs() *JobTable { return h.jobs }
 
 // StartJanitor evicts settled jobs past ttl or beyond maxJobs until
 // Close; with neither bound set it does nothing.
-func (h *Host[J]) StartJanitor(ttl time.Duration, maxJobs int) {
+func (h *Host) StartJanitor(ttl time.Duration, maxJobs int) {
 	if ttl <= 0 && maxJobs <= 0 {
 		return
 	}
@@ -72,11 +72,12 @@ func (h *Host[J]) StartJanitor(ttl time.Duration, maxJobs int) {
 	}()
 }
 
-// JobRoutes wires the job endpoints — list, get, cancel and the SSE
-// event stream — each through wrap (nil: unwrapped) under its endpoint
-// name. endStreamsOnClose ends event streams when Close cancels Ctx,
-// for hosts whose Close leaves jobs unsettled.
-func (h *Host[J]) JobRoutes(wrap func(name string, hf http.HandlerFunc) http.HandlerFunc, endStreamsOnClose bool) {
+// JobRoutes wires the job endpoints — list, get, cancel, the SSE event
+// stream and the NDJSON results stream — each through wrap (nil:
+// unwrapped) under its endpoint name. endStreamsOnClose ends both
+// streams when Close cancels Ctx, for hosts whose Close leaves jobs
+// unsettled.
+func (h *Host) JobRoutes(wrap func(name string, hf http.HandlerFunc) http.HandlerFunc, endStreamsOnClose bool) {
 	if wrap == nil {
 		wrap = func(_ string, hf http.HandlerFunc) http.HandlerFunc { return hf }
 	}
@@ -90,18 +91,21 @@ func (h *Host[J]) JobRoutes(wrap func(name string, hf http.HandlerFunc) http.Han
 	h.Mux.HandleFunc("GET /v1/sweeps/{id}/events", wrap("sweep_events", func(w http.ResponseWriter, r *http.Request) {
 		h.jobs.ServeEvents(w, r, h.writeTimeout, shutdown)
 	}))
+	h.Mux.HandleFunc("GET /v1/sweeps/{id}/results", wrap("sweep_results", func(w http.ResponseWriter, r *http.Request) {
+		h.jobs.ServeResults(w, r, h.writeTimeout, shutdown)
+	}))
 }
 
 // Handler returns the root handler behind the panic-recovery and
 // access-logging layer.
-func (h *Host[J]) Handler() http.Handler {
+func (h *Host) Handler() http.Handler {
 	return AccessLog{Logger: h.logger, OnPanic: func() { h.Metrics.Add(h.prefix+"_panics_total", "", 1) }}.Wrap(h.Mux)
 }
 
 // Close rejects new jobs, cancels Ctx and waits for WG. The table closes
 // first: Add is serialized against it, so no job launches past the
 // drain.
-func (h *Host[J]) Close() {
+func (h *Host) Close() {
 	h.jobs.Close()
 	h.stop()
 	h.WG.Wait()

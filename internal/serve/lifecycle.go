@@ -1,11 +1,12 @@
 package serve
 
 // The sweep-job lifecycle shared by both front ends: this package's
-// Server (jobs run on a local worker pool) and the internal/shard
-// Coordinator (jobs dispatched across a fleet). Both embed Lifecycle in
-// their job type, keep their jobs in a JobTable, and serve list, get,
-// cancel and the SSE event stream through the table's handlers — the
-// state machine, retention and wire behaviour exist once.
+// Server (chunks evaluated in process) and the internal/shard
+// Coordinator (chunks dispatched across a fleet). Both run SweepJob,
+// keep their jobs in a JobTable, and serve list, get, cancel, the SSE
+// event stream and the NDJSON results stream through the table's
+// handlers — the state machine, retention and wire behaviour exist
+// once.
 
 import (
 	"context"
@@ -57,9 +58,8 @@ func (st JobState) Terminal() bool {
 	return st == JobDone || st == JobFailed || st == JobCancelled
 }
 
-// Lifecycle is the state machine every sweep job embeds. The embedded
-// mutex guards the lifecycle's mutable fields and those of the
-// embedding job alike. Watchers (the SSE and NDJSON streams) wait on a
+// Lifecycle is the state machine SweepJob embeds. The embedded mutex
+// guards the lifecycle's mutable fields and those of the job alike. Watchers (the SSE and NDJSON streams) wait on a
 // change channel that is closed and replaced on every mutation — a
 // broadcast that can neither drop an event nor block, because watchers
 // re-read the state they care about under the lock instead of
@@ -74,9 +74,8 @@ type Lifecycle struct {
 	Total    int
 	Created  time.Time
 	// OnSettle, when non-nil, observes the terminal state and the settle
-	// instant exactly once,
-	// under the lock, wherever the job settles. It must not call back
-	// into the job.
+	// instant exactly once, under the lock, wherever the job settles. It
+	// must not call back into the job.
 	OnSettle func(st JobState, errMsg string, finished time.Time)
 
 	state           JobState
@@ -90,8 +89,6 @@ type Lifecycle struct {
 	rendered        *JobResult    // memoized terminal rendering
 }
 
-func (l *Lifecycle) lifecycle() *Lifecycle { return l }
-
 // bumpLocked wakes every watcher.
 func (l *Lifecycle) bumpLocked() {
 	if l.changed != nil {
@@ -100,29 +97,18 @@ func (l *Lifecycle) bumpLocked() {
 	}
 }
 
-// ChangedLocked returns a channel that is closed on the job's next
+// changedLocked returns a channel that is closed on the job's next
 // change.
-func (l *Lifecycle) ChangedLocked() <-chan struct{} {
+func (l *Lifecycle) changedLocked() <-chan struct{} {
 	if l.changed == nil {
 		l.changed = make(chan struct{})
 	}
 	return l.changed
 }
 
-// StateLocked returns the lifecycle state.
-func (l *Lifecycle) StateLocked() JobState { return l.state }
-
-// CancelRequested reports whether a cancel was requested while the job
-// ran.
-func (l *Lifecycle) CancelRequested() bool {
-	l.Lock()
-	defer l.Unlock()
-	return l.cancelRequested
-}
-
-// AdvanceLocked records point progress. done only grows: a settled job
+// advanceLocked records point progress. done only grows: a settled job
 // must report done == total, and progress bars must not move backwards.
-func (l *Lifecycle) AdvanceLocked(done int) {
+func (l *Lifecycle) advanceLocked(done int) {
 	if done <= l.done {
 		return
 	}
@@ -225,36 +211,6 @@ func (l *Lifecycle) snapshotLocked() Job {
 	return out
 }
 
-// Tracked is a job the shared table and handlers serve: a type that
-// embeds Lifecycle (which supplies the unexported method) and renders
-// its own results.
-type Tracked interface {
-	lifecycle() *Lifecycle
-	// RenderLocked fills the statistics and points of a settled job's
-	// result. It runs under the lifecycle lock, once per job: a settled
-	// job never changes, so the rendering is memoized.
-	RenderLocked(out *JobResult)
-}
-
-// ResultOf renders the job as GET /v1/sweeps/{id} answers it: the
-// lifecycle plus, once settled, the statistics and per-point results.
-// Polling a finished large grid costs one conversion total, not one per
-// GET.
-func ResultOf(j Tracked) JobResult {
-	l := j.lifecycle()
-	l.Lock()
-	defer l.Unlock()
-	if l.rendered != nil {
-		return *l.rendered
-	}
-	out := JobResult{Job: l.snapshotLocked()}
-	if l.state.Terminal() {
-		j.RenderLocked(&out)
-		l.rendered = &out
-	}
-	return out
-}
-
 // Submission failures the HTTP layer maps onto distinct status codes.
 var (
 	errQueueFull    = errors.New("job queue full")
@@ -263,21 +219,21 @@ var (
 
 // JobTable owns a front end's jobs: the id sequence, creation order,
 // lookup and retention.
-type JobTable[J Tracked] struct {
+type JobTable struct {
 	onEvict func(n int)
 
 	mu     sync.Mutex
 	closed bool
 	seq    int64
-	jobs   map[string]J
+	jobs   map[string]*SweepJob
 	order  []string
 }
 
 // newJobTable returns an empty table. onEvict, when non-nil, observes
 // every eviction that dropped at least one job, after the table lock is
 // released.
-func newJobTable[J Tracked](onEvict func(n int)) *JobTable[J] {
-	return &JobTable[J]{onEvict: onEvict, jobs: map[string]J{}}
+func newJobTable(onEvict func(n int)) *JobTable {
+	return &JobTable{onEvict: onEvict, jobs: map[string]*SweepJob{}}
 }
 
 // Add assigns j the next id and registers it. admit, when non-nil, runs
@@ -285,14 +241,14 @@ func newJobTable[J Tracked](onEvict func(n int)) *JobTable[J] {
 // unregistered, so a rejected job is never observable (the server
 // enqueues for its worker pool here). A closed table rejects every job.
 // The table lock is never held across a wait: admit must not block.
-func (t *JobTable[J]) Add(j J, admit func(J) bool) error {
+func (t *JobTable) Add(j *SweepJob, admit func(*SweepJob) bool) error {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	if t.closed {
 		return errShuttingDown
 	}
 	t.seq++
-	j.lifecycle().ID = fmt.Sprintf("job-%06d", t.seq)
+	j.ID = fmt.Sprintf("job-%06d", t.seq)
 	if admit != nil && !admit(j) {
 		return errQueueFull
 	}
@@ -302,39 +258,39 @@ func (t *JobTable[J]) Add(j J, admit func(J) bool) error {
 
 // Restore registers a job recovered under its original id and advances
 // the id sequence past it.
-func (t *JobTable[J]) Restore(j J) {
+func (t *JobTable) Restore(j *SweepJob) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	var n int64
-	if _, err := fmt.Sscanf(j.lifecycle().ID, "job-%d", &n); err == nil && n > t.seq {
+	if _, err := fmt.Sscanf(j.ID, "job-%d", &n); err == nil && n > t.seq {
 		t.seq = n
 	}
 	t.registerLocked(j)
 }
 
-func (t *JobTable[J]) registerLocked(j J) {
-	id := j.lifecycle().ID
+func (t *JobTable) registerLocked(j *SweepJob) {
+	id := j.ID
 	t.jobs[id] = j
 	t.order = append(t.order, id)
 }
 
 // Close rejects every further Add. Serialized against Add: a job added
 // before Close is visible to whatever the caller drains next.
-func (t *JobTable[J]) Close() {
+func (t *JobTable) Close() {
 	t.mu.Lock()
 	t.closed = true
 	t.mu.Unlock()
 }
 
 // isClosed reports whether Close was called.
-func (t *JobTable[J]) isClosed() bool {
+func (t *JobTable) isClosed() bool {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	return t.closed
 }
 
 // Get returns the job by id.
-func (t *JobTable[J]) Get(id string) (J, bool) {
+func (t *JobTable) Get(id string) (*SweepJob, bool) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	j, ok := t.jobs[id]
@@ -342,10 +298,10 @@ func (t *JobTable[J]) Get(id string) (J, bool) {
 }
 
 // List returns every job in creation order.
-func (t *JobTable[J]) List() []J {
+func (t *JobTable) List() []*SweepJob {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	out := make([]J, 0, len(t.order))
+	out := make([]*SweepJob, 0, len(t.order))
 	for _, id := range t.order {
 		out = append(out, t.jobs[id])
 	}
@@ -353,7 +309,7 @@ func (t *JobTable[J]) List() []J {
 }
 
 // Len counts the jobs in the table.
-func (t *JobTable[J]) Len() int {
+func (t *JobTable) Len() int {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	return len(t.jobs)
@@ -364,21 +320,21 @@ func (t *JobTable[J]) Len() int {
 // settled jobs until the bound holds. Queued and running jobs are never
 // evicted, so a max-jobs bound smaller than the live set is simply not
 // yet enforceable. Returns how many jobs were dropped.
-func (t *JobTable[J]) Evict(now time.Time, ttl time.Duration, maxJobs int) int {
+func (t *JobTable) Evict(now time.Time, ttl time.Duration, maxJobs int) int {
 	t.mu.Lock()
 	drop := map[string]bool{}
 	var settled []string // still-kept settled jobs, creation order
 	for _, id := range t.order {
-		l := t.jobs[id].lifecycle()
-		l.Lock()
-		if l.state.Terminal() {
-			if ttl > 0 && now.Sub(l.finished) >= ttl {
+		j := t.jobs[id]
+		j.Lock()
+		if j.state.Terminal() {
+			if ttl > 0 && now.Sub(j.finished) >= ttl {
 				drop[id] = true
 			} else {
 				settled = append(settled, id)
 			}
 		}
-		l.Unlock()
+		j.Unlock()
 	}
 	if maxJobs > 0 {
 		kept := len(t.order) - len(drop)
@@ -408,7 +364,7 @@ func (t *JobTable[J]) Evict(now time.Time, ttl time.Duration, maxJobs int) int {
 
 // janitor evicts on a ticker paced to a quarter of the TTL (clamped to
 // 25ms..1s; 1s without a TTL) until ctx ends.
-func (t *JobTable[J]) janitor(ctx context.Context, ttl time.Duration, maxJobs int) {
+func (t *JobTable) janitor(ctx context.Context, ttl time.Duration, maxJobs int) {
 	interval := min(max(ttl/4, 25*time.Millisecond), time.Second)
 	if ttl <= 0 {
 		interval = time.Second
@@ -427,7 +383,7 @@ func (t *JobTable[J]) janitor(ctx context.Context, ttl time.Duration, maxJobs in
 
 // Lookup returns the job named by the request's {id} path value,
 // answering 404 job_not_found itself when there is none.
-func (t *JobTable[J]) Lookup(w http.ResponseWriter, r *http.Request) (J, bool) {
+func (t *JobTable) Lookup(w http.ResponseWriter, r *http.Request) (*SweepJob, bool) {
 	j, ok := t.Get(r.PathValue("id"))
 	if !ok {
 		WriteError(w, http.StatusNotFound, CodeJobNotFound, "no job %q", r.PathValue("id"))
@@ -436,22 +392,22 @@ func (t *JobTable[J]) Lookup(w http.ResponseWriter, r *http.Request) (J, bool) {
 }
 
 // ServeList serves GET /v1/sweeps: every job, creation order.
-func (t *JobTable[J]) ServeList(w http.ResponseWriter, r *http.Request) {
+func (t *JobTable) ServeList(w http.ResponseWriter, r *http.Request) {
 	jobs := t.List()
 	out := struct {
 		Jobs []Job `json:"jobs"`
 	}{Jobs: make([]Job, 0, len(jobs))}
 	for _, j := range jobs {
-		out.Jobs = append(out.Jobs, j.lifecycle().Snapshot())
+		out.Jobs = append(out.Jobs, j.Snapshot())
 	}
 	WriteJSON(w, http.StatusOK, out)
 }
 
 // ServeGet serves GET /v1/sweeps/{id}: lifecycle plus, in terminal
 // states, the sweep statistics and per-point results.
-func (t *JobTable[J]) ServeGet(w http.ResponseWriter, r *http.Request) {
+func (t *JobTable) ServeGet(w http.ResponseWriter, r *http.Request) {
 	if j, ok := t.Lookup(w, r); ok {
-		WriteJSON(w, http.StatusOK, ResultOf(j))
+		WriteJSON(w, http.StatusOK, j.Result())
 	}
 }
 
@@ -459,18 +415,17 @@ func (t *JobTable[J]) ServeGet(w http.ResponseWriter, r *http.Request) {
 // cancelled immediately, running jobs get their context cancelled and
 // settle when their runner observes it (the response then reports the
 // transient "cancelling" state); terminal jobs answer 409.
-func (t *JobTable[J]) ServeCancel(w http.ResponseWriter, r *http.Request) {
+func (t *JobTable) ServeCancel(w http.ResponseWriter, r *http.Request) {
 	j, ok := t.Lookup(w, r)
 	if !ok {
 		return
 	}
-	l := j.lifecycle()
-	st, ok := l.requestCancel(time.Now())
+	st, ok := j.requestCancel(time.Now())
 	if !ok {
-		WriteError(w, http.StatusConflict, CodeJobTerminal, "job %s already settled as %q", l.ID, st)
+		WriteError(w, http.StatusConflict, CodeJobTerminal, "job %s already settled as %q", j.ID, st)
 		return
 	}
-	WriteJSON(w, http.StatusAccepted, l.Snapshot())
+	WriteJSON(w, http.StatusAccepted, j.Snapshot())
 }
 
 // progressData is the payload of a "progress" event.
@@ -488,19 +443,18 @@ type progressData struct {
 // order and never misses the terminal state. writeTimeout bounds every
 // single write (0: unbounded); a closed shutdown channel ends the stream
 // early (nil: never).
-func (t *JobTable[J]) ServeEvents(w http.ResponseWriter, r *http.Request, writeTimeout time.Duration, shutdown <-chan struct{}) {
+func (t *JobTable) ServeEvents(w http.ResponseWriter, r *http.Request, writeTimeout time.Duration, shutdown <-chan struct{}) {
 	j, ok := t.Lookup(w, r)
 	if !ok {
 		return
 	}
-	l := j.lifecycle()
 	observe := func() (snap Job, terminal bool, changed <-chan struct{}) {
-		l.Lock()
-		defer l.Unlock()
-		if terminal = l.state.Terminal(); !terminal {
-			changed = l.ChangedLocked()
+		j.Lock()
+		defer j.Unlock()
+		if terminal = j.state.Terminal(); !terminal {
+			changed = j.changedLocked()
 		}
-		return l.snapshotLocked(), terminal, changed
+		return j.snapshotLocked(), terminal, changed
 	}
 	// Subscribe before the headers go out: once the client sees the
 	// response, no change can slip past the first snapshot.
@@ -552,6 +506,73 @@ func (t *JobTable[J]) ServeEvents(w http.ResponseWriter, r *http.Request, writeT
 		if terminal {
 			emit("state", snap)
 			return
+		}
+	}
+}
+
+// ResultLine is one line of the GET /v1/sweeps/{id}/results NDJSON
+// stream: either a point (Point set — one evaluated grid point, in
+// arrival order) or the trailer (State set — the terminal state plus
+// the job's statistics), which is always the last line.
+type ResultLine struct {
+	Point *ChunkPoint `json:"point,omitempty"`
+	State string      `json:"state,omitempty"`
+	Stats *SweepStats `json:"stats,omitempty"`
+}
+
+// ServeResults serves GET /v1/sweeps/{id}/results as an NDJSON stream:
+// one line per evaluated point in arrival order — streamed while the
+// job runs, so a client consumes partial results long before the grid
+// finishes — terminated by a trailer line carrying the terminal state
+// and statistics. Connecting to a finished job replays every recorded
+// point, which is how results of jobs completed before a coordinator
+// restart are consumed. writeTimeout bounds every single line and
+// shutdown ends the stream early, as in ServeEvents.
+func (t *JobTable) ServeResults(w http.ResponseWriter, r *http.Request, writeTimeout time.Duration, shutdown <-chan struct{}) {
+	j, ok := t.Lookup(w, r)
+	if !ok {
+		return
+	}
+	w.Header().Set("Content-Type", "application/x-ndjson")
+	w.WriteHeader(http.StatusOK)
+	rc := http.NewResponseController(w)
+	enc := json.NewEncoder(w)
+	// write encodes one line under a fresh deadline: a consumer that
+	// stops reading gets the connection torn down instead of pinning
+	// this goroutine and the job's arrival buffer forever, while a job
+	// that idles between chunks — or settles long after its last point
+	// — still gets its next line, the trailer included, out.
+	write := func(line ResultLine) bool {
+		if writeTimeout > 0 {
+			_ = rc.SetWriteDeadline(time.Now().Add(writeTimeout))
+		}
+		return enc.Encode(line) == nil
+	}
+
+	streamed := 0
+	for {
+		points, st, changed := j.arrivedSince(streamed)
+		for i := range points {
+			if !write(ResultLine{Point: &points[i]}) {
+				return
+			}
+		}
+		streamed += len(points)
+		if len(points) > 0 && rc.Flush() != nil {
+			return
+		}
+		if st.Terminal() {
+			if write(ResultLine{State: st.String(), Stats: j.Result().Stats}) {
+				_ = rc.Flush()
+			}
+			return
+		}
+		select {
+		case <-r.Context().Done():
+			return
+		case <-shutdown:
+			return
+		case <-changed:
 		}
 	}
 }

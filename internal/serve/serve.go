@@ -4,7 +4,7 @@
 // repository that is a process, not a command — the ROADMAP's
 // production-scale direction made concrete.
 //
-// The service exposes three groups of endpoints:
+// The service exposes four groups of endpoints:
 //
 //   - Synchronous evaluation: POST /v1/run runs one engine on one
 //     model — a registered scenario by name, or an inline architecture
@@ -19,18 +19,21 @@
 //     it, whether the model came from the registry or the wire.
 //
 //   - Asynchronous sweeps: POST /v1/sweeps queues a design-space sweep
-//     job on a bounded worker pool and returns a job id; GET
+//     job on a bounded job pool and returns a job id; GET
 //     /v1/sweeps/{id} reports lifecycle and (when finished) the full
 //     per-point results; GET /v1/sweeps/{id}/events streams point-level
-//     progress as server-sent events; DELETE /v1/sweeps/{id} cancels
-//     through the same context plumbing the sweep engine already honors.
-//     Jobs share the process-wide derivation cache too.
+//     progress as server-sent events; GET /v1/sweeps/{id}/results
+//     streams the evaluated points as NDJSON as they land; DELETE
+//     /v1/sweeps/{id} cancels through the same context plumbing the
+//     sweep engine already honors. A job is the one SweepJob the shard
+//     coordinator runs too — this server runs it as a fleet of one,
+//     evaluating its chunks in process on the shared derivation cache.
 //
 //   - Distributed chunks: POST /v1/chunks evaluates one
 //     coordinator-assigned set of grid indices synchronously — the
-//     worker side of the internal/shard sweep fabric, validated and
-//     evaluated exactly like a local job so a sharded sweep stays
-//     bit-identical to a single-process one.
+//     worker side of the internal/shard sweep fabric, evaluated by the
+//     very function that runs this server's own job chunks, so a
+//     sharded sweep stays bit-identical to a single-process one.
 //
 //   - Introspection: GET /v1/engines and /v1/scenarios enumerate the two
 //     registries, /healthz reports liveness, /metrics exports request,
@@ -69,13 +72,13 @@ import (
 // production-lean default applied by New.
 type Config struct {
 	// JobWorkers bounds how many sweep jobs execute concurrently
-	// (default 2). Each job additionally runs its own point-level worker
-	// pool of SweepWorkers.
+	// (default 2). Each job additionally evaluates up to SweepWorkers
+	// chunks at a time.
 	JobWorkers int
 	// JobQueue bounds how many jobs may wait for a worker (default 64);
 	// a full queue rejects POST /v1/sweeps with 429.
 	JobQueue int
-	// SweepWorkers is the per-job point-level pool size applied when a
+	// SweepWorkers is the per-job chunk concurrency applied when a
 	// request does not set options.workers (default GOMAXPROCS).
 	SweepWorkers int
 	// SweepBatchWidth is the batched-evaluation lane width applied when
@@ -174,10 +177,10 @@ func (c Config) withDefaults() Config {
 // http.Server, and Close it on the way out (Close cancels running jobs
 // and waits for the pool to drain).
 type Server struct {
-	*Host[*job]
+	*Host
 	cfg     Config
 	cache   *derive.Cache
-	queue   chan *job // FIFO feeding the job worker pool
+	queue   chan *SweepJob // FIFO feeding the job worker pool
 	started time.Time
 
 	// predErrors is the histogram of per-point prediction errors of
@@ -195,10 +198,10 @@ type Server struct {
 func New(cfg Config) *Server {
 	cfg = cfg.withDefaults()
 	s := &Server{
-		Host:    NewHost[*job]("dyncomp_serve", cfg.Logger, cfg.StreamWriteTimeout, nil),
+		Host:    NewHost("dyncomp_serve", cfg.Logger, cfg.StreamWriteTimeout, nil),
 		cfg:     cfg,
 		cache:   derive.NewCacheLimit(cfg.CacheEntries),
-		queue:   make(chan *job, cfg.JobQueue),
+		queue:   make(chan *SweepJob, cfg.JobQueue),
 		quotas:  newQuotas(),
 		started: time.Now(),
 	}

@@ -1,4 +1,4 @@
-package shard
+package serve
 
 // Stalled-consumer tests: a client that connects to a streaming
 // endpoint and never reads must not pin the handler goroutine forever —
@@ -16,8 +16,6 @@ import (
 	"sync/atomic"
 	"testing"
 	"time"
-
-	"dyncomp/internal/serve"
 )
 
 // stalledStream opens a raw TCP connection to the server, sends a GET
@@ -44,16 +42,12 @@ func waitHandlerDone(t *testing.T, done <-chan struct{}, what string) {
 	}
 }
 
-// streamCoord builds a coordinator with a tight stream write deadline
-// and a handler wrapper that closes done when a request to markerPath
+// streamServer builds a server with a tight stream write deadline and a
+// handler wrapper that closes done when a request to markerPath
 // finishes.
-func streamCoord(t *testing.T, markerPath string) (*Coordinator, *httptest.Server, <-chan struct{}) {
+func streamServer(t *testing.T, markerPath string) (*Server, *httptest.Server, <-chan struct{}) {
 	t.Helper()
-	c, err := New(Config{Workers: []string{"http://127.0.0.1:1"},
-		StreamWriteTimeout: 100 * time.Millisecond})
-	if err != nil {
-		t.Fatal(err)
-	}
+	c := New(Config{StreamWriteTimeout: 100 * time.Millisecond})
 	done := make(chan struct{})
 	var once atomic.Bool
 	h := http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
@@ -73,17 +67,17 @@ func streamCoord(t *testing.T, markerPath string) (*Coordinator, *httptest.Serve
 // A never-reading NDJSON /results consumer of a job with megabytes of
 // buffered points is disconnected by the write deadline.
 func TestResultsStreamWriteDeadline(t *testing.T) {
-	c, ts, done := streamCoord(t, "/results")
+	c, ts, done := streamServer(t, "/results")
 
 	// Fabricate a running job with ~8MB of arrived points: replay blocks
 	// on the socket once the kernel buffers fill.
-	j := &job{Lifecycle: serve.Lifecycle{ID: "job-900001"}}
+	j := &SweepJob{Lifecycle: Lifecycle{ID: "job-900001"}}
 	j.Start(func() {}, time.Now())
 	padding := strings.Repeat("x", 4096)
 	for i := 0; i < 2000; i++ {
-		j.arrived = append(j.arrived, serve.ChunkPoint{
+		j.arrived = append(j.arrived, ChunkPoint{
 			Index:      i,
-			SweepPoint: serve.SweepPoint{Error: padding},
+			SweepPoint: SweepPoint{Error: padding},
 		})
 	}
 	c.jobs.Restore(j)
@@ -96,12 +90,12 @@ func TestResultsStreamWriteDeadline(t *testing.T) {
 // A never-reading SSE /events consumer of a chatty job is disconnected
 // by the write deadline instead of pinning the emitter.
 func TestEventsStreamWriteDeadline(t *testing.T) {
-	c, ts, done := streamCoord(t, "/events")
+	c, ts, done := streamServer(t, "/events")
 
 	// A snapshot bigger than any socket buffer: the initial state event
 	// cannot complete against a non-reading consumer, so the write
 	// deadline is the only way out.
-	j := &job{Lifecycle: serve.Lifecycle{ID: "job-900002", Total: 1,
+	j := &SweepJob{Lifecycle: Lifecycle{ID: "job-900002", Total: 1,
 		Scenario: strings.Repeat("x", 32<<20)}}
 	j.Start(func() {}, time.Now())
 	c.jobs.Restore(j)
@@ -116,11 +110,11 @@ func TestEventsStreamWriteDeadline(t *testing.T) {
 // when points arrive, so the idle gap (here three write timeouts, then a
 // cancel) cannot expire the trailer's write.
 func TestResultsTrailerAfterIdleGap(t *testing.T) {
-	c, ts, _ := streamCoord(t, "/results")
+	c, ts, _ := streamServer(t, "/results")
 
-	j := &job{Lifecycle: serve.Lifecycle{ID: "job-900003", Total: 1}}
+	j := &SweepJob{Lifecycle: Lifecycle{ID: "job-900003", Total: 1}}
 	j.Start(func() {}, time.Now())
-	j.arrived = append(j.arrived, serve.ChunkPoint{Index: 0})
+	j.arrived = append(j.arrived, ChunkPoint{Index: 0})
 	c.jobs.Restore(j)
 
 	resp, err := http.Get(ts.URL + "/v1/sweeps/job-900003/results")
@@ -135,7 +129,7 @@ func TestResultsTrailerAfterIdleGap(t *testing.T) {
 	}
 
 	time.Sleep(300 * time.Millisecond) // idle well past the 100ms write timeout
-	j.Settle(serve.JobCancelled, context.Canceled.Error(), time.Now())
+	j.Settle(JobCancelled, context.Canceled.Error(), time.Now())
 
 	var trailer ResultLine
 	if err := dec.Decode(&trailer); err != nil {

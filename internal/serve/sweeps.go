@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"net/http"
@@ -29,11 +30,10 @@ func (l layeredParams) Lookup(name string) (int64, bool) {
 }
 
 // SweepPlan is a validated sweep request compiled into the sweep
-// engine's inputs, shared by the job path (POST /v1/sweeps), the
-// distributed chunk path (POST /v1/chunks) and the coordinator
-// (internal/shard) — every consumer applies exactly the validation and
-// option mapping a single-process job would, which is what keeps a
-// sharded sweep bit-identical to a local one.
+// engine's inputs, shared by every sweep job (NewSweepJob) and the
+// chunk endpoint (POST /v1/chunks) — every consumer applies exactly the
+// validation and option mapping a single-process sweep would, which is
+// what keeps a sharded sweep bit-identical to a local one.
 type SweepPlan struct {
 	Engine   string
 	Scenario string
@@ -59,8 +59,7 @@ type SweepDefaults struct {
 // CompileSweep validates everything about a sweep request that can fail
 // fast — engine, model source (scenario or inline architecture spec),
 // parameters, axes, grid size, group, options — and compiles it into a
-// SweepPlan ready for sweep.Run, sweep.RunIndices or distributed
-// planning.
+// SweepPlan ready for sweep.Run, sweep.RunIndices or chunk planning.
 func CompileSweep(req SweepRequest, d SweepDefaults) (*SweepPlan, *RequestError) {
 	if d.Workers <= 0 {
 		d.Workers = runtime.GOMAXPROCS(0)
@@ -155,13 +154,14 @@ func CompileSweep(req SweepRequest, d SweepDefaults) (*SweepPlan, *RequestError)
 	}, nil
 }
 
-// prepareSweep is CompileSweep under this server's configured defaults.
-func (s *Server) prepareSweep(req SweepRequest) (*SweepPlan, *RequestError) {
-	return CompileSweep(req, SweepDefaults{
+// defaults are the sweep-compilation defaults of this server's
+// configuration.
+func (s *Server) defaults() SweepDefaults {
+	return SweepDefaults{
 		Workers:       s.cfg.SweepWorkers,
 		BatchWidth:    s.cfg.SweepBatchWidth,
 		MaxGridPoints: s.cfg.MaxGridPoints,
-	})
+	}
 }
 
 // handleSweepCreate serves POST /v1/sweeps: validate, then queue the
@@ -171,7 +171,7 @@ func (s *Server) handleSweepCreate(w http.ResponseWriter, r *http.Request) *Requ
 	if aerr := DecodeJSON(w, r, &req); aerr != nil {
 		return aerr
 	}
-	plan, aerr := s.prepareSweep(req)
+	j, aerr := NewSweepJob(req, s.defaults(), 0, time.Now())
 	if aerr != nil {
 		return aerr
 	}
@@ -182,28 +182,18 @@ func (s *Server) handleSweepCreate(w http.ResponseWriter, r *http.Request) *Requ
 		return requestErrorf(http.StatusTooManyRequests, CodeQuotaExceeded,
 			"caller %q already has %d jobs in flight", caller, s.cfg.QuotaJobs)
 	}
-	if aerr := s.admitPoints(w, r, plan.Total); aerr != nil {
+	if aerr := s.admitPoints(w, r, j.Total); aerr != nil {
 		s.quotas.releaseJob(caller)
 		return aerr
 	}
-	j := &job{
-		Lifecycle: Lifecycle{
-			Engine:   plan.Engine,
-			Scenario: plan.Scenario,
-			Total:    plan.Total,
-			Created:  time.Now(),
-			// Count every terminal state exactly once, wherever the job
-			// settles (worker, queued-cancel, shutdown drain) — and
-			// return the caller's concurrent-job quota slot there, the
-			// single point every settle path funnels through.
-			OnSettle: func(st JobState, _ string, _ time.Time) {
-				s.quotas.releaseJob(caller)
-				s.Metrics.Add(metricJobs, fmt.Sprintf(`state=%q`, st.String()), 1)
-			},
-		},
-		axes: plan.Axes,
-		gen:  plan.Gen,
-		opts: plan.Opts,
+	j.cache = s.cache
+	// Count every terminal state exactly once, wherever the job settles
+	// (worker, queued-cancel, shutdown drain) — and return the caller's
+	// concurrent-job quota slot there, the single point every settle
+	// path funnels through.
+	j.OnSettle = func(st JobState, _ string, _ time.Time) {
+		s.quotas.releaseJob(caller)
+		s.Metrics.Add(metricJobs, fmt.Sprintf(`state=%q`, st.String()), 1)
 	}
 	if err := s.jobs.Add(j, s.enqueue); err != nil {
 		s.quotas.releaseJob(caller) // never enqueued: OnSettle will not run
@@ -215,4 +205,100 @@ func (s *Server) handleSweepCreate(w http.ResponseWriter, r *http.Request) *Requ
 	}
 	WriteJSON(w, http.StatusAccepted, j.Snapshot())
 	return nil
+}
+
+// enqueue hands a job to the worker pool without blocking; a full queue
+// refuses it.
+func (s *Server) enqueue(j *SweepJob) bool {
+	select {
+	case s.queue <- j:
+		return true
+	default:
+		return false
+	}
+}
+
+// activeJobs counts queued and running jobs (for /metrics and /healthz).
+func (s *Server) activeJobs() (queued, running int) {
+	for _, j := range s.jobs.List() {
+		j.Lock()
+		switch j.state {
+		case JobQueued:
+			queued++
+		case JobRunning:
+			running++
+		}
+		j.Unlock()
+	}
+	return queued, running
+}
+
+// jobWorker is one slot of the bounded job pool: it pops queued jobs
+// and runs each as a fleet of one — options.workers chunks in flight,
+// each evaluated in process by runChunk — until the server shuts down.
+func (s *Server) jobWorker() {
+	defer s.WG.Done()
+	for {
+		select {
+		case <-s.Ctx.Done():
+			return
+		case j := <-s.queue:
+			j.Run(s.Ctx, j.plan.Opts.Workers, s.runChunk, false)
+		}
+	}
+}
+
+// runChunk is the chunk runner of this server's own jobs: the
+// evaluation POST /v1/chunks performs for a coordinator, merged into
+// the job, plus the batch and sampling counters.
+func (s *Server) runChunk(ctx context.Context, j *SweepJob, ci int) {
+	plan := j.plan
+	if plan.Opts.Sample.Enabled() {
+		// The one chunk is the whole grid, so the sampler's progress is
+		// the job's: forward it as points resolve.
+		sampled := *plan
+		sampled.Opts.Progress = func(done, _ int) {
+			j.Lock()
+			j.advanceLocked(done)
+			j.Unlock()
+		}
+		plan = &sampled
+	}
+	res, err := s.evalChunk(ctx, plan, j.Chunk(ci).Indices)
+	switch {
+	case ctx.Err() != nil:
+		return
+	case err != nil:
+		j.FailChunk(ci, err)
+		return
+	}
+	if j.plan.Opts.Sample.Enabled() {
+		j.Lock()
+		j.sampled = &res.Stats
+		j.Unlock()
+	}
+	j.ApplyChunk(ci, chunkResponse(res))
+
+	st := res.Stats
+	if st.Batches > 0 {
+		s.Metrics.Add(metricBatches, "", int64(st.Batches))
+		s.Metrics.Add(metricBatchPoints, "", int64(st.BatchedPoints))
+		s.Metrics.Add(metricBatchLanes, "", int64(st.Batches*j.plan.Opts.BatchWidth))
+	}
+	if st.SimulatedPoints+st.PredictedPoints > 0 {
+		s.Metrics.Add(metricSimulated, "", int64(st.SimulatedPoints))
+		s.Metrics.Add(metricPredicted, "", int64(st.PredictedPoints))
+		for _, pr := range res.Points {
+			if pr.Source != sweep.SourcePredicted {
+				continue
+			}
+			// The observed error when sample_verify measured one, the
+			// declared bound otherwise.
+			e := pr.PredBound
+			if j.plan.Opts.Sample.Verify {
+				e = pr.PredObserved
+			}
+			s.predErrors.Observe(e)
+		}
+	}
 }

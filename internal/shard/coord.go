@@ -1,9 +1,12 @@
 // Package shard is the distributed sweep fabric: a coordinator that
-// accepts the serving layer's sweep job API, partitions the grid by
-// structural shape via consistent hashing, dispatches chunks to a fleet
-// of dyncomp-serve workers over their POST /v1/chunks endpoint, and
-// merges the results back into grid order — bit-identical to a
-// single-process sweep.Run of the same request.
+// accepts the serving layer's sweep job API and runs each job — the
+// serving layer's serve.SweepJob, which plans the chunks and merges the
+// results back into grid order — across a fleet of dyncomp-serve
+// workers, bit-identical to a single-process sweep.Run of the same
+// request. This package holds only the fleet: the consistent-hash ring,
+// circuit breakers and their probes, retry backoff, the Transport to a
+// worker's POST /v1/chunks, the job store and recovery, and
+// /v1/workers.
 //
 // The design follows three rules:
 //
@@ -36,11 +39,12 @@ import (
 	"errors"
 	"fmt"
 	"log/slog"
+	"maps"
 	"math"
 	"net/http"
 	"net/url"
+	"slices"
 	"strings"
-	"sync"
 	"time"
 
 	"dyncomp/internal/serve"
@@ -162,12 +166,17 @@ func (c Config) withDefaults() Config {
 // serving layer's front end, so its job routes, metrics registry,
 // access log and shutdown order are the single server's.
 type Coordinator struct {
-	*serve.Host[*job]
+	*serve.Host
 	cfg   Config
 	ring  *ring
 	store *Store
-	jobs  *serve.JobTable[*job]
+	jobs  *serve.JobTable
 }
+
+// ResultLine is one line of the GET /v1/sweeps/{id}/results NDJSON
+// stream, which the coordinator serves through the serving layer's job
+// routes.
+type ResultLine = serve.ResultLine
 
 // New creates a Coordinator: opens the store (when configured), replays
 // it — finished jobs become readable again, in-flight ones resume
@@ -175,7 +184,7 @@ type Coordinator struct {
 func New(cfg Config) (*Coordinator, error) {
 	cfg = cfg.withDefaults()
 	c := &Coordinator{cfg: cfg, ring: newRing(cfg.Workers)}
-	c.Host = serve.NewHost[*job]("dyncomp_coord", cfg.Logger, cfg.StreamWriteTimeout, c.compact)
+	c.Host = serve.NewHost("dyncomp_coord", cfg.Logger, cfg.StreamWriteTimeout, c.compact)
 	c.jobs = c.Jobs()
 	c.declareMetrics()
 	if cfg.StorePath != "" {
@@ -211,35 +220,38 @@ func (c *Coordinator) compact() {
 }
 
 // recoverJob rebuilds one persisted job: replan deterministically from
-// the pinned spec, replay the recorded chunk results, then either
-// settle the recorded terminal state or resume dispatching the chunks
-// that never came back.
+// the pinned spec, replay the recorded chunk results in chunk order (so
+// the NDJSON arrival stream of a resumed job is deterministic), then
+// either settle the recorded terminal state or resume dispatching the
+// chunks that never came back.
 func (c *Coordinator) recoverJob(jr JobRecord) {
 	// Replan under neutral defaults: the spec's pinned batch width and
 	// the recorded chunk size carry the plan-relevant knobs, so a
 	// restart with different flags still cuts identical chunks. The job
 	// was admitted when it was submitted; recovery never re-admits it,
 	// so no grid-size bound applies.
-	jp, rerr := planJob(jr.Spec, serve.SweepDefaults{Workers: c.cfg.Defaults.Workers, MaxGridPoints: math.MaxInt}, jr.ChunkPoints)
+	j, rerr := serve.NewSweepJob(jr.Spec, serve.SweepDefaults{Workers: c.cfg.Defaults.Workers, MaxGridPoints: math.MaxInt}, jr.ChunkPoints, jr.Created)
 	if rerr != nil {
 		// The spec no longer compiles (e.g. a scenario was removed).
 		// Surface the job as failed instead of silently dropping it; it
 		// fails now, so its TTL runs from now.
-		j := &job{Lifecycle: serve.Lifecycle{ID: jr.ID, Created: jr.Created}, spec: jr.Spec}
+		j = &serve.SweepJob{Lifecycle: serve.Lifecycle{ID: jr.ID, Created: jr.Created}, Spec: jr.Spec}
 		j.Settle(serve.JobFailed, rerr.Msg, time.Now())
 		c.jobs.Restore(j)
 		return
 	}
-	j := newJob(jr.Spec, jr.Created, jp)
 	j.ID = jr.ID
-	j.applyRecords(jr.Chunks)
+	for _, ci := range slices.Sorted(maps.Keys(jr.Chunks)) {
+		cr := jr.Chunks[ci]
+		j.ApplyChunk(ci, serve.ChunkResponse{Points: cr.Points, Batches: cr.Batches, BatchedPoints: cr.BatchedPoints})
+	}
 	if jr.State != "" {
 		st := stateFromWire(jr.State)
 		if st == serve.JobDone {
 			// done promises done == total; a chunk whose record was
 			// torn off the tail settles with an explicit error.
-			for _, ci := range j.pendingChunks() {
-				j.failChunk(ci, errors.New("shard: chunk result lost before coordinator shutdown"))
+			for _, ci := range j.Pending() {
+				j.FailChunk(ci, errors.New("shard: chunk result lost before coordinator shutdown"))
 			}
 		}
 		finished := jr.Finished
@@ -252,35 +264,46 @@ func (c *Coordinator) recoverJob(jr JobRecord) {
 	}
 	j.OnSettle = c.persistState(j)
 	c.jobs.Restore(j)
-	c.WG.Add(1)
-	go c.runJob(j)
+	c.launch(j)
+}
+
+// stateFromWire maps a persisted terminal state back onto the
+// lifecycle. Unknown strings — a corrupted but parseable record —
+// settle as failed rather than resurrecting the job.
+func stateFromWire(s string) serve.JobState {
+	switch s {
+	case "done":
+		return serve.JobDone
+	case "cancelled":
+		return serve.JobCancelled
+	}
+	return serve.JobFailed
 }
 
 // persistState is the settle hook of every job this process runs: the
 // terminal state reaches the store before the lock that publishes it is
-// released, so a restart never resurrects a settled job. Close leaves
-// running jobs unsettled on purpose — their records end at the last
-// completed chunk, where a restarted coordinator resumes them.
-func (c *Coordinator) persistState(j *job) func(serve.JobState, string, time.Time) {
+// released, so a restart never resurrects a settled job.
+func (c *Coordinator) persistState(j *serve.SweepJob) func(serve.JobState, string, time.Time) {
 	return func(st serve.JobState, errMsg string, finished time.Time) {
 		_ = c.store.AppendState(j.ID, st.String(), errMsg, finished)
 	}
 }
 
-// Close stops the coordinator: running jobs are interrupted mid-dispatch
-// WITHOUT settling a terminal state — their store records end at the
-// last completed chunk, which is exactly where a restarted coordinator
-// resumes them. Close blocks until every dispatcher returned, then
-// closes the store.
+// Close stops the coordinator. With a store, running jobs are
+// interrupted mid-dispatch WITHOUT settling a terminal state — their
+// store records end at the last completed chunk, which is exactly where
+// a restarted coordinator resumes them; without one they settle
+// cancelled. Close blocks until every dispatcher returned, then closes
+// the store.
 func (c *Coordinator) Close() {
 	c.Host.Close()
 	_ = c.store.Close()
 }
 
-// routes wires the fleet endpoints, sweep submission and the NDJSON
-// result stream beside the shared job routes. Unsettled jobs never
-// change again once the coordinator shuts down, so their event streams
-// end on Close and the HTTP drain does not wait.
+// routes wires the fleet endpoints and sweep submission beside the
+// shared job routes. Unsettled jobs never change again once the
+// coordinator shuts down, so their event and result streams end on
+// Close and the HTTP drain does not wait.
 func (c *Coordinator) routes() {
 	c.Mux.HandleFunc("GET /healthz", c.handleHealthz)
 	c.Mux.HandleFunc("GET /readyz", c.handleReadyz)
@@ -289,94 +312,67 @@ func (c *Coordinator) routes() {
 	c.Mux.Handle("POST /v1/workers", serve.JSONHandler(c.handleWorkersAdd))
 	c.Mux.Handle("POST /v1/sweeps", serve.JSONHandler(c.handleSweepCreate))
 	c.JobRoutes(nil, true)
-	c.Mux.HandleFunc("GET /v1/sweeps/{id}/results", c.handleSweepResults)
 }
 
 // errShutdown answers submissions to a coordinator that is closing.
 var errShutdown = &serve.RequestError{Status: http.StatusServiceUnavailable,
 	Code: serve.CodeUnavailable, Msg: "coordinator shutting down"}
 
-// submit plans, persists and launches one job. Exported through the
-// HTTP handler only; tests drive the same path over httptest.
-func (c *Coordinator) submit(req serve.SweepRequest) (*job, *serve.RequestError) {
+// handleSweepCreate serves POST /v1/sweeps: validate, persist and
+// launch one job, and answer 202 with its lifecycle snapshot.
+func (c *Coordinator) handleSweepCreate(w http.ResponseWriter, r *http.Request) *serve.RequestError {
+	var req serve.SweepRequest
+	if rerr := serve.DecodeJSON(w, r, &req); rerr != nil {
+		return rerr
+	}
 	if c.Ctx.Err() != nil {
-		return nil, errShutdown
+		return errShutdown
 	}
-	jp, rerr := planJob(req, c.cfg.Defaults, c.cfg.ChunkPoints)
+	j, rerr := serve.NewSweepJob(req, c.cfg.Defaults, c.cfg.ChunkPoints, time.Now())
 	if rerr != nil {
-		return nil, rerr
+		return rerr
 	}
-	// Pin the effective batch width into the persisted (and dispatched)
-	// spec: workers must not substitute their own default, and a
-	// restarted coordinator must replan the same cuts.
-	req.Options.BatchWidth = jp.plan.Opts.BatchWidth
-
-	j := newJob(req, time.Now(), jp)
 	j.OnSettle = c.persistState(j)
 	if err := c.jobs.Add(j, nil); err != nil {
-		return nil, errShutdown
+		return errShutdown
 	}
-	if err := c.store.AppendJob(j.ID, j.Created, req, c.cfg.ChunkPoints); err != nil {
+	// The persisted spec pins the effective batch width: workers must
+	// not substitute their own default, and a restarted coordinator
+	// must replan the same cuts.
+	if err := c.store.AppendJob(j.ID, j.Created, j.Spec, c.cfg.ChunkPoints); err != nil {
 		// Replay ignores a state record whose job record is missing.
 		j.Settle(serve.JobFailed, fmt.Sprintf("persisting job: %v", err), time.Now())
-		return j, nil
+	} else {
+		c.launch(j)
 	}
+	serve.WriteJSON(w, http.StatusAccepted, j.Snapshot())
+	return nil
+}
+
+// launch runs a job across the fleet, Config.Dispatch chunks in flight,
+// each delivered by dispatchChunk; the settle hook persists the
+// terminal state. With a store, a job interrupted by Close stays
+// unsettled for a restart to resume.
+func (c *Coordinator) launch(j *serve.SweepJob) {
 	c.WG.Add(1)
-	go c.runJob(j)
-	return j, nil
+	go func() {
+		defer c.WG.Done()
+		j.Run(c.Ctx, c.cfg.Dispatch, c.dispatchChunk, c.store != nil)
+	}()
 }
 
-// runJob dispatches every pending chunk of a job across the fleet, a
-// bounded number in flight at a time, then settles the terminal state
-// (which the settle hook persists).
-func (c *Coordinator) runJob(j *job) {
-	defer c.WG.Done()
-	ctx, cancel := context.WithCancel(c.Ctx)
-	defer cancel()
-	if !j.Start(cancel, time.Now()) {
-		return // cancelled while queued: settled and persisted already
-	}
-
-	sem := make(chan struct{}, c.cfg.Dispatch)
-	var wg sync.WaitGroup
-	for _, ci := range j.pendingChunks() {
-		if ctx.Err() != nil {
-			break
-		}
-		sem <- struct{}{}
-		wg.Add(1)
-		go func(ci int) {
-			defer func() { <-sem; wg.Done() }()
-			c.dispatchChunk(ctx, j, ci)
-		}(ci)
-	}
-	wg.Wait()
-
-	switch {
-	case j.complete():
-		// Every chunk merged — point-level failures (including fabric
-		// failures) travel in the results, exactly as in the sweep
-		// engine, so the job itself is done.
-		j.Settle(serve.JobDone, "", time.Now())
-	case j.CancelRequested():
-		j.Settle(serve.JobCancelled, context.Canceled.Error(), time.Now())
-	default:
-		// Coordinator shutdown: leave the job unsettled in the store so
-		// a restart resumes it from the last completed chunk.
-	}
-}
-
-// dispatchChunk delivers one chunk: look the owning worker up on the
-// ring, post the chunk, and on failure re-hash to the next surviving
-// worker under a decorrelated-jitter backoff — transport-level failures
-// additionally count against the worker's circuit breaker, benching it
-// fleet-wide once the threshold trips. A permanent 4xx answer settles
-// the chunk (every worker validates identically); retries are bounded
-// by Config.Retries and by fleet exhaustion, after which the chunk's
-// points settle with the fabric error.
-func (c *Coordinator) dispatchChunk(ctx context.Context, j *job, ci int) {
-	cp := j.chunks[ci]
-	req := serve.ChunkRequest{SweepRequest: j.spec, Indices: cp.Indices}
+// dispatchChunk is the coordinator's chunk runner: look the owning
+// worker up on the ring, post the chunk, and on failure re-hash to the
+// next surviving worker under a decorrelated-jitter backoff —
+// transport-level failures additionally count against the worker's
+// circuit breaker, benching it fleet-wide once the threshold trips. A
+// permanent 4xx answer settles the chunk (every worker validates
+// identically); retries are bounded by Config.Retries and by fleet
+// exhaustion, after which the chunk's points settle with the fabric
+// error.
+func (c *Coordinator) dispatchChunk(ctx context.Context, j *serve.SweepJob, ci int) {
+	cp := j.Chunk(ci)
+	req := serve.ChunkRequest{SweepRequest: j.Spec, Indices: cp.Indices}
 	exclude := map[string]bool{}
 	var lastErr error
 	var backoff time.Duration
@@ -405,16 +401,10 @@ func (c *Coordinator) dispatchChunk(ctx context.Context, j *job, ci int) {
 			}
 			break
 		}
-		actx := ctx
-		if c.cfg.ChunkTimeout > 0 {
-			var acancel context.CancelFunc
-			actx, acancel = context.WithTimeout(ctx, c.cfg.ChunkTimeout)
-			defer acancel()
-		}
-		resp, err := c.cfg.Transport.RunChunk(actx, worker, req)
+		resp, err := c.attempt(ctx, worker, req)
 		if err == nil {
 			c.ring.recordSuccess(worker)
-			if j.applyChunk(ci, resp.Points, resp.Batches, resp.BatchedPoints) {
+			if j.ApplyChunk(ci, *resp) {
 				_ = c.store.AppendChunk(j.ID, ci, worker, resp)
 			}
 			return
@@ -425,7 +415,7 @@ func (c *Coordinator) dispatchChunk(ctx context.Context, j *job, ci int) {
 		var we *WorkerError
 		switch {
 		case errors.As(err, &we) && we.Permanent():
-			j.failChunk(ci, err)
+			j.FailChunk(ci, err)
 			return
 		case errors.As(err, &we):
 			// The worker answered (5xx, or a per-worker 429/408), so it is
@@ -442,7 +432,19 @@ func (c *Coordinator) dispatchChunk(ctx context.Context, j *job, ci int) {
 		}
 		lastErr = err
 	}
-	j.failChunk(ci, fmt.Errorf("shard: chunk undeliverable: %w", lastErr))
+	j.FailChunk(ci, fmt.Errorf("shard: chunk undeliverable: %w", lastErr))
+}
+
+// attempt posts one chunk to one worker under Config.ChunkTimeout. The
+// attempt's context ends when the attempt does, so a failed attempt
+// holds no timer while the chunk retries elsewhere.
+func (c *Coordinator) attempt(ctx context.Context, worker string, req serve.ChunkRequest) (*serve.ChunkResponse, error) {
+	if c.cfg.ChunkTimeout > 0 {
+		var cancel context.CancelFunc
+		ctx, cancel = context.WithTimeout(ctx, c.cfg.ChunkTimeout)
+		defer cancel()
+	}
+	return c.cfg.Transport.RunChunk(ctx, worker, req)
 }
 
 // benchWorker records one transport-level dispatch failure against a
@@ -538,18 +540,5 @@ func (c *Coordinator) handleWorkersAdd(w http.ResponseWriter, r *http.Request) *
 	serve.WriteJSON(w, http.StatusOK, struct {
 		Workers []WorkerStatus `json:"workers"`
 	}{Workers: c.ring.workers()})
-	return nil
-}
-
-func (c *Coordinator) handleSweepCreate(w http.ResponseWriter, r *http.Request) *serve.RequestError {
-	var req serve.SweepRequest
-	if rerr := serve.DecodeJSON(w, r, &req); rerr != nil {
-		return rerr
-	}
-	j, rerr := c.submit(req)
-	if rerr != nil {
-		return rerr
-	}
-	serve.WriteJSON(w, http.StatusAccepted, j.Snapshot())
 	return nil
 }

@@ -1,8 +1,11 @@
 package shard
 
 import (
+	"context"
+	"reflect"
 	"testing"
 
+	"dyncomp/internal/engine"
 	"dyncomp/internal/serve"
 	"dyncomp/internal/zoo"
 )
@@ -117,5 +120,99 @@ func TestFleetSweepBitIdenticalOnEveryScenario(t *testing.T) {
 				uniqueIndexParams(t, res.Points)
 			})
 		}
+	}
+}
+
+// The fleet of one on the random wall: a random-scenario sweep sent to
+// a single serve.Server and to a coordinator over one worker returns
+// the same points in grid order and the same statistics — all but the
+// wall-clock and derivation-cache numbers, which are per process — and
+// every point's final time, events, activations and iterations equal a
+// direct engine.Run of its model. Equivalent runs per point, adaptive
+// in batches of 4 (the tokens axis gives every seed's shape a cohort of
+// two).
+func TestFleetOfOneOnRandomWall(t *testing.T) {
+	seeds := 200
+	if testing.Short() {
+		seeds = 40
+	}
+	values := make([]int64, seeds)
+	for i := range values {
+		values[i] = int64(i)
+	}
+	tokens := []int64{3, 40}
+	sc, err := zoo.LookupScenario("random")
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, server := newServe(t, serve.Config{})
+	_, cts := newCoord(t, Config{Workers: newFleet(t, 1)})
+	coord := cts.URL
+
+	for _, tc := range []struct {
+		engine string
+		width  int
+	}{{"equivalent", 0}, {"adaptive", 4}} {
+		t.Run(tc.engine, func(t *testing.T) {
+			req := serve.SweepRequest{
+				Engine:   tc.engine,
+				Scenario: "random",
+				Axes:     []serve.Axis{{Name: "seed", Values: values}, {Name: "tokens", Values: tokens}},
+				Options:  serve.SweepOptions{BatchWidth: tc.width},
+			}
+			one := waitTerminal(t, server, submitSweep(t, server, req).ID)
+			fleet := waitTerminal(t, coord, submitSweep(t, coord, req).ID)
+			if one.State != "done" || fleet.State != "done" {
+				t.Fatalf("settled as %q (%s) and %q (%s), want done", one.State, one.Error, fleet.State, fleet.Error)
+			}
+			if len(one.Points) != 2*seeds || len(fleet.Points) != len(one.Points) {
+				t.Fatalf("%d and %d points, want %d", len(one.Points), len(fleet.Points), 2*seeds)
+			}
+
+			eng, err := engine.Lookup(tc.engine)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i := range one.Points {
+				a, b := one.Points[i], fleet.Points[i]
+				for _, p := range []*serve.SweepPoint{&a, &b} {
+					if p.Result != nil {
+						r := *p.Result
+						r.WallNs = 0
+						p.Result = &r
+					}
+				}
+				if !reflect.DeepEqual(a, b) {
+					t.Fatalf("point %d: serve %+v, coordinator %+v", i, a, b)
+				}
+				params := zoo.ParamMap{"seed": a.Params["seed"], "tokens": a.Params["tokens"]}
+				direct, err := eng.Run(context.Background(), sc.Build(params), engine.Options{})
+				if err != nil {
+					if a.Error == "" {
+						t.Fatalf("point %d %v: direct run failed (%v), the sweep did not", i, params, err)
+					}
+					continue
+				}
+				if a.Error != "" {
+					t.Fatalf("point %d %v: %s, the direct run succeeded", i, params, a.Error)
+				}
+				got := a.Result
+				if got.FinalTimeNs != direct.FinalTimeNs || got.Events != direct.Events ||
+					got.Activations != direct.Activations || got.Iterations != direct.Iterations {
+					t.Fatalf("point %d %v: %+v, direct run %+v", i, params, *got, *direct)
+				}
+			}
+
+			sa, sb := *one.Stats, *fleet.Stats
+			for _, s := range []*serve.SweepStats{&sa, &sb} {
+				s.WallNs, s.Shapes, s.DeriveCalls, s.CacheHits = 0, 0, 0, 0
+			}
+			if !reflect.DeepEqual(sa, sb) {
+				t.Fatalf("stats: serve %+v, coordinator %+v", sa, sb)
+			}
+			if tc.width > 0 && sa.BatchedPoints != len(one.Points) {
+				t.Fatalf("%d of %d points batched", sa.BatchedPoints, len(one.Points))
+			}
+		})
 	}
 }

@@ -448,3 +448,58 @@ func TestCancelledJobStaysCancelledAfterRestart(t *testing.T) {
 		t.Fatalf("restarted state %q, want cancelled", snap.State)
 	}
 }
+
+// attemptTransport fails the first dispatch attempt and answers every
+// later one itself. When the second attempt starts it records whether
+// the first attempt's context had already ended.
+type attemptTransport struct {
+	recordingTransport
+	mu        sync.Mutex
+	attempts  int
+	first     context.Context
+	firstDone error // the first attempt's ctx.Err() as the second began
+}
+
+func (t *attemptTransport) RunChunk(ctx context.Context, workerURL string, req serve.ChunkRequest) (*serve.ChunkResponse, error) {
+	t.mu.Lock()
+	t.attempts++
+	switch t.attempts {
+	case 1:
+		t.first = ctx
+		t.mu.Unlock()
+		return nil, errors.New("connection reset")
+	case 2:
+		t.firstDone = t.first.Err()
+	}
+	t.mu.Unlock()
+	return t.recordingTransport.RunChunk(ctx, workerURL, req)
+}
+
+// Each dispatch attempt's timeout context ends with the attempt: a
+// chunk that retries holds no live context or timer of its failed
+// attempts while it waits for the next.
+func TestAttemptContextEndsWithAttempt(t *testing.T) {
+	tr := &attemptTransport{}
+	_, ts := newCoord(t, Config{
+		Workers:      []string{"http://127.0.0.1:1", "http://127.0.0.1:2"},
+		ChunkPoints:  16,
+		Dispatch:     1,
+		ChunkTimeout: time.Hour,
+		Transport:    tr,
+		Prober: ProberFunc(func(context.Context, string) error {
+			return errors.New("probing disabled")
+		}),
+	})
+	res := waitTerminal(t, ts.URL, submitSweep(t, ts.URL, faultReq).ID)
+	if res.State != "done" {
+		t.Fatalf("job settled as %q (%s)", res.State, res.Error)
+	}
+	tr.mu.Lock()
+	defer tr.mu.Unlock()
+	if tr.attempts < 2 {
+		t.Fatalf("%d dispatch attempts, want a retry", tr.attempts)
+	}
+	if tr.firstDone == nil {
+		t.Fatal("the failed first attempt's context was still live when the retry started")
+	}
+}

@@ -179,11 +179,10 @@ func TestCancelQueuedParity(t *testing.T) {
 		storePath := t.TempDir() + "/jobs.ndjson"
 		c1, ts1 := newCoord(t, Config{Workers: workers, ChunkPoints: 2, StorePath: storePath})
 		// submit without the launch: the job stays queued.
-		jp, rerr := planJob(faultReq, serve.SweepDefaults{}, 2)
+		j, rerr := serve.NewSweepJob(faultReq, serve.SweepDefaults{}, 2, time.Now())
 		if rerr != nil {
 			t.Fatal(rerr)
 		}
-		j := newJob(faultReq, time.Now(), jp)
 		j.OnSettle = c1.persistState(j)
 		if err := c1.jobs.Add(j, nil); err != nil {
 			t.Fatal(err)

@@ -38,7 +38,7 @@ var batchParallelMinWork = 1 << 14
 // node and arc order.
 type BatchEvaluator struct {
 	proto *Program   // structure owner: nodes, arcs, waves
-	lanes []*Program // per-lane programs (function weights and inputs)
+	lanes []*Program // per-lane programs (their bound inputs)
 
 	k     int
 	depth int
@@ -109,9 +109,8 @@ func batchCompatible(p, q *Program) error {
 		return fmt.Errorf("%d vs %d graph nodes", len(p.g.nodes), len(q.g.nodes))
 	case len(p.arcs) != len(q.arcs), len(p.nodes) != len(q.nodes):
 		return fmt.Errorf("packed table sizes differ")
-	case p.fns != q.fns, p.rowWidth() != q.rowWidth():
-		return fmt.Errorf("row layouts differ (%d+%d vs %d+%d entries)",
-			p.fns, p.rowWidth()-p.fns, q.fns, q.rowWidth()-q.fns)
+	case p.rowWidth() != q.rowWidth():
+		return fmt.Errorf("row widths differ (%d vs %d entries)", p.rowWidth(), q.rowWidth())
 	case !equalIDs(p.g.inputs, q.g.inputs), !equalIDs(p.g.outputs, q.g.outputs):
 		return fmt.Errorf("input/output vectors differ")
 	}
@@ -226,8 +225,8 @@ func (b *BatchEvaluator) Step(u []maxplus.T) ([]maxplus.T, error) {
 
 // fillRows fills every active lane's row of iteration k into the
 // lane-strided rows. It runs single-threaded before the (possibly
-// parallel) pass, so Inputs and function weights are never called
-// concurrently by one evaluator.
+// parallel) pass, so Inputs are never called concurrently by one
+// evaluator.
 func (b *BatchEvaluator) fillRows(k int) {
 	for l, p := range b.lanes {
 		if !b.active[l] {
@@ -378,9 +377,7 @@ func (b *BatchEvaluator) LaneValuesInto(lane int, dst []maxplus.T) {
 // iteration, as its Inputs filled it, into dst (Width entries) — the
 // batched counterpart of Evaluator.Row.
 func (b *BatchEvaluator) LaneRowInto(lane int, dst []maxplus.T) {
-	L := b.width
-	base := b.proto.fns * L
 	for i := range dst {
-		dst[i] = b.rows[base+i*L+lane]
+		dst[i] = b.rows[i*b.width+lane]
 	}
 }

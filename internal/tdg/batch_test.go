@@ -278,9 +278,9 @@ func TestBindSharesProgram(t *testing.T) {
 	u := g.AddInput("u")
 	x := g.AddNode("x", Intermediate)
 	y := g.AddNode("y", Output)
-	g.AddWeightedArc(u, x, 0, RowWeight(0))
-	g.AddConstArc(x, y, 0, 5)
-	g.AddArc(y, x, 1, nil)
+	g.AddArc(u, x, 0, RowWeight(0))
+	g.AddArc(x, y, 0, ConstWeight(5))
+	g.AddArc(y, x, 1, Weight{})
 	if err := g.Freeze(); err != nil {
 		t.Fatal(err)
 	}
@@ -322,10 +322,10 @@ func TestComputeWaves(t *testing.T) {
 	a := g.AddNode("a", Intermediate)
 	b := g.AddNode("b", Intermediate)
 	y := g.AddNode("y", Output)
-	g.AddConstArc(u, a, 0, 1)
-	g.AddConstArc(u, b, 0, 2)
-	g.AddConstArc(a, y, 0, 3)
-	g.AddConstArc(b, y, 0, 4)
+	g.AddArc(u, a, 0, ConstWeight(1))
+	g.AddArc(u, b, 0, ConstWeight(2))
+	g.AddArc(a, y, 0, ConstWeight(3))
+	g.AddArc(b, y, 0, ConstWeight(4))
 	if err := g.Freeze(); err != nil {
 		t.Fatal(err)
 	}
@@ -343,11 +343,11 @@ func TestComputeWaves(t *testing.T) {
 	prev := cu
 	for i := 0; i < 4; i++ {
 		n := c.AddNode(string(rune('a'+i)), Intermediate)
-		c.AddConstArc(prev, n, 0, 1)
+		c.AddArc(prev, n, 0, ConstWeight(1))
 		prev = n
 	}
 	cy := c.AddNode("y", Output)
-	c.AddConstArc(prev, cy, 0, 1)
+	c.AddArc(prev, cy, 0, ConstWeight(1))
 	if err := c.Freeze(); err != nil {
 		t.Fatal(err)
 	}

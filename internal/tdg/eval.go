@@ -149,15 +149,6 @@ func (e *Evaluator) fill(k int) error {
 	return nil
 }
 
-// inputsRow is the part of the row the bound Inputs fill: what row
-// weights index.
-func (e *Evaluator) inputsRow() []maxplus.T {
-	if e.prog == nil {
-		return nil
-	}
-	return e.row[e.prog.fns:]
-}
-
 // Row returns iteration k's row as the program's Inputs filled it
 // (Width entries), filling it if the evaluator does not hold it. The
 // slice is reused by the next fill.
@@ -165,14 +156,14 @@ func (e *Evaluator) Row(k int) ([]maxplus.T, error) {
 	if err := e.fill(k); err != nil {
 		return nil, err
 	}
-	return e.inputsRow(), nil
+	return e.row, nil
 }
 
 // interpretPass computes every non-input instant of iteration k by
 // walking the graph's arc lists — the reference semantics the compiled
 // passes must match bit-exactly.
 func (e *Evaluator) interpretPass(k, slot int) {
-	row := e.inputsRow()
+	row := e.row
 	for _, id := range e.g.topo {
 		n := e.g.nodes[id]
 		if n.Kind == Input {
@@ -187,7 +178,7 @@ func (e *Evaluator) interpretPass(k, slot int) {
 			if src == maxplus.Epsilon {
 				continue
 			}
-			v := a.Weight.Apply(src, k, row)
+			v := a.Weight.Apply(src, row)
 			if v > acc {
 				acc = v
 			}
@@ -256,7 +247,7 @@ func (e *Evaluator) PeekDelayed(arcs []Arc, k int) (maxplus.T, error) {
 		if src == maxplus.Epsilon {
 			continue
 		}
-		v := a.Weight.Apply(src, k, row)
+		v := a.Weight.Apply(src, row)
 		if v > acc {
 			acc = v
 		}

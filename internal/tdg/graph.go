@@ -53,36 +53,18 @@ func (k NodeKind) String() string {
 	}
 }
 
-// WeightFn returns an arc weight (a duration) for iteration k. Weights
-// must be deterministic in k.
-type WeightFn func(k int) maxplus.T
-
 // Weight describes an arc weight for evaluation and compilation: the
-// identity e, a compile-time constant, an entry of the iteration row, or
-// a k-dependent function. The zero value is the identity. Compile
-// inlines identity and constant weights into the flat arc table; row
-// weights read the row the program's bound Inputs fill once per
-// iteration (see Program.Bind), and function weights are called once per
-// iteration into the same row. Builders that know a weight is constant
-// (AddConstArc) should say so rather than wrap the constant in a
-// closure.
+// identity e, a compile-time constant, or an entry of the iteration row.
+// The zero value is the identity. Compile inlines identity and constant
+// weights into the flat arc table; row weights read the row the
+// program's bound Inputs fill once per iteration (see Program.Bind).
 type Weight struct {
-	fn  WeightFn
 	c   maxplus.T
 	row int32 // > 0: the weight is entry row-1 of the iteration row
 }
 
 // ConstWeight returns a weight with the same value at every iteration.
 func ConstWeight(v maxplus.T) Weight { return Weight{c: v} }
-
-// VaryingWeight wraps a k-dependent weight function; a nil fn is the
-// identity.
-func VaryingWeight(fn WeightFn) Weight {
-	if fn == nil {
-		return Weight{}
-	}
-	return Weight{fn: fn}
-}
 
 // RowWeight returns the weight held by entry i of the iteration row.
 func RowWeight(i int) Weight { return Weight{row: int32(i) + 1} }
@@ -91,32 +73,29 @@ func RowWeight(i int) Weight { return Weight{row: int32(i) + 1} }
 func (w Weight) RowEntry() (int, bool) { return int(w.row) - 1, w.row > 0 }
 
 // IsIdentity reports whether the weight is e (adds nothing).
-func (w Weight) IsIdentity() bool { return w.fn == nil && w.row == 0 && w.c == maxplus.E }
+func (w Weight) IsIdentity() bool { return w.row == 0 && w.c == maxplus.E }
 
 // Const returns the weight's value and true when it is iteration
 // independent (identity or constant).
-func (w Weight) Const() (maxplus.T, bool) { return w.c, w.fn == nil && w.row == 0 }
+func (w Weight) Const() (maxplus.T, bool) { return w.c, w.row == 0 }
 
-// At returns the weight at iteration k; row is iteration k's row, which
-// only row weights read.
-func (w Weight) At(k int, row []maxplus.T) maxplus.T {
-	switch {
-	case w.row > 0:
+// At returns the weight at the iteration whose row is given; only row
+// weights read it.
+func (w Weight) At(row []maxplus.T) maxplus.T {
+	if w.row > 0 {
 		return row[w.row-1]
-	case w.fn != nil:
-		return w.fn(k)
 	}
 	return w.c
 }
 
-// Apply returns src ⊗ w(k): src unchanged for the identity, the
-// saturating (max,+) product otherwise (ε absorbing). row is iteration
-// k's row, as for At.
-func (w Weight) Apply(src maxplus.T, k int, row []maxplus.T) maxplus.T {
+// Apply returns src ⊗ w: src unchanged for the identity, the saturating
+// (max,+) product otherwise (ε absorbing). row is the iteration's row,
+// as for At.
+func (w Weight) Apply(src maxplus.T, row []maxplus.T) maxplus.T {
 	if w.IsIdentity() {
 		return src
 	}
-	return maxplus.Otimes(src, w.At(k, row))
+	return maxplus.Otimes(src, w.At(row))
 }
 
 // Node is one evolution instant of the graph.
@@ -186,16 +165,9 @@ func (g *Graph) addNode(name string, kind NodeKind) NodeID {
 	return id
 }
 
-// AddArc adds the dependency to(k) ≥ from(k-delay) ⊗ w(k). A nil weight
-// is the identity e.
-func (g *Graph) AddArc(from, to NodeID, delay int, w WeightFn) {
-	g.AddWeightedArc(from, to, delay, VaryingWeight(w))
-}
-
-// AddWeightedArc adds an arc with an explicit weight descriptor; it is
-// the general form behind AddArc and AddConstArc, and the one for row
-// weights.
-func (g *Graph) AddWeightedArc(from, to NodeID, delay int, w Weight) {
+// AddArc adds the dependency to(k) ≥ from(k-delay) ⊗ w(k). The zero
+// Weight is the identity e.
+func (g *Graph) AddArc(from, to NodeID, delay int, w Weight) {
 	if g.frozen {
 		panic("tdg: graph is frozen")
 	}
@@ -211,12 +183,6 @@ func (g *Graph) AddWeightedArc(from, to NodeID, delay int, w Weight) {
 	g.in[to] = append(g.in[to], Arc{From: from, Delay: delay, Weight: w})
 }
 
-// AddConstArc adds an arc with a constant weight, which the compiled
-// evaluator inlines into its flat arc table.
-func (g *Graph) AddConstArc(from, to NodeID, delay int, w maxplus.T) {
-	g.AddWeightedArc(from, to, delay, ConstWeight(w))
-}
-
 // AddPadChain appends n pad nodes chained from the given node with
 // identity weights; they inflate ComputeInstant cost without changing any
 // result (used by the Fig. 5 complexity experiment). It returns the last
@@ -225,7 +191,7 @@ func (g *Graph) AddPadChain(from NodeID, n int) NodeID {
 	cur := from
 	for i := 0; i < n; i++ {
 		p := g.AddNode(fmt.Sprintf("pad%d_%d", from, i), Pad)
-		g.AddArc(cur, p, 0, nil)
+		g.AddArc(cur, p, 0, Weight{})
 		cur = p
 	}
 	return cur

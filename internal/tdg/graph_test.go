@@ -17,7 +17,8 @@ func didacticDurations(k int) (ti1, tj1, ti2, ti3, tj3, ti4 maxplus.T) {
 }
 
 // buildDidactic constructs the temporal dependency graph of the paper's
-// Fig. 3, implementing equations (1)-(6).
+// Fig. 3, implementing equations (1)-(6); its durations are row entries
+// 0-5, which didacticRow fills.
 func buildDidactic(t *testing.T) (*Graph, map[string]NodeID) {
 	t.Helper()
 	g := New("didactic")
@@ -28,25 +29,47 @@ func buildDidactic(t *testing.T) (*Graph, map[string]NodeID) {
 	}
 	ids["xM6"] = g.AddNode("xM6", Output)
 
-	d := func(sel int) WeightFn {
-		return func(k int) maxplus.T {
-			ti1, tj1, ti2, ti3, tj3, ti4 := didacticDurations(k)
-			return []maxplus.T{ti1, tj1, ti2, ti3, tj3, ti4}[sel]
-		}
-	}
-	g.AddArc(ids["u"], ids["xM1"], 0, nil)
-	g.AddArc(ids["xM4"], ids["xM1"], 1, nil)
-	g.AddArc(ids["xM1"], ids["xM2"], 0, d(0)) // Ti1
-	g.AddArc(ids["xM5"], ids["xM2"], 1, nil)
-	g.AddArc(ids["xM2"], ids["xM3"], 0, d(1)) // Tj1
-	g.AddArc(ids["xM4"], ids["xM3"], 1, nil)
-	g.AddArc(ids["xM3"], ids["xM4"], 0, d(2)) // Ti2
-	g.AddArc(ids["xM2"], ids["xM4"], 0, d(3)) // Ti3
-	g.AddArc(ids["xM5"], ids["xM4"], 1, nil)
-	g.AddArc(ids["xM4"], ids["xM5"], 0, d(4)) // Tj3
-	g.AddArc(ids["xM6"], ids["xM5"], 1, nil)
-	g.AddArc(ids["xM5"], ids["xM6"], 0, d(5)) // Ti4
+	g.AddArc(ids["u"], ids["xM1"], 0, Weight{})
+	g.AddArc(ids["xM4"], ids["xM1"], 1, Weight{})
+	g.AddArc(ids["xM1"], ids["xM2"], 0, RowWeight(0)) // Ti1
+	g.AddArc(ids["xM5"], ids["xM2"], 1, Weight{})
+	g.AddArc(ids["xM2"], ids["xM3"], 0, RowWeight(1)) // Tj1
+	g.AddArc(ids["xM4"], ids["xM3"], 1, Weight{})
+	g.AddArc(ids["xM3"], ids["xM4"], 0, RowWeight(2)) // Ti2
+	g.AddArc(ids["xM2"], ids["xM4"], 0, RowWeight(3)) // Ti3
+	g.AddArc(ids["xM5"], ids["xM4"], 1, Weight{})
+	g.AddArc(ids["xM4"], ids["xM5"], 0, RowWeight(4)) // Tj3
+	g.AddArc(ids["xM6"], ids["xM5"], 1, Weight{})
+	g.AddArc(ids["xM5"], ids["xM6"], 0, RowWeight(5)) // Ti4
 	return g, ids
+}
+
+// didacticRow fills iteration k's durations Ti1, Tj1, Ti2, Ti3, Tj3 and
+// Ti4 into the row.
+type didacticRow struct{}
+
+func (didacticRow) Width() int { return 6 }
+
+func (didacticRow) Fill(k int, row []maxplus.T, stride int) error {
+	ti1, tj1, ti2, ti3, tj3, ti4 := didacticDurations(k)
+	for i, v := range []maxplus.T{ti1, tj1, ti2, ti3, tj3, ti4} {
+		row[i*stride] = v
+	}
+	return nil
+}
+
+// didacticEvaluator interprets a frozen buildDidactic graph with its
+// durations bound.
+func didacticEvaluator(t *testing.T, g *Graph) *Evaluator {
+	t.Helper()
+	prog, err := Compile(g)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if prog, err = prog.Bind(didacticRow{}); err != nil {
+		t.Fatal(err)
+	}
+	return prog.NewInterpreter()
 }
 
 // didacticDirect evaluates equations (1)-(6) literally.
@@ -73,10 +96,7 @@ func TestEvaluatorReproducesDidacticEquations(t *testing.T) {
 	if err := g.Freeze(); err != nil {
 		t.Fatal(err)
 	}
-	ev, err := NewEvaluator(g)
-	if err != nil {
-		t.Fatal(err)
-	}
+	ev := didacticEvaluator(t, g)
 	u := func(k int) maxplus.T { return maxplus.T(int64(k) * 100) }
 	want := didacticDirect(300, u)
 	names := []string{"xM1", "xM2", "xM3", "xM4", "xM5", "xM6"}
@@ -116,9 +136,9 @@ func TestFreezeDetectsZeroDelayCycle(t *testing.T) {
 	u := g.AddInput("u")
 	a := g.AddNode("a", Intermediate)
 	b := g.AddNode("b", Output)
-	g.AddArc(u, a, 0, nil)
-	g.AddConstArc(a, b, 0, 1)
-	g.AddConstArc(b, a, 0, 1)
+	g.AddArc(u, a, 0, Weight{})
+	g.AddArc(a, b, 0, ConstWeight(1))
+	g.AddArc(b, a, 0, ConstWeight(1))
 	err := g.Freeze()
 	if err == nil || !strings.Contains(err.Error(), "cycle") {
 		t.Fatalf("err = %v", err)
@@ -130,9 +150,9 @@ func TestFreezeAllowsDelayedCycle(t *testing.T) {
 	u := g.AddInput("u")
 	a := g.AddNode("a", Intermediate)
 	y := g.AddNode("y", Output)
-	g.AddArc(u, a, 0, nil)
-	g.AddConstArc(y, a, 1, 0) // feedback through a delay
-	g.AddConstArc(a, y, 0, 5)
+	g.AddArc(u, a, 0, Weight{})
+	g.AddArc(y, a, 1, ConstWeight(0)) // feedback through a delay
+	g.AddArc(a, y, 0, ConstWeight(5))
 	if err := g.Freeze(); err != nil {
 		t.Fatal(err)
 	}
@@ -167,8 +187,8 @@ func TestPadsDoNotChangeOutputs(t *testing.T) {
 	if g2.NodeCount() != g1.NodeCount()+50 {
 		t.Fatalf("pad count wrong: %d vs %d", g2.NodeCount(), g1.NodeCount())
 	}
-	e1, _ := NewEvaluator(g1)
-	e2, _ := NewEvaluator(g2)
+	e1 := didacticEvaluator(t, g1)
+	e2 := didacticEvaluator(t, g2)
 	for k := 0; k < 50; k++ {
 		u := []maxplus.T{maxplus.T(k * 10)}
 		y1, err1 := e1.Step(u)
@@ -187,7 +207,7 @@ func TestEvaluatorHistoryBeforeOriginIsEpsilon(t *testing.T) {
 	g := New("deep")
 	u := g.AddInput("u")
 	y := g.AddNode("y", Output)
-	g.AddConstArc(u, y, 3, 7)
+	g.AddArc(u, y, 3, ConstWeight(7))
 	if err := g.Freeze(); err != nil {
 		t.Fatal(err)
 	}
@@ -215,7 +235,7 @@ func TestValuesInto(t *testing.T) {
 	if err := g.Freeze(); err != nil {
 		t.Fatal(err)
 	}
-	ev, _ := NewEvaluator(g)
+	ev := didacticEvaluator(t, g)
 	if _, err := ev.Step([]maxplus.T{0}); err != nil {
 		t.Fatal(err)
 	}
@@ -236,7 +256,7 @@ func TestEvaluatorReset(t *testing.T) {
 	if err := g.Freeze(); err != nil {
 		t.Fatal(err)
 	}
-	ev, _ := NewEvaluator(g)
+	ev := didacticEvaluator(t, g)
 	y1, _ := ev.Step([]maxplus.T{0})
 	first := y1[0]
 	_, _ = ev.Step([]maxplus.T{100})
@@ -258,7 +278,7 @@ func TestEvaluatorErrors(t *testing.T) {
 	if err := g.Freeze(); err != nil {
 		t.Fatal(err)
 	}
-	ev, _ := NewEvaluator(g)
+	ev := didacticEvaluator(t, g)
 	if _, err := ev.Step([]maxplus.T{1, 2}); err == nil {
 		t.Fatal("expected error for wrong input count")
 	}
@@ -273,18 +293,18 @@ func TestBuilderPanics(t *testing.T) {
 			g := New("x")
 			u := g.AddInput("u")
 			a := g.AddNode("a", Output)
-			g.AddArc(a, u, 0, nil)
+			g.AddArc(a, u, 0, Weight{})
 		}},
 		{"negative-delay", func() {
 			g := New("x")
 			u := g.AddInput("u")
 			a := g.AddNode("a", Output)
-			g.AddArc(u, a, -1, nil)
+			g.AddArc(u, a, -1, Weight{})
 		}},
 		{"unknown-node", func() {
 			g := New("x")
 			u := g.AddInput("u")
-			g.AddArc(u, NodeID(99), 0, nil)
+			g.AddArc(u, NodeID(99), 0, Weight{})
 		}},
 		{"add-input-via-addnode", func() {
 			g := New("x")
@@ -294,7 +314,7 @@ func TestBuilderPanics(t *testing.T) {
 			g := New("x")
 			u := g.AddInput("u")
 			y := g.AddNode("y", Output)
-			g.AddArc(u, y, 0, nil)
+			g.AddArc(u, y, 0, Weight{})
 			if err := g.Freeze(); err != nil {
 				panic("unexpected: " + err.Error())
 			}
@@ -304,7 +324,7 @@ func TestBuilderPanics(t *testing.T) {
 			g := New("x")
 			u := g.AddInput("u")
 			y := g.AddNode("y", Output)
-			g.AddArc(u, y, 0, nil)
+			g.AddArc(u, y, 0, Weight{})
 			_ = g.Freeze()
 			ev, _ := NewEvaluator(g)
 			ev.Value(u)
@@ -360,8 +380,8 @@ func TestEvaluatorMonotoneInInputs(t *testing.T) {
 		if err := g2.Freeze(); err != nil {
 			t.Fatal(err)
 		}
-		e1, _ := NewEvaluator(g1)
-		e2, _ := NewEvaluator(g2)
+		e1 := didacticEvaluator(t, g1)
+		e2 := didacticEvaluator(t, g2)
 		var base maxplus.T
 		for k := 0; k < 30; k++ {
 			base += maxplus.T(r.Int63n(100))

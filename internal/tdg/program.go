@@ -13,9 +13,8 @@ import (
 // with ring-slot offsets precomputed, and iteration-independent weights
 // (the identity and constants) are inlined into the arc table. Every
 // k-dependent weight is an index into the iteration row, which the
-// evaluator fills once per iteration before the pass: first one entry
-// per function weight, then the entries of the program's bound Inputs
-// (see Bind).
+// program's bound Inputs (see Bind) fill once per iteration before the
+// pass.
 //
 // One Program serves any number of concurrent evaluators: all compiled
 // state is immutable after Compile. The steady-state pass (once every
@@ -31,10 +30,6 @@ type Program struct {
 	// the arcs of nodes[i] are arcs[nodes[i].lo:nodes[i].hi].
 	nodes []progNode
 	arcs  []progArc
-	// weights holds the function weights: row entry j is weights[j](k).
-	// Row weight i reads row entry fns+i.
-	weights []Weight
-	fns     int // len(weights), fixed before packing
 	// rowRefs is one past the largest Inputs row entry an arc reads.
 	rowRefs int
 	// in fills the row weights (nil: the program reads none).
@@ -114,16 +109,10 @@ func Compile(g *Graph) (*Program, error) {
 		pool:  &sync.Pool{},
 		bpool: &sync.Pool{},
 	}
-	arcCount, fns := 0, 0
+	arcCount := 0
 	for _, arcs := range g.in {
 		arcCount += len(arcs)
-		for _, a := range arcs {
-			if a.Weight.fn != nil {
-				fns++
-			}
-		}
 	}
-	p.fns = fns
 	p.arcs = make([]progArc, 0, arcCount)
 	for _, id := range g.topo {
 		if g.nodes[id].Kind == Input {
@@ -172,8 +161,7 @@ func (p *Program) computeWaves() {
 }
 
 // packArc flattens one arc, inlining iteration-independent weights and
-// pointing the others at their row entry. Function weights take the
-// head of the row (Compile counts them into p.fns first).
+// pointing row weights at their row entry.
 func (p *Program) packArc(a Arc) progArc {
 	pa := progArc{
 		srcBase: int32(a.From) * p.depth,
@@ -186,14 +174,10 @@ func (p *Program) packArc(a Arc) progArc {
 		p.constArcs++
 		return pa
 	}
+	i, _ := a.Weight.RowEntry()
 	p.varyArcs++
-	if i, ok := a.Weight.RowEntry(); ok {
-		pa.widx = int32(p.fns + i)
-		p.rowRefs = max(p.rowRefs, i+1)
-		return pa
-	}
-	pa.widx = int32(len(p.weights))
-	p.weights = append(p.weights, a.Weight)
+	pa.widx = int32(i)
+	p.rowRefs = max(p.rowRefs, i+1)
 	return pa
 }
 
@@ -212,20 +196,16 @@ func (p *Program) Bind(in Inputs) (*Program, error) {
 
 // rowWidth is the length of an evaluator's iteration row.
 func (p *Program) rowWidth() int {
-	n := p.fns
-	if p.in != nil {
-		n += p.in.Width()
+	if p.in == nil {
+		return 0
 	}
-	return n
+	return p.in.Width()
 }
 
-// fillRow writes iteration k's row: function weights, then the inputs.
+// fillRow writes iteration k's row from the bound inputs.
 func (p *Program) fillRow(k int, row []maxplus.T, stride int) error {
-	for j, w := range p.weights {
-		row[j*stride] = w.fn(k)
-	}
 	if p.in != nil {
-		return p.in.Fill(k, row[p.fns*stride:], stride)
+		return p.in.Fill(k, row, stride)
 	}
 	if p.rowRefs > 0 {
 		return fmt.Errorf("tdg: program %q reads row weights but has no inputs bound", p.g.Name)

@@ -39,24 +39,17 @@ func randomGraph(t *testing.T, seed int64) *Graph {
 			}
 			switch r.Intn(3) {
 			case 0:
-				g.AddArc(from, id, delay, nil)
+				g.AddArc(from, id, delay, Weight{})
 			case 1:
-				g.AddConstArc(from, id, delay, maxplus.T(r.Int63n(500)))
+				g.AddArc(from, id, delay, ConstWeight(maxplus.T(r.Int63n(500))))
 			default:
-				if r.Intn(2) == 0 {
-					g.AddWeightedArc(from, id, delay, RowWeight(rowEntries))
-					rowEntries++
-					break
-				}
-				mul := maxplus.T(1 + r.Int63n(7))
-				g.AddArc(from, id, delay, func(k int) maxplus.T {
-					return maxplus.T(int64(k)%97) * mul
-				})
+				g.AddArc(from, id, delay, RowWeight(rowEntries))
+				rowEntries++
 			}
 		}
 		// Occasional delayed self-feedback, as rotation gates produce.
 		if r.Intn(4) == 0 {
-			g.AddArc(id, id, 1+r.Intn(2), nil)
+			g.AddArc(id, id, 1+r.Intn(2), Weight{})
 		}
 		ids = append(ids, id)
 	}
@@ -237,9 +230,9 @@ func TestBindReadsItsOwnRow(t *testing.T) {
 	u := g.AddInput("u")
 	x := g.AddNode("x", Intermediate)
 	y := g.AddNode("y", Output)
-	g.AddWeightedArc(u, x, 0, RowWeight(1))
-	g.AddArc(x, y, 0, nil)
-	g.AddArc(y, x, 1, nil)
+	g.AddArc(u, x, 0, RowWeight(1))
+	g.AddArc(x, y, 0, Weight{})
+	g.AddArc(y, x, 1, Weight{})
 	if err := g.Freeze(); err != nil {
 		t.Fatal(err)
 	}
@@ -291,7 +284,7 @@ func TestProgramStats(t *testing.T) {
 	g := New("pads")
 	u := g.AddInput("u")
 	out := g.AddNode("y", Output)
-	g.AddArc(u, out, 0, nil)
+	g.AddArc(u, out, 0, Weight{})
 	g.AddPadChain(out, 10)
 	if err := g.Freeze(); err != nil {
 		t.Fatal(err)
