@@ -121,6 +121,9 @@ func RunBatchContext(ctx context.Context, lanes []*derive.Result, opts BatchOpti
 				retire(l, err)
 				continue
 			}
+			if !c.observed(k) {
+				continue
+			}
 			be.LaneValuesInto(l, c.vals)
 			be.LaneRowInto(l, c.row)
 			if !c.record(k, c.row) || k+1 == c.n {

@@ -27,9 +27,10 @@ const progressEvery = 64
 // Under opts.Limit the instants up to the limit are recorded, as in the
 // reference executor: iterations are computed until one reaches nothing
 // within the limit, and Result.Iterations counts the iterations recorded
-// whole. Every progressEvery iterations Compute calls progress (when
-// non-nil) with the iterations done and the total, then returns ctx's
-// error if it is cancelled.
+// whole. A run with neither a trace nor a limit reconstructs only its
+// last iteration (see computed.observed). Every progressEvery iterations
+// Compute calls progress (when non-nil) with the iterations done and the
+// total, then returns ctx's error if it is cancelled.
 func (m *Model) Compute(ctx context.Context, opts Options, progress func(done, total int)) (*Result, error) {
 	c, err := newComputed(m.res, opts.Trace, opts.Limit, opts.IterLimit)
 	if err != nil {
@@ -52,6 +53,9 @@ func (m *Model) Compute(ctx context.Context, opts Options, progress func(done, t
 		}
 		if _, err := ev.Step(us); err != nil {
 			return nil, err
+		}
+		if !c.observed(k) {
+			continue
 		}
 		ev.ValuesInto(c.vals)
 		row, err := ev.Row(k)
@@ -79,6 +83,7 @@ type computed struct {
 	row   []maxplus.T // its row, for a batch lane (see RunBatch)
 	limit maxplus.T
 	n     int       // iterations to compute
+	every bool      // record every iteration, not only the last
 	end   maxplus.T // latest instant or activity end computed
 	whole int       // first iteration with an instant past the limit
 }
@@ -91,13 +96,17 @@ func newComputed(res *derive.Result, trace *observe.Trace, limit sim.Time, iterL
 	if iterLimit > 0 && iterLimit < n {
 		n = iterLimit
 	}
+	nodes := res.LabelledNodes(nil, nil)
 	c := &computed{
 		res:   res,
 		trace: trace,
-		nodes: res.LabelledNodes(nil, nil),
+		nodes: nodes,
 		vals:  make([]maxplus.T, res.Graph.NodeCount()),
 		limit: maxplus.T(sim.Forever),
 		n:     n,
+		// Without labelled nodes record stops a run after its first
+		// iteration, so that one must be recorded too.
+		every: trace != nil || limit > 0 || len(nodes) == 0,
 		end:   maxplus.Epsilon,
 		whole: n,
 	}
@@ -105,6 +114,17 @@ func newComputed(res *derive.Result, trace *observe.Trace, limit sim.Time, iterL
 		c.limit = maxplus.T(limit)
 	}
 	return c, nil
+}
+
+// observed reports whether iteration k must be recorded. A trace needs
+// every iteration, and so does a limit, because record finds the
+// iteration that reaches nothing within it. Without either, a run's only
+// product is its final time: instants and activity ends never decrease
+// with k (every process runs its body in order, so occurrence k+1 of a
+// statement starts after occurrence k ends), so the last iteration holds
+// the latest end and is the only one recorded.
+func (c *computed) observed(k int) bool {
+	return c.every || k+1 == c.n
 }
 
 // schedule writes the source instants of iteration k into u: input i

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"hash/fnv"
 	"sort"
+	"strconv"
 	"sync"
 	"sync/atomic"
 
@@ -42,9 +43,11 @@ const DefaultEntries = 1024
 
 // entryKeyFor extends a structural shape key with the derivation options
 // that change the template (pad nodes, reduction), so one
-// cache serves differently-derived views of one shape side by side.
+// cache serves differently-derived views of one shape side by side. It
+// runs once per request; Snapshot digests the result, so its bytes are
+// a metric label and must not change.
 func entryKeyFor(key string, opts Options) string {
-	return fmt.Sprintf("%s\x00pad=%d reduce=%t", key, opts.PadNodes, opts.Reduce)
+	return key + "\x00pad=" + strconv.Itoa(opts.PadNodes) + " reduce=" + strconv.FormatBool(opts.Reduce)
 }
 
 type cacheEntry struct {

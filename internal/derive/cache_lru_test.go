@@ -86,3 +86,24 @@ func TestCacheSnapshotOccupancy(t *testing.T) {
 		}
 	}
 }
+
+// A snapshot digest is a /metrics label: the entry key it digests (the
+// shape key plus the derivation options) keeps its bytes.
+func TestCacheSnapshotDigestPinned(t *testing.T) {
+	c := NewCacheLimit(8)
+	for _, want := range []struct {
+		opts   Options
+		digest string
+	}{
+		{Options{}, "eca08530"},
+		{Options{PadNodes: 3, Reduce: true}, "1f716de4"},
+	} {
+		a := zoo.DidacticChain(2, zoo.DidacticSpec{Tokens: 5, Period: 100, Seed: 1})
+		if _, err := c.Derive(a, want.opts); err != nil {
+			t.Fatal(err)
+		}
+		if got := c.Snapshot()[0].Digest; got != want.digest {
+			t.Errorf("options %+v: digest %s, want %s", want.opts, got, want.digest)
+		}
+	}
+}

@@ -2,7 +2,7 @@ package derive
 
 import (
 	"fmt"
-	"strings"
+	"strconv"
 
 	"dyncomp/internal/model"
 )
@@ -14,57 +14,162 @@ import (
 // and counts, cost functions and resource speeds — are excluded: two
 // architectures with equal shape keys derive structurally identical
 // graphs and can share one derivation through Rebind or a Cache.
+//
+// The key is a stable text: the shard ring places shapes by it and a
+// cache's snapshot digests it, so its bytes must not change. It is
+// appended into one buffer sized up front, because every sweep point
+// and cache request builds one.
 func ShapeKey(a *model.Architecture) (string, error) {
 	if err := a.Validate(); err != nil {
 		return "", err
 	}
-	fnIdx := make(map[*model.Function]int, len(a.Functions))
-	for i, f := range a.Functions {
-		fnIdx[f] = i
+	fns := positionsOf(a.Functions)
+	chs := positionsOf(a.Channels)
+	ress := positionsOf(a.Resources)
+
+	n := len("arch \n") + len(a.Name)
+	for _, ch := range a.Channels {
+		n += len("ch  kind= cap= src=false sink=false\n") + len(ch.Name) + 3*keyDigits
 	}
-	chIdx := make(map[*model.Channel]int, len(a.Channels))
-	for i, ch := range a.Channels {
-		chIdx[ch] = i
+	for _, f := range a.Functions {
+		n += len("fn  res= rot= body=\n") + len(f.Name) + 3*keyDigits
+		for _, st := range f.Body {
+			n += len("X;") + keyDigits
+			if x, ok := st.(model.Exec); ok {
+				n += len(x.Label)
+			}
+		}
 	}
-	resIdx := make(map[*model.Resource]int, len(a.Resources))
-	for i, r := range a.Resources {
-		resIdx[r] = i
+	for _, r := range a.Resources {
+		n += len("res  kind= conc= rot=\n") + len(r.Name) + 3*keyDigits + len(r.Rotation)*(keyDigits+1)
+	}
+	for _, s := range a.Sources {
+		n += len("src  ch=\n") + len(s.Name) + 2*keyDigits
+	}
+	for _, s := range a.Sinks {
+		n += len("sink  ch=\n") + len(s.Name) + 2*keyDigits
 	}
 
-	var b strings.Builder
-	fmt.Fprintf(&b, "arch %s\n", a.Name)
+	b := make([]byte, 0, n)
+	b = append(b, "arch "...)
+	b = append(b, a.Name...)
+	b = append(b, '\n')
 	for i, ch := range a.Channels {
-		fmt.Fprintf(&b, "ch %d %s kind=%d cap=%d src=%t sink=%t\n",
-			i, ch.Name, ch.Kind, ch.Capacity, ch.Source != nil, ch.Sink != nil)
+		b = append(b, "ch "...)
+		b = strconv.AppendInt(b, int64(i), 10)
+		b = append(b, ' ')
+		b = append(b, ch.Name...)
+		b = append(b, " kind="...)
+		b = strconv.AppendInt(b, int64(ch.Kind), 10)
+		b = append(b, " cap="...)
+		b = strconv.AppendInt(b, int64(ch.Capacity), 10)
+		b = append(b, " src="...)
+		b = strconv.AppendBool(b, ch.Source != nil)
+		b = append(b, " sink="...)
+		b = strconv.AppendBool(b, ch.Sink != nil)
+		b = append(b, '\n')
 	}
 	for i, f := range a.Functions {
-		fmt.Fprintf(&b, "fn %d %s res=%d rot=%d body=", i, f.Name, resIdx[f.Resource], f.RotIndex)
+		b = append(b, "fn "...)
+		b = strconv.AppendInt(b, int64(i), 10)
+		b = append(b, ' ')
+		b = append(b, f.Name...)
+		b = append(b, " res="...)
+		b = strconv.AppendInt(b, int64(ress.of(f.Resource)), 10)
+		b = append(b, " rot="...)
+		b = strconv.AppendInt(b, int64(f.RotIndex), 10)
+		b = append(b, " body="...)
 		for _, st := range f.Body {
 			switch s := st.(type) {
 			case model.Read:
-				fmt.Fprintf(&b, "R%d;", chIdx[s.Ch])
+				b = append(b, 'R')
+				b = strconv.AppendInt(b, int64(chs.of(s.Ch)), 10)
 			case model.Write:
-				fmt.Fprintf(&b, "W%d;", chIdx[s.Ch])
+				b = append(b, 'W')
+				b = strconv.AppendInt(b, int64(chs.of(s.Ch)), 10)
 			case model.Exec:
-				fmt.Fprintf(&b, "X%s;", s.Label)
+				b = append(b, 'X')
+				b = append(b, s.Label...)
 			}
+			b = append(b, ';')
 		}
-		b.WriteByte('\n')
+		b = append(b, '\n')
 	}
 	for i, r := range a.Resources {
-		fmt.Fprintf(&b, "res %d %s kind=%d conc=%d rot=", i, r.Name, r.Kind, r.Concurrency)
+		b = append(b, "res "...)
+		b = strconv.AppendInt(b, int64(i), 10)
+		b = append(b, ' ')
+		b = append(b, r.Name...)
+		b = append(b, " kind="...)
+		b = strconv.AppendInt(b, int64(r.Kind), 10)
+		b = append(b, " conc="...)
+		b = strconv.AppendInt(b, int64(r.Concurrency), 10)
+		b = append(b, " rot="...)
 		for _, f := range r.Rotation {
-			fmt.Fprintf(&b, "%d;", fnIdx[f])
+			b = strconv.AppendInt(b, int64(fns.of(f)), 10)
+			b = append(b, ';')
 		}
-		b.WriteByte('\n')
+		b = append(b, '\n')
 	}
 	for i, s := range a.Sources {
-		fmt.Fprintf(&b, "src %d %s ch=%d\n", i, s.Name, chIdx[s.Ch])
+		b = append(b, "src "...)
+		b = strconv.AppendInt(b, int64(i), 10)
+		b = append(b, ' ')
+		b = append(b, s.Name...)
+		b = append(b, " ch="...)
+		b = strconv.AppendInt(b, int64(chs.of(s.Ch)), 10)
+		b = append(b, '\n')
 	}
 	for i, s := range a.Sinks {
-		fmt.Fprintf(&b, "sink %d %s ch=%d\n", i, s.Name, chIdx[s.Ch])
+		b = append(b, "sink "...)
+		b = strconv.AppendInt(b, int64(i), 10)
+		b = append(b, ' ')
+		b = append(b, s.Name...)
+		b = append(b, " ch="...)
+		b = strconv.AppendInt(b, int64(chs.of(s.Ch)), 10)
+		b = append(b, '\n')
 	}
-	return b.String(), nil
+	return string(b), nil
+}
+
+// keyDigits is the room ShapeKey's size estimate gives each number; a
+// longer one only grows the buffer.
+const keyDigits = 4
+
+// scanMax is the longest slice positions scans; a longer one is indexed
+// by a map, so a key stays linear in the architecture's size.
+const scanMax = 32
+
+// positions finds an element's position in a slice. Short slices (every
+// zoo model) are scanned, which is cheaper than building a map. Both
+// lookups agree everywhere: an element listed twice is at its last
+// position, and one not listed at position 0.
+type positions[T comparable] struct {
+	s []T
+	m map[T]int
+}
+
+func positionsOf[T comparable](s []T) positions[T] {
+	p := positions[T]{s: s}
+	if len(s) > scanMax {
+		p.m = make(map[T]int, len(s))
+		for i, x := range s {
+			p.m[x] = i
+		}
+	}
+	return p
+}
+
+func (p positions[T]) of(x T) int {
+	if p.m != nil {
+		return p.m[x]
+	}
+	for i := len(p.s) - 1; i >= 0; i-- {
+		if p.s[i] == x {
+			return i
+		}
+	}
+	return 0
 }
 
 // Rebind instantiates an existing derivation against another architecture

@@ -1,10 +1,16 @@
 package serve
 
 import (
+	"context"
 	"io"
 	"net/http"
 	"strings"
+	"sync/atomic"
 	"testing"
+	"time"
+
+	"dyncomp/internal/model"
+	"dyncomp/internal/sweep"
 )
 
 // A batched sweep job: the request opts in with options.batch_width on
@@ -97,5 +103,59 @@ func TestSweepJobBatchWidthDefaultAndValidation(t *testing.T) {
 	}
 	if code := errorCode(t, resp); code != CodeBadJSON {
 		t.Fatalf("negative batch_width: code %q", code)
+	}
+}
+
+// A batched job evaluates its chunks from the architectures its plan
+// generated: every point is generated once, not once by the plan and
+// again by its chunk, and the points and batch counts equal a direct
+// batched sweep's. The grid holds two shapes, so two cohorts.
+func TestBatchedJobGeneratesEachPointOnce(t *testing.T) {
+	s, _ := newTestServer(t, Config{})
+	j, aerr := NewSweepJob(SweepRequest{
+		Engine:   "adaptive",
+		Scenario: "didactic",
+		Axes: []Axis{
+			{Name: "stages", Values: []int64{1, 2}},
+			{Name: "seed", Values: []int64{3, 5, 7, 9, 11}},
+		},
+		Params:  map[string]int64{"tokens": 50},
+		Options: SweepOptions{Workers: 2, BatchWidth: 4},
+	}, s.defaults(), 0, time.Now())
+	if aerr != nil {
+		t.Fatal(aerr)
+	}
+	gen := j.plan.Gen
+	var generated atomic.Int64
+	j.plan.Gen = func(p sweep.Point) (*model.Architecture, error) {
+		generated.Add(1)
+		return gen(p)
+	}
+	j.cache = s.cache
+	j.Run(context.Background(), 2, s.runChunk, false)
+	jr := j.Result()
+	if jr.State != "done" || jr.Stats == nil || jr.Stats.Failed != 0 {
+		t.Fatalf("job settled as %q (err %q), stats %+v", jr.State, jr.Error, jr.Stats)
+	}
+	if got := generated.Load(); got != int64(j.Total) {
+		t.Errorf("%d generations for %d points, want one per point", got, j.Total)
+	}
+
+	opts := j.plan.Opts
+	opts.Workers = 1
+	want, err := sweep.Run(j.plan.Axes, gen, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Per cohort of 5 points at width 4: batches of 4 and 1.
+	if jr.Stats.Batches != want.Stats.Batches || jr.Stats.BatchedPoints != want.Stats.BatchedPoints || want.Stats.Batches != 4 {
+		t.Errorf("batches %d/%d points, direct sweep %d/%d, want 4/10",
+			jr.Stats.Batches, jr.Stats.BatchedPoints, want.Stats.Batches, want.Stats.BatchedPoints)
+	}
+	for i, pt := range jr.Points {
+		w := want.Points[i].Run
+		if pt.Error != "" || pt.Result == nil || pt.Result.FinalTimeNs != w.FinalTimeNs || pt.Result.Iterations != w.Iterations {
+			t.Errorf("point %d: %+v, direct sweep %+v", i, pt, w)
+		}
 	}
 }

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"net/http"
 
+	"dyncomp/internal/model"
 	"dyncomp/internal/sweep"
 )
 
@@ -74,7 +75,7 @@ func (s *Server) handleChunkRun(w http.ResponseWriter, r *http.Request) *Request
 		return aerr
 	}
 
-	res, err := s.evalChunk(r.Context(), plan, req.Indices)
+	res, err := s.evalChunk(r.Context(), plan, req.Indices, nil)
 	if err != nil {
 		// Past the context errors, GridSelect rejected the selection (out
 		// of range, duplicate); engine resolution already passed in
@@ -89,14 +90,23 @@ func (s *Server) handleChunkRun(w http.ResponseWriter, r *http.Request) *Request
 
 // evalChunk evaluates the given row-major grid indices of a compiled
 // sweep on the server's derivation cache: the work of POST /v1/chunks,
-// and of every chunk of this server's own jobs. A sampled sweep is
-// evaluated whole, through the surrogate sampler: its only chunk is the
-// grid.
-func (s *Server) evalChunk(ctx context.Context, plan *SweepPlan, indices []int) (*sweep.Result, error) {
+// and of every chunk of this server's own jobs. archs, when non-nil,
+// are the architectures the job's plan generated for the indices, so
+// the chunk is evaluated without generating its points again. A sampled
+// sweep is evaluated whole, through the surrogate sampler: its only
+// chunk is the grid.
+func (s *Server) evalChunk(ctx context.Context, plan *SweepPlan, indices []int, archs []*model.Architecture) (*sweep.Result, error) {
 	opts := plan.Opts
 	opts.Cache = s.cache
-	if opts.Sample.Enabled() {
+	switch {
+	case opts.Sample.Enabled():
 		return sweep.RunContext(ctx, plan.Axes, plan.Gen, opts)
+	case archs != nil:
+		pts, err := sweep.GridSelect(plan.Axes, indices)
+		if err != nil {
+			return nil, err
+		}
+		return sweep.RunPlannedContext(ctx, pts, archs, plan.Gen, opts)
 	}
 	return sweep.RunIndicesContext(ctx, plan.Axes, indices, plan.Gen, opts)
 }

@@ -14,6 +14,7 @@ import (
 
 	"dyncomp/internal/derive"
 	"dyncomp/internal/engine"
+	"dyncomp/internal/model"
 	"dyncomp/internal/sweep"
 )
 
@@ -37,6 +38,9 @@ type SweepJob struct {
 	chunkPoints int           // fleet chunk size; 0 plans for one process
 	cache       *derive.Cache // the evaluating process's cache; nil when caches live in the workers
 	planOnce    sync.Once
+	// archs holds, by grid index, the architectures a single-process
+	// batched plan generated, until their chunk is taken (takeArchs).
+	archs []*model.Architecture
 
 	chunks        []sweep.Chunk
 	chunkDone     []bool
@@ -98,6 +102,7 @@ func (j *SweepJob) cut() {
 	var (
 		chunks []sweep.Chunk
 		failed []ChunkPoint
+		archs  []*model.Architecture
 		shapes = map[string]bool{}
 	)
 	eng, _ := engine.Lookup(p.Engine) // CompileSweep resolved it
@@ -122,13 +127,27 @@ func (j *SweepJob) cut() {
 			target = p.Opts.BatchWidth
 		}
 		pts, _ := sweep.Grid(p.Axes) // CompileSweep validated the axes
+		gen := p.Gen
+		if j.chunkPoints == 0 {
+			// One process evaluates its chunks from the architectures
+			// the plan generates; a fleet's workers generate their own.
+			archs = make([]*model.Architecture, len(pts))
+			gen = func(pt sweep.Point) (*model.Architecture, error) {
+				a, err := p.Gen(pt)
+				archs[pt.Index] = a
+				return a, err
+			}
+		}
 		// Never cancelled: the plan must not depend on when it was cut.
 		var results []sweep.PointResult
 		var bad []bool
-		chunks, results, bad = sweep.Plan(context.Background(), pts, p.Gen, p.Opts, p.Opts.Workers, target)
+		chunks, results, bad = sweep.Plan(context.Background(), pts, gen, p.Opts, p.Opts.Workers, target)
 		for i, b := range bad {
 			if b {
 				failed = append(failed, chunkPointOf(results[i]))
+				if archs != nil {
+					archs[i] = nil // joins no chunk
+				}
 			}
 		}
 		for _, c := range chunks {
@@ -139,6 +158,7 @@ func (j *SweepJob) cut() {
 	j.Lock()
 	defer j.Unlock()
 	j.chunks, j.chunkDone, j.shapes = chunks, make([]bool, len(chunks)), len(shapes)
+	j.archs = archs
 	for _, cp := range failed {
 		j.mergeLocked(cp)
 	}
@@ -160,6 +180,27 @@ func (j *SweepJob) mergeLocked(cp ChunkPoint) {
 func (j *SweepJob) Chunk(ci int) sweep.Chunk {
 	j.planOnce.Do(j.cut)
 	return j.chunks[ci]
+}
+
+// takeArchs returns the architectures the plan generated for chunk ci,
+// in its order, and forgets them, so a job holds each point's model
+// only until its chunk runs. It returns nil when the plan kept none.
+func (j *SweepJob) takeArchs(ci int) []*model.Architecture {
+	j.planOnce.Do(j.cut)
+	j.Lock()
+	defer j.Unlock()
+	if j.archs == nil {
+		return nil
+	}
+	idx := j.chunks[ci].Indices
+	out := make([]*model.Architecture, len(idx))
+	for k, i := range idx {
+		if out[k] = j.archs[i]; out[k] == nil {
+			return nil // taken before
+		}
+		j.archs[i] = nil
+	}
+	return out
 }
 
 // Pending lists the chunks not yet merged, in plan order.

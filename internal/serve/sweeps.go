@@ -264,7 +264,7 @@ func (s *Server) runChunk(ctx context.Context, j *SweepJob, ci int) {
 		}
 		plan = &sampled
 	}
-	res, err := s.evalChunk(ctx, plan, j.Chunk(ci).Indices)
+	res, err := s.evalChunk(ctx, plan, j.Chunk(ci).Indices, j.takeArchs(ci))
 	switch {
 	case ctx.Err() != nil:
 		return

@@ -3,6 +3,7 @@ package sweep
 import (
 	"context"
 	"fmt"
+	"strconv"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -122,8 +123,8 @@ func prepPoint(ctx context.Context, p Point, gen Generator, opts Options) (a *mo
 		return nil, key, fmt.Errorf("sweep: point %d (%s): %w", p.Index, p, err)
 	}
 	dopts, group := pointOptions(p, opts)
-	return a, cohort{shape: shape, opts: fmt.Sprintf("pad=%d reduce=%t\x00%s",
-		dopts.PadNodes, dopts.Reduce, strings.Join(group, ","))}, nil
+	return a, cohort{shape: shape, opts: "pad=" + strconv.Itoa(dopts.PadNodes) +
+		" reduce=" + strconv.FormatBool(dopts.Reduce) + "\x00" + strings.Join(group, ",")}, nil
 }
 
 // evalChunk evaluates one cohort chunk through the batched engine path;

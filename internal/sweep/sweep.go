@@ -420,7 +420,7 @@ func RunContext(ctx context.Context, axes []Axis, gen Generator, opts Options) (
 	if err != nil {
 		return nil, err
 	}
-	return runPoints(ctx, pts, gen, opts)
+	return runPoints(ctx, pts, nil, gen, opts)
 }
 
 // RunIndices evaluates only the given row-major grid indices — one
@@ -447,15 +447,35 @@ func RunIndicesContext(ctx context.Context, axes []Axis, indices []int, gen Gene
 	if err != nil {
 		return nil, err
 	}
-	return runPoints(ctx, pts, gen, opts)
+	return runPoints(ctx, pts, nil, gen, opts)
 }
 
-// runPoints is the shared evaluation core behind RunContext and
-// RunIndicesContext: resolve the engine, cut the points into chunks and
-// evaluate the chunks from one worker pool. A batched sweep's chunks are
-// Plan's shape-cohort chunks, each one batched engine run; a per-point
-// sweep's are single points.
-func runPoints(ctx context.Context, pts []Point, gen Generator, opts Options) (*Result, error) {
+// RunPlannedContext evaluates the points of one chunk Plan cut — pts,
+// in the chunk's order, with archs[i] the architecture the plan
+// generated for pts[i] — as RunIndicesContext evaluates the chunk's
+// indices, batch counts included, but without generating or
+// shape-keying the points again: the chunk holds one cohort, so its
+// batches are its points taken opts.BatchWidth at a time. An engine
+// without the batched path, or a zero BatchWidth, evaluates per point,
+// generating each one as RunIndicesContext does.
+func RunPlannedContext(ctx context.Context, pts []Point, archs []*model.Architecture, gen Generator, opts Options) (*Result, error) {
+	if opts.Sample.Enabled() {
+		return nil, fmt.Errorf("sweep: sampling (Options.Sample) is not supported on index subsets")
+	}
+	if len(pts) == 0 || len(archs) != len(pts) {
+		return nil, fmt.Errorf("sweep: %d architectures planned for %d points", len(archs), len(pts))
+	}
+	return runPoints(ctx, pts, archs, gen, opts)
+}
+
+// runPoints is the shared evaluation core behind RunContext,
+// RunIndicesContext and RunPlannedContext: resolve the engine, cut the
+// points into chunks and evaluate the chunks from one worker pool. A
+// batched sweep's chunks are Plan's shape-cohort chunks, each one
+// batched engine run — or, when planned holds the architectures of one
+// planned cohort, its points BatchWidth at a time; a per-point sweep's
+// are single points.
+func runPoints(ctx context.Context, pts []Point, planned []*model.Architecture, gen Generator, opts Options) (*Result, error) {
 	if gen == nil {
 		return nil, fmt.Errorf("sweep: nil generator")
 	}
@@ -517,19 +537,34 @@ func runPoints(ctx context.Context, pts []Point, gen Generator, opts Options) (*
 		batches, batchedPt atomic.Int64
 	)
 	if br, ok := eng.(engine.BatchRunner); ok && opts.BatchWidth > 0 {
-		// Points that fail planning (generation, shape derivation or a
-		// pre-existing cancellation) are finished; report them as one
-		// coalesced stride.
-		archs := make([]*model.Architecture, len(pts))
-		var failed []bool
-		chunks, results, failed = plan(ctx, pts, gen, opts, workers, opts.BatchWidth, archs)
-		nfailed := 0
-		for _, f := range failed {
-			if f {
-				nfailed++
+		archs := planned
+		if archs == nil {
+			// Points that fail planning (generation, shape derivation or
+			// a pre-existing cancellation) are finished; report them as
+			// one coalesced stride.
+			archs = make([]*model.Architecture, len(pts))
+			var failed []bool
+			chunks, results, failed = plan(ctx, pts, gen, opts, workers, opts.BatchWidth, archs)
+			nfailed := 0
+			for _, f := range failed {
+				if f {
+					nfailed++
+				}
+			}
+			report(nfailed)
+		} else {
+			results = make([]PointResult, len(pts))
+			idx := make([]int, len(pts))
+			for i := range pts {
+				results[i].Point = pts[i]
+				idx[i] = i
+			}
+			for m := idx; len(m) > 0; {
+				n := min(opts.BatchWidth, len(m))
+				chunks = append(chunks, Chunk{Indices: m[:n:n]})
+				m = m[n:]
 			}
 		}
-		report(nfailed)
 		eval = func(chunk []int) {
 			evalChunk(ctx, chunk, pts, archs, gen, br, refEng, opts, cache, results, &batches, &batchedPt)
 		}
