@@ -10,7 +10,8 @@ package dyncomp
 // Fig. 6 / case study -> BenchmarkCaseStudy/{baseline,equivalent}
 // Kernel-free adaptive -> BenchmarkAdaptive/{baseline,equivalent,adaptive}
 // TLM-LT motivation  -> BenchmarkQuantum/qQ
-// ComputeInstant cost -> BenchmarkComputeInstant/nodesN
+// ComputeInstant cost -> BenchmarkComputeInstant/nodesN (the interpreted
+//                        baseline: internal/tdg, BenchmarkComputeInstant)
 //
 // The interesting output is the ratio of ns/op between baseline and
 // equivalent benchmarks of the same workload: that is the paper's
@@ -30,7 +31,6 @@ import (
 	"dyncomp/internal/maxplus"
 	"dyncomp/internal/model"
 	"dyncomp/internal/sim"
-	"dyncomp/internal/tdg"
 	"dyncomp/internal/zoo"
 )
 
@@ -210,12 +210,19 @@ func BenchmarkQuantum(b *testing.B) {
 // BenchmarkComputeInstant isolates the cost of one ComputeInstant()
 // action as a function of graph size — the knee position of Fig. 5 is
 // where this cost catches up with the saved kernel events. The
-// "nodesN" variants run the compiled evaluation program (the default
-// evaluator of every engine); "nodesN/interpreted" walks the graph's
-// arc lists, the pre-compilation baseline.
+// "nodesN" variants run the compiled evaluation program, the evaluator
+// of every engine; internal/tdg's BenchmarkComputeInstant/nodesN/
+// interpreted walks the graph's arc lists, the pre-compilation baseline.
 func BenchmarkComputeInstant(b *testing.B) {
-	stepLoop := func(ev *tdg.Evaluator) func(b *testing.B) {
-		return func(b *testing.B) {
+	for _, nodes := range []int{10, 100, 1000, 3000} {
+		dres, err := derive.Derive(
+			zoo.Didactic(zoo.DidacticSpec{Tokens: 1, Period: 100, Seed: 1}),
+			derive.Options{PadNodes: nodes - 7})
+		if err != nil {
+			b.Fatal(err)
+		}
+		ev := dres.Program().NewEvaluator()
+		b.Run(fmt.Sprintf("nodes%d", nodes), func(b *testing.B) {
 			b.ReportAllocs()
 			u := []maxplus.T{0}
 			for i := 0; i < b.N; i++ {
@@ -224,17 +231,7 @@ func BenchmarkComputeInstant(b *testing.B) {
 					b.Fatal(err)
 				}
 			}
-		}
-	}
-	for _, nodes := range []int{10, 100, 1000, 3000} {
-		dres, err := derive.Derive(
-			zoo.Didactic(zoo.DidacticSpec{Tokens: 1, Period: 100, Seed: 1}),
-			derive.Options{PadNodes: nodes - 7})
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.Run(fmt.Sprintf("nodes%d", nodes), stepLoop(dres.Program().NewEvaluator()))
-		b.Run(fmt.Sprintf("nodes%d/interpreted", nodes), stepLoop(dres.Program().NewInterpreter()))
+		})
 	}
 }
 
@@ -321,8 +318,9 @@ func BenchmarkKernelActivation(b *testing.B) {
 	}
 }
 
-// BenchmarkMaxPlus measures the algebra primitives underlying
-// ComputeInstant.
+// BenchmarkMaxPlus measures the scalar algebra primitive underlying
+// ComputeInstant; the matrix primitive of the recurrence form (7)-(10)
+// is internal/maxplus's BenchmarkMaxPlus/matrix-apply-16.
 func BenchmarkMaxPlus(b *testing.B) {
 	b.Run("otimes", func(b *testing.B) {
 		acc := maxplus.T(0)
@@ -330,22 +328,5 @@ func BenchmarkMaxPlus(b *testing.B) {
 			acc = maxplus.Otimes(acc, 1)
 		}
 		_ = acc
-	})
-	b.Run("matrix-apply-16", func(b *testing.B) {
-		m := maxplus.NewMatrix(16, 16)
-		for i := 0; i < 16; i++ {
-			for j := 0; j <= i; j++ {
-				m.Set(i, j, maxplus.T(i+j))
-			}
-		}
-		v := maxplus.NewVector(16)
-		for i := range v {
-			v[i] = maxplus.T(i)
-		}
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			v = m.Apply(v)
-		}
 	})
 }

@@ -5,10 +5,12 @@
 // every build and uploads BENCH_engines.json as an artifact, so the
 // per-engine cost trend is trackable across commits.
 //
-// It also measures the ComputeInstant hot path — interpreted versus
-// compiled Step cost per graph size, and the allocation profile of a
-// full equivalent-model run — into BENCH_compute.json, tracking the
-// compiled evaluator's speed-up and the zero-alloc run path.
+// It also measures the ComputeInstant hot path — the compiled Step cost
+// per graph size, the batched cost per lane at several lane widths, and
+// the allocation profile of a full equivalent-model run — into
+// BENCH_compute.json. -compare takes the parent commit's dyncomp-bench
+// binary and fails when a compiled or batched entry got more than 10%
+// slower than the parent's on the same host (see compareCompute).
 //
 // A third report, BENCH_sweep.json, measures surrogate-guided sweep
 // sampling on the Table-I chain grids: how many points the sampler
@@ -20,6 +22,7 @@
 // worse than the committed baseline fails.
 //
 //	dyncomp-bench -tokens 2000 -reps 3 -o BENCH_engines.json -compute-o BENCH_compute.json
+//	dyncomp-bench -compute-o BENCH_compute.json -compare /path/to/parent/dyncomp-bench
 //	dyncomp-bench -sweep-o BENCH_sweep.json -sweep-compare BENCH_sweep.json
 package main
 
@@ -29,8 +32,10 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"os/exec"
 	"runtime"
 	"sort"
+	"strconv"
 	"strings"
 	"time"
 
@@ -68,10 +73,8 @@ type benchReport struct {
 
 // computeBench is one graph size of the ComputeInstant benchmark.
 type computeBench struct {
-	Nodes         int     `json:"nodes"`
-	InterpretedNs float64 `json:"interpreted_ns_per_step"`
-	CompiledNs    float64 `json:"compiled_ns_per_step"`
-	SpeedUp       float64 `json:"speed_up"`
+	Nodes      int     `json:"nodes"`
+	CompiledNs float64 `json:"compiled_ns_per_step"`
 }
 
 // batchBench is one (graph size, lane width) cell of the batched
@@ -131,7 +134,7 @@ func main() {
 	out := flag.String("o", "BENCH_engines.json", "output file (- for stdout)")
 	computeOut := flag.String("compute-o", "BENCH_compute.json", "ComputeInstant benchmark output file (- for stdout, empty to skip)")
 	steps := flag.Int("steps", 20000, "Step calls per ComputeInstant measurement")
-	compare := flag.String("compare", "", "baseline BENCH_compute.json to guard against; exits 1 if compiled or batched ns/step regresses >10% at any size")
+	compare := flag.String("compare", "", "parent commit's dyncomp-bench binary to guard against; exits 1 if the median compiled or batched ns/step of this build is >10% above the parent's at any entry")
 	sweepOut := flag.String("sweep-o", "BENCH_sweep.json", "sampled-sweep benchmark output file (- for stdout, empty to skip)")
 	sweepCompare := flag.String("sweep-compare", "", "baseline BENCH_sweep.json to guard against; exits 1 if the sampler simulates more points or predicts worse")
 	serveOut := flag.String("serve-o", "", "HTTP load benchmark output file (- for stdout, empty to skip)")
@@ -182,7 +185,7 @@ func main() {
 	if *computeOut != "" {
 		crep := computeInstantReport(*steps, *tokens)
 		if *compare != "" {
-			if err := compareCompute(*compare, crep); err != nil {
+			if err := compareCompute(*compare, *steps, *tokens); err != nil {
 				writeJSON(*computeOut, crep)
 				fatal(err)
 			}
@@ -344,83 +347,108 @@ func compareSweep(path string, fresh sweepReport) error {
 	return nil
 }
 
-// compareCompute guards the compiled ComputeInstant hot path against a
-// committed baseline report. Absolute wall times drift with the host, so
-// the fresh numbers are first normalized by the median interpreted-step
-// ratio (fresh/baseline across sizes) — the interpreter is the
-// machine-speed yardstick — and only then compared: a normalized
-// compiled regression beyond 10% at any size, or a batched lane
-// regression beyond 10% at any (size, width) cell, fails the build.
-func compareCompute(path string, fresh computeReport) error {
-	raw, err := os.ReadFile(path)
+// compareRounds is how many times compareCompute runs each binary.
+const compareRounds = 5
+
+// compareCompute guards the compiled and batched ComputeInstant paths
+// against the parent commit's build. It runs the parent's dyncomp-bench
+// and this binary as separate processes, compareRounds times each,
+// alternating which of the two goes first, and fails when this binary's
+// median ns/step on any compiled or batched entry is more than 10% above
+// the parent's median. Both binaries run on the same host in the same
+// minutes, so no yardstick is needed to cancel the host's speed; swings
+// faster than a round still show (EXPERIMENTS.md).
+func compareCompute(parent string, steps, tokens int) error {
+	self, err := os.Executable()
 	if err != nil {
 		return fmt.Errorf("-compare: %w", err)
 	}
-	var base computeReport
-	if err := json.Unmarshal(raw, &base); err != nil {
-		return fmt.Errorf("-compare %s: %w", path, err)
-	}
-	baseBySize := make(map[int]computeBench, len(base.Sizes))
-	for _, cb := range base.Sizes {
-		baseBySize[cb.Nodes] = cb
-	}
-	var ratios []float64
-	for _, cb := range fresh.Sizes {
-		if bb, ok := baseBySize[cb.Nodes]; ok && bb.InterpretedNs > 0 {
-			ratios = append(ratios, cb.InterpretedNs/bb.InterpretedNs)
+	bins := [2]string{parent, self}
+	var runs [2][]computeReport // parent's, then this build's
+	for r := 0; r < compareRounds; r++ {
+		for i := range bins {
+			who := (i + r) % 2
+			rep, err := runComputeReport(bins[who], steps, tokens)
+			if err != nil {
+				return fmt.Errorf("-compare: %s: %w", bins[who], err)
+			}
+			runs[who] = append(runs[who], rep)
 		}
 	}
-	if len(ratios) == 0 {
-		return fmt.Errorf("-compare %s: no common sizes with the baseline", path)
-	}
-	sort.Float64s(ratios)
-	hostScale := ratios[len(ratios)/2]
+	names, base := entryMedians(runs[0])
+	_, head := entryMedians(runs[1])
 	var bad []string
-	for _, cb := range fresh.Sizes {
-		bb, ok := baseBySize[cb.Nodes]
-		if !ok || bb.CompiledNs <= 0 {
+	compared := 0
+	fmt.Fprintf(os.Stderr, "dyncomp-bench: median ns/step over %d alternated rounds (parent %s)\n", compareRounds, parent)
+	for _, name := range names {
+		b, h := base[name], head[name]
+		if b <= 0 || h <= 0 {
 			continue
 		}
-		norm := cb.CompiledNs / hostScale
-		if norm > bb.CompiledNs*1.10 {
-			bad = append(bad, fmt.Sprintf(
-				"%d nodes: compiled %.1f ns/step (%.1f host-normalized) vs baseline %.1f (+%.0f%%)",
-				cb.Nodes, cb.CompiledNs, norm, bb.CompiledNs, 100*(norm/bb.CompiledNs-1)))
+		compared++
+		fmt.Fprintf(os.Stderr, "  %-28s parent %9.1f  this %9.1f  ratio %.3f\n", name, b, h, h/b)
+		if h > b*1.10 {
+			bad = append(bad, fmt.Sprintf("%s: %.1f ns/step vs parent %.1f (+%.0f%%)", name, h, b, 100*(h/b-1)))
 		}
 	}
-	// The batched lane table shares the same yardstick: a regression in
-	// any (size, width) cell means the amortized batched step got slower
-	// relative to the machine, not that the machine got slower.
-	type cell struct{ nodes, width int }
-	baseBatched := make(map[cell]batchBench, len(base.Batched))
-	for _, bb := range base.Batched {
-		baseBatched[cell{bb.Nodes, bb.Width}] = bb
-	}
-	for _, fb := range fresh.Batched {
-		bb, ok := baseBatched[cell{fb.Nodes, fb.Width}]
-		if !ok || bb.NsPerStepPoint <= 0 {
-			continue
-		}
-		norm := fb.NsPerStepPoint / hostScale
-		if norm > bb.NsPerStepPoint*1.10 {
-			bad = append(bad, fmt.Sprintf(
-				"%d nodes x%d lanes: batched %.1f ns/step-point (%.1f host-normalized) vs baseline %.1f (+%.0f%%)",
-				fb.Nodes, fb.Width, fb.NsPerStepPoint, norm, bb.NsPerStepPoint, 100*(norm/bb.NsPerStepPoint-1)))
-		}
+	if compared == 0 {
+		return fmt.Errorf("-compare: no entry in common with %s", parent)
 	}
 	if len(bad) > 0 {
-		return fmt.Errorf("ComputeInstant regressed beyond 10%% (host scale %.2f):\n  %s",
-			hostScale, strings.Join(bad, "\n  "))
+		return fmt.Errorf("ComputeInstant regressed beyond 10%% of the parent build:\n  %s", strings.Join(bad, "\n  "))
 	}
-	fmt.Fprintf(os.Stderr, "dyncomp-bench: compiled and batched paths within 10%% of %s (host scale %.2f)\n", path, hostScale)
+	fmt.Fprintf(os.Stderr, "dyncomp-bench: compiled and batched paths within 10%% of the parent build\n")
 	return nil
 }
 
-// computeInstantReport measures the ComputeInstant hot path: interpreted
-// vs compiled Step cost per graph size (the Fig. 5 padded didactic
-// graphs), and the allocation profile of a full equivalent-model run of
-// the case-study receiver shape (here the didactic scenario for
-// comparability with the engine benchmark).
+// runComputeReport runs one dyncomp-bench binary for its ComputeInstant
+// report alone: engines at one repetition into the null device, no
+// sweep report, the compute report on stdout.
+func runComputeReport(bin string, steps, tokens int) (computeReport, error) {
+	cmd := exec.Command(bin, "-tokens", strconv.Itoa(tokens), "-reps", "1", "-o", os.DevNull,
+		"-steps", strconv.Itoa(steps), "-compute-o", "-", "-sweep-o", "")
+	cmd.Stderr = os.Stderr
+	out, err := cmd.Output()
+	if err != nil {
+		return computeReport{}, err
+	}
+	var rep computeReport
+	err = json.Unmarshal(out, &rep)
+	return rep, err
+}
+
+// entryMedians returns the name of every compiled and batched entry, in
+// report order, and each one's median ns/step over the reports.
+func entryMedians(reps []computeReport) ([]string, map[string]float64) {
+	var names []string
+	vals := map[string][]float64{}
+	add := func(name string, ns float64) {
+		if _, ok := vals[name]; !ok {
+			names = append(names, name)
+		}
+		vals[name] = append(vals[name], ns)
+	}
+	for _, rep := range reps {
+		for _, cb := range rep.Sizes {
+			add(fmt.Sprintf("compiled %d nodes", cb.Nodes), cb.CompiledNs)
+		}
+		for _, bb := range rep.Batched {
+			add(fmt.Sprintf("batched %d nodes x%d", bb.Nodes, bb.Width), bb.NsPerStepPoint)
+		}
+	}
+	med := make(map[string]float64, len(vals))
+	for name, v := range vals {
+		sort.Float64s(v)
+		med[name] = v[len(v)/2]
+	}
+	return names, med
+}
+
+// computeInstantReport measures the ComputeInstant hot path: the compiled
+// Step cost per graph size (the Fig. 5 padded didactic graphs), the
+// batched cost per lane at each lane width, and the allocation profile
+// of a full equivalent-model run of the case-study receiver shape (here
+// the didactic scenario for comparability with the engine benchmark).
 func computeInstantReport(steps, tokens int) computeReport {
 	rep := computeReport{Steps: steps}
 	for _, nodes := range []int{10, 100, 1000, 3000} {
@@ -430,16 +458,8 @@ func computeInstantReport(steps, tokens int) computeReport {
 		if err != nil {
 			fatal(err)
 		}
-		iv := dres.Program().NewInterpreter()
 		cv := dres.Program().NewEvaluator()
-		cb := computeBench{
-			Nodes:         nodes,
-			InterpretedNs: stepCost(iv, steps),
-			CompiledNs:    stepCost(cv, steps),
-		}
-		if cb.CompiledNs > 0 {
-			cb.SpeedUp = cb.InterpretedNs / cb.CompiledNs
-		}
+		cb := computeBench{Nodes: nodes, CompiledNs: stepCost(cv, steps)}
 		cv.Release()
 		rep.Sizes = append(rep.Sizes, cb)
 		for _, width := range []int{1, 4, 8, 16, 32} {
@@ -489,7 +509,11 @@ func batchStepCost(nodes, width, steps int) float64 {
 	for l := range archs {
 		archs[l] = zoo.Didactic(zoo.DidacticSpec{Tokens: 1, Period: maxplus.T(100 + 10*l), Seed: int64(l + 1)})
 	}
-	lanes, err := derive.DeriveBatch(archs, derive.Options{PadNodes: nodes - 7})
+	base, err := derive.Derive(archs[0], derive.Options{PadNodes: nodes - 7})
+	if err != nil {
+		fatal(err)
+	}
+	lanes, err := derive.RebindBatch(base, archs)
 	if err != nil {
 		fatal(err)
 	}

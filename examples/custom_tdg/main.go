@@ -69,7 +69,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	auto := dres.Program().NewInterpreter()
+	auto := dres.Program().NewEvaluator()
 
 	for k := 0; k < tokens; k++ {
 		in := []maxplus.T{maxplus.T(int64(k) * 1000)}

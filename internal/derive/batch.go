@@ -32,41 +32,24 @@ func RebindBatch(base *Result, archs []*model.Architecture) ([]*Result, error) {
 	return out, nil
 }
 
-// DeriveBatch derives archs[0] once and re-binds the template to every
-// other architecture of the batch: one symbolic execution (and one graph
-// compilation), N weight-lane results. All architectures must share one
-// structural shape.
-func DeriveBatch(archs []*model.Architecture, opts Options) ([]*Result, error) {
-	if len(archs) == 0 {
-		return nil, fmt.Errorf("derive: DeriveBatch with no architectures")
-	}
-	base, err := Derive(archs[0], opts)
-	if err != nil {
-		return nil, err
-	}
-	out := make([]*Result, len(archs))
-	out[0] = base
-	for i, a := range archs[1:] {
-		if out[i+1], err = Rebind(base, a); err != nil {
-			return nil, fmt.Errorf("derive: batch lane %d: %w", i+1, err)
-		}
-	}
-	return out, nil
-}
-
 // DeriveBatch is the batched form of Cache.Derive: one entry lookup (and
 // at most one derivation) serves every lane of the batch. All
 // architectures must share one structural shape — a mixed batch is an
 // error, not a partial result, so callers can fall back to per-point
 // derivation wholesale. The request counts as len(archs) cache requests:
 // one miss plus len(archs)-1 hits when the template is fresh, len(archs)
-// hits otherwise. A nil cache derives privately, through DeriveBatch.
+// hits otherwise. A nil cache derives archs[0] privately and rebinds it
+// to every lane (RebindBatch).
 func (c *Cache) DeriveBatch(archs []*model.Architecture, opts Options) ([]*Result, error) {
-	if c == nil {
-		return DeriveBatch(archs, opts)
-	}
 	if len(archs) == 0 {
 		return nil, fmt.Errorf("derive: DeriveBatch with no architectures")
+	}
+	if c == nil {
+		base, err := Derive(archs[0], opts)
+		if err != nil {
+			return nil, err
+		}
+		return RebindBatch(base, archs)
 	}
 	key, err := ShapeKey(archs[0])
 	if err != nil {

@@ -11,7 +11,8 @@ import (
 // TestDeriveBatchMatchesPerPointDerive checks each lane of a batch
 // derivation evaluates bit-exactly like an individual Derive of the same
 // architecture, and that the lanes share one compiled structure (they
-// are joinable into a tdg.BatchEvaluator).
+// are joinable into a tdg.BatchEvaluator), on a nil cache (a private
+// derivation) and on a fresh one.
 func TestDeriveBatchMatchesPerPointDerive(t *testing.T) {
 	specs := []zoo.DidacticSpec{
 		{Tokens: 12, Period: 1200, Seed: 41},
@@ -23,27 +24,37 @@ func TestDeriveBatchMatchesPerPointDerive(t *testing.T) {
 	for i, s := range specs {
 		archs[i] = zoo.Didactic(s)
 	}
-	lanes, err := DeriveBatch(archs, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(lanes) != len(archs) {
-		t.Fatalf("%d lanes for %d architectures", len(lanes), len(archs))
-	}
-	progs := make([]*tdg.Program, len(lanes))
-	for i, lane := range lanes {
-		want, err := Derive(archs[i], Options{})
+	for _, c := range []*Cache{nil, NewCache()} {
+		lanes, err := c.DeriveBatch(archs, Options{})
 		if err != nil {
 			t.Fatal(err)
 		}
-		evalAll(t, want, lane, 12)
-		if lane.Program() == nil {
-			t.Fatalf("lane %d carries no compiled program", i)
+		if len(lanes) != len(archs) {
+			t.Fatalf("%d lanes for %d architectures", len(lanes), len(archs))
 		}
-		progs[i] = lane.Program()
+		progs := make([]*tdg.Program, len(lanes))
+		for i, lane := range lanes {
+			want, err := Derive(archs[i], Options{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			evalAll(t, want, lane, 12)
+			if lane.Program() == nil {
+				t.Fatalf("lane %d carries no compiled program", i)
+			}
+			progs[i] = lane.Program()
+		}
+		if _, err := tdg.NewBatchEvaluator(progs); err != nil {
+			t.Fatalf("batch lanes are not batch-compatible: %v", err)
+		}
 	}
-	if _, err := tdg.NewBatchEvaluator(progs); err != nil {
-		t.Fatalf("batch lanes are not batch-compatible: %v", err)
+	var private *Cache
+	if _, err := private.DeriveBatch(nil, Options{}); err == nil {
+		t.Fatal("a nil cache accepted an empty batch")
+	}
+	mixed := []*model.Architecture{archs[0], zoo.Pipeline(zoo.PipelineSpec{XSize: 4, Tokens: 5, Seed: 1})}
+	if _, err := private.DeriveBatch(mixed, Options{}); err == nil {
+		t.Fatal("a nil cache accepted a mixed-shape batch")
 	}
 }
 

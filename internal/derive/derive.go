@@ -111,8 +111,7 @@ type Result struct {
 }
 
 // Program returns the compiled evaluation program of the derived graph,
-// which every engine evaluates; Program().NewInterpreter() interprets
-// Result.Graph bit-exactly for tests and tools.
+// which every engine evaluates (Program().NewEvaluator()).
 func (res *Result) Program() *tdg.Program { return res.prog }
 
 // term is one max-term of a readiness expression during symbolic

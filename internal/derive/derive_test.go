@@ -83,7 +83,7 @@ func TestDeriveDidacticEvaluation(t *testing.T) {
 	const n = 300
 	spec := zoo.DidacticSpec{Tokens: n, Period: 700, Seed: 7}
 	res := deriveDidactic(t, spec)
-	ev := res.Program().NewInterpreter()
+	ev := res.Program().NewEvaluator()
 	names := []string{"M1", "M2", "M3", "M4", "M5", "M6"}
 	ids := make([]tdg.NodeID, len(names))
 	for i, name := range names {

@@ -57,8 +57,8 @@ func evalAll(t *testing.T, want, got *Result, n int) {
 	if want.Graph.NodeCount() != got.Graph.NodeCount() {
 		t.Fatalf("node counts differ: %d vs %d", want.Graph.NodeCount(), got.Graph.NodeCount())
 	}
-	ew := want.Program().NewInterpreter()
-	eg := got.Program().NewInterpreter()
+	ew := want.Program().NewEvaluator()
+	eg := got.Program().NewEvaluator()
 	u := make([]maxplus.T, len(want.Inputs))
 	vw := make([]maxplus.T, want.Graph.NodeCount())
 	vg := make([]maxplus.T, got.Graph.NodeCount())

@@ -64,8 +64,8 @@ func TestReducePreservesValues(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		ef := full.Program().NewInterpreter()
-		er := red.Program().NewInterpreter()
+		ef := full.Program().NewEvaluator()
+		er := red.Program().NewEvaluator()
 		for k := 0; k < spec.Tokens; k++ {
 			u := maxplus.T(int64(k) * int64(spec.Period))
 			yf, err1 := ef.Step([]maxplus.T{u})

@@ -7,13 +7,15 @@
 // specific duration. ε is the identity (zero) element of ⊕ and absorbing
 // for ⊗; e = 0 is the identity (unit) element of ⊗.
 //
-// Scalars are fixed-point times (int64 ticks); the package also provides
-// vectors, matrices and the linear recurrence form
+// Scalars are fixed-point times (int64 ticks). The package's test files
+// add vectors, matrices, Karp's maximum cycle mean and the linear
+// recurrence form
 //
 //	X(k) = A(k,0)⊗X(k) ⊕ A(k,1)⊗X(k-1) ⊕ B(k,0)⊗U(k)
 //	Y(k) = C(k,0)⊗X(k)
 //
-// used by the paper (equations (7)-(10)).
+// used by the paper (equations (7)-(10)): the matrix form of a derived
+// graph, the second oracle of the graph evaluator.
 package maxplus
 
 import (

@@ -39,7 +39,7 @@ func laneInputs(g *Graph, k, L int) []maxplus.T {
 func checkBatchAgainstScalar(t *testing.T, g *Graph, progs []*Program, be *BatchEvaluator, scalars []*Evaluator, steps int) {
 	t.Helper()
 	L := be.width
-	interp := make([]*Evaluator, L)
+	interp := make([]*Interpreter, L)
 	for l := range interp {
 		interp[l] = progs[l].NewInterpreter()
 	}

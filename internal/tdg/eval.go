@@ -6,24 +6,18 @@ import (
 	"dyncomp/internal/maxplus"
 )
 
-// Evaluator executes ComputeInstant() over a frozen graph: each Step(k)
-// computes every evolution instant of iteration k from the inputs u(k) and
-// the bounded history of previous iterations.
+// Evaluator executes ComputeInstant() over a compiled program: each
+// Step(k) computes every evolution instant of iteration k from the inputs
+// u(k) and the bounded history of previous iterations.
 //
 // The evaluator keeps one ring buffer per node sized by the graph's
 // maximum delay, so memory is O(nodes × (maxDelay+1)) regardless of how
 // many iterations are computed, and one iteration row: the k-dependent
-// arc weights of iteration k, filled once before the pass.
-//
-// An evaluator runs in one of two modes with bit-identical results: the
-// tree-walking interpreter over the graph's arc lists (NewEvaluator,
-// Program.NewInterpreter), or the flat compiled program of Compile
-// (Program.NewEvaluator), which replaces the per-arc pointer chasing of
-// the interpreter with a branch-light pass over packed arrays.
+// arc weights of iteration k, filled once before the pass. Build one with
+// Program.NewEvaluator: it runs the flat compiled program of Compile, a
+// branch-light pass over packed arrays.
 type Evaluator struct {
-	g      *Graph
-	prog   *Program // the row's source; nil for a bare-graph interpreter
-	interp bool     // walk the graph's arc lists instead of the compiled passes
+	prog   *Program
 	k      int
 	depth  int         // ring depth = maxDelay + 1
 	ring   []maxplus.T // ring[node*depth + (k mod depth)]
@@ -32,51 +26,8 @@ type Evaluator struct {
 	rowK   int         // -1: the row holds no iteration
 }
 
-// NewEvaluator creates an interpreting evaluator over a frozen graph. The
-// graph must not read an iteration row: interpret a derived graph through
-// its program (Program.NewInterpreter), which binds the row.
-func NewEvaluator(g *Graph) (*Evaluator, error) {
-	if !g.frozen {
-		return nil, fmt.Errorf("tdg: graph %q is not frozen", g.Name)
-	}
-	for _, arcs := range g.in {
-		for _, a := range arcs {
-			if _, ok := a.Weight.RowEntry(); ok {
-				return nil, fmt.Errorf("tdg: graph %q reads an iteration row; interpret it through its Program", g.Name)
-			}
-		}
-	}
-	return newInterpreter(g), nil
-}
-
-// NewInterpreter returns an interpreting evaluator over the program's
-// graph that reads the program's row: the bit-exact yardstick of the
-// compiled passes.
-func (p *Program) NewInterpreter() *Evaluator {
-	e := newInterpreter(p.g)
-	e.bindProgram(p)
-	return e
-}
-
-func newInterpreter(g *Graph) *Evaluator {
-	depth := g.maxDelay + 1
-	ring := make([]maxplus.T, len(g.nodes)*depth)
-	for i := range ring {
-		ring[i] = maxplus.Epsilon
-	}
-	return &Evaluator{
-		g:      g,
-		interp: true,
-		depth:  depth,
-		ring:   ring,
-		outBuf: make([]maxplus.T, len(g.outputs)),
-		rowK:   -1,
-	}
-}
-
 // bindProgram points the evaluator at p's graph and row.
 func (e *Evaluator) bindProgram(p *Program) {
-	e.g = p.g
 	e.prog = p
 	if n := p.rowWidth(); cap(e.row) < n {
 		e.row = make([]maxplus.T, n)
@@ -86,22 +37,17 @@ func (e *Evaluator) bindProgram(p *Program) {
 	e.rowK = -1
 }
 
-// Release returns a compiled evaluator to its program's pool for reuse by
-// a later Program.NewEvaluator (sweeps re-run one shape across many
-// points; pooling makes those runs allocation-free). The evaluator must
-// not be used after Release. Releasing an interpreting evaluator is a
-// no-op.
-func (e *Evaluator) Release() {
-	if !e.interp {
-		e.prog.release(e)
-	}
-}
+// Release returns the evaluator to its program's pool for reuse by a
+// later Program.NewEvaluator (sweeps re-run one shape across many points;
+// pooling makes those runs allocation-free). The evaluator must not be
+// used after Release.
+func (e *Evaluator) Release() { e.prog.release(e) }
 
 // K returns the index of the next iteration to be computed.
 func (e *Evaluator) K() int { return e.k }
 
 // Graph returns the underlying graph.
-func (e *Evaluator) Graph() *Graph { return e.g }
+func (e *Evaluator) Graph() *Graph { return e.prog.g }
 
 // Step computes all evolution instants of the next iteration k from the
 // input instants u (one per input node, in declaration order) and returns
@@ -112,23 +58,20 @@ func (e *Evaluator) Graph() *Graph { return e.g }
 // Step performs no simulation work: it is the zero-simulation-time
 // ComputeInstant() action of the paper.
 func (e *Evaluator) Step(u []maxplus.T) ([]maxplus.T, error) {
-	if len(u) != len(e.g.inputs) {
-		return nil, fmt.Errorf("tdg: %d inputs supplied, graph %q has %d", len(u), e.g.Name, len(e.g.inputs))
+	g := e.prog.g
+	if len(u) != len(g.inputs) {
+		return nil, fmt.Errorf("tdg: %d inputs supplied, graph %q has %d", len(u), g.Name, len(g.inputs))
 	}
 	k := e.k
 	if err := e.fill(k); err != nil {
 		return nil, err
 	}
 	slot := k % e.depth
-	for i, id := range e.g.inputs {
+	for i, id := range g.inputs {
 		e.ring[int(id)*e.depth+slot] = u[i]
 	}
-	if e.interp {
-		e.interpretPass(k, slot)
-	} else {
-		e.prog.pass(e.ring, e.row, k, slot)
-	}
-	for i, id := range e.g.outputs {
+	e.prog.pass(e.ring, e.row, k, slot)
+	for i, id := range g.outputs {
 		e.outBuf[i] = e.ring[int(id)*e.depth+slot]
 	}
 	e.k++
@@ -138,7 +81,7 @@ func (e *Evaluator) Step(u []maxplus.T) ([]maxplus.T, error) {
 // fill makes the row hold iteration k. The row is a pure function of k,
 // so a row filled ahead of Step (by PeekDelayed or Row) is reused.
 func (e *Evaluator) fill(k int) error {
-	if e.rowK == k || e.prog == nil {
+	if e.rowK == k {
 		return nil
 	}
 	if err := e.prog.fillRow(k, e.row, 1); err != nil {
@@ -159,34 +102,6 @@ func (e *Evaluator) Row(k int) ([]maxplus.T, error) {
 	return e.row, nil
 }
 
-// interpretPass computes every non-input instant of iteration k by
-// walking the graph's arc lists — the reference semantics the compiled
-// passes must match bit-exactly.
-func (e *Evaluator) interpretPass(k, slot int) {
-	row := e.row
-	for _, id := range e.g.topo {
-		n := e.g.nodes[id]
-		if n.Kind == Input {
-			continue
-		}
-		acc := maxplus.Epsilon
-		for _, a := range e.g.in[id] {
-			if a.Delay > k {
-				continue // references an iteration before the origin: ε
-			}
-			src := e.ring[int(a.From)*e.depth+((k-a.Delay)%e.depth)]
-			if src == maxplus.Epsilon {
-				continue
-			}
-			v := a.Weight.Apply(src, row)
-			if v > acc {
-				acc = v
-			}
-		}
-		e.ring[int(id)*e.depth+slot] = acc
-	}
-}
-
 // Value returns the instant of the given node at the most recently
 // computed iteration. It panics if no iteration has been computed.
 func (e *Evaluator) Value(id NodeID) maxplus.T {
@@ -203,11 +118,12 @@ func (e *Evaluator) ValuesInto(dst []maxplus.T) {
 	if e.k == 0 {
 		panic("tdg: ValuesInto before first Step")
 	}
-	if len(dst) != len(e.g.nodes) {
-		panic(fmt.Sprintf("tdg: ValuesInto dst size %d, want %d", len(dst), len(e.g.nodes)))
+	n := len(e.prog.g.nodes)
+	if len(dst) != n {
+		panic(fmt.Sprintf("tdg: ValuesInto dst size %d, want %d", len(dst), n))
 	}
 	slot := (e.k - 1) % e.depth
-	for i := range e.g.nodes {
+	for i := range n {
 		dst[i] = e.ring[i*e.depth+slot]
 	}
 }

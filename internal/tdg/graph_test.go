@@ -58,9 +58,9 @@ func (didacticRow) Fill(k int, row []maxplus.T, stride int) error {
 	return nil
 }
 
-// didacticEvaluator interprets a frozen buildDidactic graph with its
+// didacticProgram compiles a frozen buildDidactic graph with its
 // durations bound.
-func didacticEvaluator(t *testing.T, g *Graph) *Evaluator {
+func didacticProgram(t *testing.T, g *Graph) *Program {
 	t.Helper()
 	prog, err := Compile(g)
 	if err != nil {
@@ -69,16 +69,32 @@ func didacticEvaluator(t *testing.T, g *Graph) *Evaluator {
 	if prog, err = prog.Bind(didacticRow{}); err != nil {
 		t.Fatal(err)
 	}
-	return prog.NewInterpreter()
+	return prog
+}
+
+// didacticEvaluator is a compiled evaluator of a frozen buildDidactic
+// graph with its durations bound.
+func didacticEvaluator(t *testing.T, g *Graph) *Evaluator {
+	t.Helper()
+	return didacticProgram(t, g).NewEvaluator()
+}
+
+// epsilonVector returns n instants, all ε.
+func epsilonVector(n int) []maxplus.T {
+	v := make([]maxplus.T, n)
+	for i := range v {
+		v[i] = maxplus.Epsilon
+	}
+	return v
 }
 
 // didacticDirect evaluates equations (1)-(6) literally.
 func didacticDirect(n int, u func(k int) maxplus.T) [][]maxplus.T {
 	var xs [][]maxplus.T
-	prev := maxplus.NewVector(6)
+	prev := epsilonVector(6)
 	for k := 0; k < n; k++ {
 		ti1, tj1, ti2, ti3, tj3, ti4 := didacticDurations(k)
-		x := maxplus.NewVector(6)
+		x := epsilonVector(6)
 		x[0] = maxplus.Oplus(u(k), prev[3])
 		x[1] = maxplus.Oplus(maxplus.Otimes(x[0], ti1), prev[4])
 		x[2] = maxplus.Oplus(maxplus.Otimes(x[1], tj1), prev[3])
@@ -91,31 +107,39 @@ func didacticDirect(n int, u func(k int) maxplus.T) [][]maxplus.T {
 	return xs
 }
 
+// TestEvaluatorReproducesDidacticEquations holds both the compiled
+// evaluator and the interpreter to equations (1)-(6) evaluated literally.
 func TestEvaluatorReproducesDidacticEquations(t *testing.T) {
 	g, ids := buildDidactic(t)
 	if err := g.Freeze(); err != nil {
 		t.Fatal(err)
 	}
-	ev := didacticEvaluator(t, g)
+	prog := didacticProgram(t, g)
 	u := func(k int) maxplus.T { return maxplus.T(int64(k) * 100) }
 	want := didacticDirect(300, u)
 	names := []string{"xM1", "xM2", "xM3", "xM4", "xM5", "xM6"}
-	for k := 0; k < 300; k++ {
-		y, err := ev.Step([]maxplus.T{u(k)})
-		if err != nil {
-			t.Fatal(err)
-		}
-		for i, n := range names {
-			if got := ev.Value(ids[n]); got != want[k][i] {
-				t.Fatalf("k=%d %s = %v, want %v", k, n, got, want[k][i])
+	for _, ev := range []interface {
+		Step([]maxplus.T) ([]maxplus.T, error)
+		Value(NodeID) maxplus.T
+		K() int
+	}{prog.NewEvaluator(), prog.NewInterpreter()} {
+		for k := 0; k < 300; k++ {
+			y, err := ev.Step([]maxplus.T{u(k)})
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i, n := range names {
+				if got := ev.Value(ids[n]); got != want[k][i] {
+					t.Fatalf("%T k=%d %s = %v, want %v", ev, k, n, got, want[k][i])
+				}
+			}
+			if y[0] != want[k][5] {
+				t.Fatalf("%T k=%d output = %v, want %v", ev, k, y[0], want[k][5])
 			}
 		}
-		if y[0] != want[k][5] {
-			t.Fatalf("k=%d output = %v, want %v", k, y[0], want[k][5])
+		if ev.K() != 300 {
+			t.Fatalf("%T K() = %d", ev, ev.K())
 		}
-	}
-	if ev.K() != 300 {
-		t.Fatalf("K() = %d", ev.K())
 	}
 }
 
@@ -211,7 +235,11 @@ func TestEvaluatorHistoryBeforeOriginIsEpsilon(t *testing.T) {
 	if err := g.Freeze(); err != nil {
 		t.Fatal(err)
 	}
-	ev, _ := NewEvaluator(g)
+	prog, err := Compile(g)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ev := prog.NewEvaluator()
 	for k := 0; k < 6; k++ {
 		yv, err := ev.Step([]maxplus.T{maxplus.T(k * 100)})
 		if err != nil {
@@ -272,7 +300,7 @@ func TestEvaluatorReset(t *testing.T) {
 
 func TestEvaluatorErrors(t *testing.T) {
 	g, _ := buildDidactic(t)
-	if _, err := NewEvaluator(g); err == nil {
+	if _, err := Compile(g); err == nil {
 		t.Fatal("expected error for unfrozen graph")
 	}
 	if err := g.Freeze(); err != nil {
@@ -326,8 +354,8 @@ func TestBuilderPanics(t *testing.T) {
 			y := g.AddNode("y", Output)
 			g.AddArc(u, y, 0, Weight{})
 			_ = g.Freeze()
-			ev, _ := NewEvaluator(g)
-			ev.Value(u)
+			prog, _ := Compile(g)
+			prog.NewEvaluator().Value(u)
 		}},
 	}
 	for _, tc := range cases {

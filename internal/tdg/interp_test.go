@@ -1,0 +1,72 @@
+package tdg
+
+import (
+	"fmt"
+
+	"dyncomp/internal/maxplus"
+)
+
+// Interpreter evaluates a program's graph by walking its arc lists in
+// topological order: the reference semantics the compiled passes must
+// match bit-exactly. It is test code, the oracle of the evaluator tests
+// and of the "interpreted" benchmark rows. Row, PeekDelayed, Value,
+// ValuesInto, K and Reset are the embedded Evaluator's; only Step
+// differs.
+type Interpreter struct{ *Evaluator }
+
+// NewInterpreter returns an interpreting evaluator over the program's
+// graph that reads the program's row.
+func (p *Program) NewInterpreter() *Interpreter {
+	return &Interpreter{p.NewEvaluator()}
+}
+
+// Step computes iteration k as Evaluator.Step does, through
+// interpretPass instead of the compiled pass.
+func (e *Interpreter) Step(u []maxplus.T) ([]maxplus.T, error) {
+	g := e.prog.g
+	if len(u) != len(g.inputs) {
+		return nil, fmt.Errorf("tdg: %d inputs supplied, graph %q has %d", len(u), g.Name, len(g.inputs))
+	}
+	k := e.k
+	if err := e.fill(k); err != nil {
+		return nil, err
+	}
+	slot := k % e.depth
+	for i, id := range g.inputs {
+		e.ring[int(id)*e.depth+slot] = u[i]
+	}
+	e.interpretPass(k, slot)
+	for i, id := range g.outputs {
+		e.outBuf[i] = e.ring[int(id)*e.depth+slot]
+	}
+	e.k++
+	return e.outBuf, nil
+}
+
+// interpretPass computes every non-input instant of iteration k by
+// walking the graph's arc lists.
+func (e *Interpreter) interpretPass(k, slot int) {
+	g := e.prog.g
+	row := e.row
+	for _, id := range g.topo {
+		n := g.nodes[id]
+		if n.Kind == Input {
+			continue
+		}
+		acc := maxplus.Epsilon
+		for _, a := range g.in[id] {
+			if a.Delay > k {
+				continue // references an iteration before the origin: ε
+			}
+			src := e.ring[int(a.From)*e.depth+((k-a.Delay)%e.depth)]
+			if src == maxplus.Epsilon {
+				continue
+			}
+			v := a.Weight.Apply(src, row)
+			if v > acc {
+				acc = v
+			}
+		}
+		e.ring[int(id)*e.depth+slot] = acc
+	}
+}

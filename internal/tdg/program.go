@@ -93,9 +93,9 @@ var compiles atomic.Int64
 func Compiles() int64 { return compiles.Load() }
 
 // Compile flattens a frozen graph into an evaluation program. The
-// compiled evaluator is bit-exact against the interpreter by
-// construction: both apply the same (max,+) fold in the same node and
-// arc order.
+// compiled evaluator is bit-exact against a walk of the graph's arc lists
+// by construction: both apply the same (max,+) fold in the same node and
+// arc order (the package tests hold it to such an interpreter).
 func Compile(g *Graph) (*Program, error) {
 	if !g.frozen {
 		return nil, fmt.Errorf("tdg: Compile on unfrozen graph %q", g.Name)

@@ -246,9 +246,6 @@ func TestBindReadsItsOwnRow(t *testing.T) {
 	if _, err := prog.Bind(testRow{width: 1}); err == nil {
 		t.Fatal("Bind accepted inputs narrower than the row the arcs read")
 	}
-	if _, err := NewEvaluator(g); err == nil {
-		t.Fatal("NewEvaluator interpreted row weights without a row")
-	}
 	p1, err := prog.Bind(testRow{width: 2, delta: 10})
 	if err != nil {
 		t.Fatal(err)
