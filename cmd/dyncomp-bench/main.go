@@ -134,7 +134,7 @@ func main() {
 	out := flag.String("o", "BENCH_engines.json", "output file (- for stdout)")
 	computeOut := flag.String("compute-o", "BENCH_compute.json", "ComputeInstant benchmark output file (- for stdout, empty to skip)")
 	steps := flag.Int("steps", 20000, "Step calls per ComputeInstant measurement")
-	compare := flag.String("compare", "", "parent commit's dyncomp-bench binary to guard against; exits 1 if the median compiled or batched ns/step of this build is >10% above the parent's at any entry")
+	compare := flag.String("compare", "", "parent commit's dyncomp-bench binary to guard against; runs both alternately and exits 1 if, at any compiled or batched entry, the median of the per-round ns/step ratios of this build over the parent's is above 1.10")
 	sweepOut := flag.String("sweep-o", "BENCH_sweep.json", "sampled-sweep benchmark output file (- for stdout, empty to skip)")
 	sweepCompare := flag.String("sweep-compare", "", "baseline BENCH_sweep.json to guard against; exits 1 if the sampler simulates more points or predicts worse")
 	serveOut := flag.String("serve-o", "", "HTTP load benchmark output file (- for stdout, empty to skip)")
@@ -353,42 +353,54 @@ const compareRounds = 5
 // compareCompute guards the compiled and batched ComputeInstant paths
 // against the parent commit's build. It runs the parent's dyncomp-bench
 // and this binary as separate processes, compareRounds times each,
-// alternating which of the two goes first, and fails when this binary's
-// median ns/step on any compiled or batched entry is more than 10% above
-// the parent's median. Both binaries run on the same host in the same
-// minutes, so no yardstick is needed to cancel the host's speed; swings
-// faster than a round still show (EXPERIMENTS.md).
+// alternating which of the two goes first. Each round pairs the two
+// runs: per entry it takes this binary's ns/step over the parent's, and
+// the guard fails when the median of those per-round ratios on any
+// compiled or batched entry is above 1.10. Both runs of a round share
+// the host's speed of those seconds, so the ratio cancels drift slower
+// than a round; swings faster than that still show (EXPERIMENTS.md).
 func compareCompute(parent string, steps, tokens int) error {
 	self, err := os.Executable()
 	if err != nil {
 		return fmt.Errorf("-compare: %w", err)
 	}
 	bins := [2]string{parent, self}
-	var runs [2][]computeReport // parent's, then this build's
+	var names []string
+	ratios := map[string][]float64{}
 	for r := 0; r < compareRounds; r++ {
+		var round [2]map[string]float64 // parent's, then this build's
 		for i := range bins {
 			who := (i + r) % 2
 			rep, err := runComputeReport(bins[who], steps, tokens)
 			if err != nil {
 				return fmt.Errorf("-compare: %s: %w", bins[who], err)
 			}
-			runs[who] = append(runs[who], rep)
+			var order []string
+			order, round[who] = entryValues(rep)
+			if who == 1 {
+				names = order
+			}
+		}
+		for name, h := range round[1] {
+			if b := round[0][name]; b > 0 && h > 0 {
+				ratios[name] = append(ratios[name], h/b)
+			}
 		}
 	}
-	names, base := entryMedians(runs[0])
-	_, head := entryMedians(runs[1])
 	var bad []string
 	compared := 0
-	fmt.Fprintf(os.Stderr, "dyncomp-bench: median ns/step over %d alternated rounds (parent %s)\n", compareRounds, parent)
+	fmt.Fprintf(os.Stderr, "dyncomp-bench: median of per-round ns/step ratios over %d alternated rounds (parent %s)\n", compareRounds, parent)
 	for _, name := range names {
-		b, h := base[name], head[name]
-		if b <= 0 || h <= 0 {
+		v := ratios[name]
+		if len(v) == 0 {
 			continue
 		}
 		compared++
-		fmt.Fprintf(os.Stderr, "  %-28s parent %9.1f  this %9.1f  ratio %.3f\n", name, b, h, h/b)
-		if h > b*1.10 {
-			bad = append(bad, fmt.Sprintf("%s: %.1f ns/step vs parent %.1f (+%.0f%%)", name, h, b, 100*(h/b-1)))
+		sort.Float64s(v)
+		ratio := v[len(v)/2]
+		fmt.Fprintf(os.Stderr, "  %-28s ratio %.3f  (rounds %s)\n", name, ratio, formatRatios(v))
+		if ratio > 1.10 {
+			bad = append(bad, fmt.Sprintf("%s: ns/step %.3fx the parent's (+%.0f%%)", name, ratio, 100*(ratio-1)))
 		}
 	}
 	if compared == 0 {
@@ -399,6 +411,15 @@ func compareCompute(parent string, steps, tokens int) error {
 	}
 	fmt.Fprintf(os.Stderr, "dyncomp-bench: compiled and batched paths within 10%% of the parent build\n")
 	return nil
+}
+
+// formatRatios lists sorted ratios for the guard's log line.
+func formatRatios(v []float64) string {
+	parts := make([]string, len(v))
+	for i, x := range v {
+		parts[i] = strconv.FormatFloat(x, 'f', 3, 64)
+	}
+	return strings.Join(parts, " ")
 }
 
 // runComputeReport runs one dyncomp-bench binary for its ComputeInstant
@@ -417,31 +438,22 @@ func runComputeReport(bin string, steps, tokens int) (computeReport, error) {
 	return rep, err
 }
 
-// entryMedians returns the name of every compiled and batched entry, in
-// report order, and each one's median ns/step over the reports.
-func entryMedians(reps []computeReport) ([]string, map[string]float64) {
+// entryValues returns the name of every compiled and batched entry of
+// one report, in report order, and each one's ns/step.
+func entryValues(rep computeReport) ([]string, map[string]float64) {
 	var names []string
-	vals := map[string][]float64{}
+	vals := map[string]float64{}
 	add := func(name string, ns float64) {
-		if _, ok := vals[name]; !ok {
-			names = append(names, name)
-		}
-		vals[name] = append(vals[name], ns)
+		names = append(names, name)
+		vals[name] = ns
 	}
-	for _, rep := range reps {
-		for _, cb := range rep.Sizes {
-			add(fmt.Sprintf("compiled %d nodes", cb.Nodes), cb.CompiledNs)
-		}
-		for _, bb := range rep.Batched {
-			add(fmt.Sprintf("batched %d nodes x%d", bb.Nodes, bb.Width), bb.NsPerStepPoint)
-		}
+	for _, cb := range rep.Sizes {
+		add(fmt.Sprintf("compiled %d nodes", cb.Nodes), cb.CompiledNs)
 	}
-	med := make(map[string]float64, len(vals))
-	for name, v := range vals {
-		sort.Float64s(v)
-		med[name] = v[len(v)/2]
+	for _, bb := range rep.Batched {
+		add(fmt.Sprintf("batched %d nodes x%d", bb.Nodes, bb.Width), bb.NsPerStepPoint)
 	}
-	return names, med
+	return names, vals
 }
 
 // computeInstantReport measures the ComputeInstant hot path: the compiled

@@ -127,10 +127,14 @@ func (b *builder) build(opts AttachOptions) error {
 		if _, ok := resources[f.Resource]; !ok {
 			resources[f.Resource] = newResourceRT(b.kernel, f.Resource)
 		}
+		body, err := b.resolve(f)
+		if err != nil {
+			return err
+		}
 		fn := f
 		rt := resources[f.Resource]
 		b.kernel.Spawn(fn.Name, func(p *sim.Proc) {
-			b.runFunction(p, fn, rt)
+			b.runFunction(p, fn, body, rt)
 		})
 	}
 
@@ -151,9 +155,7 @@ func (b *builder) build(opts AttachOptions) error {
 					panic(fmt.Sprintf("baseline: source %q schedule(%d) is ε", src.Name, k))
 				}
 				p.WaitUntil(sim.Time(u))
-				tok := src.Tokens(k)
-				tok.K = k
-				ch.Write(p, tok)
+				ch.Write(p, src.TokenAt(k))
 			}
 		})
 	}
@@ -172,34 +174,71 @@ func (b *builder) build(opts AttachOptions) error {
 	return nil
 }
 
+// step is one body statement resolved once, before the run: a transfer
+// on a channel runtime, or an execution.
+type step struct {
+	ch   chanrt.RT  // the Read's or Write's runtime
+	read bool       // a Read; a Write when false and ch is set
+	exec model.Exec // when ch is nil
+}
+
+// resolve binds f's body to the channel runtimes.
+func (b *builder) resolve(f *model.Function) ([]step, error) {
+	body := make([]step, len(f.Body))
+	for i, st := range f.Body {
+		var ch *model.Channel
+		switch s := st.(type) {
+		case model.Read:
+			ch, body[i].read = s.Ch, true
+		case model.Write:
+			ch = s.Ch
+		case model.Exec:
+			body[i].exec = s
+			continue
+		}
+		if body[i].ch = b.chans[ch]; body[i].ch == nil {
+			return nil, fmt.Errorf("baseline: function %q uses channel %q, which has no runtime", f.Name, ch.Name)
+		}
+	}
+	return body, nil
+}
+
 // runFunction executes one application function: acquire the turn in the
 // resource rotation, run the body statements, release the turn. An
 // execution whose duration is out of range fails the run.
-func (b *builder) runFunction(p *sim.Proc, f *model.Function, rt *resourceRT) {
+func (b *builder) runFunction(p *sim.Proc, f *model.Function, body []step, rt *resourceRT) {
 	m := len(f.Resource.Rotation)
 	skip := GateSkipped(f)
+	// Bodies ending in an Exec have no transfer marking the turn end;
+	// a trace records the auxiliary end instant for comparison with the
+	// equivalent model.
+	endLabel := ""
+	if b.trace != nil && body[len(body)-1].ch == nil {
+		endLabel = "end:" + f.Name
+	}
 	var cur model.Token
 	for k := 0; ; k++ {
 		turn := k*m + f.RotIndex
 		rt.waitTurn(p, turn, skip)
-		for _, st := range f.Body {
-			switch s := st.(type) {
-			case model.Read:
-				cur = b.chans[s.Ch].Read(p)
-			case model.Write:
-				b.chans[s.Ch].Write(p, cur)
-			case model.Exec:
-				load := s.Cost(cur)
+		for i := range body {
+			st := &body[i]
+			switch {
+			case st.read:
+				cur = st.ch.Read(p)
+			case st.ch != nil:
+				st.ch.Write(p, cur)
+			default:
+				load := st.exec.Cost(cur)
 				dur, err := f.Resource.Duration(load)
 				if err != nil {
-					p.Kernel().Fail(fmt.Errorf("baseline: execute %q of %q, iteration %d: %w", s.Label, f.Name, k, err))
+					p.Kernel().Fail(fmt.Errorf("baseline: execute %q of %q, iteration %d: %w", st.exec.Label, f.Name, k, err))
 					return
 				}
 				if b.trace != nil {
 					now := maxplus.T(p.Now())
 					b.trace.RecordActivity(observe.Activity{
 						Resource: f.Resource.Name,
-						Label:    s.Label,
+						Label:    st.exec.Label,
 						K:        k,
 						Start:    now,
 						End:      maxplus.Otimes(now, dur),
@@ -211,13 +250,8 @@ func (b *builder) runFunction(p *sim.Proc, f *model.Function, rt *resourceRT) {
 				}
 			}
 		}
-		// Bodies ending in an Exec have no transfer marking the turn end;
-		// record the auxiliary end instant for comparison with the
-		// equivalent model.
-		if b.trace != nil {
-			if _, ok := f.Body[len(f.Body)-1].(model.Exec); ok {
-				b.trace.RecordInstant("end:"+f.Name, maxplus.T(p.Now()))
-			}
+		if endLabel != "" {
+			b.trace.RecordInstant(endLabel, maxplus.T(p.Now()))
 		}
 		rt.endTurn(turn, f.RotIndex)
 	}

@@ -23,8 +23,16 @@ import (
 // derivation applies the identical rule (its self-arc elimination), so
 // both engines agree.
 type resourceRT struct {
-	r     *model.Resource
-	ended map[int]bool
+	r *model.Resource
+	// ended[t%c] holds turn t once it has ended and until turn t+c has
+	// consumed it (-1 when empty), with c the effective concurrency. The
+	// turns fall into c chains by t mod c, and each chain runs strictly
+	// in order: turn t starts only once turn t-c has ended (directly, or
+	// through the rendezvous handoff, whose ends are never stored), so
+	// turn t+c cannot end before turn t is consumed. A chain therefore
+	// holds at most one ended, unconsumed turn, and c slots never
+	// collide.
+	ended []int
 	ev    *sim.Event
 	// skipStore[j] reports that the ends of rotation[j]'s turns are never
 	// consumed, because their consumer skips its gate.
@@ -33,7 +41,10 @@ type resourceRT struct {
 
 func newResourceRT(k *sim.Kernel, r *model.Resource) *resourceRT {
 	m := len(r.Rotation)
-	rt := &resourceRT{r: r, ended: map[int]bool{}, ev: k.NewEvent("turn:" + r.Name), skipStore: make([]bool, m)}
+	rt := &resourceRT{r: r, ended: make([]int, effectiveConcurrency(r)), ev: k.NewEvent("turn:" + r.Name), skipStore: make([]bool, m)}
+	for i := range rt.ended {
+		rt.ended[i] = -1
+	}
 	for j := 0; j < m; j++ {
 		consumer := r.Rotation[(j+effectiveConcurrency(r))%m]
 		rt.skipStore[j] = GateSkipped(consumer)
@@ -84,14 +95,15 @@ func (rt *resourceRT) waitTurn(p *sim.Proc, t int, skip bool) {
 	if skip {
 		return
 	}
-	gate := t - effectiveConcurrency(rt.r)
+	c := len(rt.ended)
+	gate := t - c
 	if gate < 0 {
 		return
 	}
-	for !rt.ended[gate] {
+	for rt.ended[gate%c] != gate {
 		p.WaitEvent(rt.ev)
 	}
-	delete(rt.ended, gate) // consumed exactly once, by turn gate+c
+	rt.ended[gate%c] = -1 // consumed exactly once, by turn gate+c
 }
 
 // endTurn marks turn t finished and wakes functions waiting on the gate.
@@ -99,6 +111,6 @@ func (rt *resourceRT) endTurn(t int, j int) {
 	if rt.skipStore[j] {
 		return // the consumer synchronizes through the rendezvous instead
 	}
-	rt.ended[t] = true
+	rt.ended[t%len(rt.ended)] = t
 	rt.ev.Notify()
 }

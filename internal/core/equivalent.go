@@ -12,10 +12,15 @@
 //     until simulation time reaches y(k) and only then emits the output
 //     token.
 //
-// Only boundary events remain visible to the simulation kernel; all
-// internal events are saved. Because the internal instants are still
-// computed, resource usage is reconstructed exactly on a local
-// observation time (Fig. 2b) without involving the simulator.
+// A boundary process whose next action is not yet computable (a
+// reception whose gate needs iteration k-1 or another input's k-th
+// arrival, an emission whose y(k) is not computed) parks on an event of
+// its own. The reception that completes what it waits for fires that
+// event once, at the instant the action is due, and wakes no other
+// process. Only boundary events remain visible to the simulation
+// kernel; all internal events are saved. Because the internal instants
+// are still computed, resource usage is reconstructed exactly on a
+// local observation time (Fig. 2b) without involving the simulator.
 //
 // Model.Compute goes one step further and drops the kernel: it takes the
 // input instants straight from the source schedules and computes every
@@ -176,8 +181,8 @@ func engineFor(res *derive.Result, iter int, limit sim.Time, k *sim.Kernel, ev *
 			eng.outputs[j] = eng.outputs[j][:0]
 		}
 	}
-	eng.stepped = k.NewEvent("stepped")
-	eng.emitted = k.NewEvent("emitted")
+	eng.recv = parkedFor(eng.recv, k, len(res.Inputs))
+	eng.emit = parkedFor(eng.emit, k, len(res.Outputs))
 	// The input runtimes record their own instants.
 	var inLabels []string
 	for _, ib := range res.Inputs {
@@ -216,9 +221,43 @@ func (e *engine) finalTime() sim.Time {
 // recycle parks a finished engine's state for the next run. The caller
 // releases the evaluator itself.
 func recycle(eng *engine) {
-	eng.res, eng.eval, eng.trace = nil, nil, nil
-	eng.kernel, eng.stepped, eng.emitted = nil, nil, nil
+	eng.res, eng.eval, eng.trace, eng.kernel = nil, nil, nil, nil
+	clear(eng.recv) // the events belong to the finished kernel
+	clear(eng.emit)
 	enginePool.Put(eng)
+}
+
+// parked is a boundary process waiting until its next action is
+// computable: k is the iteration it waits for, -1 while it runs or is
+// already scheduled, and at the instant it was scheduled for.
+type parked struct {
+	ev *sim.Event
+	k  int
+	at maxplus.T
+}
+
+// parkedFor resizes ws to n processes, reusing its storage, each with a
+// fresh event of kernel k and nothing parked.
+func parkedFor(ws []parked, k *sim.Kernel, n int) []parked {
+	if cap(ws) < n {
+		ws = make([]parked, n)
+	}
+	ws = ws[:n]
+	for i := range ws {
+		ws[i] = parked{ev: k.NewEvent("parked"), k: -1}
+	}
+	return ws
+}
+
+// fire schedules the parked process once, at instant at (now when at
+// is ε or past), and marks it no longer parked.
+func (w *parked) fire(now sim.Time, at maxplus.T) {
+	w.k, w.at = -1, at
+	if !at.IsEpsilon() && sim.Time(at) > now {
+		w.ev.NotifyAt(sim.Time(at))
+	} else {
+		w.ev.Notify()
+	}
 }
 
 // engine is the running state of one equivalent-model simulation.
@@ -239,8 +278,9 @@ type engine struct {
 	pending int         // number of inputs that delivered the pending iteration
 
 	outputs [][]maxplus.T // computed y(k) per output, grown by Step
-	stepped *sim.Event    // broadcast after each arrival and ComputeInstant
-	emitted *sim.Event    // broadcast after each computed output batch
+
+	recv []parked // per input
+	emit []parked // per output
 }
 
 func (e *engine) build() {
@@ -275,9 +315,7 @@ func (e *engine) build() {
 					panic(fmt.Sprintf("core: source %q schedule(%d) is ε", src.Name, k))
 				}
 				p.WaitUntil(sim.Time(u))
-				tok := src.Tokens(k)
-				tok.K = k
-				ch.Write(p, tok)
+				ch.Write(p, src.TokenAt(k))
 			}
 		})
 	}
@@ -294,21 +332,27 @@ func (e *engine) build() {
 
 	// Emission processes replay stored output instants.
 	for j := range res.Outputs {
-		idx := j
+		w := &e.emit[j]
 		ob := res.Outputs[j]
 		ch := outChans[j]
+		src := arch.SourceOf(ob.Channel)
 		e.kernel.Spawn("Emission:"+ob.Channel.Name, func(p *sim.Proc) {
 			for k := 0; k < e.iter; k++ {
-				for len(e.outputs[idx]) <= k {
-					p.WaitEvent(e.emitted)
+				var y maxplus.T
+				if outs := e.outputs[j]; len(outs) > k {
+					y = outs[k]
+					if y != maxplus.Epsilon {
+						p.WaitUntil(sim.Time(y))
+					}
+				} else {
+					w.k = k
+					p.WaitEvent(w.ev) // deliver fires it at y(k)
+					y = w.at
 				}
-				y := e.outputs[idx][k]
 				if y == maxplus.Epsilon {
 					continue // this iteration produces no output yet
 				}
-				p.WaitUntil(sim.Time(y))
-				tok := arch.TokenOf(ob.Channel, k)
-				ch.Write(p, tok)
+				ch.Write(p, src.TokenAt(k))
 			}
 		})
 	}
@@ -331,29 +375,22 @@ func (e *engine) build() {
 // triggers ComputeInstant when the iteration's inputs are complete.
 func (e *engine) runReception(p *sim.Proc, idx int, ib derive.InputBinding, ch chanrt.RT) {
 	fifo, _ := ch.(*chanrt.FIFO)
+	w := &e.recv[idx]
 	for k := 0; k < e.iter; k++ {
 		// The delayed gate needs iteration k-1 fully computed; the
 		// same-iteration terms need the referenced inputs' k-th arrivals.
-		for !e.gateReady(ib, k) {
-			p.WaitEvent(e.stepped)
-		}
-		gate, err := e.eval.PeekDelayed(ib.Gate, k)
-		if err != nil {
-			p.Kernel().Fail(err)
-			return
-		}
-		if len(ib.SameIterGate) > 0 {
-			row, err := e.eval.Row(k) // PeekDelayed filled it
+		if e.gateReady(ib, k) {
+			gate, err := e.gateValue(ib, k)
 			if err != nil {
 				p.Kernel().Fail(err)
 				return
 			}
-			for _, sg := range ib.SameIterGate {
-				gate = maxplus.Oplus(gate, sg.Weight.Apply(e.inputs[sg.InputIndex], row))
+			if !gate.IsEpsilon() && sim.Time(gate) > p.Now() {
+				p.WaitUntil(sim.Time(gate))
 			}
-		}
-		if !gate.IsEpsilon() && sim.Time(gate) > p.Now() {
-			p.WaitUntil(sim.Time(gate))
+		} else {
+			w.k = k
+			p.WaitEvent(w.ev) // deliver fires it at the gate
 		}
 		ch.Read(p)
 		arrival := maxplus.T(p.Now())
@@ -383,6 +420,22 @@ func (e *engine) gateReady(ib derive.InputBinding, k int) bool {
 	return true
 }
 
+// gateValue evaluates the k-th gate of ib; gateReady must hold.
+func (e *engine) gateValue(ib derive.InputBinding, k int) (maxplus.T, error) {
+	gate, err := e.eval.PeekDelayed(ib.Gate, k)
+	if err != nil || len(ib.SameIterGate) == 0 {
+		return gate, err
+	}
+	row, err := e.eval.Row(k) // PeekDelayed filled it
+	if err != nil {
+		return maxplus.Epsilon, err
+	}
+	for _, sg := range ib.SameIterGate {
+		gate = maxplus.Oplus(gate, sg.Weight.Apply(e.inputs[sg.InputIndex], row))
+	}
+	return gate, nil
+}
+
 // deliver records one input arrival and steps the evaluator once the
 // iteration is complete. The step happens in zero simulation time; an
 // error filling the iteration's row fails it.
@@ -391,8 +444,7 @@ func (e *engine) deliver(k, idx int, arrival maxplus.T) error {
 	e.arrived[idx] = k + 1
 	e.pending++
 	if e.pending < len(e.inputs) {
-		e.stepped.Notify() // other receptions may gate on this arrival
-		return nil
+		return e.wake() // another reception may gate on this arrival
 	}
 	e.pending = 0
 
@@ -411,7 +463,29 @@ func (e *engine) deliver(k, idx int, arrival maxplus.T) error {
 		e.eval.ValuesInto(e.vals)
 		e.res.Record(e.trace, e.nodes, e.vals, row, k, e.limit)
 	}
-	e.stepped.Notify()
-	e.emitted.Notify()
+	return e.wake()
+}
+
+// wake fires every parked boundary process whose action became
+// computable: a reception at its gate, an emission at its y(k).
+func (e *engine) wake() error {
+	now := e.kernel.Now()
+	for i := range e.recv {
+		w := &e.recv[i]
+		ib := e.res.Inputs[i]
+		if w.k < 0 || !e.gateReady(ib, w.k) {
+			continue
+		}
+		gate, err := e.gateValue(ib, w.k)
+		if err != nil {
+			return err
+		}
+		w.fire(now, gate)
+	}
+	for j := range e.emit {
+		if w := &e.emit[j]; w.k >= 0 && len(e.outputs[j]) > w.k {
+			w.fire(now, e.outputs[j][w.k])
+		}
+	}
 	return nil
 }

@@ -30,6 +30,14 @@ import (
 // instants it waits for, the waits never push any simulated event past
 // its true instant.
 //
+// The evaluation is no process of its own: advance runs it in zero
+// simulation time inside the boundary process that made something new
+// final (a reception's arrival, the emission's confirmed transfer), as
+// the paper's Reception runs ComputeInstant. A boundary process whose
+// next action is not yet computable parks on its own event; advance
+// fires that event once, at the instant the action is due (the gate of
+// the reception, y(k) of the emission), and wakes no one else.
+//
 // The ring keeps maxDelay+1+lead iterations per node, and no node runs
 // more than lead iterations ahead of the slowest reader of the ring.
 // A group that would need more lead than that delays a reception past
@@ -65,7 +73,11 @@ type engine struct {
 	ys        []maxplus.T // emission-ready instants y(k)
 	confirmed int
 	recorded  int // iterations recorded into the trace
-	progress  *sim.Event
+
+	recv []parked // one per boundary input
+	emit parked
+
+	topo []tdg.NodeID
 
 	vals  []maxplus.T       // instants of the iteration being recorded
 	nodes []derive.Labelled // the instants Record reconstructs
@@ -108,7 +120,12 @@ func newEngine(a *model.Architecture, sub *subArch, dres *derive.Result, kern *s
 		inIdx:    make([]int, g.NodeCount()),
 		outNode:  dres.Outputs[0].Node,
 		recorded: iters,
-		progress: kern.NewEvent("hybrid:progress"),
+		recv:     make([]parked, len(dres.Inputs)),
+		emit:     parked{ev: kern.NewEvent("hybrid:emit"), k: -1},
+		topo:     g.TopoOrder(),
+	}
+	for i := range e.recv {
+		e.recv[i] = parked{ev: kern.NewEvent("hybrid:recv"), k: -1}
 	}
 	for i := range e.ring {
 		e.ring[i] = maxplus.Epsilon
@@ -159,6 +176,28 @@ func (e *engine) value(id tdg.NodeID, k int) maxplus.T {
 	return *e.slot(id, k)
 }
 
+// parked is a boundary process waiting until its next action is
+// computable: k is the iteration it waits for, -1 while it runs or is
+// already scheduled, and at the instant advance scheduled it for.
+type parked struct {
+	ev *sim.Event
+	k  int
+	at maxplus.T
+}
+
+// fire schedules the parked process once, at instant at (now when at
+// is ε or past), and marks it no longer parked.
+func (w *parked) fire(now sim.Time, at maxplus.T) {
+	w.k, w.at = -1, at
+	if !at.IsEpsilon() && sim.Time(at) > now {
+		w.ev.NotifyAt(sim.Time(at))
+	} else {
+		w.ev.Notify()
+	}
+}
+
+// build spawns the boundary processes and computes what is final before
+// any of them runs; an error there fails the kernel's run.
 func (e *engine) build(boundary map[*model.Channel]chanrt.RT) {
 	for i := range e.dres.Inputs {
 		idx := i
@@ -169,14 +208,15 @@ func (e *engine) build(boundary map[*model.Channel]chanrt.RT) {
 			e.runReception(p, idx, ib, rt)
 		})
 	}
-	e.kern.Spawn("Compute:"+e.sub.arch.Name, func(p *sim.Proc) {
-		e.runComputer(p)
-	})
 	outOrig := e.sub.outOrig[0]
 	rt := boundary[outOrig]
+	src := e.arch.SourceOf(outOrig)
 	e.kern.Spawn("Emission:"+outOrig.Name, func(p *sim.Proc) {
-		e.runEmission(p, outOrig, rt)
+		e.runEmission(p, src, rt)
 	})
+	if err := e.advance(); err != nil {
+		e.kern.Fail(err)
+	}
 }
 
 // gateReady reports whether every instant the k-th gate of ib references
@@ -228,17 +268,22 @@ func (e *engine) gateValue(ib derive.InputBinding, k int) (maxplus.T, error) {
 func (e *engine) runReception(p *sim.Proc, idx int, ib derive.InputBinding, rt chanrt.RT) {
 	fifo, _ := rt.(*chanrt.FIFO)
 	rv, _ := rt.(*chanrt.RV)
+	w := &e.recv[idx]
 	for k := 0; k < e.iters; k++ {
-		for !e.gateReady(ib, k) {
-			p.WaitEvent(e.progress)
-		}
-		gate, err := e.gateValue(ib, k)
-		if err != nil {
-			p.Kernel().Fail(err)
-			return
-		}
-		if !gate.IsEpsilon() && sim.Time(gate) > p.Now() {
-			p.WaitUntil(sim.Time(gate))
+		var gate maxplus.T
+		if e.gateReady(ib, k) {
+			var err error
+			if gate, err = e.gateValue(ib, k); err != nil {
+				p.Kernel().Fail(err)
+				return
+			}
+			if !gate.IsEpsilon() && sim.Time(gate) > p.Now() {
+				p.WaitUntil(sim.Time(gate))
+			}
+		} else {
+			w.k = k
+			p.WaitEvent(w.ev) // advance fires it at the gate
+			gate = w.at
 		}
 		rt.Read(p)
 		read := maxplus.T(p.Now())
@@ -258,19 +303,22 @@ func (e *engine) runReception(p *sim.Proc, idx int, ib derive.InputBinding, rt c
 		}
 		e.arrRing[idx][k%e.depth] = arrival
 		e.inputs[idx] = k + 1
-		e.progress.Notify()
+		if err := e.advance(); err != nil {
+			p.Kernel().Fail(err)
+			return
+		}
 	}
 }
 
-// runComputer computes every node instant whose references are final,
-// in topological order within a sweep and across iterations, until a
-// sweep makes no progress; then it parks until a reception or the
-// emission advances. Progress notifications are batched: waiters
-// re-check only when the computer is about to park — computing a node
-// costs no kernel events, which is the point of the method.
-func (e *engine) runComputer(p *sim.Proc) {
-	topo := e.graph.TopoOrder()
-	for {
+// advance computes every node instant whose references are final, in
+// topological order within a sweep and across iterations, until a sweep
+// makes no progress; records the iterations it completed; and fires each
+// parked boundary process whose action became computable. It runs in
+// zero simulation time after every arrival and every confirmed emission,
+// the only changes that make more instants final: computing a node
+// costs no kernel event, which is the point of the method.
+func (e *engine) advance() error {
+	for progressed := true; progressed; {
 		// low is the earliest iteration any ring reader may still need:
 		// nodes (through their arcs and the receptions' gates), the
 		// emission's confirmation and the trace recorder.
@@ -278,12 +326,11 @@ func (e *engine) runComputer(p *sim.Proc) {
 		for _, d := range e.nodeDone {
 			low = min(low, d)
 		}
-		progressed := false
-		for _, id := range topo {
+		progressed = false
+		for _, id := range e.topo {
 			for k := e.nodeDone[id]; k < e.iters && k < low+e.lead && e.ready(id, k); k++ {
 				if err := e.compute(id, k); err != nil {
-					p.Kernel().Fail(err)
-					return
+					return err
 				}
 				progressed = true
 			}
@@ -294,19 +341,26 @@ func (e *engine) runComputer(p *sim.Proc) {
 		}
 		for ; e.recorded < done; e.recorded++ {
 			if _, err := e.record(e.trace, e.recorded); err != nil {
-				p.Kernel().Fail(err)
-				return
+				return err
 			}
 		}
-		if progressed {
+	}
+	now := e.kern.Now()
+	for i := range e.recv {
+		w := &e.recv[i]
+		if w.k < 0 || !e.gateReady(e.dres.Inputs[i], w.k) {
 			continue
 		}
-		e.progress.Notify()
-		if done == e.iters {
-			return
+		gate, err := e.gateValue(e.dres.Inputs[i], w.k)
+		if err != nil {
+			return err
 		}
-		p.WaitEvent(e.progress)
+		w.fire(now, gate)
 	}
+	if w := &e.emit; w.k >= 0 && len(e.ys) > w.k {
+		w.fire(now, e.ys[w.k])
+	}
+	return nil
 }
 
 // ready reports whether every instant node id's iteration k references
@@ -362,24 +416,30 @@ func (e *engine) compute(id tdg.NodeID, k int) error {
 
 // runEmission replays the computed output instants onto the real boundary
 // channel and confirms each observed transfer, correcting the stored
-// instant that later iterations' rotation gates reference.
-func (e *engine) runEmission(p *sim.Proc, orig *model.Channel, rt chanrt.RT) {
+// instant that later iterations' rotation gates reference. src is the
+// source whose tokens the output channel carries.
+func (e *engine) runEmission(p *sim.Proc, src *model.Source, rt chanrt.RT) {
+	fifo, _ := rt.(*chanrt.FIFO)
 	for k := 0; k < e.iters; k++ {
-		for len(e.ys) <= k {
-			p.WaitEvent(e.progress)
+		if len(e.ys) > k {
+			if y := e.ys[k]; !y.IsEpsilon() && sim.Time(y) > p.Now() {
+				p.WaitUntil(sim.Time(y))
+			}
+		} else {
+			e.emit.k = k
+			p.WaitEvent(e.emit.ev) // advance fires it at y(k)
 		}
-		y := e.ys[k]
-		if !y.IsEpsilon() && sim.Time(y) > p.Now() {
-			p.WaitUntil(sim.Time(y))
-		}
-		rt.Write(p, e.arch.TokenOf(orig, k))
+		rt.Write(p, src.TokenAt(k))
 		actual := maxplus.T(p.Now())
-		if fifo, ok := rt.(*chanrt.FIFO); ok {
+		if fifo != nil {
 			actual = fifo.WriteInstant(k)
 		}
 		*e.slot(e.outNode, k) = actual
 		e.confirmed = k + 1
-		e.progress.Notify()
+		if err := e.advance(); err != nil {
+			p.Kernel().Fail(err)
+			return
+		}
 	}
 }
 
@@ -409,8 +469,8 @@ func (e *engine) record(trace *observe.Trace, k int) (maxplus.T, error) {
 // the last whole iteration within the limit. The kernel sees only the
 // group's boundary events, while the reference executor also simulates
 // an internal execution or transfer that ends after the last of them.
-// A row that fails to fill here failed the run already, when the
-// computer first needed it.
+// A row that fails to fill here failed the run already, when advance
+// first needed it.
 func (e *engine) finish() sim.Time {
 	done, last := e.iters, 0
 	for _, d := range e.nodeDone {

@@ -16,7 +16,11 @@
 // instant that references an output transfer only once it is confirmed.
 // Every other instant is computed as soon as what it references is final,
 // across iterations, so a group that pipelines several iterations between
-// its boundary input and output gates its receptions on time. Because an
+// its boundary input and output gates its receptions on time. The
+// evaluation is no simulation process: it runs in zero simulation time
+// inside the boundary process whose arrival or confirmed emission made
+// more instants final, and it wakes only a boundary process whose
+// action became computable, once, at that action's instant. Because an
 // instant is never earlier than what it waits for, the waits never delay
 // an emission or a reception, and every computed instant is final when
 // produced. A run the evaluation cannot keep exact fails with

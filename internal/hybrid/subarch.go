@@ -96,10 +96,8 @@ func buildSub(a *model.Architecture, group map[*model.Function]bool, iters int) 
 	// the boundary; the schedule is irrelevant (the equivalent model feeds
 	// observed arrival instants).
 	for _, ch := range sub.inOrig {
-		orig := ch
-		sub.arch.AddSource("bsrc:"+ch.Name, sub.mirror[ch], model.Eager(), func(k int) model.Token {
-			return a.TokenOf(orig, k)
-		}, iters)
+		src := a.SourceOf(ch) // resolved once, not per token
+		sub.arch.AddSource("bsrc:"+ch.Name, sub.mirror[ch], model.Eager(), src.TokenAt, iters)
 	}
 	for _, ch := range sub.outOrig {
 		sub.arch.AddSink("bsink:"+ch.Name, sub.mirror[ch])

@@ -245,6 +245,13 @@ type Source struct {
 	Count    int // number of tokens to produce; must be positive
 }
 
+// TokenAt returns the source's k-th token stamped with its iteration.
+func (s *Source) TokenAt(k int) Token {
+	tok := s.Tokens(k)
+	tok.K = k
+	return tok
+}
+
 // Sink is an environment process that is always ready to consume tokens
 // from a channel.
 type Sink struct {

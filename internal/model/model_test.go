@@ -78,13 +78,17 @@ func TestTokenProvenance(t *testing.T) {
 	}
 	// Every channel's token traces to the source, so sizes match u(k)'s.
 	for _, name := range []string{"M1", "M2", "M3", "M4", "M5", "M6"} {
+		src := a.SourceOf(chs[name])
+		if src != a.Sources[0] {
+			t.Fatalf("SourceOf(%s) = %v, want the architecture's source", name, src)
+		}
 		for k := 0; k < 10; k++ {
-			tok := a.TokenOf(chs[name], k)
+			tok := src.TokenAt(k)
 			if tok.Size != int64(100+k%7) {
-				t.Fatalf("TokenOf(%s, %d).Size = %d", name, k, tok.Size)
+				t.Fatalf("SourceOf(%s).TokenAt(%d).Size = %d", name, k, tok.Size)
 			}
 			if tok.K != k {
-				t.Fatalf("TokenOf(%s, %d).K = %d", name, k, tok.K)
+				t.Fatalf("SourceOf(%s).TokenAt(%d).K = %d", name, k, tok.K)
 			}
 		}
 	}

@@ -153,16 +153,18 @@ func (a *Architecture) Validate() error {
 	return nil
 }
 
-// TokenOf resolves the token processed on channel ch at iteration k by
-// following provenance back to a source. Validate must have succeeded.
-func (a *Architecture) TokenOf(ch *Channel, k int) Token {
+// SourceOf returns the source whose tokens channel ch carries, following
+// provenance back through the writers' bodies: the token on ch at
+// iteration k is SourceOf(ch).TokenAt(k). Validate must have succeeded.
+// It reads the architecture and writes nothing, so concurrent callers
+// may share one; a caller that needs many iterations resolves the source
+// once.
+func (a *Architecture) SourceOf(ch *Channel) *Source {
 	cur := ch
 	for cur.Source == nil {
 		cur = a.provenanceOf(cur)
 	}
-	tok := cur.Source.Tokens(k)
-	tok.K = k
-	return tok
+	return cur.Source
 }
 
 // provenanceOf returns the channel whose token the writer of ch forwards:
@@ -226,9 +228,7 @@ type ExecInfo struct {
 
 // Load returns the operation count of the statement at iteration k.
 func (e *ExecInfo) Load(k int) Load {
-	tok := e.src.Tokens(k)
-	tok.K = k
-	return e.cost(tok)
+	return e.cost(e.src.TokenAt(k))
 }
 
 // Duration returns the execution duration at iteration k in ticks.
@@ -257,17 +257,12 @@ func (a *Architecture) ExecInfoOf(f *Function, stmtIndex int) (*ExecInfo, error)
 	if prov == nil {
 		return nil, fmt.Errorf("model: execute %q of %q has no preceding Read", ex.Label, f.Name)
 	}
-	// Resolve the provenance chain to its source once.
-	cur := prov
-	for cur.Source == nil {
-		cur = a.provenanceOf(cur)
-	}
 	return &ExecInfo{
 		Func:      f,
 		StmtIndex: stmtIndex,
 		Label:     ex.Label,
 		Resource:  f.Resource,
-		src:       cur.Source,
+		src:       a.SourceOf(prov), // resolved once
 		cost:      ex.Cost,
 	}, nil
 }
