@@ -162,3 +162,41 @@ func (c *FIFO) WriteInstant(k int) maxplus.T {
 	}
 	return c.writes[k]
 }
+
+// Parked is a boundary process of an equivalent model waiting until its
+// next action is computable. The engine that makes the action
+// computable fires it once, at the instant the action is due, and wakes
+// no other process.
+type Parked struct {
+	ev *sim.Event
+	k  int       // the iteration waited for; -1 while running or scheduled
+	at maxplus.T // the instant Fire scheduled it for
+}
+
+// NewParked returns a process slot on a fresh event of kernel k, with
+// nothing parked.
+func NewParked(k *sim.Kernel, name string) Parked {
+	return Parked{ev: k.NewEvent(name), k: -1}
+}
+
+// Waiting returns the iteration the process is parked on, or -1.
+func (w *Parked) Waiting() int { return w.k }
+
+// Wait parks process p on iteration k until Fire and returns the
+// instant it was fired at.
+func (w *Parked) Wait(p *sim.Proc, k int) maxplus.T {
+	w.k = k
+	p.WaitEvent(w.ev)
+	return w.at
+}
+
+// Fire schedules the parked process once, at instant at (now when at is
+// ε or past), and marks it no longer parked.
+func (w *Parked) Fire(now sim.Time, at maxplus.T) {
+	w.k, w.at = -1, at
+	if !at.IsEpsilon() && sim.Time(at) > now {
+		w.ev.NotifyAt(sim.Time(at))
+	} else {
+		w.ev.Notify()
+	}
+}

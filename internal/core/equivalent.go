@@ -128,6 +128,9 @@ func (m *Model) Run(opts Options) (*Result, error) {
 	runErr := k.Run(limit)
 	res := &Result{Stats: k.Stats(), Trace: opts.Trace, Iterations: ev.K()}
 	res.Stats.FinalTime = eng.finalTime()
+	if runErr == nil {
+		eng.recordPending()
+	}
 	// Recycle also on failure: Kernel.Run has shut every process down, so
 	// the engine state and the evaluator ring are safe to pool either way.
 	ev.Release()
@@ -218,6 +221,29 @@ func (e *engine) finalTime() sim.Time {
 	return max(t, sim.Time(min(end, e.limit)))
 }
 
+// recordPending records the iteration the run left incomplete: some of
+// its inputs arrived within the limit, the others did not. The
+// reference executor runs what depends only on the arrived ones, so the
+// missing inputs enter at ⊤ and Record leaves everything that needs
+// them unrecorded, past any limit.
+func (e *engine) recordPending() {
+	if e.trace == nil || e.pending == 0 {
+		return
+	}
+	k := e.eval.K()
+	for i, n := range e.arrived {
+		if n <= k {
+			e.inputs[i] = maxplus.Top
+		}
+	}
+	if _, err := e.eval.Step(e.inputs); err != nil {
+		return // the row failed to fill; nothing of k is computable
+	}
+	row, _ := e.eval.Row(k) // Step filled it
+	e.eval.ValuesInto(e.vals)
+	e.res.Record(e.trace, e.nodes, e.vals, row, k, e.limit)
+}
+
 // recycle parks a finished engine's state for the next run. The caller
 // releases the evaluator itself.
 func recycle(eng *engine) {
@@ -227,37 +253,17 @@ func recycle(eng *engine) {
 	enginePool.Put(eng)
 }
 
-// parked is a boundary process waiting until its next action is
-// computable: k is the iteration it waits for, -1 while it runs or is
-// already scheduled, and at the instant it was scheduled for.
-type parked struct {
-	ev *sim.Event
-	k  int
-	at maxplus.T
-}
-
 // parkedFor resizes ws to n processes, reusing its storage, each with a
 // fresh event of kernel k and nothing parked.
-func parkedFor(ws []parked, k *sim.Kernel, n int) []parked {
+func parkedFor(ws []chanrt.Parked, k *sim.Kernel, n int) []chanrt.Parked {
 	if cap(ws) < n {
-		ws = make([]parked, n)
+		ws = make([]chanrt.Parked, n)
 	}
 	ws = ws[:n]
 	for i := range ws {
-		ws[i] = parked{ev: k.NewEvent("parked"), k: -1}
+		ws[i] = chanrt.NewParked(k, "parked")
 	}
 	return ws
-}
-
-// fire schedules the parked process once, at instant at (now when at
-// is ε or past), and marks it no longer parked.
-func (w *parked) fire(now sim.Time, at maxplus.T) {
-	w.k, w.at = -1, at
-	if !at.IsEpsilon() && sim.Time(at) > now {
-		w.ev.NotifyAt(sim.Time(at))
-	} else {
-		w.ev.Notify()
-	}
 }
 
 // engine is the running state of one equivalent-model simulation.
@@ -279,8 +285,8 @@ type engine struct {
 
 	outputs [][]maxplus.T // computed y(k) per output, grown by Step
 
-	recv []parked // per input
-	emit []parked // per output
+	recv []chanrt.Parked // per input
+	emit []chanrt.Parked // per output
 }
 
 func (e *engine) build() {
@@ -345,9 +351,7 @@ func (e *engine) build() {
 						p.WaitUntil(sim.Time(y))
 					}
 				} else {
-					w.k = k
-					p.WaitEvent(w.ev) // deliver fires it at y(k)
-					y = w.at
+					y = w.Wait(p, k) // deliver fires it at y(k)
 				}
 				if y == maxplus.Epsilon {
 					continue // this iteration produces no output yet
@@ -389,8 +393,7 @@ func (e *engine) runReception(p *sim.Proc, idx int, ib derive.InputBinding, ch c
 				p.WaitUntil(sim.Time(gate))
 			}
 		} else {
-			w.k = k
-			p.WaitEvent(w.ev) // deliver fires it at the gate
+			w.Wait(p, k) // deliver fires it at the gate
 		}
 		ch.Read(p)
 		arrival := maxplus.T(p.Now())
@@ -473,18 +476,20 @@ func (e *engine) wake() error {
 	for i := range e.recv {
 		w := &e.recv[i]
 		ib := e.res.Inputs[i]
-		if w.k < 0 || !e.gateReady(ib, w.k) {
+		k := w.Waiting()
+		if k < 0 || !e.gateReady(ib, k) {
 			continue
 		}
-		gate, err := e.gateValue(ib, w.k)
+		gate, err := e.gateValue(ib, k)
 		if err != nil {
 			return err
 		}
-		w.fire(now, gate)
+		w.Fire(now, gate)
 	}
 	for j := range e.emit {
-		if w := &e.emit[j]; w.k >= 0 && len(e.outputs[j]) > w.k {
-			w.fire(now, e.outputs[j][w.k])
+		w := &e.emit[j]
+		if k := w.Waiting(); k >= 0 && len(e.outputs[j]) > k {
+			w.Fire(now, e.outputs[j][k])
 		}
 	}
 	return nil

@@ -14,7 +14,7 @@ import (
 )
 
 // engine drives the abstracted group with a dataflow ("wave")
-// evaluation of the temporal dependency graph.
+// evaluation of the temporal dependency graph's compiled program.
 //
 // A monolithic ComputeInstant(k) would have to wait for the boundary
 // transfer of iteration k-1 (the output writer's rotation gate references
@@ -24,11 +24,16 @@ import (
 // the instants its arcs reference are final, across iterations: a group
 // that pipelines several iterations between its boundary input and
 // output computes the gates of later receptions while earlier
-// iterations still wait for their output confirmation. References to
-// the boundary output node wait for the confirmed transfer. Because
-// every node's value is, by (max,+) path-monotonicity, at least the
-// instants it waits for, the waits never push any simulated event past
-// its true instant.
+// iterations still wait for their output confirmation.
+//
+// One finality rule covers every node: nodeDone[n] counts node n's final
+// iterations, and a node's iteration k is computed once every instant it
+// references is final (tdg.Program.Ready) — an input node's instants are
+// its observed arrivals, the output node's its confirmed transfers (the
+// computed y(k) only schedules the emission), every other node's its
+// computed values. Because every node's value is, by (max,+)
+// path-monotonicity, at least the instants it waits for, the waits never
+// push any simulated event past its true instant.
 //
 // The evaluation is no process of its own: advance runs it in zero
 // simulation time inside the boundary process that made something new
@@ -47,21 +52,17 @@ type engine struct {
 	arch  *model.Architecture
 	sub   *subArch
 	dres  *derive.Result
+	prog  *tdg.Program
 	kern  *sim.Kernel
 	trace *observe.Trace
 	limit maxplus.T // simulated-time bound; later instants go unrecorded
-
-	iters   int
-	inputs  []int // arrived iterations per input
-	arrRing [][]maxplus.T
+	iters int
 
 	// Evaluation state.
-	graph    *tdg.Graph
 	depth    int
 	lead     int // iterations a node may run ahead of the ring's slowest reader
 	ring     []maxplus.T
-	nodeDone []int // computed iterations per node
-	inIdx    []int // input index per node; -1 for non-input nodes
+	nodeDone []int // final iterations per node
 	outNode  tdg.NodeID
 
 	// rows keeps one iteration row per ring slot: rows[slot*rowW:] holds
@@ -70,14 +71,11 @@ type engine struct {
 	rowW int
 	rowK []int
 
-	ys        []maxplus.T // emission-ready instants y(k)
-	confirmed int
-	recorded  int // iterations recorded into the trace
+	ys       []maxplus.T // emission-ready instants y(k)
+	recorded int         // iterations recorded into the trace
 
-	recv []parked // one per boundary input
-	emit parked
-
-	topo []tdg.NodeID
+	recv []chanrt.Parked // one per boundary input
+	emit chanrt.Parked
 
 	vals  []maxplus.T       // instants of the iteration being recorded
 	nodes []derive.Labelled // the instants Record reconstructs
@@ -102,14 +100,13 @@ func newEngine(a *model.Architecture, sub *subArch, dres *derive.Result, kern *s
 		arch:     a,
 		sub:      sub,
 		dres:     dres,
+		prog:     dres.Program(),
 		kern:     kern,
 		trace:    trace,
 		limit:    maxplus.T(limit),
 		iters:    iters,
-		inputs:   make([]int, len(dres.Inputs)),
 		vals:     make([]maxplus.T, g.NodeCount()),
 		nodes:    dres.LabelledNodes(nil, boundaryLabels(sub)),
-		graph:    g,
 		depth:    depth,
 		lead:     lead,
 		ring:     make([]maxplus.T, g.NodeCount()*depth),
@@ -117,31 +114,19 @@ func newEngine(a *model.Architecture, sub *subArch, dres *derive.Result, kern *s
 		rows:     make([]maxplus.T, dres.RowWidth()*depth),
 		rowK:     make([]int, depth),
 		nodeDone: make([]int, g.NodeCount()),
-		inIdx:    make([]int, g.NodeCount()),
 		outNode:  dres.Outputs[0].Node,
 		recorded: iters,
-		recv:     make([]parked, len(dres.Inputs)),
-		emit:     parked{ev: kern.NewEvent("hybrid:emit"), k: -1},
-		topo:     g.TopoOrder(),
+		recv:     make([]chanrt.Parked, len(dres.Inputs)),
+		emit:     chanrt.NewParked(kern, "hybrid:emit"),
 	}
 	for i := range e.recv {
-		e.recv[i] = parked{ev: kern.NewEvent("hybrid:recv"), k: -1}
+		e.recv[i] = chanrt.NewParked(kern, "hybrid:recv")
 	}
 	for i := range e.ring {
 		e.ring[i] = maxplus.Epsilon
 	}
 	for i := range e.rowK {
 		e.rowK[i] = -1
-	}
-	e.arrRing = make([][]maxplus.T, len(dres.Inputs))
-	for i := range e.arrRing {
-		e.arrRing[i] = make([]maxplus.T, depth)
-	}
-	for i := range e.inIdx {
-		e.inIdx[i] = -1
-	}
-	for i, id := range g.Inputs() {
-		e.inIdx[id] = i
 	}
 	if trace != nil {
 		e.recorded = 0
@@ -151,6 +136,12 @@ func newEngine(a *model.Architecture, sub *subArch, dres *derive.Result, kern *s
 
 func (e *engine) slot(id tdg.NodeID, k int) *maxplus.T {
 	return &e.ring[int(id)*e.depth+(k%e.depth)]
+}
+
+// final stores node id's instant of iteration k and marks it final.
+func (e *engine) final(id tdg.NodeID, k int, v maxplus.T) {
+	*e.slot(id, k) = v
+	e.nodeDone[id] = k + 1
 }
 
 // row returns iteration k's row from the ring, filling its slot on
@@ -167,33 +158,6 @@ func (e *engine) row(k int) ([]maxplus.T, error) {
 		e.rowK[slot] = k
 	}
 	return r, nil
-}
-
-func (e *engine) value(id tdg.NodeID, k int) maxplus.T {
-	if k < 0 || e.nodeDone[id] <= k {
-		return maxplus.Epsilon
-	}
-	return *e.slot(id, k)
-}
-
-// parked is a boundary process waiting until its next action is
-// computable: k is the iteration it waits for, -1 while it runs or is
-// already scheduled, and at the instant advance scheduled it for.
-type parked struct {
-	ev *sim.Event
-	k  int
-	at maxplus.T
-}
-
-// fire schedules the parked process once, at instant at (now when at
-// is ε or past), and marks it no longer parked.
-func (w *parked) fire(now sim.Time, at maxplus.T) {
-	w.k, w.at = -1, at
-	if !at.IsEpsilon() && sim.Time(at) > now {
-		w.ev.NotifyAt(sim.Time(at))
-	} else {
-		w.ev.Notify()
-	}
 }
 
 // build spawns the boundary processes and computes what is final before
@@ -220,31 +184,22 @@ func (e *engine) build(boundary map[*model.Channel]chanrt.RT) {
 }
 
 // gateReady reports whether every instant the k-th gate of ib references
-// is final. References to the boundary output node require the confirmed
-// transfer (the external reader's backpressure), not the provisional
-// emission-ready value.
+// is final.
 func (e *engine) gateReady(ib derive.InputBinding, k int) bool {
 	for _, a := range ib.Gate {
-		if a.Delay > k {
-			continue
-		}
-		need := k - a.Delay + 1
-		if a.From == e.outNode {
-			if e.confirmed < need {
-				return false
-			}
-		} else if e.nodeDone[a.From] < need {
+		if a.Delay <= k && e.nodeDone[a.From] <= k-a.Delay {
 			return false
 		}
 	}
 	for _, sg := range ib.SameIterGate {
-		if e.inputs[sg.InputIndex] <= k {
+		if e.nodeDone[e.dres.Inputs[sg.InputIndex].U] <= k {
 			return false
 		}
 	}
 	return true
 }
 
+// gateValue evaluates the k-th gate of ib; gateReady must hold.
 func (e *engine) gateValue(ib derive.InputBinding, k int) (maxplus.T, error) {
 	row, err := e.row(k)
 	if err != nil {
@@ -252,14 +207,15 @@ func (e *engine) gateValue(ib derive.InputBinding, k int) (maxplus.T, error) {
 	}
 	gate := maxplus.Epsilon
 	for _, a := range ib.Gate {
-		v := e.value(a.From, k-a.Delay)
-		if v == maxplus.Epsilon {
+		if a.Delay > k {
 			continue
 		}
-		gate = maxplus.Oplus(gate, a.Weight.Apply(v, row))
+		if v := *e.slot(a.From, k-a.Delay); v != maxplus.Epsilon {
+			gate = maxplus.Oplus(gate, a.Weight.Apply(v, row))
+		}
 	}
 	for _, sg := range ib.SameIterGate {
-		v := sg.Weight.Apply(e.arrRing[sg.InputIndex][k%e.depth], row)
+		v := sg.Weight.Apply(*e.slot(e.dres.Inputs[sg.InputIndex].U, k), row)
 		gate = maxplus.Oplus(gate, v)
 	}
 	return gate, nil
@@ -281,9 +237,7 @@ func (e *engine) runReception(p *sim.Proc, idx int, ib derive.InputBinding, rt c
 				p.WaitUntil(sim.Time(gate))
 			}
 		} else {
-			w.k = k
-			p.WaitEvent(w.ev) // advance fires it at the gate
-			gate = w.at
+			gate = w.Wait(p, k) // advance fires it at the gate
 		}
 		rt.Read(p)
 		read := maxplus.T(p.Now())
@@ -301,8 +255,7 @@ func (e *engine) runReception(p *sim.Proc, idx int, ib derive.InputBinding, rt c
 				ErrPipelined, e.sub.inOrig[idx].Name, k, read, want))
 			return
 		}
-		e.arrRing[idx][k%e.depth] = arrival
-		e.inputs[idx] = k + 1
+		e.final(ib.U, k, arrival)
 		if err := e.advance(); err != nil {
 			p.Kernel().Fail(err)
 			return
@@ -310,112 +263,90 @@ func (e *engine) runReception(p *sim.Proc, idx int, ib derive.InputBinding, rt c
 	}
 }
 
-// advance computes every node instant whose references are final, in
-// topological order within a sweep and across iterations, until a sweep
-// makes no progress; records the iterations it completed; and fires each
-// parked boundary process whose action became computable. It runs in
-// zero simulation time after every arrival and every confirmed emission,
-// the only changes that make more instants final: computing a node
-// costs no kernel event, which is the point of the method.
+// done returns the number of iterations final at every node.
+func (e *engine) done() int {
+	done := e.iters
+	for _, d := range e.nodeDone {
+		done = min(done, d)
+	}
+	return done
+}
+
+// advance computes every node instant whose references are final, records
+// the iterations it completed, and fires each parked boundary process
+// whose action became computable. It runs in zero simulation time after
+// every arrival and every confirmed emission, the only changes that make
+// more instants final: computing a node costs no kernel event, which is
+// the point of the method.
+//
+// One pass reaches the fixpoint. It visits iterations k = low, low+1, …
+// and, within each, the program's nodes in evaluation order, computing
+// each node whose next iteration is k and that is ready. Node n's
+// iteration k references only earlier iterations, which the pass has
+// visited, and earlier nodes of iteration k, which it has just visited;
+// arrivals and confirmations do not change inside the pass. A node's
+// next iteration is at most one past the latest final one, so the pass
+// ends after the last iteration any node can reach, at iters, or lead
+// iterations past low.
 func (e *engine) advance() error {
-	for progressed := true; progressed; {
-		// low is the earliest iteration any ring reader may still need:
-		// nodes (through their arcs and the receptions' gates), the
-		// emission's confirmation and the trace recorder.
-		low := min(e.confirmed, e.recorded)
-		for _, d := range e.nodeDone {
-			low = min(low, d)
-		}
-		progressed = false
-		for _, id := range e.topo {
-			for k := e.nodeDone[id]; k < e.iters && k < low+e.lead && e.ready(id, k); k++ {
-				if err := e.compute(id, k); err != nil {
-					return err
-				}
-				progressed = true
+	hi := len(e.ys)
+	for _, d := range e.nodeDone {
+		hi = max(hi, d)
+	}
+	// low is the earliest iteration any ring reader may still need: a
+	// node (through its arcs and the receptions' gates) or the recorder.
+	low := min(e.done(), e.recorded)
+	for k := low; k <= hi && k < e.iters && k < low+e.lead; k++ {
+		for i := range e.prog.Len() {
+			id := e.prog.Node(i)
+			next := e.nodeDone[id]
+			if id == e.outNode {
+				next = len(e.ys)
 			}
+			if next != k || !e.prog.Ready(i, k, e.nodeDone) {
+				continue
+			}
+			row, err := e.row(k)
+			if err != nil {
+				return err
+			}
+			v := e.prog.EvalAt(i, k, e.ring, e.depth, row)
+			if id == e.outNode {
+				e.ys = append(e.ys, v)
+			} else {
+				e.final(id, k, v)
+			}
+			hi = max(hi, k+1)
 		}
-		done := e.iters
-		for _, d := range e.nodeDone {
-			done = min(done, d)
-		}
+		done := e.done()
 		for ; e.recorded < done; e.recorded++ {
 			if _, err := e.record(e.trace, e.recorded); err != nil {
 				return err
 			}
 		}
+		low = min(done, e.recorded)
 	}
 	now := e.kern.Now()
 	for i := range e.recv {
 		w := &e.recv[i]
-		if w.k < 0 || !e.gateReady(e.dres.Inputs[i], w.k) {
+		k := w.Waiting()
+		if k < 0 || !e.gateReady(e.dres.Inputs[i], k) {
 			continue
 		}
-		gate, err := e.gateValue(e.dres.Inputs[i], w.k)
+		gate, err := e.gateValue(e.dres.Inputs[i], k)
 		if err != nil {
 			return err
 		}
-		w.fire(now, gate)
+		w.Fire(now, gate)
 	}
-	if w := &e.emit; w.k >= 0 && len(e.ys) > w.k {
-		w.fire(now, e.ys[w.k])
-	}
-	return nil
-}
-
-// ready reports whether every instant node id's iteration k references
-// is final: an arrived boundary input, a computed node, or — for the
-// boundary output node — a confirmed transfer.
-func (e *engine) ready(id tdg.NodeID, k int) bool {
-	if i := e.inIdx[id]; i >= 0 {
-		return e.inputs[i] > k
-	}
-	for _, a := range e.graph.Incoming(id) {
-		if a.Delay > k {
-			continue
-		}
-		if a.From == e.outNode {
-			if e.confirmed <= k-a.Delay {
-				return false
-			}
-		} else if e.nodeDone[a.From] <= k-a.Delay {
-			return false
-		}
-	}
-	return true
-}
-
-// compute evaluates node id at iteration k: an input takes its recorded
-// arrival, every other node ⊕ over its arcs (references before the
-// origin are ε).
-func (e *engine) compute(id tdg.NodeID, k int) error {
-	acc := maxplus.Epsilon
-	if i := e.inIdx[id]; i >= 0 {
-		acc = e.arrRing[i][k%e.depth]
-	} else {
-		row, err := e.row(k)
-		if err != nil {
-			return err
-		}
-		for _, a := range e.graph.Incoming(id) {
-			if a.Delay > k {
-				continue
-			}
-			if src := *e.slot(a.From, k-a.Delay); src != maxplus.Epsilon {
-				acc = maxplus.Oplus(acc, a.Weight.Apply(src, row))
-			}
-		}
-	}
-	*e.slot(id, k) = acc
-	e.nodeDone[id] = k + 1
-	if id == e.outNode {
-		e.ys = append(e.ys, acc)
+	if k := e.emit.Waiting(); k >= 0 && len(e.ys) > k {
+		e.emit.Fire(now, e.ys[k])
 	}
 	return nil
 }
 
 // runEmission replays the computed output instants onto the real boundary
-// channel and confirms each observed transfer, correcting the stored
+// channel and makes each observed transfer final: the output node's
 // instant that later iterations' rotation gates reference. src is the
 // source whose tokens the output channel carries.
 func (e *engine) runEmission(p *sim.Proc, src *model.Source, rt chanrt.RT) {
@@ -426,16 +357,14 @@ func (e *engine) runEmission(p *sim.Proc, src *model.Source, rt chanrt.RT) {
 				p.WaitUntil(sim.Time(y))
 			}
 		} else {
-			e.emit.k = k
-			p.WaitEvent(e.emit.ev) // advance fires it at y(k)
+			e.emit.Wait(p, k) // advance fires it at y(k)
 		}
 		rt.Write(p, src.TokenAt(k))
 		actual := maxplus.T(p.Now())
 		if fifo != nil {
 			actual = fifo.WriteInstant(k)
 		}
-		*e.slot(e.outNode, k) = actual
-		e.confirmed = k + 1
+		e.final(e.outNode, k, actual)
 		if err := e.advance(); err != nil {
 			p.Kernel().Fail(err)
 			return

@@ -11,9 +11,9 @@
 // case does not: the group's emission instant y(k) is only the earliest
 // possible boundary transfer — a slow external reader can make the true
 // transfer later, and internal instants of later iterations reference it
-// (the writer's rotation gate). The engine therefore confirms each output
-// transfer as it happens, corrects the stored instant, and computes an
-// instant that references an output transfer only once it is confirmed.
+// (the writer's rotation gate). The engine therefore stores the observed
+// instant of each output transfer as it happens, and computes an instant
+// that references an output transfer only once it is confirmed.
 // Every other instant is computed as soon as what it references is final,
 // across iterations, so a group that pipelines several iterations between
 // its boundary input and output gates its receptions on time. The
@@ -141,7 +141,7 @@ func Run(a *model.Architecture, opts Options) (*Result, error) {
 	return &Result{
 		Stats:      stats,
 		Trace:      opts.Trace,
-		Iterations: eng.nodeDone[eng.outNode],
+		Iterations: len(eng.ys),
 		GraphNodes: dres.Graph.NodeCountWithDelays(),
 	}, nil
 }

@@ -270,15 +270,6 @@ func (g *Graph) NodeCountWithDelays() int {
 // MaxDelay returns the largest arc delay. Valid after Freeze.
 func (g *Graph) MaxDelay() int { return g.maxDelay }
 
-// TopoOrder returns the evaluation order fixed by Freeze: a topological
-// order of the zero-delay arcs. The caller must not modify it.
-func (g *Graph) TopoOrder() []NodeID {
-	if !g.frozen {
-		panic("tdg: TopoOrder before Freeze")
-	}
-	return g.topo
-}
-
 // Frozen reports whether Freeze has succeeded.
 func (g *Graph) Frozen() bool { return g.frozen }
 

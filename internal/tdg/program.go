@@ -30,6 +30,11 @@ type Program struct {
 	// the arcs of nodes[i] are arcs[nodes[i].lo:nodes[i].hi].
 	nodes []progNode
 	arcs  []progArc
+	// ids[i] is the graph node of nodes[i], from[j] the source node of
+	// arcs[j]: the node-granular entry points (Ready, EvalAt) index
+	// rings of any depth with them.
+	ids  []NodeID
+	from []NodeID
 	// rowRefs is one past the largest Inputs row entry an arc reads.
 	rowRefs int
 	// in fills the row weights (nil: the program reads none).
@@ -114,6 +119,8 @@ func Compile(g *Graph) (*Program, error) {
 		arcCount += len(arcs)
 	}
 	p.arcs = make([]progArc, 0, arcCount)
+	p.from = make([]NodeID, 0, arcCount)
+	p.ids = make([]NodeID, 0, cap(p.nodes))
 	for _, id := range g.topo {
 		if g.nodes[id].Kind == Input {
 			continue
@@ -121,6 +128,7 @@ func Compile(g *Graph) (*Program, error) {
 		lo := int32(len(p.arcs))
 		for _, a := range g.in[id] {
 			p.arcs = append(p.arcs, p.packArc(a))
+			p.from = append(p.from, a.From)
 		}
 		hi := int32(len(p.arcs))
 		n := progNode{slotBase: int32(id) * depth, lo: lo, hi: hi, copySrc: -1}
@@ -130,6 +138,7 @@ func Compile(g *Graph) (*Program, error) {
 			}
 		}
 		p.nodes = append(p.nodes, n)
+		p.ids = append(p.ids, id)
 	}
 	p.computeWaves()
 	return p, nil
@@ -320,48 +329,71 @@ func (p *Program) steadyPass(ring, row []maxplus.T, slot int) {
 }
 
 // warmPass is steadyPass plus the pre-origin rule for iterations still
-// inside the delay window.
+// inside the delay window: one EvalAt per node, in evaluation order.
 func (p *Program) warmPass(ring, row []maxplus.T, k, slot int) {
-	arcs := p.arcs
-	depth := p.depth
-	s := int32(slot)
-	k32 := int32(k)
-	for ni := range p.nodes {
-		n := &p.nodes[ni]
-		if cs := n.copySrc; cs >= 0 {
-			// Zero-delay identity arcs never reference a pre-origin
-			// iteration, so the copy fast path holds in the warm pass too.
-			ring[n.slotBase+s] = ring[cs+s]
-			continue
-		}
-		acc := maxplus.Epsilon
-		for ai := n.lo; ai < n.hi; ai++ {
-			a := &arcs[ai]
-			if a.delay > k32 {
-				continue // references an iteration before the origin: ε
-			}
-			ss := s - a.slotSub
-			if ss < 0 {
-				ss += depth
-			}
-			src := ring[a.srcBase+ss]
-			var v maxplus.T
-			if a.widx < 0 {
-				if a.w == maxplus.E {
-					v = src
-				} else {
-					v = maxplus.Otimes(src, a.w)
-				}
-			} else {
-				if src == maxplus.Epsilon {
-					continue
-				}
-				v = maxplus.Otimes(src, row[a.widx])
-			}
-			if v > acc {
-				acc = v
-			}
-		}
-		ring[n.slotBase+s] = acc
+	depth := int(p.depth)
+	for i := range p.nodes {
+		ring[int(p.nodes[i].slotBase)+slot] = p.EvalAt(i, k, ring, depth, row)
 	}
+}
+
+// Len returns the number of nodes the program evaluates (every non-input
+// node): the range of the node index i of Node, Ready and EvalAt, which
+// run in a topological order of the zero-delay arcs.
+func (p *Program) Len() int { return len(p.nodes) }
+
+// Node returns the graph node the program evaluates i-th.
+func (p *Program) Node(i int) NodeID { return p.ids[i] }
+
+// Ready reports whether every instant the i-th node's iteration k
+// references is final, where done[n] counts node n's final iterations
+// (0..done[n]-1). A reference before the origin is ε, final from the
+// start.
+func (p *Program) Ready(i, k int, done []int) bool {
+	n := &p.nodes[i]
+	for ai := n.lo; ai < n.hi; ai++ {
+		if d := int(p.arcs[ai].delay); d <= k && done[p.from[ai]] <= k-d {
+			return false
+		}
+	}
+	return true
+}
+
+// EvalAt computes the i-th node's instant at iteration k from iteration
+// k's row and a ring holding node n's iteration j at ring[n*d + j%d], for
+// a depth d of at least the program's; an arc referencing an iteration
+// before the origin contributes ε (the pre-origin rule). It reads only
+// what Ready checks.
+func (p *Program) EvalAt(i, k int, ring []maxplus.T, d int, row []maxplus.T) maxplus.T {
+	n := &p.nodes[i]
+	s := k % d
+	acc := maxplus.Epsilon
+	for ai := n.lo; ai < n.hi; ai++ {
+		a := &p.arcs[ai]
+		if int(a.delay) > k {
+			continue // references an iteration before the origin: ε
+		}
+		ss := s - int(a.delay) // a.delay < d
+		if ss < 0 {
+			ss += d
+		}
+		src := ring[int(p.from[ai])*d+ss]
+		var v maxplus.T
+		if a.widx < 0 {
+			if a.w == maxplus.E {
+				v = src
+			} else {
+				v = maxplus.Otimes(src, a.w)
+			}
+		} else {
+			if src == maxplus.Epsilon {
+				continue
+			}
+			v = maxplus.Otimes(src, row[a.widx])
+		}
+		if v > acc {
+			acc = v
+		}
+	}
+	return acc
 }
