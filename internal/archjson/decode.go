@@ -9,35 +9,39 @@ import (
 
 // Decode parses and validates a version-1 spec. Failures are always a
 // *Error with a stable code; Decode never panics, whatever the input.
+// A valid spec is parsed once, strictly.
 func Decode(data []byte) (*Spec, error) {
 	if len(data) > MaxSpecBytes {
 		return nil, errf(CodeTooLarge, "architecture spec is %d bytes (max %d)", len(data), MaxSpecBytes)
 	}
-	// Probe the version first with a loose decode so an unknown version
-	// reports CodeVersion even when the rest of the document uses fields
-	// this release does not know.
-	var probe struct {
-		Version int `json:"version"`
-	}
-	if err := json.Unmarshal(data, &probe); err != nil {
-		return nil, errf(CodeInvalid, "architecture is not a JSON object: %v", err)
-	}
-	if probe.Version != Version {
-		return nil, errf(CodeVersion, "unsupported architecture version %d (this build reads version %d)", probe.Version, Version)
-	}
 	dec := json.NewDecoder(bytes.NewReader(data))
 	dec.DisallowUnknownFields()
 	var s Spec
-	if err := dec.Decode(&s); err != nil {
-		return nil, errf(CodeInvalid, "invalid architecture spec: %v", err)
-	}
-	if dec.More() {
-		return nil, errf(CodeInvalid, "invalid architecture spec: trailing data after JSON object")
+	err := dec.Decode(&s)
+	if err != nil || len(bytes.TrimLeft(data[dec.InputOffset():], " \t\r\n")) > 0 {
+		return nil, refused(data, err)
 	}
 	if err := s.Check(); err != nil {
 		return nil, err
 	}
 	return &s, nil
+}
+
+// refused classifies a spec the strict decode refused with err (nil
+// when data follows the object). A loose decode probes the version, so
+// that an unknown version reports CodeVersion even when the rest of the
+// document uses fields this release does not know.
+func refused(data []byte, err error) error {
+	var probe struct {
+		Version int `json:"version"`
+	}
+	if err := json.Unmarshal(data, &probe); err != nil {
+		return errf(CodeInvalid, "architecture is not a JSON object: %v", err)
+	}
+	if probe.Version != Version {
+		return errf(CodeVersion, "unsupported architecture version %d (this build reads version %d)", probe.Version, Version)
+	}
+	return errf(CodeInvalid, "invalid architecture spec: %v", err)
 }
 
 // Check validates the spec's structure: bounds, name uniqueness,

@@ -102,8 +102,11 @@ func TestDecodeInvalidSpecsStableCodes(t *testing.T) {
 		{"json scalar", `42`, CodeInvalid},
 		{"missing version", `{"name": "x"}`, CodeVersion},
 		{"future version", `{"version": 2, "name": "x"}`, CodeVersion},
+		{"future version with unknown field", `{"version": 2, "name": "x", "wibble": 1}`, CodeVersion},
+		{"unknown field before version", `{"wibble": 1, "version": 1, "name": "x"}`, CodeInvalid},
 		{"unknown field", `{"version": 1, "name": "x", "wibble": 1}`, CodeInvalid},
 		{"trailing data", `{"version": 1, "name": "x"} {}`, CodeInvalid},
+		{"trailing brace", `{"version": 1, "name": "x"}}`, CodeInvalid},
 		{"empty name", `{"version": 1, "name": ""}`, CodeInvalid},
 		{"bad expr string", `{"version": 1, "name": "x", "resources": [{"name": "P", "kind": "processor", "ops_per_sec": "fast"}]}`, CodeInvalid},
 		{"unknown channel kind", `{"version": 1, "name": "x", "channels": [{"name": "c", "kind": "mailbox"}]}`, CodeInvalid},

@@ -52,7 +52,7 @@ func Run(a *model.Architecture, opts Options) (*Result, error) {
 	}
 
 	k := sim.New()
-	if _, err := Attach(k, a, AttachOptions{Trace: opts.Trace, IterLimit: opts.IterLimit}); err != nil {
+	if err := Attach(k, a, AttachOptions{Trace: opts.Trace, IterLimit: opts.IterLimit}); err != nil {
 		return nil, err
 	}
 	if err := k.Run(limit); err != nil {
@@ -71,7 +71,8 @@ type AttachOptions struct {
 	Skip func(f *model.Function) bool
 	// Chans supplies pre-created runtimes for specific channels (boundary
 	// channels of a partial abstraction); missing channels get fresh
-	// runtimes recording into Trace.
+	// runtimes recording into Trace, which Attach adds to Chans when it
+	// is non-nil.
 	Chans map[*model.Channel]chanrt.RT
 	// SkipChannel excludes channels entirely (internal channels of an
 	// abstracted group).
@@ -81,24 +82,16 @@ type AttachOptions struct {
 	IterLimit int
 }
 
-// Runtime exposes the channel runtimes created by Attach.
-type Runtime struct {
-	Chans map[*model.Channel]chanrt.RT
-}
-
 // Attach spawns event-driven processes for the architecture's functions,
 // sources and sinks onto an existing kernel. The architecture must have
 // been validated. Partial setups (hybrid models) use Skip/Chans to carve
 // out the abstracted group.
-func Attach(k *sim.Kernel, a *model.Architecture, opts AttachOptions) (*Runtime, error) {
-	b := &builder{arch: a, kernel: k, trace: opts.Trace, chans: map[*model.Channel]chanrt.RT{}}
-	for ch, rt := range opts.Chans {
-		b.chans[ch] = rt
+func Attach(k *sim.Kernel, a *model.Architecture, opts AttachOptions) error {
+	b := &builder{arch: a, kernel: k, trace: opts.Trace, chans: opts.Chans}
+	if b.chans == nil {
+		b.chans = map[*model.Channel]chanrt.RT{}
 	}
-	if err := b.build(opts); err != nil {
-		return nil, err
-	}
-	return &Runtime{Chans: b.chans}, nil
+	return b.build(opts)
 }
 
 type builder struct {
@@ -119,10 +112,13 @@ func (b *builder) build(opts AttachOptions) error {
 		b.chans[ch] = chanrt.New(b.kernel, ch, b.trace)
 	}
 
-	resources := map[*model.Resource]*resourceRT{}
+	var resources map[*model.Resource]*resourceRT
 	for _, f := range b.arch.Functions {
 		if opts.Skip != nil && opts.Skip(f) {
 			continue
+		}
+		if resources == nil {
+			resources = map[*model.Resource]*resourceRT{}
 		}
 		if _, ok := resources[f.Resource]; !ok {
 			resources[f.Resource] = newResourceRT(b.kernel, f.Resource)

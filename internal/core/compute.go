@@ -91,7 +91,7 @@ type computed struct {
 func newComputed(res *derive.Result, trace *observe.Trace, limit sim.Time, iterLimit int) (*computed, error) {
 	n, err := iterations(res)
 	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("core: %w", err)
 	}
 	if iterLimit > 0 && iterLimit < n {
 		n = iterLimit

@@ -6,15 +6,20 @@ import (
 	"testing"
 
 	"dyncomp/internal/derive"
+	"dyncomp/internal/hybrid"
 	"dyncomp/internal/observe"
 	"dyncomp/internal/zoo"
 )
 
-// One derived Result is immutable: two Computes and one equivalent run
-// on it at once agree with a lone run. Under -race this also shows that
-// no evaluation writes state the Result shares.
+// One derived Result is immutable: two Computes and two equivalent runs
+// on it at once agree with a lone run, and so do two hybrid runs of a
+// partial group sharing one cached derivation of the group. Under -race
+// this also shows that no evaluation writes state the Results share,
+// and that the pooled boundary engine, which equivalent and hybrid runs
+// reach from any goroutine, is never shared by two runs.
 func TestSharedResultConcurrentRuns(t *testing.T) {
-	res, err := derive.Derive(zoo.DidacticChain(2, zoo.DidacticSpec{Tokens: 300, Period: 900, Seed: 9}), derive.Options{})
+	spec := zoo.DidacticSpec{Tokens: 300, Period: 900, Seed: 9}
+	res, err := derive.Derive(zoo.DidacticChain(2, spec), derive.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -34,6 +39,21 @@ func TestSharedResultConcurrentRuns(t *testing.T) {
 			return m.Compute(context.Background(), Options{Trace: tr}, nil)
 		},
 		func(tr *observe.Trace) (*Result, error) { return m.Run(Options{Trace: tr}) },
+		func(tr *observe.Trace) (*Result, error) { return m.Run(Options{Trace: tr}) },
+	}
+	cache := derive.NewCache()
+	for range 2 {
+		runs = append(runs, func(tr *observe.Trace) (*Result, error) {
+			r, err := hybrid.Run(zoo.DidacticChain(2, spec), hybrid.Options{
+				Group: []string{"F3_2", "F4_2"},
+				Trace: tr,
+				Cache: cache,
+			})
+			if err != nil {
+				return nil, err
+			}
+			return &Result{Stats: r.Stats, Trace: r.Trace, Iterations: r.Iterations}, nil
+		})
 	}
 	got := make([]*Result, len(runs))
 	errs := make([]error, len(runs))

@@ -2,6 +2,7 @@ package engine_test
 
 import (
 	"context"
+	"fmt"
 	"testing"
 
 	"dyncomp/internal/engine"
@@ -122,5 +123,141 @@ func TestSourceShiftShiftsEverything(t *testing.T) {
 	}
 	if hybridRan == 0 {
 		t.Error("hybrid answered an error on every seed")
+	}
+}
+
+// slowed returns a with one service time raised, chosen by pick: an
+// even pick adds ops to one exec statement, an odd one slows one
+// resource down.
+func slowed(a *model.Architecture, pick int) *model.Architecture {
+	if pick%2 == 1 {
+		r := a.Resources[(pick/2)%len(a.Resources)]
+		r.OpsPerSec *= 0.7
+		return a
+	}
+	type site struct{ f, i int }
+	var execs []site
+	for f, fn := range a.Functions {
+		for i, st := range fn.Body {
+			if _, ok := st.(model.Exec); ok {
+				execs = append(execs, site{f, i})
+			}
+		}
+	}
+	s := execs[(pick/2)%len(execs)]
+	body := a.Functions[s.f].Body
+	ex := body[s.i].(model.Exec)
+	cost := ex.Cost
+	ex.Cost = func(t model.Token) model.Load {
+		l := cost(t)
+		l.Ops += 250
+		return l
+	}
+	body[s.i] = ex
+	return a
+}
+
+// notEarlier reports an instant of slow earlier than the same instant
+// of base, or a final time earlier than base's, and whether any instant
+// moved later.
+func notEarlier(base, slow *engine.Result) (later bool, err error) {
+	for _, label := range base.Trace.Labels() {
+		b, s := base.Trace.Instants(label), slow.Trace.Instants(label)
+		if len(b) != len(s) {
+			return false, fmt.Errorf("%s: %d instants, %d before the change", label, len(s), len(b))
+		}
+		for k := range b {
+			if s[k] < b[k] {
+				return false, fmt.Errorf("%s(%d) moved earlier: %d, was %d", label, k, s[k], b[k])
+			}
+			later = later || s[k] > b[k]
+		}
+	}
+	if slow.FinalTimeNs < base.FinalTimeNs {
+		return false, fmt.Errorf("final time moved earlier: %d, was %d", slow.FinalTimeNs, base.FinalTimeNs)
+	}
+	return later, nil
+}
+
+// Monotonicity, a metamorphic property of the (max,+) algebra: every
+// instant is a max of sums of service times, so raising one service
+// time — more ops on one exec statement, or a slower resource — never
+// makes any instant earlier. It holds on every engine, hybrid
+// abstracting every function, and on every lane of a batched run, each
+// against its own unchanged run.
+func TestSlowerServiceNeverEarlier(t *testing.T) {
+	seeds := 40
+	if testing.Short() {
+		seeds = 12
+	}
+	ctx := context.Background()
+	sc, err := zoo.LookupScenario("random")
+	if err != nil {
+		t.Fatal(err)
+	}
+	br := batchRunner(t)
+	moved := 0
+	for seed := int64(0); seed < int64(seeds); seed++ {
+		params := zoo.ParamMap{"seed": seed, "tokens": 30}
+		for pick := range 2 {
+			pick += 2 * int(seed)
+			for _, name := range engine.Names() {
+				eng, err := engine.Lookup(name)
+				if err != nil {
+					t.Fatal(err)
+				}
+				opts := engine.Options{Record: true, AbstractGroup: sc.GroupFor(name, params)}
+				if name == "hybrid" && opts.AbstractGroup == nil {
+					for _, f := range sc.Build(params).Functions {
+						opts.AbstractGroup = append(opts.AbstractGroup, f.Name)
+					}
+				}
+				base, err := eng.Run(ctx, sc.Build(params), opts)
+				if err != nil {
+					t.Errorf("seed %d: %s: %v", seed, name, err)
+					continue
+				}
+				slow, err := eng.Run(ctx, slowed(sc.Build(params), pick), opts)
+				if err != nil {
+					t.Errorf("seed %d pick %d: %s slowed: %v", seed, pick, name, err)
+					continue
+				}
+				later, err := notEarlier(base, slow)
+				if err != nil {
+					t.Errorf("seed %d pick %d: %s: %v", seed, pick, name, err)
+				}
+				if later {
+					moved++
+				}
+			}
+			const width = 3
+			plain := make([]*model.Architecture, width)
+			slower := make([]*model.Architecture, width)
+			for l := range plain {
+				plain[l] = sc.Build(laneTokens(params, l))
+				slower[l] = slowed(sc.Build(laneTokens(params, l)), pick)
+			}
+			opts := engine.Options{Record: true}
+			bases, baseErrs, err := br.RunBatch(ctx, plain, opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			slows, slowErrs, err := br.RunBatch(ctx, slower, opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for l := range bases {
+				if baseErrs[l] != nil || slowErrs[l] != nil {
+					t.Errorf("seed %d pick %d: lane %d: %v / %v", seed, pick, l, baseErrs[l], slowErrs[l])
+					continue
+				}
+				if _, err := notEarlier(bases[l], slows[l]); err != nil {
+					t.Errorf("seed %d pick %d: batch lane %d: %v", seed, pick, l, err)
+				}
+			}
+		}
+	}
+	if moved == 0 {
+		t.Error("no raised service time moved any instant")
 	}
 }

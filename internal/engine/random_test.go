@@ -20,8 +20,8 @@ import (
 // IterLimit, and under a LimitNs cutting the run mid-way. So does every
 // lane of a batched adaptive run, at random widths from 1 to 16 on every
 // fourth seed, which also matches its own scalar run, iteration count
-// included. Hybrid, which needs a group, abstracts every function: it is
-// exact or answers an error.
+// included. Hybrid, which needs a group, abstracts every function, and
+// no engine may answer an error.
 func TestEveryEngineOnRandomArchitecturesBitExact(t *testing.T) {
 	seeds := 400
 	if testing.Short() {
@@ -38,7 +38,6 @@ func TestEveryEngineOnRandomArchitecturesBitExact(t *testing.T) {
 	}
 	br := batchRunner(t)
 	rng := rand.New(rand.NewSource(1))
-	hybridExact := 0
 	for _, tokens := range []int64{3, 40} {
 		for seed := int64(0); seed < int64(seeds); seed++ {
 			params := zoo.ParamMap{"seed": seed, "tokens": tokens}
@@ -71,23 +70,17 @@ func TestEveryEngineOnRandomArchitecturesBitExact(t *testing.T) {
 					a := sc.Build(params)
 					opts.AbstractGroup = sc.GroupFor(name, params)
 					// Without a canonical group hybrid abstracts every
-					// function; a group outside its scope must answer an
-					// error, never a wrong trace.
-					wholeGroup := name == "hybrid" && opts.AbstractGroup == nil
-					if wholeGroup {
+					// function. Every random architecture's outputs are
+					// read by sinks, so that group is in scope too.
+					if name == "hybrid" && opts.AbstractGroup == nil {
 						for _, f := range a.Functions {
 							opts.AbstractGroup = append(opts.AbstractGroup, f.Name)
 						}
 					}
 					got, err := eng.Run(ctx, a, opts)
 					if err != nil {
-						if !wholeGroup {
-							t.Errorf("seed %d tokens %d %s: %s: %v", seed, tokens, lim.name, name, err)
-						}
+						t.Errorf("seed %d tokens %d %s: %s: %v", seed, tokens, lim.name, name, err)
 						continue
-					}
-					if wholeGroup {
-						hybridExact++
 					}
 					if err := compareRuns(want, got); err != nil {
 						t.Errorf("seed %d tokens %d %s: %s differs from reference: %v", seed, tokens, lim.name, name, err)
@@ -131,9 +124,6 @@ func TestEveryEngineOnRandomArchitecturesBitExact(t *testing.T) {
 				}
 			}
 		}
-	}
-	if hybridExact == 0 {
-		t.Error("hybrid answered an error on every whole-architecture group")
 	}
 }
 

@@ -3,6 +3,8 @@ package hybrid
 import (
 	"errors"
 	"fmt"
+	"math/bits"
+	"sync"
 
 	"dyncomp/internal/chanrt"
 	"dyncomp/internal/derive"
@@ -13,44 +15,50 @@ import (
 	"dyncomp/internal/tdg"
 )
 
-// engine drives the abstracted group with a dataflow ("wave")
-// evaluation of the temporal dependency graph's compiled program.
+// engine drives an abstracted group — the whole architecture for the
+// equivalent model — with a dataflow evaluation of its temporal
+// dependency graph's compiled program.
 //
-// A monolithic ComputeInstant(k) would have to wait for the boundary
-// transfer of iteration k-1 (the output writer's rotation gate references
-// it), and that wait can fall later than instants other parts of
-// iteration k need — physically delaying the boundary reads and
-// distorting the trace. Instead, each node instant is computed as soon as
-// the instants its arcs reference are final, across iterations: a group
-// that pipelines several iterations between its boundary input and
-// output computes the gates of later receptions while earlier
-// iterations still wait for their output confirmation.
+// One finality rule covers every node: done[n] counts node n's final
+// iterations. An input node's instants are its observed arrivals. An
+// output read by an environment sink is final when computed: a sink
+// never blocks, so its transfer happens at y(k). An output read by a
+// simulated function is final at its confirmed transfer (the computed
+// y(k) only schedules the emission; the reader can make the transfer
+// later). Every other node is final when computed.
 //
-// One finality rule covers every node: nodeDone[n] counts node n's final
-// iterations, and a node's iteration k is computed once every instant it
-// references is final (tdg.Program.Ready) — an input node's instants are
-// its observed arrivals, the output node's its confirmed transfers (the
-// computed y(k) only schedules the emission), every other node's its
-// computed values. Because every node's value is, by (max,+)
-// path-monotonicity, at least the instants it waits for, the waits never
-// push any simulated event past its true instant.
+// Readiness is counted: cnt[i] holds the number of references of node
+// i's next iteration that are not final. A final instant decrements the
+// counts of its readers, and a node whose count reaches zero joins the
+// worklist advance computes from; nothing is rescanned. Because every
+// node's value is, by (max,+) path-monotonicity, at least the instants
+// it waits for, no node is computed after its own instant, and the
+// waits never push a simulated event past its true instant. When every
+// output is sink-read and every node has a same-iteration reference
+// (so that no node of an iteration is ready before one of its inputs
+// arrives), the iteration whose inputs all arrived before any of its
+// nodes was computed is ready as a whole, and advance computes it in
+// one pass over the program.
 //
 // The evaluation is no process of its own: advance runs it in zero
 // simulation time inside the boundary process that made something new
-// final (a reception's arrival, the emission's confirmed transfer), as
+// final (a reception's arrival, an emission's confirmed transfer), as
 // the paper's Reception runs ComputeInstant. A boundary process whose
 // next action is not yet computable parks on its own event; advance
 // fires that event once, at the instant the action is due (the gate of
 // the reception, y(k) of the emission), and wakes no one else.
 //
-// The ring keeps maxDelay+1+lead iterations per node, and no node runs
-// more than lead iterations ahead of the slowest reader of the ring.
-// A group that would need more lead than that delays a reception past
-// its true instant; runReception detects it and fails the run with
-// ErrPipelined instead of returning a wrong trace.
+// The ring keeps maxDelay+1+lead iterations per node. Its readers are
+// the nodes' arcs, the receptions' gates, the recorder and the
+// emissions, which take y(k) from the ring: it holds what is in flight
+// between a reception and the oldest emission still due. No node is
+// computed lead iterations past low, the oldest iteration not yet final
+// everywhere and emitted. The ring starts with a lead of one iteration
+// and doubles when the lead holds a node back, up to leadOf's bound; a
+// group that would need more than that makes a reception or an emission
+// late, which the process detects and fails the run with ErrPipelined
+// instead of returning a wrong trace.
 type engine struct {
-	arch  *model.Architecture
-	sub   *subArch
 	dres  *derive.Result
 	prog  *tdg.Program
 	kern  *sim.Kernel
@@ -58,12 +66,14 @@ type engine struct {
 	limit maxplus.T // simulated-time bound; later instants go unrecorded
 	iters int
 
-	// Evaluation state.
-	depth    int
-	lead     int // iterations a node may run ahead of the ring's slowest reader
-	ring     []maxplus.T
-	nodeDone []int // final iterations per node
-	outNode  tdg.NodeID
+	depth   int // ring depth, a power of two
+	mask    int // depth-1: k&mask is iteration k's slot
+	lead    int // depth-maxDelay-1, at most maxLead
+	maxLead int // leadOf's bound
+	// ring[(k&mask)*stride + n] holds node n's instant of iteration k,
+	// stride the node count (see tdg.Program).
+	ring   []maxplus.T
+	stride int
 
 	// rows keeps one iteration row per ring slot: rows[slot*rowW:] holds
 	// iteration rowK[slot]'s (see derive.Result.FillRow).
@@ -71,84 +81,205 @@ type engine struct {
 	rowW int
 	rowK []int
 
-	ys       []maxplus.T // emission-ready instants y(k)
-	recorded int         // iterations recorded into the trace
+	// next and done count, per node, the iterations computed (an
+	// input's: arrived) and final. Both are at least complete, and a
+	// pass moves complete without writing them: read them through
+	// nextOf and doneOf, or sync first.
+	next      []int
+	done      []int
+	synced    int     // complete when next and done were last brought up to it
+	tentative []bool  // per node: an output read by a simulated function
+	cnt       []int32 // per program node: unresolved references of its next iteration
+	fin       []int32 // per ring slot: program nodes final at that iteration
+	complete  int     // iterations final at every node
+	whole     bool    // an iteration whose inputs arrived is ready as a whole
 
-	recv []chanrt.Parked // one per boundary input
-	emit chanrt.Parked
+	work     []int32 // program nodes whose count reached zero
+	stallLow int     // low when the lead last held a ready node back; -1: none
+
+	recv []chanrt.Parked // per input
+	outs []output
 
 	vals  []maxplus.T       // instants of the iteration being recorded
 	nodes []derive.Labelled // the instants Record reconstructs
 }
 
+// output is the emission state of one boundary output.
+type output struct {
+	node    tdg.NodeID
+	emitted int // iterations transferred
+	w       chanrt.Parked
+}
+
 // ErrPipelined reports a group the wave evaluation could not keep exact:
-// a boundary reception became ready only after the instant the
-// reference executor reads at.
+// a boundary reception or emission became ready only after the instant
+// the reference executor transfers at.
 var ErrPipelined = errors.New("hybrid: group pipelines more iterations than the wave evaluation tracks")
 
-// leadOf bounds how many iterations a node may run ahead of the ring's
-// slowest reader. A pipeline cannot hold more iterations in flight than
-// it has places to hold them: one per node, FIFO capacities included in
-// the delays. Tests shrink it to exercise ErrPipelined.
+// leadOf bounds how many iterations a node may run ahead of low. A
+// pipeline cannot hold more iterations in flight than it has places to
+// hold them: one per node, FIFO capacities included in the delays.
+// Tests shrink it to exercise ErrPipelined.
 var leadOf = func(g *tdg.Graph) int { return g.NodeCount() * (g.MaxDelay() + 1) }
 
-func newEngine(a *model.Architecture, sub *subArch, dres *derive.Result, kern *sim.Kernel, trace *observe.Trace, iters int, limit sim.Time) *engine {
+// enginePool recycles engine state (ring, rows, counts, parked events)
+// across runs; engineFor resizes it to the graph at hand.
+var enginePool sync.Pool
+
+// resize returns s with length n, reusing its storage when it can.
+func resize[T any](s []T, n int) []T {
+	if cap(s) < n {
+		return make([]T, n)
+	}
+	return s[:n]
+}
+
+// zeroed returns s with length n and every element zero.
+func zeroed[T any](s []T, n int) []T {
+	s = resize(s, n)
+	clear(s)
+	return s
+}
+
+// ceilPow2 returns the least power of two at least n.
+func ceilPow2(n int) int { return 1 << bits.Len(uint(n-1)) }
+
+// engineFor prepares the running state of one simulation of dres,
+// whose boundary outputs are the channels out, from a pooled engine
+// when one is available.
+func engineFor(dres *derive.Result, out []*model.Channel, kern *sim.Kernel, trace *observe.Trace, iters int, limit sim.Time, skip []string) *engine {
+	e, ok := enginePool.Get().(*engine)
+	if !ok {
+		e = &engine{}
+	}
 	g := dres.Graph
-	lead := leadOf(g)
-	depth := g.MaxDelay() + 1 + lead
-	e := &engine{
-		arch:     a,
-		sub:      sub,
-		dres:     dres,
-		prog:     dres.Program(),
-		kern:     kern,
-		trace:    trace,
-		limit:    maxplus.T(limit),
-		iters:    iters,
-		vals:     make([]maxplus.T, g.NodeCount()),
-		nodes:    dres.LabelledNodes(nil, boundaryLabels(sub)),
-		depth:    depth,
-		lead:     lead,
-		ring:     make([]maxplus.T, g.NodeCount()*depth),
-		rowW:     dres.RowWidth(),
-		rows:     make([]maxplus.T, dres.RowWidth()*depth),
-		rowK:     make([]int, depth),
-		nodeDone: make([]int, g.NodeCount()),
-		outNode:  dres.Outputs[0].Node,
-		recorded: iters,
-		recv:     make([]chanrt.Parked, len(dres.Inputs)),
-		emit:     chanrt.NewParked(kern, "hybrid:emit"),
-	}
+	e.dres, e.prog, e.kern, e.trace = dres, dres.Program(), kern, trace
+	e.limit, e.iters = maxplus.T(limit), iters
+	e.maxLead = leadOf(g)
+	// The ring starts at the depth the pooled engine's last run grew to,
+	// within a lead of one iteration and leadOf's bound.
+	d := g.MaxDelay()
+	e.setDepth(ceilPow2(min(max(e.depth, d+2), d+1+e.maxLead)))
+	n := g.NodeCount()
+	e.stride, e.rowW = n, dres.RowWidth()
+	// A slot is written before it is read (an instant is read only once
+	// final), so neither the ring nor the rows need clearing.
+	e.ring = resize(e.ring, n*e.depth)
+	e.resetRows()
+	e.next, e.done = zeroed(e.next, n), zeroed(e.done, n)
+	e.tentative, e.fin = zeroed(e.tentative, n), zeroed(e.fin, e.depth)
+	e.complete, e.synced = 0, 0
+	e.work, e.stallLow = e.work[:0], -1
+
+	e.recv = resize(e.recv, len(dres.Inputs))
 	for i := range e.recv {
-		e.recv[i] = chanrt.NewParked(kern, "hybrid:recv")
+		e.recv[i] = chanrt.NewParked(kern, "parked")
 	}
-	for i := range e.ring {
-		e.ring[i] = maxplus.Epsilon
+	e.outs = resize(e.outs, len(dres.Outputs))
+	e.whole = true
+	for j, ob := range dres.Outputs {
+		e.outs[j] = output{node: ob.Node, w: chanrt.NewParked(kern, "parked")}
+		if out[j].Sink == nil {
+			e.tentative[ob.Node] = true
+			e.whole = false
+		}
 	}
-	for i := range e.rowK {
-		e.rowK[i] = -1
+	for _, c := range e.prog.SameIter() {
+		e.whole = e.whole && c > 0
 	}
-	if trace != nil {
-		e.recorded = 0
+	// Counts of iteration 0: only pre-origin references are resolved.
+	e.cnt = resize(e.cnt, e.prog.Len())
+	for i := range e.cnt {
+		if e.cnt[i] = e.prog.Unresolved(i, 0, e.done); e.cnt[i] == 0 {
+			e.work = append(e.work, int32(i))
+		}
 	}
+	e.vals = resize(e.vals, n)
+	e.nodes = dres.LabelledNodes(e.nodes[:0], skip)
 	return e
 }
 
-func (e *engine) slot(id tdg.NodeID, k int) *maxplus.T {
-	return &e.ring[int(id)*e.depth+(k%e.depth)]
+// setDepth sets the ring's depth, a power of two.
+func (e *engine) setDepth(depth int) {
+	e.depth, e.mask = depth, depth-1
+	e.lead = min(e.depth-e.dres.Graph.MaxDelay()-1, e.maxLead)
 }
 
-// final stores node id's instant of iteration k and marks it final.
-func (e *engine) final(id tdg.NodeID, k int, v maxplus.T) {
-	*e.slot(id, k) = v
-	e.nodeDone[id] = k + 1
+// resetRows sizes the row ring to the depth, with every slot empty.
+func (e *engine) resetRows() {
+	e.rows, e.rowK = resize(e.rows, e.rowW*e.depth), resize(e.rowK, e.depth)
+	for i := range e.rowK {
+		e.rowK[i] = -1
+	}
+}
+
+// grow doubles the ring when its lead is short of leadOf's bound, and
+// reports whether it did. Every node's last depth iterations move to
+// their new slots, and so do the counts of the iterations in flight;
+// rows are refilled on demand.
+func (e *engine) grow() bool {
+	if e.lead >= e.maxLead {
+		return false
+	}
+	old := *e
+	e.setDepth(2 * old.depth)
+	n := e.stride
+	e.ring = make([]maxplus.T, n*e.depth)
+	for id := range n {
+		for k := max(0, e.nextOf(tdg.NodeID(id))-old.depth); k < e.nextOf(tdg.NodeID(id)); k++ {
+			*e.slot(tdg.NodeID(id), k) = old.ring[(k&old.mask)*n+id]
+		}
+	}
+	e.resetRows()
+	e.fin = make([]int32, e.depth)
+	for k := e.complete; k < e.complete+old.depth; k++ {
+		e.fin[k&e.mask] = old.fin[k&old.mask]
+	}
+	return true
+}
+
+// release parks a finished engine for the next run.
+func (e *engine) release() {
+	e.dres, e.prog, e.kern, e.trace = nil, nil, nil, nil
+	clear(e.recv) // the events belong to the finished kernel
+	clear(e.outs)
+	enginePool.Put(e)
+}
+
+func (e *engine) slot(id tdg.NodeID, k int) *maxplus.T {
+	return &e.ring[(k&e.mask)*e.stride+int(id)]
+}
+
+// low is the oldest iteration a ring reader may still need: one not
+// final at every node, or not yet taken by every emission.
+func (e *engine) low() int {
+	low := e.complete
+	for i := range e.outs {
+		low = min(low, e.outs[i].emitted)
+	}
+	return low
+}
+
+func (e *engine) nextOf(n tdg.NodeID) int { return max(e.next[n], e.complete) }
+func (e *engine) doneOf(n tdg.NodeID) int { return max(e.done[n], e.complete) }
+
+// sync brings next and done up to complete.
+func (e *engine) sync() {
+	if e.synced == e.complete {
+		return
+	}
+	for i := range e.prog.Len() {
+		id := e.prog.Node(i)
+		e.next[id], e.done[id] = e.nextOf(id), e.doneOf(id)
+	}
+	e.synced = e.complete
 }
 
 // row returns iteration k's row from the ring, filling its slot on
 // first use. Iterations in flight never share a slot, and the row is a
 // pure function of k, so a refill is only ever repeated work.
 func (e *engine) row(k int) ([]maxplus.T, error) {
-	slot := k % e.depth
+	slot := k & e.mask
 	r := e.rows[slot*e.rowW : (slot+1)*e.rowW]
 	if e.rowK[slot] != k {
 		if err := e.dres.FillRow(k, r); err != nil {
@@ -160,39 +291,212 @@ func (e *engine) row(k int) ([]maxplus.T, error) {
 	return r, nil
 }
 
-// build spawns the boundary processes and computes what is final before
-// any of them runs; an error there fails the kernel's run.
-func (e *engine) build(boundary map[*model.Channel]chanrt.RT) {
-	for i := range e.dres.Inputs {
-		idx := i
-		ib := e.dres.Inputs[i]
-		orig := e.sub.inOrig[i]
-		rt := boundary[orig]
-		e.kern.Spawn("Reception:"+orig.Name, func(p *sim.Proc) {
-			e.runReception(p, idx, ib, rt)
-		})
+// build spawns the boundary processes of the input channels in and the
+// output channels out (dres's bindings, in order) on the runtimes of
+// chans, and computes what is final before any of them runs; an error
+// there fails the kernel's run.
+func (e *engine) build(a *model.Architecture, in, out []*model.Channel, chans map[*model.Channel]chanrt.RT) {
+	for i, ch := range in {
+		rt := chans[ch]
+		e.kern.Spawn("Reception:"+ch.Name, func(p *sim.Proc) { e.runReception(p, i, ch, rt) })
 	}
-	outOrig := e.sub.outOrig[0]
-	rt := boundary[outOrig]
-	src := e.arch.SourceOf(outOrig)
-	e.kern.Spawn("Emission:"+outOrig.Name, func(p *sim.Proc) {
-		e.runEmission(p, src, rt)
-	})
+	for j, ch := range out {
+		rt := chans[ch]
+		src := a.SourceOf(ch)
+		e.kern.Spawn("Emission:"+ch.Name, func(p *sim.Proc) { e.runEmission(p, j, ch, src, rt) })
+	}
 	if err := e.advance(); err != nil {
 		e.kern.Fail(err)
 	}
 }
 
+// final marks node id's iteration k final and resolves the references
+// its readers make to it.
+func (e *engine) final(id tdg.NodeID, k int) {
+	e.done[id] = k + 1
+	for _, r := range e.prog.Readers(id) {
+		if e.nextOf(r.Node) == k+int(r.Delay) {
+			if e.cnt[r.I]--; e.cnt[r.I] == 0 {
+				e.work = append(e.work, r.I)
+			}
+		}
+	}
+}
+
+// finalNode marks program node id's iteration k final and completes
+// every iteration that it leaves final at every node.
+func (e *engine) finalNode(id tdg.NodeID, k int) error {
+	e.final(id, k)
+	e.fin[k&e.mask]++
+	for e.fin[e.complete&e.mask] == int32(e.prog.Len()) {
+		e.fin[e.complete&e.mask] = 0
+		if err := e.completed(); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// completed moves past iteration complete, final at every node, and
+// records it.
+func (e *engine) completed() error {
+	e.complete++
+	if e.trace == nil {
+		return nil
+	}
+	_, err := e.record(e.trace, e.complete-1)
+	return err
+}
+
+// passReady reports whether iteration complete is ready as a whole: no
+// node of it computed yet, every input arrived, and within the lead.
+func (e *engine) passReady() bool {
+	c := e.complete
+	if !e.whole || c >= e.iters || e.fin[c&e.mask] != 0 {
+		return false
+	}
+	for i := range e.dres.Inputs {
+		if e.next[e.dres.Inputs[i].U] <= c {
+			return false
+		}
+	}
+	return e.room(c)
+}
+
+// room reports whether iteration k is within the lead of low, growing
+// the ring if it must. When it cannot, the engine stalls until low
+// moves.
+func (e *engine) room(k int) bool {
+	for k >= e.low()+e.lead {
+		if !e.grow() {
+			e.stallLow = e.low()
+			return false
+		}
+	}
+	return true
+}
+
+// pass computes iteration complete in one pass over the program. Every
+// earlier iteration is final, so afterwards each node's next iteration
+// waits only on its same-iteration references, less those to inputs
+// that already arrived; the worklist held only nodes of the iteration
+// just computed.
+func (e *engine) pass() error {
+	c := e.complete
+	row, err := e.row(c)
+	if err != nil {
+		return err
+	}
+	e.prog.Pass(c, e.ring, e.depth, row)
+	e.work = e.work[:0]
+	copy(e.cnt, e.prog.SameIter())
+	for i := range e.dres.Inputs {
+		u := e.dres.Inputs[i].U
+		if e.next[u] <= c+1 {
+			continue
+		}
+		for _, r := range e.prog.Readers(u) {
+			if r.Delay == 0 {
+				if e.cnt[r.I]--; e.cnt[r.I] == 0 {
+					e.work = append(e.work, r.I)
+				}
+			}
+		}
+	}
+	return e.completed()
+}
+
+// compute computes the i-th program node's next iteration, whose count
+// reached zero.
+func (e *engine) compute(i int32) error {
+	e.sync()
+	id := e.prog.Node(int(i))
+	k := e.next[id]
+	if e.cnt[i] != 0 || k >= e.iters {
+		return nil // stale: computed by a pass, or past the run
+	}
+	if !e.room(k) {
+		return nil // ready again once low moves
+	}
+	row, err := e.row(k)
+	if err != nil {
+		return err
+	}
+	*e.slot(id, k) = e.prog.EvalAt(int(i), k, e.ring, e.depth, row)
+	e.next[id] = k + 1
+	if e.cnt[i] = e.prog.Unresolved(int(i), k+1, e.done); e.cnt[i] == 0 {
+		e.work = append(e.work, i)
+	}
+	if e.tentative[id] {
+		return nil // final at its confirmed transfer
+	}
+	return e.finalNode(id, k)
+}
+
+// advance computes every node instant whose references are final,
+// records the iterations it completes, and fires each parked boundary
+// process whose action became computable. It runs in zero simulation
+// time after every arrival and every confirmed emission, the changes
+// that make more instants final: computing a node costs no kernel
+// event, which is the point of the method.
+func (e *engine) advance() error {
+	for {
+		if e.passReady() {
+			if err := e.pass(); err != nil {
+				return err
+			}
+			continue
+		}
+		if len(e.work) == 0 {
+			if e.stallLow < 0 || e.low() == e.stallLow {
+				break
+			}
+			// low moved: retry every ready node the lead held back.
+			e.stallLow = -1
+			for i, c := range e.cnt {
+				if c == 0 {
+					e.work = append(e.work, int32(i))
+				}
+			}
+			continue
+		}
+		i := e.work[len(e.work)-1]
+		e.work = e.work[:len(e.work)-1]
+		if err := e.compute(i); err != nil {
+			return err
+		}
+	}
+	now := e.kern.Now()
+	for i := range e.recv {
+		w := &e.recv[i]
+		ib := &e.dres.Inputs[i]
+		if k := w.Waiting(); k >= 0 && e.gateReady(ib, k) {
+			gate, err := e.gateValue(ib, k)
+			if err != nil {
+				return err
+			}
+			w.Fire(now, gate)
+		}
+	}
+	for j := range e.outs {
+		o := &e.outs[j]
+		if k := o.w.Waiting(); k >= 0 && e.nextOf(o.node) > k {
+			o.w.Fire(now, *e.slot(o.node, k))
+		}
+	}
+	return nil
+}
+
 // gateReady reports whether every instant the k-th gate of ib references
 // is final.
-func (e *engine) gateReady(ib derive.InputBinding, k int) bool {
+func (e *engine) gateReady(ib *derive.InputBinding, k int) bool {
 	for _, a := range ib.Gate {
-		if a.Delay <= k && e.nodeDone[a.From] <= k-a.Delay {
+		if a.Delay <= k && e.doneOf(a.From) <= k-a.Delay {
 			return false
 		}
 	}
 	for _, sg := range ib.SameIterGate {
-		if e.nodeDone[e.dres.Inputs[sg.InputIndex].U] <= k {
+		if e.doneOf(e.dres.Inputs[sg.InputIndex].U) <= k {
 			return false
 		}
 	}
@@ -200,7 +504,7 @@ func (e *engine) gateReady(ib derive.InputBinding, k int) bool {
 }
 
 // gateValue evaluates the k-th gate of ib; gateReady must hold.
-func (e *engine) gateValue(ib derive.InputBinding, k int) (maxplus.T, error) {
+func (e *engine) gateValue(ib *derive.InputBinding, k int) (maxplus.T, error) {
 	row, err := e.row(k)
 	if err != nil {
 		return maxplus.Epsilon, err
@@ -221,7 +525,12 @@ func (e *engine) gateValue(ib derive.InputBinding, k int) (maxplus.T, error) {
 	return gate, nil
 }
 
-func (e *engine) runReception(p *sim.Proc, idx int, ib derive.InputBinding, rt chanrt.RT) {
+// runReception is the Reception process of input idx, which arrives on
+// channel ch: for each iteration it waits for the readiness gate,
+// accepts the token (the rendezvous realizes max(u(k), gate)), and makes
+// the arrival final, which runs ComputeInstant for what it completes.
+func (e *engine) runReception(p *sim.Proc, idx int, ch *model.Channel, rt chanrt.RT) {
+	ib := &e.dres.Inputs[idx]
 	fifo, _ := rt.(*chanrt.FIFO)
 	rv, _ := rt.(*chanrt.RV)
 	w := &e.recv[idx]
@@ -243,6 +552,8 @@ func (e *engine) runReception(p *sim.Proc, idx int, ib derive.InputBinding, rt c
 		read := maxplus.T(p.Now())
 		arrival, offered := read, maxplus.Epsilon
 		if fifo != nil {
+			// For FIFO inputs the boundary instant is the write instant,
+			// not the read instant.
 			arrival = fifo.WriteInstant(k)
 			offered = arrival
 		} else {
@@ -252,10 +563,12 @@ func (e *engine) runReception(p *sim.Proc, idx int, ib derive.InputBinding, rt c
 		// writer's offer; a later read means the gate was computed late.
 		if want := maxplus.Oplus(gate, offered); read > want {
 			p.Kernel().Fail(fmt.Errorf("%w: %s read %d at %d ns, the reference reads at %d ns",
-				ErrPipelined, e.sub.inOrig[idx].Name, k, read, want))
+				ErrPipelined, ch.Name, k, read, want))
 			return
 		}
-		e.final(ib.U, k, arrival)
+		*e.slot(ib.U, k) = arrival
+		e.next[ib.U] = k + 1
+		e.final(ib.U, k)
 		if err := e.advance(); err != nil {
 			p.Kernel().Fail(err)
 			return
@@ -263,108 +576,42 @@ func (e *engine) runReception(p *sim.Proc, idx int, ib derive.InputBinding, rt c
 	}
 }
 
-// done returns the number of iterations final at every node.
-func (e *engine) done() int {
-	done := e.iters
-	for _, d := range e.nodeDone {
-		done = min(done, d)
-	}
-	return done
-}
-
-// advance computes every node instant whose references are final, records
-// the iterations it completed, and fires each parked boundary process
-// whose action became computable. It runs in zero simulation time after
-// every arrival and every confirmed emission, the only changes that make
-// more instants final: computing a node costs no kernel event, which is
-// the point of the method.
-//
-// One pass reaches the fixpoint. It visits iterations k = low, low+1, …
-// and, within each, the program's nodes in evaluation order, computing
-// each node whose next iteration is k and that is ready. Node n's
-// iteration k references only earlier iterations, which the pass has
-// visited, and earlier nodes of iteration k, which it has just visited;
-// arrivals and confirmations do not change inside the pass. A node's
-// next iteration is at most one past the latest final one, so the pass
-// ends after the last iteration any node can reach, at iters, or lead
-// iterations past low.
-func (e *engine) advance() error {
-	hi := len(e.ys)
-	for _, d := range e.nodeDone {
-		hi = max(hi, d)
-	}
-	// low is the earliest iteration any ring reader may still need: a
-	// node (through its arcs and the receptions' gates) or the recorder.
-	low := min(e.done(), e.recorded)
-	for k := low; k <= hi && k < e.iters && k < low+e.lead; k++ {
-		for i := range e.prog.Len() {
-			id := e.prog.Node(i)
-			next := e.nodeDone[id]
-			if id == e.outNode {
-				next = len(e.ys)
-			}
-			if next != k || !e.prog.Ready(i, k, e.nodeDone) {
-				continue
-			}
-			row, err := e.row(k)
-			if err != nil {
-				return err
-			}
-			v := e.prog.EvalAt(i, k, e.ring, e.depth, row)
-			if id == e.outNode {
-				e.ys = append(e.ys, v)
-			} else {
-				e.final(id, k, v)
-			}
-			hi = max(hi, k+1)
-		}
-		done := e.done()
-		for ; e.recorded < done; e.recorded++ {
-			if _, err := e.record(e.trace, e.recorded); err != nil {
-				return err
-			}
-		}
-		low = min(done, e.recorded)
-	}
-	now := e.kern.Now()
-	for i := range e.recv {
-		w := &e.recv[i]
-		k := w.Waiting()
-		if k < 0 || !e.gateReady(e.dres.Inputs[i], k) {
-			continue
-		}
-		gate, err := e.gateValue(e.dres.Inputs[i], k)
-		if err != nil {
-			return err
-		}
-		w.Fire(now, gate)
-	}
-	if k := e.emit.Waiting(); k >= 0 && len(e.ys) > k {
-		e.emit.Fire(now, e.ys[k])
-	}
-	return nil
-}
-
-// runEmission replays the computed output instants onto the real boundary
-// channel and makes each observed transfer final: the output node's
-// instant that later iterations' rotation gates reference. src is the
-// source whose tokens the output channel carries.
-func (e *engine) runEmission(p *sim.Proc, src *model.Source, rt chanrt.RT) {
+// runEmission replays output j's computed instants onto its channel ch.
+// src is the source whose tokens ch carries. A sink-read output was
+// final when computed; the transfer of any other is observed and made
+// final here: the instant later iterations' rotation gates reference.
+func (e *engine) runEmission(p *sim.Proc, j int, ch *model.Channel, src *model.Source, rt chanrt.RT) {
 	fifo, _ := rt.(*chanrt.FIFO)
+	o := &e.outs[j]
 	for k := 0; k < e.iters; k++ {
-		if len(e.ys) > k {
-			if y := e.ys[k]; !y.IsEpsilon() && sim.Time(y) > p.Now() {
+		var y maxplus.T
+		if e.nextOf(o.node) > k {
+			if y = *e.slot(o.node, k); !y.IsEpsilon() && sim.Time(y) > p.Now() {
 				p.WaitUntil(sim.Time(y))
 			}
 		} else {
-			e.emit.Wait(p, k) // advance fires it at y(k)
+			y = o.w.Wait(p, k) // advance fires it at y(k)
+		}
+		if !y.IsEpsilon() && sim.Time(y) < p.Now() {
+			p.Kernel().Fail(fmt.Errorf("%w: %s written %d at %d ns, the reference writes at %d ns",
+				ErrPipelined, ch.Name, k, p.Now(), y))
+			return
 		}
 		rt.Write(p, src.TokenAt(k))
-		actual := maxplus.T(p.Now())
-		if fifo != nil {
-			actual = fifo.WriteInstant(k)
+		o.emitted = k + 1
+		if e.tentative[o.node] {
+			actual := maxplus.T(p.Now())
+			if fifo != nil {
+				actual = fifo.WriteInstant(k)
+			}
+			*e.slot(o.node, k) = actual
+			if err := e.finalNode(o.node, k); err != nil {
+				p.Kernel().Fail(err)
+				return
+			}
+		} else if e.stallLow < 0 {
+			continue // nothing waits for low to move
 		}
-		e.final(e.outNode, k, actual)
 		if err := e.advance(); err != nil {
 			p.Kernel().Fail(err)
 			return
@@ -373,10 +620,10 @@ func (e *engine) runEmission(p *sim.Proc, src *model.Source, rt chanrt.RT) {
 }
 
 // record reconstructs the group's observable evolution of iteration k
-// from the wave ring into trace (nil records nothing): internal instant
+// from the ring into trace (nil records nothing): internal instant
 // labels (boundary channels are recorded by their real runtimes) and
 // execution activities, except those past the time limit. Nodes not
-// computed for k — the run ended first — count as past the limit. It
+// final for k — the run ended first — count as past the limit. It
 // returns the latest instant or activity end of the iteration.
 func (e *engine) record(trace *observe.Trace, k int) (maxplus.T, error) {
 	row, err := e.row(k)
@@ -385,7 +632,7 @@ func (e *engine) record(trace *observe.Trace, k int) (maxplus.T, error) {
 	}
 	for id := range e.vals {
 		e.vals[id] = maxplus.Top
-		if e.nodeDone[id] > k {
+		if e.doneOf(tdg.NodeID(id)) > k {
 			e.vals[id] = *e.slot(tdg.NodeID(id), k)
 		}
 	}
@@ -401,20 +648,20 @@ func (e *engine) record(trace *observe.Trace, k int) (maxplus.T, error) {
 // A row that fails to fill here failed the run already, when advance
 // first needed it.
 func (e *engine) finish() sim.Time {
-	done, last := e.iters, 0
-	for _, d := range e.nodeDone {
-		done, last = min(done, d), max(last, d)
+	last := 0
+	for _, d := range e.done {
+		last = max(last, d)
 	}
-	for ; e.recorded < last; e.recorded++ {
-		if _, err := e.record(e.trace, e.recorded); err != nil {
+	for k := e.complete; k < last && e.trace != nil; k++ {
+		if _, err := e.record(e.trace, k); err != nil {
 			break
 		}
 	}
 	t := e.kern.Stats().FinalTime
-	if done == 0 {
+	if e.complete == 0 {
 		return t
 	}
-	end, err := e.record(nil, done-1)
+	end, err := e.record(nil, e.complete-1)
 	if err != nil {
 		return t
 	}

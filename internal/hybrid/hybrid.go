@@ -5,36 +5,39 @@
 // is replaced by an equivalent model (Reception / ComputeInstant /
 // Emission over the group's temporal dependency graph) while the rest of
 // the architecture keeps running event-by-event; the two halves meet at
-// the group's boundary channels.
+// the group's boundary channels. The whole architecture is the largest
+// group: RunDerived runs it over the architecture's own derivation, and
+// that is the equivalent model (core.Model.Run, the "equivalent"
+// engine). The package holds the one boundary engine of the repository.
 //
-// Exactness across the boundary needs one care the whole-architecture
-// case does not: the group's emission instant y(k) is only the earliest
-// possible boundary transfer — a slow external reader can make the true
-// transfer later, and internal instants of later iterations reference it
-// (the writer's rotation gate). The engine therefore stores the observed
-// instant of each output transfer as it happens, and computes an instant
-// that references an output transfer only once it is confirmed.
-// Every other instant is computed as soon as what it references is final,
-// across iterations, so a group that pipelines several iterations between
-// its boundary input and output gates its receptions on time. The
-// evaluation is no simulation process: it runs in zero simulation time
-// inside the boundary process whose arrival or confirmed emission made
-// more instants final, and it wakes only a boundary process whose
-// action became computable, once, at that action's instant. Because an
-// instant is never earlier than what it waits for, the waits never delay
-// an emission or a reception, and every computed instant is final when
-// produced. A run the evaluation cannot keep exact fails with
-// ErrPipelined.
+// Exactness across the boundary rests on one finality rule. An output
+// read by an environment sink is final when computed: a sink never
+// blocks, so its transfer happens at y(k). An output read by a
+// simulated function is not: y(k) is only the earliest possible
+// transfer, a slow reader can make the true one later, and instants
+// that reference it (the writer's rotation gate, or what the writer
+// does after the write) wait until the emission confirms the observed
+// transfer. Every other instant is computed as soon as what it
+// references is final, counted per node and across iterations, so a
+// group that pipelines several iterations between its boundary input
+// and output gates its receptions on time. The evaluation is no
+// simulation process: it runs in zero simulation time inside the
+// boundary process whose arrival or confirmed emission made more
+// instants final, and it wakes only a boundary process whose action
+// became computable, once, at that action's instant. Because an
+// instant is never earlier than what it waits for, the waits never
+// delay an emission or a reception. A run the evaluation cannot keep
+// exact fails with ErrPipelined.
 //
-// Scope: the group must be closed under resources (a resource's rotation
-// is either fully abstracted or fully simulated), must emit through
-// exactly one boundary output channel, and the boundary write must be its
-// writer's final statement. Violations are reported as errors.
+// Scope: the group must be closed under resources (a resource's
+// rotation is either fully abstracted or fully simulated), and at most
+// one of its boundary output channels may be read by a simulated
+// function; outputs read by sinks are unlimited. Violations are
+// reported as errors.
 package hybrid
 
 import (
 	"fmt"
-	"slices"
 
 	"dyncomp/internal/baseline"
 	"dyncomp/internal/chanrt"
@@ -83,9 +86,9 @@ func Run(a *model.Architecture, opts Options) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	iters, err := iterationCount(a)
+	iters, err := Iterations(a)
 	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("hybrid: %w", err)
 	}
 	if opts.IterLimit > 0 && opts.IterLimit < iters {
 		iters = opts.IterLimit
@@ -98,10 +101,57 @@ func Run(a *model.Architecture, opts Options) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	if err := checkBoundary(dres); err != nil {
+	if err := checkBoundary(dres, sub.outOrig); err != nil {
 		return nil, err
 	}
+	return simulate(a, dres, boundary{
+		in:       sub.inOrig,
+		out:      sub.outOrig,
+		group:    func(f *model.Function) bool { return group[f] },
+		internal: func(ch *model.Channel) bool { return sub.internal[ch] },
+	}, opts, iters)
+}
 
+// RunDerived simulates the equivalent model of the whole architecture
+// dres was derived from: every function abstracted, the sources and
+// sinks simulated. Of opts only Trace, Limit and IterLimit apply.
+func RunDerived(dres *derive.Result, opts Options) (*Result, error) {
+	iters, err := Iterations(dres.Arch)
+	if err != nil {
+		return nil, fmt.Errorf("hybrid: %w", err)
+	}
+	if opts.IterLimit > 0 && opts.IterLimit < iters {
+		iters = opts.IterLimit
+	}
+	chs := make([]*model.Channel, 0, len(dres.Inputs)+len(dres.Outputs))
+	for i := range dres.Inputs {
+		chs = append(chs, dres.Inputs[i].Channel)
+	}
+	for _, ob := range dres.Outputs {
+		chs = append(chs, ob.Channel)
+	}
+	return simulate(dres.Arch, dres, boundary{
+		in:       chs[:len(dres.Inputs)],
+		out:      chs[len(dres.Inputs):],
+		group:    func(*model.Function) bool { return true },
+		internal: func(*model.Channel) bool { return true },
+	}, opts, iters)
+}
+
+// boundary places an abstracted group in its architecture.
+type boundary struct {
+	// in and out are the architecture's channels of the derivation's
+	// input and output bindings, in order.
+	in, out []*model.Channel
+	// group reports the abstracted functions, internal the channels
+	// both of whose ends are abstracted (boundary channels aside).
+	group    func(*model.Function) bool
+	internal func(*model.Channel) bool
+}
+
+// simulate runs a with the group b abstracted into dres, the group's
+// derivation, over iters iterations.
+func simulate(a *model.Architecture, dres *derive.Result, b boundary, opts Options, iters int) (*Result, error) {
 	limit := opts.Limit
 	if limit <= 0 {
 		limit = sim.Forever
@@ -111,28 +161,27 @@ func Run(a *model.Architecture, opts Options) (*Result, error) {
 	// Boundary channels get shared runtimes that record the real transfer
 	// instants; internal channels of the group exist only as computed
 	// instants.
-	boundary := map[*model.Channel]chanrt.RT{}
-	for _, ch := range sub.inOrig {
-		boundary[ch] = chanrt.New(kern, ch, opts.Trace)
+	chans := make(map[*model.Channel]chanrt.RT, len(b.in)+len(b.out))
+	skip := make([]string, 0, 2*(len(b.in)+len(b.out)))
+	for _, chs := range [2][]*model.Channel{b.in, b.out} {
+		for _, ch := range chs {
+			chans[ch] = chanrt.New(kern, ch, opts.Trace)
+			skip = append(skip, chanrt.Labels(ch)...)
+		}
 	}
-	outOrig := sub.outOrig[0]
-	boundary[outOrig] = chanrt.New(kern, outOrig, opts.Trace)
-
-	inGroup := func(f *model.Function) bool { return group[f] }
-	internal := func(ch *model.Channel) bool { return sub.internal[ch] }
-	if _, err := baseline.Attach(kern, a, baseline.AttachOptions{
+	if err := baseline.Attach(kern, a, baseline.AttachOptions{
 		Trace:       opts.Trace,
-		Skip:        inGroup,
-		SkipChannel: internal,
-		Chans:       boundary,
+		Skip:        b.group,
+		SkipChannel: b.internal,
+		Chans:       chans,
 		IterLimit:   opts.IterLimit,
 	}); err != nil {
 		return nil, err
 	}
 
-	eng := newEngine(a, sub, dres, kern, opts.Trace, iters, limit)
-	eng.build(boundary)
-
+	eng := engineFor(dres, b.out, kern, opts.Trace, iters, limit, skip)
+	defer eng.release()
+	eng.build(a, b.in, b.out, chans)
 	if err := kern.Run(limit); err != nil {
 		return nil, err
 	}
@@ -141,7 +190,7 @@ func Run(a *model.Architecture, opts Options) (*Result, error) {
 	return &Result{
 		Stats:      stats,
 		Trace:      opts.Trace,
-		Iterations: len(eng.ys),
+		Iterations: eng.complete,
 		GraphNodes: dres.Graph.NodeCountWithDelays(),
 	}, nil
 }
@@ -179,51 +228,37 @@ func resolveGroup(a *model.Architecture, names []string) (map[*model.Function]bo
 	return group, nil
 }
 
-func iterationCount(a *model.Architecture) (int, error) {
+// Iterations returns the number of iterations a's sources evolve over:
+// their token count, which must be the same for every source.
+func Iterations(a *model.Architecture) (int, error) {
 	if len(a.Sources) == 0 {
-		return 0, fmt.Errorf("hybrid: architecture has no sources")
+		return 0, fmt.Errorf("architecture %q has no sources", a.Name)
 	}
 	n := a.Sources[0].Count
 	for _, s := range a.Sources[1:] {
 		if s.Count != n {
-			return 0, fmt.Errorf("hybrid: sources produce different token counts (%d vs %d)", n, s.Count)
+			return 0, fmt.Errorf("sources %q and %q produce different token counts (%d vs %d)",
+				a.Sources[0].Name, s.Name, n, s.Count)
 		}
 	}
 	return n, nil
 }
 
-// checkBoundary enforces the supported abstraction boundary: exactly one
-// output, whose node has no zero-delay dependents (other than the read
-// node of its own FIFO channel).
-func checkBoundary(dres *derive.Result) error {
+// checkBoundary enforces the supported abstraction boundary: at least
+// one input, and at most one output channel (out, in the derivation's
+// order) read by a simulated function.
+func checkBoundary(dres *derive.Result, out []*model.Channel) error {
 	if len(dres.Inputs) == 0 {
 		return fmt.Errorf("hybrid: group has no boundary inputs")
 	}
-	if len(dres.Outputs) != 1 {
-		return fmt.Errorf("hybrid: group has %d boundary output channels; exactly 1 is supported", len(dres.Outputs))
-	}
-	out := dres.Outputs[0]
-	g := dres.Graph
-	for _, n := range g.Nodes() {
-		for _, arc := range g.Incoming(n.ID) {
-			if arc.From != out.Node || arc.Delay != 0 {
-				continue
-			}
-			if out.Channel.Kind == model.FIFO && n.Name == out.Channel.Name+".r" {
-				continue // the xw -> xr arc of the boundary FIFO itself
-			}
-			return fmt.Errorf("hybrid: instant %q depends on the boundary output in the same iteration; emit boundary outputs as the writer's final statement", n.Name)
+	simulated := 0
+	for _, ch := range out {
+		if ch.Sink == nil {
+			simulated++
 		}
 	}
-	return nil
-}
-
-// boundaryLabels lists the instant labels recorded by the boundary
-// channel runtimes, which the computed recording must skip.
-func boundaryLabels(sub *subArch) []string {
-	var skip []string
-	for _, ch := range slices.Concat(sub.inOrig, sub.outOrig) {
-		skip = append(skip, chanrt.Labels(ch)...)
+	if simulated > 1 {
+		return fmt.Errorf("hybrid: group has %d boundary output channels read by simulated functions; at most 1 is supported", simulated)
 	}
-	return skip
+	return nil
 }

@@ -11,34 +11,50 @@ import (
 	"dyncomp/internal/sim"
 )
 
-// hybEngine adapts partial abstraction to the uniform engine contract.
-// It is the one engine that requires Options.AbstractGroup: the named
-// functions are abstracted into an equivalent model, the rest of the
-// architecture runs event-by-event.
-type hybEngine struct{}
+// boundaryEngine adapts the boundary engine to the uniform engine
+// contract, under two names. "equivalent" abstracts the whole
+// architecture: the paper's equivalent model, derived (through the
+// injected cache when one is supplied) outside the timed section, as
+// the paper's models are generated before simulation, so Result.WallNs
+// covers the run only. "hybrid" abstracts Options.AbstractGroup, which
+// it requires, and runs the rest of the architecture event by event;
+// deriving the group is part of its run.
+type boundaryEngine struct{ whole bool }
 
-func (hybEngine) Name() string { return "hybrid" }
+func (e boundaryEngine) Name() string {
+	if e.whole {
+		return "equivalent"
+	}
+	return "hybrid"
+}
 
-func (hybEngine) Run(ctx context.Context, a *model.Architecture, opts uni.Options) (*uni.Result, error) {
+func (e boundaryEngine) Run(ctx context.Context, a *model.Architecture, opts uni.Options) (*uni.Result, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	if len(opts.AbstractGroup) == 0 {
+	if !e.whole && len(opts.AbstractGroup) == 0 {
 		return nil, fmt.Errorf("hybrid: engine needs Options.AbstractGroup (the functions to abstract)")
 	}
-	var trace *observe.Trace
-	if opts.Record {
-		trace = observe.NewTrace(a.Name + "/hybrid")
-	}
-	begin := time.Now()
-	res, err := Run(a, Options{
+	hopts := Options{
 		Group:     opts.AbstractGroup,
-		Trace:     trace,
 		Limit:     sim.Time(opts.LimitNs),
 		IterLimit: opts.IterLimit,
 		Derive:    opts.Derive,
 		Cache:     opts.Cache,
-	})
+	}
+	if opts.Record {
+		hopts.Trace = observe.NewTrace(a.Name + "/" + e.Name())
+	}
+	run := func() (*Result, error) { return Run(a, hopts) }
+	if e.whole {
+		dres, err := opts.Cache.Derive(a, opts.Derive)
+		if err != nil {
+			return nil, err
+		}
+		run = func() (*Result, error) { return RunDerived(dres, hopts) }
+	}
+	begin := time.Now()
+	res, err := run()
 	if err != nil {
 		return nil, err
 	}
@@ -46,7 +62,7 @@ func (hybEngine) Run(ctx context.Context, a *model.Architecture, opts uni.Option
 		opts.Progress(res.Iterations, res.Iterations)
 	}
 	return &uni.Result{
-		Trace:       trace,
+		Trace:       hopts.Trace,
 		Activations: res.Stats.Activations,
 		Events:      res.Stats.Events(),
 		FinalTimeNs: int64(res.Stats.FinalTime),
@@ -56,4 +72,7 @@ func (hybEngine) Run(ctx context.Context, a *model.Architecture, opts uni.Option
 	}, nil
 }
 
-func init() { uni.Register(hybEngine{}) }
+func init() {
+	uni.Register(boundaryEngine{whole: true})
+	uni.Register(boundaryEngine{})
+}

@@ -56,21 +56,16 @@ func buildSub(a *model.Architecture, group map[*model.Function]bool, iters int) 
 		}
 		body := make([]model.Stmt, len(f.Body))
 		for i, st := range f.Body {
+			body[i] = st
+			var ch *model.Channel
 			switch s := st.(type) {
 			case model.Read:
-				mc := sub.mirror[s.Ch]
-				if mc == nil {
-					return nil, fmt.Errorf("hybrid: channel %q of %q not mirrored", s.Ch.Name, f.Name)
-				}
-				body[i] = model.Read{Ch: mc}
+				ch, body[i] = s.Ch, model.Read{Ch: sub.mirror[s.Ch]}
 			case model.Write:
-				mc := sub.mirror[s.Ch]
-				if mc == nil {
-					return nil, fmt.Errorf("hybrid: channel %q of %q not mirrored", s.Ch.Name, f.Name)
-				}
-				body[i] = model.Write{Ch: mc}
-			default:
-				body[i] = st
+				ch, body[i] = s.Ch, model.Write{Ch: sub.mirror[s.Ch]}
+			}
+			if ch != nil && sub.mirror[ch] == nil {
+				return nil, fmt.Errorf("hybrid: channel %q of %q not mirrored", ch.Name, f.Name)
 			}
 		}
 		mirrored[f] = sub.arch.AddFunction(f.Name, body...)

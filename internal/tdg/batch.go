@@ -19,13 +19,13 @@ var batchParallelMinWork = 1 << 14
 // k for every lane at once.
 //
 // Memory is laid out lane-innermost (structure of arrays): the history
-// ring holds ring[(node*depth+slot)*L + lane], the iteration rows
-// rows[entry*L + lane], and Step's inputs and outputs are lane-strided
-// the same way (u[i*L+lane] is input i of lane `lane`). One instruction
-// stream therefore amortizes the arc-table walk, the branch pattern and
-// the ring indexing over all lanes, while each lane fills its own row
-// from its own Inputs — which is exactly the sweep access pattern: many
-// parameter points over one shared structure.
+// ring holds ring[(slot*N+node)*L + lane] (N the node count), the
+// iteration rows rows[entry*L + lane], and Step's inputs and outputs are
+// lane-strided the same way (u[i*L+lane] is input i of lane `lane`). One
+// instruction stream therefore amortizes the arc-table walk, the branch
+// pattern and the ring indexing over all lanes, while each lane fills
+// its own row from its own Inputs — which is exactly the sweep access
+// pattern: many parameter points over one shared structure.
 //
 // Lanes must be structurally identical programs: Bound siblings (which
 // alias one arc table, checked in O(1)) or independently
@@ -44,7 +44,7 @@ type BatchEvaluator struct {
 	depth int
 	width int // number of lanes L
 
-	ring   []maxplus.T // [(node*depth + slot)*L + lane]
+	ring   []maxplus.T // [(slot*N + node)*L + lane]
 	rows   []maxplus.T // [entry*L + lane], refilled each Step
 	outBuf []maxplus.T // [output*L + lane], reused by Step
 
@@ -210,13 +210,13 @@ func (b *BatchEvaluator) Step(u []maxplus.T) ([]maxplus.T, error) {
 	k := b.k
 	slot := k % b.depth
 	for i, id := range g.inputs {
-		base := (int(id)*b.depth + slot) * L
+		base := (slot*len(g.nodes) + int(id)) * L
 		copy(b.ring[base:base+L], u[i*L:(i+1)*L])
 	}
 	b.fillRows(k)
 	b.pass(k, slot)
 	for j, id := range g.outputs {
-		base := (int(id)*b.depth + slot) * L
+		base := (slot*len(g.nodes) + int(id)) * L
 		copy(b.outBuf[j*L:(j+1)*L], b.ring[base:base+L])
 	}
 	b.k++
@@ -294,8 +294,8 @@ func (b *BatchEvaluator) runNodes(nlo, nhi, k, slot int) {
 	ring := b.ring
 	rows := b.rows
 	L := b.width
-	depth := int32(b.depth)
-	s := int32(slot)
+	span := int32(b.depth) * p.n
+	s := int32(slot) * p.n
 	k32 := int32(k)
 	warm := k < b.depth-1
 	for ni := nlo; ni < nhi; ni++ {
@@ -319,7 +319,7 @@ func (b *BatchEvaluator) runNodes(nlo, nhi, k, slot int) {
 			}
 			ss := s - a.slotSub
 			if ss < 0 {
-				ss += depth
+				ss += span
 			}
 			sb := int(a.srcBase+ss) * L
 			src := ring[sb : sb+L]
@@ -367,9 +367,9 @@ func (b *BatchEvaluator) LaneValuesInto(lane int, dst []maxplus.T) {
 		panic(fmt.Sprintf("tdg: LaneValuesInto dst size %d, want %d", len(dst), len(b.proto.g.nodes)))
 	}
 	L := b.width
-	slot := (b.k - 1) % b.depth
+	base := (b.k - 1) % b.depth * len(dst)
 	for i := range dst {
-		dst[i] = b.ring[(i*b.depth+slot)*L+lane]
+		dst[i] = b.ring[(base+i)*L+lane]
 	}
 }
 

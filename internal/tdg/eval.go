@@ -20,7 +20,7 @@ type Evaluator struct {
 	prog   *Program
 	k      int
 	depth  int         // ring depth = maxDelay + 1
-	ring   []maxplus.T // ring[node*depth + (k mod depth)]
+	ring   []maxplus.T // ring[(k mod depth)*N + node], N the node count
 	outBuf []maxplus.T // reused by Step
 	row    []maxplus.T // the row of iteration rowK (see Program)
 	rowK   int         // -1: the row holds no iteration
@@ -67,19 +67,20 @@ func (e *Evaluator) Step(u []maxplus.T) ([]maxplus.T, error) {
 		return nil, err
 	}
 	slot := k % e.depth
+	base := slot * len(g.nodes)
 	for i, id := range g.inputs {
-		e.ring[int(id)*e.depth+slot] = u[i]
+		e.ring[base+int(id)] = u[i]
 	}
-	e.prog.pass(e.ring, e.row, k, slot)
+	e.prog.pass(e.ring, e.row, k, slot, e.depth)
 	for i, id := range g.outputs {
-		e.outBuf[i] = e.ring[int(id)*e.depth+slot]
+		e.outBuf[i] = e.ring[base+int(id)]
 	}
 	e.k++
 	return e.outBuf, nil
 }
 
 // fill makes the row hold iteration k. The row is a pure function of k,
-// so a row filled ahead of Step (by PeekDelayed or Row) is reused.
+// so a row filled ahead of Step (by Row) is reused.
 func (e *Evaluator) fill(k int) error {
 	if e.rowK == k {
 		return nil
@@ -108,7 +109,7 @@ func (e *Evaluator) Value(id NodeID) maxplus.T {
 	if e.k == 0 {
 		panic("tdg: Value before first Step")
 	}
-	return e.ring[int(id)*e.depth+((e.k-1)%e.depth)]
+	return e.ring[(e.k-1)%e.depth*len(e.prog.g.nodes)+int(id)]
 }
 
 // ValuesInto copies the instants of all nodes at the most recently
@@ -122,10 +123,7 @@ func (e *Evaluator) ValuesInto(dst []maxplus.T) {
 	if len(dst) != n {
 		panic(fmt.Sprintf("tdg: ValuesInto dst size %d, want %d", len(dst), n))
 	}
-	slot := (e.k - 1) % e.depth
-	for i := range n {
-		dst[i] = e.ring[i*e.depth+slot]
-	}
+	copy(dst, e.ring[(e.k-1)%e.depth*n:])
 }
 
 // Reset rewinds the evaluator to iteration zero and clears all history.
@@ -135,38 +133,4 @@ func (e *Evaluator) Reset() {
 	for i := range e.ring {
 		e.ring[i] = maxplus.Epsilon
 	}
-}
-
-// PeekDelayed evaluates ⊕ over the given arcs for iteration k using only
-// already-computed history and iteration k's row. Every arc must carry a
-// positive delay not exceeding the graph's maximum delay, and iteration
-// k-1 must have been computed (or k must be 0). The equivalent model uses
-// this to obtain the readiness gate of an input channel before iteration
-// k's inputs exist.
-func (e *Evaluator) PeekDelayed(arcs []Arc, k int) (maxplus.T, error) {
-	if k > e.k {
-		return maxplus.Epsilon, fmt.Errorf("tdg: PeekDelayed(%d) ahead of computed iteration %d", k, e.k)
-	}
-	row, err := e.Row(k)
-	if err != nil {
-		return maxplus.Epsilon, err
-	}
-	acc := maxplus.Epsilon
-	for _, a := range arcs {
-		if a.Delay < 1 {
-			return maxplus.Epsilon, fmt.Errorf("tdg: PeekDelayed requires delayed arcs, got delay %d", a.Delay)
-		}
-		if a.Delay > k {
-			continue
-		}
-		src := e.ring[int(a.From)*e.depth+((k-a.Delay)%e.depth)]
-		if src == maxplus.Epsilon {
-			continue
-		}
-		v := a.Weight.Apply(src, row)
-		if v > acc {
-			acc = v
-		}
-	}
-	return acc, nil
 }

@@ -9,7 +9,7 @@ import (
 // Interpreter evaluates a program's graph by walking its arc lists in
 // topological order: the reference semantics the compiled passes must
 // match bit-exactly. It is test code, the oracle of the evaluator tests
-// and of the "interpreted" benchmark rows. Row, PeekDelayed, Value,
+// and of the "interpreted" benchmark rows. Row, Value,
 // ValuesInto, K and Reset are the embedded Evaluator's; only Step
 // differs.
 type Interpreter struct{ *Evaluator }
@@ -31,21 +31,25 @@ func (e *Interpreter) Step(u []maxplus.T) ([]maxplus.T, error) {
 	if err := e.fill(k); err != nil {
 		return nil, err
 	}
-	slot := k % e.depth
 	for i, id := range g.inputs {
-		e.ring[int(id)*e.depth+slot] = u[i]
+		e.ring[e.at(id, k)] = u[i]
 	}
-	e.interpretPass(k, slot)
+	e.interpretPass(k)
 	for i, id := range g.outputs {
-		e.outBuf[i] = e.ring[int(id)*e.depth+slot]
+		e.outBuf[i] = e.ring[e.at(id, k)]
 	}
 	e.k++
 	return e.outBuf, nil
 }
 
+// at is the ring index of node id's instant of iteration k.
+func (e *Interpreter) at(id NodeID, k int) int {
+	return k%e.depth*len(e.prog.g.nodes) + int(id)
+}
+
 // interpretPass computes every non-input instant of iteration k by
 // walking the graph's arc lists.
-func (e *Interpreter) interpretPass(k, slot int) {
+func (e *Interpreter) interpretPass(k int) {
 	g := e.prog.g
 	row := e.row
 	for _, id := range g.topo {
@@ -58,7 +62,7 @@ func (e *Interpreter) interpretPass(k, slot int) {
 			if a.Delay > k {
 				continue // references an iteration before the origin: ε
 			}
-			src := e.ring[int(a.From)*e.depth+((k-a.Delay)%e.depth)]
+			src := e.ring[e.at(a.From, k-a.Delay)]
 			if src == maxplus.Epsilon {
 				continue
 			}
@@ -67,6 +71,6 @@ func (e *Interpreter) interpretPass(k, slot int) {
 				acc = v
 			}
 		}
-		e.ring[int(id)*e.depth+slot] = acc
+		e.ring[e.at(id, k)] = acc
 	}
 }

@@ -16,6 +16,11 @@ import (
 // program's bound Inputs (see Bind) fill once per iteration before the
 // pass.
 //
+// A ring of depth d, at least maxDelay+1, holds node n's iteration j at
+// ring[(j%d)*N + n], N the graph's node count: one iteration's instants
+// are contiguous. The evaluators keep maxDelay+1 iterations; an engine
+// may keep more (Pass and EvalAt take the depth).
+//
 // One Program serves any number of concurrent evaluators: all compiled
 // state is immutable after Compile. The steady-state pass (once every
 // delayed reference lands after the origin) is branch-light and performs
@@ -24,17 +29,23 @@ import (
 // events — toward larger graphs.
 type Program struct {
 	g     *Graph
-	depth int32
+	depth int32 // maxDelay+1: the iterations an evaluator's ring keeps
+	n     int32 // graph node count: the ring distance between two iterations
 
 	// nodes lists the non-input nodes in evaluation (topological) order;
 	// the arcs of nodes[i] are arcs[nodes[i].lo:nodes[i].hi].
 	nodes []progNode
 	arcs  []progArc
 	// ids[i] is the graph node of nodes[i], from[j] the source node of
-	// arcs[j]: the node-granular entry points (Ready, EvalAt) index
-	// rings of any depth with them.
+	// arcs[j].
 	ids  []NodeID
 	from []NodeID
+	// readers[rdLo[n]:rdLo[n+1]] are the arcs leaving graph node n, and
+	// sameIter[i] counts the zero-delay arcs of nodes[i]: what counting
+	// readiness (Readers, SameIter) decrements and starts from.
+	readers  []Reader
+	rdLo     []int32
+	sameIter []int32
 	// rowRefs is one past the largest Inputs row entry an arc reads.
 	rowRefs int
 	// in fills the row weights (nil: the program reads none).
@@ -72,7 +83,7 @@ type Inputs interface {
 
 // progNode is one non-input node of the compiled evaluation order.
 type progNode struct {
-	slotBase int32 // NodeID * depth: base index of the node's ring slots
+	slotBase int32 // NodeID: ring index of the node's instant in slot 0
 	lo, hi   int32 // arc range in Program.arcs
 	// copySrc specializes the most common node shape — exactly one
 	// zero-delay identity arc (pad chains, rendezvous forwarding) — into
@@ -83,8 +94,8 @@ type progNode struct {
 
 // progArc is one packed arc of the flat table.
 type progArc struct {
-	srcBase int32 // From * depth
-	slotSub int32 // Delay % depth: ring-slot offset of the referenced slot
+	srcBase int32 // From: ring index of the source's instant in slot 0
+	slotSub int32 // Delay * N: ring offset of the referenced slot
 	delay   int32 // full delay, for the pre-origin rule of the warm pass
 	widx    int32 // >= 0: index into the iteration row; < 0: w is inline
 	w       maxplus.T
@@ -110,6 +121,7 @@ func Compile(g *Graph) (*Program, error) {
 	p := &Program{
 		g:     g,
 		depth: depth,
+		n:     int32(len(g.nodes)),
 		nodes: make([]progNode, 0, len(g.topo)-len(g.inputs)),
 		pool:  &sync.Pool{},
 		bpool: &sync.Pool{},
@@ -131,7 +143,7 @@ func Compile(g *Graph) (*Program, error) {
 			p.from = append(p.from, a.From)
 		}
 		hi := int32(len(p.arcs))
-		n := progNode{slotBase: int32(id) * depth, lo: lo, hi: hi, copySrc: -1}
+		n := progNode{slotBase: int32(id), lo: lo, hi: hi, copySrc: -1}
 		if hi == lo+1 {
 			if a := &p.arcs[lo]; a.delay == 0 && a.widx < 0 && a.w == maxplus.E {
 				n.copySrc = a.srcBase
@@ -141,7 +153,43 @@ func Compile(g *Graph) (*Program, error) {
 		p.ids = append(p.ids, id)
 	}
 	p.computeWaves()
+	p.indexReaders()
 	return p, nil
+}
+
+// Reader is one arc seen from its source node: the arc makes iteration
+// k+Delay of the I-th evaluated node (graph node Node) reference the
+// source's iteration k.
+type Reader struct {
+	I, Delay int32
+	Node     NodeID
+}
+
+// indexReaders builds the per-source arc lists and the zero-delay arc
+// counts of the evaluated nodes.
+func (p *Program) indexReaders() {
+	p.rdLo = make([]int32, len(p.g.nodes)+1)
+	for _, f := range p.from {
+		p.rdLo[f+1]++
+	}
+	for n := range p.g.nodes {
+		p.rdLo[n+1] += p.rdLo[n]
+	}
+	p.readers = make([]Reader, len(p.arcs))
+	fill := append([]int32(nil), p.rdLo[:len(p.g.nodes)]...)
+	p.sameIter = make([]int32, len(p.nodes))
+	for i := range p.nodes {
+		n := &p.nodes[i]
+		for ai := n.lo; ai < n.hi; ai++ {
+			a := &p.arcs[ai]
+			f := p.from[ai]
+			p.readers[fill[f]] = Reader{I: int32(i), Delay: a.delay, Node: p.ids[i]}
+			fill[f]++
+			if a.delay == 0 {
+				p.sameIter[i]++
+			}
+		}
+	}
 }
 
 // computeWaves greedily splits the evaluation order into maximal
@@ -157,13 +205,13 @@ func (p *Program) computeWaves() {
 		n := &p.nodes[ni]
 		for ai := n.lo; ai < n.hi; ai++ {
 			a := &p.arcs[ai]
-			if a.delay == 0 && gen[a.srcBase/p.depth] == cur {
+			if a.delay == 0 && gen[a.srcBase] == cur {
 				waves = append(waves, int32(ni))
 				cur++
 				break
 			}
 		}
-		gen[n.slotBase/p.depth] = cur
+		gen[n.slotBase] = cur
 	}
 	waves = append(waves, int32(len(p.nodes)))
 	p.waves = waves
@@ -173,8 +221,8 @@ func (p *Program) computeWaves() {
 // pointing row weights at their row entry.
 func (p *Program) packArc(a Arc) progArc {
 	pa := progArc{
-		srcBase: int32(a.From) * p.depth,
-		slotSub: int32(a.Delay) % p.depth,
+		srcBase: int32(a.From),
+		slotSub: int32(a.Delay) * p.n,
 		delay:   int32(a.Delay),
 		widx:    -1,
 	}
@@ -274,25 +322,39 @@ func (p *Program) release(e *Evaluator) {
 	p.pool.Put(e)
 }
 
-// pass computes every non-input instant of iteration k from the filled
-// iteration row. The warm pass applies the pre-origin rule (a delayed
-// arc referencing an iteration before the origin contributes ε); once k
-// is at least the maximum delay — immediately for delay-free graphs —
-// the steady pass drops that branch.
-func (p *Program) pass(ring, row []maxplus.T, k, slot int) {
-	if k >= int(p.depth)-1 {
-		p.steadyPass(ring, row, slot)
+// Pass computes every node of iteration k from iteration k's row into a
+// ring of depth d, at least the program's (see Program).
+func (p *Program) Pass(k int, ring []maxplus.T, d int, row []maxplus.T) {
+	p.pass(ring, row, k, slotOf(k, d), d)
+}
+
+// slotOf returns k%d, masking when d is a power of two.
+func slotOf(k, d int) int {
+	if d&(d-1) == 0 {
+		return k & (d - 1)
+	}
+	return k % d
+}
+
+// pass computes every non-input instant of iteration k, whose slot is
+// k%d, from the filled iteration row into a ring of depth d. The warm
+// pass applies the pre-origin rule (a delayed arc referencing an
+// iteration before the origin contributes ε); once k is at least the
+// maximum delay — immediately for delay-free graphs — the steady pass
+// drops that branch.
+func (p *Program) pass(ring, row []maxplus.T, k, slot, d int) {
+	if k >= p.g.maxDelay {
+		p.steadyPass(ring, row, int32(slot)*p.n, int32(d)*p.n)
 	} else {
-		p.warmPass(ring, row, k, slot)
+		p.warmPass(ring, row, k, slot, d)
 	}
 }
 
 // steadyPass is the hot loop of ComputeInstant: one branch-light,
-// allocation-free sweep over the packed arc table.
-func (p *Program) steadyPass(ring, row []maxplus.T, slot int) {
+// allocation-free sweep over the packed arc table. s is the ring offset
+// of the iteration's slot, span the ring's length.
+func (p *Program) steadyPass(ring, row []maxplus.T, s, span int32) {
 	arcs := p.arcs
-	depth := p.depth
-	s := int32(slot)
 	for ni := range p.nodes {
 		n := &p.nodes[ni]
 		if cs := n.copySrc; cs >= 0 {
@@ -304,7 +366,7 @@ func (p *Program) steadyPass(ring, row []maxplus.T, slot int) {
 			a := &arcs[ai]
 			ss := s - a.slotSub
 			if ss < 0 {
-				ss += depth
+				ss += span
 			}
 			src := ring[a.srcBase+ss]
 			var v maxplus.T
@@ -330,54 +392,63 @@ func (p *Program) steadyPass(ring, row []maxplus.T, slot int) {
 
 // warmPass is steadyPass plus the pre-origin rule for iterations still
 // inside the delay window: one EvalAt per node, in evaluation order.
-func (p *Program) warmPass(ring, row []maxplus.T, k, slot int) {
-	depth := int(p.depth)
+func (p *Program) warmPass(ring, row []maxplus.T, k, slot, d int) {
+	s := slot * int(p.n)
 	for i := range p.nodes {
-		ring[int(p.nodes[i].slotBase)+slot] = p.EvalAt(i, k, ring, depth, row)
+		ring[int(p.nodes[i].slotBase)+s] = p.EvalAt(i, k, ring, d, row)
 	}
 }
 
 // Len returns the number of nodes the program evaluates (every non-input
-// node): the range of the node index i of Node, Ready and EvalAt, which
-// run in a topological order of the zero-delay arcs.
+// node): the range of the node index i of Node, Unresolved and EvalAt,
+// which run in a topological order of the zero-delay arcs.
 func (p *Program) Len() int { return len(p.nodes) }
 
 // Node returns the graph node the program evaluates i-th.
 func (p *Program) Node(i int) NodeID { return p.ids[i] }
 
-// Ready reports whether every instant the i-th node's iteration k
-// references is final, where done[n] counts node n's final iterations
+// Readers returns the arcs leaving graph node n.
+func (p *Program) Readers(n NodeID) []Reader { return p.readers[p.rdLo[n]:p.rdLo[n+1]] }
+
+// SameIter returns, per evaluated node, its number of zero-delay arcs:
+// the references of an iteration left unresolved once every earlier
+// iteration is final. The slice is shared; callers must not modify it.
+func (p *Program) SameIter() []int32 { return p.sameIter }
+
+// Unresolved counts the instants the i-th node's iteration k references
+// that are not final, where done[n] counts node n's final iterations
 // (0..done[n]-1). A reference before the origin is ε, final from the
 // start.
-func (p *Program) Ready(i, k int, done []int) bool {
+func (p *Program) Unresolved(i, k int, done []int) int32 {
 	n := &p.nodes[i]
+	var c int32
 	for ai := n.lo; ai < n.hi; ai++ {
 		if d := int(p.arcs[ai].delay); d <= k && done[p.from[ai]] <= k-d {
-			return false
+			c++
 		}
 	}
-	return true
+	return c
 }
 
 // EvalAt computes the i-th node's instant at iteration k from iteration
-// k's row and a ring holding node n's iteration j at ring[n*d + j%d], for
-// a depth d of at least the program's; an arc referencing an iteration
-// before the origin contributes ε (the pre-origin rule). It reads only
-// what Ready checks.
+// k's row and a ring of depth d, at least the program's (see Program);
+// an arc referencing an iteration before the origin contributes ε (the
+// pre-origin rule). It reads only what Unresolved checks.
 func (p *Program) EvalAt(i, k int, ring []maxplus.T, d int, row []maxplus.T) maxplus.T {
 	n := &p.nodes[i]
-	s := k % d
+	s := int32(slotOf(k, d)) * p.n
+	span := int32(d) * p.n
 	acc := maxplus.Epsilon
 	for ai := n.lo; ai < n.hi; ai++ {
 		a := &p.arcs[ai]
 		if int(a.delay) > k {
 			continue // references an iteration before the origin: ε
 		}
-		ss := s - int(a.delay) // a.delay < d
+		ss := s - a.slotSub
 		if ss < 0 {
-			ss += d
+			ss += span
 		}
-		src := ring[int(p.from[ai])*d+ss]
+		src := ring[a.srcBase+ss]
 		var v maxplus.T
 		if a.widx < 0 {
 			if a.w == maxplus.E {

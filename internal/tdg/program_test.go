@@ -136,40 +136,6 @@ func TestCompiledMatchesInterpreterOnRandomGraphs(t *testing.T) {
 	}
 }
 
-// TestCompiledPeekDelayed checks that delayed reads of already-computed
-// history agree between the interpreter and the compiled program.
-func TestCompiledPeekDelayed(t *testing.T) {
-	g, prog := compileRandom(t, 11)
-	iv := prog.NewInterpreter()
-	cv := prog.NewEvaluator()
-	out := g.Outputs()[0]
-	arcs := []Arc{
-		{From: out, Delay: 1},
-		{From: out, Delay: 2, Weight: ConstWeight(13)},
-		{From: out, Delay: 1, Weight: RowWeight(0)},
-	}
-	for k := 0; k < 12; k++ {
-		u := stepInputs(g, k)
-		if _, err := iv.Step(u); err != nil {
-			t.Fatal(err)
-		}
-		if _, err := cv.Step(u); err != nil {
-			t.Fatal(err)
-		}
-		gi, err := iv.PeekDelayed(arcs, k+1)
-		if err != nil {
-			t.Fatal(err)
-		}
-		gc, err := cv.PeekDelayed(arcs, k+1)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if gi != gc {
-			t.Fatalf("k=%d: PeekDelayed interpreted %v, compiled %v", k, gi, gc)
-		}
-	}
-}
-
 // TestEvaluatorPoolReuse proves Release/NewEvaluator recycles rings and
 // that a recycled evaluator starts from a clean origin state.
 func TestEvaluatorPoolReuse(t *testing.T) {
