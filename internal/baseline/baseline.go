@@ -127,33 +127,26 @@ func (b *builder) build(opts AttachOptions) error {
 		if err != nil {
 			return err
 		}
-		fn := f
-		rt := resources[f.Resource]
-		b.kernel.Spawn(fn.Name, func(p *sim.Proc) {
-			b.runFunction(p, fn, body, rt)
-		})
+		fn := &function{b: b, f: f, body: body, rt: resources[f.Resource], skip: GateSkipped(f), m: len(f.Resource.Rotation), pc: -1}
+		// Bodies ending in an Exec have no transfer marking the turn
+		// end; a trace records the auxiliary end instant for comparison
+		// with the equivalent model.
+		if b.trace != nil && body[len(body)-1].ch == nil {
+			fn.endLabel = "end:" + f.Name
+		}
+		b.kernel.Spawn(f.Name, fn.run)
 	}
 
 	for _, s := range b.arch.Sources {
-		src := s
 		ch := b.chans[s.Ch]
 		if ch == nil {
 			return fmt.Errorf("baseline: source %q has no channel runtime", s.Name)
 		}
-		last := src.Count
-		if opts.IterLimit > 0 && opts.IterLimit < last {
-			last = opts.IterLimit
+		src := &source{src: s, ch: ch, last: s.Count}
+		if opts.IterLimit > 0 && opts.IterLimit < src.last {
+			src.last = opts.IterLimit
 		}
-		b.kernel.Spawn(src.Name, func(p *sim.Proc) {
-			for k := 0; k < last; k++ {
-				u := src.Schedule(k)
-				if u.IsEpsilon() {
-					panic(fmt.Sprintf("baseline: source %q schedule(%d) is ε", src.Name, k))
-				}
-				p.WaitUntil(sim.Time(u))
-				ch.Write(p, src.TokenAt(k))
-			}
-		})
+		b.kernel.Spawn(s.Name, src.run)
 	}
 
 	for _, s := range b.arch.Sinks {
@@ -163,11 +156,43 @@ func (b *builder) build(opts AttachOptions) error {
 		}
 		b.kernel.Spawn(s.Name, func(p *sim.Proc) {
 			for {
-				ch.Read(p)
+				if _, _, ok := ch.Read(p); !ok {
+					return
+				}
 			}
 		})
 	}
 	return nil
+}
+
+// source is the process of an environment source: for each token, wait
+// for its scheduled instant, then write it.
+type source struct {
+	src     *model.Source
+	ch      chanrt.RT
+	last    int // tokens to write
+	k       int // the token to write next
+	writing bool
+	tok     model.Token
+}
+
+func (s *source) run(p *sim.Proc) {
+	if s.writing {
+		if !s.ch.Write(p, s.tok) {
+			return
+		}
+		s.writing = false
+		s.k++
+	}
+	if s.k == s.last {
+		return
+	}
+	u := s.src.Schedule(s.k)
+	if u.IsEpsilon() {
+		panic(fmt.Sprintf("baseline: source %q schedule(%d) is ε", s.src.Name, s.k))
+	}
+	s.writing, s.tok = true, s.src.TokenAt(s.k)
+	p.At(sim.Time(u))
 }
 
 // step is one body statement resolved once, before the run: a transfer
@@ -199,56 +224,89 @@ func (b *builder) resolve(f *model.Function) ([]step, error) {
 	return body, nil
 }
 
-// runFunction executes one application function: acquire the turn in the
-// resource rotation, run the body statements, release the turn. An
-// execution whose duration is out of range fails the run.
-func (b *builder) runFunction(p *sim.Proc, f *model.Function, body []step, rt *resourceRT) {
-	m := len(f.Resource.Rotation)
-	skip := GateSkipped(f)
-	// Bodies ending in an Exec have no transfer marking the turn end;
-	// a trace records the auxiliary end instant for comparison with the
-	// equivalent model.
-	endLabel := ""
-	if b.trace != nil && body[len(body)-1].ch == nil {
-		endLabel = "end:" + f.Name
-	}
-	var cur model.Token
-	for k := 0; ; k++ {
-		turn := k*m + f.RotIndex
-		rt.waitTurn(p, turn, skip)
-		for i := range body {
-			st := &body[i]
+// function is the process of one application function: in iteration k,
+// acquire the turn in the resource rotation, run the body statements,
+// release the turn. pc is the statement to run next, -1 the turn gate;
+// cur is the token last read. An execution whose duration is out of
+// range fails the run.
+type function struct {
+	b        *builder
+	f        *model.Function
+	body     []step
+	rt       *resourceRT
+	skip     bool
+	m        int // rotation length
+	endLabel string
+
+	k   int
+	pc  int
+	cur model.Token
+}
+
+// run carries the function forward until it blocks: on the turn gate,
+// on a transfer, or for an execution's duration.
+func (fn *function) run(p *sim.Proc) {
+	for {
+		turn := fn.k*fn.m + fn.f.RotIndex
+		if fn.pc < 0 {
+			if !fn.rt.gateOpen(p, turn, fn.skip) {
+				return
+			}
+			fn.pc = 0
+		}
+		for fn.pc < len(fn.body) {
+			st := &fn.body[fn.pc]
 			switch {
 			case st.read:
-				cur = st.ch.Read(p)
-			case st.ch != nil:
-				st.ch.Write(p, cur)
-			default:
-				load := st.exec.Cost(cur)
-				dur, err := f.Resource.Duration(load)
-				if err != nil {
-					p.Kernel().Fail(fmt.Errorf("baseline: execute %q of %q, iteration %d: %w", st.exec.Label, f.Name, k, err))
+				tok, _, ok := st.ch.Read(p)
+				if !ok {
 					return
 				}
-				if b.trace != nil {
-					now := maxplus.T(p.Now())
-					b.trace.RecordActivity(observe.Activity{
-						Resource: f.Resource.Name,
-						Label:    st.exec.Label,
-						K:        k,
-						Start:    now,
-						End:      maxplus.Otimes(now, dur),
-						Ops:      load.Ops,
-					})
+				fn.cur = tok
+			case st.ch != nil:
+				if !st.ch.Write(p, fn.cur) {
+					return
 				}
-				if dur > 0 {
-					p.Wait(sim.Time(dur))
+			default:
+				fn.pc++
+				if fn.exec(p, st.exec) {
+					return
 				}
+				continue
 			}
+			fn.pc++
 		}
-		if endLabel != "" {
-			b.trace.RecordInstant(endLabel, maxplus.T(p.Now()))
+		if fn.endLabel != "" {
+			fn.b.trace.RecordInstant(fn.endLabel, maxplus.T(p.Now()))
 		}
-		rt.endTurn(turn, f.RotIndex)
+		fn.rt.endTurn(turn, fn.f.RotIndex)
+		fn.k, fn.pc = fn.k+1, -1
 	}
+}
+
+// exec runs an execution of the current iteration and reports whether
+// the process armed its end or failed the run: either ends the call.
+func (fn *function) exec(p *sim.Proc, ex model.Exec) bool {
+	load := ex.Cost(fn.cur)
+	dur, err := fn.f.Resource.Duration(load)
+	if err != nil {
+		p.Kernel().Fail(fmt.Errorf("baseline: execute %q of %q, iteration %d: %w", ex.Label, fn.f.Name, fn.k, err))
+		return true
+	}
+	if fn.b.trace != nil {
+		now := maxplus.T(p.Now())
+		fn.b.trace.RecordActivity(observe.Activity{
+			Resource: fn.f.Resource.Name,
+			Label:    ex.Label,
+			K:        fn.k,
+			Start:    now,
+			End:      maxplus.Otimes(now, dur),
+			Ops:      load.Ops,
+		})
+	}
+	if dur > 0 {
+		p.After(sim.Time(dur))
+		return true
+	}
+	return false
 }

@@ -90,20 +90,21 @@ func GateSkipped(f *model.Function) bool {
 	return ok && first.Ch == w.Ch
 }
 
-// waitTurn blocks until the gate of global turn t is open.
-func (rt *resourceRT) waitTurn(p *sim.Proc, t int, skip bool) {
-	if skip {
-		return
-	}
+// gateOpen reports whether the gate of global turn t is open, consuming
+// it; when it is not, it arms p on the resource's turn event, and p
+// checks again when a turn ends.
+func (rt *resourceRT) gateOpen(p *sim.Proc, t int, skip bool) bool {
 	c := len(rt.ended)
 	gate := t - c
-	if gate < 0 {
-		return
+	if skip || gate < 0 {
+		return true
 	}
-	for rt.ended[gate%c] != gate {
-		p.WaitEvent(rt.ev)
+	if rt.ended[gate%c] != gate {
+		p.On(rt.ev)
+		return false
 	}
 	rt.ended[gate%c] = -1 // consumed exactly once, by turn gate+c
+	return true
 }
 
 // endTurn marks turn t finished and wakes functions waiting on the gate.

@@ -12,12 +12,20 @@ import (
 	"dyncomp/internal/sim"
 )
 
-// RT is the runtime of one channel.
+// RT is the runtime of one channel. Its methods are called from a
+// process's handler and complete by call-back: a transfer that cannot
+// complete now arms the process on the channel's event and reports
+// false, and the handler calls the same method again when woken. A
+// rendezvous completes the transfer on that call; a FIFO retries it.
 type RT interface {
-	// Read blocks until a token is available and consumes it.
-	Read(p *sim.Proc) model.Token
-	// Write offers a token, blocking according to the protocol.
-	Write(p *sim.Proc, tok model.Token)
+	// Read consumes a token. With it, it returns the writer's instant:
+	// when the writer offered the token on a rendezvous, when it wrote
+	// it into a FIFO.
+	Read(p *sim.Proc) (tok model.Token, wrote sim.Time, ok bool)
+	// Write offers a token, blocking according to the protocol. A
+	// write that does not complete at once is completed by a later call
+	// with the same token.
+	Write(p *sim.Proc, tok model.Token) bool
 }
 
 // New builds the runtime matching the channel's protocol.
@@ -42,12 +50,20 @@ func Labels(ch *model.Channel) []string {
 type RV struct {
 	name        string
 	ev          *sim.Event
-	writerReady bool
-	readerReady bool
+	writerReady bool // the writer offered pending at offered
+	readerReady bool // the reader waits for a writer
 	pending     model.Token
-	offered     sim.Time // when the writer of the latest transfer arrived
-	k           int
-	trace       *observe.Trace
+	offered     sim.Time
+	// A side whose transfer the other side completed collects it on its
+	// next call: the writer's flag, and the reader's with the token it
+	// was handed and its writer's instant, kept apart from pending
+	// because the writer may offer its next token before the reader
+	// collects this one.
+	writerDone bool
+	readerDone bool
+	handed     model.Token
+	handedAt   sim.Time
+	trace      *observe.Trace
 }
 
 // NewRV creates a rendezvous runtime recording transfer instants under the
@@ -60,64 +76,72 @@ func (c *RV) record(at sim.Time) {
 	if c.trace != nil {
 		c.trace.RecordInstant(c.name, maxplus.T(at))
 	}
-	c.k++
 }
 
 // Write implements RT. If the reader arrived first the writer completes
-// the transfer immediately; otherwise it blocks until the reader does.
-func (c *RV) Write(p *sim.Proc, tok model.Token) {
-	c.offered = p.Now()
+// the transfer immediately; otherwise it waits until the reader does.
+func (c *RV) Write(p *sim.Proc, tok model.Token) bool {
+	if c.writerDone {
+		c.writerDone = false
+		return true
+	}
+	now := p.Now()
 	if c.readerReady {
 		c.readerReady = false
-		c.pending = tok
-		c.record(p.Now())
+		c.readerDone, c.handed, c.handedAt = true, tok, now
+		c.record(now)
 		c.ev.Notify()
-		return
+		return true
 	}
-	c.writerReady = true
-	c.pending = tok
-	p.WaitEvent(c.ev)
+	c.writerReady, c.pending, c.offered = true, tok, now
+	p.On(c.ev)
+	return false
 }
 
 // Read implements RT, symmetrically to Write.
-func (c *RV) Read(p *sim.Proc) model.Token {
+func (c *RV) Read(p *sim.Proc) (model.Token, sim.Time, bool) {
+	if c.readerDone {
+		c.readerDone = false
+		return c.handed, c.handedAt, true
+	}
 	if c.writerReady {
 		c.writerReady = false
-		tok := c.pending
+		c.writerDone = true
 		c.record(p.Now())
 		c.ev.Notify()
-		return tok
+		return c.pending, c.offered, true
 	}
 	c.readerReady = true
-	p.WaitEvent(c.ev)
-	return c.pending
+	p.On(c.ev)
+	return model.Token{}, 0, false
 }
-
-// Offered returns the instant the writer of the latest transfer offered
-// its token: the transfer instant when the reader came first, earlier
-// when the writer waited for the reader.
-func (c *RV) Offered() sim.Time { return c.offered }
 
 // FIFO implements a bounded FIFO channel: the writer blocks only when the
 // buffer is full, the reader only when it is empty. Write and read
 // instants are the two evolution instants xw_M(k) and xr_M(k); they are
-// recorded under "<name>.w" and "<name>.r".
+// recorded under "<name>.w" and "<name>.r". Each buffered token keeps its
+// write instant, so the channel's memory is its capacity.
 type FIFO struct {
 	name     string
-	buf      []model.Token
+	buf      []stamped
 	head     int
 	n        int
 	notFull  *sim.Event
 	notEmpty *sim.Event
-	writes   []maxplus.T // write instants by k, queryable by the equivalent model
 	trace    *observe.Trace
+}
+
+// stamped is a buffered token and the instant it was written.
+type stamped struct {
+	tok model.Token
+	at  sim.Time
 }
 
 // NewFIFO creates a FIFO runtime with the channel's capacity.
 func NewFIFO(k *sim.Kernel, ch *model.Channel, trace *observe.Trace) *FIFO {
 	return &FIFO{
 		name:     ch.Name,
-		buf:      make([]model.Token, ch.Capacity),
+		buf:      make([]stamped, ch.Capacity),
 		notFull:  k.NewEvent(ch.Name + ".notfull"),
 		notEmpty: k.NewEvent(ch.Name + ".notempty"),
 		trace:    trace,
@@ -125,42 +149,34 @@ func NewFIFO(k *sim.Kernel, ch *model.Channel, trace *observe.Trace) *FIFO {
 }
 
 // Write implements RT.
-func (c *FIFO) Write(p *sim.Proc, tok model.Token) {
-	for c.n == len(c.buf) {
-		p.WaitEvent(c.notFull)
+func (c *FIFO) Write(p *sim.Proc, tok model.Token) bool {
+	if c.n == len(c.buf) {
+		p.On(c.notFull)
+		return false
 	}
-	c.buf[(c.head+c.n)%len(c.buf)] = tok
+	c.buf[(c.head+c.n)%len(c.buf)] = stamped{tok, p.Now()}
 	c.n++
 	if c.trace != nil {
 		c.trace.RecordInstant(c.name+".w", maxplus.T(p.Now()))
 	}
-	c.writes = append(c.writes, maxplus.T(p.Now()))
 	c.notEmpty.Notify()
+	return true
 }
 
 // Read implements RT.
-func (c *FIFO) Read(p *sim.Proc) model.Token {
-	for c.n == 0 {
-		p.WaitEvent(c.notEmpty)
+func (c *FIFO) Read(p *sim.Proc) (model.Token, sim.Time, bool) {
+	if c.n == 0 {
+		p.On(c.notEmpty)
+		return model.Token{}, 0, false
 	}
-	tok := c.buf[c.head]
+	s := c.buf[c.head]
 	c.head = (c.head + 1) % len(c.buf)
 	c.n--
 	if c.trace != nil {
 		c.trace.RecordInstant(c.name+".r", maxplus.T(p.Now()))
 	}
 	c.notFull.Notify()
-	return tok
-}
-
-// WriteInstant returns the recorded instant of the k-th write; the
-// equivalent model feeds it into the temporal dependency graph as the
-// input instant.
-func (c *FIFO) WriteInstant(k int) maxplus.T {
-	if k < 0 || k >= len(c.writes) {
-		return maxplus.Epsilon
-	}
-	return c.writes[k]
+	return s.tok, s.at, true
 }
 
 // Parked is a boundary process of an equivalent model waiting until its
@@ -182,13 +198,15 @@ func NewParked(k *sim.Kernel, name string) Parked {
 // Waiting returns the iteration the process is parked on, or -1.
 func (w *Parked) Waiting() int { return w.k }
 
-// Wait parks process p on iteration k until Fire and returns the
-// instant it was fired at.
-func (w *Parked) Wait(p *sim.Proc, k int) maxplus.T {
+// Park arms process p on the slot's event for iteration k; the call Fire
+// triggers reads the instant from Fired.
+func (w *Parked) Park(p *sim.Proc, k int) {
 	w.k = k
-	p.WaitEvent(w.ev)
-	return w.at
+	p.On(w.ev)
 }
+
+// Fired returns the instant the last Fire scheduled the process for.
+func (w *Parked) Fired() maxplus.T { return w.at }
 
 // Fire schedules the parked process once, at instant at (now when at is
 // ε or past), and marks it no longer parked.

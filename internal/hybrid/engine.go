@@ -97,18 +97,59 @@ type engine struct {
 	work     []int32 // program nodes whose count reached zero
 	stallLow int     // low when the lead last held a ready node back; -1: none
 
-	recv []chanrt.Parked // per input
-	outs []output
+	recv []reception // per input
+	outs []emission  // per output
 
 	vals  []maxplus.T       // instants of the iteration being recorded
 	nodes []derive.Labelled // the instants Record reconstructs
 }
 
-// output is the emission state of one boundary output.
-type output struct {
+// phase is where a boundary process is in its current iteration.
+type phase uint8
+
+const (
+	// due: the action's instant (the reception's gate, the emission's
+	// y(k)) is not yet known to be computable.
+	due phase = iota
+	// parked: advance fires the process at the action's instant.
+	parked
+	// acting: the instant is reached, and the transfer is next.
+	acting
+	// moving: the transfer is under way; the next call completes it.
+	moving
+)
+
+// reception is the Reception process of input ib, which arrives on
+// channel ch: for each iteration k it waits for the readiness gate,
+// accepts the token (the rendezvous realizes max(u(k), gate)), and makes
+// the arrival final, which runs ComputeInstant for what it completes.
+type reception struct {
+	e     *engine
+	ib    *derive.InputBinding
+	ch    *model.Channel
+	rt    chanrt.RT
+	w     chanrt.Parked
+	k     int
+	phase phase
+	gate  maxplus.T
+}
+
+// emission is the Emission process of output j, which replays the
+// output node's computed instants y(k) onto channel ch, carrying the
+// tokens of src. A sink-read output was final when computed; the
+// transfer of any other is observed and made final here: the instant
+// later iterations' rotation gates reference.
+type emission struct {
+	e       *engine
 	node    tdg.NodeID
-	emitted int // iterations transferred
+	ch      *model.Channel
+	src     *model.Source
+	rt      chanrt.RT
 	w       chanrt.Parked
+	emitted int // iterations transferred
+	phase   phase
+	y       maxplus.T
+	tok     model.Token
 }
 
 // ErrPipelined reports a group the wave evaluation could not keep exact:
@@ -173,12 +214,12 @@ func engineFor(dres *derive.Result, out []*model.Channel, kern *sim.Kernel, trac
 
 	e.recv = resize(e.recv, len(dres.Inputs))
 	for i := range e.recv {
-		e.recv[i] = chanrt.NewParked(kern, "parked")
+		e.recv[i] = reception{e: e, ib: &dres.Inputs[i], w: chanrt.NewParked(kern, "parked")}
 	}
 	e.outs = resize(e.outs, len(dres.Outputs))
 	e.whole = true
 	for j, ob := range dres.Outputs {
-		e.outs[j] = output{node: ob.Node, w: chanrt.NewParked(kern, "parked")}
+		e.outs[j] = emission{e: e, node: ob.Node, w: chanrt.NewParked(kern, "parked")}
 		if out[j].Sink == nil {
 			e.tentative[ob.Node] = true
 			e.whole = false
@@ -241,7 +282,7 @@ func (e *engine) grow() bool {
 // release parks a finished engine for the next run.
 func (e *engine) release() {
 	e.dres, e.prog, e.kern, e.trace = nil, nil, nil, nil
-	clear(e.recv) // the events belong to the finished kernel
+	clear(e.recv) // the events and processes belong to the finished kernel
 	clear(e.outs)
 	enginePool.Put(e)
 }
@@ -297,13 +338,14 @@ func (e *engine) row(k int) ([]maxplus.T, error) {
 // there fails the kernel's run.
 func (e *engine) build(a *model.Architecture, in, out []*model.Channel, chans map[*model.Channel]chanrt.RT) {
 	for i, ch := range in {
-		rt := chans[ch]
-		e.kern.Spawn("Reception:"+ch.Name, func(p *sim.Proc) { e.runReception(p, i, ch, rt) })
+		r := &e.recv[i]
+		r.ch, r.rt = ch, chans[ch]
+		e.kern.Spawn("Reception:"+ch.Name, r.run)
 	}
 	for j, ch := range out {
-		rt := chans[ch]
-		src := a.SourceOf(ch)
-		e.kern.Spawn("Emission:"+ch.Name, func(p *sim.Proc) { e.runEmission(p, j, ch, src, rt) })
+		o := &e.outs[j]
+		o.ch, o.rt, o.src = ch, chans[ch], a.SourceOf(ch)
+		e.kern.Spawn("Emission:"+ch.Name, o.run)
 	}
 	if err := e.advance(); err != nil {
 		e.kern.Fail(err)
@@ -468,14 +510,13 @@ func (e *engine) advance() error {
 	}
 	now := e.kern.Now()
 	for i := range e.recv {
-		w := &e.recv[i]
-		ib := &e.dres.Inputs[i]
-		if k := w.Waiting(); k >= 0 && e.gateReady(ib, k) {
-			gate, err := e.gateValue(ib, k)
+		r := &e.recv[i]
+		if k := r.w.Waiting(); k >= 0 && e.gateReady(r.ib, k) {
+			gate, err := e.gateValue(r.ib, k)
 			if err != nil {
 				return err
 			}
-			w.Fire(now, gate)
+			r.w.Fire(now, gate)
 		}
 	}
 	for j := range e.outs {
@@ -525,98 +566,129 @@ func (e *engine) gateValue(ib *derive.InputBinding, k int) (maxplus.T, error) {
 	return gate, nil
 }
 
-// runReception is the Reception process of input idx, which arrives on
-// channel ch: for each iteration it waits for the readiness gate,
-// accepts the token (the rendezvous realizes max(u(k), gate)), and makes
-// the arrival final, which runs ComputeInstant for what it completes.
-func (e *engine) runReception(p *sim.Proc, idx int, ch *model.Channel, rt chanrt.RT) {
-	ib := &e.dres.Inputs[idx]
-	fifo, _ := rt.(*chanrt.FIFO)
-	rv, _ := rt.(*chanrt.RV)
-	w := &e.recv[idx]
-	for k := 0; k < e.iters; k++ {
-		var gate maxplus.T
-		if e.gateReady(ib, k) {
-			var err error
-			if gate, err = e.gateValue(ib, k); err != nil {
+// run carries the reception forward until it waits: for the gate to be
+// computable, for the gate's instant, or for the token.
+func (r *reception) run(p *sim.Proc) {
+	e := r.e
+	for r.k < e.iters {
+		switch r.phase {
+		case due:
+			if !e.gateReady(r.ib, r.k) {
+				r.phase = parked
+				r.w.Park(p, r.k) // advance fires it at the gate
+				return
+			}
+			gate, err := e.gateValue(r.ib, r.k)
+			if err != nil {
 				p.Kernel().Fail(err)
 				return
 			}
+			r.gate, r.phase = gate, acting
 			if !gate.IsEpsilon() && sim.Time(gate) > p.Now() {
-				p.WaitUntil(sim.Time(gate))
+				p.At(sim.Time(gate))
+				return
 			}
-		} else {
-			gate = w.Wait(p, k) // advance fires it at the gate
-		}
-		rt.Read(p)
-		read := maxplus.T(p.Now())
-		arrival, offered := read, maxplus.Epsilon
-		if fifo != nil {
-			// For FIFO inputs the boundary instant is the write instant,
-			// not the read instant.
-			arrival = fifo.WriteInstant(k)
-			offered = arrival
-		} else {
-			offered = maxplus.T(rv.Offered())
-		}
-		// The reference reads at the later of the reader's gate and the
-		// writer's offer; a later read means the gate was computed late.
-		if want := maxplus.Oplus(gate, offered); read > want {
-			p.Kernel().Fail(fmt.Errorf("%w: %s read %d at %d ns, the reference reads at %d ns",
-				ErrPipelined, ch.Name, k, read, want))
-			return
-		}
-		*e.slot(ib.U, k) = arrival
-		e.next[ib.U] = k + 1
-		e.final(ib.U, k)
-		if err := e.advance(); err != nil {
-			p.Kernel().Fail(err)
-			return
+		case parked:
+			r.gate, r.phase = r.w.Fired(), acting
+		default:
+			if !r.arrive(p) {
+				return
+			}
 		}
 	}
 }
 
-// runEmission replays output j's computed instants onto its channel ch.
-// src is the source whose tokens ch carries. A sink-read output was
-// final when computed; the transfer of any other is observed and made
-// final here: the instant later iterations' rotation gates reference.
-func (e *engine) runEmission(p *sim.Proc, j int, ch *model.Channel, src *model.Source, rt chanrt.RT) {
-	fifo, _ := rt.(*chanrt.FIFO)
-	o := &e.outs[j]
-	for k := 0; k < e.iters; k++ {
-		var y maxplus.T
-		if e.nextOf(o.node) > k {
-			if y = *e.slot(o.node, k); !y.IsEpsilon() && sim.Time(y) > p.Now() {
-				p.WaitUntil(sim.Time(y))
-			}
-		} else {
-			y = o.w.Wait(p, k) // advance fires it at y(k)
-		}
-		if !y.IsEpsilon() && sim.Time(y) < p.Now() {
-			p.Kernel().Fail(fmt.Errorf("%w: %s written %d at %d ns, the reference writes at %d ns",
-				ErrPipelined, ch.Name, k, p.Now(), y))
-			return
-		}
-		rt.Write(p, src.TokenAt(k))
-		o.emitted = k + 1
-		if e.tentative[o.node] {
-			actual := maxplus.T(p.Now())
-			if fifo != nil {
-				actual = fifo.WriteInstant(k)
-			}
-			*e.slot(o.node, k) = actual
-			if err := e.finalNode(o.node, k); err != nil {
-				p.Kernel().Fail(err)
+// arrive takes the token of iteration k when the writer offers it and
+// makes the arrival final. It reports whether the reception goes on:
+// false when it waits for the writer or failed the run.
+func (r *reception) arrive(p *sim.Proc) bool {
+	e, k, u := r.e, r.k, r.ib.U
+	_, wrote, ok := r.rt.Read(p)
+	if !ok {
+		return false
+	}
+	read, offered := maxplus.T(p.Now()), maxplus.T(wrote)
+	// For FIFO inputs the boundary instant is the write instant, not the
+	// read instant.
+	arrival := read
+	if r.ch.Kind == model.FIFO {
+		arrival = offered
+	}
+	// The reference reads at the later of the reader's gate and the
+	// writer's offer; a later read means the gate was computed late.
+	if want := maxplus.Oplus(r.gate, offered); read > want {
+		p.Kernel().Fail(fmt.Errorf("%w: %s read %d at %d ns, the reference reads at %d ns",
+			ErrPipelined, r.ch.Name, k, read, want))
+		return false
+	}
+	*e.slot(u, k) = arrival
+	e.next[u] = k + 1
+	e.final(u, k)
+	if err := e.advance(); err != nil {
+		p.Kernel().Fail(err)
+		return false
+	}
+	r.k, r.phase = k+1, due
+	return true
+}
+
+// run carries the emission forward until it waits: for y(k) to be
+// computed, for its instant, or for the reader.
+func (o *emission) run(p *sim.Proc) {
+	e := o.e
+	for o.emitted < e.iters {
+		k := o.emitted
+		switch o.phase {
+		case due:
+			if e.nextOf(o.node) <= k {
+				o.phase = parked
+				o.w.Park(p, k) // advance fires it at y(k)
 				return
 			}
-		} else if e.stallLow < 0 {
-			continue // nothing waits for low to move
-		}
-		if err := e.advance(); err != nil {
-			p.Kernel().Fail(err)
-			return
+			o.y, o.phase = *e.slot(o.node, k), acting
+			if !o.y.IsEpsilon() && sim.Time(o.y) > p.Now() {
+				p.At(sim.Time(o.y))
+				return
+			}
+		case parked:
+			o.y, o.phase = o.w.Fired(), acting
+		case acting:
+			if !o.y.IsEpsilon() && sim.Time(o.y) < p.Now() {
+				p.Kernel().Fail(fmt.Errorf("%w: %s written %d at %d ns, the reference writes at %d ns",
+					ErrPipelined, o.ch.Name, k, p.Now(), o.y))
+				return
+			}
+			o.tok, o.phase = o.src.TokenAt(k), moving
+		default:
+			if !o.rt.Write(p, o.tok) {
+				return
+			}
+			if !o.confirm(p, k) {
+				return
+			}
 		}
 	}
+}
+
+// confirm records the transfer of iteration k, made now, and reports
+// whether the emission goes on: false when it failed the run.
+func (o *emission) confirm(p *sim.Proc, k int) bool {
+	e := o.e
+	o.emitted, o.phase = k+1, due
+	if e.tentative[o.node] {
+		*e.slot(o.node, k) = maxplus.T(p.Now())
+		if err := e.finalNode(o.node, k); err != nil {
+			p.Kernel().Fail(err)
+			return false
+		}
+	} else if e.stallLow < 0 {
+		return true // nothing waits for low to move
+	}
+	if err := e.advance(); err != nil {
+		p.Kernel().Fail(err)
+		return false
+	}
+	return true
 }
 
 // record reconstructs the group's observable evolution of iteration k

@@ -77,7 +77,9 @@ type Result struct {
 	GraphNodes int // abstracted group's graph size (paper counting)
 }
 
-// Run simulates the architecture with the named group abstracted.
+// Run simulates the architecture with the named group abstracted. A
+// group of every function runs as RunDerived on the architecture's own
+// derivation.
 func Run(a *model.Architecture, opts Options) (*Result, error) {
 	if err := a.Validate(); err != nil {
 		return nil, err
@@ -89,6 +91,15 @@ func Run(a *model.Architecture, opts Options) (*Result, error) {
 	iters, err := Iterations(a)
 	if err != nil {
 		return nil, fmt.Errorf("hybrid: %w", err)
+	}
+	if len(group) == len(a.Functions) {
+		// The whole architecture is its own group: run the equivalent
+		// model on the architecture's own derivation.
+		dres, err := opts.Cache.Derive(a, opts.Derive)
+		if err != nil {
+			return nil, err
+		}
+		return RunDerived(dres, opts)
 	}
 	if opts.IterLimit > 0 && opts.IterLimit < iters {
 		iters = opts.IterLimit

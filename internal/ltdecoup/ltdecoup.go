@@ -76,7 +76,6 @@ type ltChan struct {
 	buf   []stamped
 	ev    *sim.Event
 	trace *observe.Trace
-	k     int
 }
 
 type stamped struct {
@@ -111,32 +110,45 @@ func (b *builder) build() {
 	}
 
 	for _, f := range b.arch.Functions {
-		fn := f
-		b.kernel.Spawn(fn.Name, func(p *sim.Proc) {
-			b.runFunction(p, fn, ends[fn.Resource], endEv[fn.Resource])
-		})
+		m := len(f.Resource.Rotation)
+		fn := &function{b: b, f: f, m: m, c: min(max(f.Resource.Concurrency, 1), m),
+			ends: ends[f.Resource], endEv: endEv[f.Resource], pc: -1}
+		b.kernel.Spawn(f.Name, fn.run)
 	}
 	for _, s := range b.arch.Sources {
-		src := s
-		ch := b.chans[s.Ch]
-		b.kernel.Spawn(src.Name, func(p *sim.Proc) {
-			for k := 0; k < src.Count; k++ {
-				u := src.Schedule(k)
-				p.WaitUntil(sim.Time(u))
-				tok := src.Tokens(k)
-				tok.K = k
-				ch.push(tok, p.Now())
-			}
-		})
+		src := &source{src: s, ch: b.chans[s.Ch]}
+		b.kernel.Spawn(s.Name, src.run)
 	}
 	for _, s := range b.arch.Sinks {
 		ch := b.chans[s.Ch]
+		var local sim.Time
 		b.kernel.Spawn(s.Name, func(p *sim.Proc) {
-			local := p.Now()
-			for {
-				_, local = ch.pop(p, local)
+			for ch.ready(p, local) {
+				_, local = ch.pop(local)
 			}
 		})
+	}
+}
+
+// source is the process of an environment source: for each token, wait
+// for its scheduled instant, then push it.
+type source struct {
+	src    *model.Source
+	ch     *ltChan
+	k      int
+	waited bool // the schedule of token k was reached
+}
+
+func (s *source) run(p *sim.Proc) {
+	if s.waited {
+		tok := s.src.Tokens(s.k)
+		tok.K = s.k
+		s.ch.push(tok, p.Now())
+		s.k, s.waited = s.k+1, false
+	}
+	if s.k < s.src.Count {
+		s.waited = true
+		p.At(sim.Time(s.src.Schedule(s.k)))
 	}
 }
 
@@ -145,20 +157,31 @@ func (c *ltChan) push(tok model.Token, ts sim.Time) {
 	c.ev.Notify()
 }
 
-// pop consumes the next token, advancing the caller's local clock to the
-// (already quantized) producer timestamp and recording the approximate
-// transfer instant.
-func (c *ltChan) pop(p *sim.Proc, local sim.Time) (model.Token, sim.Time) {
-	for len(c.buf) == 0 {
-		// Flush local time before blocking: the kernel must not see this
-		// process in the past. A push may land during the flush, so
-		// re-check before committing to an event wait.
-		if local > p.Now() {
-			p.WaitUntil(local)
-			continue
-		}
-		p.WaitEvent(c.ev)
+// ready reports whether a token is there to pop. When there is none, it
+// arms p to check again, flushing its local time first: the kernel must
+// not see the process in the past, and a push may land during the flush.
+func (c *ltChan) ready(p *sim.Proc, local sim.Time) bool {
+	if len(c.buf) > 0 {
+		return true
 	}
+	block(p, local, c.ev)
+	return false
+}
+
+// block arms p at its local time when that is ahead of the kernel's,
+// and on ev otherwise.
+func block(p *sim.Proc, local sim.Time, ev *sim.Event) {
+	if local > p.Now() {
+		p.At(local)
+	} else {
+		p.On(ev)
+	}
+}
+
+// pop consumes the next token, which ready reported, advancing the
+// caller's local clock to the (already quantized) producer timestamp and
+// recording the approximate transfer instant.
+func (c *ltChan) pop(local sim.Time) (model.Token, sim.Time) {
 	it := c.buf[0]
 	c.buf = c.buf[1:]
 	if it.ts > local {
@@ -167,74 +190,84 @@ func (c *ltChan) pop(p *sim.Proc, local sim.Time) (model.Token, sim.Time) {
 	if c.trace != nil {
 		c.trace.RecordInstant(c.name, maxplus.T(local))
 	}
-	c.k++
 	return it.tok, local
 }
 
-func (b *builder) runFunction(p *sim.Proc, f *model.Function, ends map[int]sim.Time, endEv *sim.Event) {
-	m := len(f.Resource.Rotation)
-	c := f.Resource.Concurrency
-	if c < 1 {
-		c = 1
-	}
-	if c > m {
-		c = m
-	}
-	var cur model.Token
-	local := p.Now()
-	for k := 0; ; k++ {
-		turn := k*m + f.RotIndex
+// function is the process of one application function, ahead of the
+// kernel on its local clock. pc is the statement to run next, -1 the
+// rotation gate; cur is the token last read.
+type function struct {
+	b     *builder
+	f     *model.Function
+	m, c  int // rotation length, effective concurrency
+	ends  map[int]sim.Time
+	endEv *sim.Event
+
+	k     int
+	pc    int
+	cur   model.Token
+	local sim.Time
+}
+
+func (fn *function) run(p *sim.Proc) {
+	b, f := fn.b, fn.f
+	for {
+		turn := fn.k*fn.m + f.RotIndex
 		// Rotation gate against recorded local end timestamps; blocked
 		// only until the predecessor has been scheduled at all.
-		if gate := turn - c; gate >= 0 {
-			for {
-				end, ok := ends[gate]
-				if ok {
-					if end > local {
-						local = end
-					}
-					delete(ends, gate)
-					break
+		if fn.pc < 0 {
+			if gate := turn - fn.c; gate >= 0 {
+				end, ok := fn.ends[gate]
+				if !ok {
+					block(p, fn.local, fn.endEv) // the end may be recorded meanwhile
+					return
 				}
-				if local > p.Now() {
-					p.WaitUntil(local)
-					continue // the end may have been recorded meanwhile
-				}
-				p.WaitEvent(endEv)
+				fn.local = max(fn.local, end)
+				delete(fn.ends, gate)
 			}
+			fn.pc = 0
 		}
-		for _, st := range f.Body {
-			switch s := st.(type) {
+		for fn.pc < len(f.Body) {
+			switch s := f.Body[fn.pc].(type) {
 			case model.Read:
-				cur, local = b.chans[s.Ch].pop(p, local)
+				ch := b.chans[s.Ch]
+				if !ch.ready(p, fn.local) {
+					return
+				}
+				fn.cur, fn.local = ch.pop(fn.local)
 			case model.Write:
 				// Temporal decoupling: the writer does not wait for the
 				// reader; the timestamp is quantized at the boundary.
-				b.chans[s.Ch].push(cur, b.quantize(local))
+				b.chans[s.Ch].push(fn.cur, b.quantize(fn.local))
 			case model.Exec:
-				dur, err := f.Resource.Duration(s.Cost(cur))
+				dur, err := f.Resource.Duration(s.Cost(fn.cur))
 				if err != nil {
-					p.Kernel().Fail(fmt.Errorf("ltdecoup: execute %q of %q, iteration %d: %w", s.Label, f.Name, k, err))
+					p.Kernel().Fail(fmt.Errorf("ltdecoup: execute %q of %q, iteration %d: %w", s.Label, f.Name, fn.k, err))
 					return
 				}
 				if b.trace != nil {
 					b.trace.RecordActivity(observe.Activity{
 						Resource: f.Resource.Name,
 						Label:    s.Label,
-						K:        k,
-						Start:    maxplus.T(local),
-						End:      maxplus.Otimes(maxplus.T(local), dur),
-						Ops:      s.Cost(cur).Ops,
+						K:        fn.k,
+						Start:    maxplus.T(fn.local),
+						End:      maxplus.Otimes(maxplus.T(fn.local), dur),
+						Ops:      s.Cost(fn.cur).Ops,
 					})
 				}
-				local += sim.Time(dur)
+				fn.local += sim.Time(dur)
+				fn.pc++
 				// Sync with the kernel only past the quantum.
-				if local-p.Now() >= b.quantum {
-					p.WaitUntil(local)
+				if fn.local-p.Now() >= b.quantum {
+					p.At(fn.local)
+					return
 				}
+				continue
 			}
+			fn.pc++
 		}
-		ends[turn] = b.quantize(local)
-		endEv.Notify()
+		fn.ends[turn] = b.quantize(fn.local)
+		fn.endEv.Notify()
+		fn.k, fn.pc = fn.k+1, -1
 	}
 }

@@ -7,6 +7,7 @@ package serve
 // /metrics series.
 
 import (
+	"context"
 	"io"
 	"net/http"
 	"net/http/httptest"
@@ -318,6 +319,41 @@ func TestMaxJobsEviction(t *testing.T) {
 	}
 	if _, ok := s.jobs.Get(second); !ok {
 		t.Fatalf("newest job %s evicted, want kept", second)
+	}
+}
+
+// Between two ticks the janitor also wakes when Add takes the table past
+// MaxJobs by more than its slack (an eighth of MaxJobs, at least one
+// job), so the settled jobs it keeps do not grow with the rate at which
+// jobs settle.
+func TestJanitorWakesPastMaxJobs(t *testing.T) {
+	tab := newJobTable(nil)
+	ctx, cancel := context.WithCancel(context.Background())
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		tab.janitor(ctx, 0, 1)
+	}()
+	defer func() { cancel(); <-done }()
+	for armed := false; !armed; {
+		tab.mu.Lock()
+		armed = tab.maxJobs == 1
+		tab.mu.Unlock()
+		time.Sleep(time.Millisecond)
+	}
+	start := time.Now()
+	for i := 0; i < 3; i++ {
+		j := &SweepJob{}
+		j.Settle(JobDone, "", time.Now())
+		if err := tab.Add(j, nil); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for tab.Len() != 1 {
+		if time.Since(start) > 500*time.Millisecond {
+			t.Fatalf("%d jobs kept 500ms after the third, want 1 before the first tick", tab.Len())
+		}
+		time.Sleep(time.Millisecond)
 	}
 }
 

@@ -221,19 +221,26 @@ var (
 // lookup and retention.
 type JobTable struct {
 	onEvict func(n int)
+	// full wakes the janitor when Add takes the table past the job bound
+	// by more than an eighth of it (at least one job), so that the jobs
+	// retained between two ticks do not grow with the rate at which jobs
+	// settle, while an eviction pass — and the store compaction it
+	// triggers on the coordinator — still serves many submissions.
+	full chan struct{}
 
-	mu     sync.Mutex
-	closed bool
-	seq    int64
-	jobs   map[string]*SweepJob
-	order  []string
+	mu      sync.Mutex
+	closed  bool
+	seq     int64
+	jobs    map[string]*SweepJob
+	order   []string
+	maxJobs int // the janitor's job bound; 0 while none runs
 }
 
 // newJobTable returns an empty table. onEvict, when non-nil, observes
 // every eviction that dropped at least one job, after the table lock is
 // released.
 func newJobTable(onEvict func(n int)) *JobTable {
-	return &JobTable{onEvict: onEvict, jobs: map[string]*SweepJob{}}
+	return &JobTable{onEvict: onEvict, full: make(chan struct{}, 1), jobs: map[string]*SweepJob{}}
 }
 
 // Add assigns j the next id and registers it. admit, when non-nil, runs
@@ -253,6 +260,12 @@ func (t *JobTable) Add(j *SweepJob, admit func(*SweepJob) bool) error {
 		return errQueueFull
 	}
 	t.registerLocked(j)
+	if t.maxJobs > 0 && len(t.order) > t.maxJobs+max(1, t.maxJobs/8) {
+		select {
+		case t.full <- struct{}{}:
+		default: // a wake-up is already pending
+		}
+	}
 	return nil
 }
 
@@ -363,12 +376,16 @@ func (t *JobTable) Evict(now time.Time, ttl time.Duration, maxJobs int) int {
 }
 
 // janitor evicts on a ticker paced to a quarter of the TTL (clamped to
-// 25ms..1s; 1s without a TTL) until ctx ends.
+// 25ms..1s; 1s without a TTL), and whenever Add wakes it past maxJobs,
+// until ctx ends.
 func (t *JobTable) janitor(ctx context.Context, ttl time.Duration, maxJobs int) {
 	interval := min(max(ttl/4, 25*time.Millisecond), time.Second)
 	if ttl <= 0 {
 		interval = time.Second
 	}
+	t.mu.Lock()
+	t.maxJobs = maxJobs
+	t.mu.Unlock()
 	tick := time.NewTicker(interval)
 	defer tick.Stop()
 	for {
@@ -377,6 +394,8 @@ func (t *JobTable) janitor(ctx context.Context, ttl time.Duration, maxJobs int) 
 			return
 		case now := <-tick.C:
 			t.Evict(now, ttl, maxJobs)
+		case <-t.full:
+			t.Evict(time.Now(), ttl, maxJobs)
 		}
 	}
 }

@@ -1,13 +1,17 @@
 // Package sim implements a deterministic discrete-event simulation kernel
 // in the style of the SystemC reference simulator.
 //
-// Processes are coroutines (iter.Pull) that the kernel runs strictly one
-// at a time: an activation is one direct coroutine switch into the process
-// and one back when it yields. That is the closer analogue of the
-// user-level threads SystemC switches between, so every kernel event costs
-// a context switch plus event-queue work, as it does in the reference
-// simulator. The dynamic computation method of the paper removes kernel
-// events; this kernel makes the savings measurable.
+// A process is a run-to-completion handler, SystemC's SC_METHOD: the
+// kernel calls it once at time zero and again each time its trigger
+// fires, and each call is one activation. Before returning, a call arms
+// at most one trigger — after a duration, at an instant or on an event,
+// as next_trigger does — and a call that arms nothing ends the process.
+// A process keeps its state in the handler's receiver, not on a stack,
+// so an activation is a function call plus event-queue work and a
+// blocked process holds no goroutine. The dynamic computation method of
+// the paper removes kernel events; this kernel makes the savings
+// measurable, and a handler is the cheapest activation that still pays
+// for every event.
 //
 // The kernel is strictly deterministic: simultaneous events are processed
 // in scheduling order (FIFO by sequence number), and only one process ever
@@ -16,7 +20,6 @@ package sim
 
 import (
 	"fmt"
-	"iter"
 	"math"
 )
 
@@ -32,7 +35,7 @@ const Forever Time = math.MaxInt64
 // of simulation events" corresponds to TimedEvents + DeltaNotifies, and its
 // "context switches" to Activations.
 type Stats struct {
-	Activations   int64 // process resumes (context switches)
+	Activations   int64 // handler calls (context switches)
 	TimedEvents   int64 // entries pushed on the time-ordered event queue
 	DeltaNotifies int64 // immediate notifications
 	FinalTime     Time  // simulation time when Run returned
@@ -44,13 +47,13 @@ func (s Stats) Events() int64 { return s.TimedEvents + s.DeltaNotifies }
 
 // Kernel is a discrete-event simulator instance. Create one with New,
 // spawn processes, then call Run. A Kernel must not be used from multiple
-// goroutines; process bodies interact with it only through their Proc.
+// goroutines; handlers interact with it only through their Proc.
 type Kernel struct {
 	now      Time
 	queue    eventQueue
 	runnable []*Proc // ready at the current time, FIFO order
 	runHead  int     // next runnable index; the drained prefix is reused
-	procs    []*Proc
+	cur      *Proc   // the process being activated
 	seq      int64
 	running  bool
 	failure  error
@@ -72,40 +75,21 @@ func (k *Kernel) Stats() Stats {
 	return s
 }
 
-// Spawn registers a process with the given name and body. The body starts
-// executing at simulation time zero, in spawn order. Spawn must be called
-// before Run.
-func (k *Kernel) Spawn(name string, body func(p *Proc)) *Proc {
+// Spawn registers a process with the given name and handler. The kernel
+// calls the handler at simulation time zero, in spawn order, and again
+// each time the trigger it armed fires. Spawn must be called before Run.
+func (k *Kernel) Spawn(name string, handler func(p *Proc)) *Proc {
 	if k.running {
 		panic("sim: Spawn called while kernel is running")
 	}
-	p := &Proc{name: name, k: k}
-	k.procs = append(k.procs, p)
-	// The recover stays inside the coroutine, so a process panic becomes
-	// the kernel's failure and never escapes p.next.
-	p.next, p.stop = iter.Pull(func(yield func(struct{}) bool) {
-		defer func() {
-			if r := recover(); r != nil {
-				if _, ok := r.(stopSignal); !ok {
-					k.failure = fmt.Errorf("sim: process %q panicked: %v", p.name, r)
-				}
-			}
-			p.done = true
-		}()
-		p.yield = yield
-		body(p)
-	})
+	p := &Proc{name: name, k: k, handler: handler}
 	// Every process gets an initial activation at time zero.
 	k.push(0, entry{wake: p})
 	return p
 }
 
-// stopSignal aborts a process coroutine during kernel shutdown; it is
-// recovered by the spawn wrapper and never escapes the package.
-type stopSignal struct{}
-
-// entry is a scheduled occurrence: either waking a parked process or firing
-// an event (releasing its waiters).
+// entry is a scheduled occurrence: either waking a process or firing an
+// event (releasing its waiters).
 type entry struct {
 	wake *Proc
 	fire *Event
@@ -178,8 +162,8 @@ func (k *Kernel) popMin() queued {
 	return it
 }
 
-// Fail stops the run with err once the calling process parks or
-// returns; Run returns the first failure.
+// Fail stops the run with err once the calling handler returns; Run
+// returns the first failure.
 func (k *Kernel) Fail(err error) {
 	if k.failure == nil {
 		k.failure = err
@@ -188,13 +172,21 @@ func (k *Kernel) Fail(err error) {
 
 // Run executes the simulation until the event queue drains, the time limit
 // is exceeded, or a process fails. It returns the first process failure,
-// if any. After Run returns, every process coroutine has terminated.
-func (k *Kernel) Run(limit Time) error {
+// if any; a handler's panic is one, naming the process. No handler is
+// called once Run has returned.
+func (k *Kernel) Run(limit Time) (err error) {
 	if k.running {
 		return fmt.Errorf("sim: Run reentered")
 	}
 	k.running = true
-	defer func() { k.running = false }()
+	defer func() {
+		if r := recover(); r != nil {
+			k.Fail(fmt.Errorf("sim: process %q panicked: %v", k.cur.name, r))
+		}
+		k.cur = nil
+		k.running = false
+		err = k.failure
+	}()
 
 	for k.failure == nil {
 		// Drain the runnable set of the current delta. Activated
@@ -208,10 +200,7 @@ func (k *Kernel) Run(limit Time) error {
 		}
 		k.runnable = k.runnable[:0]
 		k.runHead = 0
-		if k.failure != nil {
-			break
-		}
-		if len(k.queue) == 0 {
+		if k.failure != nil || len(k.queue) == 0 {
 			break
 		}
 		next := k.queue[0].t
@@ -223,34 +212,23 @@ func (k *Kernel) Run(limit Time) error {
 		k.now = it.t
 		k.dispatch(it.e)
 	}
-	k.shutdown()
 	return k.failure
 }
 
 func (k *Kernel) dispatch(e entry) {
 	switch {
 	case e.wake != nil:
-		if !e.wake.done {
-			k.runnable = append(k.runnable, e.wake)
-		}
+		k.runnable = append(k.runnable, e.wake)
 	case e.fire != nil:
 		e.fire.release()
 	}
 }
 
-// activate switches to p and returns when it parks again.
+// activate calls p's handler once. A call that arms no trigger leaves
+// the process in no queue and no event, which ends it.
 func (k *Kernel) activate(p *Proc) {
-	if p.done {
-		return
-	}
 	k.stats.Activations++
-	p.next()
-}
-
-// shutdown terminates every process coroutine that is still alive; one
-// that never ran is never started.
-func (k *Kernel) shutdown() {
-	for _, p := range k.procs {
-		p.stop()
-	}
+	k.cur = p
+	p.armed = false
+	p.handler(p)
 }

@@ -4,9 +4,29 @@ import (
 	"fmt"
 	"runtime"
 	"strings"
-	"sync/atomic"
 	"testing"
 )
+
+// script returns a handler that runs steps[i] on its i-th call. Each
+// step arms the trigger of the next call; the process ends when a step
+// arms none, or after the last step.
+func script(steps ...func(p *Proc)) func(p *Proc) {
+	i := 0
+	return func(p *Proc) {
+		if i < len(steps) {
+			i++
+			steps[i-1](p)
+		}
+	}
+}
+
+// every returns a handler that calls f and then waits d, forever.
+func every(d Time, f func(p *Proc)) func(p *Proc) {
+	return func(p *Proc) {
+		f(p)
+		p.After(d)
+	}
+}
 
 func TestProcessesStartAtTimeZeroInSpawnOrder(t *testing.T) {
 	k := New()
@@ -28,13 +48,11 @@ func TestProcessesStartAtTimeZeroInSpawnOrder(t *testing.T) {
 func TestWaitAdvancesTime(t *testing.T) {
 	k := New()
 	var seen []Time
-	k.Spawn("p", func(p *Proc) {
-		seen = append(seen, p.Now())
-		p.Wait(10)
-		seen = append(seen, p.Now())
-		p.Wait(5)
-		seen = append(seen, p.Now())
-	})
+	k.Spawn("p", script(
+		func(p *Proc) { seen = append(seen, p.Now()); p.After(10) },
+		func(p *Proc) { seen = append(seen, p.Now()); p.After(5) },
+		func(p *Proc) { seen = append(seen, p.Now()) },
+	))
 	if err := k.Run(Forever); err != nil {
 		t.Fatal(err)
 	}
@@ -50,40 +68,43 @@ func TestWaitAdvancesTime(t *testing.T) {
 }
 
 func TestZeroWaitYields(t *testing.T) {
-	// A zero wait must let another runnable process execute in between.
+	// A zero wait must let another runnable process execute in between,
+	// and it costs one timed event.
 	k := New()
 	var order []string
-	k.Spawn("a", func(p *Proc) {
-		order = append(order, "a1")
-		p.Wait(0)
-		order = append(order, "a2")
-	})
-	k.Spawn("b", func(p *Proc) {
-		order = append(order, "b1")
-	})
+	k.Spawn("a", script(
+		func(p *Proc) { order = append(order, "a1"); p.After(0) },
+		func(p *Proc) { order = append(order, "a2") },
+	))
+	k.Spawn("b", func(p *Proc) { order = append(order, "b1") })
 	if err := k.Run(Forever); err != nil {
 		t.Fatal(err)
 	}
-	got := strings.Join(order, ",")
-	if got != "a1,b1,a2" {
+	if got := strings.Join(order, ","); got != "a1,b1,a2" {
 		t.Fatalf("order = %q, want a1,b1,a2", got)
+	}
+	// Two initial activations plus the zero wait.
+	if s := k.Stats(); s.TimedEvents != 3 || s.Activations != 3 {
+		t.Fatalf("%d timed events, %d activations; want 3, 3", s.TimedEvents, s.Activations)
 	}
 }
 
 func TestWaitUntil(t *testing.T) {
 	k := New()
-	var at Time
-	k.Spawn("p", func(p *Proc) {
-		p.WaitUntil(42)
-		at = p.Now()
-		p.WaitUntil(10) // in the past: zero wait
-		at = p.Now()
-	})
+	var at []Time
+	k.Spawn("p", script(
+		func(p *Proc) { p.At(42) },
+		func(p *Proc) { at = append(at, p.Now()); p.At(10) }, // in the past: zero wait
+		func(p *Proc) { at = append(at, p.Now()) },
+	))
 	if err := k.Run(Forever); err != nil {
 		t.Fatal(err)
 	}
-	if at != 42 {
-		t.Fatalf("time = %d, want 42", at)
+	if len(at) != 2 || at[0] != 42 || at[1] != 42 {
+		t.Fatalf("times = %v, want [42 42]", at)
+	}
+	if s := k.Stats(); s.TimedEvents != 3 {
+		t.Fatalf("%d timed events, want 3", s.TimedEvents)
 	}
 }
 
@@ -91,23 +112,20 @@ func TestEventNotifyWakesWaiters(t *testing.T) {
 	k := New()
 	ev := k.NewEvent("ev")
 	var woke []string
-	k.Spawn("w1", func(p *Proc) {
-		p.WaitEvent(ev)
-		woke = append(woke, fmt.Sprintf("w1@%d", p.Now()))
-	})
-	k.Spawn("w2", func(p *Proc) {
-		p.WaitEvent(ev)
-		woke = append(woke, fmt.Sprintf("w2@%d", p.Now()))
-	})
-	k.Spawn("n", func(p *Proc) {
-		p.Wait(7)
-		ev.Notify()
-	})
+	for _, name := range []string{"w1", "w2"} {
+		k.Spawn(name, script(
+			func(p *Proc) { p.On(ev) },
+			func(p *Proc) { woke = append(woke, fmt.Sprintf("%s@%d", p.Name(), p.Now())) },
+		))
+	}
+	k.Spawn("n", script(
+		func(p *Proc) { p.After(7) },
+		func(p *Proc) { ev.Notify() },
+	))
 	if err := k.Run(Forever); err != nil {
 		t.Fatal(err)
 	}
-	got := strings.Join(woke, ",")
-	if got != "w1@7,w2@7" {
+	if got := strings.Join(woke, ","); got != "w1@7,w2@7" {
 		t.Fatalf("woke = %q", got)
 	}
 }
@@ -119,11 +137,11 @@ func TestNotifyWithNoWaitersIsLost(t *testing.T) {
 	k.Spawn("n", func(p *Proc) {
 		ev.Notify() // nobody waits yet: lost
 	})
-	k.Spawn("w", func(p *Proc) {
-		p.Wait(1) // register after the notify
-		p.WaitEvent(ev)
-		reached = true // must never run
-	})
+	k.Spawn("w", script(
+		func(p *Proc) { p.After(1) }, // register after the notify
+		func(p *Proc) { p.On(ev) },
+		func(p *Proc) { reached = true }, // must never run
+	))
 	if err := k.Run(Forever); err != nil {
 		t.Fatal(err)
 	}
@@ -137,17 +155,15 @@ func TestNotifyAfterAndAt(t *testing.T) {
 	ev := k.NewEvent("ev")
 	ev2 := k.NewEvent("ev2")
 	var t1, t2 Time
-	k.Spawn("w", func(p *Proc) {
-		p.WaitEvent(ev)
-		t1 = p.Now()
-		p.WaitEvent(ev2)
-		t2 = p.Now()
-	})
-	k.Spawn("n", func(p *Proc) {
-		ev.NotifyAfter(30)
-		p.Wait(30)
-		ev2.NotifyAt(50)
-	})
+	k.Spawn("w", script(
+		func(p *Proc) { p.On(ev) },
+		func(p *Proc) { t1 = p.Now(); p.On(ev2) },
+		func(p *Proc) { t2 = p.Now() },
+	))
+	k.Spawn("n", script(
+		func(p *Proc) { ev.NotifyAfter(30); p.After(30) },
+		func(p *Proc) { ev2.NotifyAt(50) },
+	))
 	if err := k.Run(Forever); err != nil {
 		t.Fatal(err)
 	}
@@ -160,14 +176,14 @@ func TestNotifyAtInPastClampsToNow(t *testing.T) {
 	k := New()
 	ev := k.NewEvent("ev")
 	var woke Time = -1
-	k.Spawn("w", func(p *Proc) {
-		p.WaitEvent(ev)
-		woke = p.Now()
-	})
-	k.Spawn("n", func(p *Proc) {
-		p.Wait(20)
-		ev.NotifyAt(5)
-	})
+	k.Spawn("w", script(
+		func(p *Proc) { p.On(ev) },
+		func(p *Proc) { woke = p.Now() },
+	))
+	k.Spawn("n", script(
+		func(p *Proc) { p.After(20) },
+		func(p *Proc) { ev.NotifyAt(5) },
+	))
 	if err := k.Run(Forever); err != nil {
 		t.Fatal(err)
 	}
@@ -178,65 +194,53 @@ func TestNotifyAtInPastClampsToNow(t *testing.T) {
 
 func TestRunLimitStopsSimulation(t *testing.T) {
 	k := New()
-	steps := 0
-	k.Spawn("p", func(p *Proc) {
-		for {
-			p.Wait(10)
-			steps++
-		}
-	})
+	calls := 0
+	k.Spawn("p", every(10, func(*Proc) { calls++ }))
 	if err := k.Run(35); err != nil {
 		t.Fatal(err)
 	}
-	if steps != 3 {
-		t.Fatalf("steps = %d, want 3", steps)
+	// Called at 0, 10, 20 and 30; the wake at 40 is past the limit.
+	if calls != 4 {
+		t.Fatalf("calls = %d, want 4", calls)
 	}
 	if k.Now() != 35 {
 		t.Fatalf("final time = %d, want 35", k.Now())
 	}
 }
 
-func TestBlockedProcessesAreTerminated(t *testing.T) {
+func TestProcessPanicBecomesError(t *testing.T) {
 	k := New()
-	ev := k.NewEvent("never")
-	cleaned := int32(0)
-	k.Spawn("stuck-event", func(p *Proc) {
-		defer atomic.AddInt32(&cleaned, 1)
-		p.WaitEvent(ev)
-	})
-	k.Spawn("stuck-wait", func(p *Proc) {
-		defer atomic.AddInt32(&cleaned, 1)
-		p.Wait(5)
-		p.WaitEvent(ev)
-	})
-	if err := k.Run(Forever); err != nil {
-		t.Fatal(err)
-	}
-	if got := atomic.LoadInt32(&cleaned); got != 2 {
-		t.Fatalf("cleaned = %d, want 2 (deferred funcs must run on shutdown)", got)
+	k.Spawn("bad", script(
+		func(p *Proc) { p.After(1) },
+		func(p *Proc) { panic("boom") },
+	))
+	k.Spawn("good", every(1, func(*Proc) {}))
+	err := k.Run(Forever)
+	if err == nil || !strings.Contains(err.Error(), "boom") || !strings.Contains(err.Error(), `"bad"`) {
+		t.Fatalf("err = %v", err)
 	}
 }
 
-func TestProcessPanicBecomesError(t *testing.T) {
+func TestArmingTwiceFails(t *testing.T) {
 	k := New()
-	k.Spawn("bad", func(p *Proc) {
-		p.Wait(1)
-		panic("boom")
-	})
-	k.Spawn("good", func(p *Proc) {
-		for {
-			p.Wait(1)
-		}
-	})
+	ev := k.NewEvent("ev")
+	after := false
+	k.Spawn("greedy", script(
+		func(p *Proc) { p.After(1); p.On(ev) },
+		func(p *Proc) { after = true },
+	))
 	err := k.Run(Forever)
-	if err == nil || !strings.Contains(err.Error(), "boom") || !strings.Contains(err.Error(), "bad") {
+	if err == nil || !strings.Contains(err.Error(), `"greedy"`) || !strings.Contains(err.Error(), "two triggers") {
 		t.Fatalf("err = %v", err)
+	}
+	if after {
+		t.Fatal("the run went on after the failing activation")
 	}
 }
 
 func TestNegativeWaitPanics(t *testing.T) {
 	k := New()
-	k.Spawn("p", func(p *Proc) { p.Wait(-1) })
+	k.Spawn("p", func(p *Proc) { p.After(-1) })
 	if err := k.Run(Forever); err == nil {
 		t.Fatal("expected error from negative wait")
 	}
@@ -264,14 +268,15 @@ func TestSpawnWhileRunningPanics(t *testing.T) {
 func TestStatsCountActivationsAndEvents(t *testing.T) {
 	k := New()
 	ev := k.NewEvent("ev")
-	k.Spawn("a", func(p *Proc) {
-		p.Wait(1)
-		p.Wait(1)
-		ev.Notify()
-	})
-	k.Spawn("b", func(p *Proc) {
-		p.WaitEvent(ev)
-	})
+	k.Spawn("a", script(
+		func(p *Proc) { p.After(1) },
+		func(p *Proc) { p.After(1) },
+		func(p *Proc) { ev.Notify() },
+	))
+	k.Spawn("b", script(
+		func(p *Proc) { p.On(ev) },
+		func(p *Proc) {},
+	))
 	if err := k.Run(Forever); err != nil {
 		t.Fatal(err)
 	}
@@ -294,17 +299,24 @@ func TestDeterministicReplay(t *testing.T) {
 		k := New()
 		ev := k.NewEvent("sync")
 		var log []string
+		prod, cons := 0, 0
 		k.Spawn("prod", func(p *Proc) {
-			for i := 0; i < 5; i++ {
-				p.Wait(3)
-				log = append(log, fmt.Sprintf("prod%d@%d", i, p.Now()))
+			if p.Now() > 0 {
+				log = append(log, fmt.Sprintf("prod%d@%d", prod, p.Now()))
 				ev.Notify()
+				prod++
+			}
+			if prod < 5 {
+				p.After(3)
 			}
 		})
 		k.Spawn("cons", func(p *Proc) {
-			for i := 0; i < 5; i++ {
-				p.WaitEvent(ev)
-				log = append(log, fmt.Sprintf("cons%d@%d", i, p.Now()))
+			if p.Now() > 0 {
+				log = append(log, fmt.Sprintf("cons%d@%d", cons, p.Now()))
+				cons++
+			}
+			if cons < 5 {
+				p.On(ev)
 			}
 		})
 		if err := k.Run(Forever); err != nil {
@@ -314,6 +326,9 @@ func TestDeterministicReplay(t *testing.T) {
 	}
 	l1, s1 := run()
 	l2, s2 := run()
+	if len(l1) != 10 {
+		t.Fatalf("log = %v, want 5 productions and 5 consumptions", l1)
+	}
 	if strings.Join(l1, ";") != strings.Join(l2, ";") {
 		t.Fatalf("nondeterministic logs:\n%v\n%v", l1, l2)
 	}
@@ -326,11 +341,10 @@ func TestSimultaneousEventsFIFOOrder(t *testing.T) {
 	k := New()
 	var order []string
 	for i := 0; i < 4; i++ {
-		name := fmt.Sprintf("p%d", i)
-		k.Spawn(name, func(p *Proc) {
-			p.Wait(10)
-			order = append(order, p.Name())
-		})
+		k.Spawn(fmt.Sprintf("p%d", i), script(
+			func(p *Proc) { p.After(10) },
+			func(p *Proc) { order = append(order, p.Name()) },
+		))
 	}
 	if err := k.Run(Forever); err != nil {
 		t.Fatal(err)
@@ -360,11 +374,9 @@ func TestEventNames(t *testing.T) {
 	if ev.Name() != "mychannel" {
 		t.Fatalf("Name = %q", ev.Name())
 	}
-	var pname string
 	p := k.Spawn("worker", func(p *Proc) {})
-	pname = p.Name()
-	if pname != "worker" {
-		t.Fatalf("proc name = %q", pname)
+	if p.Name() != "worker" {
+		t.Fatalf("proc name = %q", p.Name())
 	}
 	if p.Kernel() != k {
 		t.Fatal("Kernel() mismatch")
@@ -381,37 +393,61 @@ func TestStatsEvents(t *testing.T) {
 	}
 }
 
+// A handler has no stack to unwind: a process blocked when Run returns
+// is over, holding no goroutine, and an event notified after Run
+// returned calls none of its waiters.
+func TestBlockedProcessesAreTerminated(t *testing.T) {
+	before := runtime.NumGoroutine()
+	k := New()
+	ev := k.NewEvent("never")
+	calls := 0
+	k.Spawn("stuck-event", func(p *Proc) { calls++; p.On(ev) })
+	k.Spawn("stuck-wait", script(
+		func(p *Proc) { calls++; p.After(5) },
+		func(p *Proc) { calls++; p.On(ev) },
+		func(p *Proc) { calls++ },
+	))
+	if err := k.Run(Forever); err != nil {
+		t.Fatal(err)
+	}
+	if calls != 3 {
+		t.Fatalf("calls = %d, want 3", calls)
+	}
+	ev.Notify()
+	runtime.Gosched()
+	if calls != 3 {
+		t.Fatalf("calls = %d after Run returned, want 3", calls)
+	}
+	if got := runtime.NumGoroutine(); got > before {
+		t.Fatalf("%d goroutines after Run, want at most %d", got, before)
+	}
+}
+
+// Nothing calls a handler once Run has returned, and no run leaves a
+// goroutine behind, whether the queue drained, the limit cut the run, a
+// handler failed, a process stayed blocked, or a process never started.
 func TestRunLeavesNoGoroutinesBehind(t *testing.T) {
 	cases := []struct {
 		name    string
 		limit   Time
 		wantErr bool
-		build   func(k *Kernel)
+		build   func(k *Kernel, ev *Event, calls *int)
 	}{
-		{"drained", Forever, false, func(k *Kernel) {
-			k.Spawn("a", func(p *Proc) { p.Wait(3) })
-			k.Spawn("b", func(p *Proc) {})
+		{"drained", Forever, false, func(k *Kernel, ev *Event, calls *int) {
+			k.Spawn("a", script(func(p *Proc) { *calls++; p.After(3) }, func(p *Proc) { *calls++ }))
+			k.Spawn("b", func(p *Proc) { *calls++ })
 		}},
-		{"time-limit", 25, false, func(k *Kernel) {
-			k.Spawn("spin", func(p *Proc) {
-				for {
-					p.Wait(10)
-				}
-			})
+		{"time-limit", 25, false, func(k *Kernel, ev *Event, calls *int) {
+			k.Spawn("spin", every(10, func(*Proc) { *calls++ }))
 		}},
-		{"panic", Forever, true, func(k *Kernel) {
-			k.Spawn("bad", func(p *Proc) { p.Wait(1); panic("boom") })
-			k.Spawn("spin", func(p *Proc) {
-				for {
-					p.Wait(1)
-				}
-			})
+		{"panic", Forever, true, func(k *Kernel, ev *Event, calls *int) {
+			k.Spawn("bad", script(func(p *Proc) { *calls++; p.After(1) }, func(p *Proc) { panic("boom") }))
+			k.Spawn("spin", every(1, func(*Proc) { *calls++ }))
 		}},
-		{"blocked-forever", Forever, false, func(k *Kernel) {
-			never := k.NewEvent("never")
-			k.Spawn("stuck", func(p *Proc) { p.WaitEvent(never) })
+		{"blocked-forever", Forever, false, func(k *Kernel, ev *Event, calls *int) {
+			k.Spawn("stuck", func(p *Proc) { *calls++; p.On(ev) })
 		}},
-		{"never-activated", -1, false, func(k *Kernel) {
+		{"never-activated", -1, false, func(k *Kernel, ev *Event, calls *int) {
 			k.Spawn("idle", func(p *Proc) { panic("process after the limit ran") })
 		}},
 	}
@@ -422,9 +458,17 @@ func TestRunLeavesNoGoroutinesBehind(t *testing.T) {
 			before := runtime.NumGoroutine()
 			for i := 0; i < 100; i++ {
 				k := New()
-				c.build(k)
+				ev := k.NewEvent("never")
+				calls := 0
+				c.build(k, ev, &calls)
 				if err := k.Run(c.limit); (err != nil) != c.wantErr {
 					t.Fatalf("kernel %d: Run error = %v, want error %v", i, err, c.wantErr)
+				}
+				at := calls
+				ev.Notify()
+				runtime.Gosched()
+				if calls != at {
+					t.Fatalf("kernel %d: %d handler calls after Run returned", i, calls-at)
 				}
 				if got := runtime.NumGoroutine(); got > before {
 					t.Fatalf("kernel %d: %d goroutines after Run, want at most %d", i, got, before)
@@ -435,8 +479,8 @@ func TestRunLeavesNoGoroutinesBehind(t *testing.T) {
 }
 
 func TestProcessMayBlockOnGoPrimitives(t *testing.T) {
-	// A body may block outside the kernel (core.RunBatch lanes wait on a
-	// sync.Cond); the kernel simply waits for it to park again.
+	// A handler may block outside the kernel; the kernel simply waits for
+	// the call to return.
 	k := New()
 	ch := make(chan int)
 	go func() {
@@ -444,12 +488,14 @@ func TestProcessMayBlockOnGoPrimitives(t *testing.T) {
 			ch <- i
 		}
 	}()
-	sum := 0
+	sum, n := 0, 0
 	k.Spawn("reader", func(p *Proc) {
-		for i := 0; i < 3; i++ {
-			sum += <-ch
-			p.Wait(1)
+		if n == 3 {
+			return
 		}
+		sum += <-ch
+		n++
+		p.After(1)
 	})
 	if err := k.Run(Forever); err != nil {
 		t.Fatal(err)
@@ -460,24 +506,32 @@ func TestProcessMayBlockOnGoPrimitives(t *testing.T) {
 }
 
 func TestSteadyWaitDoesNotAllocate(t *testing.T) {
-	k := New()
-	var allocs float64
-	k.Spawn("spin", func(p *Proc) {
-		allocs = testing.AllocsPerRun(1000, func() { p.Wait(1) })
-	})
-	if err := k.Run(Forever); err != nil {
-		t.Fatal(err)
+	// Allocations of a run are set-up only: a process that waits 10,000
+	// times allocates no more than one that waits 10 times.
+	runAllocs := func(waits int) float64 {
+		return testing.AllocsPerRun(20, func() {
+			k := New()
+			n := 0
+			k.Spawn("spin", func(p *Proc) {
+				if n < waits {
+					n++
+					p.After(1)
+				}
+			})
+			if err := k.Run(Forever); err != nil {
+				t.Fatal(err)
+			}
+		})
 	}
-	if allocs != 0 {
-		t.Fatalf("%v allocations per Wait, want 0", allocs)
+	if short, long := runAllocs(10), runAllocs(10_000); long != short {
+		t.Fatalf("%v allocations for 10,000 waits, %v for 10; want equal", long, short)
 	}
 }
 
-// maxSpawnAllocs bounds the allocations of one Spawn: the Proc, the
-// coroutine (iter.Pull state, its goroutine and closures) and the body
-// wrapper, 13 with Go 1.24. Spawn is paid per process per kernel, and
-// a sweep builds a kernel per point.
-const maxSpawnAllocs = 16
+// maxSpawnAllocs bounds the allocations of one Spawn: the Proc, with the
+// event queue's growth amortized over the spawns. Spawn is paid per
+// process per kernel, and a sweep builds a kernel per point.
+const maxSpawnAllocs = 1
 
 func TestSpawnAllocations(t *testing.T) {
 	k := New()

@@ -2,17 +2,15 @@ package sim
 
 import "fmt"
 
-// Proc is a simulation process. Its body function receives the Proc and
-// uses it to wait for durations or events. All Proc methods must be called
-// from within the body (they yield control back to the kernel); calling
-// them from outside a running simulation panics or deadlocks by design.
+// Proc is a simulation process: a handler the kernel calls once per
+// activation. Its arming methods must be called from within the
+// handler's call, at most one of them per call; the trigger fires the
+// next call.
 type Proc struct {
-	name  string
-	k     *Kernel
-	next  func() (struct{}, bool) // resumes the body until it parks
-	stop  func()                  // makes a parked body's yield report false
-	yield func(struct{}) bool     // parks the body, set when it starts
-	done  bool
+	name    string
+	k       *Kernel
+	handler func(p *Proc)
+	armed   bool // the current call armed its trigger
 }
 
 // Name returns the process name given at Spawn.
@@ -24,40 +22,41 @@ func (p *Proc) Kernel() *Kernel { return p.k }
 // Now returns the current simulation time.
 func (p *Proc) Now() Time { return p.k.now }
 
-// park yields control to the kernel and returns when resumed. If the
-// kernel is shutting down it aborts the process via stopSignal.
-func (p *Proc) park() {
-	if !p.yield(struct{}{}) {
-		panic(stopSignal{})
+// arm marks the current call's trigger armed; a second one fails the
+// run.
+func (p *Proc) arm() bool {
+	if p.armed {
+		p.k.Fail(fmt.Errorf("sim: process %q armed two triggers in one activation", p.name))
+		return false
 	}
+	p.armed = true
+	return true
 }
 
-// Wait suspends the process for the duration d (which must be
-// non-negative). A zero wait still yields through the kernel, consuming
-// one event, exactly like SystemC's wait(SC_ZERO_TIME).
-func (p *Proc) Wait(d Time) {
+// After calls the handler again after the duration d (which must be
+// non-negative). A zero duration still goes through the kernel,
+// consuming one event, exactly like SystemC's wait(SC_ZERO_TIME).
+func (p *Proc) After(d Time) {
 	if d < 0 {
 		panic(fmt.Sprintf("sim: negative wait %d in process %q", d, p.name))
 	}
-	p.k.push(p.k.now+d, entry{wake: p})
-	p.park()
-}
-
-// WaitUntil suspends the process until absolute time t; if t is in the
-// past it degrades to a zero wait.
-func (p *Proc) WaitUntil(t Time) {
-	d := t - p.k.now
-	if d < 0 {
-		d = 0
+	if p.arm() {
+		p.k.push(p.k.now+d, entry{wake: p})
 	}
-	p.Wait(d)
 }
 
-// WaitEvent suspends the process until e is notified. Notifications that
+// At calls the handler again at absolute time t; if t is in the past it
+// degrades to a zero wait.
+func (p *Proc) At(t Time) {
+	p.After(max(t-p.k.now, 0))
+}
+
+// On calls the handler again when e is notified. Notifications that
 // occur while no process is waiting are lost (SystemC semantics).
-func (p *Proc) WaitEvent(e *Event) {
-	e.waiters = append(e.waiters, p)
-	p.park()
+func (p *Proc) On(e *Event) {
+	if p.arm() {
+		e.waiters = append(e.waiters, p)
+	}
 }
 
 // Event is a named synchronization point processes can wait on.
@@ -93,19 +92,11 @@ func (e *Event) NotifyAfter(d Time) {
 // NotifyAt schedules the event to fire at absolute time t (clamped to the
 // current time if already past).
 func (e *Event) NotifyAt(t Time) {
-	d := t - e.k.now
-	if d < 0 {
-		d = 0
-	}
-	e.NotifyAfter(d)
+	e.NotifyAfter(max(t-e.k.now, 0))
 }
 
 // release moves all waiters to the runnable set and clears the list.
 func (e *Event) release() {
-	for _, p := range e.waiters {
-		if !p.done {
-			e.k.runnable = append(e.k.runnable, p)
-		}
-	}
+	e.k.runnable = append(e.k.runnable, e.waiters...)
 	e.waiters = e.waiters[:0]
 }
