@@ -21,7 +21,7 @@ func run(t *testing.T, a *model.Architecture, opts engine.Options) *engine.Resul
 	if err != nil {
 		t.Fatalf("adaptive run: %v", err)
 	}
-	if res.Events != 0 || res.Activations != 0 || res.Switches != 0 || res.Fallbacks != 0 {
+	if res.Events != 0 || res.Activations != 0 || res.Switches != 0 {
 		t.Fatalf("adaptive paid kernel work: %+v", res)
 	}
 	return res

@@ -279,9 +279,6 @@ type Expr struct {
 // Num returns a literal expression.
 func Num(v float64) *Expr { return &Expr{value: v} }
 
-// Ref returns a parameter reference expression.
-func Ref(name string) *Expr { return &Expr{param: name} }
-
 // UnmarshalJSON accepts a JSON number or a "$name" string.
 func (e *Expr) UnmarshalJSON(b []byte) error {
 	b = bytes.TrimSpace(b)
@@ -321,12 +318,4 @@ func (e *Expr) resolve(b binding, def float64) float64 {
 		return b[e.param] // decode guarantees the reference is declared
 	}
 	return e.value
-}
-
-// refs appends the expression's parameter reference, if any.
-func (e *Expr) refs(out []string) []string {
-	if e != nil && e.param != "" {
-		return append(out, e.param)
-	}
-	return out
 }

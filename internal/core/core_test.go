@@ -279,8 +279,9 @@ func TestEquivalentModelTwoInputs(t *testing.T) {
 
 // Each exec statement's row column reads its own source's token: every
 // activity (Ops, Start, End) of the two-source join matches the
-// reference executor's under Compute, a width-3 RunBatch and the
-// equivalent model.
+// reference executor's under Compute and the equivalent model of each
+// lane's own derivation, and under a width-3 RunBatch of lane 0's
+// derivation rebound to all three.
 func TestTwoSourceColumnsMatchReference(t *testing.T) {
 	build := func(l int) *model.Architecture {
 		return joinArch(maxplus.T(300+60*l), maxplus.T(450-40*l), 40)
@@ -312,12 +313,17 @@ func TestTwoSourceColumnsMatchReference(t *testing.T) {
 		}
 		assertActivitiesEqual(t, refs[l], got)
 	}
-	traces := []*observe.Trace{observe.NewTrace("b0"), observe.NewTrace("b1"), observe.NewTrace("b2")}
-	results, errs, err := RunBatch(lanes, BatchOptions{Traces: traces})
+	archs := []*model.Architecture{build(0), build(1), build(2)}
+	batch, err := derive.RebindBatch(lanes[0], archs)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for l := range lanes {
+	traces := []*observe.Trace{observe.NewTrace("b0"), observe.NewTrace("b1"), observe.NewTrace("b2")}
+	results, errs, err := RunBatch(batch, BatchOptions{Traces: traces})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for l := range batch {
 		if errs[l] != nil {
 			t.Fatalf("lane %d: %v", l, errs[l])
 		}

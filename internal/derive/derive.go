@@ -28,6 +28,7 @@
 package derive
 
 import (
+	"errors"
 	"fmt"
 	"sync/atomic"
 
@@ -403,6 +404,11 @@ func (d *deriver) connectSources() {
 	}
 }
 
+// ErrUnsupportedBoundary reports an input whose reception gate reads a
+// same-iteration instant that is not another input's arrival: the
+// boundary engine cannot know it before accepting the input.
+var ErrUnsupportedBoundary = errors.New("this abstraction boundary is unsupported")
+
 // inputBinding extracts the Reception gate of a source channel: every arc
 // into the boundary node other than the source's own contribution. For
 // the equivalent model to compute the gate before accepting iteration k,
@@ -427,8 +433,8 @@ func (d *deriver) inputBinding(s *model.Source, transferIndex map[tdg.NodeID]int
 			other, ok := transferIndex[a.From]
 			if !ok {
 				return ib, fmt.Errorf(
-					"derive: input channel %q readiness depends on same-iteration instant %q; this abstraction boundary is unsupported",
-					s.Ch.Name, d.g.Nodes()[a.From].Name)
+					"derive: input channel %q readiness depends on same-iteration instant %q; %w",
+					s.Ch.Name, d.g.Nodes()[a.From].Name, ErrUnsupportedBoundary)
 			}
 			ib.SameIterGate = append(ib.SameIterGate, SameIterGate{InputIndex: other, Weight: a.Weight})
 			continue

@@ -91,12 +91,11 @@ type Result struct {
 	// GraphNodes is the derived graph size in the paper's counting
 	// (engines that derive one).
 	GraphNodes int
-	// Switches and Fallbacks count transitions between event-driven and
-	// computed execution within one run. No built-in engine switches
-	// any more — the adaptive engine computes every iteration — so both
-	// are zero; they stay in the result for consumers that report them.
-	Switches  int
-	Fallbacks int
+	// Switches counts transitions between event-driven and computed
+	// execution within one run. No built-in engine switches any more —
+	// the adaptive engine computes every iteration — so it is zero; it
+	// stays in the result for consumers that report it.
+	Switches int
 }
 
 // Engine is one executor of architecture models. Implementations must be

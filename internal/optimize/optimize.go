@@ -17,6 +17,7 @@ package optimize
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"sort"
 
@@ -40,6 +41,13 @@ const (
 const (
 	MetricArea  = "area"
 	MetricPower = "power"
+)
+
+// Input errors: every error Validate returns wraps one of these.
+var (
+	ErrObjective  = errors.New("unknown objective")
+	ErrConstraint = errors.New("invalid constraint")
+	ErrAxes       = errors.New("no parameter values to explore")
 )
 
 // Constraint is one platform budget: the named analytic cost metric
@@ -136,12 +144,12 @@ type candidate struct {
 // spec parameters declaring candidate values; parameters without
 // values stay fixed at their defaults.
 func Run(ctx context.Context, spec *archjson.Spec, opts Options) (*Result, error) {
+	if err := Validate(spec, opts.Objective, opts.Constraints); err != nil {
+		return nil, err
+	}
 	objective := opts.Objective
 	if objective == "" {
 		objective = ObjectiveCycleMean
-	}
-	if objective != ObjectiveCycleMean && objective != ObjectiveFinalTime {
-		return nil, fmt.Errorf("optimize: unknown objective %q (want %q or %q)", objective, ObjectiveCycleMean, ObjectiveFinalTime)
 	}
 	var axes []sweep.Axis
 	for i := range spec.Parameters {
@@ -151,9 +159,6 @@ func Run(ctx context.Context, spec *archjson.Spec, opts Options) (*Result, error
 			sort.Slice(vals, func(a, b int) bool { return vals[a] < vals[b] })
 			axes = append(axes, sweep.Axis{Name: p.Name, Values: vals})
 		}
-	}
-	if len(axes) == 0 {
-		return nil, fmt.Errorf("optimize: architecture %q declares no parameter values to explore", spec.Name)
 	}
 	pts, err := sweep.Grid(axes)
 	if err != nil {
@@ -165,20 +170,6 @@ func Run(ctx context.Context, spec *archjson.Spec, opts Options) (*Result, error
 	probe, err := spec.EvalCost(nil)
 	if err != nil {
 		return nil, err
-	}
-	for _, c := range opts.Constraints {
-		switch c.Metric {
-		case MetricArea:
-			if !probe.HasArea {
-				return nil, fmt.Errorf("optimize: area constraint, but no parameter of %q declares an area cost model", spec.Name)
-			}
-		case MetricPower:
-			if !probe.HasPower {
-				return nil, fmt.Errorf("optimize: power constraint, but no parameter of %q declares a power cost model", spec.Name)
-			}
-		default:
-			return nil, fmt.Errorf("optimize: unknown constraint metric %q (want %q or %q)", c.Metric, MetricArea, MetricPower)
-		}
 	}
 	var feasible []*candidate
 	for _, pt := range pts {
@@ -224,6 +215,36 @@ func Run(ctx context.Context, spec *archjson.Spec, opts Options) (*Result, error
 	}
 	res.Front = s.front()
 	return res, nil
+}
+
+// Validate checks the inputs Run rejects before any simulation: the
+// objective, each constraint's metric, that some parameter declares a
+// cost model for it (skipped when the spec's costs fail to evaluate,
+// which Run reports instead), and that the spec declares parameter
+// values to explore. Its errors wrap ErrObjective, ErrConstraint or
+// ErrAxes.
+func Validate(spec *archjson.Spec, objective string, constraints []Constraint) error {
+	if objective != "" && objective != ObjectiveCycleMean && objective != ObjectiveFinalTime {
+		return fmt.Errorf("optimize: %w %q (want %q or %q)", ErrObjective, objective, ObjectiveCycleMean, ObjectiveFinalTime)
+	}
+	probe, probeErr := spec.EvalCost(nil)
+	for _, c := range constraints {
+		switch c.Metric {
+		case MetricArea, MetricPower:
+		default:
+			return fmt.Errorf("optimize: %w: unknown metric %q (want %q or %q)", ErrConstraint, c.Metric, MetricArea, MetricPower)
+		}
+		if probeErr == nil && (c.Metric == MetricArea && !probe.HasArea || c.Metric == MetricPower && !probe.HasPower) {
+			return fmt.Errorf("optimize: %w: no parameter of %q declares a %s cost model; the budget would be unenforceable",
+				ErrConstraint, spec.Name, c.Metric)
+		}
+	}
+	for i := range spec.Parameters {
+		if len(spec.Parameters[i].Values) > 0 {
+			return nil
+		}
+	}
+	return fmt.Errorf("optimize: architecture %q declares %w", spec.Name, ErrAxes)
 }
 
 type search struct {

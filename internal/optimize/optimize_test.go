@@ -2,6 +2,7 @@ package optimize
 
 import (
 	"context"
+	"errors"
 	"testing"
 
 	"dyncomp/internal/archjson"
@@ -188,15 +189,16 @@ func TestBudgetStopsEarly(t *testing.T) {
 }
 
 // Input validation: unknown objectives, unknown constraint metrics,
-// constraints without a declared cost model, and spaces with no axes.
+// constraints without a declared cost model, and spaces with no axes,
+// each wrapping its sentinel (the serving layer maps them to codes).
 func TestRunRejectsBadInputs(t *testing.T) {
 	ctx := context.Background()
 	spec := decodeRef(t)
-	if _, err := Run(ctx, spec, Options{Objective: "latency_p99"}); err == nil {
-		t.Fatal("unknown objective accepted")
+	if _, err := Run(ctx, spec, Options{Objective: "latency_p99"}); !errors.Is(err, ErrObjective) {
+		t.Fatalf("unknown objective: %v, want ErrObjective", err)
 	}
-	if _, err := Run(ctx, spec, Options{Constraints: []Constraint{{Metric: "thermals", Max: 1}}}); err == nil {
-		t.Fatal("unknown constraint metric accepted")
+	if _, err := Run(ctx, spec, Options{Constraints: []Constraint{{Metric: "thermals", Max: 1}}}); !errors.Is(err, ErrConstraint) {
+		t.Fatalf("unknown constraint metric: %v, want ErrConstraint", err)
 	}
 	noCost, err := archjson.Decode([]byte(`{
 		"version": 1, "name": "nocost",
@@ -213,14 +215,14 @@ func TestRunRejectsBadInputs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := Run(ctx, noCost, Options{Constraints: []Constraint{{Metric: MetricArea, Max: 10}}}); err == nil {
-		t.Fatal("area constraint without a declared area model accepted")
+	if _, err := Run(ctx, noCost, Options{Constraints: []Constraint{{Metric: MetricArea, Max: 10}}}); !errors.Is(err, ErrConstraint) {
+		t.Fatalf("area constraint without a declared area model: %v, want ErrConstraint", err)
 	}
 	noAxes := decodeRef(t)
 	for i := range noAxes.Parameters {
 		noAxes.Parameters[i].Values = nil
 	}
-	if _, err := Run(ctx, noAxes, Options{}); err == nil {
-		t.Fatal("axis-free design space accepted")
+	if _, err := Run(ctx, noAxes, Options{}); !errors.Is(err, ErrAxes) {
+		t.Fatalf("axis-free design space: %v, want ErrAxes", err)
 	}
 }

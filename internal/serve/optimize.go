@@ -11,6 +11,7 @@ package serve
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
 	"net/http"
 
@@ -95,31 +96,19 @@ func (s *Server) handleOptimize(w http.ResponseWriter, r *http.Request) *Request
 	if aerr != nil {
 		return aerr
 	}
-	switch req.Objective {
-	case "", optimize.ObjectiveCycleMean, optimize.ObjectiveFinalTime:
-	default:
-		return requestErrorf(http.StatusBadRequest, CodeInvalidObjective,
-			"unknown objective %q (have %q, %q)",
-			req.Objective, optimize.ObjectiveCycleMean, optimize.ObjectiveFinalTime)
-	}
-	cm, cmErr := spec.EvalCost(nil)
 	cons := make([]optimize.Constraint, 0, len(req.Constraints))
 	for _, c := range req.Constraints {
-		switch c.Metric {
-		case optimize.MetricArea, optimize.MetricPower:
-		default:
-			return requestErrorf(http.StatusBadRequest, CodeInvalidConstraint,
-				"unknown constraint metric %q (have %q, %q)",
-				c.Metric, optimize.MetricArea, optimize.MetricPower)
-		}
-		if cmErr == nil &&
-			((c.Metric == optimize.MetricArea && !cm.HasArea) ||
-				(c.Metric == optimize.MetricPower && !cm.HasPower)) {
-			return requestErrorf(http.StatusBadRequest, CodeInvalidConstraint,
-				"architecture %q declares no %s cost model; the %s budget would be unenforceable",
-				spec.Name, c.Metric, c.Metric)
-		}
 		cons = append(cons, optimize.Constraint{Metric: c.Metric, Max: c.Max})
+	}
+	if err := optimize.Validate(spec, req.Objective, cons); err != nil {
+		code := CodeInvalidAxes
+		switch {
+		case errors.Is(err, optimize.ErrObjective):
+			code = CodeInvalidObjective
+		case errors.Is(err, optimize.ErrConstraint):
+			code = CodeInvalidConstraint
+		}
+		return requestErrorf(http.StatusBadRequest, code, "%v", err)
 	}
 	if req.Options.Budget < 0 {
 		return requestErrorf(http.StatusBadRequest, CodeBadJSON,
@@ -127,20 +116,15 @@ func (s *Server) handleOptimize(w http.ResponseWriter, r *http.Request) *Request
 	}
 	// Bound the design space like a sweep grid: the declared value lists
 	// span it.
-	points, axes := 1, 0
+	points := 1
 	for i := range spec.Parameters {
 		if n := len(spec.Parameters[i].Values); n > 0 {
-			axes++
 			points *= n
 			if points > s.cfg.MaxGridPoints {
 				return requestErrorf(http.StatusBadRequest, CodeGridTooLarge,
 					"design space exceeds %d points", s.cfg.MaxGridPoints)
 			}
 		}
-	}
-	if axes == 0 {
-		return requestErrorf(http.StatusBadRequest, CodeInvalidAxes,
-			"architecture %q declares no parameter values to optimize over", spec.Name)
 	}
 	// Charge the full design space against the caller's point quota: the
 	// optimizer may simulate any subset of it.

@@ -109,30 +109,6 @@ func TestBatchMatchesScalarOnRandomGraphs(t *testing.T) {
 	}
 }
 
-// TestBatchWaveParallelPath forces the goroutine wave fan-out onto small
-// graphs by dropping the work threshold and re-runs the bit-exactness
-// comparison through it.
-func TestBatchWaveParallelPath(t *testing.T) {
-	old := batchParallelMinWork
-	batchParallelMinWork = 1
-	defer func() { batchParallelMinWork = old }()
-	for seed := int64(0); seed < 6; seed++ {
-		g, prog := compileRandom(t, 100+seed)
-		const L = 8
-		progs := laneProgs(t, prog, L)
-		be, err := NewBatchEvaluator(progs)
-		if err != nil {
-			t.Fatal(err)
-		}
-		scalars := make([]*Evaluator, L)
-		for l := range scalars {
-			scalars[l] = progs[l].NewEvaluator()
-		}
-		checkBatchAgainstScalar(t, g, progs, be, scalars, 20)
-		be.Release()
-	}
-}
-
 // TestBatchDisableKeepsOtherLanesExact retires one lane mid-run and
 // checks the surviving lanes stay bit-exact against their scalar runs.
 func TestBatchDisableKeepsOtherLanesExact(t *testing.T) {
@@ -227,8 +203,10 @@ func TestBatchPoolReuse(t *testing.T) {
 	second.Release()
 }
 
-// TestBatchRejectsIncompatibleLanes pins the scalar-fallback trigger: a
-// structurally different program cannot join a batch.
+// TestBatchRejectsIncompatibleLanes pins the scalar-fallback trigger:
+// only a Bind sibling of lane 0 can join a batch, so neither a
+// structurally different program nor an independent compile of the same
+// graph can.
 func TestBatchRejectsIncompatibleLanes(t *testing.T) {
 	g1 := randomGraph(t, 1)
 	g2 := randomGraph(t, 2)
@@ -243,8 +221,50 @@ func TestBatchRejectsIncompatibleLanes(t *testing.T) {
 	if _, err := NewBatchEvaluator([]*Program{p1, p2}); err == nil {
 		t.Fatal("NewBatchEvaluator accepted structurally different lanes")
 	}
+	again, err := Compile(g1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := NewBatchEvaluator([]*Program{p1, again}); err == nil {
+		t.Fatal("NewBatchEvaluator accepted an independent compile of lane 0's graph")
+	}
 	if _, err := NewBatchEvaluator(nil); err == nil {
 		t.Fatal("NewBatchEvaluator accepted zero lanes")
+	}
+}
+
+// TestBatchRowFreeProgram batches a program whose weights are all
+// inline, so its row is empty: every lane still steps.
+func TestBatchRowFreeProgram(t *testing.T) {
+	g := New("rowfree")
+	u := g.AddInput("u")
+	y := g.AddNode("y", Output)
+	g.AddArc(u, y, 0, ConstWeight(5))
+	g.AddArc(y, y, 1, ConstWeight(7))
+	if err := g.Freeze(); err != nil {
+		t.Fatal(err)
+	}
+	prog, err := Compile(g)
+	if err != nil {
+		t.Fatal(err)
+	}
+	be, err := NewBatchEvaluator(laneProgs(t, prog, 3))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer be.Release()
+	if _, err := be.Step([]maxplus.T{0, 10, 20}); err != nil {
+		t.Fatal(err)
+	}
+	y1, err := be.Step([]maxplus.T{0, 10, 20})
+	if err != nil {
+		t.Fatal(err)
+	}
+	// y(1) = max(u + 5, y(0) + 7) = max(u + 5, u + 12).
+	for l, want := range []maxplus.T{12, 22, 32} {
+		if y1[l] != want {
+			t.Fatalf("lane %d: y(1) = %v, want %v", l, y1[l], want)
+		}
 	}
 }
 
@@ -270,7 +290,7 @@ func TestBatchStepDoesNotAllocate(t *testing.T) {
 }
 
 // TestBindSharesProgram pins what Bind shares: a sibling aliases the
-// parent's packed arcs, wave fences and pools (no per-point table
+// parent's packed arcs and pools (no per-point table
 // allocation on the sweep rebind path) and joins its batch, reading
 // only its own row.
 func TestBindSharesProgram(t *testing.T) {
@@ -290,7 +310,7 @@ func TestBindSharesProgram(t *testing.T) {
 	}
 	progs := laneProgs(t, prog, 2)
 	for _, p := range progs {
-		if &p.arcs[0] != &prog.arcs[0] || &p.waves[0] != &prog.waves[0] || p.bpool != prog.bpool {
+		if &p.arcs[0] != &prog.arcs[0] || p.bpool != prog.bpool {
 			t.Fatal("Bind copied the compiled program")
 		}
 	}
@@ -311,52 +331,5 @@ func TestBindSharesProgram(t *testing.T) {
 	be.LaneRowInto(1, row)
 	if row[0] != 14 {
 		t.Fatalf("lane 1 row = %v, want [14]", row)
-	}
-}
-
-// TestComputeWaves pins the wave fences on a known shape: a diamond
-// (two independent middles) shares a wave; a chain does not.
-func TestComputeWaves(t *testing.T) {
-	g := New("diamond")
-	u := g.AddInput("u")
-	a := g.AddNode("a", Intermediate)
-	b := g.AddNode("b", Intermediate)
-	y := g.AddNode("y", Output)
-	g.AddArc(u, a, 0, ConstWeight(1))
-	g.AddArc(u, b, 0, ConstWeight(2))
-	g.AddArc(a, y, 0, ConstWeight(3))
-	g.AddArc(b, y, 0, ConstWeight(4))
-	if err := g.Freeze(); err != nil {
-		t.Fatal(err)
-	}
-	p, err := Compile(g)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// a and b are zero-delay-independent: one wave; y depends on both.
-	if len(p.waves) != 3 || p.waves[0] != 0 || p.waves[1] != 2 || p.waves[2] != 3 {
-		t.Fatalf("diamond waves = %v, want [0 2 3]", p.waves)
-	}
-
-	c := New("chain")
-	cu := c.AddInput("u")
-	prev := cu
-	for i := 0; i < 4; i++ {
-		n := c.AddNode(string(rune('a'+i)), Intermediate)
-		c.AddArc(prev, n, 0, ConstWeight(1))
-		prev = n
-	}
-	cy := c.AddNode("y", Output)
-	c.AddArc(prev, cy, 0, ConstWeight(1))
-	if err := c.Freeze(); err != nil {
-		t.Fatal(err)
-	}
-	pc, err := Compile(c)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Every node depends on its predecessor: one wave per node.
-	if len(pc.waves) != len(pc.nodes)+1 {
-		t.Fatalf("chain waves = %v for %d nodes", pc.waves, len(pc.nodes))
 	}
 }

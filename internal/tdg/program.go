@@ -51,18 +51,11 @@ type Program struct {
 	// in fills the row weights (nil: the program reads none).
 	in Inputs
 
-	// waves partitions nodes into maximal contiguous runs free of
-	// intra-run zero-delay dependencies: nodes[waves[i]:waves[i+1]] may be
-	// evaluated in any order (or concurrently) once the preceding waves of
-	// the same iteration are done. Only zero-delay arcs constrain the
-	// order within one pass — a positive delay references an earlier
-	// iteration's ring slot. The batch evaluator parallelizes large waves.
-	waves []int32
-
 	// pool recycles evaluators (ring and output buffers) across runs.
 	// Bound siblings share it, so a design-space sweep reuses the same
 	// rings for every point of one structural shape. bpool does the same
-	// for batch evaluators.
+	// for batch evaluators. Only Compile makes pools, so a shared bpool
+	// is what makes two programs Bind siblings (NewBatchEvaluator).
 	pool  *sync.Pool
 	bpool *sync.Pool
 
@@ -152,7 +145,6 @@ func Compile(g *Graph) (*Program, error) {
 		p.nodes = append(p.nodes, n)
 		p.ids = append(p.ids, id)
 	}
-	p.computeWaves()
 	p.indexReaders()
 	return p, nil
 }
@@ -190,31 +182,6 @@ func (p *Program) indexReaders() {
 			}
 		}
 	}
-}
-
-// computeWaves greedily splits the evaluation order into maximal
-// contiguous runs in which no node has a zero-delay arc from another
-// node of the same run. The boundaries are stored as a fence list:
-// waves[0] = 0, waves[len-1] = len(nodes).
-func (p *Program) computeWaves() {
-	// gen[src] == cur marks src as a member of the wave under construction.
-	gen := make([]int32, len(p.g.nodes))
-	cur := int32(1)
-	waves := make([]int32, 1, 8)
-	for ni := range p.nodes {
-		n := &p.nodes[ni]
-		for ai := n.lo; ai < n.hi; ai++ {
-			a := &p.arcs[ai]
-			if a.delay == 0 && gen[a.srcBase] == cur {
-				waves = append(waves, int32(ni))
-				cur++
-				break
-			}
-		}
-		gen[n.slotBase] = cur
-	}
-	waves = append(waves, int32(len(p.nodes)))
-	p.waves = waves
 }
 
 // packArc flattens one arc, inlining iteration-independent weights and
