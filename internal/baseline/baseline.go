@@ -288,10 +288,13 @@ func (fn *function) run(p *sim.Proc) {
 // the process armed its end or failed the run: either ends the call.
 func (fn *function) exec(p *sim.Proc, ex model.Exec) bool {
 	load := ex.Cost(fn.cur)
-	dur, err := fn.f.Resource.Duration(load)
-	if err != nil {
-		p.Kernel().Fail(fmt.Errorf("baseline: execute %q of %q, iteration %d: %w", ex.Label, fn.f.Name, fn.k, err))
-		return true
+	dur, ok := fn.f.Resource.Ticks(load)
+	if !ok {
+		var err error
+		if dur, err = fn.f.Resource.Duration(load); err != nil {
+			p.Kernel().Fail(fmt.Errorf("baseline: execute %q of %q, iteration %d: %w", ex.Label, fn.f.Name, fn.k, err))
+			return true
+		}
 	}
 	if fn.b.trace != nil {
 		now := maxplus.T(p.Now())

@@ -1,7 +1,6 @@
 package derive
 
 import (
-	"math"
 	"slices"
 
 	"dyncomp/internal/maxplus"
@@ -37,6 +36,12 @@ func (r *Result) LabelledNodes(dst []Labelled, skip []string) []Labelled {
 // trace records nothing. Record returns the latest instant or activity
 // end of the iteration and whether any of its instants is within the
 // limit.
+//
+// The row holds durations only, so an activity's operation count is
+// recomputed from the bound source's token and the column's cost
+// function, and only when the activity is recorded. That is exact:
+// token functions are deterministic and cost functions pure, so the
+// count is the one the duration was converted from.
 func (r *Result) Record(trace *observe.Trace, nodes []Labelled, vals, row []maxplus.T, k int, limit maxplus.T) (end maxplus.T, reached bool) {
 	end = maxplus.Epsilon
 	for _, n := range nodes {
@@ -72,7 +77,7 @@ func (r *Result) Record(trace *observe.Trace, nodes []Labelled, vals, row []maxp
 			K:        k,
 			Start:    start,
 			End:      fin,
-			Ops:      math.Float64frombits(uint64(row[p.entries+int(pr.exec)])),
+			Ops:      col.cost(r.Arch)(r.Arch.Sources[p.srcs[col.src]].TokenAt(k)).Ops,
 		})
 	}
 	return end, reached

@@ -2,7 +2,6 @@ package derive
 
 import (
 	"fmt"
-	"math"
 
 	"dyncomp/internal/maxplus"
 	"dyncomp/internal/model"
@@ -22,18 +21,18 @@ type execRef struct {
 // it to the new architecture's sources, cost functions and resources
 // (see inputs).
 //
-// The row of iteration k holds, per column (one distinct exec
-// statement), the statement's duration at k; then, per distinct
-// multi-exec arc weight, the ⊗ fold of its columns in recipe order; then,
-// per column, the statement's operation count at k as IEEE-754 bits,
-// which only Record reads. Arcs read entries [0, entries) as
-// tdg.RowWeight.
+// The row of iteration k holds what the (max,+) pass reads and nothing
+// else: per column (one distinct exec statement), the statement's
+// duration at k; then, per distinct multi-exec arc weight, the ⊗ fold of
+// its columns in recipe order. Arcs read it as tdg.RowWeight. An
+// execution's operation count is not in the row: Record recomputes it
+// when it records the activity.
 type plan struct {
 	cols    []column
 	bySrc   [][]int32 // per plan source: its columns
 	srcs    []int     // architecture source index per plan source
 	folds   []fold
-	entries int // duration entries: columns and folds
+	entries int // row entries: columns and folds
 	probes  []probe
 }
 
@@ -41,6 +40,7 @@ type plan struct {
 // are part of the structural shape, so they hold for every binding.
 type column struct {
 	ref      execRef
+	src      int32 // plan source whose tokens it processes
 	entry    int32 // row entry of its duration
 	label    string
 	resource string
@@ -103,7 +103,7 @@ func (pl *planner) column(e *model.ExecInfo) int32 {
 	c := int32(len(pl.p.cols))
 	pl.col[ref] = c
 	pl.p.cols = append(pl.p.cols, column{
-		ref: ref, entry: int32(pl.p.entries), label: e.Label, resource: e.Resource.Name,
+		ref: ref, src: ps, entry: int32(pl.p.entries), label: e.Label, resource: e.Resource.Name,
 	})
 	pl.p.entries++
 	pl.p.bySrc[ps] = append(pl.p.bySrc[ps], c)
@@ -141,10 +141,6 @@ func (pl *planner) probe(base tdg.NodeID, pre []*model.ExecInfo, e *model.ExecIn
 	pl.p.probes = append(pl.p.probes, pr)
 }
 
-// width is the row length: duration entries, then one ops entry per
-// column.
-func (p *plan) width() int { return p.entries + len(p.cols) }
-
 // bind resolves the plan against an architecture of its shape: equal
 // shape keys list the same sources, functions and exec statements at the
 // same positions.
@@ -152,17 +148,26 @@ func (p *plan) bind(a *model.Architecture) *inputs {
 	in := &inputs{
 		plan:   p,
 		tokens: make([]model.TokenFn, len(p.srcs)),
-		costs:  make([]model.CostFn, len(p.cols)),
-		res:    make([]*model.Resource, len(p.cols)),
+		bound:  make([]boundColumn, 0, len(p.cols)),
 	}
-	for i, si := range p.srcs {
-		in.tokens[i] = a.Sources[si].Tokens
-	}
-	for c, col := range p.cols {
-		f := a.Functions[col.ref.fn]
-		in.costs[c], in.res[c] = f.Body[col.ref.stmt].(model.Exec).Cost, f.Resource
+	for s, cols := range p.bySrc {
+		in.tokens[s] = a.Sources[p.srcs[s]].Tokens
+		for _, c := range cols {
+			col := &p.cols[c]
+			in.bound = append(in.bound, boundColumn{
+				cost:  col.cost(a),
+				res:   a.Functions[col.ref.fn].Resource,
+				entry: col.entry,
+				col:   c,
+			})
+		}
 	}
 	return in
+}
+
+// cost returns the column's cost function in a.
+func (c *column) cost(a *model.Architecture) model.CostFn {
+	return a.Functions[c.ref.fn].Body[c.ref.stmt].(model.Exec).Cost
 }
 
 // inputs binds a plan to one architecture's sources, cost functions and
@@ -170,32 +175,46 @@ func (p *plan) bind(a *model.Architecture) *inputs {
 // one Result serves concurrent evaluations.
 type inputs struct {
 	plan   *plan
-	tokens []model.TokenFn   // per plan source
-	costs  []model.CostFn    // per column
-	res    []*model.Resource // per column
+	tokens []model.TokenFn // per plan source
+	bound  []boundColumn   // the columns, grouped by plan source in order
+}
+
+// boundColumn is one column resolved against a binding: all that Fill
+// reads of it.
+type boundColumn struct {
+	cost  model.CostFn
+	res   *model.Resource
+	entry int32 // row entry of its duration
+	col   int32
 }
 
 // Width implements tdg.Inputs.
-func (in *inputs) Width() int { return in.plan.width() }
+func (in *inputs) Width() int { return in.plan.entries }
 
-// Fill implements tdg.Inputs: one token per used source, then one cost
-// call and one duration per column, then the folds.
+// Fill implements tdg.Inputs: one token per used source and one cost
+// call and duration per column, in one walk of the bound columns, then
+// the folds.
 func (in *inputs) Fill(k int, row []maxplus.T, stride int) error {
 	p := in.plan
-	ops := p.entries
-	for s, cols := range p.bySrc {
-		tok := in.tokens[s](k)
+	bound := in.bound
+	for s, tokens := range in.tokens {
+		tok := tokens(k)
 		tok.K = k
-		for _, c := range cols {
-			load := in.costs[c](tok)
-			d, err := in.res[c].Duration(load)
-			if err != nil {
-				col := &p.cols[c]
-				return fmt.Errorf("derive: execute %q on %q, iteration %d: %w", col.label, col.resource, k, err)
+		n := len(p.bySrc[s])
+		for i := range bound[:n] {
+			b := &bound[i]
+			load := b.cost(tok)
+			d, ok := b.res.Ticks(load)
+			if !ok {
+				var err error
+				if d, err = b.res.Duration(load); err != nil {
+					col := &p.cols[b.col]
+					return fmt.Errorf("derive: execute %q on %q, iteration %d: %w", col.label, col.resource, k, err)
+				}
 			}
-			row[int(p.cols[c].entry)*stride] = d
-			row[(ops+int(c))*stride] = maxplus.T(math.Float64bits(load.Ops))
+			row[int(b.entry)*stride] = d
 		}
+		bound = bound[n:]
 	}
 	for _, f := range p.folds {
 		var sum maxplus.T
@@ -207,8 +226,9 @@ func (in *inputs) Fill(k int, row []maxplus.T, stride int) error {
 	return nil
 }
 
-// RowWidth returns the length of the result's iteration row.
-func (r *Result) RowWidth() int { return r.plan.width() }
+// RowWidth returns the length of the result's iteration row: its
+// duration entries.
+func (r *Result) RowWidth() int { return r.plan.entries }
 
 // FillRow writes iteration k's row into row (RowWidth entries): what
 // the result's program reads when it steps iteration k, for evaluations

@@ -240,10 +240,14 @@ func (fn *function) run(p *sim.Proc) {
 				// reader; the timestamp is quantized at the boundary.
 				b.chans[s.Ch].push(fn.cur, b.quantize(fn.local))
 			case model.Exec:
-				dur, err := f.Resource.Duration(s.Cost(fn.cur))
-				if err != nil {
-					p.Kernel().Fail(fmt.Errorf("ltdecoup: execute %q of %q, iteration %d: %w", s.Label, f.Name, fn.k, err))
-					return
+				load := s.Cost(fn.cur)
+				dur, ok := f.Resource.Ticks(load)
+				if !ok {
+					var err error
+					if dur, err = f.Resource.Duration(load); err != nil {
+						p.Kernel().Fail(fmt.Errorf("ltdecoup: execute %q of %q, iteration %d: %w", s.Label, f.Name, fn.k, err))
+						return
+					}
 				}
 				if b.trace != nil {
 					b.trace.RecordActivity(observe.Activity{
@@ -252,7 +256,7 @@ func (fn *function) run(p *sim.Proc) {
 						K:        fn.k,
 						Start:    maxplus.T(fn.local),
 						End:      maxplus.Otimes(maxplus.T(fn.local), dur),
-						Ops:      s.Cost(fn.cur).Ops,
+						Ops:      load.Ops,
 					})
 				}
 				fn.local += sim.Time(dur)

@@ -115,30 +115,43 @@ type Resource struct {
 	Concurrency int
 }
 
-// DurationOf converts a load into an execution duration in ticks
-// (nanoseconds) on this resource, rounding to the nearest tick. Both
-// simulation engines use this exact conversion so that instants agree.
-// A tick count outside the int64 range does not convert: use Duration,
-// which reports it.
-func (r *Resource) DurationOf(l Load) maxplus.T { return maxplus.T(r.ticks(l)) }
-
-// Duration is DurationOf with a range check: a load whose tick count is
-// NaN, infinite or at least 2^63 fails with ErrDurationRange instead of
-// converting to an undefined instant (ε on most platforms).
-func (r *Resource) Duration(l Load) (maxplus.T, error) {
-	t := r.ticks(l)
-	if !(t < 1<<63) {
-		return 0, fmt.Errorf("%w: %g ops on %q is %g ns", ErrDurationRange, l.Ops, r.Name, t)
-	}
-	return maxplus.T(t), nil
+// Ticks converts a load into an execution duration in ticks
+// (nanoseconds) on this resource, rounding to the nearest tick, and
+// reports whether the tick count is a duration: at least 0 and below
+// 2^63. Where it is not, Duration decides: a load of no operations takes
+// no time, and any other fails with ErrDurationRange. Ticks is the one
+// conversion every engine uses, so that instants agree; it is small
+// enough to inline into the loops that convert every execution, which
+// Duration is not.
+func (r *Resource) Ticks(l Load) (maxplus.T, bool) {
+	t := math.Round(l.Ops / r.OpsPerSec * 1e9)
+	return maxplus.T(t), 0 <= t && t < 1<<63
 }
 
-// ticks is the rounded duration of l in ticks, before conversion.
-func (r *Resource) ticks(l Load) float64 {
-	if l.Ops <= 0 {
-		return 0
+// Duration is Ticks with the loads it declines decided: no operations
+// (Ops <= 0) take no time, and a load whose tick count is NaN, negative,
+// infinite or at least 2^63 fails with ErrDurationRange instead of
+// converting to an undefined instant (ε on most platforms). A negative
+// tick count needs a negative speed, which Validate rejects.
+func (r *Resource) Duration(l Load) (maxplus.T, error) {
+	d, ok := r.Ticks(l)
+	switch {
+	case ok:
+		return d, nil
+	case l.Ops <= 0:
+		return 0, nil
 	}
-	return math.Round(l.Ops / r.OpsPerSec * 1e9)
+	// Rounding is the identity on NaN, infinite and at least 2^63 tick
+	// counts, so the message shows the unrounded figure: the tick count
+	// itself except for a negative speed.
+	return 0, fmt.Errorf("%w: %g ops on %q is %g ns", ErrDurationRange, l.Ops, r.Name, l.Ops/r.OpsPerSec*1e9)
+}
+
+// DurationOf is Duration for a load known to be in range; an out-of-range
+// one converts to 0.
+func (r *Resource) DurationOf(l Load) maxplus.T {
+	d, _ := r.Duration(l)
+	return d
 }
 
 // ErrDurationRange reports an execution whose duration does not fit an

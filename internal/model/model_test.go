@@ -1,6 +1,10 @@
 package model
 
 import (
+	"errors"
+	"fmt"
+	"math"
+	"math/rand/v2"
 	"strings"
 	"testing"
 
@@ -331,5 +335,84 @@ func TestPeriodicOverflowSafe(t *testing.T) {
 	p := Periodic(maxplus.T(1<<40), 0)
 	if p(2) != maxplus.T(1<<41) {
 		t.Fatalf("Periodic large = %v", p(2))
+	}
+}
+
+// refTicks is the conversion's formula on its own: no operations take
+// no time, and any other load is its operations at the resource's speed,
+// rounded to the nearest tick.
+func refTicks(ops, speed float64) float64 {
+	if ops <= 0 {
+		return 0
+	}
+	return math.Round(ops / speed * 1e9)
+}
+
+// checkConversion holds Ticks, Duration and DurationOf to the formula:
+// bit-identical ticks wherever the tick count is in range — Ticks
+// declining only a load of no operations, which Duration then decides —
+// and ErrDurationRange with the formula's figure everywhere else.
+func checkConversion(t *testing.T, ops, speed float64) {
+	t.Helper()
+	r := &Resource{Name: "R", OpsPerSec: speed}
+	l := Load{Ops: ops}
+	want := refTicks(ops, speed)
+	fast, ok := r.Ticks(l)
+	d, err := r.Duration(l)
+	if !(want < 1<<63) {
+		msg := fmt.Sprintf("%v: %g ops on %q is %g ns", ErrDurationRange, ops, "R", want)
+		if ok || !errors.Is(err, ErrDurationRange) || err.Error() != msg {
+			t.Fatalf("%v ops at %v: Ticks ok %v, Duration error %v; want out of range, %q", ops, speed, ok, err, msg)
+		}
+		return
+	}
+	if err != nil || d != maxplus.T(want) || r.DurationOf(l) != d {
+		t.Fatalf("%v ops at %v: Duration %v, %v, DurationOf %v; want %v ticks", ops, speed, d, err, r.DurationOf(l), want)
+	}
+	if ok && fast != d || !ok && ops > 0 {
+		t.Fatalf("%v ops at %v: Ticks %v, %v; want %v ticks", ops, speed, fast, ok, want)
+	}
+}
+
+func TestConversionAgreesWithFormula(t *testing.T) {
+	speeds := []float64{1e9, 2e9, 3e9, 2.7e9, 1.3e8, 7, 6.02214076e23}
+	// Loads that divide and scale to 0.49999999999999994 ticks: a
+	// formula rounding by adding 0.5 would give 1.
+	for _, c := range []struct{ ops, speed float64 }{
+		{0.49999999999999994, 1e9}, {0.9999999999999999, 2e9}, {1.4999999999999998, 3e9}, {1.9999999999999998, 4e9},
+	} {
+		if x := c.ops / c.speed * 1e9; x != 0.49999999999999994 {
+			t.Fatalf("%v ops at %v scale to %v", c.ops, c.speed, x)
+		}
+		checkConversion(t, c.ops, c.speed)
+	}
+	below := math.Nextafter(1<<63, 0) // the largest tick count that converts
+	edges := []float64{
+		0, math.Copysign(0, -1), -5, -2.5e9, math.Inf(-1), math.NaN(), math.Inf(1),
+		1, 2.5, 3.5, 5, 1e-300, 1 << 63, below, 1e30,
+	}
+	for _, speed := range speeds {
+		for _, ops := range edges {
+			checkConversion(t, ops, speed)
+		}
+		// Halfway tick counts round away from zero.
+		for _, half := range []float64{0.5, 1.5, 2.5, 1e6 + 0.5} {
+			checkConversion(t, half*speed/1e9, speed)
+		}
+	}
+	for _, ops := range []float64{1 << 63, below} { // exactly 2^63 ticks, and just below
+		checkConversion(t, ops, 1e9)
+	}
+	if d, ok := (&Resource{OpsPerSec: 1e9}).Ticks(Load{Ops: below}); !ok || d != maxplus.T(below) {
+		t.Fatalf("Ticks(%v) = %v, %v", below, d, ok)
+	}
+	if _, ok := (&Resource{OpsPerSec: 1e9}).Ticks(Load{Ops: 1 << 63}); ok {
+		t.Fatal("2^63 ticks converted")
+	}
+	rng := rand.New(rand.NewPCG(1, 2))
+	for range 20000 {
+		ops := math.Ldexp(rng.Float64(), rng.IntN(140)-40)
+		checkConversion(t, ops, speeds[rng.IntN(len(speeds))])
+		checkConversion(t, ops, 1+rng.Float64()*1e10)
 	}
 }

@@ -3,6 +3,7 @@ package shard
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"os"
@@ -25,8 +26,17 @@ import (
 // A nil *Store is valid and remembers nothing — an in-memory-only
 // coordinator for tests and throwaway fleets.
 type Store struct {
-	mu sync.Mutex
-	f  *os.File
+	mu   sync.Mutex
+	f    *os.File
+	recs []span // every record of the file, in order
+}
+
+// span indexes one record of the store file: its job and the offset
+// just past its newline. The file is always exactly the indexed
+// records, so compaction copies byte spans without decoding them.
+type span struct {
+	job string
+	end int64
 }
 
 // record is the single on-disk line format; Type selects which fields
@@ -89,7 +99,7 @@ type JobRecord struct {
 // \n-terminated, not JSON, or not a known record type ends the replay
 // and everything from it on is discarded.
 func OpenStore(path string) (*Store, []JobRecord, error) {
-	f, err := os.OpenFile(path, os.O_CREATE|os.O_RDWR, 0o644)
+	f, err := os.OpenFile(path, os.O_CREATE|os.O_RDWR|os.O_APPEND, 0o644)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -102,6 +112,7 @@ func OpenStore(path string) (*Store, []JobRecord, error) {
 	var (
 		jobs  = map[string]*JobRecord{}
 		order []string
+		recs  []span
 		valid int64 // byte offset past the last intact record
 	)
 replay:
@@ -155,13 +166,10 @@ replay:
 		}
 		off += nl + 1
 		valid = int64(off)
+		recs = append(recs, span{job: rec.Job, end: valid})
 	}
 
 	if err := f.Truncate(valid); err != nil {
-		f.Close()
-		return nil, nil, err
-	}
-	if _, err := f.Seek(valid, io.SeekStart); err != nil {
 		f.Close()
 		return nil, nil, err
 	}
@@ -170,11 +178,19 @@ replay:
 	for _, id := range order {
 		out = append(out, *jobs[id])
 	}
-	return &Store{f: f}, out, nil
+	return &Store{f: f, recs: recs}, out, nil
+}
+
+// size is the length of the indexed records.
+func (st *Store) size() int64 {
+	if len(st.recs) == 0 {
+		return 0
+	}
+	return st.recs[len(st.recs)-1].end
 }
 
 // append writes one record followed by a newline and syncs — each
-// record is a recovery point.
+// record is a recovery point — and indexes it.
 func (st *Store) append(rec record) error {
 	if st == nil {
 		return nil
@@ -183,15 +199,34 @@ func (st *Store) append(rec record) error {
 	if err != nil {
 		return err
 	}
+	data = append(data, '\n')
 	st.mu.Lock()
 	defer st.mu.Unlock()
 	if st.f == nil {
 		return fmt.Errorf("shard: store closed")
 	}
-	if _, err := st.f.Write(append(data, '\n')); err != nil {
-		return err
+	if _, err := st.f.Write(data); err != nil {
+		return st.rollback(err)
 	}
-	return st.f.Sync()
+	if err := st.f.Sync(); err != nil {
+		return st.rollback(err)
+	}
+	st.recs = append(st.recs, span{job: rec.Job, end: st.size() + int64(len(data))})
+	return nil
+}
+
+// rollback undoes a failed append: it truncates the file back to its
+// last indexed record, so the file stays exactly the indexed records.
+// If that fails too, the store closes — a later record would follow a
+// torn one, which replay discards — as Compact does when it loses its
+// handle.
+func (st *Store) rollback(err error) error {
+	if terr := st.f.Truncate(st.size()); terr != nil {
+		st.f.Close()
+		st.f = nil
+		return errors.Join(err, terr)
+	}
+	return err
 }
 
 // AppendJob records a submitted job.
@@ -215,11 +250,10 @@ func (st *Store) AppendState(id, state, errMsg string, finished time.Time) error
 // Compact rewrites the store keeping only records of jobs in live,
 // dropping everything the coordinator has evicted — the log stays
 // proportional to the retained jobs instead of the all-time history.
+// It copies the live records' byte spans by the index, decoding none.
 // The rewrite goes through a synced temp file renamed over the
 // original, so a crash at any instant leaves either the old complete
-// log or the new complete log, never a mix; replay semantics
-// (stop-at-first-bad-line) are preserved because compaction copies the
-// same prefix replay would accept.
+// log or the new complete log, never a mix.
 func (st *Store) Compact(live map[string]bool) (kept, dropped int, err error) {
 	if st == nil {
 		return 0, 0, nil
@@ -229,33 +263,23 @@ func (st *Store) Compact(live map[string]bool) (kept, dropped int, err error) {
 	if st.f == nil {
 		return 0, 0, fmt.Errorf("shard: store closed")
 	}
-	if _, err := st.f.Seek(0, io.SeekStart); err != nil {
+	raw := make([]byte, st.size())
+	if _, err := st.f.ReadAt(raw, 0); err != nil {
 		return 0, 0, err
 	}
-	raw, err := io.ReadAll(st.f)
-	if err != nil {
-		return 0, 0, err
+	var (
+		out  bytes.Buffer
+		next []span
+		from int64
+	)
+	for _, r := range st.recs {
+		if live[r.job] {
+			out.Write(raw[from:r.end])
+			next = append(next, span{job: r.job, end: int64(out.Len())})
+		}
+		from = r.end
 	}
-	var out bytes.Buffer
-	for off := 0; off < len(raw); {
-		nl := bytes.IndexByte(raw[off:], '\n')
-		if nl < 0 {
-			break
-		}
-		line := raw[off : off+nl]
-		var rec record
-		if err := json.Unmarshal(line, &rec); err != nil || rec.Job == "" {
-			break // mirror replay: nothing past the first bad line survives
-		}
-		if live[rec.Job] {
-			out.Write(line)
-			out.WriteByte('\n')
-			kept++
-		} else {
-			dropped++
-		}
-		off += nl + 1
-	}
+	kept, dropped = len(next), len(st.recs)-len(next)
 
 	path := st.f.Name()
 	tmp := path + ".compact"
@@ -290,7 +314,7 @@ func (st *Store) Compact(live map[string]bool) (kept, dropped int, err error) {
 		return kept, dropped, err
 	}
 	st.f.Close()
-	st.f = reopened
+	st.f, st.recs = reopened, next
 	return kept, dropped, nil
 }
 

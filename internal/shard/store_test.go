@@ -1,6 +1,10 @@
 package shard
 
 import (
+	"bytes"
+	"encoding/json"
+	"errors"
+	"math"
 	"net/http/httptest"
 	"os"
 	"strings"
@@ -244,5 +248,191 @@ func TestClosedStoreRejectsAppends(t *testing.T) {
 	}
 	if err := st.AppendState("job-000001", "done", "", time.Now()); err == nil {
 		t.Fatal("append to a closed store succeeded")
+	}
+}
+
+// decodeCompact is the compaction that decodes every record to read its
+// job: the reference the indexed Compact must match byte for byte.
+func decodeCompact(raw []byte, live map[string]bool) []byte {
+	var out bytes.Buffer
+	for off := 0; off < len(raw); {
+		nl := bytes.IndexByte(raw[off:], '\n')
+		if nl < 0 {
+			break
+		}
+		line := raw[off : off+nl]
+		var rec record
+		if err := json.Unmarshal(line, &rec); err != nil || rec.Job == "" {
+			break
+		}
+		if live[rec.Job] {
+			out.Write(line)
+			out.WriteByte('\n')
+		}
+		off += nl + 1
+	}
+	return out.Bytes()
+}
+
+// appendRound appends, for each job, a chunk record and then a state
+// record, interleaving the jobs as concurrent chunk completions do.
+func appendRound(t *testing.T, st *Store, jobs []string, chunk int) {
+	t.Helper()
+	for i, id := range jobs {
+		resp := &serve.ChunkResponse{Points: []serve.ChunkPoint{
+			{Index: chunk, SweepPoint: serve.SweepPoint{Params: map[string]int64{"seed": int64(i)}, EventRatio: 1.5}},
+		}, Batches: 1, BatchedPoints: 1}
+		if err := st.AppendChunk(id, chunk, "http://w", resp); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, id := range jobs {
+		if err := st.AppendState(id, "done", "", time.Unix(20, 0)); err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
+// compactMatchesDecode compacts st down to live and checks the file is
+// byte-identical to what the decoding compaction writes from the file
+// before, and that the store still appends and replays after it.
+func compactMatchesDecode(t *testing.T, st *Store, path string, live map[string]bool) {
+	t.Helper()
+	before, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := decodeCompact(before, live)
+	if _, _, err := st.Compact(live); err != nil {
+		t.Fatal(err)
+	}
+	got, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, want) {
+		t.Fatalf("compacted store differs from the decoding compaction:\n got %q\nwant %q", got, want)
+	}
+	if err := st.AppendState("job-000002", "failed", "late", time.Unix(30, 0)); err != nil {
+		t.Fatal(err)
+	}
+	after, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.HasPrefix(after, got) || bytes.Count(after, []byte("\n")) != bytes.Count(got, []byte("\n"))+1 {
+		t.Fatalf("append after compaction did not add exactly one record: %q", after)
+	}
+}
+
+// Compaction copies the indexed byte spans of the live jobs and decodes
+// nothing; the file it writes is the one the decoding compaction
+// writes, on appended records, on a replayed store whose torn tail was
+// truncated, and after failed appends.
+func TestCompactMatchesDecodingCompaction(t *testing.T) {
+	jobs := []string{"job-000001", "job-000002", "job-000003"}
+	live := map[string]bool{"job-000002": true}
+	open := func(t *testing.T, path string) *Store {
+		t.Helper()
+		st, _, err := OpenStore(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { st.Close() })
+		return st
+	}
+	seed := func(t *testing.T) (*Store, string) {
+		t.Helper()
+		path := t.TempDir() + "/jobs.ndjson"
+		st := open(t, path)
+		for _, id := range jobs {
+			if err := st.AppendJob(id, time.Unix(10, 0), faultReq, 2); err != nil {
+				t.Fatal(err)
+			}
+		}
+		appendRound(t, st, jobs, 0)
+		return st, path
+	}
+
+	t.Run("appended", func(t *testing.T) {
+		st, path := seed(t)
+		compactMatchesDecode(t, st, path, live)
+		// A second compaction works from the index the first one built.
+		appendRound(t, st, jobs, 1)
+		compactMatchesDecode(t, st, path, map[string]bool{"job-000002": true, "job-000003": true})
+	})
+
+	t.Run("replayed torn tail", func(t *testing.T) {
+		st, path := seed(t)
+		if err := st.Close(); err != nil {
+			t.Fatal(err)
+		}
+		f, err := os.OpenFile(path, os.O_WRONLY|os.O_APPEND, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := f.WriteString(`{"type":"chunk","job":"job-000002","chu`); err != nil {
+			t.Fatal(err)
+		}
+		f.Close()
+		st = open(t, path)
+		appendRound(t, st, jobs, 1)
+		compactMatchesDecode(t, st, path, live)
+	})
+
+	t.Run("failed appends", func(t *testing.T) {
+		st, path := seed(t)
+		// A record that does not encode writes nothing.
+		bad := &serve.ChunkResponse{Points: []serve.ChunkPoint{{SweepPoint: serve.SweepPoint{EventRatio: math.NaN()}}}}
+		if err := st.AppendChunk("job-000002", 1, "http://w", bad); err == nil {
+			t.Fatal("a NaN event ratio encoded")
+		}
+		// A write cut off mid-record is truncated away.
+		if _, err := st.f.WriteString(`{"type":"state","job":"job-0`); err != nil {
+			t.Fatal(err)
+		}
+		if err := st.rollback(errors.New("short write")); err == nil || st.f == nil {
+			t.Fatalf("rollback: %v, store open %v; want the write's error and an open store", err, st.f != nil)
+		}
+		appendRound(t, st, jobs, 1)
+		compactMatchesDecode(t, st, path, live)
+	})
+}
+
+// An append whose write fails and whose rollback cannot truncate closes
+// the store: the file keeps exactly its indexed records, and nothing
+// is appended behind a record replay would discard.
+func TestFailedRollbackClosesStore(t *testing.T) {
+	path := writeSeedStore(t)
+	before, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	st, _, err := OpenStore(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// A read-only handle fails both the write and the truncate.
+	ro, err := os.Open(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	st.f.Close()
+	st.f = ro
+	if err := st.AppendState("job-000001", "failed", "", time.Now()); err == nil {
+		t.Fatal("append through a read-only handle succeeded")
+	}
+	if err := st.AppendState("job-000001", "failed", "", time.Now()); err == nil || !strings.Contains(err.Error(), "closed") {
+		t.Fatalf("append after a failed rollback: %v, want the store closed", err)
+	}
+	if _, _, err := st.Compact(map[string]bool{}); err == nil {
+		t.Fatal("compaction of a closed store succeeded")
+	}
+	after, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(before, after) {
+		t.Fatal("the store file changed")
 	}
 }
